@@ -9,7 +9,8 @@ clock or any other ambient entropy — the default seed is 0).
 
 Configuration precedence: command-line flags beat ``FREQCROWD_<KEY>``
 environment variables, which beat ``--config`` INI entries (section
-``[freqcrowd]``), which beat built-in defaults.
+``[freqcrowd]``), which beat built-in defaults.  Each setting is declared
+once, in :data:`OPTIONS`, which drives all four sources.
 
 Exit codes: 0 success, 1 runtime or I/O failure, 2 usage/config error.
 """
@@ -22,51 +23,76 @@ import hashlib
 import json
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, collision, lattice, mc, physics, svgchart, tunesim, window
 from .errors import FreqcrowdError, InputError, ParameterError
 
-TABLE2_SIGMAS = (132.3, 14.0)
 EXTRAPOLATE_SIGMAS = (14.0, 12.0, 10.0, 8.0, 6.0)
 
-# (dest, converter) for every option that may come from env or config file
-_CONVERTERS = {
-    "family": str, "distance": int, "base_ghz": float, "spacing_mhz": float,
-    "sigma_mhz": float, "sigmas": str, "spacings": str, "trials": int,
-    "seed": int, "threads": int, "out": str, "name": str, "config": str,
-    "reproduce_table2": bool, "csv_path": str, "sweep_csv": str,
-    "fix_exponent": float, "junctions": int, "target_spread": str,
-    "median_ohm": float, "fractional_sigma": float, "noise_sigma": float,
-    "step_fraction": float, "converge_band": float, "max_anneals": int,
-    "residual_std_mhz": float, "anharmonicity_mhz": float, "manifest": str,
-}
 
-_DEFAULTS = {
-    "base_ghz": lattice.DEFAULT_BASE_GHZ,
-    "spacing_mhz": lattice.DEFAULT_SPACING_MHZ,
-    "sigma_mhz": 0.0,
-    "sigmas": "",
-    "spacings": "",
-    "trials": 0,                # 0 = adaptive policy
-    "seed": 0,
-    "threads": 1,
-    "out": "out",
-    "name": "default",
-    "reproduce_table2": False,
-    "fix_exponent": float("nan"),
-    "junctions": 31,
-    "target_spread": "",
-    "median_ohm": tunesim.DEFAULT_MEDIAN_OHM,
-    "fractional_sigma": tunesim.DEFAULT_FRACTIONAL_SIGMA,
-    "noise_sigma": 0.10,
-    "step_fraction": 0.5,
-    "converge_band": 0.003,
-    "max_anneals": 50,
-    "residual_std_mhz": 14.5,
-    "anharmonicity_mhz": collision.DEFAULT_ANHARMONICITY_MHZ,
-}
+class Option(NamedTuple):
+    """One setting: its argparse flags, the converter applied to flag,
+    ``FREQCROWD_<DEST>`` and INI values, its default, and the commands
+    that take it (``None``: every command)."""
+
+    dest: str
+    flags: tuple
+    type: type
+    default: object
+    commands: tuple | None
+    help: str | None = None
+
+
+_LATTICE_COMMANDS = ("lattice", "check", "sweep")
+
+OPTIONS = (
+    Option("family", ("--family",), str, None, _LATTICE_COMMANDS,
+           f"one of: {', '.join(lattice.FAMILIES)}"),
+    Option("distance", ("-d", "--distance"), int, None, _LATTICE_COMMANDS,
+           "code distance (odd, >= 3)"),
+    Option("spacing_mhz", ("--spacing-mhz",), float, lattice.DEFAULT_SPACING_MHZ, ("check",)),
+    Option("base_ghz", ("--base-ghz",), float, lattice.DEFAULT_BASE_GHZ, ("check", "sweep")),
+    Option("sigma_mhz", ("--sigma-mhz",), float, 0.0, ("check",),
+           "add one draw of Gaussian scatter before checking"),
+    Option("anharmonicity_mhz", ("--anharmonicity-mhz",), float,
+           collision.DEFAULT_ANHARMONICITY_MHZ, ("check", "sweep")),
+    Option("sigmas", ("--sigmas",), str, "", ("sweep", "extrapolate"),
+           "comma-separated scatter levels in MHz"),
+    Option("spacings", ("--spacings",), str, "", ("sweep",),
+           "comma-separated spacing grid in MHz"),
+    Option("trials", ("--trials",), int, 0, ("sweep",),
+           "fixed trials per point (default: adaptive)"),
+    Option("reproduce_table2", ("--reproduce-table2",), bool, False, ("sweep",),
+           "summary table over all nine lattices"),
+    Option("sweep_csv", ("--sweep-csv",), str, None, ("fit-window", "extrapolate"),
+           "comma-separated sweep results.csv paths"),
+    Option("junctions", ("--junctions",), int, 31, ("tune",)),
+    Option("target_spread", ("--target-spread",), str, "", ("tune",),
+           "LO:HI percent offsets above initial resistance"),
+    Option("median_ohm", ("--median-ohm",), float, tunesim.DEFAULT_MEDIAN_OHM, ("tune",)),
+    Option("fractional_sigma", ("--fractional-sigma",), float,
+           tunesim.DEFAULT_FRACTIONAL_SIGMA, ("tune",)),
+    Option("noise_sigma", ("--noise-sigma",), float, 0.10, ("tune",)),
+    Option("step_fraction", ("--step-fraction",), float, 0.5, ("tune",)),
+    Option("converge_band", ("--converge-band",), float, 0.003, ("tune",)),
+    Option("max_anneals", ("--max-anneals",), int, 50, ("tune",)),
+    Option("residual_std_mhz", ("--residual-std",), float, 14.5, ("tune",)),
+    Option("csv_path", ("--csv",), str, None, ("fit-rn",),
+           "CSV with header resistance_ohm,frequency_ghz"),
+    Option("fix_exponent", ("--fix-exponent",), float, float("nan"), ("fit-rn",)),
+    Option("manifest", ("manifest",), str, None, ("rerun",), "path to a manifest.json"),
+    Option("out", ("--out",), str, "out", None, "output root directory (default: out)"),
+    Option("name", ("--name",), str, "default", None,
+           "run name under out/<command>/ (default: default)"),
+    Option("seed", ("--seed",), int, 0, None, "master seed (default: 0, never wall-clock)"),
+    Option("threads", ("--threads",), int, 1, None, "worker threads; never changes results"),
+    Option("config", ("--config",), str, None, None, "INI file with a [freqcrowd] section"),
+)
+
+_OPTION = {opt.dest: opt for opt in OPTIONS}
 
 
 class UsageError(Exception):
@@ -74,7 +100,7 @@ class UsageError(Exception):
 
 
 def _coerce(key: str, raw: str):
-    conv = _CONVERTERS[key]
+    conv = _OPTION[key].type
     if conv is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
@@ -97,7 +123,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"config file not found: {args.config}")
         if parser.has_section("freqcrowd"):
             for key, raw in parser.items("freqcrowd"):
-                if key not in _CONVERTERS:
+                if key not in _OPTION:
                     raise UsageError(f"unknown config key: {key}")
                 file_cfg[key] = _coerce(key, raw)
     cfg = {"command": args.command}
@@ -112,10 +138,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
             cfg[key] = _coerce(key, env)
         elif key in file_cfg:
             cfg[key] = file_cfg[key]
-        elif key in _DEFAULTS:
-            cfg[key] = _DEFAULTS[key]
         else:
-            cfg[key] = None
+            cfg[key] = _OPTION[key].default
     return cfg
 
 
@@ -199,8 +223,8 @@ def _rules(cfg: dict) -> collision.CollisionRules:
 
 def _pattern(cfg: dict) -> lattice.FrequencyPattern:
     return lattice.FrequencyPattern(
-        base_ghz=cfg.get("base_ghz", _DEFAULTS["base_ghz"]),
-        spacing_mhz=cfg.get("spacing_mhz", _DEFAULTS["spacing_mhz"]))
+        base_ghz=cfg.get("base_ghz", _OPTION["base_ghz"].default),
+        spacing_mhz=cfg.get("spacing_mhz", _OPTION["spacing_mhz"].default))
 
 
 def _sweep_row(pt: mc.SweepPoint):
@@ -213,6 +237,7 @@ _SWEEP_HEADER = ["family", "distance", "n_qubits", "sigma_f_mhz", "spacing_mhz",
 
 
 def cmd_lattice(cfg: dict) -> int:
+    """Build a lattice; write JSON and DOT."""
     lat = _build(cfg)
     run = RunDir(cfg)
     run.write_json("results.json", lattice.to_json_dict(lat))
@@ -226,6 +251,7 @@ def cmd_lattice(cfg: dict) -> int:
 
 
 def cmd_check(cfg: dict) -> int:
+    """Count collisions for one frequency assignment."""
     lat = _build(cfg)
     pattern = _pattern(cfg)
     freqs = lattice.set_points_mhz(lat, pattern)
@@ -257,12 +283,13 @@ def _policy(cfg: dict) -> mc.TrialsPolicy:
 
 
 def cmd_sweep(cfg: dict) -> int:
+    """Monte Carlo yield vs frequency scatter."""
+    spacing_grid = _float_list(cfg["spacings"]) or mc.DEFAULT_SPACING_GRID_MHZ
     if cfg["reproduce_table2"]:
-        return _sweep_table2(cfg)
+        return _sweep_table2(cfg, spacing_grid)
     lat = _build(cfg)
     pattern = _pattern(cfg)
     sigma_grid = _float_list(cfg["sigmas"]) or mc.DEFAULT_SIGMA_GRID_MHZ
-    spacing_grid = _float_list(cfg["spacings"]) or mc.DEFAULT_SPACING_GRID_MHZ
     points = mc.sweep_sigma(lat, pattern, sigma_grid, _policy(cfg), cfg["seed"],
                             spacing_grid=spacing_grid, rules=_rules(cfg), threads=cfg["threads"])
     run = RunDir(cfg)
@@ -287,34 +314,17 @@ def cmd_sweep(cfg: dict) -> int:
     return 0
 
 
-def _sweep_table2(cfg: dict) -> int:
-    """Summary table over all nine lattices at the canonical scatter levels.
-
-    The tuned-precision column re-optimises the set-point spacing; the
-    as-fabricated column reuses that spacing, since a chip is laid out
-    before anyone knows how well tuning will do.
-    """
+def _sweep_table2(cfg: dict, spacing_grid) -> int:
+    """Summary table over all nine lattices: one :func:`mc.table_row` each,
+    the same operating points the acceptance gate checks."""
     rows = []
-    sigma_hi, sigma_lo = TABLE2_SIGMAS
+    sigma_hi, sigma_lo = mc.AS_FABRICATED_SIGMA_MHZ, mc.TUNED_SIGMA_MHZ
     for family in lattice.FAMILIES:
         for distance in (3, 5, 7):
             lat = lattice.build_lattice(family, distance)
-            pattern = _pattern(cfg)
-            idx = collision.build_index(lat)
-            policy = _policy(cfg)
-            n0 = policy.base_trials(distance, sigma_lo)
-            z = mc.gaussian_deviates(cfg["seed"], max(n0, policy.max_trials(distance)), lat.n_qubits)
-            tuned = mc.optimize_spacing(lat, pattern, sigma_lo, n0, cfg["seed"],
-                                        rules=_rules(cfg), index=idx, deviates=z,
+            tuned, asfab = mc.table_row(lat, _pattern(cfg), _policy(cfg), cfg["seed"],
+                                        spacing_grid=spacing_grid, rules=_rules(cfg),
                                         threads=cfg["threads"])
-            n1 = policy.boost_trials(distance, sigma_lo, tuned.yield_fraction)
-            if n1 > n0:
-                tuned = mc.run_point(lat, pattern.with_spacing(tuned.spacing_mhz), sigma_lo, n1,
-                                     cfg["seed"], rules=_rules(cfg), index=idx, deviates=z,
-                                     threads=cfg["threads"])
-            asfab = mc.run_point(lat, pattern.with_spacing(tuned.spacing_mhz), sigma_hi,
-                                 policy.base_trials(distance, sigma_hi), cfg["seed"],
-                                 rules=_rules(cfg), index=idx, deviates=z, threads=cfg["threads"])
             rows.append([family, distance, lat.n_qubits, asfab.mean_collisions,
                          tuned.spacing_mhz, tuned.mean_collisions, tuned.yield_fraction,
                          tuned.trials])
@@ -358,6 +368,7 @@ def _read_sweep_csv(path: str):
 
 
 def cmd_fit_window(cfg: dict) -> int:
+    """Fit effective collision-free windows from sweep CSVs."""
     paths = [p for p in cfg["sweep_csv"].split(",") if p.strip()]
     if not paths:
         raise UsageError("--sweep-csv is required")
@@ -389,6 +400,7 @@ def cmd_fit_window(cfg: dict) -> int:
 
 
 def cmd_extrapolate(cfg: dict) -> int:
+    """Window-width trend and yield projections vs size."""
     paths = [p for p in cfg["sweep_csv"].split(",") if p.strip()]
     if not paths:
         raise UsageError("--sweep-csv is required")
@@ -430,6 +442,7 @@ def cmd_extrapolate(cfg: dict) -> int:
 
 
 def cmd_tune(cfg: dict) -> int:
+    """Simulate an adaptive resistance-trimming campaign."""
     fit = physics.PowerLawFit(prefactor=tunesim.default_wafer_fit().prefactor, exponent=-0.5,
                               residual_std_mhz=cfg["residual_std_mhz"], n_points=31,
                               exponent_fixed=True)
@@ -491,6 +504,7 @@ def cmd_tune(cfg: dict) -> int:
 
 
 def cmd_fit_rn(cfg: dict) -> int:
+    """Power-law fit of measured resistance/frequency pairs."""
     path = cfg["csv_path"]
     if not path:
         raise UsageError("--csv is required")
@@ -515,6 +529,7 @@ def cmd_fit_rn(cfg: dict) -> int:
 
 
 def cmd_rerun(cfg: dict) -> int:
+    """Replay a command from its manifest.json."""
     path = cfg["manifest"]
     try:
         with open(path) as fh:
@@ -534,7 +549,7 @@ def cmd_rerun(cfg: dict) -> int:
     sub = dict(manifest["config"])
     sub["command"] = manifest["command"]
     sub["out"] = cfg["out"]
-    if cfg["name"] != _DEFAULTS["name"]:
+    if cfg["name"] != _OPTION["name"].default:
         sub["name"] = cfg["name"]
     return _COMMANDS[manifest["command"]](sub)
 
@@ -551,80 +566,25 @@ _COMMANDS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="output root directory (default: out)")
-    p.add_argument("--name", help="run name under out/<command>/ (default: default)")
-    p.add_argument("--seed", type=int, help="master seed (default: 0, never wall-clock)")
-    p.add_argument("--threads", type=int, help="worker threads; never changes results")
-    p.add_argument("--config", help="INI file with a [freqcrowd] section")
-
-
-def _add_lattice_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", help=f"one of: {', '.join(lattice.FAMILIES)}")
-    p.add_argument("-d", "--distance", type=int, help="code distance (odd, >= 3)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freqcrowd",
         description="Frequency-crowding statistics for fixed-frequency transmon lattices.")
     parser.add_argument("--version", action="version", version=f"freqcrowd {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("lattice", help="build a lattice; write JSON and DOT")
-    _add_lattice_args(p)
-    _add_common(p)
-
-    p = subs.add_parser("check", help="count collisions for one frequency assignment")
-    _add_lattice_args(p)
-    p.add_argument("--spacing-mhz", dest="spacing_mhz", type=float)
-    p.add_argument("--base-ghz", dest="base_ghz", type=float)
-    p.add_argument("--sigma-mhz", dest="sigma_mhz", type=float,
-                   help="add one draw of Gaussian scatter before checking")
-    p.add_argument("--anharmonicity-mhz", dest="anharmonicity_mhz", type=float)
-    _add_common(p)
-
-    p = subs.add_parser("sweep", help="Monte Carlo yield vs frequency scatter")
-    _add_lattice_args(p)
-    p.add_argument("--base-ghz", dest="base_ghz", type=float)
-    p.add_argument("--sigmas", help="comma-separated scatter grid in MHz")
-    p.add_argument("--spacings", help="comma-separated spacing grid in MHz")
-    p.add_argument("--trials", type=int, help="fixed trials per point (default: adaptive)")
-    p.add_argument("--anharmonicity-mhz", dest="anharmonicity_mhz", type=float)
-    p.add_argument("--reproduce-table2", dest="reproduce_table2", action="store_const",
-                   const=True, help="summary table over all nine lattices")
-    _add_common(p)
-
-    p = subs.add_parser("fit-window", help="fit effective collision-free windows from sweep CSVs")
-    p.add_argument("--sweep-csv", dest="sweep_csv", help="comma-separated sweep results.csv paths")
-    _add_common(p)
-
-    p = subs.add_parser("extrapolate", help="window-width trend and yield projections vs size")
-    p.add_argument("--sweep-csv", dest="sweep_csv", help="comma-separated sweep results.csv paths")
-    p.add_argument("--sigmas", help="scatter levels for projected yield columns")
-    _add_common(p)
-
-    p = subs.add_parser("tune", help="simulate an adaptive resistance-trimming campaign")
-    p.add_argument("--junctions", type=int)
-    p.add_argument("--target-spread", dest="target_spread",
-                   help="LO:HI percent offsets above initial resistance")
-    p.add_argument("--median-ohm", dest="median_ohm", type=float)
-    p.add_argument("--fractional-sigma", dest="fractional_sigma", type=float)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    p.add_argument("--step-fraction", dest="step_fraction", type=float)
-    p.add_argument("--converge-band", dest="converge_band", type=float)
-    p.add_argument("--max-anneals", dest="max_anneals", type=int)
-    p.add_argument("--residual-std", dest="residual_std_mhz", type=float)
-    _add_common(p)
-
-    p = subs.add_parser("fit-rn", help="power-law fit of measured resistance/frequency pairs")
-    p.add_argument("--csv", dest="csv_path", help="CSV with header resistance_ohm,frequency_ghz")
-    p.add_argument("--fix-exponent", dest="fix_exponent", type=float)
-    _add_common(p)
-
-    p = subs.add_parser("rerun", help="replay a command from its manifest.json")
-    p.add_argument("manifest", help="path to a manifest.json")
-    _add_common(p)
+    for command, handler in _COMMANDS.items():
+        p = subs.add_parser(command, help=handler.__doc__)
+        for opt in OPTIONS:
+            if opt.commands is not None and command not in opt.commands:
+                continue
+            kwargs = {"help": opt.help}
+            if opt.type is bool:
+                kwargs.update(action="store_const", const=True)
+            else:
+                kwargs["type"] = opt.type
+            if opt.flags[0].startswith("-"):
+                kwargs["dest"] = opt.dest
+            p.add_argument(*opt.flags, **kwargs)
     return parser
 
 
@@ -632,7 +592,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if args.command in ("lattice", "check", "sweep") and not cfg.get("reproduce_table2"):
+        if args.command in _LATTICE_COMMANDS and not cfg.get("reproduce_table2"):
             if not cfg.get("family") or not cfg.get("distance"):
                 raise UsageError("--family and --distance are required")
         return _COMMANDS[args.command](cfg)

@@ -96,6 +96,36 @@ def build_index(lattice: Lattice) -> CollisionIndex:
     )
 
 
+def _violations(index: CollisionIndex, f: np.ndarray, rules: CollisionRules):
+    """Yield ``(type, mask, members)`` for each of the seven rules in turn.
+
+    ``mask`` is bool [n_batches, n_members]; ``members`` holds the node
+    arrays of the edges (control, target) or triples (i, j, k) it indexes.
+    This is the one definition of the collision windows.
+    """
+    a = rules.anharmonicity_mhz
+    edges = (index.edge_control, index.edge_target)
+    d = f[:, index.edge_control] - f[:, index.edge_target]
+    yield 1, np.abs(d) < rules.nn_degenerate_mhz, edges
+    yield 2, np.abs(2.0 * d + a) < rules.two_photon_mhz, edges
+    yield 3, ((np.abs(d - a) < rules.nn_excited_mhz)
+              | (np.abs(d + a) < rules.nn_excited_mhz)), edges
+    low = d >= -a
+    if rules.include_cr_upper_violation:
+        low |= d <= 0.0
+    yield 4, low, edges
+
+    triples = (index.tri_i, index.tri_j, index.tri_k)
+    fi = f[:, index.tri_i]
+    fk = f[:, index.tri_k]
+    dik = fi - fk
+    yield 5, np.abs(dik) < rules.spectator_degenerate_mhz, triples
+    yield 6, ((np.abs(dik - a) < rules.spectator_excited_mhz)
+              | (np.abs(dik + a) < rules.spectator_excited_mhz)), triples
+    yield 7, (np.abs(2.0 * f[:, index.tri_j] + a - fi - fk)
+              < rules.spectator_two_photon_mhz), triples
+
+
 def count_collisions_batch(index: CollisionIndex, f01_mhz: np.ndarray,
                            rules: CollisionRules = DEFAULT_RULES) -> np.ndarray:
     """Count collisions for a batch of frequency assignments.
@@ -118,29 +148,9 @@ def count_collisions_batch(index: CollisionIndex, f01_mhz: np.ndarray,
     if not np.all(np.isfinite(f)):
         raise InputError("frequencies must be finite")
 
-    a = rules.anharmonicity_mhz
     out = np.zeros((f.shape[0], 7), dtype=np.int64)
-
-    fc = f[:, index.edge_control]
-    ft = f[:, index.edge_target]
-    d = fc - ft
-    out[:, 0] = (np.abs(d) < rules.nn_degenerate_mhz).sum(axis=1)
-    out[:, 1] = (np.abs(2.0 * d + a) < rules.two_photon_mhz).sum(axis=1)
-    out[:, 2] = ((np.abs(d - a) < rules.nn_excited_mhz)
-                 | (np.abs(d + a) < rules.nn_excited_mhz)).sum(axis=1)
-    low = d >= -a
-    if rules.include_cr_upper_violation:
-        low |= d <= 0.0
-    out[:, 3] = low.sum(axis=1)
-
-    fi = f[:, index.tri_i]
-    fj = f[:, index.tri_j]
-    fk = f[:, index.tri_k]
-    dik = fi - fk
-    out[:, 4] = (np.abs(dik) < rules.spectator_degenerate_mhz).sum(axis=1)
-    out[:, 5] = ((np.abs(dik - a) < rules.spectator_excited_mhz)
-                 | (np.abs(dik + a) < rules.spectator_excited_mhz)).sum(axis=1)
-    out[:, 6] = (np.abs(2.0 * fj + a - fi - fk) < rules.spectator_two_photon_mhz).sum(axis=1)
+    for t, mask, _ in _violations(index, f, rules):
+        out[:, t - 1] = mask.sum(axis=1)
     return out
 
 
@@ -159,7 +169,8 @@ def count_collisions(lattice: Lattice, f01_mhz, rules: CollisionRules = DEFAULT_
         lattice: the device graph.
         f01_mhz: per-qubit 01 frequencies, MHz, indexed by node id.
         rules: collision windows.
-        collect: also list each offending edge/triple as (type, nodes...).
+        collect: also list each offending edge/triple as (type, nodes...),
+            type by type.
         index: optional prebuilt :class:`CollisionIndex` to reuse.
 
     Returns:
@@ -171,27 +182,10 @@ def count_collisions(lattice: Lattice, f01_mhz, rules: CollisionRules = DEFAULT_
         raise InputError(f"expected {idx.n_qubits} frequencies, got shape {f.shape}")
     counts = count_collisions_batch(idx, f, rules)[0]
     per_type = {t: int(counts[t - 1]) for t in TYPE_IDS}
-    instances = tuple(_collect_instances(idx, f, rules)) if collect else None
+    instances = None
+    if collect:
+        instances = tuple((t, *(int(nodes[m]) for nodes in members))
+                          for t, mask, members in _violations(idx, f[None, :], rules)
+                          for m in np.flatnonzero(mask[0]))
     return CollisionReport(per_type=per_type, total=int(counts.sum()), instances=instances)
 
-
-def _collect_instances(idx: CollisionIndex, f: np.ndarray, rules: CollisionRules):
-    a = rules.anharmonicity_mhz
-    for c, t in zip(idx.edge_control, idx.edge_target):
-        fc, ft = f[c], f[t]
-        if abs(fc - ft) < rules.nn_degenerate_mhz:
-            yield (1, int(c), int(t))
-        if abs(2.0 * fc + a - 2.0 * ft) < rules.two_photon_mhz:
-            yield (2, int(c), int(t))
-        if abs(fc - (ft + a)) < rules.nn_excited_mhz or abs(ft - (fc + a)) < rules.nn_excited_mhz:
-            yield (3, int(c), int(t))
-        if ft <= fc + a or (rules.include_cr_upper_violation and ft >= fc):
-            yield (4, int(c), int(t))
-    for i, j, k in zip(idx.tri_i, idx.tri_j, idx.tri_k):
-        fi, fj, fk = f[i], f[j], f[k]
-        if abs(fi - fk) < rules.spectator_degenerate_mhz:
-            yield (5, int(i), int(j), int(k))
-        if abs(fi - (fk + a)) < rules.spectator_excited_mhz or abs(fk - (fi + a)) < rules.spectator_excited_mhz:
-            yield (6, int(i), int(j), int(k))
-        if abs(2.0 * fj + a - fi - fk) < rules.spectator_two_photon_mhz:
-            yield (7, int(i), int(j), int(k))

@@ -7,6 +7,12 @@ index) and qubit q takes position q of that trial's draw.  Results are
 therefore independent of batching, threading, and of which sigma/spacing
 values are evaluated — a single deviate matrix can be reused across a whole
 sweep, since a trial's frequencies are just set_points + sigma * z.
+
+Every reported number comes from :func:`operating_point`: a spacing search
+at the trials policy's base count, then a re-measurement of the chosen
+spacing when the policy asks for more trials.  :func:`sweep_sigma` and
+:func:`table_row` (the summary table the CLI prints and the acceptance gate
+checks) are both built from it.
 """
 from __future__ import annotations
 
@@ -24,6 +30,10 @@ DEFAULT_SIGMA_GRID_MHZ = (
     0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0, 22.0, 24.0,
     26.0, 28.0, 30.0, 32.0, 36.0, 40.0, 44.0, 50.0, 60.0, 70.0, 100.0, 132.3, 150.0,
 )
+
+# the scatter levels of the summary table: laser-trimmed and as-fabricated
+TUNED_SIGMA_MHZ = 14.0
+AS_FABRICATED_SIGMA_MHZ = 132.3
 
 _CHUNK = 256  # trials per work unit; fixed so threading cannot reorder arithmetic
 
@@ -156,17 +166,11 @@ class FixedTrials(TrialsPolicy):
 @dataclass(frozen=True)
 class AdaptiveTrials(TrialsPolicy):
     """Pilot at ``base`` trials, re-run at ``boost`` when the observed yield
-    falls below a per-distance threshold (rare-survivor resolution).
-
-    With ``economy_large`` set, distance >= 7 devices run a cheap protocol
-    instead: 100 trials below 16 MHz scatter, else a 40-trial pilot that is
-    re-run at 100 only when yield still exceeds 50%.
-    """
+    falls below a per-distance threshold (rare-survivor resolution)."""
 
     base: int = 1000
     boost: int = 4000
     low_yield_thresholds: tuple = ((3, 0.002), (5, 0.01), (7, 0.01))
-    economy_large: bool = False
 
     def _threshold(self, distance: int) -> float:
         for d, thr in self.low_yield_thresholds:
@@ -175,23 +179,36 @@ class AdaptiveTrials(TrialsPolicy):
         return 0.0
 
     def base_trials(self, distance, sigma_mhz):
-        if self.economy_large and distance >= 7:
-            return 100 if sigma_mhz < 16.0 else 40
         return self.base
 
     def boost_trials(self, distance, sigma_mhz, observed_yield):
-        if self.economy_large and distance >= 7:
-            if sigma_mhz >= 16.0 and observed_yield > 0.5:
-                return 100
-            return 0
         if observed_yield < self._threshold(distance):
             return self.boost
         return 0
 
     def max_trials(self, distance):
-        if self.economy_large and distance >= 7:
-            return 100
         return max(self.base, self.boost)
+
+
+def operating_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float,
+                    policy: TrialsPolicy, master_seed: int = 0, *, index: CollisionIndex,
+                    deviates: np.ndarray, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
+                    rules: CollisionRules = DEFAULT_RULES, threads: int = 1) -> SweepPoint:
+    """One reported operating point: search the spacing grid at the policy's
+    base trials, then re-measure the chosen spacing when the policy asks for
+    more trials.  A one-element grid measures that spacing alone.
+
+    ``deviates`` holds at least ``policy.max_trials`` rows from
+    :func:`gaussian_deviates`, shared by the search and the boost.
+    """
+    n0 = policy.base_trials(lattice.distance, sigma_mhz)
+    pt = optimize_spacing(lattice, pattern, sigma_mhz, n0, master_seed, spacing_grid=spacing_grid,
+                          rules=rules, index=index, deviates=deviates, threads=threads)
+    n1 = policy.boost_trials(lattice.distance, sigma_mhz, pt.yield_fraction)
+    if n1 > n0:
+        pt = run_point(lattice, pattern.with_spacing(pt.spacing_mhz), sigma_mhz, n1, master_seed,
+                       rules=rules, index=index, deviates=deviates, threads=threads)
+    return pt
 
 
 def sweep_sigma(lattice: Lattice, pattern: FrequencyPattern, sigma_grid=DEFAULT_SIGMA_GRID_MHZ,
@@ -200,26 +217,34 @@ def sweep_sigma(lattice: Lattice, pattern: FrequencyPattern, sigma_grid=DEFAULT_
                 rules: CollisionRules = DEFAULT_RULES, threads: int = 1) -> list:
     """Sweep the scatter level, optionally re-optimising the spacing per point.
 
-    The spacing search runs at the policy's base trial count; only the chosen
-    operating point is re-measured when the policy asks for more trials.
+    Each point is an :func:`operating_point`; with ``optimize=False`` every
+    point keeps the pattern's own spacing.
     """
     policy = trials_policy if trials_policy is not None else AdaptiveTrials()
     idx = build_index(lattice)
     z = gaussian_deviates(master_seed, policy.max_trials(lattice.distance), lattice.n_qubits)
-    points = []
-    for sigma in sigma_grid:
-        sigma = float(sigma)
-        n0 = policy.base_trials(lattice.distance, sigma)
-        if optimize:
-            pt = optimize_spacing(lattice, pattern, sigma, n0, master_seed,
-                                  spacing_grid=spacing_grid, rules=rules, index=idx,
-                                  deviates=z, threads=threads)
-        else:
-            pt = run_point(lattice, pattern, sigma, n0, master_seed,
-                           rules=rules, index=idx, deviates=z, threads=threads)
-        n1 = policy.boost_trials(lattice.distance, sigma, pt.yield_fraction)
-        if n1 > n0:
-            pt = run_point(lattice, pattern.with_spacing(pt.spacing_mhz), sigma, n1, master_seed,
-                           rules=rules, index=idx, deviates=z, threads=threads)
-        points.append(pt)
-    return points
+    grid = spacing_grid if optimize else (pattern.spacing_mhz,)
+    return [operating_point(lattice, pattern, float(sigma), policy, master_seed, index=idx,
+                            deviates=z, spacing_grid=grid, rules=rules, threads=threads)
+            for sigma in sigma_grid]
+
+
+def table_row(lattice: Lattice, pattern: FrequencyPattern, policy: TrialsPolicy,
+              master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
+              rules: CollisionRules = DEFAULT_RULES, threads: int = 1) -> tuple:
+    """The (tuned, as-fabricated) operating points of one lattice.
+
+    The tuned-precision point optimises the spacing at
+    ``TUNED_SIGMA_MHZ``; the as-fabricated point is measured at
+    ``AS_FABRICATED_SIGMA_MHZ`` on that same spacing, since a chip is laid
+    out before anyone knows how well tuning will do.
+    """
+    idx = build_index(lattice)
+    z = gaussian_deviates(master_seed, policy.max_trials(lattice.distance), lattice.n_qubits)
+    tuned = operating_point(lattice, pattern, TUNED_SIGMA_MHZ, policy, master_seed,
+                            index=idx, deviates=z, spacing_grid=spacing_grid, rules=rules,
+                            threads=threads)
+    fab = operating_point(lattice, pattern, AS_FABRICATED_SIGMA_MHZ, policy, master_seed,
+                          index=idx, deviates=z, spacing_grid=(tuned.spacing_mhz,), rules=rules,
+                          threads=threads)
+    return tuned, fab

@@ -64,35 +64,13 @@ def window_fits(full_sweeps):
 
 @pytest.fixture(scope="session")
 def table_rows():
-    """Fine-grid operating points: optimise the spacing at 14 MHz scatter,
-    then measure the as-fabricated 132.3 MHz level at that same spacing
-    (a chip is laid out before tuning quality is known).  The adaptive
-    policy re-measures rare-survivor points at 4000 trials."""
-    rows = {}
-    policy = mc.AdaptiveTrials()
-    for family, distance in ALL_KEYS:
-        lat = lattice.build_lattice(family, distance)
-        idx = collision.build_index(lat)
-        z = mc.gaussian_deviates(MC_SEED, policy.max_trials(distance), lat.n_qubits)
-        pattern = lattice.FrequencyPattern()
-
-        n0 = policy.base_trials(distance, 14.0)
-        tuned = mc.optimize_spacing(lat, pattern, 14.0, n0, MC_SEED,
-                                    spacing_grid=FINE_SPACING_GRID, index=idx, deviates=z)
-        n1 = policy.boost_trials(distance, 14.0, tuned.yield_fraction)
-        if n1 > n0:
-            tuned = mc.run_point(lat, pattern.with_spacing(tuned.spacing_mhz), 14.0, n1,
-                                 MC_SEED, index=idx, deviates=z)
-
-        m0 = policy.base_trials(distance, 132.3)
-        fab = mc.run_point(lat, pattern.with_spacing(tuned.spacing_mhz), 132.3, m0,
-                           MC_SEED, index=idx, deviates=z)
-        m1 = policy.boost_trials(distance, 132.3, fab.yield_fraction)
-        if m1 > m0:
-            fab = mc.run_point(lat, pattern.with_spacing(tuned.spacing_mhz), 132.3, m1,
-                               MC_SEED, index=idx, deviates=z)
-        rows[(family, distance)] = (tuned, fab)
-    return rows
+    """Fine-grid operating points from ``mc.table_row``: optimise the spacing
+    at 14 MHz scatter, then measure the as-fabricated 132.3 MHz level at that
+    same spacing (a chip is laid out before tuning quality is known).  The
+    adaptive policy re-measures rare-survivor points at 4000 trials."""
+    return {key: mc.table_row(lattice.build_lattice(*key), lattice.FrequencyPattern(),
+                              mc.AdaptiveTrials(), MC_SEED, spacing_grid=FINE_SPACING_GRID)
+            for key in ALL_KEYS}
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from freqcrowd import cli, window
+from freqcrowd import cli, lattice, mc, window
 
 
 @pytest.fixture(autouse=True)
@@ -127,6 +127,29 @@ class TestSweepCommand:
 
     def test_family_required_unless_table_mode(self, tmp_path):
         assert cli.main(["sweep", "--sigmas", "0", "--out", str(tmp_path)]) == 2
+
+
+# At seed 5 the default grid already picks 40 or 65 MHz on every lattice, so
+# only the second grid shows whether --spacings reaches the search.
+@pytest.mark.parametrize("spacings", ["40,65", "40,60"])
+def test_table2_rows_are_the_shared_operating_points(tmp_path, spacings):
+    """Every row, as-fabricated column included, equals ``mc.table_row``
+    under the default adaptive policy on the requested spacing grid."""
+    assert cli.main(["sweep", "--reproduce-table2", "--spacings", spacings, "--seed", "5",
+                     "--out", str(tmp_path)]) == 0
+    lines = read_bytes(tmp_path, "sweep", "default", "results.csv").decode().splitlines()
+    assert lines[0] == ("family,distance,n_qubits,mean_collisions_sigma132.3,spacing_mhz,"
+                        "mean_collisions_sigma14,yield,trials")
+    expected = []
+    for family in lattice.FAMILIES:
+        for distance in (3, 5, 7):
+            lat = lattice.build_lattice(family, distance)
+            tuned, fab = mc.table_row(lat, lattice.FrequencyPattern(), mc.AdaptiveTrials(), 5,
+                                      spacing_grid=cli._float_list(spacings))
+            expected.append(",".join(cli._cell(v) for v in (
+                family, distance, lat.n_qubits, fab.mean_collisions, tuned.spacing_mhz,
+                tuned.mean_collisions, tuned.yield_fraction, tuned.trials)))
+    assert lines[1:] == expected
 
 
 class TestFitWindowCommand:
@@ -279,6 +302,53 @@ class TestConfigPrecedence:
         monkeypatch.setenv("FREQCROWD_SPACING_MHZ", "often")
         assert cli.main(["check", "--family", "square", "-d", "3",
                          "--out", str(tmp_path)]) == 2
+
+
+# resolve_config with no flags, environment or INI file, as recorded in
+# manifest.json since the first release; rerun replays these snapshots
+COMMON = {"name": "default", "out": "out", "seed": 0, "threads": 1}
+MANIFEST_DEFAULTS = {
+    "lattice": {"distance": None, "family": None},
+    "check": {"anharmonicity_mhz": -330.0, "base_ghz": 5.0, "distance": None, "family": None,
+              "sigma_mhz": 0.0, "spacing_mhz": 70.0},
+    "sweep": {"anharmonicity_mhz": -330.0, "base_ghz": 5.0, "distance": None, "family": None,
+              "reproduce_table2": False, "sigmas": "", "spacings": "", "trials": 0},
+    "fit-window": {"sweep_csv": None},
+    "extrapolate": {"sigmas": "", "sweep_csv": None},
+    "tune": {"converge_band": 0.003, "fractional_sigma": 0.046, "junctions": 31,
+             "max_anneals": 50, "median_ohm": 7600.0, "noise_sigma": 0.1,
+             "residual_std_mhz": 14.5, "step_fraction": 0.5, "target_spread": ""},
+    "fit-rn": {"csv_path": None, "fix_exponent": "nan"},
+    "rerun": {"manifest": "m.json"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_DEFAULTS))
+def test_resolved_defaults_match_recorded_manifests(command):
+    argv = [command, "m.json"] if command == "rerun" else [command]
+    cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+    if "fix_exponent" in cfg:
+        cfg["fix_exponent"] = str(cfg["fix_exponent"])
+    assert cfg == {"command": command, **COMMON, **MANIFEST_DEFAULTS[command]}
+
+
+def test_every_option_flag_parses():
+    assert set(MANIFEST_DEFAULTS) == set(cli._COMMANDS)
+    parser = cli.build_parser()
+    samples = {int: ("7", 7), float: ("1.5", 1.5), str: ("x", "x")}
+    for opt in cli.OPTIONS:
+        for command in opt.commands or tuple(MANIFEST_DEFAULTS):
+            head = [command, "m.json"] if command == "rerun" else [command]
+            if opt.dest == "manifest":
+                assert parser.parse_args([command, "x"]).manifest == "x"
+                continue
+            for flag in opt.flags:
+                if opt.type is bool:
+                    args = parser.parse_args(head + [flag])
+                    assert getattr(args, opt.dest) is True
+                else:
+                    raw, value = samples[opt.type]
+                    assert getattr(parser.parse_args(head + [flag, raw]), opt.dest) == value
 
 
 class TestRerunCommand:

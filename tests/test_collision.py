@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from freqcrowd import collision, lattice, mc
 from freqcrowd.errors import InputError, ParameterError
-from reference import expected_mean_collisions, naive_counts
+from reference import expected_mean_collisions, naive_counts, spectator_triples
 
 
 def pair_lattice():
@@ -109,6 +109,33 @@ def test_report_totals_and_instances(hh3):
     assert len(report.instances) == report.total
     for inst in report.instances:
         assert inst[0] in collision.TYPE_IDS
+
+
+def reference_instances(lat, f):
+    """Offending edges and triples, each found by running the naive counter
+    on that edge alone or on the triple's two edges alone."""
+    found = set()
+    for c, t in lat.edges:
+        counts = naive_counts(lat.n_qubits, [(c, t)], f)
+        found |= {(typ, c, t) for typ in (1, 2, 3, 4) if counts[typ]}
+    for i, j, k in spectator_triples(lat.n_qubits, lat.edges):
+        pair = [e for e in lat.edges if set(e) in ({i, j}, {j, k})]
+        counts = naive_counts(lat.n_qubits, pair, f)
+        found |= {(typ, i, j, k) for typ in (5, 6, 7) if counts[typ]}
+    return found
+
+
+@pytest.mark.parametrize("family", lattice.FAMILIES)
+def test_listed_instances_are_the_offending_members(nine_lattices, family):
+    lat = nine_lattices[(family, 3)]
+    sp = lattice.set_points_mhz(lat, lattice.FrequencyPattern(spacing_mhz=45.0))
+    z = mc.gaussian_deviates(17, 20, lat.n_qubits)
+    for t in range(20):
+        f = sp + 60.0 * z[t]
+        instances = collision.count_collisions(lat, f, collect=True).instances
+        assert len(set(instances)) == len(instances)
+        assert set(instances) == reference_instances(lat, f)
+        assert [inst[0] for inst in instances] == sorted(inst[0] for inst in instances)
 
 
 def test_frequency_vector_length_checked(hh3):

@@ -143,17 +143,6 @@ class TestTrialsPolicies:
         assert p.boost_trials(11, 14.0, 0.0) == 0       # unlisted distance
         assert p.max_trials(7) == 4000
 
-    def test_adaptive_economy_mode_for_large_devices(self):
-        p = mc.AdaptiveTrials(economy_large=True)
-        assert p.base_trials(7, 10.0) == 100
-        assert p.base_trials(7, 20.0) == 40
-        assert p.boost_trials(7, 20.0, 0.6) == 100
-        assert p.boost_trials(7, 20.0, 0.4) == 0
-        assert p.max_trials(7) == 100
-        # smaller devices keep the standard protocol
-        assert p.base_trials(5, 20.0) == 1000
-        assert p.max_trials(5) == 4000
-
 
 def test_sweep_sigma_boost_and_order(hh3):
     policy = mc.AdaptiveTrials(base=60, boost=240, low_yield_thresholds=((3, 0.5),))
