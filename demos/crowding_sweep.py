@@ -20,7 +20,8 @@ for family, distance in (("square", 3), ("heavy_square", 3), ("heavy_hexagon", 3
                          ("heavy_hexagon", 5)):
     lat = lattice.build_lattice(family, distance)
     points = mc.sweep_sigma(lat, lattice.FrequencyPattern(), sigma_grid=SIGMAS,
-                            trials_policy=mc.FixedTrials(1000), master_seed=SEED)
+                            trials_policy=mc.AdaptiveTrials(base=1000, boost=1000),
+                            master_seed=SEED)
     for pt in points:
         if pt.sigma_mhz in (14.0, 132.3):
             print(f"{family + f' d={distance}':>18} {pt.sigma_mhz:>6g} "

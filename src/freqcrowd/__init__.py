@@ -40,7 +40,6 @@ from .mc import (
     DEFAULT_SIGMA_GRID_MHZ,
     DEFAULT_SPACING_GRID_MHZ,
     AdaptiveTrials,
-    FixedTrials,
     SweepPoint,
     optimize_spacing,
     run_point,
@@ -87,7 +86,6 @@ __all__ = [
     "DEFAULT_SPACING_GRID_MHZ",
     "DEFAULT_SPACING_MHZ",
     "FAMILIES",
-    "FixedTrials",
     "FreqcrowdError",
     "FrequencyPattern",
     "InputError",

@@ -276,10 +276,11 @@ def cmd_check(cfg: dict) -> int:
     return 0
 
 
-def _policy(cfg: dict) -> mc.TrialsPolicy:
-    if cfg["trials"] > 0:
-        return mc.FixedTrials(cfg["trials"])
-    return mc.AdaptiveTrials()
+def _policy(cfg: dict) -> mc.AdaptiveTrials:
+    n = cfg["trials"]
+    if n < 0:
+        raise UsageError("--trials must be >= 0 (0: adaptive)")
+    return mc.AdaptiveTrials(base=n, boost=n) if n else mc.AdaptiveTrials()
 
 
 def cmd_sweep(cfg: dict) -> int:
@@ -367,9 +368,13 @@ def _read_sweep_csv(path: str):
     return curves
 
 
-def cmd_fit_window(cfg: dict) -> int:
-    """Fit effective collision-free windows from sweep CSVs."""
-    paths = [p for p in cfg["sweep_csv"].split(",") if p.strip()]
+def _fit_sweep_csvs(cfg: dict):
+    """Fit a window to every curve in the ``--sweep-csv`` files.
+
+    Returns the run directory (created only once the option is known to be
+    set) and ``(family, distance, n_qubits, WindowFit)`` per curve.
+    """
+    paths = [p for p in (cfg["sweep_csv"] or "").split(",") if p.strip()]
     if not paths:
         raise UsageError("--sweep-csv is required")
     run = RunDir(cfg)
@@ -377,12 +382,20 @@ def cmd_fit_window(cfg: dict) -> int:
     for path in paths:
         run.note_input(path)
         for (family, distance, n_qubits), curve in sorted(_read_sweep_csv(path).items()):
-            fit = window.fit_window(curve, n_qubits)
-            fits.append({"family": family, "distance": distance, "n_qubits": n_qubits,
-                         "delta_f_mhz": fit.delta_f_mhz, "residual": fit.rms_residual,
-                         "n_points_used": fit.n_points_used})
-            print(f"{family:>14} d={distance}: delta_f = {fit.delta_f_mhz:5.2f} MHz "
-                  f"(N={n_qubits}, rms {fit.rms_residual:.3f})")
+            fits.append((family, distance, n_qubits, window.fit_window(curve, n_qubits)))
+    return run, fits
+
+
+def cmd_fit_window(cfg: dict) -> int:
+    """Fit effective collision-free windows from sweep CSVs."""
+    run, fitted = _fit_sweep_csvs(cfg)
+    fits = []
+    for family, distance, n_qubits, fit in fitted:
+        fits.append({"family": family, "distance": distance, "n_qubits": n_qubits,
+                     "delta_f_mhz": fit.delta_f_mhz, "residual": fit.rms_residual,
+                     "n_points_used": fit.n_points_used})
+        print(f"{family:>14} d={distance}: delta_f = {fit.delta_f_mhz:5.2f} MHz "
+              f"(N={n_qubits}, rms {fit.rms_residual:.3f})")
     run.write_json("results.json", {"fits": fits})
     run.write_csv("results.csv",
                   ["family", "distance", "n_qubits", "delta_f_mhz", "residual", "n_points_used"],
@@ -401,17 +414,9 @@ def cmd_fit_window(cfg: dict) -> int:
 
 def cmd_extrapolate(cfg: dict) -> int:
     """Window-width trend and yield projections vs size."""
-    paths = [p for p in cfg["sweep_csv"].split(",") if p.strip()]
-    if not paths:
-        raise UsageError("--sweep-csv is required")
-    run = RunDir(cfg)
-    sizes, widths = [], []
-    for path in paths:
-        run.note_input(path)
-        for (family, distance, n_qubits), curve in sorted(_read_sweep_csv(path).items()):
-            fit = window.fit_window(curve, n_qubits)
-            sizes.append(n_qubits)
-            widths.append(fit.delta_f_mhz)
+    run, fitted = _fit_sweep_csvs(cfg)
+    sizes = [n_qubits for _, _, n_qubits, _ in fitted]
+    widths = [fit.delta_f_mhz for *_, fit in fitted]
     trend = window.fit_trend(sizes, widths)
     sigmas = _float_list(cfg["sigmas"]) or EXTRAPOLATE_SIGMAS
     ns = list(range(20, 1001, 5))

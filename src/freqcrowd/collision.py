@@ -19,14 +19,13 @@ Types 3 and 6 count once per pair/triple even if both orderings violate.
 All windows are strict (open) inequalities.
 
 Note on type 4: the gate wants the target 01 frequency inside the open
-interval (f12_c, f01_c).  Falling off the *low* side (control-target
-detuning exceeding |a|) is what this rule counts by default; the high side
-(target above the control) degrades the gate more gently and can be added
-with ``include_cr_upper_violation=True``, which makes the rule the full
-"outside the open interval" test.
+interval (f12_c, f01_c).  Only falling off the *low* side (control-target
+detuning reaching |a|) is counted; the high side (target above the control)
+degrades the gate more gently, so it is not a collision.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,34 +37,25 @@ DEFAULT_ANHARMONICITY_MHZ = -330.0
 
 TYPE_IDS = (1, 2, 3, 4, 5, 6, 7)
 
+# window half-widths in MHz, from the standard fixed-frequency transmon gate
+# error budget (type 4 has no width: it is a one-sided bound)
+NN_DEGENERATE_MHZ = 17.0
+TWO_PHOTON_MHZ = 4.0
+NN_EXCITED_MHZ = 30.0
+SPECTATOR_DEGENERATE_MHZ = 17.0
+SPECTATOR_EXCITED_MHZ = 25.0
+SPECTATOR_TWO_PHOTON_MHZ = 17.0
+
 
 @dataclass(frozen=True)
 class CollisionRules:
-    """Collision windows in MHz.  Defaults follow the standard
-    fixed-frequency transmon gate error budget."""
+    """The device parameter the collision windows depend on."""
 
     anharmonicity_mhz: float = DEFAULT_ANHARMONICITY_MHZ
-    nn_degenerate_mhz: float = 17.0
-    two_photon_mhz: float = 4.0
-    nn_excited_mhz: float = 30.0
-    spectator_degenerate_mhz: float = 17.0
-    spectator_excited_mhz: float = 25.0
-    spectator_two_photon_mhz: float = 17.0
-    include_cr_upper_violation: bool = False
 
-    def validate(self) -> None:
-        if self.anharmonicity_mhz >= 0.0:
-            raise ParameterError("anharmonicity must be negative (MHz)")
-        for name in (
-            "nn_degenerate_mhz",
-            "two_photon_mhz",
-            "nn_excited_mhz",
-            "spectator_degenerate_mhz",
-            "spectator_excited_mhz",
-            "spectator_two_photon_mhz",
-        ):
-            if getattr(self, name) <= 0.0:
-                raise ParameterError(f"{name} must be positive")
+    def __post_init__(self):
+        if not (math.isfinite(self.anharmonicity_mhz) and self.anharmonicity_mhz < 0.0):
+            raise ParameterError("anharmonicity must be finite and negative (MHz)")
 
 
 DEFAULT_RULES = CollisionRules()
@@ -106,24 +96,19 @@ def _violations(index: CollisionIndex, f: np.ndarray, rules: CollisionRules):
     a = rules.anharmonicity_mhz
     edges = (index.edge_control, index.edge_target)
     d = f[:, index.edge_control] - f[:, index.edge_target]
-    yield 1, np.abs(d) < rules.nn_degenerate_mhz, edges
-    yield 2, np.abs(2.0 * d + a) < rules.two_photon_mhz, edges
-    yield 3, ((np.abs(d - a) < rules.nn_excited_mhz)
-              | (np.abs(d + a) < rules.nn_excited_mhz)), edges
-    low = d >= -a
-    if rules.include_cr_upper_violation:
-        low |= d <= 0.0
-    yield 4, low, edges
+    yield 1, np.abs(d) < NN_DEGENERATE_MHZ, edges
+    yield 2, np.abs(2.0 * d + a) < TWO_PHOTON_MHZ, edges
+    yield 3, (np.abs(d - a) < NN_EXCITED_MHZ) | (np.abs(d + a) < NN_EXCITED_MHZ), edges
+    yield 4, d >= -a, edges
 
     triples = (index.tri_i, index.tri_j, index.tri_k)
     fi = f[:, index.tri_i]
     fk = f[:, index.tri_k]
     dik = fi - fk
-    yield 5, np.abs(dik) < rules.spectator_degenerate_mhz, triples
-    yield 6, ((np.abs(dik - a) < rules.spectator_excited_mhz)
-              | (np.abs(dik + a) < rules.spectator_excited_mhz)), triples
-    yield 7, (np.abs(2.0 * f[:, index.tri_j] + a - fi - fk)
-              < rules.spectator_two_photon_mhz), triples
+    yield 5, np.abs(dik) < SPECTATOR_DEGENERATE_MHZ, triples
+    yield 6, ((np.abs(dik - a) < SPECTATOR_EXCITED_MHZ)
+              | (np.abs(dik + a) < SPECTATOR_EXCITED_MHZ)), triples
+    yield 7, np.abs(2.0 * f[:, index.tri_j] + a - fi - fk) < SPECTATOR_TWO_PHOTON_MHZ, triples
 
 
 def count_collisions_batch(index: CollisionIndex, f01_mhz: np.ndarray,
@@ -134,12 +119,11 @@ def count_collisions_batch(index: CollisionIndex, f01_mhz: np.ndarray,
         index: precomputed arrays from :func:`build_index`.
         f01_mhz: array [n_batches, n_qubits] (a single 1-d assignment is
             promoted to one batch).
-        rules: collision windows.
+        rules: the anharmonicity the windows use.
 
     Returns:
         int64 array [n_batches, 7]; column m holds the count of type m+1.
     """
-    rules.validate()
     f = np.asarray(f01_mhz, dtype=float)
     if f.ndim == 1:
         f = f[None, :]
@@ -162,21 +146,20 @@ class CollisionReport:
 
 
 def count_collisions(lattice: Lattice, f01_mhz, rules: CollisionRules = DEFAULT_RULES,
-                     *, collect: bool = False, index: CollisionIndex | None = None) -> CollisionReport:
+                     *, collect: bool = False) -> CollisionReport:
     """Count all seven collision types for one frequency assignment.
 
     Args:
         lattice: the device graph.
         f01_mhz: per-qubit 01 frequencies, MHz, indexed by node id.
-        rules: collision windows.
+        rules: the anharmonicity the windows use.
         collect: also list each offending edge/triple as (type, nodes...),
             type by type.
-        index: optional prebuilt :class:`CollisionIndex` to reuse.
 
     Returns:
         CollisionReport with per-type counts and their sum.
     """
-    idx = index if index is not None else build_index(lattice)
+    idx = build_index(lattice)
     f = np.asarray(f01_mhz, dtype=float)
     if f.shape != (idx.n_qubits,):
         raise InputError(f"expected {idx.n_qubits} frequencies, got shape {f.shape}")

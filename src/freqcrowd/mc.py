@@ -138,60 +138,36 @@ def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: flo
     return best[1]
 
 
-class TrialsPolicy:
-    """How many trials to spend at each sweep point."""
-
-    def base_trials(self, distance: int, sigma_mhz: float) -> int:
-        raise NotImplementedError
-
-    def boost_trials(self, distance: int, sigma_mhz: float, observed_yield: float) -> int:
-        """Trials for a re-run after the pilot, or 0 to keep the pilot."""
-        return 0
-
-    def max_trials(self, distance: int) -> int:
-        raise NotImplementedError
+# per-distance yield below which a pilot is re-run at the boost count;
+# unlisted distances never boost
+LOW_YIELD_THRESHOLDS = {3: 0.002, 5: 0.01, 7: 0.01}
 
 
 @dataclass(frozen=True)
-class FixedTrials(TrialsPolicy):
-    n: int = 1000
-
-    def base_trials(self, distance, sigma_mhz):
-        return self.n
-
-    def max_trials(self, distance):
-        return self.n
-
-
-@dataclass(frozen=True)
-class AdaptiveTrials(TrialsPolicy):
-    """Pilot at ``base`` trials, re-run at ``boost`` when the observed yield
-    falls below a per-distance threshold (rare-survivor resolution)."""
+class AdaptiveTrials:
+    """How many trials to spend at each sweep point: pilot at ``base``
+    trials, re-run at ``boost`` when the observed yield falls below
+    ``LOW_YIELD_THRESHOLDS`` for the distance (rare-survivor resolution).
+    ``boost == base`` never re-runs, so every point costs ``base`` trials."""
 
     base: int = 1000
     boost: int = 4000
-    low_yield_thresholds: tuple = ((3, 0.002), (5, 0.01), (7, 0.01))
 
-    def _threshold(self, distance: int) -> float:
-        for d, thr in self.low_yield_thresholds:
-            if d == distance:
-                return thr
-        return 0.0
-
-    def base_trials(self, distance, sigma_mhz):
+    def base_trials(self, distance: int, sigma_mhz: float) -> int:
         return self.base
 
-    def boost_trials(self, distance, sigma_mhz, observed_yield):
-        if observed_yield < self._threshold(distance):
+    def boost_trials(self, distance: int, sigma_mhz: float, observed_yield: float) -> int:
+        """Trials for a re-run after the pilot, or 0 to keep the pilot."""
+        if observed_yield < LOW_YIELD_THRESHOLDS.get(distance, 0.0):
             return self.boost
         return 0
 
-    def max_trials(self, distance):
+    def max_trials(self, distance: int) -> int:
         return max(self.base, self.boost)
 
 
 def operating_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float,
-                    policy: TrialsPolicy, master_seed: int = 0, *, index: CollisionIndex,
+                    policy: AdaptiveTrials, master_seed: int = 0, *, index: CollisionIndex,
                     deviates: np.ndarray, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
                     rules: CollisionRules = DEFAULT_RULES, threads: int = 1) -> SweepPoint:
     """One reported operating point: search the spacing grid at the policy's
@@ -212,24 +188,23 @@ def operating_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: floa
 
 
 def sweep_sigma(lattice: Lattice, pattern: FrequencyPattern, sigma_grid=DEFAULT_SIGMA_GRID_MHZ,
-                trials_policy: TrialsPolicy | None = None, master_seed: int = 0, *,
-                optimize: bool = True, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
-                rules: CollisionRules = DEFAULT_RULES, threads: int = 1) -> list:
-    """Sweep the scatter level, optionally re-optimising the spacing per point.
+                trials_policy: AdaptiveTrials | None = None, master_seed: int = 0, *,
+                spacing_grid=DEFAULT_SPACING_GRID_MHZ, rules: CollisionRules = DEFAULT_RULES,
+                threads: int = 1) -> list:
+    """Sweep the scatter level, re-optimising the spacing per point.
 
-    Each point is an :func:`operating_point`; with ``optimize=False`` every
-    point keeps the pattern's own spacing.
+    Each point is an :func:`operating_point`; a one-element
+    ``spacing_grid`` keeps that spacing at every point.
     """
     policy = trials_policy if trials_policy is not None else AdaptiveTrials()
     idx = build_index(lattice)
     z = gaussian_deviates(master_seed, policy.max_trials(lattice.distance), lattice.n_qubits)
-    grid = spacing_grid if optimize else (pattern.spacing_mhz,)
     return [operating_point(lattice, pattern, float(sigma), policy, master_seed, index=idx,
-                            deviates=z, spacing_grid=grid, rules=rules, threads=threads)
+                            deviates=z, spacing_grid=spacing_grid, rules=rules, threads=threads)
             for sigma in sigma_grid]
 
 
-def table_row(lattice: Lattice, pattern: FrequencyPattern, policy: TrialsPolicy,
+def table_row(lattice: Lattice, pattern: FrequencyPattern, policy: AdaptiveTrials,
               master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
               rules: CollisionRules = DEFAULT_RULES, threads: int = 1) -> tuple:
     """The (tuned, as-fabricated) operating points of one lattice.

@@ -1,6 +1,6 @@
 """Minimal SVG line charts, no plotting dependency.
 
-Enough for sweep/fit diagnostics: multiple named series, optional log-y,
+Enough for sweep/fit diagnostics: multiple named series on linear axes,
 ticks and axis labels. Output is a plain SVG string; write it to a file and
 open in any browser.
 """
@@ -41,43 +41,28 @@ def _fmt(v: float) -> str:
     return s
 
 
-def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "",
-               log_y: bool = False, y_floor: float | None = None) -> str:
+def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "") -> str:
     """Render named (x, y) series to an SVG string.
 
-    series: list of (name, xs, ys). With log_y, non-positive y values are
-    dropped (a fully non-positive chart is an error); y_floor clips the
-    visible range from below.
+    series: list of (name, xs, ys).
     """
     pts = []
     for name, xs, ys in series:
         if len(xs) != len(ys):
             raise InputError(f"series {name!r}: x and y lengths differ")
-        keep = [(float(x), float(y)) for x, y in zip(xs, ys)
-                if not log_y or y > 0.0]
-        pts.append((name, keep))
+        pts.append((name, [(float(x), float(y)) for x, y in zip(xs, ys)]))
     allx = [x for _, kp in pts for x, _ in kp]
     ally = [y for _, kp in pts for _, y in kp]
     if not allx:
         raise InputError("nothing to plot")
     x_lo, x_hi = min(allx), max(allx)
     y_lo, y_hi = min(ally), max(ally)
-    if y_floor is not None:
-        y_lo = max(y_lo, y_floor)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-
-    if log_y:
-        y_lo, y_hi = math.log10(y_lo), math.log10(max(y_hi, y_lo * 1.0000001))
-        if y_hi == y_lo:
-            y_hi = y_lo + 1.0
-        yticks = list(range(math.floor(y_lo), math.ceil(y_hi) + 1))
-        ytick_pairs = [(t, f"1e{t}") for t in yticks]
-    else:
-        if y_hi == y_lo:
-            y_hi = y_lo + 1.0
-        ytick_pairs = [(t, _fmt(t)) for t in _nice_ticks(y_lo, y_hi)]
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
     xticks = _nice_ticks(x_lo, x_hi)
+    yticks = _nice_ticks(y_lo, y_hi)
 
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
@@ -85,9 +70,7 @@ def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "",
         return _ML + (x - x_lo) / (x_hi - x_lo) * pw
 
     def Y(y):
-        v = math.log10(y) if log_y else y
-        v = min(max(v, y_lo), y_hi)
-        return _MT + ph - (v - y_lo) / (y_hi - y_lo) * ph
+        return _MT + ph - (y - y_lo) / (y_hi - y_lo) * ph
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
            f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
@@ -103,13 +86,13 @@ def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "",
         out.append(f'<line x1="{px:.1f}" y1="{_MT + ph}" x2="{px:.1f}" y2="{_MT + ph + 5}" stroke="#444"/>')
         out.append(f'<line x1="{px:.1f}" y1="{_MT}" x2="{px:.1f}" y2="{_MT + ph}" stroke="#ddd"/>')
         out.append(f'<text x="{px:.1f}" y="{_MT + ph + 20}" text-anchor="middle">{_fmt(t)}</text>')
-    for tv, tl in ytick_pairs:
-        if not y_lo - 1e-12 <= tv <= y_hi + 1e-12:
+    for t in yticks:
+        if not y_lo - 1e-12 <= t <= y_hi + 1e-12:
             continue
-        py = _MT + ph - (tv - y_lo) / (y_hi - y_lo) * ph
+        py = Y(t)
         out.append(f'<line x1="{_ML - 5}" y1="{py:.1f}" x2="{_ML}" y2="{py:.1f}" stroke="#444"/>')
         out.append(f'<line x1="{_ML}" y1="{py:.1f}" x2="{_ML + pw}" y2="{py:.1f}" stroke="#ddd"/>')
-        out.append(f'<text x="{_ML - 9}" y="{py + 4:.1f}" text-anchor="end">{tl}</text>')
+        out.append(f'<text x="{_ML - 9}" y="{py + 4:.1f}" text-anchor="end">{_fmt(t)}</text>')
     if x_label:
         out.append(f'<text x="{_ML + pw / 2:.0f}" y="{_H - 12}" text-anchor="middle">{x_label}</text>')
     if y_label:

@@ -87,6 +87,13 @@ class TestCheckCommand:
         assert read_bytes(tmp_path / "a", "check", "default", "results.json") == \
             read_bytes(tmp_path / "b", "check", "default", "results.json")
 
+    @pytest.mark.parametrize("anharmonicity", ["nan", "-inf", "5"])
+    def test_anharmonicity_must_be_finite_and_negative(self, tmp_path, anharmonicity):
+        assert cli.main(["check", "--family", "square", "-d", "3", "--spacing-mhz", "100",
+                         "--sigma-mhz", "120", "--seed", "3",
+                         f"--anharmonicity-mhz={anharmonicity}", "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / "check").exists()
+
 
 class TestSweepCommand:
     ARGS = ["sweep", "--family", "heavy_hexagon", "-d", "3", "--sigmas", "0,20",
@@ -127,6 +134,11 @@ class TestSweepCommand:
 
     def test_family_required_unless_table_mode(self, tmp_path):
         assert cli.main(["sweep", "--sigmas", "0", "--out", str(tmp_path)]) == 2
+
+    def test_negative_trials_is_usage_error(self, tmp_path, capsys):
+        assert cli.main(self.ARGS[:-2] + ["--trials=-5", "--out", str(tmp_path)]) == 2
+        assert "--trials" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
 
 # At seed 5 the default grid already picks 40 or 65 MHz on every lattice, so
@@ -181,6 +193,13 @@ class TestFitWindowCommand:
 
     def test_sweep_csv_required(self, tmp_path):
         assert cli.main(["fit-window", "--sweep-csv", "", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["fit-window", "extrapolate"])
+def test_missing_sweep_csv_is_usage_error(tmp_path, capsys, command):
+    assert cli.main([command, "--out", str(tmp_path)]) == 2
+    assert "--sweep-csv is required" in capsys.readouterr().err
+    assert not (tmp_path / command).exists()
 
 
 class TestExtrapolateCommand:

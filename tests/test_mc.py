@@ -128,9 +128,9 @@ def test_default_grids():
 
 class TestTrialsPolicies:
     def test_fixed(self):
-        p = mc.FixedTrials(250)
+        p = mc.AdaptiveTrials(base=250, boost=250)
         assert p.base_trials(5, 14.0) == 250
-        assert p.boost_trials(5, 14.0, 0.0) == 0
+        assert p.boost_trials(5, 14.0, 0.0) <= p.base_trials(5, 14.0)   # never re-runs
         assert p.max_trials(5) == 250
 
     def test_adaptive_boosts_only_rare_survivors(self):
@@ -145,7 +145,7 @@ class TestTrialsPolicies:
 
 
 def test_sweep_sigma_boost_and_order(hh3):
-    policy = mc.AdaptiveTrials(base=60, boost=240, low_yield_thresholds=((3, 0.5),))
+    policy = mc.AdaptiveTrials(base=60, boost=240)
     pts = mc.sweep_sigma(hh3, lattice.FrequencyPattern(), sigma_grid=(0.0, 100.0),
                          trials_policy=policy, master_seed=4)
     assert [p.sigma_mhz for p in pts] == [0.0, 100.0]
@@ -157,8 +157,8 @@ def test_sweep_sigma_boost_and_order(hh3):
 
 def test_sweep_sigma_fixed_spacing_mode(hh3):
     pts = mc.sweep_sigma(hh3, lattice.FrequencyPattern(spacing_mhz=55.0),
-                         sigma_grid=(10.0, 20.0), trials_policy=mc.FixedTrials(80),
-                         master_seed=6, optimize=False)
+                         sigma_grid=(10.0, 20.0), trials_policy=mc.AdaptiveTrials(base=80, boost=80),
+                         master_seed=6, spacing_grid=(55.0,))
     assert all(p.spacing_mhz == 55.0 for p in pts)
     assert all(p.trials == 80 for p in pts)
 
@@ -167,7 +167,7 @@ def test_sweep_sigma_shares_deviates_across_points(hh3):
     """A sweep point must equal the same point measured standalone with the
     same seed: deviates are a function of (seed, trial, qubit) alone."""
     pts = mc.sweep_sigma(hh3, lattice.FrequencyPattern(spacing_mhz=45.0),
-                         sigma_grid=(14.0,), trials_policy=mc.FixedTrials(300),
-                         master_seed=8, optimize=False)
+                         sigma_grid=(14.0,), trials_policy=mc.AdaptiveTrials(base=300, boost=300),
+                         master_seed=8, spacing_grid=(45.0,))
     direct = mc.run_point(hh3, lattice.FrequencyPattern(spacing_mhz=45.0), 14.0, 300, 8)
     assert pts[0] == direct
