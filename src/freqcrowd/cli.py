@@ -88,7 +88,6 @@ OPTIONS = (
     Option("name", ("--name",), str, "default", None,
            "run name under out/<command>/ (default: default)"),
     Option("seed", ("--seed",), int, 0, None, "master seed (default: 0, never wall-clock)"),
-    Option("threads", ("--threads",), int, 1, None, "worker threads; never changes results"),
     Option("config", ("--config",), str, None, None, "INI file with a [freqcrowd] section"),
 )
 
@@ -160,22 +159,27 @@ def _config_hash(cfg: dict) -> str:
 
 
 class RunDir:
-    """Output directory plus the manifest bookkeeping for one run."""
+    """Output directory plus the manifest bookkeeping for one run; the
+    directory is made at the first write, so a failed run leaves none."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
         self.path = os.path.join(cfg["out"], cfg["command"], cfg["name"])
-        os.makedirs(self.path, exist_ok=True)
         self.outputs = []
         self.inputs = {}
+
+    def _write(self, filename: str, text: str) -> str:
+        os.makedirs(self.path, exist_ok=True)
+        full = os.path.join(self.path, filename)
+        with open(full, "w", newline="") as fh:
+            fh.write(text)
+        return full
 
     def note_input(self, path: str) -> None:
         self.inputs[path] = _sha256(path)
 
     def write_text(self, filename: str, text: str) -> str:
-        full = os.path.join(self.path, filename)
-        with open(full, "w", newline="") as fh:
-            fh.write(text)
+        full = self._write(filename, text)
         self.outputs.append(filename)
         return full
 
@@ -199,9 +203,7 @@ class RunDir:
             "inputs_sha256": self.inputs,
             "outputs": sorted(self.outputs),
         }
-        full = os.path.join(self.path, "manifest.json")
-        with open(full, "w", newline="") as fh:
-            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        self._write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _cell(v) -> str:
@@ -255,6 +257,8 @@ def cmd_check(cfg: dict) -> int:
     lat = _build(cfg)
     pattern = _pattern(cfg)
     freqs = lattice.set_points_mhz(lat, pattern)
+    if not cfg["sigma_mhz"] >= 0.0:
+        raise ParameterError("sigma must be >= 0")
     if cfg["sigma_mhz"] > 0.0:
         freqs = freqs + cfg["sigma_mhz"] * mc.gaussian_deviates(cfg["seed"], 1, lat.n_qubits)[0]
     report = collision.count_collisions(lat, freqs, _rules(cfg), collect=True)
@@ -292,7 +296,7 @@ def cmd_sweep(cfg: dict) -> int:
     pattern = _pattern(cfg)
     sigma_grid = _float_list(cfg["sigmas"]) or mc.DEFAULT_SIGMA_GRID_MHZ
     points = mc.sweep_sigma(lat, pattern, sigma_grid, _policy(cfg), cfg["seed"],
-                            spacing_grid=spacing_grid, rules=_rules(cfg), threads=cfg["threads"])
+                            spacing_grid=spacing_grid, rules=_rules(cfg))
     run = RunDir(cfg)
     run.write_csv("results.csv", _SWEEP_HEADER, [_sweep_row(pt) for pt in points])
     snapshot = {k: v for k, v in cfg.items() if k != "out"}
@@ -324,8 +328,7 @@ def _sweep_table2(cfg: dict, spacing_grid) -> int:
         for distance in (3, 5, 7):
             lat = lattice.build_lattice(family, distance)
             tuned, asfab = mc.table_row(lat, _pattern(cfg), _policy(cfg), cfg["seed"],
-                                        spacing_grid=spacing_grid, rules=_rules(cfg),
-                                        threads=cfg["threads"])
+                                        spacing_grid=spacing_grid, rules=_rules(cfg))
             rows.append([family, distance, lat.n_qubits, asfab.mean_collisions,
                          tuned.spacing_mhz, tuned.mean_collisions, tuned.yield_fraction,
                          tuned.trials])
@@ -371,8 +374,8 @@ def _read_sweep_csv(path: str):
 def _fit_sweep_csvs(cfg: dict):
     """Fit a window to every curve in the ``--sweep-csv`` files.
 
-    Returns the run directory (created only once the option is known to be
-    set) and ``(family, distance, n_qubits, WindowFit)`` per curve.
+    Returns the run directory and ``(family, distance, n_qubits, WindowFit)``
+    per curve.
     """
     paths = [p for p in (cfg["sweep_csv"] or "").split(",") if p.strip()]
     if not paths:

@@ -46,6 +46,11 @@ SPECTATOR_DEGENERATE_MHZ = 17.0
 SPECTATOR_EXCITED_MHZ = 25.0
 SPECTATOR_TWO_PHOTON_MHZ = 17.0
 
+# (row, edge or triple) cells per block of the batched counter: rows are
+# counted in blocks whose temporaries stay cache-sized instead of one pass
+# over the whole batch
+_BLOCK_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class CollisionRules:
@@ -133,8 +138,10 @@ def count_collisions_batch(index: CollisionIndex, f01_mhz: np.ndarray,
         raise InputError("frequencies must be finite")
 
     out = np.zeros((f.shape[0], 7), dtype=np.int64)
-    for t, mask, _ in _violations(index, f, rules):
-        out[:, t - 1] = mask.sum(axis=1)
+    rows = max(1, _BLOCK_ELEMENTS // max(1, index.edge_control.size + index.tri_i.size))
+    for lo in range(0, f.shape[0], rows):
+        for t, mask, _ in _violations(index, f[lo:lo + rows], rules):
+            out[lo:lo + rows, t - 1] = mask.sum(axis=1)
     return out
 
 

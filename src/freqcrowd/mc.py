@@ -4,9 +4,9 @@ The sampling contract: the standard-normal deviate applied to qubit q in
 trial t under master seed s depends only on (s, t, q).  Each trial owns a
 counter-based generator (Philox keyed by the seed, counter set to the trial
 index) and qubit q takes position q of that trial's draw.  Results are
-therefore independent of batching, threading, and of which sigma/spacing
-values are evaluated — a single deviate matrix can be reused across a whole
-sweep, since a trial's frequencies are just set_points + sigma * z.
+therefore independent of batching and of which sigma/spacing values are
+evaluated — a single deviate matrix can be reused across a whole sweep,
+since a trial's frequencies are just set_points + sigma * z.
 
 Every reported number comes from :func:`operating_point`: a spacing search
 at the trials policy's base count, then a re-measurement of the chosen
@@ -16,7 +16,6 @@ checks) are both built from it.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +33,6 @@ DEFAULT_SIGMA_GRID_MHZ = (
 # the scatter levels of the summary table: laser-trimmed and as-fabricated
 TUNED_SIGMA_MHZ = 14.0
 AS_FABRICATED_SIGMA_MHZ = 132.3
-
-_CHUNK = 256  # trials per work unit; fixed so threading cannot reorder arithmetic
 
 
 def gaussian_deviates(master_seed: int, n_trials: int, n_qubits: int) -> np.ndarray:
@@ -65,21 +62,10 @@ class SweepPoint:
     per_type_means: tuple  # 7 floats, types 1..7
 
 
-def _count_all(index: CollisionIndex, freqs: np.ndarray, rules: CollisionRules,
-               threads: int) -> np.ndarray:
-    n = freqs.shape[0]
-    if threads <= 1 or n <= _CHUNK:
-        return count_collisions_batch(index, freqs, rules)
-    spans = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        blocks = list(pool.map(lambda s: count_collisions_batch(index, freqs[s[0]:s[1]], rules), spans))
-    return np.concatenate(blocks, axis=0)
-
-
 def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, trials: int,
               master_seed: int = 0, *, rules: CollisionRules = DEFAULT_RULES,
-              index: CollisionIndex | None = None, deviates: np.ndarray | None = None,
-              threads: int = 1) -> SweepPoint:
+              index: CollisionIndex | None = None,
+              deviates: np.ndarray | None = None) -> SweepPoint:
     """Monte Carlo statistics at one scatter level and pattern spacing.
 
     ``deviates`` may carry a prebuilt matrix from :func:`gaussian_deviates`
@@ -97,7 +83,7 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
         if deviates.shape[0] < trials or deviates.shape[1] != lattice.n_qubits:
             raise ParameterError("deviate matrix too small for requested trials")
         z = deviates[:trials]
-    counts = _count_all(idx, sp[None, :] + sigma_mhz * z, rules, threads)
+    counts = count_collisions_batch(idx, sp[None, :] + sigma_mhz * z, rules)
     totals = counts.sum(axis=1)
     return SweepPoint(
         family=lattice.family,
@@ -116,7 +102,7 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
 def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, trials: int,
                      master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
                      rules: CollisionRules = DEFAULT_RULES, index: CollisionIndex | None = None,
-                     deviates: np.ndarray | None = None, threads: int = 1) -> SweepPoint:
+                     deviates: np.ndarray | None = None) -> SweepPoint:
     """Pick the pattern spacing minimising mean collisions over a grid.
 
     Ties go to the higher yield, then to the smaller spacing, so at zero
@@ -131,7 +117,7 @@ def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: flo
     best = None
     for s in grid:
         pt = run_point(lattice, pattern.with_spacing(s), sigma_mhz, trials, master_seed,
-                       rules=rules, index=idx, deviates=deviates, threads=threads)
+                       rules=rules, index=idx, deviates=deviates)
         key = (pt.mean_collisions, -pt.yield_fraction, s)
         if best is None or key < best[0]:
             best = (key, pt)
@@ -169,7 +155,7 @@ class AdaptiveTrials:
 def operating_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float,
                     policy: AdaptiveTrials, master_seed: int = 0, *, index: CollisionIndex,
                     deviates: np.ndarray, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
-                    rules: CollisionRules = DEFAULT_RULES, threads: int = 1) -> SweepPoint:
+                    rules: CollisionRules = DEFAULT_RULES) -> SweepPoint:
     """One reported operating point: search the spacing grid at the policy's
     base trials, then re-measure the chosen spacing when the policy asks for
     more trials.  A one-element grid measures that spacing alone.
@@ -179,18 +165,18 @@ def operating_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: floa
     """
     n0 = policy.base_trials(lattice.distance, sigma_mhz)
     pt = optimize_spacing(lattice, pattern, sigma_mhz, n0, master_seed, spacing_grid=spacing_grid,
-                          rules=rules, index=index, deviates=deviates, threads=threads)
+                          rules=rules, index=index, deviates=deviates)
     n1 = policy.boost_trials(lattice.distance, sigma_mhz, pt.yield_fraction)
     if n1 > n0:
         pt = run_point(lattice, pattern.with_spacing(pt.spacing_mhz), sigma_mhz, n1, master_seed,
-                       rules=rules, index=index, deviates=deviates, threads=threads)
+                       rules=rules, index=index, deviates=deviates)
     return pt
 
 
 def sweep_sigma(lattice: Lattice, pattern: FrequencyPattern, sigma_grid=DEFAULT_SIGMA_GRID_MHZ,
                 trials_policy: AdaptiveTrials | None = None, master_seed: int = 0, *,
-                spacing_grid=DEFAULT_SPACING_GRID_MHZ, rules: CollisionRules = DEFAULT_RULES,
-                threads: int = 1) -> list:
+                spacing_grid=DEFAULT_SPACING_GRID_MHZ,
+                rules: CollisionRules = DEFAULT_RULES) -> list:
     """Sweep the scatter level, re-optimising the spacing per point.
 
     Each point is an :func:`operating_point`; a one-element
@@ -200,13 +186,13 @@ def sweep_sigma(lattice: Lattice, pattern: FrequencyPattern, sigma_grid=DEFAULT_
     idx = build_index(lattice)
     z = gaussian_deviates(master_seed, policy.max_trials(lattice.distance), lattice.n_qubits)
     return [operating_point(lattice, pattern, float(sigma), policy, master_seed, index=idx,
-                            deviates=z, spacing_grid=spacing_grid, rules=rules, threads=threads)
+                            deviates=z, spacing_grid=spacing_grid, rules=rules)
             for sigma in sigma_grid]
 
 
 def table_row(lattice: Lattice, pattern: FrequencyPattern, policy: AdaptiveTrials,
               master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
-              rules: CollisionRules = DEFAULT_RULES, threads: int = 1) -> tuple:
+              rules: CollisionRules = DEFAULT_RULES) -> tuple:
     """The (tuned, as-fabricated) operating points of one lattice.
 
     The tuned-precision point optimises the spacing at
@@ -217,9 +203,7 @@ def table_row(lattice: Lattice, pattern: FrequencyPattern, policy: AdaptiveTrial
     idx = build_index(lattice)
     z = gaussian_deviates(master_seed, policy.max_trials(lattice.distance), lattice.n_qubits)
     tuned = operating_point(lattice, pattern, TUNED_SIGMA_MHZ, policy, master_seed,
-                            index=idx, deviates=z, spacing_grid=spacing_grid, rules=rules,
-                            threads=threads)
+                            index=idx, deviates=z, spacing_grid=spacing_grid, rules=rules)
     fab = operating_point(lattice, pattern, AS_FABRICATED_SIGMA_MHZ, policy, master_seed,
-                          index=idx, deviates=z, spacing_grid=(tuned.spacing_mhz,), rules=rules,
-                          threads=threads)
+                          index=idx, deviates=z, spacing_grid=(tuned.spacing_mhz,), rules=rules)
     return tuned, fab

@@ -123,7 +123,7 @@ class TunePolicy:
     converge_band: float = 0.003   # fractional distance from target that counts as done
     max_anneals: int = 50
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0.0 < self.step_fraction <= 1.0:
             raise ParameterError("step_fraction must be in (0, 1]")
         if not 0.0 < self.converge_band < 1.0:
@@ -220,7 +220,6 @@ def tune_junction(record: JunctionRecord, model: AnnealResponseModel,
     (targets below the wire cannot be reached); exceeding the band after
     annealing is an overshoot.  The anneal budget running out is exhaustion.
     """
-    policy.validate()
     if record.status == EXHAUSTED:
         return record
     if record.r_ohm <= 0.0 or not record.r_target_ohm > 0.0:

@@ -94,6 +94,13 @@ class TestCheckCommand:
                          f"--anharmonicity-mhz={anharmonicity}", "--out", str(tmp_path)]) == 1
         assert not (tmp_path / "check").exists()
 
+    @pytest.mark.parametrize("sigma", ["-40", "nan"])
+    def test_sigma_must_be_non_negative(self, tmp_path, capsys, sigma):
+        assert cli.main(["check", "--family", "square", "-d", "3", f"--sigma-mhz={sigma}",
+                         "--seed", "3", "--out", str(tmp_path)]) == 1
+        assert "sigma must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "check").exists()
+
 
 class TestSweepCommand:
     ARGS = ["sweep", "--family", "heavy_hexagon", "-d", "3", "--sigmas", "0,20",
@@ -118,13 +125,6 @@ class TestSweepCommand:
             assert "timestamp" not in text
             assert "time\"" not in text
             assert "date" not in text
-
-    def test_threads_do_not_change_output(self, tmp_path):
-        extra = ["--trials", "300"]
-        assert cli.main(self.ARGS[:-2] + extra + ["--threads", "1", "--out", str(tmp_path / "t1")]) == 0
-        assert cli.main(self.ARGS[:-2] + extra + ["--threads", "4", "--out", str(tmp_path / "t4")]) == 0
-        assert read_bytes(tmp_path / "t1", "sweep", "default", "results.csv") == \
-            read_bytes(tmp_path / "t4", "sweep", "default", "results.csv")
 
     def test_metadata_carries_seed_and_hash(self, tmp_path):
         assert cli.main(self.ARGS + ["--seed", "9", "--out", str(tmp_path)]) == 0
@@ -202,6 +202,15 @@ def test_missing_sweep_csv_is_usage_error(tmp_path, capsys, command):
     assert not (tmp_path / command).exists()
 
 
+@pytest.mark.parametrize("command", ["fit-rn", "extrapolate"])
+def test_failed_run_leaves_no_directory(tmp_path, command):
+    csv = synth_sweep_csv(tmp_path / "hh3.csv", "heavy_hexagon", 3, 23, 31.61)
+    argv = {"fit-rn": ["--csv", str(tmp_path / "missing.csv")],
+            "extrapolate": ["--sweep-csv", f"{csv},{csv}"]}[command]  # one lattice twice
+    assert cli.main([command, *argv, "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 class TestExtrapolateCommand:
     def test_trend_from_three_sizes(self, tmp_path, capsys):
         srcs = [synth_sweep_csv(tmp_path / f"hh{d}.csv", "heavy_hexagon", d, n, w)
@@ -246,6 +255,10 @@ class TestTuneCommand:
 
     def test_odd_junction_count_needs_spread(self, tmp_path):
         assert cli.main(["tune", "--junctions", "40", "--out", str(tmp_path)]) == 2
+
+    def test_bad_policy_is_runtime_error(self, tmp_path):
+        assert cli.main(["tune", "--step-fraction", "0", "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / "tune").exists()
 
 
 class TestFitRnCommand:
@@ -325,7 +338,7 @@ class TestConfigPrecedence:
 
 # resolve_config with no flags, environment or INI file, as recorded in
 # manifest.json since the first release; rerun replays these snapshots
-COMMON = {"name": "default", "out": "out", "seed": 0, "threads": 1}
+COMMON = {"name": "default", "out": "out", "seed": 0}
 MANIFEST_DEFAULTS = {
     "lattice": {"distance": None, "family": None},
     "check": {"anharmonicity_mhz": -330.0, "base_ghz": 5.0, "distance": None, "family": None,
@@ -388,6 +401,21 @@ class TestRerunCommand:
         assert cli.main(args + ["--out", str(tmp_path / "a")]) == 0
         manifest = os.path.join(tmp_path, "a", "sweep", "default", "manifest.json")
         assert cli.main(["rerun", manifest, "--out", str(tmp_path / "b")]) == 0
+        assert read_bytes(tmp_path / "a", "sweep", "default", "results.csv") == \
+            read_bytes(tmp_path / "b", "sweep", "default", "results.csv")
+
+    def test_replay_ignores_unread_config_keys(self, tmp_path):
+        """Manifests written while sweeps took a thread count carry a
+        ``threads`` key; replaying one must still give the same results."""
+        args = ["sweep", "--family", "heavy_hexagon", "-d", "3", "--sigmas", "14,40",
+                "--trials", "300", "--seed", "2"]
+        assert cli.main(args + ["--out", str(tmp_path / "a")]) == 0
+        with open(tmp_path / "a" / "sweep" / "default" / "manifest.json") as fh:
+            manifest = json.load(fh)
+        manifest["config"]["threads"] = 4
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(manifest))
+        assert cli.main(["rerun", str(old), "--out", str(tmp_path / "b")]) == 0
         assert read_bytes(tmp_path / "a", "sweep", "default", "results.csv") == \
             read_bytes(tmp_path / "b", "sweep", "default", "results.csv")
 

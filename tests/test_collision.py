@@ -180,6 +180,33 @@ def test_monte_carlo_mean_matches_analytic_expectation(nine_lattices, sigma):
     assert abs(counts.mean() - exact) < 4.0 * se
 
 
+def test_batch_blocks_match_row_by_row_counts(nine_lattices):
+    """Two full row blocks plus a partial one count exactly as single rows
+    do, and each block's first and last row match the naive reference."""
+    lat = nine_lattices[("square", 7)]
+    idx = collision.build_index(lat)
+    rows = collision._BLOCK_ELEMENTS // (idx.edge_control.size + idx.tri_i.size)
+    n = 2 * rows + rows // 2
+    sp = lattice.set_points_mhz(lat, lattice.FrequencyPattern(spacing_mhz=45.0))
+    f = sp + 60.0 * mc.gaussian_deviates(23, n, lat.n_qubits)
+    batch = collision.count_collisions_batch(idx, f)
+    single = np.array([collision.count_collisions_batch(idx, row)[0] for row in f])
+    assert np.array_equal(batch, single)
+    for r in (0, rows - 1, rows, 2 * rows - 1, 2 * rows, n - 1):
+        slow = naive_counts(lat.n_qubits, lat.edges, f[r])
+        assert batch[r].tolist() == [slow[t] for t in collision.TYPE_IDS]
+
+
+def test_edgeless_lattice_counts_nothing():
+    payload = {"family": "isolated", "distance": 3, "edges": [],
+               "nodes": [{"id": q, "position": [q, 0], "code_role": "data",
+                          "gate_role": "target", "pattern_index": 1} for q in range(3)]}
+    idx = collision.build_index(lattice.from_json_dict(payload))
+    counts = collision.count_collisions_batch(idx, np.full((5, 3), 5000.0))
+    assert counts.shape == (5, 7)
+    assert not counts.any()
+
+
 @settings(max_examples=25, deadline=None)
 @given(offset=st.floats(-800.0, 800.0, allow_nan=False))
 def test_absolute_frequency_invariance(offset):

@@ -1,4 +1,4 @@
-"""Sampling contract, threading invariance, and spacing optimisation."""
+"""Sampling contract, batch independence, and spacing optimisation."""
 import numpy as np
 import pytest
 
@@ -65,13 +65,6 @@ def test_run_point_metadata_and_yield_granularity(hh3):
     # yield is a fraction of an integer trial count
     assert pt.yield_fraction * pt.trials == pytest.approx(round(pt.yield_fraction * pt.trials))
     assert sum(pt.per_type_means) == pytest.approx(pt.mean_collisions, rel=1e-12)
-
-
-def test_threading_does_not_change_results(hh3):
-    pattern = lattice.FrequencyPattern(spacing_mhz=40.0)
-    serial = mc.run_point(hh3, pattern, 18.0, 700, 3, threads=1)
-    threaded = mc.run_point(hh3, pattern, 18.0, 700, 3, threads=4)
-    assert serial == threaded
 
 
 def test_prebuilt_deviates_equivalent_to_seed(hh3):

@@ -188,11 +188,9 @@ class TestTuneJunction:
         assert counts[0] < counts[-1]
 
     def test_policy_validation(self):
-        for bad in (tunesim.TunePolicy(step_fraction=0.0),
-                    tunesim.TunePolicy(converge_band=1.0),
-                    tunesim.TunePolicy(max_anneals=0)):
+        for bad in ({"step_fraction": 0.0}, {"converge_band": 1.0}, {"max_anneals": 0}):
             with pytest.raises(ParameterError):
-                bad.validate()
+                tunesim.TunePolicy(**bad)
 
 
 class TestCampaign:
