@@ -7,9 +7,9 @@ The pieces, bottom to top:
 - :mod:`freqcrowd.lattice` — error-correction coupling graphs with gate
   directions and frequency set-point patterns.
 - :mod:`freqcrowd.collision` — the seven nearest/next-nearest-neighbour
-  frequency-collision predicates.
+  frequency-collision predicates and their expected counts under scatter.
 - :mod:`freqcrowd.mc` — deterministic Monte Carlo over frequency scatter,
-  with spacing optimisation.
+  at the spacing with the fewest expected collisions.
 - :mod:`freqcrowd.window` — the single-window analytic yield model, its fit,
   and size extrapolation.
 - :mod:`freqcrowd.tunesim` — adaptive one-directional resistance-trim
@@ -19,7 +19,13 @@ The pieces, bottom to top:
 
 __version__ = "0.1.0"
 
-from .collision import CollisionReport, CollisionRules, DEFAULT_RULES, count_collisions
+from .collision import (
+    DEFAULT_RULES,
+    CollisionReport,
+    CollisionRules,
+    count_collisions,
+    expected_counts,
+)
 from .errors import (
     FreqcrowdError,
     InputError,
@@ -102,6 +108,7 @@ __all__ = [
     "build_lattice",
     "count_collisions",
     "critical_current_na",
+    "expected_counts",
     "fit_power_law",
     "fit_trend",
     "fit_window",

@@ -18,6 +18,10 @@ at least one of them):
 Types 3 and 6 count once per pair/triple even if both orderings violate.
 All windows are strict (open) inequalities.
 
+Under independent Gaussian scatter each window tests one Gaussian linear
+combination of frequencies, so the expected count of every type is a sum of
+normal-CDF differences (:func:`expected_counts`).
+
 Note on type 4: the gate wants the target 01 frequency inside the open
 interval (f12_c, f01_c).  Only falling off the *low* side (control-target
 detuning reaching |a|) is counted; the high side (target above the control)
@@ -29,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .errors import InputError, ParameterError
 from .lattice import Lattice, next_nearest_triples
@@ -179,3 +184,67 @@ def count_collisions(lattice: Lattice, f01_mhz, rules: CollisionRules = DEFAULT_
                           for m in np.flatnonzero(mask[0]))
     return CollisionReport(per_type=per_type, total=int(counts.sum()), instances=instances)
 
+
+
+def _p_between(mean, sd, lo, hi):
+    """P(lo < X < hi) for X ~ N(mean, sd**2), with both CDF terms taken in
+    the tail nearer the window so small probabilities keep their digits."""
+    u = (lo - mean) / sd
+    v = (hi - mean) / sd
+    return np.where(u > 0.0, ndtr(-u) - ndtr(-v), ndtr(v) - ndtr(u))
+
+
+def _p_either(mean, sd, center, width):
+    """P(|X - center| < width or |X + center| < width): the two windows
+    less their overlap, which is empty once |center| >= width."""
+    overlap = max(width - abs(center), 0.0)
+    return (_p_between(mean, sd, center - width, center + width)
+            + _p_between(mean, sd, -center - width, -center + width)
+            - _p_between(mean, sd, -overlap, overlap))
+
+
+def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz: float,
+                    rules: CollisionRules = DEFAULT_RULES) -> np.ndarray:
+    """Expected count of each type when every qubit gets N(0, sigma**2) scatter.
+
+    Exact by linearity of expectation: a pair window tests f_c - f_t (sd
+    sigma*sqrt(2)), a spectator window f_i - f_k (sd sigma*sqrt(2)) or
+    2*f_j - f_i - f_k (sd sigma*sqrt(6)).  At zero scatter this is the count
+    at the set points themselves, strict windows included.
+
+    Args:
+        index: precomputed arrays from :func:`build_index`.
+        set_points_mhz: array [..., n_qubits]; leading axes stack set points
+            (one row per pattern spacing, say).
+        sigma_mhz: per-qubit frequency scatter, MHz.
+        rules: the anharmonicity the windows use.
+
+    Returns:
+        float array [..., 7]; column m holds the expected count of type m+1.
+    """
+    sp = np.asarray(set_points_mhz, dtype=float)
+    if sp.ndim == 0 or sp.shape[-1] != index.n_qubits:
+        raise InputError(f"set points must have {index.n_qubits} columns")
+    if not sigma_mhz >= 0.0:
+        raise ParameterError("sigma must be >= 0")
+    lead = sp.shape[:-1]
+    if sigma_mhz == 0.0:
+        counts = count_collisions_batch(index, sp.reshape(-1, index.n_qubits), rules)
+        return counts.reshape(*lead, 7).astype(float)
+
+    a = rules.anharmonicity_mhz
+    s2 = sigma_mhz * math.sqrt(2.0)
+    d = sp[..., index.edge_control] - sp[..., index.edge_target]
+    dik = sp[..., index.tri_i] - sp[..., index.tri_k]
+    m7 = 2.0 * sp[..., index.tri_j] + a - sp[..., index.tri_i] - sp[..., index.tri_k]
+    per_member = (
+        _p_between(d, s2, -NN_DEGENERATE_MHZ, NN_DEGENERATE_MHZ),
+        _p_between(d, s2, (-TWO_PHOTON_MHZ - a) / 2.0, (TWO_PHOTON_MHZ - a) / 2.0),
+        _p_either(d, s2, a, NN_EXCITED_MHZ),
+        ndtr((d + a) / s2),
+        _p_between(dik, s2, -SPECTATOR_DEGENERATE_MHZ, SPECTATOR_DEGENERATE_MHZ),
+        _p_either(dik, s2, a, SPECTATOR_EXCITED_MHZ),
+        _p_between(m7, sigma_mhz * math.sqrt(6.0),
+                   -SPECTATOR_TWO_PHOTON_MHZ, SPECTATOR_TWO_PHOTON_MHZ),
+    )
+    return np.stack([p.sum(axis=-1) for p in per_member], axis=-1)

@@ -8,11 +8,14 @@ therefore independent of batching and of which sigma/spacing values are
 evaluated — a single deviate matrix can be reused across a whole sweep,
 since a trial's frequencies are just set_points + sigma * z.
 
-Every reported number comes from :func:`operating_point`: a spacing search
-at the trials policy's base count, then a re-measurement of the chosen
-spacing when the policy asks for more trials.  :func:`sweep_sigma` and
-:func:`table_row` (the summary table the CLI prints and the acceptance gate
-checks) are both built from it.
+Every reported number comes from :func:`operating_point`: the spacing with
+the fewest *expected* collisions (exact, from
+:func:`~freqcrowd.collision.expected_counts`) is measured at the trials
+policy's base count, then re-measured when the policy asks for more trials.
+The choice never looks at the Monte Carlo sample, so the reported statistics
+are not flattered by having picked the luckiest spacing on them.
+:func:`sweep_sigma` and :func:`table_row` (the summary table the CLI prints
+and the acceptance gate checks) are both built from it.
 """
 from __future__ import annotations
 
@@ -20,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import DEFAULT_RULES, CollisionIndex, CollisionRules, build_index, count_collisions_batch
+from .collision import (DEFAULT_RULES, CollisionIndex, CollisionRules, build_index,
+                        count_collisions_batch, expected_counts)
 from .errors import ParameterError
 from .lattice import FrequencyPattern, Lattice, set_points_mhz
 
@@ -39,6 +43,8 @@ def gaussian_deviates(master_seed: int, n_trials: int, n_qubits: int) -> np.ndar
     """Deviate matrix z[t, q] under the (seed, trial, qubit) contract."""
     if n_trials <= 0 or n_qubits <= 0:
         raise ParameterError("n_trials and n_qubits must be positive")
+    if not 0 <= master_seed < 2**128:
+        raise ParameterError("master seed must be in [0, 2**128)")
     z = np.empty((n_trials, n_qubits))
     for t in range(n_trials):
         gen = np.random.Generator(np.random.Philox(key=master_seed, counter=[0, 0, 0, t]))
@@ -71,7 +77,7 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
     ``deviates`` may carry a prebuilt matrix from :func:`gaussian_deviates`
     with at least ``trials`` rows; the first ``trials`` rows are used.
     """
-    if sigma_mhz < 0.0:
+    if not sigma_mhz >= 0.0:
         raise ParameterError("sigma must be >= 0")
     if trials <= 0:
         raise ParameterError("trials must be positive")
@@ -83,7 +89,9 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
         if deviates.shape[0] < trials or deviates.shape[1] != lattice.n_qubits:
             raise ParameterError("deviate matrix too small for requested trials")
         z = deviates[:trials]
-    counts = count_collisions_batch(idx, sp[None, :] + sigma_mhz * z, rules)
+    f = sigma_mhz * z
+    f += sp  # in place: one trials x qubits temporary instead of two
+    counts = count_collisions_batch(idx, f, rules)
     totals = counts.sum(axis=1)
     return SweepPoint(
         family=lattice.family,
@@ -103,25 +111,24 @@ def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: flo
                      master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
                      rules: CollisionRules = DEFAULT_RULES, index: CollisionIndex | None = None,
                      deviates: np.ndarray | None = None) -> SweepPoint:
-    """Pick the pattern spacing minimising mean collisions over a grid.
+    """Measure the grid spacing with the fewest expected collisions.
 
-    Ties go to the higher yield, then to the smaller spacing, so at zero
-    scatter this returns the smallest collision-free spacing in the grid.
+    Every grid spacing is scored by :func:`collision.expected_counts` in one
+    call; ties go to the smaller spacing, so at zero scatter (where the
+    expectation is the exact count) this is the smallest collision-free
+    spacing in the grid.  The choice does not depend on ``master_seed``,
+    ``trials`` or ``deviates``: only the returned point, from
+    :func:`run_point` at that spacing, is sampled.
     """
     grid = [float(s) for s in spacing_grid]
     if not grid:
         raise ParameterError("spacing grid is empty")
     idx = index if index is not None else build_index(lattice)
-    if deviates is None:
-        deviates = gaussian_deviates(master_seed, trials, lattice.n_qubits)
-    best = None
-    for s in grid:
-        pt = run_point(lattice, pattern.with_spacing(s), sigma_mhz, trials, master_seed,
-                       rules=rules, index=idx, deviates=deviates)
-        key = (pt.mean_collisions, -pt.yield_fraction, s)
-        if best is None or key < best[0]:
-            best = (key, pt)
-    return best[1]
+    set_points = np.stack([set_points_mhz(lattice, pattern.with_spacing(s)) for s in grid])
+    expected = expected_counts(idx, set_points, sigma_mhz, rules).sum(axis=-1)
+    _, best = min(zip(expected.tolist(), grid))
+    return run_point(lattice, pattern.with_spacing(best), sigma_mhz, trials, master_seed,
+                     rules=rules, index=idx, deviates=deviates)
 
 
 # per-distance yield below which a pilot is re-run at the boost count;
@@ -156,12 +163,12 @@ def operating_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: floa
                     policy: AdaptiveTrials, master_seed: int = 0, *, index: CollisionIndex,
                     deviates: np.ndarray, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
                     rules: CollisionRules = DEFAULT_RULES) -> SweepPoint:
-    """One reported operating point: search the spacing grid at the policy's
-    base trials, then re-measure the chosen spacing when the policy asks for
-    more trials.  A one-element grid measures that spacing alone.
+    """One reported operating point: measure the spacing :func:`optimize_spacing`
+    picks at the policy's base trials, then re-measure it when the policy
+    asks for more trials.  A one-element grid measures that spacing alone.
 
     ``deviates`` holds at least ``policy.max_trials`` rows from
-    :func:`gaussian_deviates`, shared by the search and the boost.
+    :func:`gaussian_deviates`, shared by the pilot and the boost.
     """
     n0 = policy.base_trials(lattice.distance, sigma_mhz)
     pt = optimize_spacing(lattice, pattern, sigma_mhz, n0, master_seed, spacing_grid=spacing_grid,

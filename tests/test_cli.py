@@ -140,8 +140,27 @@ class TestSweepCommand:
         assert "--trials" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
+    def test_nan_sigma_is_rejected_before_counting(self, tmp_path, capsys):
+        argv = ["sweep", "--family", "heavy_hexagon", "-d", "3", "--sigmas", "nan",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: sigma must be >= 0" in err
+        assert "finite" not in err
+        assert not (tmp_path / "sweep").exists()
 
-# At seed 5 the default grid already picks 40 or 65 MHz on every lattice, so
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--family", "square", "-d", "3", "--sigma-mhz", "10"],
+    ["sweep", "--family", "heavy_hexagon", "-d", "3", "--sigmas", "14", "--trials", "20"],
+])
+def test_seed_outside_key_range_is_an_error(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--seed=-1", "--out", str(tmp_path)]) == 1
+    assert "error: master seed must be in [0, 2**128)" in capsys.readouterr().err
+    assert not (tmp_path / argv[0]).exists()
+
+
+# The default grid picks 40 or 65 MHz on every lattice, whatever the seed, so
 # only the second grid shows whether --spacings reaches the search.
 @pytest.mark.parametrize("spacings", ["40,65", "40,60"])
 def test_table2_rows_are_the_shared_operating_points(tmp_path, spacings):

@@ -1,4 +1,4 @@
-"""Window semantics per type, brute-force parity, and the analytic mean."""
+"""Window semantics per type, brute-force parity, and the expected counts."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,6 +178,93 @@ def test_monte_carlo_mean_matches_analytic_expectation(nine_lattices, sigma):
     counts = collision.count_collisions_batch(idx, sp[None, :] + sigma * z).sum(axis=1)
     se = counts.std(ddof=1) / np.sqrt(trials)
     assert abs(counts.mean() - exact) < 4.0 * se
+
+
+def spacing_stack(lat, spacings):
+    return np.stack([lattice.set_points_mhz(lat, lattice.FrequencyPattern(spacing_mhz=s))
+                     for s in spacings])
+
+
+@pytest.mark.parametrize("sigma", [8.0, 14.0, 40.0, 132.3])
+def test_expected_counts_match_reference_oracle(nine_lattices, sigma):
+    """Stacked spacings, one call per sigma: every row's total equals the
+    loop-and-erf oracle on all nine lattices."""
+    spacings = (30.0, 45.0, 70.0, 150.0)
+    for lat in nine_lattices.values():
+        sp = spacing_stack(lat, spacings)
+        got = collision.expected_counts(collision.build_index(lat), sp, sigma)
+        assert got.shape == (len(spacings), 7)
+        triples = lattice.next_nearest_triples(lat)
+        for row, per_type in zip(sp, got):
+            exact = expected_mean_collisions(row, sigma, lat.edges, triples)
+            assert per_type.sum() == pytest.approx(exact, rel=1e-9)
+
+
+def assert_matches_monte_carlo(lat, spacing, sigma, rules, trials=20000):
+    """Each type's MC mean over ``trials`` draws lies within 5 standard
+    errors of its expected count."""
+    idx = collision.build_index(lat)
+    sp = lattice.set_points_mhz(lat, lattice.FrequencyPattern(spacing_mhz=spacing))
+    expected = collision.expected_counts(idx, sp, sigma, rules)
+    z = mc.gaussian_deviates(31, trials, lat.n_qubits)
+    counts = collision.count_collisions_batch(idx, sp + sigma * z, rules)
+    se = counts.std(axis=0, ddof=1) / np.sqrt(trials)
+    assert (se > 0).all()   # every type occurs, so every z-score is informative
+    assert np.all(np.abs(counts.mean(axis=0) - expected) <= 5.0 * se)
+    return expected, se
+
+
+@pytest.mark.parametrize("family, spacing", [("heavy_hexagon", 70.0), ("square", 45.0)])
+def test_expected_counts_match_monte_carlo_per_type(nine_lattices, family, spacing):
+    assert_matches_monte_carlo(nine_lattices[(family, 3)], spacing, 60.0, collision.DEFAULT_RULES)
+
+
+def test_expected_counts_overlapping_windows(nine_lattices):
+    """|a| = 20 MHz is below the type-3 and type-6 widths, so their two
+    windows overlap and the expectation must take their union; the oracle
+    assumes disjoint windows and overstates both types here."""
+    lat = nine_lattices[("square", 3)]
+    soft = collision.CollisionRules(anharmonicity_mhz=-20.0)
+    expected, se = assert_matches_monte_carlo(lat, 30.0, 15.0, soft)
+    sp = lattice.set_points_mhz(lat, lattice.FrequencyPattern(spacing_mhz=30.0))
+    disjoint = expected_mean_collisions(sp, 15.0, lat.edges, lattice.next_nearest_triples(lat),
+                                        anharmonicity=-20.0)
+    assert disjoint - expected.sum() > 50.0 * se.max()
+
+
+@pytest.mark.parametrize("family", lattice.FAMILIES)
+@pytest.mark.parametrize("distance", [3, 5, 7])
+def test_expected_counts_at_zero_scatter_are_exact(nine_lattices, family, distance):
+    """At 17 MHz neighbours sit on the open type-1 edge (no collision); at
+    165 MHz some control-target pairs sit on the closed type-4 edge (one)."""
+    lat = nine_lattices[(family, distance)]
+    sp = spacing_stack(lat, (5.0, 17.0, 30.0, 45.0, 70.0, 165.0))
+    got = collision.expected_counts(collision.build_index(lat), sp.reshape(6, 1, -1), 0.0)
+    assert got.shape == (6, 1, 7)
+    for row, per_type in zip(sp, got[:, 0]):
+        slow = naive_counts(lat.n_qubits, lat.edges, row)
+        assert per_type.tolist() == [float(slow[t]) for t in collision.TYPE_IDS]
+
+
+def test_expected_counts_keep_small_probabilities():
+    """A window 100 MHz above the mean is as unlikely as one 100 MHz below
+    it; both tails must keep their ~1e-31 probability instead of rounding
+    one of them to 1 - 1 = 0."""
+    idx = collision.build_index(pair_lattice())
+    below = collision.expected_counts(idx, [5000.0, 5100.0], 5.0)[0]
+    above = collision.expected_counts(idx, [5100.0, 5000.0], 5.0)[0]
+    assert 0.0 < below < 1e-25
+    assert below == pytest.approx(above, rel=1e-9)
+
+
+def test_expected_counts_validation(hh3):
+    idx = collision.build_index(hh3)
+    sp = lattice.set_points_mhz(hh3, lattice.FrequencyPattern())
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ParameterError, match="sigma must be >= 0"):
+            collision.expected_counts(idx, sp, bad)
+    with pytest.raises(InputError):
+        collision.expected_counts(idx, sp[:5], 14.0)
 
 
 def test_batch_blocks_match_row_by_row_counts(nine_lattices):

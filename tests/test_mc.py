@@ -1,9 +1,10 @@
-"""Sampling contract, batch independence, and spacing optimisation."""
+"""Sampling contract, batch independence, and spacing selection."""
 import numpy as np
 import pytest
 
 from freqcrowd import collision, lattice, mc
 from freqcrowd.errors import ParameterError
+from reference import expected_mean_collisions
 
 
 def test_deviates_deterministic():
@@ -38,6 +39,16 @@ def test_deviates_shape_and_moments():
 def test_deviates_rejects_empty(bad):
     with pytest.raises(ParameterError):
         mc.gaussian_deviates(1, *bad)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_deviates_reject_seed_outside_philox_key_range(seed):
+    with pytest.raises(ParameterError, match="master seed"):
+        mc.gaussian_deviates(seed, 2, 3)
+
+
+def test_deviates_accept_largest_seed():
+    assert mc.gaussian_deviates(2**128 - 1, 2, 3).shape == (2, 3)
 
 
 def test_run_point_matches_per_trial_loop(hh3):
@@ -78,22 +89,36 @@ def test_prebuilt_deviates_equivalent_to_seed(hh3):
 
 def test_run_point_validation(hh3):
     pattern = lattice.FrequencyPattern()
-    with pytest.raises(ParameterError):
-        mc.run_point(hh3, pattern, -1.0, 10)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ParameterError, match="sigma must be >= 0"):
+            mc.run_point(hh3, pattern, bad, 10)
     with pytest.raises(ParameterError):
         mc.run_point(hh3, pattern, 14.0, 0)
 
 
 def test_optimize_spacing_matches_manual_grid_scan(hh3):
-    """Dual route: replicate the lexicographic (mean, -yield, spacing) pick."""
+    """Dual route: the oracle's argmin of the expected count over the grid,
+    ties to the smaller spacing, measured by a plain run_point."""
     grid = (30.0, 40.0, 50.0, 60.0)
     pattern = lattice.FrequencyPattern()
     best = mc.optimize_spacing(hh3, pattern, 14.0, 400, 2, spacing_grid=grid)
-    z = mc.gaussian_deviates(2, 400, hh3.n_qubits)
-    manual = min(
-        (mc.run_point(hh3, pattern.with_spacing(s), 14.0, 400, 2, deviates=z) for s in grid),
-        key=lambda p: (p.mean_collisions, -p.yield_fraction, p.spacing_mhz))
-    assert best == manual
+    triples = lattice.next_nearest_triples(hh3)
+    _, spacing = min((expected_mean_collisions(
+        lattice.set_points_mhz(hh3, pattern.with_spacing(s)), 14.0, hh3.edges, triples), s)
+        for s in grid)
+    assert best == mc.run_point(hh3, pattern.with_spacing(spacing), 14.0, 400, 2)
+
+
+def test_optimize_spacing_ignores_the_sample(hh3):
+    """The choice comes from the expectation, so neither the seed nor the
+    trial count moves it (at 24 MHz a sample-mean pick wanders between 70,
+    75 and 80 MHz over these seeds)."""
+    pattern = lattice.FrequencyPattern()
+    chosen = {mc.optimize_spacing(hh3, pattern, 24.0, n, seed).spacing_mhz
+              for seed in (0, 1, 2, 3) for n in (100, 400)}
+    z = mc.gaussian_deviates(5, 50, hh3.n_qubits)
+    chosen.add(mc.optimize_spacing(hh3, pattern, 24.0, 50, 5, deviates=z).spacing_mhz)
+    assert len(chosen) == 1
 
 
 def test_optimize_spacing_zero_scatter_prefers_smallest_clean(hh3):
@@ -103,6 +128,15 @@ def test_optimize_spacing_zero_scatter_prefers_smallest_clean(hh3):
     assert pt.spacing_mhz == 30.0
     assert pt.mean_collisions == 0.0
     assert pt.yield_fraction == 1.0
+
+
+@pytest.mark.parametrize("sigma", [-1.0, float("nan")])
+def test_operating_point_rejects_bad_sigma(hh3, sigma):
+    z = mc.gaussian_deviates(0, 10, hh3.n_qubits)
+    with pytest.raises(ParameterError, match="sigma must be >= 0"):
+        mc.operating_point(hh3, lattice.FrequencyPattern(), sigma,
+                           mc.AdaptiveTrials(base=10, boost=10),
+                           index=collision.build_index(hh3), deviates=z)
 
 
 def test_optimize_spacing_empty_grid(hh3):
