@@ -257,8 +257,7 @@ def cmd_check(cfg: dict) -> int:
     lat = _build(cfg)
     pattern = _pattern(cfg)
     freqs = lattice.set_points_mhz(lat, pattern)
-    if not cfg["sigma_mhz"] >= 0.0:
-        raise ParameterError("sigma must be >= 0")
+    collision.check_sigma(cfg["sigma_mhz"])
     if cfg["sigma_mhz"] > 0.0:
         freqs = freqs + cfg["sigma_mhz"] * mc.gaussian_deviates(cfg["seed"], 1, lat.n_qubits)[0]
     report = collision.count_collisions(lat, freqs, _rules(cfg), collect=True)
@@ -559,6 +558,7 @@ def cmd_rerun(cfg: dict) -> int:
     sub["out"] = cfg["out"]
     if cfg["name"] != _OPTION["name"].default:
         sub["name"] = cfg["name"]
+    mc.check_seed(sub.get("seed", 0))
     return _COMMANDS[manifest["command"]](sub)
 
 
@@ -603,6 +603,7 @@ def main(argv=None) -> int:
         if args.command in _LATTICE_COMMANDS and not cfg.get("reproduce_table2"):
             if not cfg.get("family") or not cfg.get("distance"):
                 raise UsageError("--family and --distance are required")
+        mc.check_seed(cfg["seed"])  # before any command reads or writes a file
         return _COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

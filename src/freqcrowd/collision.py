@@ -71,6 +71,12 @@ class CollisionRules:
 DEFAULT_RULES = CollisionRules()
 
 
+def check_sigma(sigma_mhz: float) -> None:
+    """Reject a frequency scatter that is negative, NaN or infinite."""
+    if not 0.0 <= sigma_mhz < math.inf:
+        raise ParameterError("sigma must be >= 0 and < inf")
+
+
 @dataclass(frozen=True)
 class CollisionIndex:
     """Precomputed integer index arrays for fast vectorised counting."""
@@ -225,8 +231,7 @@ def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz: float,
     sp = np.asarray(set_points_mhz, dtype=float)
     if sp.ndim == 0 or sp.shape[-1] != index.n_qubits:
         raise InputError(f"set points must have {index.n_qubits} columns")
-    if not sigma_mhz >= 0.0:
-        raise ParameterError("sigma must be >= 0")
+    check_sigma(sigma_mhz)
     lead = sp.shape[:-1]
     if sigma_mhz == 0.0:
         counts = count_collisions_batch(index, sp.reshape(-1, index.n_qubits), rules)

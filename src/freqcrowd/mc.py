@@ -2,7 +2,7 @@
 
 The sampling contract: the standard-normal deviate applied to qubit q in
 trial t under master seed s depends only on (s, t, q).  Each trial owns a
-counter-based generator (Philox keyed by the seed, counter set to the trial
+counter-based generator (:func:`philox_rng`, counter set to the trial
 index) and qubit q takes position q of that trial's draw.  Results are
 therefore independent of batching and of which sigma/spacing values are
 evaluated — a single deviate matrix can be reused across a whole sweep,
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import (DEFAULT_RULES, CollisionIndex, CollisionRules, build_index,
-                        count_collisions_batch, expected_counts)
+                        check_sigma, count_collisions_batch, expected_counts)
 from .errors import ParameterError
 from .lattice import FrequencyPattern, Lattice, set_points_mhz
 
@@ -39,16 +39,25 @@ TUNED_SIGMA_MHZ = 14.0
 AS_FABRICATED_SIGMA_MHZ = 132.3
 
 
+def check_seed(master_seed: int) -> None:
+    """Reject a master seed outside the Philox key range."""
+    if not 0 <= master_seed < 2**128:
+        raise ParameterError("master seed must be in [0, 2**128)")
+
+
+def philox_rng(master_seed: int, counter) -> np.random.Generator:
+    """Philox generator keyed by a checked master seed, at a 4-word counter."""
+    check_seed(master_seed)
+    return np.random.Generator(np.random.Philox(key=master_seed, counter=counter))
+
+
 def gaussian_deviates(master_seed: int, n_trials: int, n_qubits: int) -> np.ndarray:
     """Deviate matrix z[t, q] under the (seed, trial, qubit) contract."""
     if n_trials <= 0 or n_qubits <= 0:
         raise ParameterError("n_trials and n_qubits must be positive")
-    if not 0 <= master_seed < 2**128:
-        raise ParameterError("master seed must be in [0, 2**128)")
     z = np.empty((n_trials, n_qubits))
     for t in range(n_trials):
-        gen = np.random.Generator(np.random.Philox(key=master_seed, counter=[0, 0, 0, t]))
-        z[t] = gen.standard_normal(n_qubits)
+        z[t] = philox_rng(master_seed, [0, 0, 0, t]).standard_normal(n_qubits)
     return z
 
 
@@ -77,8 +86,7 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
     ``deviates`` may carry a prebuilt matrix from :func:`gaussian_deviates`
     with at least ``trials`` rows; the first ``trials`` rows are used.
     """
-    if not sigma_mhz >= 0.0:
-        raise ParameterError("sigma must be >= 0")
+    check_sigma(sigma_mhz)
     if trials <= 0:
         raise ParameterError("trials must be positive")
     idx = index if index is not None else build_index(lattice)

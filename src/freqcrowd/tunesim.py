@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ParameterError
+from .mc import philox_rng
 from .physics import PowerLawFit, grouped_sigma, predict_frequency_ghz, target_resistance_ohm
 
 PENDING = "pending"
@@ -133,12 +134,7 @@ class TunePolicy:
 
 
 def junction_rng(master_seed: int, junction_id: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=master_seed, counter=[0, 0, 0, junction_id]))
-
-
-def _population_rng(master_seed: int) -> np.random.Generator:
-    # separate counter lane so population draws never collide with junction streams
-    return np.random.Generator(np.random.Philox(key=master_seed, counter=[0, 0, 1, 0]))
+    return philox_rng(master_seed, [0, 0, 0, junction_id])
 
 
 def generate_population(n: int, median_ohm: float = DEFAULT_MEDIAN_OHM,
@@ -150,7 +146,7 @@ def generate_population(n: int, median_ohm: float = DEFAULT_MEDIAN_OHM,
         raise ParameterError("n must be >= 1")
     if median_ohm <= 0.0 or fractional_sigma < 0.0:
         raise ParameterError("median must be positive and scatter non-negative")
-    z = _population_rng(master_seed).standard_normal(n)
+    z = philox_rng(master_seed, [0, 0, 1, 0]).standard_normal(n)  # lane 1: no junction's stream
     r = median_ohm * np.exp(fractional_sigma * z)
     return [JunctionRecord(j, float(r[j]), float(r[j])) for j in range(n)]
 

@@ -3,9 +3,9 @@
 A lattice survives when every one of its N qubits lands within a frequency
 window of half-width delta_f around its set point, so under independent
 Gaussian scatter sigma_f the survival probability is
-``Phi(delta_f / sigma_f) ** N`` with Phi the standard normal CDF.  (The
-cumulative normal is used directly; an un-normalised Gaussian integral
-would exceed 1 and cannot be a probability.)
+``Phi(delta_f / sigma_f) ** N``, Phi the standard normal CDF (``ndtr``; an
+un-normalised Gaussian integral would exceed 1), and it inverts in closed
+form for the scatter that gives a wanted yield (:func:`required_sigma`).
 
 The effective window of a simulated lattice is recovered by least-squares
 against its Monte Carlo yield curve, and windows of several lattice sizes
@@ -16,24 +16,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .errors import ParameterError, SingularFitError, UnfittableError
 
 
 def window_yield(delta_f_mhz: float, sigma_f_mhz, n_qubits: int):
     """Survival fraction Phi(delta_f/sigma_f)**N; sigma 0 gives exactly 1."""
-    if delta_f_mhz <= 0.0:
+    if not delta_f_mhz > 0.0:
         raise ParameterError("delta_f must be positive")
     if n_qubits < 1:
         raise ParameterError("n_qubits must be >= 1")
     sig = np.asarray(sigma_f_mhz, dtype=float)
-    if np.any(sig < 0.0):
+    if not np.all(sig >= 0.0):
         raise ParameterError("sigma_f must be >= 0")
-    with np.errstate(divide="ignore"):
-        ratio = np.where(sig > 0.0, delta_f_mhz / np.where(sig > 0.0, sig, 1.0), np.inf)
-    out = np.where(np.isinf(ratio), 1.0, norm.cdf(ratio) ** n_qubits)
+    with np.errstate(divide="ignore"):  # sigma 0: ratio inf, Phi 1, yield exactly 1
+        out = ndtr(delta_f_mhz / sig) ** n_qubits
     return float(out) if np.isscalar(sigma_f_mhz) else out
 
 
@@ -56,6 +54,7 @@ def fit_window(yield_curve, n_qubits: int) -> WindowFit:
     on the sampling floor/ceiling) and are dropped; at least three informative
     points are required.
     """
+    from scipy.optimize import minimize_scalar  # here, so only fitting pays for the import
     pts = [(float(s), float(y)) for s, y in yield_curve]
     use = [(s, y) for s, y in pts if 0.0 < y < 1.0 and s > 0.0]
     if len(use) < 3:
@@ -64,7 +63,7 @@ def fit_window(yield_curve, n_qubits: int) -> WindowFit:
     obs = np.array([y for _, y in use])
 
     def sse(df):
-        return float(np.sum((norm.cdf(df / sig) ** n_qubits - obs) ** 2))
+        return float(np.sum((ndtr(df / sig) ** n_qubits - obs) ** 2))
 
     # The SSE basin is narrow relative to any safe bracket, so seed the
     # bounded search from a coarse log-spaced scan.
@@ -120,12 +119,12 @@ def predict_delta_f(trend: WindowTrend, n_qubits) -> float:
 def required_sigma(delta_f_mhz: float, n_qubits: int, target_yield: float) -> float:
     """Scatter level at which the window model hits a wanted yield.
 
-    Inverts ``window_yield`` in sigma by bisection.  The model's large-sigma
-    limit is 0.5**N, so the target must lie strictly between that and 1.
-    The bracket is narrowed far below 0.01 MHz so that a round trip through
-    ``window_yield`` reproduces the target to ~1e-12.
+    The closed form delta_f / Phi^-1(target**(1/N)), with the tail 1 - target**(1/N)
+    taken as -expm1(ln(target) / N) so that it keeps its digits near yield 1.  The
+    target must lie above the large-sigma limit 0.5**N and below 1; sigma diverges
+    just above that limit, so one above 1e9 MHz is reported as unreachable.
     """
-    if delta_f_mhz <= 0.0:
+    if not delta_f_mhz > 0.0:
         raise ParameterError("delta_f must be positive")
     if n_qubits < 1:
         raise ParameterError("n_qubits must be >= 1")
@@ -134,17 +133,7 @@ def required_sigma(delta_f_mhz: float, n_qubits: int, target_yield: float) -> fl
     floor = 0.5 ** n_qubits
     if target_yield <= floor:
         raise ParameterError(f"target_yield {target_yield} at or below the large-sigma limit {floor:g}")
-    lo, hi = 0.0, float(delta_f_mhz)
-    while window_yield(delta_f_mhz, hi, n_qubits) > target_yield:
-        hi *= 2.0
-        if hi > 1e9:
-            raise ParameterError("target_yield unreachable")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if window_yield(delta_f_mhz, mid, n_qubits) > target_yield:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-9:
-            break
-    return 0.5 * (lo + hi)
+    x = -ndtri(-np.expm1(np.log(target_yield) / n_qubits))  # Phi^-1(target**(1/N))
+    if not x >= delta_f_mhz / 1e9:  # sigma above 1e9 MHz, infinite or NaN
+        raise ParameterError("target_yield unreachable")
+    return float(delta_f_mhz / x)

@@ -1,6 +1,8 @@
 """End-to-end command-line behaviour: exit codes, files, reproducibility."""
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -94,7 +96,7 @@ class TestCheckCommand:
                          f"--anharmonicity-mhz={anharmonicity}", "--out", str(tmp_path)]) == 1
         assert not (tmp_path / "check").exists()
 
-    @pytest.mark.parametrize("sigma", ["-40", "nan"])
+    @pytest.mark.parametrize("sigma", ["-40", "nan", "inf"])
     def test_sigma_must_be_non_negative(self, tmp_path, capsys, sigma):
         assert cli.main(["check", "--family", "square", "-d", "3", f"--sigma-mhz={sigma}",
                          "--seed", "3", "--out", str(tmp_path)]) == 1
@@ -149,10 +151,21 @@ class TestSweepCommand:
         assert "finite" not in err
         assert not (tmp_path / "sweep").exists()
 
+    def test_infinite_sigma_is_rejected_before_counting(self, tmp_path, capsys):
+        argv = ["sweep", "--family", "heavy_hexagon", "-d", "3", "--sigmas", "inf",
+                "--trials", "10", "--out", str(tmp_path)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: sigma must be >= 0 and < inf" in err
+        assert "frequencies" not in err
+        assert not (tmp_path / "sweep").exists()
+
 
 @pytest.mark.parametrize("argv", [
     ["check", "--family", "square", "-d", "3", "--sigma-mhz", "10"],
     ["sweep", "--family", "heavy_hexagon", "-d", "3", "--sigmas", "14", "--trials", "20"],
+    ["tune", "--junctions", "5", "--target-spread", "0.4:14.5"],
+    ["check", "--family", "square", "-d", "3"],  # sigma 0 draws no deviates
 ])
 def test_seed_outside_key_range_is_an_error(tmp_path, capsys, argv):
     assert cli.main(argv + ["--seed=-1", "--out", str(tmp_path)]) == 1
@@ -438,6 +451,19 @@ class TestRerunCommand:
         assert read_bytes(tmp_path / "a", "sweep", "default", "results.csv") == \
             read_bytes(tmp_path / "b", "sweep", "default", "results.csv")
 
+    def test_replay_rejects_seed_outside_key_range(self, tmp_path, capsys):
+        """A hand-edited manifest gets the seed check a fresh run gets."""
+        assert cli.main(["lattice", "--family", "square", "-d", "3",
+                         "--out", str(tmp_path / "a")]) == 0
+        with open(tmp_path / "a" / "lattice" / "default" / "manifest.json") as fh:
+            manifest = json.load(fh)
+        manifest["config"]["seed"] = -1
+        bad = tmp_path / "bad_manifest.json"
+        bad.write_text(json.dumps(manifest))
+        assert cli.main(["rerun", str(bad), "--out", str(tmp_path / "b")]) == 1
+        assert "error: master seed must be in [0, 2**128)" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
     def test_changed_input_refuses_replay(self, tmp_path, capsys):
         rows = [(r, 165.0 * r ** -0.48) for r in (6000.0, 7500.0, 9000.0)]
         src = TestFitRnCommand.write_pairs(tmp_path / "rn.csv", rows)
@@ -457,3 +483,14 @@ def test_unknown_command_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_cli_import_leaves_out_scipy_stats_and_optimize():
+    """Every command pays for what ``freqcrowd.cli`` imports; only fitting
+    needs ``scipy.optimize``.  A fresh interpreter, because this test
+    session has already loaded ``scipy.stats`` as an oracle."""
+    code = ("import sys, freqcrowd.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
+    assert out.stdout.strip() == "[]"

@@ -260,11 +260,25 @@ def test_expected_counts_keep_small_probabilities():
 def test_expected_counts_validation(hh3):
     idx = collision.build_index(hh3)
     sp = lattice.set_points_mhz(hh3, lattice.FrequencyPattern())
-    for bad in (-1.0, float("nan")):
+    for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ParameterError, match="sigma must be >= 0"):
             collision.expected_counts(idx, sp, bad)
     with pytest.raises(InputError):
         collision.expected_counts(idx, sp[:5], 14.0)
+
+
+@pytest.mark.parametrize("distance", [11, 19])
+def test_large_heavy_hexagon_has_a_collision_free_grid_spacing(distance):
+    """The sizes a direct check of the window extrapolation needs: at zero
+    scatter the default spacing grid holds a spacing with no collision."""
+    lat = lattice.build_lattice("heavy_hexagon", distance)
+    grid = mc.DEFAULT_SPACING_GRID_MHZ
+    totals = collision.expected_counts(collision.build_index(lat), spacing_stack(lat, grid),
+                                       0.0).sum(axis=-1)
+    clean = [s for s, total in zip(grid, totals) if total == 0.0]
+    assert clean
+    sp = lattice.set_points_mhz(lat, lattice.FrequencyPattern(spacing_mhz=clean[0]))
+    assert sum(naive_counts(lat.n_qubits, lat.edges, sp).values()) == 0
 
 
 def test_batch_blocks_match_row_by_row_counts(nine_lattices):

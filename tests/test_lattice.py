@@ -65,6 +65,14 @@ def test_single_component_and_degree_caps(nine_lattices, family, distance):
                 assert deg[node.node_id] == 2
 
 
+@pytest.mark.parametrize("distance,n_qubits", [(11, 311), (19, 919)])
+def test_large_heavy_hexagon_size_and_connectivity(distance, n_qubits):
+    """(5d**2 + 2d - 5) / 2 qubits in one component beyond the nine lattices."""
+    lat = lattice.build_lattice("heavy_hexagon", distance)
+    assert lat.n_qubits == n_qubits == (5 * distance**2 + 2 * distance - 5) // 2
+    assert lattice.connected_components(lat) == 1
+
+
 def test_heavy_hexagon_has_two_degree_one_vertices(nine_lattices):
     for d in (3, 5, 7):
         deg = nine_lattices[("heavy_hexagon", d)].degrees()

@@ -89,7 +89,7 @@ def test_prebuilt_deviates_equivalent_to_seed(hh3):
 
 def test_run_point_validation(hh3):
     pattern = lattice.FrequencyPattern()
-    for bad in (-1.0, float("nan")):
+    for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ParameterError, match="sigma must be >= 0"):
             mc.run_point(hh3, pattern, bad, 10)
     with pytest.raises(ParameterError):
@@ -130,7 +130,7 @@ def test_optimize_spacing_zero_scatter_prefers_smallest_clean(hh3):
     assert pt.yield_fraction == 1.0
 
 
-@pytest.mark.parametrize("sigma", [-1.0, float("nan")])
+@pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
 def test_operating_point_rejects_bad_sigma(hh3, sigma):
     z = mc.gaussian_deviates(0, 10, hh3.n_qubits)
     with pytest.raises(ParameterError, match="sigma must be >= 0"):

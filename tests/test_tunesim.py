@@ -47,6 +47,13 @@ class TestPopulation:
         with pytest.raises(ParameterError):
             tunesim.generate_population(**kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_key_range(self, seed):
+        with pytest.raises(ParameterError, match=r"master seed must be in \[0, 2\*\*128\)"):
+            tunesim.generate_population(5, master_seed=seed)
+        with pytest.raises(ParameterError, match="master seed"):
+            tunesim.junction_rng(seed, 0)
+
 
 class TestTargetAssignment:
     def test_inverts_frequency_through_fit(self):

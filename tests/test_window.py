@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from freqcrowd import window
@@ -40,6 +41,10 @@ class TestWindowYield:
             window.window_yield(0.0, 14.0, 65)
         with pytest.raises(ParameterError):
             window.window_yield(30.0, -1.0, 65)
+        with pytest.raises(ParameterError):  # NaN is no scatter level, not zero scatter
+            window.window_yield(30.0, np.array([14.0, np.nan]), 65)
+        with pytest.raises(ParameterError):
+            window.window_yield(math.nan, 14.0, 65)
         with pytest.raises(ParameterError):
             window.window_yield(30.0, 14.0, 0)
 
@@ -178,9 +183,31 @@ class TestRequiredSigma:
             window.required_sigma(30.0, 2, 0.25)  # at the 0.5**N floor
         with pytest.raises(ParameterError):
             window.required_sigma(0.0, 65, 0.5)
+        with pytest.raises(ParameterError, match="delta_f"):
+            window.required_sigma(math.nan, 65, 0.5)
 
-    def test_matches_cdf_inversion(self):
+    @pytest.mark.parametrize("df,n,target", [
+        (df, n, target) for df in (5.0, 28.0, 100.0) for n in (1, 2, 7, 65, 100, 1000, 5000)
+        for target in (1e-3, 0.01, 0.1, 0.3, 0.5, 0.9, 0.99, 0.999999)
+        if target > 0.5 ** n])  # at or below 0.5**N no sigma gives the target
+    def test_matches_cdf_inversion(self, df, n, target):
         # direct inversion: sigma = delta_f / Phi^-1(target**(1/N))
-        df, n, target = 28.0, 100, 0.3
         expect = df / norm.ppf(target ** (1.0 / n))
-        assert window.required_sigma(df, n, target) == pytest.approx(expect, abs=1e-6)
+        assert window.required_sigma(df, n, target) == pytest.approx(expect, rel=1e-8)
+
+    @pytest.mark.parametrize("n,target", [(1, 1.0 - 1e-12), (65, 1.0 - 1e-10),
+                                          (1000, 1.0 - 1e-9), (5000, 0.999999)])
+    def test_keeps_tail_digits_near_full_yield(self, n, target):
+        # each qubit's miss probability 1 - target**(1/N), formed without
+        # cancellation, comes back from the forward tail Phi(-delta_f/sigma)
+        sig = window.required_sigma(30.0, n, target)
+        miss = -math.expm1(math.log(target) / n)
+        assert ndtr(-30.0 / sig) == pytest.approx(miss, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n,target", [(1000, 0.5 ** 1000 * (1.0 + 1e-12)),
+                                          (1, 0.5000000000001)], ids=["N1000", "N1"])
+    def test_just_above_the_floor_is_unreachable(self, n, target):
+        # sigma diverges at the floor: the closed form gives 2.4e16 and
+        # 1.2e14 MHz here, which are rejected rather than returned
+        with pytest.raises(ParameterError, match="target_yield unreachable"):
+            window.required_sigma(1.0, n, target)
