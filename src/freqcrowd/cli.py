@@ -545,21 +545,31 @@ def cmd_rerun(cfg: dict) -> int:
         raise UsageError(f"cannot read manifest: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise InputError("manifest must be a JSON object")
     for needed in ("command", "config"):
         if needed not in manifest:
             raise InputError(f"manifest lacks {needed!r}")
+    command, config = manifest["command"], manifest["config"]
+    if not isinstance(command, str) or command not in _REPLAYABLE:
+        raise InputError(f"manifest command {command!r} is not one of: {', '.join(_REPLAYABLE)}")
+    if not isinstance(config, dict):
+        raise InputError("manifest config must be a JSON object")
+    missing = [key for key in _REPLAYABLE[command] if key not in config]
+    if missing:
+        raise InputError(f"manifest config lacks {', '.join(map(repr, missing))}")
     for in_path, digest in manifest.get("inputs_sha256", {}).items():
         if not os.path.exists(in_path):
             raise InputError(f"input file missing: {in_path}")
         if _sha256(in_path) != digest:
             raise InputError(f"input file changed since the original run: {in_path}")
-    sub = dict(manifest["config"])
-    sub["command"] = manifest["command"]
+    sub = dict(config)
+    sub["command"] = command
     sub["out"] = cfg["out"]
     if cfg["name"] != _OPTION["name"].default:
         sub["name"] = cfg["name"]
-    mc.check_seed(sub.get("seed", 0))
-    return _COMMANDS[manifest["command"]](sub)
+    mc.check_seed(sub["seed"])
+    return _COMMANDS[command](sub)
 
 
 _COMMANDS = {
@@ -572,6 +582,13 @@ _COMMANDS = {
     "fit-rn": cmd_fit_rn,
     "rerun": cmd_rerun,
 }
+
+# the commands a manifest can replay (rerun writes none), each with the
+# settings its handler reads: every option it takes but --out and --config
+_REPLAYABLE = {command: tuple(opt.dest for opt in OPTIONS
+                              if opt.dest not in ("out", "config")
+                              and (opt.commands is None or command in opt.commands))
+               for command in _COMMANDS if command != "rerun"}
 
 
 def build_parser() -> argparse.ArgumentParser:

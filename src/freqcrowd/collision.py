@@ -112,18 +112,21 @@ def _violations(index: CollisionIndex, f: np.ndarray, rules: CollisionRules):
     a = rules.anharmonicity_mhz
     edges = (index.edge_control, index.edge_target)
     d = f[:, index.edge_control] - f[:, index.edge_target]
-    yield 1, np.abs(d) < NN_DEGENERATE_MHZ, edges
+    ad = np.abs(d)
+    yield 1, ad < NN_DEGENERATE_MHZ, edges
     yield 2, np.abs(2.0 * d + a) < TWO_PHOTON_MHZ, edges
-    yield 3, (np.abs(d - a) < NN_EXCITED_MHZ) | (np.abs(d + a) < NN_EXCITED_MHZ), edges
+    # "|d - a| < w or |d + a| < w" is ||d| + a| < w: with a < 0 the disjunct
+    # whose sign differs from d's is implied by the other, in floating point too
+    yield 3, np.abs(ad + a) < NN_EXCITED_MHZ, edges
     yield 4, d >= -a, edges
 
     triples = (index.tri_i, index.tri_j, index.tri_k)
     fi = f[:, index.tri_i]
     fk = f[:, index.tri_k]
     dik = fi - fk
-    yield 5, np.abs(dik) < SPECTATOR_DEGENERATE_MHZ, triples
-    yield 6, ((np.abs(dik - a) < SPECTATOR_EXCITED_MHZ)
-              | (np.abs(dik + a) < SPECTATOR_EXCITED_MHZ)), triples
+    adik = np.abs(dik)
+    yield 5, adik < SPECTATOR_DEGENERATE_MHZ, triples
+    yield 6, np.abs(adik + a) < SPECTATOR_EXCITED_MHZ, triples
     yield 7, np.abs(2.0 * f[:, index.tri_j] + a - fi - fk) < SPECTATOR_TWO_PHOTON_MHZ, triples
 
 
@@ -152,7 +155,7 @@ def count_collisions_batch(index: CollisionIndex, f01_mhz: np.ndarray,
     rows = max(1, _BLOCK_ELEMENTS // max(1, index.edge_control.size + index.tri_i.size))
     for lo in range(0, f.shape[0], rows):
         for t, mask, _ in _violations(index, f[lo:lo + rows], rules):
-            out[lo:lo + rows, t - 1] = mask.sum(axis=1)
+            out[lo:lo + rows, t - 1] = mask.sum(axis=1, dtype=np.int32)
     return out
 
 
@@ -197,16 +200,18 @@ def _p_between(mean, sd, lo, hi):
     the tail nearer the window so small probabilities keep their digits."""
     u = (lo - mean) / sd
     v = (hi - mean) / sd
-    return np.where(u > 0.0, ndtr(-u) - ndtr(-v), ndtr(v) - ndtr(u))
+    upper = u > 0.0
+    # pick both CDF arguments per member first, so ndtr runs on two arrays, not four
+    return ndtr(np.where(upper, -u, v)) - ndtr(np.where(upper, -v, u))
 
 
 def _p_either(mean, sd, center, width):
     """P(|X - center| < width or |X + center| < width): the two windows
     less their overlap, which is empty once |center| >= width."""
-    overlap = max(width - abs(center), 0.0)
-    return (_p_between(mean, sd, center - width, center + width)
-            + _p_between(mean, sd, -center - width, -center + width)
-            - _p_between(mean, sd, -overlap, overlap))
+    p = (_p_between(mean, sd, center - width, center + width)
+         + _p_between(mean, sd, -center - width, -center + width))
+    overlap = width - abs(center)
+    return p - _p_between(mean, sd, -overlap, overlap) if overlap > 0.0 else p
 
 
 def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz: float,

@@ -1,21 +1,27 @@
 """Monte Carlo yield statistics under Gaussian frequency scatter.
 
 The sampling contract: the standard-normal deviate applied to qubit q in
-trial t under master seed s depends only on (s, t, q).  Each trial owns a
-counter-based generator (:func:`philox_rng`, counter set to the trial
-index) and qubit q takes position q of that trial's draw.  Results are
-therefore independent of batching and of which sigma/spacing values are
-evaluated — a single deviate matrix can be reused across a whole sweep,
-since a trial's frequencies are just set_points + sigma * z.
+trial t under master seed s depends only on (s, t, q).  Trial t draws from
+the Philox stream keyed by s at counter [0, 0, 0, t] (:func:`philox_rng`)
+and qubit q takes position q of that draw.  Results are therefore
+independent of batching and of which sigma/spacing values are evaluated — a
+single deviate matrix can be reused across a whole sweep, since a trial's
+frequencies are just set_points + sigma * z.
+
+A point is measured in two steps: per-row collision counts (int64
+[trials, 7], row t from deviate row t), then their summary, a
+:class:`SweepPoint`.  At zero scatter every row is the same assignment, so
+one counted row stands for all of them.
 
 Every reported number comes from :func:`operating_point`: the spacing with
 the fewest *expected* collisions (exact, from
 :func:`~freqcrowd.collision.expected_counts`) is measured at the trials
-policy's base count, then re-measured when the policy asks for more trials.
-The choice never looks at the Monte Carlo sample, so the reported statistics
-are not flattered by having picked the luckiest spacing on them.
-:func:`sweep_sigma` and :func:`table_row` (the summary table the CLI prints
-and the acceptance gate checks) are both built from it.
+policy's base count (the pilot), and when the policy asks for more trials
+the pilot's rows are extended, not recounted, so every deviate row is
+counted once.  The choice never looks at the Monte Carlo sample, so the
+reported statistics are not flattered by having picked the luckiest spacing
+on them.  :func:`sweep_sigma` and :func:`table_row` (the summary table the
+CLI prints and the acceptance gate checks) are both built from it.
 """
 from __future__ import annotations
 
@@ -55,9 +61,16 @@ def gaussian_deviates(master_seed: int, n_trials: int, n_qubits: int) -> np.ndar
     """Deviate matrix z[t, q] under the (seed, trial, qubit) contract."""
     if n_trials <= 0 or n_qubits <= 0:
         raise ParameterError("n_trials and n_qubits must be positive")
+    rng = philox_rng(master_seed, [0, 0, 0, 0])
+    # one generator, rewound for each row to counter [0, 0, 0, t] with an empty
+    # buffer: the draws of a fresh generator per trial, for a fraction of the cost
+    state = rng.bit_generator.state
+    counter = state["state"]["counter"]
     z = np.empty((n_trials, n_qubits))
     for t in range(n_trials):
-        z[t] = philox_rng(master_seed, [0, 0, 0, t]).standard_normal(n_qubits)
+        counter[3] = t
+        rng.bit_generator.state = state
+        z[t] = rng.standard_normal(n_qubits)
     return z
 
 
@@ -77,29 +90,9 @@ class SweepPoint:
     per_type_means: tuple  # 7 floats, types 1..7
 
 
-def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, trials: int,
-              master_seed: int = 0, *, rules: CollisionRules = DEFAULT_RULES,
-              index: CollisionIndex | None = None,
-              deviates: np.ndarray | None = None) -> SweepPoint:
-    """Monte Carlo statistics at one scatter level and pattern spacing.
-
-    ``deviates`` may carry a prebuilt matrix from :func:`gaussian_deviates`
-    with at least ``trials`` rows; the first ``trials`` rows are used.
-    """
-    check_sigma(sigma_mhz)
-    if trials <= 0:
-        raise ParameterError("trials must be positive")
-    idx = index if index is not None else build_index(lattice)
-    sp = set_points_mhz(lattice, pattern)
-    if deviates is None:
-        z = gaussian_deviates(master_seed, trials, lattice.n_qubits)
-    else:
-        if deviates.shape[0] < trials or deviates.shape[1] != lattice.n_qubits:
-            raise ParameterError("deviate matrix too small for requested trials")
-        z = deviates[:trials]
-    f = sigma_mhz * z
-    f += sp  # in place: one trials x qubits temporary instead of two
-    counts = count_collisions_batch(idx, f, rules)
+def _summary(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float,
+             master_seed: int, counts: np.ndarray) -> SweepPoint:
+    """The :class:`SweepPoint` of per-row counts, int64 [trials, 7]."""
     totals = counts.sum(axis=1)
     return SweepPoint(
         family=lattice.family,
@@ -107,7 +100,7 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
         n_qubits=lattice.n_qubits,
         sigma_mhz=float(sigma_mhz),
         spacing_mhz=float(pattern.spacing_mhz),
-        trials=int(trials),
+        trials=int(counts.shape[0]),
         master_seed=int(master_seed),
         yield_fraction=float(np.mean(totals == 0)),
         mean_collisions=float(np.mean(totals)),
@@ -115,10 +108,53 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
     )
 
 
+def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, trials: int,
+              master_seed: int = 0, *, rules: CollisionRules = DEFAULT_RULES,
+              index: CollisionIndex | None = None,
+              deviates: np.ndarray | None = None, pilot: list | None = None) -> SweepPoint:
+    """Monte Carlo statistics at one scatter level and pattern spacing.
+
+    Two steps: the per-row counts (int64 [trials, 7], row t from deviate row
+    t), then their summary.  At zero scatter every row is the set points
+    themselves, so one counted row stands for all of them (the rows are a
+    read-only broadcast of it).
+
+    ``deviates`` may carry a prebuilt matrix from :func:`gaussian_deviates`
+    with at least ``trials`` rows; the first ``trials`` rows are used.
+    ``pilot``, when given, is a list of per-row count arrays already taken at
+    this sigma and spacing on the leading rows of the same deviates (empty
+    before the first pass).  Only the rows after them are counted, the new
+    rows are appended to it, and the point summarises all ``trials`` rows; so
+    a boost extends its pilot instead of recounting it.
+    """
+    check_sigma(sigma_mhz)
+    if trials <= 0:
+        raise ParameterError("trials must be positive")
+    counted = [] if pilot is None else pilot
+    done = sum(len(c) for c in counted)
+    if done > trials:
+        raise ParameterError("pilot has more rows than trials")
+    idx = index if index is not None else build_index(lattice)
+    sp = set_points_mhz(lattice, pattern)
+    if deviates is None:
+        deviates = gaussian_deviates(master_seed, trials, lattice.n_qubits)
+    elif deviates.shape[0] < trials or deviates.shape[1] != lattice.n_qubits:
+        raise ParameterError("deviate matrix too small for requested trials")
+    if trials > done:
+        if sigma_mhz == 0.0:
+            row = counted[0][:1] if counted else count_collisions_batch(idx, sp, rules)
+            counted.append(np.broadcast_to(row, (trials - done, 7)))
+        else:
+            f = sigma_mhz * deviates[done:trials]
+            f += sp  # in place: one rows x qubits temporary instead of two
+            counted.append(count_collisions_batch(idx, f, rules))
+    return _summary(lattice, pattern, sigma_mhz, master_seed, np.concatenate(counted))
+
+
 def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, trials: int,
                      master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
                      rules: CollisionRules = DEFAULT_RULES, index: CollisionIndex | None = None,
-                     deviates: np.ndarray | None = None) -> SweepPoint:
+                     deviates: np.ndarray | None = None, pilot: list | None = None) -> SweepPoint:
     """Measure the grid spacing with the fewest expected collisions.
 
     Every grid spacing is scored by :func:`collision.expected_counts` in one
@@ -126,7 +162,8 @@ def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: flo
     expectation is the exact count) this is the smallest collision-free
     spacing in the grid.  The choice does not depend on ``master_seed``,
     ``trials`` or ``deviates``: only the returned point, from
-    :func:`run_point` at that spacing, is sampled.
+    :func:`run_point` at that spacing, is sampled.  ``pilot`` is passed on
+    to :func:`run_point`, so it receives that point's per-row counts.
     """
     grid = [float(s) for s in spacing_grid]
     if not grid:
@@ -136,7 +173,7 @@ def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: flo
     expected = expected_counts(idx, set_points, sigma_mhz, rules).sum(axis=-1)
     _, best = min(zip(expected.tolist(), grid))
     return run_point(lattice, pattern.with_spacing(best), sigma_mhz, trials, master_seed,
-                     rules=rules, index=idx, deviates=deviates)
+                     rules=rules, index=idx, deviates=deviates, pilot=pilot)
 
 
 # per-distance yield below which a pilot is re-run at the boost count;
@@ -172,19 +209,23 @@ def operating_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: floa
                     deviates: np.ndarray, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
                     rules: CollisionRules = DEFAULT_RULES) -> SweepPoint:
     """One reported operating point: measure the spacing :func:`optimize_spacing`
-    picks at the policy's base trials, then re-measure it when the policy
+    picks at the policy's base trials, then extend that pilot when the policy
     asks for more trials.  A one-element grid measures that spacing alone.
 
     ``deviates`` holds at least ``policy.max_trials`` rows from
-    :func:`gaussian_deviates`, shared by the pilot and the boost.
+    :func:`gaussian_deviates`, shared by the pilot and the boost.  The boost
+    counts only the rows after the pilot's and summarises all of them, so each
+    deviate row is counted once and the point equals :func:`run_point` at the
+    boost count.
     """
     n0 = policy.base_trials(lattice.distance, sigma_mhz)
+    rows = []
     pt = optimize_spacing(lattice, pattern, sigma_mhz, n0, master_seed, spacing_grid=spacing_grid,
-                          rules=rules, index=index, deviates=deviates)
+                          rules=rules, index=index, deviates=deviates, pilot=rows)
     n1 = policy.boost_trials(lattice.distance, sigma_mhz, pt.yield_fraction)
     if n1 > n0:
         pt = run_point(lattice, pattern.with_spacing(pt.spacing_mhz), sigma_mhz, n1, master_seed,
-                       rules=rules, index=index, deviates=deviates)
+                       rules=rules, index=index, deviates=deviates, pilot=rows)
     return pt
 
 

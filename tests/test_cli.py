@@ -474,6 +474,36 @@ class TestRerunCommand:
         assert cli.main(["rerun", manifest, "--out", str(tmp_path / "b")]) == 1
         assert "changed" in capsys.readouterr().err
 
+    @staticmethod
+    def edited_sweep_manifest(tmp_path, edit):
+        """A small sweep's manifest, changed by ``edit`` and written beside it."""
+        assert cli.main(["sweep", "--family", "square", "-d", "3", "--sigmas", "10",
+                         "--spacings", "40", "--trials", "20", "--out", str(tmp_path / "a")]) == 0
+        with open(tmp_path / "a" / "sweep" / "default" / "manifest.json") as fh:
+            manifest = json.load(fh)
+        edit(manifest)
+        bad = tmp_path / "bad_manifest.json"
+        bad.write_text(json.dumps(manifest))
+        return str(bad)
+
+    def assert_rejected(self, tmp_path, capsys, manifest, message):
+        assert cli.main(["rerun", manifest, "--out", str(tmp_path / "b")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "b").exists()
+
+    def test_replay_rejects_config_missing_a_read_key(self, tmp_path, capsys):
+        manifest = self.edited_sweep_manifest(tmp_path, lambda m: m["config"].pop("trials"))
+        self.assert_rejected(tmp_path, capsys, manifest, "manifest config lacks 'trials'")
+
+    def test_replay_rejects_unknown_command(self, tmp_path, capsys):
+        manifest = self.edited_sweep_manifest(tmp_path, lambda m: m.update(command="bogus"))
+        self.assert_rejected(tmp_path, capsys, manifest, "manifest command 'bogus' is not one of")
+
+    def test_replay_rejects_non_object_config(self, tmp_path, capsys):
+        manifest = self.edited_sweep_manifest(tmp_path, lambda m: m.update(config=[1, 2]))
+        self.assert_rejected(tmp_path, capsys, manifest, "manifest config must be a JSON object")
+
     def test_missing_manifest(self, tmp_path):
         assert cli.main(["rerun", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path)]) == 2

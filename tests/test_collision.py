@@ -164,6 +164,30 @@ def test_brute_force_parity_on_gaussian_draws(nine_lattices, family):
         assert fast == slow
 
 
+@pytest.mark.parametrize("anharmonicity", [-330.0, -30.0, -20.0])
+@pytest.mark.parametrize("family", ["square", "heavy_hexagon"])
+def test_batch_parity_at_other_anharmonicities(nine_lattices, family, anharmonicity):
+    """The batched counter agrees with the reference at small |a| too, where
+    the two type-3 (and type-6) windows overlap: on Gaussian draws, and on a
+    half-MHz grid whose pair and triple differences land on window edges."""
+    lat = nine_lattices[(family, 3)]
+    rules = collision.CollisionRules(anharmonicity)
+    sp = lattice.set_points_mhz(lat, lattice.FrequencyPattern(spacing_mhz=40.0))
+    gaussian = sp + 60.0 * mc.gaussian_deviates(17, 80, lat.n_qubits)
+    span = int(4 * (abs(anharmonicity) + 30.0))  # half-MHz steps past the widest window
+    grid = 5000.0 + 0.5 * np.random.default_rng(17).integers(0, span, (120, lat.n_qubits))
+    idx = collision.build_index(lat)
+    fast = collision.count_collisions_batch(idx, np.concatenate([gaussian, grid]), rules)
+    for f, row in zip(np.concatenate([gaussian, grid]), fast):
+        slow = naive_counts(lat.n_qubits, lat.edges, f, anharmonicity=anharmonicity)
+        assert row.tolist() == [slow[t] for t in collision.TYPE_IDS]
+    # the grid does put pairs and spectators on the type-3 and type-6 window edges
+    d = np.abs(grid[:, idx.edge_control] - grid[:, idx.edge_target])
+    dik = np.abs(grid[:, idx.tri_i] - grid[:, idx.tri_k])
+    assert np.any(np.abs(d + anharmonicity) == collision.NN_EXCITED_MHZ)
+    assert np.any(np.abs(dik + anharmonicity) == collision.SPECTATOR_EXCITED_MHZ)
+
+
 @pytest.mark.parametrize("sigma", [20.0, 60.0])
 def test_monte_carlo_mean_matches_analytic_expectation(nine_lattices, sigma):
     """E[count] is a sum of Gaussian window probabilities; the MC mean must

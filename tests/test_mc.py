@@ -1,4 +1,6 @@
 """Sampling contract, batch independence, and spacing selection."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,16 @@ def test_deviates_accept_largest_seed():
     assert mc.gaussian_deviates(2**128 - 1, 2, 3).shape == (2, 3)
 
 
+@pytest.mark.parametrize("seed", [0, 2**128 - 1])
+def test_deviates_follow_the_philox_contract(seed):
+    """Row t is the draw of a fresh Philox generator keyed by the seed at
+    counter [0, 0, 0, t], bit for bit, however the rows are produced."""
+    z = mc.gaussian_deviates(seed, 4000, 49)
+    for t in (0, 1, 999, 3999):
+        own = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, t]))
+        assert z[t].tobytes() == own.standard_normal(49).tobytes()
+
+
 def test_run_point_matches_per_trial_loop(hh3):
     """The batched counter must reproduce a plain per-trial loop exactly."""
     pattern = lattice.FrequencyPattern(spacing_mhz=45.0)
@@ -94,6 +106,27 @@ def test_run_point_validation(hh3):
             mc.run_point(hh3, pattern, bad, 10)
     with pytest.raises(ParameterError):
         mc.run_point(hh3, pattern, 14.0, 0)
+    z = mc.gaussian_deviates(3, 20, hh3.n_qubits)
+    rows = []
+    mc.run_point(hh3, pattern, 14.0, 20, 3, deviates=z, pilot=rows)
+    with pytest.raises(ParameterError, match="pilot has more rows"):
+        mc.run_point(hh3, pattern, 14.0, 10, 3, deviates=z, pilot=rows)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 30.0])
+def test_run_point_extends_its_pilot(hh3, sigma):
+    """Counting 300 rows, then extending them to 800, gives the 800-row point,
+    with every row counted once."""
+    pattern = lattice.FrequencyPattern(spacing_mhz=35.0)
+    z = mc.gaussian_deviates(12, 800, hh3.n_qubits)
+    rows = []
+    pilot = mc.run_point(hh3, pattern, sigma, 300, 12, deviates=z, pilot=rows)
+    assert pilot == mc.run_point(hh3, pattern, sigma, 300, 12, deviates=z)
+    extended = mc.run_point(hh3, pattern, sigma, 800, 12, deviates=z, pilot=rows)
+    assert extended == mc.run_point(hh3, pattern, sigma, 800, 12, deviates=z)
+    assert [len(r) for r in rows] == [300, 500]
+    assert np.array_equal(np.concatenate(rows), collision.count_collisions_batch(
+        collision.build_index(hh3), lattice.set_points_mhz(hh3, pattern) + sigma * z))
 
 
 def test_optimize_spacing_matches_manual_grid_scan(hh3):
@@ -198,3 +231,64 @@ def test_sweep_sigma_shares_deviates_across_points(hh3):
                          master_seed=8, spacing_grid=(45.0,))
     direct = mc.run_point(hh3, lattice.FrequencyPattern(spacing_mhz=45.0), 14.0, 300, 8)
     assert pts[0] == direct
+
+
+def _tally_kernel_rows(monkeypatch):
+    """Patch the kernel where ``mc`` and ``collision`` call it; return the
+    list that collects the row count of every call."""
+    rows, kernel = [], collision.count_collisions_batch
+
+    def tally(index, f01_mhz, *args, **kwargs):
+        out = kernel(index, f01_mhz, *args, **kwargs)
+        rows.append(out.shape[0])
+        return out
+    monkeypatch.setattr(mc, "count_collisions_batch", tally)
+    monkeypatch.setattr(collision, "count_collisions_batch", tally)
+    return rows
+
+
+@pytest.mark.parametrize("sigmas, spacings", [
+    ((0.0, 14.0, 150.0), mc.DEFAULT_SPACING_GRID_MHZ),
+    ((0.0, 150.0), (5.0,)),  # collides at zero scatter, so that point boosts too
+])
+def test_sweep_counts_each_deviate_row_once(hh3, monkeypatch, sigmas, spacings):
+    """Kernel rows = the sigma > 0 points' reported trials, one row per
+    sigma = 0 point, and the sigma = 0 spacing scores (one row per spacing).
+    A boosted point is the plain run_point at the boost count."""
+    rows = _tally_kernel_rows(monkeypatch)
+    pts = mc.sweep_sigma(hh3, lattice.FrequencyPattern(), sigmas, master_seed=7,
+                         spacing_grid=spacings)
+    boosted = [p for p in pts if p.trials == 4000]
+    assert boosted
+    zero = [p for p in pts if p.sigma_mhz == 0.0]
+    assert sum(rows) == (sum(p.trials for p in pts if p.sigma_mhz > 0.0)
+                         + len(zero) * (1 + len(spacings)))
+    monkeypatch.undo()
+    for p in boosted:
+        direct = mc.run_point(hh3, lattice.FrequencyPattern(spacing_mhz=p.spacing_mhz),
+                              p.sigma_mhz, 4000, 7)
+        assert dataclasses.astuple(p) == dataclasses.astuple(direct)
+    if spacings == (5.0,):
+        assert (pts[0].trials, pts[0].yield_fraction) == (4000, 0.0)
+
+
+def test_sweep_enters_each_sigma_through_run_point_or_optimize_spacing(hh3, monkeypatch):
+    """Per-sigma timings mark a point's start at its first run_point or
+    optimize_spacing call, so no other work at that sigma may come first."""
+    events = []
+
+    def recorded(kind, fn):
+        def call(*args, **kwargs):
+            events.append((kind, float(args[2])))
+            return fn(*args, **kwargs)
+        return call
+    monkeypatch.setattr(mc, "run_point", recorded("enter", mc.run_point))
+    monkeypatch.setattr(mc, "optimize_spacing", recorded("enter", mc.optimize_spacing))
+    monkeypatch.setattr(mc, "expected_counts", recorded("score", mc.expected_counts))
+    sigmas = (0.0, 14.0, 150.0)
+    mc.sweep_sigma(hh3, lattice.FrequencyPattern(), sigmas, master_seed=7)
+    first = {}
+    for kind, sigma in events:
+        first.setdefault(sigma, kind)
+    assert first == {s: "enter" for s in sigmas}
+    assert [s for k, s in events if k == "enter"] == [0.0, 0.0, 14.0, 14.0, 150.0, 150.0, 150.0]
