@@ -213,6 +213,8 @@ def _cell(v) -> str:
 
 
 def _build(cfg: dict) -> lattice.Lattice:
+    if not cfg["family"] or not cfg["distance"]:
+        raise UsageError("--family and --distance are required")
     try:
         return lattice.build_lattice(cfg["family"], cfg["distance"])
     except (ParameterError, InputError) as exc:
@@ -323,18 +325,22 @@ def _sweep_table2(cfg: dict, spacing_grid) -> int:
     the same operating points the acceptance gate checks."""
     rows = []
     sigma_hi, sigma_lo = mc.AS_FABRICATED_SIGMA_MHZ, mc.TUNED_SIGMA_MHZ
-    for family in lattice.FAMILIES:
-        for distance in (3, 5, 7):
-            lat = lattice.build_lattice(family, distance)
-            tuned, asfab = mc.table_row(lat, _pattern(cfg), _policy(cfg), cfg["seed"],
-                                        spacing_grid=spacing_grid, rules=_rules(cfg))
-            rows.append([family, distance, lat.n_qubits, asfab.mean_collisions,
-                         tuned.spacing_mhz, tuned.mean_collisions, tuned.yield_fraction,
-                         tuned.trials])
-            print(f"{family:>14} d={distance}: N={lat.n_qubits:>3} "
-                  f"mean@{sigma_hi:g}={asfab.mean_collisions:7.1f}  "
-                  f"mean@{sigma_lo:g}={tuned.mean_collisions:6.2f}  "
-                  f"yield={100 * tuned.yield_fraction:5.1f}%")
+    policy = _policy(cfg)
+    lattices = [lattice.build_lattice(family, distance)
+                for family in lattice.FAMILIES for distance in (3, 5, 7)]
+    # one matrix for all nine: each lattice reads its own first n_qubits columns
+    z = mc.gaussian_deviates(cfg["seed"], max(policy.max_trials(lat.distance) for lat in lattices),
+                             max(lat.n_qubits for lat in lattices))
+    for lat in lattices:
+        tuned, asfab = mc.table_row(lat, _pattern(cfg), policy, cfg["seed"],
+                                    spacing_grid=spacing_grid, rules=_rules(cfg), deviates=z)
+        rows.append([lat.family, lat.distance, lat.n_qubits, asfab.mean_collisions,
+                     tuned.spacing_mhz, tuned.mean_collisions, tuned.yield_fraction,
+                     tuned.trials])
+        print(f"{lat.family:>14} d={lat.distance}: N={lat.n_qubits:>3} "
+              f"mean@{sigma_hi:g}={asfab.mean_collisions:7.1f}  "
+              f"mean@{sigma_lo:g}={tuned.mean_collisions:6.2f}  "
+              f"yield={100 * tuned.yield_fraction:5.1f}%")
     run = RunDir(cfg)
     run.write_csv("results.csv",
                   ["family", "distance", "n_qubits", f"mean_collisions_sigma{sigma_hi:g}",
@@ -535,6 +541,20 @@ def cmd_fit_rn(cfg: dict) -> int:
     return 0
 
 
+def _replayed_value(opt: Option, value):
+    """A manifest value as its option's converter would give it: a float
+    setting takes an int or a float (as a float), every other type only
+    itself (so no bool for an int), and None only where it is the default."""
+    if value is None and opt.default is None:
+        return None
+    if type(value) in ((int, float) if opt.type is float else (opt.type,)):
+        try:
+            return opt.type(value)
+        except OverflowError:
+            pass
+    raise InputError(f"manifest config {opt.dest!r} must be {opt.type.__name__}, not {value!r}")
+
+
 def cmd_rerun(cfg: dict) -> int:
     """Replay a command from its manifest.json."""
     path = cfg["manifest"]
@@ -558,12 +578,14 @@ def cmd_rerun(cfg: dict) -> int:
     missing = [key for key in _REPLAYABLE[command] if key not in config]
     if missing:
         raise InputError(f"manifest config lacks {', '.join(map(repr, missing))}")
+    sub = dict(config)
+    for key in _REPLAYABLE[command]:
+        sub[key] = _replayed_value(_OPTION[key], config[key])
     for in_path, digest in manifest.get("inputs_sha256", {}).items():
         if not os.path.exists(in_path):
             raise InputError(f"input file missing: {in_path}")
         if _sha256(in_path) != digest:
             raise InputError(f"input file changed since the original run: {in_path}")
-    sub = dict(config)
     sub["command"] = command
     sub["out"] = cfg["out"]
     if cfg["name"] != _OPTION["name"].default:
@@ -617,9 +639,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if args.command in _LATTICE_COMMANDS and not cfg.get("reproduce_table2"):
-            if not cfg.get("family") or not cfg.get("distance"):
-                raise UsageError("--family and --distance are required")
         mc.check_seed(cfg["seed"])  # before any command reads or writes a file
         return _COMMANDS[args.command](cfg)
     except UsageError as exc:

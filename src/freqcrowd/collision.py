@@ -20,7 +20,9 @@ All windows are strict (open) inequalities.
 
 Under independent Gaussian scatter each window tests one Gaussian linear
 combination of frequencies, so the expected count of every type is a sum of
-normal-CDF differences (:func:`expected_counts`).
+normal-CDF differences (:func:`expected_counts`).  Only that sum needs
+``scipy.special``, so it is imported on first use at a nonzero scatter:
+counting, and expected counts at zero scatter, load numpy alone.
 
 Note on type 4: the gate wants the target 01 frequency inside the open
 interval (f12_c, f01_c).  Only falling off the *low* side (control-target
@@ -33,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InputError, ParameterError
 from .lattice import Lattice, next_nearest_triples
@@ -198,6 +199,7 @@ def count_collisions(lattice: Lattice, f01_mhz, rules: CollisionRules = DEFAULT_
 def _p_between(mean, sd, lo, hi):
     """P(lo < X < hi) for X ~ N(mean, sd**2), with both CDF terms taken in
     the tail nearer the window so small probabilities keep their digits."""
+    from scipy.special import ndtr
     u = (lo - mean) / sd
     v = (hi - mean) / sd
     upper = u > 0.0
@@ -242,6 +244,7 @@ def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz: float,
         counts = count_collisions_batch(index, sp.reshape(-1, index.n_qubits), rules)
         return counts.reshape(*lead, 7).astype(float)
 
+    from scipy.special import ndtr  # here, so counting alone never loads scipy
     a = rules.anharmonicity_mhz
     s2 = sigma_mhz * math.sqrt(2.0)
     d = sp[..., index.edge_control] - sp[..., index.edge_target]

@@ -23,6 +23,7 @@ no frequency collisions at the default 70 MHz spacing.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -260,8 +261,8 @@ class FrequencyPattern:
 
 def set_points_mhz(lattice: Lattice, pattern: FrequencyPattern) -> np.ndarray:
     """Per-qubit frequency set points in MHz, indexed by node id."""
-    if pattern.spacing_mhz < 0.0 or pattern.base_ghz <= 0.0:
-        raise ParameterError("pattern needs base > 0 and spacing >= 0")
+    if not (0.0 < pattern.base_ghz < math.inf and 0.0 <= pattern.spacing_mhz < math.inf):
+        raise ParameterError("pattern needs finite base > 0 and finite spacing >= 0")
     idx = np.array([n.pattern_index for n in lattice.nodes], dtype=float)
     return pattern.base_ghz * 1e3 + (idx - 1.0) * pattern.spacing_mhz
 

@@ -248,16 +248,28 @@ def sweep_sigma(lattice: Lattice, pattern: FrequencyPattern, sigma_grid=DEFAULT_
 
 def table_row(lattice: Lattice, pattern: FrequencyPattern, policy: AdaptiveTrials,
               master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
-              rules: CollisionRules = DEFAULT_RULES) -> tuple:
+              rules: CollisionRules = DEFAULT_RULES,
+              deviates: np.ndarray | None = None) -> tuple:
     """The (tuned, as-fabricated) operating points of one lattice.
 
     The tuned-precision point optimises the spacing at
     ``TUNED_SIGMA_MHZ``; the as-fabricated point is measured at
     ``AS_FABRICATED_SIGMA_MHZ`` on that same spacing, since a chip is laid
     out before anyone knows how well tuning will do.
+
+    ``deviates`` may carry a :func:`gaussian_deviates` matrix of
+    ``master_seed`` with at least ``policy.max_trials`` rows and at least
+    ``lattice.n_qubits`` columns, drawn for the widest of several lattices:
+    under the sampling contract its first ``lattice.n_qubits`` columns are
+    this lattice's own deviates, so the row is the same as without it.
     """
+    n_trials = policy.max_trials(lattice.distance)
+    if deviates is None:
+        deviates = gaussian_deviates(master_seed, n_trials, lattice.n_qubits)
+    elif deviates.shape[0] < n_trials or deviates.shape[1] < lattice.n_qubits:
+        raise ParameterError("deviate matrix too small for this lattice and policy")
+    z = deviates[:, :lattice.n_qubits]
     idx = build_index(lattice)
-    z = gaussian_deviates(master_seed, policy.max_trials(lattice.distance), lattice.n_qubits)
     tuned = operating_point(lattice, pattern, TUNED_SIGMA_MHZ, policy, master_seed,
                             index=idx, deviates=z, spacing_grid=spacing_grid, rules=rules)
     fab = operating_point(lattice, pattern, AS_FABRICATED_SIGMA_MHZ, policy, master_seed,

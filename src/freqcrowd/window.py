@@ -10,19 +10,22 @@ form for the scatter that gives a wanted yield (:func:`required_sigma`).
 The effective window of a simulated lattice is recovered by least-squares
 against its Monte Carlo yield curve, and windows of several lattice sizes
 extrapolate linearly in log N.
+
+``scipy.special`` (and, for fitting, ``scipy.optimize``) is imported inside
+the functions that call it, so importing this module loads numpy alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import ParameterError, SingularFitError, UnfittableError
 
 
 def window_yield(delta_f_mhz: float, sigma_f_mhz, n_qubits: int):
     """Survival fraction Phi(delta_f/sigma_f)**N; sigma 0 gives exactly 1."""
+    from scipy.special import ndtr
     if not delta_f_mhz > 0.0:
         raise ParameterError("delta_f must be positive")
     if n_qubits < 1:
@@ -55,6 +58,7 @@ def fit_window(yield_curve, n_qubits: int) -> WindowFit:
     points are required.
     """
     from scipy.optimize import minimize_scalar  # here, so only fitting pays for the import
+    from scipy.special import ndtr
     pts = [(float(s), float(y)) for s, y in yield_curve]
     use = [(s, y) for s, y in pts if 0.0 < y < 1.0 and s > 0.0]
     if len(use) < 3:
@@ -124,6 +128,7 @@ def required_sigma(delta_f_mhz: float, n_qubits: int, target_yield: float) -> fl
     target must lie above the large-sigma limit 0.5**N and below 1; sigma diverges
     just above that limit, so one above 1e9 MHz is reported as unreachable.
     """
+    from scipy.special import ndtri
     if not delta_f_mhz > 0.0:
         raise ParameterError("delta_f must be positive")
     if n_qubits < 1:

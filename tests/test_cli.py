@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -170,6 +171,25 @@ class TestSweepCommand:
 def test_seed_outside_key_range_is_an_error(tmp_path, capsys, argv):
     assert cli.main(argv + ["--seed=-1", "--out", str(tmp_path)]) == 1
     assert "error: master seed must be in [0, 2**128)" in capsys.readouterr().err
+    assert not (tmp_path / argv[0]).exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "square", "-d", "3", "--sigmas", "10", "--trials", "20",
+     "--spacings", "nan"],
+    ["sweep", "--family", "square", "-d", "3", "--sigmas", "10", "--trials", "20",
+     "--spacings", "inf"],
+    ["sweep", "--family", "square", "-d", "3", "--sigmas", "10", "--trials", "20",
+     "--base-ghz", "nan"],
+    ["check", "--family", "square", "-d", "3", "--spacing-mhz", "nan"],
+])
+def test_non_finite_pattern_is_an_error(tmp_path, capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the run
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: pattern needs finite base > 0 and finite spacing >= 0" in err
+    assert "RuntimeWarning" not in err and "frequencies" not in err
     assert not (tmp_path / argv[0]).exists()
 
 
@@ -504,6 +524,33 @@ class TestRerunCommand:
         manifest = self.edited_sweep_manifest(tmp_path, lambda m: m.update(config=[1, 2]))
         self.assert_rejected(tmp_path, capsys, manifest, "manifest config must be a JSON object")
 
+    @pytest.mark.parametrize("key, value, wanted", [
+        ("trials", "x", "int, not 'x'"),
+        ("seed", "1", "int, not '1'"),
+        ("sigmas", 5, "str, not 5"),
+        ("distance", 3.5, "int, not 3.5"),
+        ("trials", True, "int, not True"),
+        ("reproduce_table2", 1, "bool, not 1"),
+        ("base_ghz", None, "float, not None"),
+    ])
+    def test_replay_rejects_wrong_typed_value(self, tmp_path, capsys, key, value, wanted):
+        manifest = self.edited_sweep_manifest(tmp_path, lambda m: m["config"].update({key: value}))
+        self.assert_rejected(tmp_path, capsys, manifest, f"manifest config {key!r} must be {wanted}")
+
+    def test_replay_reads_an_int_as_a_float_setting(self, tmp_path):
+        manifest = self.edited_sweep_manifest(
+            tmp_path, lambda m: m["config"].update(anharmonicity_mhz=-330))
+        assert cli.main(["rerun", manifest, "--out", str(tmp_path / "b")]) == 0
+        for fn in ("results.csv", "results.json", "manifest.json"):
+            assert read_bytes(tmp_path / "a", "sweep", "default", fn) == \
+                read_bytes(tmp_path / "b", "sweep", "default", fn)
+
+    def test_replay_without_a_distance_is_a_usage_error(self, tmp_path, capsys):
+        manifest = self.edited_sweep_manifest(tmp_path, lambda m: m["config"].update(distance=None))
+        assert cli.main(["rerun", manifest, "--out", str(tmp_path / "b")]) == 2
+        assert "error: --family and --distance are required" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
     def test_missing_manifest(self, tmp_path):
         assert cli.main(["rerun", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path)]) == 2
@@ -524,3 +571,33 @@ def test_cli_import_leaves_out_scipy_stats_and_optimize():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _scipy_modules_after(tmp_path, *argvs):
+    """The ``scipy`` modules a fresh interpreter holds after importing
+    ``freqcrowd.cli`` and running ``cli.main`` on each argv in turn."""
+    code = ("import json, sys\n"
+            "from freqcrowd import cli\n"
+            f"for argv in {[list(a) + ['--out', str(tmp_path)] for a in argvs]!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=tmp_path, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    assert _scipy_modules_after(tmp_path) == []
+
+
+def test_commands_that_never_score_a_spacing_load_no_scipy(tmp_path):
+    assert _scipy_modules_after(
+        tmp_path, ["check", "--family", "square", "-d", "7", "--sigma-mhz", "14"], ["tune"]) == []
+
+
+def test_sweep_loads_scipy_special_alone(tmp_path):
+    loaded = _scipy_modules_after(tmp_path, ["sweep", "--family", "heavy_hexagon", "-d", "3",
+                                             "--sigmas", "0,14", "--trials", "50"])
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.stats", "scipy.optimize"))]

@@ -143,10 +143,12 @@ def test_set_points_ladder(hh3):
 
 
 def test_set_points_validation(hh3):
-    with pytest.raises(ParameterError):
-        lattice.set_points_mhz(hh3, lattice.FrequencyPattern(base_ghz=-1.0))
-    with pytest.raises(ParameterError):
-        lattice.set_points_mhz(hh3, lattice.FrequencyPattern(spacing_mhz=-5.0))
+    nan, inf = float("nan"), float("inf")
+    for base, spacing in ((-1.0, 70.0), (0.0, 70.0), (nan, 70.0), (inf, 70.0),
+                          (5.0, -5.0), (5.0, nan), (5.0, inf), (5.0, -inf)):
+        pattern = lattice.FrequencyPattern(base_ghz=base, spacing_mhz=spacing)
+        with pytest.raises(ParameterError, match="finite base > 0 and finite spacing >= 0"):
+            lattice.set_points_mhz(hh3, pattern)
 
 
 def test_json_roundtrip(nine_lattices):

@@ -292,3 +292,27 @@ def test_sweep_enters_each_sigma_through_run_point_or_optimize_spacing(hh3, monk
         first.setdefault(sigma, kind)
     assert first == {s: "enter" for s in sigmas}
     assert [s for k, s in events if k == "enter"] == [0.0, 0.0, 14.0, 14.0, 150.0, 150.0, 150.0]
+
+
+def test_table_rows_on_one_shared_deviate_matrix(nine_lattices):
+    """One matrix as wide as the widest lattice serves all nine: each row
+    reads its lattice's leading columns, which the sampling contract makes
+    that lattice's own deviates, so every field matches a row drawn alone."""
+    policy = mc.AdaptiveTrials(base=200, boost=400)
+    lats = list(nine_lattices.values())
+    z = mc.gaussian_deviates(11, policy.max_trials(7), max(lat.n_qubits for lat in lats))
+    boosted = 0
+    for lat in lats:
+        shared = mc.table_row(lat, lattice.FrequencyPattern(), policy, 11, deviates=z)
+        alone = mc.table_row(lat, lattice.FrequencyPattern(), policy, 11)
+        assert [dataclasses.astuple(p) for p in shared] == [dataclasses.astuple(p) for p in alone]
+        boosted += sum(p.trials == policy.boost for p in alone)
+    assert boosted
+
+
+@pytest.mark.parametrize("short_rows, short_cols", [(1, 0), (0, 1)])
+def test_table_row_rejects_too_small_deviates(hh3, short_rows, short_cols):
+    policy = mc.AdaptiveTrials(base=200, boost=400)
+    z = mc.gaussian_deviates(11, 400 - short_rows, hh3.n_qubits - short_cols)
+    with pytest.raises(ParameterError):
+        mc.table_row(hh3, lattice.FrequencyPattern(), policy, 11, deviates=z)
