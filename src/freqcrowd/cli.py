@@ -142,8 +142,17 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _float_list(text: str):
-    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+def _float_list(cfg: dict, key: str):
+    """Setting ``key`` read as comma- or semicolon-separated numbers."""
+    values = []
+    for tok in cfg[key].replace(";", ",").split(","):
+        if tok.strip():
+            try:
+                values.append(float(tok))
+            except ValueError:
+                flag = _OPTION[key].flags[0]
+                raise UsageError(f"bad value for {flag}: {tok.strip()!r}") from None
+    return values
 
 
 def _sha256(path: str) -> str:
@@ -290,12 +299,12 @@ def _policy(cfg: dict) -> mc.AdaptiveTrials:
 
 def cmd_sweep(cfg: dict) -> int:
     """Monte Carlo yield vs frequency scatter."""
-    spacing_grid = _float_list(cfg["spacings"]) or mc.DEFAULT_SPACING_GRID_MHZ
+    spacing_grid = _float_list(cfg, "spacings") or mc.DEFAULT_SPACING_GRID_MHZ
     if cfg["reproduce_table2"]:
         return _sweep_table2(cfg, spacing_grid)
     lat = _build(cfg)
     pattern = _pattern(cfg)
-    sigma_grid = _float_list(cfg["sigmas"]) or mc.DEFAULT_SIGMA_GRID_MHZ
+    sigma_grid = _float_list(cfg, "sigmas") or mc.DEFAULT_SIGMA_GRID_MHZ
     points = mc.sweep_sigma(lat, pattern, sigma_grid, _policy(cfg), cfg["seed"],
                             spacing_grid=spacing_grid, rules=_rules(cfg))
     run = RunDir(cfg)
@@ -426,7 +435,7 @@ def cmd_extrapolate(cfg: dict) -> int:
     sizes = [n_qubits for _, _, n_qubits, _ in fitted]
     widths = [fit.delta_f_mhz for *_, fit in fitted]
     trend = window.fit_trend(sizes, widths)
-    sigmas = _float_list(cfg["sigmas"]) or EXTRAPOLATE_SIGMAS
+    sigmas = _float_list(cfg, "sigmas") or EXTRAPOLATE_SIGMAS
     ns = list(range(20, 1001, 5))
     rows = []
     for n in ns:
@@ -575,13 +584,16 @@ def cmd_rerun(cfg: dict) -> int:
         raise InputError(f"manifest command {command!r} is not one of: {', '.join(_REPLAYABLE)}")
     if not isinstance(config, dict):
         raise InputError("manifest config must be a JSON object")
+    inputs = manifest.get("inputs_sha256", {})
+    if not isinstance(inputs, dict):
+        raise InputError("manifest inputs_sha256 must be a JSON object")
     missing = [key for key in _REPLAYABLE[command] if key not in config]
     if missing:
         raise InputError(f"manifest config lacks {', '.join(map(repr, missing))}")
     sub = dict(config)
     for key in _REPLAYABLE[command]:
         sub[key] = _replayed_value(_OPTION[key], config[key])
-    for in_path, digest in manifest.get("inputs_sha256", {}).items():
+    for in_path, digest in inputs.items():
         if not os.path.exists(in_path):
             raise InputError(f"input file missing: {in_path}")
         if _sha256(in_path) != digest:

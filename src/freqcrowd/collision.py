@@ -20,9 +20,12 @@ All windows are strict (open) inequalities.
 
 Under independent Gaussian scatter each window tests one Gaussian linear
 combination of frequencies, so the expected count of every type is a sum of
-normal-CDF differences (:func:`expected_counts`).  Only that sum needs
-``scipy.special``, so it is imported on first use at a nonzero scatter:
-counting, and expected counts at zero scatter, load numpy alone.
+normal-CDF differences (:func:`expected_counts`).  The normal CDF is
+``_ndtr``, ``0.5 * erfc(-x / sqrt(2))`` on ``math.erfc`` element by element,
+so this module needs numpy alone.  Pattern set points repeat their
+differences (square d=7's 25-spacing stack has 4200 pair differences but 68
+distinct values), so each distinct member difference is scored once and the
+probabilities are scattered back to every member before they are summed.
 
 Note on type 4: the gate wants the target 01 frequency inside the open
 interval (f12_c, f01_c).  Only falling off the *low* side (control-target
@@ -196,15 +199,26 @@ def count_collisions(lattice: Lattice, f01_mhz, rules: CollisionRules = DEFAULT_
 
 
 
+_SQRT_HALF = math.sqrt(0.5)
+_ndtr_elementwise = np.frompyfunc(lambda x: 0.5 * math.erfc(-x * _SQRT_HALF), 1, 1)
+
+
+def _ndtr(x) -> np.ndarray:
+    """The standard normal CDF, elementwise, as a float array (0-d included).
+
+    ``erfc`` of the negated argument keeps the lower tail's relative
+    precision, and its subnormal values too, down to x = -38.5."""
+    return np.asarray(_ndtr_elementwise(x), dtype=float)
+
+
 def _p_between(mean, sd, lo, hi):
     """P(lo < X < hi) for X ~ N(mean, sd**2), with both CDF terms taken in
     the tail nearer the window so small probabilities keep their digits."""
-    from scipy.special import ndtr
     u = (lo - mean) / sd
     v = (hi - mean) / sd
     upper = u > 0.0
-    # pick both CDF arguments per member first, so ndtr runs on two arrays, not four
-    return ndtr(np.where(upper, -u, v)) - ndtr(np.where(upper, -v, u))
+    # pick both CDF arguments per member first, so _ndtr runs on two arrays, not four
+    return _ndtr(np.where(upper, -u, v)) - _ndtr(np.where(upper, -v, u))
 
 
 def _p_either(mean, sd, center, width):
@@ -216,6 +230,13 @@ def _p_either(mean, sd, center, width):
     return p - _p_between(mean, sd, -overlap, overlap) if overlap > 0.0 else p
 
 
+def _distinct(values: np.ndarray):
+    """The sorted distinct entries of ``values``, and each entry's index
+    among them in the shape of ``values`` (numpy 1.x returns it flat)."""
+    uniq, inverse = np.unique(values, return_inverse=True)
+    return uniq, inverse.reshape(values.shape)
+
+
 def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz: float,
                     rules: CollisionRules = DEFAULT_RULES) -> np.ndarray:
     """Expected count of each type when every qubit gets N(0, sigma**2) scatter.
@@ -223,7 +244,8 @@ def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz: float,
     Exact by linearity of expectation: a pair window tests f_c - f_t (sd
     sigma*sqrt(2)), a spectator window f_i - f_k (sd sigma*sqrt(2)) or
     2*f_j - f_i - f_k (sd sigma*sqrt(6)).  At zero scatter this is the count
-    at the set points themselves, strict windows included.
+    at the set points themselves, strict windows included.  Each window's
+    probability is computed once per distinct difference.
 
     Args:
         index: precomputed arrays from :func:`build_index`.
@@ -244,20 +266,20 @@ def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz: float,
         counts = count_collisions_batch(index, sp.reshape(-1, index.n_qubits), rules)
         return counts.reshape(*lead, 7).astype(float)
 
-    from scipy.special import ndtr  # here, so counting alone never loads scipy
     a = rules.anharmonicity_mhz
     s2 = sigma_mhz * math.sqrt(2.0)
-    d = sp[..., index.edge_control] - sp[..., index.edge_target]
-    dik = sp[..., index.tri_i] - sp[..., index.tri_k]
-    m7 = 2.0 * sp[..., index.tri_j] + a - sp[..., index.tri_i] - sp[..., index.tri_k]
+    d, d_of = _distinct(sp[..., index.edge_control] - sp[..., index.edge_target])
+    dik, dik_of = _distinct(sp[..., index.tri_i] - sp[..., index.tri_k])
+    m7, m7_of = _distinct(2.0 * sp[..., index.tri_j] + a
+                          - sp[..., index.tri_i] - sp[..., index.tri_k])
     per_member = (
-        _p_between(d, s2, -NN_DEGENERATE_MHZ, NN_DEGENERATE_MHZ),
-        _p_between(d, s2, (-TWO_PHOTON_MHZ - a) / 2.0, (TWO_PHOTON_MHZ - a) / 2.0),
-        _p_either(d, s2, a, NN_EXCITED_MHZ),
-        ndtr((d + a) / s2),
-        _p_between(dik, s2, -SPECTATOR_DEGENERATE_MHZ, SPECTATOR_DEGENERATE_MHZ),
-        _p_either(dik, s2, a, SPECTATOR_EXCITED_MHZ),
-        _p_between(m7, sigma_mhz * math.sqrt(6.0),
-                   -SPECTATOR_TWO_PHOTON_MHZ, SPECTATOR_TWO_PHOTON_MHZ),
+        (_p_between(d, s2, -NN_DEGENERATE_MHZ, NN_DEGENERATE_MHZ), d_of),
+        (_p_between(d, s2, (-TWO_PHOTON_MHZ - a) / 2.0, (TWO_PHOTON_MHZ - a) / 2.0), d_of),
+        (_p_either(d, s2, a, NN_EXCITED_MHZ), d_of),
+        (_ndtr((d + a) / s2), d_of),
+        (_p_between(dik, s2, -SPECTATOR_DEGENERATE_MHZ, SPECTATOR_DEGENERATE_MHZ), dik_of),
+        (_p_either(dik, s2, a, SPECTATOR_EXCITED_MHZ), dik_of),
+        (_p_between(m7, sigma_mhz * math.sqrt(6.0),
+                    -SPECTATOR_TWO_PHOTON_MHZ, SPECTATOR_TWO_PHOTON_MHZ), m7_of),
     )
-    return np.stack([p.sum(axis=-1) for p in per_member], axis=-1)
+    return np.stack([p[of].sum(axis=-1) for p, of in per_member], axis=-1)

@@ -193,6 +193,19 @@ def test_non_finite_pattern_is_an_error(tmp_path, capsys, argv):
     assert not (tmp_path / argv[0]).exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--family", "square", "-d", "3", "--spacings", "abc"], "--spacings: 'abc'"),
+    (["sweep", "--reproduce-table2", "--spacings", "40,abc"], "--spacings: 'abc'"),
+    (["sweep", "--family", "square", "-d", "3", "--sigmas", "x"], "--sigmas: 'x'"),
+    (["sweep", "--family", "square", "-d", "3", "--sigmas", "10; 2e"], "--sigmas: '2e'"),
+], ids=["spacings", "table2-spacings", "sigmas", "semicolon-sigmas"])
+def test_non_numeric_list_value_is_a_usage_error(tmp_path, capsys, argv, message):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: bad value for {message}" in err and "Traceback" not in err
+    assert not (tmp_path / argv[0]).exists()
+
+
 # The default grid picks 40 or 65 MHz on every lattice, whatever the seed, so
 # only the second grid shows whether --spacings reaches the search.
 @pytest.mark.parametrize("spacings", ["40,65", "40,60"])
@@ -209,7 +222,7 @@ def test_table2_rows_are_the_shared_operating_points(tmp_path, spacings):
         for distance in (3, 5, 7):
             lat = lattice.build_lattice(family, distance)
             tuned, fab = mc.table_row(lat, lattice.FrequencyPattern(), mc.AdaptiveTrials(), 5,
-                                      spacing_grid=cli._float_list(spacings))
+                                      spacing_grid=[float(s) for s in spacings.split(",")])
             expected.append(",".join(cli._cell(v) for v in (
                 family, distance, lat.n_qubits, fab.mean_collisions, tuned.spacing_mhz,
                 tuned.mean_collisions, tuned.yield_fraction, tuned.trials)))
@@ -524,6 +537,11 @@ class TestRerunCommand:
         manifest = self.edited_sweep_manifest(tmp_path, lambda m: m.update(config=[1, 2]))
         self.assert_rejected(tmp_path, capsys, manifest, "manifest config must be a JSON object")
 
+    def test_replay_rejects_non_object_inputs(self, tmp_path, capsys):
+        manifest = self.edited_sweep_manifest(tmp_path, lambda m: m.update(inputs_sha256=[1]))
+        self.assert_rejected(tmp_path, capsys, manifest,
+                             "manifest inputs_sha256 must be a JSON object")
+
     @pytest.mark.parametrize("key, value, wanted", [
         ("trials", "x", "int, not 'x'"),
         ("seed", "1", "int, not '1'"),
@@ -596,8 +614,12 @@ def test_commands_that_never_score_a_spacing_load_no_scipy(tmp_path):
         tmp_path, ["check", "--family", "square", "-d", "7", "--sigma-mhz", "14"], ["tune"]) == []
 
 
-def test_sweep_loads_scipy_special_alone(tmp_path):
-    loaded = _scipy_modules_after(tmp_path, ["sweep", "--family", "heavy_hexagon", "-d", "3",
-                                             "--sigmas", "0,14", "--trials", "50"])
-    assert "scipy.special" in loaded
-    assert not [m for m in loaded if m.startswith(("scipy.stats", "scipy.optimize"))]
+def test_sweeps_load_no_scipy(tmp_path):
+    """Spacing scores use ``collision``'s own normal CDF, so a sweep, a
+    table2 sweep and the replay of a sweep all run on numpy alone."""
+    assert _scipy_modules_after(
+        tmp_path,
+        ["sweep", "--family", "heavy_hexagon", "-d", "3", "--sigmas", "0,14", "--trials", "50",
+         "--name", "hh3"],
+        ["rerun", str(tmp_path / "sweep" / "hh3" / "manifest.json"), "--name", "replay"],
+        ["sweep", "--reproduce-table2", "--trials", "50"]) == []

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr
 
 from freqcrowd import collision, lattice, mc
 from freqcrowd.errors import InputError, ParameterError
@@ -289,6 +290,77 @@ def test_expected_counts_validation(hh3):
             collision.expected_counts(idx, sp, bad)
     with pytest.raises(InputError):
         collision.expected_counts(idx, sp[:5], 14.0)
+
+
+def test_ndtr_matches_scipy():
+    """``scipy.special.ndtr`` is the oracle here only.  Below x = -37.7 it
+    underflows to 0 while ``_ndtr`` keeps subnormal values, so the relative
+    check stops at -37.5."""
+    x = np.linspace(-37.5, 38.0, 100_001)
+    assert np.max(np.abs(collision._ndtr(x) - ndtr(x)) / ndtr(x)) <= 1e-13
+    assert collision._ndtr(0.0) == 0.5
+    assert collision._ndtr(0.0).dtype == float
+    assert collision._ndtr(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
+    tail = collision._ndtr(np.array([-37.8, -38.0]))
+    assert (ndtr(np.array([-37.8, -38.0])) == 0.0).all() and (tail > 0.0).all()
+
+
+def member_expected_counts(lat, set_points, sigma, anharmonicity):
+    """Each type's expected count, every member's window probabilities taken
+    separately on ``scipy.special.ndtr`` in the tail nearer the window, as
+    spacings were scored before ``collision`` had its own normal CDF."""
+    e = np.array(lat.edges).reshape(-1, 2)
+    t = np.array(lattice.next_nearest_triples(lat)).reshape(-1, 3)
+    a = anharmonicity
+    s2 = sigma * np.sqrt(2.0)
+
+    def between(x, sd, lo, hi):
+        u, v = (lo - x) / sd, (hi - x) / sd
+        return np.where(u > 0.0, ndtr(-u) - ndtr(-v), ndtr(v) - ndtr(u))
+
+    def either(x, sd, center, width):
+        p = between(x, sd, center - width, center + width) + \
+            between(x, sd, -center - width, -center + width)
+        overlap = width - abs(center)
+        return p - between(x, sd, -overlap, overlap) if overlap > 0.0 else p
+
+    d = set_points[..., e[:, 0]] - set_points[..., e[:, 1]]
+    dik = set_points[..., t[:, 0]] - set_points[..., t[:, 2]]
+    m7 = 2.0 * set_points[..., t[:, 1]] + a - set_points[..., t[:, 0]] - set_points[..., t[:, 2]]
+    per_member = (between(d, s2, -17.0, 17.0), between(d, s2, (-4.0 - a) / 2.0, (4.0 - a) / 2.0),
+                  either(d, s2, a, 30.0), ndtr((d + a) / s2), between(dik, s2, -17.0, 17.0),
+                  either(dik, s2, a, 25.0), between(m7, sigma * np.sqrt(6.0), -17.0, 17.0))
+    return np.stack([p.sum(axis=-1) for p in per_member], axis=-1)
+
+
+@pytest.mark.parametrize("anharmonicity", [-330.0, -200.0, -30.0])
+def test_spacing_choices_match_member_by_member_scoring(nine_lattices, monkeypatch,
+                                                        anharmonicity):
+    """Scoring each distinct difference once on ``_ndtr`` picks the spacing
+    that per-member ``scipy.special.ndtr`` scoring picks, at every nonzero
+    default sigma (zero scatter counts collisions, with no CDF)."""
+    monkeypatch.setattr(mc, "run_point", lambda lat, pattern, *args, **kwargs: pattern.spacing_mhz)
+    rules = collision.CollisionRules(anharmonicity)
+    grid = mc.DEFAULT_SPACING_GRID_MHZ
+    for lat in nine_lattices.values():
+        sp = spacing_stack(lat, grid)
+        for sigma in mc.DEFAULT_SIGMA_GRID_MHZ[1:]:
+            totals = member_expected_counts(lat, sp, sigma, anharmonicity).sum(axis=-1)
+            chosen = mc.optimize_spacing(lat, lattice.FrequencyPattern(), sigma, 0, rules=rules)
+            assert chosen == grid[int(np.argmin(totals))], (lat.family, lat.distance, sigma)
+
+
+@pytest.mark.parametrize("anharmonicity", [-330.0, -20.0])
+def test_expected_counts_on_arbitrary_set_points(nine_lattices, anharmonicity):
+    """Set points off any pattern share few differences, and still get each
+    member's own probabilities."""
+    lat = nine_lattices[("square", 5)]
+    sp = 5000.0 + 150.0 * np.random.default_rng(3).standard_normal((4, lat.n_qubits))
+    for sigma in (6.0, 14.0, 60.0):
+        got = collision.expected_counts(collision.build_index(lat), sp, sigma,
+                                        collision.CollisionRules(anharmonicity))
+        want = member_expected_counts(lat, sp, sigma, anharmonicity)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("distance", [11, 19])
