@@ -410,14 +410,12 @@ def cmd_fit_window(cfg: dict) -> int:
     for family, distance, n_qubits, fit in fitted:
         fits.append({"family": family, "distance": distance, "n_qubits": n_qubits,
                      "delta_f_mhz": fit.delta_f_mhz, "residual": fit.rms_residual,
-                     "n_points_used": fit.n_points_used})
+                     "n_points_used": fit.n_points_used, "n_points_dropped": fit.n_points_dropped})
         print(f"{family:>14} d={distance}: delta_f = {fit.delta_f_mhz:5.2f} MHz "
               f"(N={n_qubits}, rms {fit.rms_residual:.3f})")
     run.write_json("results.json", {"fits": fits})
-    run.write_csv("results.csv",
-                  ["family", "distance", "n_qubits", "delta_f_mhz", "residual", "n_points_used"],
-                  [[f["family"], f["distance"], f["n_qubits"], f["delta_f_mhz"],
-                    f["residual"], f["n_points_used"]] for f in fits])
+    columns = list(fits[0])  # fits is never empty: every sweep CSV has a data row
+    run.write_csv("results.csv", columns, [[f[c] for c in columns] for f in fits])
     sig = np.linspace(1.0, 150.0, 150)
     run.write_text("plot.svg", svgchart.line_chart(
         [(f"{f['family']} d={f['distance']}", sig,

@@ -20,11 +20,11 @@ All windows are strict (open) inequalities.
 
 Under independent Gaussian scatter each window tests one Gaussian linear
 combination of frequencies, so the expected count of every type is a sum of
-normal-CDF differences (:func:`expected_counts`).  The normal CDF is
-``_ndtr``, ``0.5 * erfc(-x / sqrt(2))`` on ``math.erfc`` element by element,
-so this module needs numpy alone.  Pattern set points repeat their
-differences (square d=7's 25-spacing stack has 4200 pair differences but 68
-distinct values), so each distinct member difference is scored once and the
+normal-CDF differences (:func:`expected_counts`).  :func:`ndtr` (``0.5 *
+erfc(-x / sqrt(2))`` on ``math.erfc``) is the package's one normal CDF, so
+freqcrowd needs numpy alone.  Pattern set points repeat their differences
+(square d=7's 25-spacing stack has 4200 pair differences but 68 distinct
+values), so each distinct member difference is scored once and the
 probabilities are scattered back to every member before they are summed.
 
 Note on type 4: the gate wants the target 01 frequency inside the open
@@ -203,7 +203,7 @@ _SQRT_HALF = math.sqrt(0.5)
 _ndtr_elementwise = np.frompyfunc(lambda x: 0.5 * math.erfc(-x * _SQRT_HALF), 1, 1)
 
 
-def _ndtr(x) -> np.ndarray:
+def ndtr(x) -> np.ndarray:
     """The standard normal CDF, elementwise, as a float array (0-d included).
 
     ``erfc`` of the negated argument keeps the lower tail's relative
@@ -217,8 +217,8 @@ def _p_between(mean, sd, lo, hi):
     u = (lo - mean) / sd
     v = (hi - mean) / sd
     upper = u > 0.0
-    # pick both CDF arguments per member first, so _ndtr runs on two arrays, not four
-    return _ndtr(np.where(upper, -u, v)) - _ndtr(np.where(upper, -v, u))
+    # pick both CDF arguments per member first, so ndtr runs on two arrays, not four
+    return ndtr(np.where(upper, -u, v)) - ndtr(np.where(upper, -v, u))
 
 
 def _p_either(mean, sd, center, width):
@@ -276,7 +276,7 @@ def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz: float,
         (_p_between(d, s2, -NN_DEGENERATE_MHZ, NN_DEGENERATE_MHZ), d_of),
         (_p_between(d, s2, (-TWO_PHOTON_MHZ - a) / 2.0, (TWO_PHOTON_MHZ - a) / 2.0), d_of),
         (_p_either(d, s2, a, NN_EXCITED_MHZ), d_of),
-        (_ndtr((d + a) / s2), d_of),
+        (ndtr((d + a) / s2), d_of),
         (_p_between(dik, s2, -SPECTATOR_DEGENERATE_MHZ, SPECTATOR_DEGENERATE_MHZ), dik_of),
         (_p_either(dik, s2, a, SPECTATOR_EXCITED_MHZ), dik_of),
         (_p_between(m7, sigma_mhz * math.sqrt(6.0),

@@ -70,8 +70,8 @@ class AnnealResponseModel:
     MAX_SHIFT = 0.15
 
     def __init__(self, calibration: dict, noise_sigma: float = 0.10):
-        if noise_sigma < 0.0:
-            raise ParameterError("noise_sigma must be >= 0")
+        if not 0.0 <= noise_sigma < np.inf:  # NaN fails too
+            raise ParameterError("noise_sigma must be finite and >= 0")
         if not calibration:
             raise InputError("calibration table is empty")
         by_duration: dict = {}
@@ -144,8 +144,8 @@ def generate_population(n: int, median_ohm: float = DEFAULT_MEDIAN_OHM,
     R = median * exp(sigma * z), targets unassigned."""
     if n < 1:
         raise ParameterError("n must be >= 1")
-    if median_ohm <= 0.0 or fractional_sigma < 0.0:
-        raise ParameterError("median must be positive and scatter non-negative")
+    if not (0.0 < median_ohm < np.inf and 0.0 <= fractional_sigma < np.inf):  # NaN fails too
+        raise ParameterError("median must be finite and positive, scatter finite and non-negative")
     z = philox_rng(master_seed, [0, 0, 1, 0]).standard_normal(n)  # lane 1: no junction's stream
     r = median_ohm * np.exp(fractional_sigma * z)
     return [JunctionRecord(j, float(r[j]), float(r[j])) for j in range(n)]
@@ -200,8 +200,8 @@ def two_group_split(records, targets_ohm=TWO_GROUP_TARGETS_OHM, sizes=TWO_GROUP_
 def spread_targets(records, lo_fraction: float, hi_fraction: float) -> None:
     """Per-junction targets evenly spanning [lo, hi] fractional offsets above
     initial resistance (a stress profile covering shallow to deep trims)."""
-    if not 0.0 <= lo_fraction <= hi_fraction:
-        raise ParameterError("need 0 <= lo <= hi")
+    if not 0.0 <= lo_fraction <= hi_fraction < np.inf:  # NaN fails too
+        raise ParameterError("need 0 <= lo <= hi, both finite")
     offs = np.linspace(lo_fraction, hi_fraction, len(records))
     for rec, off in zip(records, offs):
         rec.r_target_ohm = rec.r_ohm * (1.0 + float(off))
@@ -273,6 +273,8 @@ def run_campaign(records, *, model: AnnealResponseModel | None = None,
         raise InputError("no junctions to tune")
     if any(not np.isfinite(rec.r_target_ohm) for rec in records):
         raise InputError("assign targets before running a campaign")
+    if fit is not None and not 0.0 <= fit.residual_std_mhz < np.inf:
+        raise ParameterError("fit residual_std_mhz must be finite and >= 0")
     gid = np.zeros(len(records), dtype=int) if group_ids is None else np.asarray(group_ids, dtype=int)
 
     realized_f = np.full(len(records), np.nan)

@@ -10,22 +10,20 @@ form for the scatter that gives a wanted yield (:func:`required_sigma`).
 The effective window of a simulated lattice is recovered by least-squares
 against its Monte Carlo yield curve, and windows of several lattice sizes
 extrapolate linearly in log N.
-
-``scipy.special`` (and, for fitting, ``scipy.optimize``) is imported inside
-the functions that call it, so importing this module loads numpy alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist, StatisticsError
 
 import numpy as np
 
+from .collision import ndtr
 from .errors import ParameterError, SingularFitError, UnfittableError
 
 
 def window_yield(delta_f_mhz: float, sigma_f_mhz, n_qubits: int):
     """Survival fraction Phi(delta_f/sigma_f)**N; sigma 0 gives exactly 1."""
-    from scipy.special import ndtr
     if not delta_f_mhz > 0.0:
         raise ParameterError("delta_f must be positive")
     if n_qubits < 1:
@@ -44,6 +42,7 @@ class WindowFit:
     n_qubits: int
     n_points_used: int
     rms_residual: float  # in yield units
+    n_points_dropped: int  # saturated (yield 0 or 1) or sigma-0 points skipped
 
 
 def fit_window(yield_curve, n_qubits: int) -> WindowFit:
@@ -57,27 +56,26 @@ def fit_window(yield_curve, n_qubits: int) -> WindowFit:
     on the sampling floor/ceiling) and are dropped; at least three informative
     points are required.
     """
-    from scipy.optimize import minimize_scalar  # here, so only fitting pays for the import
-    from scipy.special import ndtr
     pts = [(float(s), float(y)) for s, y in yield_curve]
     use = [(s, y) for s, y in pts if 0.0 < y < 1.0 and s > 0.0]
     if len(use) < 3:
         raise UnfittableError(f"need >= 3 points with yield strictly inside (0, 1), have {len(use)}")
-    sig = np.array([s for s, _ in use])
-    obs = np.array([y for _, y in use])
+    sig, obs = np.array(use).T
 
-    def sse(df):
-        return float(np.sum((ndtr(df / sig) ** n_qubits - obs) ** 2))
+    def sse(df):  # a width, or an array of widths with one SSE each
+        return np.sum((ndtr(np.divide.outer(df, sig)) ** n_qubits - obs) ** 2, axis=-1)
 
-    # The SSE basin is narrow relative to any safe bracket, so seed the
-    # bounded search from a coarse log-spaced scan.
+    # The SSE basin is narrow relative to any safe bracket, so seed a
+    # golden-section search on [seed/2, 2 seed] from a coarse log-spaced scan.
     grid = np.geomspace(0.1, 500.0, 200)
-    seed = float(grid[int(np.argmin([sse(g) for g in grid]))])
-    res = minimize_scalar(sse, bounds=(seed / 2.0, seed * 2.0), method="bounded",
-                          options={"xatol": 1e-4})
-    df = float(res.x)
+    seed = float(grid[int(np.argmin(sse(grid)))])
+    lo, hi = seed / 2.0, seed * 2.0
+    while hi - lo > 1e-4:  # MHz; each step keeps the golden fraction of the bracket
+        step = 0.6180339887498949 * (hi - lo)
+        lo, hi = (lo, lo + step) if sse(hi - step) < sse(lo + step) else (hi - step, hi)
+    df = 0.5 * (lo + hi)
     rms = float(np.sqrt(sse(df) / len(use)))
-    return WindowFit(delta_f_mhz=df, n_qubits=int(n_qubits), n_points_used=len(use), rms_residual=rms)
+    return WindowFit(df, int(n_qubits), len(use), rms, n_points_dropped=len(pts) - len(use))
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,6 @@ def required_sigma(delta_f_mhz: float, n_qubits: int, target_yield: float) -> fl
     target must lie above the large-sigma limit 0.5**N and below 1; sigma diverges
     just above that limit, so one above 1e9 MHz is reported as unreachable.
     """
-    from scipy.special import ndtri
     if not delta_f_mhz > 0.0:
         raise ParameterError("delta_f must be positive")
     if n_qubits < 1:
@@ -138,7 +135,10 @@ def required_sigma(delta_f_mhz: float, n_qubits: int, target_yield: float) -> fl
     floor = 0.5 ** n_qubits
     if target_yield <= floor:
         raise ParameterError(f"target_yield {target_yield} at or below the large-sigma limit {floor:g}")
-    x = -ndtri(-np.expm1(np.log(target_yield) / n_qubits))  # Phi^-1(target**(1/N))
+    try:  # Phi^-1(target**(1/N)) = -Phi^-1(1 - target**(1/N))
+        x = -NormalDist().inv_cdf(-np.expm1(np.log(target_yield) / n_qubits))
+    except StatisticsError as exc:  # the tail 1 - target**(1/N) underflowed to 0
+        raise ParameterError(f"target_yield {target_yield} too close to 1 for N = {n_qubits}") from exc
     if not x >= delta_f_mhz / 1e9:  # sigma above 1e9 MHz, infinite or NaN
         raise ParameterError("target_yield unreachable")
     return float(delta_f_mhz / x)

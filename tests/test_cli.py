@@ -231,13 +231,19 @@ def test_table2_rows_are_the_shared_operating_points(tmp_path, spacings):
 
 class TestFitWindowCommand:
     def test_recovers_synthetic_width(self, tmp_path, capsys):
-        src = synth_sweep_csv(tmp_path / "hh5.csv", "heavy_hexagon", 5, 65, 29.91)
+        # sigma 0 (yield exactly 1) and 150 MHz (yield 0 to 8 digits) carry no information
+        src = synth_sweep_csv(tmp_path / "hh5.csv", "heavy_hexagon", 5, 65, 29.91,
+                              sigmas=(0.0, 8.0, 12.0, 16.0, 20.0, 24.0, 28.0, 32.0, 40.0, 150.0))
         rc = cli.main(["fit-window", "--sweep-csv", src, "--out", str(tmp_path)])
         assert rc == 0
         fits = read_json(tmp_path, "fit-window")["fits"]
         assert len(fits) == 1
         assert fits[0]["n_qubits"] == 65
         assert fits[0]["delta_f_mhz"] == pytest.approx(29.91, abs=0.05)
+        assert (fits[0]["n_points_used"], fits[0]["n_points_dropped"]) == (8, 2)
+        rows = read_bytes(tmp_path, "fit-window", "default", "results.csv").decode().splitlines()
+        assert rows[0].split(",")[-2:] == ["n_points_used", "n_points_dropped"]
+        assert rows[1].split(",")[-2:] == ["8", "2"]
         assert "delta_f" in capsys.readouterr().out
         manifest = read_json(tmp_path, "fit-window", filename="manifest.json")
         assert src in manifest["inputs_sha256"]
@@ -323,6 +329,18 @@ class TestTuneCommand:
 
     def test_bad_policy_is_runtime_error(self, tmp_path):
         assert cli.main(["tune", "--step-fraction", "0", "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / "tune").exists()
+
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--noise-sigma", "nan", "noise_sigma"), ("--noise-sigma", "inf", "noise_sigma"),
+        ("--residual-std", "nan", "residual_std"), ("--residual-std", "-1", "residual_std"),
+        ("--median-ohm", "inf", "median"), ("--fractional-sigma", "nan", "scatter"),
+        ("--target-spread", "0.4:inf", "lo <= hi"),
+    ])
+    def test_bad_model_parameter_is_runtime_error(self, tmp_path, capsys, flag, value, named):
+        assert cli.main(["tune", flag, value, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
         assert not (tmp_path / "tune").exists()
 
 
@@ -581,9 +599,8 @@ def test_unknown_command_exits_via_argparse():
 
 
 def test_cli_import_leaves_out_scipy_stats_and_optimize():
-    """Every command pays for what ``freqcrowd.cli`` imports; only fitting
-    needs ``scipy.optimize``.  A fresh interpreter, because this test
-    session has already loaded ``scipy.stats`` as an oracle."""
+    """A fresh interpreter, because this test session has already loaded
+    ``scipy.stats`` as an oracle."""
     code = ("import sys, freqcrowd.cli; "
             "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -593,7 +610,8 @@ def test_cli_import_leaves_out_scipy_stats_and_optimize():
 
 def _scipy_modules_after(tmp_path, *argvs):
     """The ``scipy`` modules a fresh interpreter holds after importing
-    ``freqcrowd.cli`` and running ``cli.main`` on each argv in turn."""
+    ``freqcrowd.cli`` and running ``cli.main`` on each argv in turn.  A fresh
+    interpreter, because this test session has loaded scipy as an oracle."""
     code = ("import json, sys\n"
             "from freqcrowd import cli\n"
             f"for argv in {[list(a) + ['--out', str(tmp_path)] for a in argvs]!r}:\n"
@@ -615,11 +633,32 @@ def test_commands_that_never_score_a_spacing_load_no_scipy(tmp_path):
 
 
 def test_sweeps_load_no_scipy(tmp_path):
-    """Spacing scores use ``collision``'s own normal CDF, so a sweep, a
-    table2 sweep and the replay of a sweep all run on numpy alone."""
+    """Spacing scores use ``collision.ndtr``, so a sweep, a table2 sweep and
+    the replay of a sweep all run on numpy alone."""
     assert _scipy_modules_after(
         tmp_path,
         ["sweep", "--family", "heavy_hexagon", "-d", "3", "--sigmas", "0,14", "--trials", "50",
          "--name", "hh3"],
         ["rerun", str(tmp_path / "sweep" / "hh3" / "manifest.json"), "--name", "replay"],
         ["sweep", "--reproduce-table2", "--trials", "50"]) == []
+
+
+def test_every_command_loads_no_scipy(tmp_path):
+    """freqcrowd imports numpy alone; scipy is a test oracle.  Every command
+    runs in one fresh interpreter, fits and the replay of a sweep included."""
+    sweeps = [synth_sweep_csv(tmp_path / f"hh{d}.csv", "heavy_hexagon", d, n, w)
+              for d, n, w in ((3, 23, 31.61), (5, 65, 29.91), (7, 127, 29.29))]
+    rn = TestFitRnCommand.write_pairs(tmp_path / "rn.csv",
+                                      [(r, 180.0 * r ** -0.5) for r in (6000.0, 7000.0, 8000.0)])
+    assert _scipy_modules_after(
+        tmp_path,
+        ["lattice", "--family", "heavy_hexagon", "-d", "3"],
+        ["check", "--family", "square", "-d", "7", "--sigma-mhz", "14"],
+        ["sweep", "--family", "heavy_hexagon", "-d", "3", "--sigmas", "0,14", "--trials", "50",
+         "--name", "hh3"],
+        ["sweep", "--reproduce-table2", "--trials", "50"],
+        ["rerun", str(tmp_path / "sweep" / "hh3" / "manifest.json"), "--name", "replay"],
+        ["tune"],
+        ["fit-rn", "--csv", rn],
+        ["fit-window", "--sweep-csv", sweeps[1]],
+        ["extrapolate", "--sweep-csv", ",".join(sweeps)]) == []

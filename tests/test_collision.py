@@ -294,14 +294,14 @@ def test_expected_counts_validation(hh3):
 
 def test_ndtr_matches_scipy():
     """``scipy.special.ndtr`` is the oracle here only.  Below x = -37.7 it
-    underflows to 0 while ``_ndtr`` keeps subnormal values, so the relative
-    check stops at -37.5."""
+    underflows to 0 while ``collision.ndtr`` keeps subnormal values, so the
+    relative check stops at -37.5."""
     x = np.linspace(-37.5, 38.0, 100_001)
-    assert np.max(np.abs(collision._ndtr(x) - ndtr(x)) / ndtr(x)) <= 1e-13
-    assert collision._ndtr(0.0) == 0.5
-    assert collision._ndtr(0.0).dtype == float
-    assert collision._ndtr(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
-    tail = collision._ndtr(np.array([-37.8, -38.0]))
+    assert np.max(np.abs(collision.ndtr(x) - ndtr(x)) / ndtr(x)) <= 1e-13
+    assert collision.ndtr(0.0) == 0.5
+    assert collision.ndtr(0.0).dtype == float
+    assert collision.ndtr(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
+    tail = collision.ndtr(np.array([-37.8, -38.0]))
     assert (ndtr(np.array([-37.8, -38.0])) == 0.0).all() and (tail > 0.0).all()
 
 
@@ -336,9 +336,9 @@ def member_expected_counts(lat, set_points, sigma, anharmonicity):
 @pytest.mark.parametrize("anharmonicity", [-330.0, -200.0, -30.0])
 def test_spacing_choices_match_member_by_member_scoring(nine_lattices, monkeypatch,
                                                         anharmonicity):
-    """Scoring each distinct difference once on ``_ndtr`` picks the spacing
-    that per-member ``scipy.special.ndtr`` scoring picks, at every nonzero
-    default sigma (zero scatter counts collisions, with no CDF)."""
+    """Scoring each distinct difference once on ``collision.ndtr`` picks the
+    spacing that per-member ``scipy.special.ndtr`` scoring picks, at every
+    nonzero default sigma (zero scatter counts collisions, with no CDF)."""
     monkeypatch.setattr(mc, "run_point", lambda lat, pattern, *args, **kwargs: pattern.spacing_mhz)
     rules = collision.CollisionRules(anharmonicity)
     grid = mc.DEFAULT_SPACING_GRID_MHZ

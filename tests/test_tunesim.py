@@ -42,6 +42,8 @@ class TestPopulation:
 
     @pytest.mark.parametrize("kwargs", [
         {"n": 0}, {"n": 3, "median_ohm": 0.0}, {"n": 3, "fractional_sigma": -0.1},
+        {"n": 3, "median_ohm": math.inf}, {"n": 3, "median_ohm": math.nan},
+        {"n": 3, "fractional_sigma": math.inf}, {"n": 3, "fractional_sigma": math.nan},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ParameterError):
@@ -98,8 +100,9 @@ class TestTargetAssignment:
         assert offs[0] == pytest.approx(0.004, abs=1e-12)
         assert offs[-1] == pytest.approx(0.145, abs=1e-12)
         assert offs == sorted(offs)
-        with pytest.raises(ParameterError):
-            tunesim.spread_targets(recs, 0.2, 0.1)
+        for lo, hi in ((0.2, 0.1), (0.004, math.inf), (math.nan, 0.1), (0.004, math.nan)):
+            with pytest.raises(ParameterError):
+                tunesim.spread_targets(recs, lo, hi)
 
 
 class TestResponseModel:
@@ -140,8 +143,9 @@ class TestResponseModel:
             tunesim.AnnealResponseModel({(1.0, 1.0): 0.2})
         with pytest.raises(InputError):
             tunesim.AnnealResponseModel({(0.8, 1.0): 0.05, (0.9, 1.0): 0.05})
-        with pytest.raises(ParameterError):
-            tunesim.AnnealResponseModel({(1.0, 1.0): 0.1}, noise_sigma=-0.1)
+        for noise in (-0.1, math.inf, math.nan):
+            with pytest.raises(ParameterError):
+                tunesim.AnnealResponseModel({(1.0, 1.0): 0.1}, noise_sigma=noise)
 
 
 class TestTuneJunction:
@@ -207,6 +211,13 @@ class TestCampaign:
             tunesim.run_campaign(recs)
         with pytest.raises(InputError):
             tunesim.run_campaign([])
+
+    @pytest.mark.parametrize("residual_mhz", [-1.0, math.inf, math.nan])
+    def test_rejects_bad_fit_residual(self, residual_mhz):
+        recs = tunesim.generate_population(3, master_seed=1)
+        tunesim.spread_targets(recs, 0.01, 0.1)
+        with pytest.raises(ParameterError, match="residual_std"):
+            tunesim.run_campaign(recs, fit=ideal_fit(residual_mhz))
 
     def test_order_independent_noise_streams(self):
         """Each junction owns its noise stream, so tuning order is irrelevant."""

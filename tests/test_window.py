@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 from scipy.special import ndtr
 from scipy.stats import norm
 
@@ -77,7 +78,7 @@ class TestFitWindow:
         curve = [(0.0, 1.0), (4.0, 1.0), (150.0, 0.0)] + [
             (s, window.window_yield(12.0, s, n)) for s in (8.0, 12.0, 16.0, 24.0)]
         fit = window.fit_window(curve, n)
-        assert fit.n_points_used == 4
+        assert (fit.n_points_used, fit.n_points_dropped) == (4, 3)
         assert fit.delta_f_mhz == pytest.approx(12.0, abs=0.05)
 
     def test_too_few_informative_points(self):
@@ -95,6 +96,26 @@ class TestFitWindow:
             curve.append((s, y))
         fit = window.fit_window(curve, n)
         assert fit.delta_f_mhz == pytest.approx(true_df, abs=0.5)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01], ids=["exact", "noisy"])
+    def test_search_lands_within_its_tolerance(self, noise):
+        """Bounded Brent (``scipy.optimize``, an oracle here only) on the same
+        SSE and seed bracket, converged far below the 1e-4 MHz the search
+        stops at, finds the minimum the golden-section search must reach."""
+        rng = np.random.default_rng(5)
+        n, true_df = 127, 29.29
+        curve = [(s, min(1.0, max(0.0, window.window_yield(true_df, s, n) + rng.normal(0.0, noise))))
+                 for s in np.arange(2.0, 61.0, 2.0)]
+        sig, obs = np.array([(s, y) for s, y in curve if 0.0 < y < 1.0]).T
+
+        def sse(df):
+            return float(np.sum((ndtr(df / sig) ** n - obs) ** 2))
+
+        grid = np.geomspace(0.1, 500.0, 200)
+        seed = grid[np.argmin([sse(g) for g in grid])]
+        best = minimize_scalar(sse, bounds=(seed / 2.0, seed * 2.0), method="bounded",
+                               options={"xatol": 1e-9}).x
+        assert window.fit_window(curve, n).delta_f_mhz == pytest.approx(best, abs=1e-4)
 
     @settings(max_examples=20, deadline=None)
     @given(df=st.floats(5.0, 60.0), n=st.integers(10, 200))
@@ -185,6 +206,8 @@ class TestRequiredSigma:
             window.required_sigma(0.0, 65, 0.5)
         with pytest.raises(ParameterError, match="delta_f"):
             window.required_sigma(math.nan, 65, 0.5)
+        with pytest.raises(ParameterError, match="too close to 1"):  # the tail underflows to 0
+            window.required_sigma(30.0, 10 ** 308, 1.0 - 1e-16)
 
     @pytest.mark.parametrize("df,n,target", [
         (df, n, target) for df in (5.0, 28.0, 100.0) for n in (1, 2, 7, 65, 100, 1000, 5000)
