@@ -52,7 +52,7 @@ OPTIONS = (
     Option("family", ("--family",), str, None, _LATTICE_COMMANDS,
            f"one of: {', '.join(lattice.FAMILIES)}"),
     Option("distance", ("-d", "--distance"), int, None, _LATTICE_COMMANDS,
-           "code distance (odd, >= 3)"),
+           f"code distance (odd, 3 to {lattice.MAX_DISTANCE})"),
     Option("spacing_mhz", ("--spacing-mhz",), float, lattice.DEFAULT_SPACING_MHZ, ("check",)),
     Option("base_ghz", ("--base-ghz",), float, lattice.DEFAULT_BASE_GHZ, ("check", "sweep")),
     Option("sigma_mhz", ("--sigma-mhz",), float, 0.0, ("check",),
@@ -193,7 +193,13 @@ class RunDir:
         return full
 
     def write_json(self, filename: str, payload) -> str:
-        return self.write_text(filename, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        """Write standard JSON: a NaN or infinite value is an error, raised
+        before the file is written."""
+        try:
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise FreqcrowdError(f"{filename}: non-finite value in results") from exc
+        return self.write_text(filename, text + "\n")
 
     def write_csv(self, filename: str, header, rows) -> str:
         lines = [",".join(header)]

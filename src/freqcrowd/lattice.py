@@ -1,7 +1,7 @@
 """Qubit lattice builders and frequency-pattern assignment.
 
 Three device families are supported, each parametrised by an odd code
-distance d >= 3:
+distance 3 <= d <= MAX_DISTANCE:
 
 * ``square``        — data qubits on a d x d grid plus the interleaved
                       checkerboard of check qubits between them
@@ -29,12 +29,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import ParameterError
 
 FAMILIES = ("square", "heavy_square", "heavy_hexagon")
 
 DEFAULT_BASE_GHZ = 5.0
 DEFAULT_SPACING_MHZ = 70.0
+# largest code distance built: 1921 to 2881 qubits by family, past the
+# 1000-qubit scale the window model is extrapolated to
+MAX_DISTANCE = 31
 
 
 @dataclass(frozen=True)
@@ -98,8 +101,9 @@ def expected_node_count(family: str, distance: int) -> int:
 
 
 def _validate_distance(distance: int) -> None:
-    if distance < 3 or distance % 2 == 0:
-        raise ParameterError(f"distance must be an odd integer >= 3, got {distance}")
+    if not 3 <= distance <= MAX_DISTANCE or distance % 2 == 0:
+        raise ParameterError(f"distance must be an odd integer in [3, {MAX_DISTANCE}], "
+                             f"got {distance}")
 
 
 def build_lattice(family: str, distance: int) -> Lattice:
@@ -255,16 +259,20 @@ class FrequencyPattern:
     def with_spacing(self, spacing_mhz: float) -> "FrequencyPattern":
         return replace(self, spacing_mhz=spacing_mhz)
 
-    def set_point_mhz(self, index: int) -> float:
-        return self.base_ghz * 1e3 + (index - 1) * self.spacing_mhz
 
+def set_points_mhz(lattice: Lattice, pattern: FrequencyPattern, spacings_mhz=None) -> np.ndarray:
+    """Per-qubit frequency set points in MHz, indexed by node id.
 
-def set_points_mhz(lattice: Lattice, pattern: FrequencyPattern) -> np.ndarray:
-    """Per-qubit frequency set points in MHz, indexed by node id."""
-    if not (0.0 < pattern.base_ghz < math.inf and 0.0 <= pattern.spacing_mhz < math.inf):
+    Given a sequence ``spacings_mhz``, one row per spacing in it (float
+    [len(spacings_mhz), n_qubits]), row k equal to the set points of
+    ``pattern.with_spacing(spacings_mhz[k])``.
+    """
+    spacing = np.asarray(pattern.spacing_mhz if spacings_mhz is None else spacings_mhz,
+                         dtype=float)
+    if not (0.0 < pattern.base_ghz < math.inf and np.all((0.0 <= spacing) & (spacing < math.inf))):
         raise ParameterError("pattern needs finite base > 0 and finite spacing >= 0")
     idx = np.array([n.pattern_index for n in lattice.nodes], dtype=float)
-    return pattern.base_ghz * 1e3 + (idx - 1.0) * pattern.spacing_mhz
+    return pattern.base_ghz * 1e3 + (idx - 1.0) * spacing[..., None]
 
 
 def next_nearest_triples(lattice: Lattice) -> tuple:
@@ -343,32 +351,6 @@ def to_json_dict(lattice: Lattice) -> dict:
         ],
         "edges": [[c, t] for c, t in lattice.edges],
     }
-
-
-def from_json_dict(payload: dict) -> Lattice:
-    try:
-        nodes = tuple(
-            QubitNode(
-                int(rec["id"]),
-                float(rec["position"][0]),
-                float(rec["position"][1]),
-                str(rec["code_role"]),
-                str(rec["gate_role"]),
-                int(rec["pattern_index"]),
-            )
-            for rec in payload["nodes"]
-        )
-        edges = tuple((int(c), int(t)) for c, t in payload["edges"])
-        lat = Lattice(str(payload["family"]), int(payload["distance"]), nodes, edges)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise InputError(f"malformed lattice payload: {exc}") from exc
-    ids = [n.node_id for n in lat.nodes]
-    if ids != list(range(len(ids))):
-        raise InputError("node ids must be dense and ordered 0..n-1")
-    for c, t in lat.edges:
-        if not (0 <= c < lat.n_qubits and 0 <= t < lat.n_qubits):
-            raise InputError(f"edge ({c}, {t}) references unknown node")
-    return lat
 
 
 def to_dot(lattice: Lattice) -> str:

@@ -18,13 +18,17 @@ the fewest *expected* collisions (exact, from
 :func:`~freqcrowd.collision.expected_counts`) is measured at the trials
 policy's base count (the pilot), and when the policy asks for more trials
 the pilot's rows are extended, not recounted, so every deviate row is
-counted once.  The choice never looks at the Monte Carlo sample, so the
-reported statistics are not flattered by having picked the luckiest spacing
-on them.  :func:`sweep_sigma` and :func:`table_row` (the summary table the
+counted once.  A pilot is extended only where its yield is low and the
+Poisson estimate of the survivors the boost would see, ``boost * exp(-E)``
+with E the expected collision total at the chosen spacing, is at least
+:data:`BOOST_MIN_SURVIVORS`.  The choice never looks at the Monte Carlo
+sample, so the reported statistics are not flattered by having picked the
+luckiest spacing on them.  :func:`sweep_sigma` and :func:`table_row` (the summary table the
 CLI prints and the acceptance gate checks) are both built from it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,7 +158,8 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
 def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, trials: int,
                      master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
                      rules: CollisionRules = DEFAULT_RULES, index: CollisionIndex | None = None,
-                     deviates: np.ndarray | None = None, pilot: list | None = None) -> SweepPoint:
+                     deviates: np.ndarray | None = None, pilot: list | None = None,
+                     expected: list | None = None) -> SweepPoint:
     """Measure the grid spacing with the fewest expected collisions.
 
     Every grid spacing is scored by :func:`collision.expected_counts` in one
@@ -163,30 +168,41 @@ def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: flo
     spacing in the grid.  The choice does not depend on ``master_seed``,
     ``trials`` or ``deviates``: only the returned point, from
     :func:`run_point` at that spacing, is sampled.  ``pilot`` is passed on
-    to :func:`run_point`, so it receives that point's per-row counts.
+    to :func:`run_point`, so it receives that point's per-row counts;
+    ``expected``, when given, is a list that receives the expected collision
+    total at the chosen spacing.
     """
     grid = [float(s) for s in spacing_grid]
     if not grid:
         raise ParameterError("spacing grid is empty")
     idx = index if index is not None else build_index(lattice)
-    set_points = np.stack([set_points_mhz(lattice, pattern.with_spacing(s)) for s in grid])
-    expected = expected_counts(idx, set_points, sigma_mhz, rules).sum(axis=-1)
-    _, best = min(zip(expected.tolist(), grid))
+    totals = expected_counts(idx, set_points_mhz(lattice, pattern, grid), sigma_mhz,
+                             rules).sum(axis=-1)
+    total, best = min(zip(totals.tolist(), grid))
+    if expected is not None:
+        expected.append(total)
     return run_point(lattice, pattern.with_spacing(best), sigma_mhz, trials, master_seed,
                      rules=rules, index=idx, deviates=deviates, pilot=pilot)
 
 
-# per-distance yield below which a pilot is re-run at the boost count;
+# per-distance yield below which a pilot is extended to the boost count;
 # unlisted distances never boost
 LOW_YIELD_THRESHOLDS = {3: 0.002, 5: 0.01, 7: 0.01}
+# fewest survivors the boost must be expected to see, boost * exp(-E), for it
+# to run: below this the boost would almost surely find none (Chen-Stein
+# Poisson estimate of the yield, exp(-E), from the expected collision total E)
+BOOST_MIN_SURVIVORS = 0.01
 
 
 @dataclass(frozen=True)
 class AdaptiveTrials:
     """How many trials to spend at each sweep point: pilot at ``base``
-    trials, re-run at ``boost`` when the observed yield falls below
-    ``LOW_YIELD_THRESHOLDS`` for the distance (rare-survivor resolution).
-    ``boost == base`` never re-runs, so every point costs ``base`` trials."""
+    trials, extended to ``boost`` when the observed yield falls below
+    ``LOW_YIELD_THRESHOLDS`` for the distance (rare-survivor resolution) and
+    ``boost * exp(-E)``, the survivors the boost is expected to see given the
+    expected collision total E, is at least ``BOOST_MIN_SURVIVORS``; a boost
+    that could not find a survivor is skipped.  ``boost == base`` never
+    re-runs, so every point costs ``base`` trials."""
 
     base: int = 1000
     boost: int = 4000
@@ -194,9 +210,11 @@ class AdaptiveTrials:
     def base_trials(self, distance: int, sigma_mhz: float) -> int:
         return self.base
 
-    def boost_trials(self, distance: int, sigma_mhz: float, observed_yield: float) -> int:
+    def boost_trials(self, distance: int, observed_yield: float,
+                     expected_collisions: float) -> int:
         """Trials for a re-run after the pilot, or 0 to keep the pilot."""
-        if observed_yield < LOW_YIELD_THRESHOLDS.get(distance, 0.0):
+        if (observed_yield < LOW_YIELD_THRESHOLDS.get(distance, 0.0)
+                and self.boost * math.exp(-expected_collisions) >= BOOST_MIN_SURVIVORS):
             return self.boost
         return 0
 
@@ -210,7 +228,9 @@ def operating_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: floa
                     rules: CollisionRules = DEFAULT_RULES) -> SweepPoint:
     """One reported operating point: measure the spacing :func:`optimize_spacing`
     picks at the policy's base trials, then extend that pilot when the policy
-    asks for more trials.  A one-element grid measures that spacing alone.
+    asks for more trials, given the pilot's yield and the expected collision
+    total at that spacing (already computed by the search, so the boost gate
+    costs no further scoring).  A one-element grid measures that spacing alone.
 
     ``deviates`` holds at least ``policy.max_trials`` rows from
     :func:`gaussian_deviates`, shared by the pilot and the boost.  The boost
@@ -219,10 +239,11 @@ def operating_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: floa
     boost count.
     """
     n0 = policy.base_trials(lattice.distance, sigma_mhz)
-    rows = []
+    rows, expected = [], []
     pt = optimize_spacing(lattice, pattern, sigma_mhz, n0, master_seed, spacing_grid=spacing_grid,
-                          rules=rules, index=index, deviates=deviates, pilot=rows)
-    n1 = policy.boost_trials(lattice.distance, sigma_mhz, pt.yield_fraction)
+                          rules=rules, index=index, deviates=deviates, pilot=rows,
+                          expected=expected)
+    n1 = policy.boost_trials(lattice.distance, pt.yield_fraction, expected[0])
     if n1 > n0:
         pt = run_point(lattice, pattern.with_spacing(pt.spacing_mhz), sigma_mhz, n1, master_seed,
                        rules=rules, index=index, deviates=deviates, pilot=rows)

@@ -9,6 +9,7 @@ resistances in ohms; critical currents in nA.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,12 +88,14 @@ def fit_power_law(resistance_ohm, frequency_ghz, *, fix_exponent: float | None =
     Args:
         resistance_ohm: junction resistances, ohm.
         frequency_ghz: measured qubit frequencies, GHz.
-        fix_exponent: if given, constrain p to this value and fit only the
-            prefactor (used to impose the ideal -1/2 scaling).
+        fix_exponent: if given, constrain p to this finite value and fit only
+            the prefactor (used to impose the ideal -1/2 scaling).
 
     Returns:
         PowerLawFit with the RMS residual evaluated in linear MHz.
     """
+    if fix_exponent is not None and not math.isfinite(fix_exponent):
+        raise ParameterError(f"fixed exponent must be finite, got {fix_exponent}")
     r = np.asarray(resistance_ohm, dtype=float)
     f = np.asarray(frequency_ghz, dtype=float)
     if r.shape != f.shape or r.ndim != 1:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InputError, ParameterError
 from .mc import philox_rng
-from .physics import PowerLawFit, grouped_sigma, predict_frequency_ghz, target_resistance_ohm
+from .physics import PowerLawFit, grouped_sigma, predict_frequency_ghz
 
 PENDING = "pending"
 CONVERGED = "converged"
@@ -149,23 +149,6 @@ def generate_population(n: int, median_ohm: float = DEFAULT_MEDIAN_OHM,
     z = philox_rng(master_seed, [0, 0, 1, 0]).standard_normal(n)  # lane 1: no junction's stream
     r = median_ohm * np.exp(fractional_sigma * z)
     return [JunctionRecord(j, float(r[j]), float(r[j])) for j in range(n)]
-
-
-def assign_targets(records, fit: PowerLawFit, target_f_ghz) -> list:
-    """Set each junction's resistance target from its frequency target.
-
-    Targets are inverted through the resistance-frequency fit.  Annealing
-    only raises resistance, so a junction whose target resistance falls
-    below its current value is unreachable and is marked exhausted on the
-    spot (negative exponent: asking for a frequency above the junction's
-    current one).
-    """
-    f = np.broadcast_to(np.asarray(target_f_ghz, dtype=float), (len(records),))
-    for rec, fj in zip(records, f):
-        rec.r_target_ohm = float(target_resistance_ohm(fit, float(fj)))
-        if rec.r_target_ohm < rec.r_ohm:
-            rec.status = EXHAUSTED
-    return records
 
 
 def two_group_split(records, targets_ohm=TWO_GROUP_TARGETS_OHM, sizes=TWO_GROUP_SIZES):

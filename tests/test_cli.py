@@ -63,6 +63,18 @@ class TestLatticeCommand:
                          "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_largest_distance_is_accepted(self, tmp_path):
+        assert cli.main(["lattice", "--family", "square", "-d", str(lattice.MAX_DISTANCE),
+                         "--out", str(tmp_path)]) == 0
+        assert read_json(tmp_path, "lattice")["distance"] == lattice.MAX_DISTANCE
+
+    @pytest.mark.parametrize("distance", [lattice.MAX_DISTANCE + 2, 99999])
+    def test_distance_past_the_largest_is_usage_error(self, tmp_path, capsys, distance):
+        assert cli.main(["lattice", "--family", "square", "-d", str(distance),
+                         "--out", str(tmp_path)]) == 2
+        assert "error: distance must be an odd integer in [3, 31]" in capsys.readouterr().err
+        assert not (tmp_path / "lattice").exists()
+
     def test_unknown_family(self, tmp_path):
         assert cli.main(["lattice", "--family", "kagome", "-d", "3",
                          "--out", str(tmp_path)]) == 2
@@ -273,6 +285,16 @@ def test_missing_sweep_csv_is_usage_error(tmp_path, capsys, command):
     assert not (tmp_path / command).exists()
 
 
+def test_json_results_reject_non_finite_values(tmp_path):
+    """results.json stays standard JSON: a NaN or an infinity is an error,
+    raised before the file is written."""
+    cfg = {"out": str(tmp_path), "command": "fit-rn", "name": "default"}
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(cli.FreqcrowdError, match="non-finite"):
+            cli.RunDir(cfg).write_json("results.json", {"fits": [{"delta_f_mhz": bad}]})
+    assert not (tmp_path / "fit-rn").exists()
+
+
 @pytest.mark.parametrize("command", ["fit-rn", "extrapolate"])
 def test_failed_run_leaves_no_directory(tmp_path, command):
     csv = synth_sweep_csv(tmp_path / "hh3.csv", "heavy_hexagon", 3, 23, 31.61)
@@ -369,6 +391,15 @@ class TestFitRnCommand:
                        "--out", str(tmp_path)])
         assert rc == 0
         assert read_json(tmp_path, "fit-rn")["exponent"] == -0.5
+
+    @pytest.mark.parametrize("exponent", ["inf", "-inf"])
+    def test_non_finite_fixed_exponent_writes_nothing(self, tmp_path, capsys, exponent):
+        src = self.write_pairs(tmp_path / "rn.csv", [(7000.0, 2.2), (9000.0, 1.9)])
+        rc = cli.main(["fit-rn", "--csv", src, f"--fix-exponent={exponent}",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "error: fixed exponent must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_too_few_rows_is_runtime_error(self, tmp_path, capsys):
         src = self.write_pairs(tmp_path / "rn.csv", [(7000.0, 2.2)])

@@ -395,10 +395,8 @@ def test_batch_blocks_match_row_by_row_counts(nine_lattices):
 
 
 def test_edgeless_lattice_counts_nothing():
-    payload = {"family": "isolated", "distance": 3, "edges": [],
-               "nodes": [{"id": q, "position": [q, 0], "code_role": "data",
-                          "gate_role": "target", "pattern_index": 1} for q in range(3)]}
-    idx = collision.build_index(lattice.from_json_dict(payload))
+    nodes = tuple(lattice.QubitNode(q, q, 0, "data", "target", 1) for q in range(3))
+    idx = collision.build_index(lattice.Lattice("isolated", 3, nodes, ()))
     counts = collision.count_collisions_batch(idx, np.full((5, 3), 5000.0))
     assert counts.shape == (5, 7)
     assert not counts.any()

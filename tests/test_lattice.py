@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from freqcrowd import lattice
-from freqcrowd.errors import InputError, ParameterError
+from freqcrowd.errors import ParameterError
 from reference import spectator_triples
 
 # (family, distance) -> qubits, directed couplings, spectator triples
@@ -124,6 +124,16 @@ def test_distance_validation():
         lattice.build_lattice("square", 1)
     with pytest.raises(ParameterError):
         lattice.build_lattice("octagon", 3)
+    for past_the_largest in (lattice.MAX_DISTANCE + 2, 99999):
+        with pytest.raises(ParameterError, match=r"odd integer in \[3, 31\]"):
+            lattice.build_lattice("square", past_the_largest)
+
+
+@pytest.mark.parametrize("family", lattice.FAMILIES)
+def test_largest_distance_builds(family):
+    assert lattice.MAX_DISTANCE >= 19
+    lat = lattice.build_lattice(family, lattice.MAX_DISTANCE)
+    assert lat.n_qubits == lattice.expected_node_count(family, lattice.MAX_DISTANCE)
 
 
 def test_family_spelling_normalisation():
@@ -137,9 +147,17 @@ def test_set_points_ladder(hh3):
     pat = lattice.FrequencyPattern(base_ghz=5.0, spacing_mhz=70.0)
     f = lattice.set_points_mhz(hh3, pat)
     assert set(np.unique(f)) == {5000.0, 5070.0, 5140.0}
-    # lowest set point is the base frequency itself
-    assert pat.set_point_mhz(1) == 5000.0
-    assert pat.with_spacing(40.0).set_point_mhz(3) == 5080.0
+
+
+def test_set_points_on_a_spacing_grid_match_one_spacing_at_a_time(hh3):
+    """One row per grid spacing, bit for bit the pattern at that spacing."""
+    pat = lattice.FrequencyPattern(base_ghz=4.9)
+    grid = (0.0, 30.0, 37.5, 150.0)
+    stack = lattice.set_points_mhz(hh3, pat, grid)
+    assert stack.shape == (len(grid), hh3.n_qubits)
+    for row, s in zip(stack, grid):
+        assert row.tobytes() == lattice.set_points_mhz(hh3, pat.with_spacing(s)).tobytes()
+    assert lattice.set_points_mhz(hh3, pat, ()).shape == (0, hh3.n_qubits)
 
 
 def test_set_points_validation(hh3):
@@ -149,22 +167,9 @@ def test_set_points_validation(hh3):
         pattern = lattice.FrequencyPattern(base_ghz=base, spacing_mhz=spacing)
         with pytest.raises(ParameterError, match="finite base > 0 and finite spacing >= 0"):
             lattice.set_points_mhz(hh3, pattern)
-
-
-def test_json_roundtrip(nine_lattices):
-    lat = nine_lattices[("heavy_square", 3)]
-    payload = lattice.to_json_dict(lat)
-    back = lattice.from_json_dict(payload)
-    assert back.family == lat.family and back.distance == lat.distance
-    assert back.edges == lat.edges
-    assert [n.pattern_index for n in back.nodes] == [n.pattern_index for n in lat.nodes]
-
-
-def test_json_rejects_bad_edge_reference(hh3):
-    payload = lattice.to_json_dict(hh3)
-    payload["edges"][0] = [0, 999]
-    with pytest.raises(InputError):
-        lattice.from_json_dict(payload)
+    for bad in (-5.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="finite base > 0 and finite spacing >= 0"):
+            lattice.set_points_mhz(hh3, lattice.FrequencyPattern(), (30.0, bad, 40.0))
 
 
 def test_dot_output_mentions_every_node(hh3):

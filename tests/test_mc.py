@@ -1,5 +1,6 @@
 """Sampling contract, batch independence, and spacing selection."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -142,6 +143,23 @@ def test_optimize_spacing_matches_manual_grid_scan(hh3):
     assert best == mc.run_point(hh3, pattern.with_spacing(spacing), 14.0, 400, 2)
 
 
+def test_optimize_spacing_reports_the_chosen_expected_total(hh3):
+    """``expected`` receives the oracle's expected total at the chosen
+    spacing, the smallest over the grid."""
+    grid = (30.0, 40.0, 50.0, 60.0)
+    pattern = lattice.FrequencyPattern()
+    got = []
+    pt = mc.optimize_spacing(hh3, pattern, 14.0, 10, 2, spacing_grid=grid, expected=got)
+    triples = lattice.next_nearest_triples(hh3)
+    want = min(expected_mean_collisions(
+        lattice.set_points_mhz(hh3, pattern.with_spacing(s)), 14.0, hh3.edges, triples)
+        for s in grid)
+    assert got == [pytest.approx(want, rel=1e-9)]
+    assert want == pytest.approx(expected_mean_collisions(
+        lattice.set_points_mhz(hh3, pattern.with_spacing(pt.spacing_mhz)), 14.0, hh3.edges,
+        triples), rel=1e-12)
+
+
 def test_optimize_spacing_ignores_the_sample(hh3):
     """The choice comes from the expectation, so neither the seed nor the
     trial count moves it (at 24 MHz a sample-mean pick wanders between 70,
@@ -190,18 +208,41 @@ class TestTrialsPolicies:
     def test_fixed(self):
         p = mc.AdaptiveTrials(base=250, boost=250)
         assert p.base_trials(5, 14.0) == 250
-        assert p.boost_trials(5, 14.0, 0.0) <= p.base_trials(5, 14.0)   # never re-runs
+        assert p.boost_trials(5, 0.0, 0.0) <= p.base_trials(5, 14.0)    # never re-runs
         assert p.max_trials(5) == 250
 
     def test_adaptive_boosts_only_rare_survivors(self):
         p = mc.AdaptiveTrials()
         assert p.base_trials(3, 14.0) == 1000
-        assert p.boost_trials(3, 14.0, 0.001) == 4000
-        assert p.boost_trials(3, 14.0, 0.002) == 0      # threshold is strict
-        assert p.boost_trials(5, 14.0, 0.009) == 4000
-        assert p.boost_trials(5, 14.0, 0.5) == 0
-        assert p.boost_trials(11, 14.0, 0.0) == 0       # unlisted distance
+        assert p.boost_trials(3, 0.001, 0.0) == 4000
+        assert p.boost_trials(3, 0.002, 0.0) == 0       # threshold is strict
+        assert p.boost_trials(5, 0.009, 0.0) == 4000
+        assert p.boost_trials(5, 0.5, 0.0) == 0
+        assert p.boost_trials(11, 0.0, 0.0) == 0        # unlisted distance
         assert p.max_trials(7) == 4000
+
+    # E at which the boost expects exactly BOOST_MIN_SURVIVORS survivors
+    EDGE_4000 = math.log(4000 / mc.BOOST_MIN_SURVIVORS)   # 12.9
+    EDGE_240 = math.log(240 / mc.BOOST_MIN_SURVIVORS)     # 10.1
+
+    @pytest.mark.parametrize("base, boost, distance, observed, expected, trials", [
+        (1000, 4000, 7, 0.0, 0.0, 4000),                 # fires: 4000 survivors expected
+        (1000, 4000, 7, 0.0, EDGE_4000 - 1e-9, 4000),    # fires: just enough survivors
+        (1000, 4000, 7, 0.0, EDGE_4000 + 1e-9, 0),       # hopeless: skipped
+        (1000, 4000, 5, 0.0, 30.0, 0),                   # hopeless: skipped
+        (1000, 4000, 5, 0.5, 0.0, 0),                    # pilot yield high enough
+        (60, 240, 3, 0.0, EDGE_240 - 1e-9, 240),         # the gate uses the boost count
+        (60, 240, 3, 0.0, EDGE_240 + 1e-9, 0),
+        (1000, 4000, 11, 0.0, 0.0, 0),                   # unlisted distance
+        (1000, 4000, 9, 0.0, 30.0, 0),                   # unlisted and hopeless
+        (250, 250, 5, 0.0, 0.0, 250),                    # base == boost: nothing to add
+        (250, 250, 5, 0.0, 30.0, 0),
+    ])
+    def test_boost_gate(self, base, boost, distance, observed, expected, trials):
+        """Boost only a low-yield pilot whose boost expects at least
+        BOOST_MIN_SURVIVORS survivors, boost * exp(-E)."""
+        p = mc.AdaptiveTrials(base=base, boost=boost)
+        assert p.boost_trials(distance, observed, expected) == trials
 
 
 def test_sweep_sigma_boost_and_order(hh3):
@@ -249,7 +290,9 @@ def _tally_kernel_rows(monkeypatch):
 
 @pytest.mark.parametrize("sigmas, spacings", [
     ((0.0, 14.0, 150.0), mc.DEFAULT_SPACING_GRID_MHZ),
-    ((0.0, 150.0), (5.0,)),  # collides at zero scatter, so that point boosts too
+    # 11 collisions at zero scatter, and 4000 exp(-11) = 0.07 clears the boost
+    # gate, so that point boosts too
+    ((0.0, 150.0), (105.0,)),
 ])
 def test_sweep_counts_each_deviate_row_once(hh3, monkeypatch, sigmas, spacings):
     """Kernel rows = the sigma > 0 points' reported trials, one row per
@@ -268,8 +311,47 @@ def test_sweep_counts_each_deviate_row_once(hh3, monkeypatch, sigmas, spacings):
         direct = mc.run_point(hh3, lattice.FrequencyPattern(spacing_mhz=p.spacing_mhz),
                               p.sigma_mhz, 4000, 7)
         assert dataclasses.astuple(p) == dataclasses.astuple(direct)
-    if spacings == (5.0,):
+    if spacings == (105.0,):
         assert (pts[0].trials, pts[0].yield_fraction) == (4000, 0.0)
+
+
+def _expected_total(lat, spacing, sigma):
+    sp = lattice.set_points_mhz(lat, lattice.FrequencyPattern(spacing_mhz=spacing))
+    return float(collision.expected_counts(collision.build_index(lat), sp, sigma).sum())
+
+
+def test_sweep_skips_a_hopeless_boost(hh3, monkeypatch):
+    """A pilot with no survivor, where the boost expects fewer than
+    BOOST_MIN_SURVIVORS survivors, keeps its base trials: only its rows reach
+    the kernel."""
+    sigma, spacing = 20.0, 10.0
+    assert 4000 * math.exp(-_expected_total(hh3, spacing, sigma)) < mc.BOOST_MIN_SURVIVORS
+    rows = _tally_kernel_rows(monkeypatch)
+    (pt,) = mc.sweep_sigma(hh3, lattice.FrequencyPattern(), (sigma,), master_seed=7,
+                           spacing_grid=(spacing,))
+    assert rows == [1000]
+    assert (pt.trials, pt.yield_fraction) == (1000, 0.0)
+    monkeypatch.undo()
+    direct = mc.run_point(hh3, lattice.FrequencyPattern(spacing_mhz=spacing), sigma, 1000, 7)
+    assert dataclasses.astuple(pt) == dataclasses.astuple(direct)
+
+
+def test_sweep_boosts_where_a_survivor_can_be_found(hh3, monkeypatch):
+    """A low-yield pilot whose boost expects enough survivors is extended to
+    the boost count, and equals run_point there."""
+    sigma = 150.0
+    (pilot,) = mc.sweep_sigma(hh3, lattice.FrequencyPattern(), (sigma,),
+                              mc.AdaptiveTrials(base=1000, boost=1000), master_seed=7)
+    assert pilot.yield_fraction < mc.LOW_YIELD_THRESHOLDS[3]
+    expected = _expected_total(hh3, pilot.spacing_mhz, sigma)
+    assert 4000 * math.exp(-expected) >= mc.BOOST_MIN_SURVIVORS
+    rows = _tally_kernel_rows(monkeypatch)
+    (pt,) = mc.sweep_sigma(hh3, lattice.FrequencyPattern(), (sigma,), master_seed=7)
+    assert sum(rows) == pt.trials == 4000
+    monkeypatch.undo()
+    direct = mc.run_point(hh3, lattice.FrequencyPattern(spacing_mhz=pt.spacing_mhz), sigma,
+                          4000, 7)
+    assert dataclasses.astuple(pt) == dataclasses.astuple(direct)
 
 
 def test_sweep_enters_each_sigma_through_run_point_or_optimize_spacing(hh3, monkeypatch):

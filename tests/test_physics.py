@@ -70,6 +70,11 @@ class TestPowerLawFit:
         assert fit.exponent_fixed
         assert fit.prefactor == pytest.approx(510.0, rel=1e-6)
 
+    @pytest.mark.parametrize("exponent", [float("inf"), float("-inf"), float("nan")])
+    def test_fixed_exponent_must_be_finite(self, exponent):
+        with pytest.raises(ParameterError, match="fixed exponent must be finite"):
+            physics.fit_power_law([7000.0, 9000.0], [2.2, 1.9], fix_exponent=exponent)
+
     def test_free_fit_needs_three_points(self):
         with pytest.raises(InputError):
             physics.fit_power_law([7000.0, 9000.0], [6.1, 5.4])

@@ -58,24 +58,6 @@ class TestPopulation:
 
 
 class TestTargetAssignment:
-    def test_inverts_frequency_through_fit(self):
-        fit = ideal_fit()
-        recs = tunesim.generate_population(4, master_seed=7)
-        f_now = [predict_frequency_ghz(fit, rec.r_ohm) for rec in recs]
-        tunesim.assign_targets(recs, fit, [f - 0.05 for f in f_now])
-        for rec, f in zip(recs, f_now):
-            # lower frequency -> higher resistance: reachable by annealing
-            assert rec.r_target_ohm > rec.r_ohm
-            assert rec.status == tunesim.PENDING
-            assert predict_frequency_ghz(fit, rec.r_target_ohm) == pytest.approx(f - 0.05, abs=1e-9)
-
-    def test_upward_frequency_is_unreachable(self):
-        fit = ideal_fit()
-        recs = tunesim.generate_population(3, master_seed=7)
-        f_now = [predict_frequency_ghz(fit, rec.r_ohm) for rec in recs]
-        tunesim.assign_targets(recs, fit, [f + 0.05 for f in f_now])
-        assert all(rec.status == tunesim.EXHAUSTED for rec in recs)
-
     def test_two_group_split_ranks_by_resistance(self):
         recs = tunesim.generate_population(31, master_seed=3)
         gid = tunesim.two_group_split(recs)
