@@ -19,6 +19,8 @@ The pieces, bottom to top:
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .collision import (
     DEFAULT_RULES,
     CollisionReport,
@@ -79,51 +81,6 @@ from .window import (
     window_yield,
 )
 
-__all__ = [
-    "__version__",
-    "AdaptiveTrials",
-    "AnnealResponseModel",
-    "CampaignResult",
-    "CollisionReport",
-    "CollisionRules",
-    "DEFAULT_BASE_GHZ",
-    "DEFAULT_RULES",
-    "DEFAULT_SIGMA_GRID_MHZ",
-    "DEFAULT_SPACING_GRID_MHZ",
-    "DEFAULT_SPACING_MHZ",
-    "FAMILIES",
-    "FreqcrowdError",
-    "FrequencyPattern",
-    "InputError",
-    "JunctionRecord",
-    "Lattice",
-    "ParameterError",
-    "PowerLawFit",
-    "SingularFitError",
-    "SweepPoint",
-    "TunePolicy",
-    "UnfittableError",
-    "WindowFit",
-    "WindowTrend",
-    "build_lattice",
-    "count_collisions",
-    "critical_current_na",
-    "expected_counts",
-    "fit_power_law",
-    "fit_trend",
-    "fit_window",
-    "generate_population",
-    "grouped_sigma",
-    "optimize_spacing",
-    "predict_delta_f",
-    "predict_frequency_ghz",
-    "required_sigma",
-    "run_campaign",
-    "run_point",
-    "set_points_mhz",
-    "sweep_sigma",
-    "target_resistance_ohm",
-    "transmon_f01_ghz",
-    "tune_junction",
-    "window_yield",
-]
+# the public API is every name imported above, so each is declared once
+__all__ = ["__version__", *(name for name, value in globals().items()
+                            if not name.startswith("_") and not isinstance(value, _ModuleType))]

@@ -21,6 +21,7 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from typing import NamedTuple
@@ -28,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, collision, lattice, mc, physics, svgchart, tunesim, window
-from .errors import FreqcrowdError, InputError, ParameterError
+from .errors import FreqcrowdError, InputError, ParameterError, UnfittableError
 
 EXTRAPOLATE_SIGMAS = (14.0, 12.0, 10.0, 8.0, 6.0)
 
@@ -82,7 +83,8 @@ OPTIONS = (
     Option("residual_std_mhz", ("--residual-std",), float, 14.5, ("tune",)),
     Option("csv_path", ("--csv",), str, None, ("fit-rn",),
            "CSV with header resistance_ohm,frequency_ghz"),
-    Option("fix_exponent", ("--fix-exponent",), float, float("nan"), ("fit-rn",)),
+    Option("fix_exponent", ("--fix-exponent",), float, None, ("fit-rn",),
+           "fix the power-law exponent (default: fit it)"),
     Option("manifest", ("manifest",), str, None, ("rerun",), "path to a manifest.json"),
     Option("out", ("--out",), str, "out", None, "output root directory (default: out)"),
     Option("name", ("--name",), str, "default", None,
@@ -163,19 +165,27 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _config_hash(cfg: dict) -> str:
-    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:12]
+def _json_text(filename: str, payload, indent=None) -> str:
+    """Standard JSON: a NaN or an infinity is an error, raised before any write."""
+    try:
+        return json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise FreqcrowdError(f"{filename}: non-finite value") from exc
 
 
 class RunDir:
     """Output directory plus the manifest bookkeeping for one run; the
-    directory is made at the first write, so a failed run leaves none."""
+    directory is made at the first write, so a failed run leaves none.  A
+    configuration holding a NaN or an infinity makes no run directory."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
         self.path = os.path.join(cfg["out"], cfg["command"], cfg["name"])
         self.outputs = []
         self.inputs = {}
+        self.snapshot = {k: v for k, v in cfg.items() if k != "out"}
+        self.config_hash = hashlib.sha256(
+            _json_text("config", self.snapshot).encode()).hexdigest()[:12]
 
     def _write(self, filename: str, text: str) -> str:
         os.makedirs(self.path, exist_ok=True)
@@ -193,32 +203,27 @@ class RunDir:
         return full
 
     def write_json(self, filename: str, payload) -> str:
-        """Write standard JSON: a NaN or infinite value is an error, raised
-        before the file is written."""
-        try:
-            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-        except ValueError as exc:
-            raise FreqcrowdError(f"{filename}: non-finite value in results") from exc
-        return self.write_text(filename, text + "\n")
+        return self.write_text(filename, _json_text(filename, payload, indent=2) + "\n")
 
-    def write_csv(self, filename: str, header, rows) -> str:
+    def write_csv(self, filename: str, rows) -> str:
+        """Write row dicts; the first row's keys, in order, are the header."""
+        header = list(rows[0])
         lines = [",".join(header)]
         for row in rows:
-            lines.append(",".join(_cell(v) for v in row))
+            lines.append(",".join(_cell(row[c]) for c in header))
         return self.write_text(filename, "\n".join(lines) + "\n")
 
     def finish(self) -> None:
-        snapshot = {k: v for k, v in self.cfg.items() if k not in ("out",)}
         manifest = {
             "package": "freqcrowd",
             "version": __version__,
             "command": self.cfg["command"],
-            "config": snapshot,
-            "config_hash": _config_hash(snapshot),
+            "config": self.snapshot,
+            "config_hash": self.config_hash,
             "inputs_sha256": self.inputs,
             "outputs": sorted(self.outputs),
         }
-        self._write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        self._write("manifest.json", _json_text("manifest.json", manifest, indent=2) + "\n")
 
 
 def _cell(v) -> str:
@@ -246,13 +251,19 @@ def _pattern(cfg: dict) -> lattice.FrequencyPattern:
         spacing_mhz=cfg.get("spacing_mhz", _OPTION["spacing_mhz"].default))
 
 
-def _sweep_row(pt: mc.SweepPoint):
-    return [pt.family, pt.distance, pt.n_qubits, pt.sigma_mhz, pt.spacing_mhz, pt.trials,
-            pt.mean_collisions, pt.yield_fraction, *pt.per_type_means]
+def _sweep_row(pt: mc.SweepPoint) -> dict:
+    """One sweep point, as a results.json point."""
+    return {"family": pt.family, "distance": pt.distance, "n_qubits": pt.n_qubits,
+            "sigma_f_mhz": pt.sigma_mhz, "spacing_mhz": pt.spacing_mhz, "trials": pt.trials,
+            "mean_collisions": pt.mean_collisions, "yield": pt.yield_fraction,
+            "per_type_means": list(pt.per_type_means)}
 
 
-_SWEEP_HEADER = ["family", "distance", "n_qubits", "sigma_f_mhz", "spacing_mhz", "trials",
-                 "mean_collisions", "yield"] + [f"mean_type{t}" for t in collision.TYPE_IDS]
+def _spread_type_means(row: dict) -> dict:
+    """A sweep row as a results.csv row, ``per_type_means`` spread into ``mean_type<t>``."""
+    flat = dict(row)
+    flat.update((f"mean_type{t}", m) for t, m in zip(collision.TYPE_IDS, flat.pop("per_type_means")))
+    return flat
 
 
 def cmd_lattice(cfg: dict) -> int:
@@ -313,16 +324,12 @@ def cmd_sweep(cfg: dict) -> int:
     sigma_grid = _float_list(cfg, "sigmas") or mc.DEFAULT_SIGMA_GRID_MHZ
     points = mc.sweep_sigma(lat, pattern, sigma_grid, _policy(cfg), cfg["seed"],
                             spacing_grid=spacing_grid, rules=_rules(cfg))
+    rows = [_sweep_row(pt) for pt in points]
     run = RunDir(cfg)
-    run.write_csv("results.csv", _SWEEP_HEADER, [_sweep_row(pt) for pt in points])
-    snapshot = {k: v for k, v in cfg.items() if k != "out"}
+    run.write_csv("results.csv", [_spread_type_means(row) for row in rows])
     run.write_json("results.json", {
-        "metadata": {"seed": cfg["seed"], "config_hash": _config_hash(snapshot)},
-        "points": [{"family": pt.family, "distance": pt.distance, "n_qubits": pt.n_qubits,
-                    "sigma_f_mhz": pt.sigma_mhz, "spacing_mhz": pt.spacing_mhz,
-                    "trials": pt.trials, "mean_collisions": pt.mean_collisions,
-                    "yield": pt.yield_fraction,
-                    "per_type_means": list(pt.per_type_means)} for pt in points],
+        "metadata": {"seed": cfg["seed"], "config_hash": run.config_hash},
+        "points": rows,
     })
     sig = [pt.sigma_mhz for pt in points]
     run.write_text("plot.svg", svgchart.line_chart(
@@ -349,18 +356,17 @@ def _sweep_table2(cfg: dict, spacing_grid) -> int:
     for lat in lattices:
         tuned, asfab = mc.table_row(lat, _pattern(cfg), policy, cfg["seed"],
                                     spacing_grid=spacing_grid, rules=_rules(cfg), deviates=z)
-        rows.append([lat.family, lat.distance, lat.n_qubits, asfab.mean_collisions,
-                     tuned.spacing_mhz, tuned.mean_collisions, tuned.yield_fraction,
-                     tuned.trials])
+        rows.append({"family": lat.family, "distance": lat.distance, "n_qubits": lat.n_qubits,
+                     f"mean_collisions_sigma{sigma_hi:g}": asfab.mean_collisions,
+                     "spacing_mhz": tuned.spacing_mhz,
+                     f"mean_collisions_sigma{sigma_lo:g}": tuned.mean_collisions,
+                     "yield": tuned.yield_fraction, "trials": tuned.trials})
         print(f"{lat.family:>14} d={lat.distance}: N={lat.n_qubits:>3} "
               f"mean@{sigma_hi:g}={asfab.mean_collisions:7.1f}  "
               f"mean@{sigma_lo:g}={tuned.mean_collisions:6.2f}  "
               f"yield={100 * tuned.yield_fraction:5.1f}%")
     run = RunDir(cfg)
-    run.write_csv("results.csv",
-                  ["family", "distance", "n_qubits", f"mean_collisions_sigma{sigma_hi:g}",
-                   "spacing_mhz", f"mean_collisions_sigma{sigma_lo:g}", "yield", "trials"],
-                  rows)
+    run.write_csv("results.csv", rows)
     run.finish()
     print(f"written: {run.path}")
     return 0
@@ -420,8 +426,7 @@ def cmd_fit_window(cfg: dict) -> int:
         print(f"{family:>14} d={distance}: delta_f = {fit.delta_f_mhz:5.2f} MHz "
               f"(N={n_qubits}, rms {fit.rms_residual:.3f})")
     run.write_json("results.json", {"fits": fits})
-    columns = list(fits[0])  # fits is never empty: every sweep CSV has a data row
-    run.write_csv("results.csv", columns, [[f[c] for c in columns] for f in fits])
+    run.write_csv("results.csv", fits)  # never empty: every sweep CSV has a data row
     sig = np.linspace(1.0, 150.0, 150)
     run.write_text("plot.svg", svgchart.line_chart(
         [(f"{f['family']} d={f['distance']}", sig,
@@ -440,13 +445,20 @@ def cmd_extrapolate(cfg: dict) -> int:
     widths = [fit.delta_f_mhz for *_, fit in fitted]
     trend = window.fit_trend(sizes, widths)
     sigmas = _float_list(cfg, "sigmas") or EXTRAPOLATE_SIGMAS
-    ns = list(range(20, 1001, 5))
+    if len({f"{s:g}" for s in sigmas}) < len(sigmas):
+        raise UsageError("--sigmas names one yield_sigma column twice")
+    ns = range(20, 1001, 5)
+    if min(window.predict_delta_f(trend, ns[0]), window.predict_delta_f(trend, ns[-1])) <= 0.0:
+        raise UnfittableError(
+            f"window trend delta_f(N) = {trend.coeff_a:.2f} {trend.coeff_b_ln:+.3f} ln N reaches "
+            f"0 MHz at N = {math.exp(-trend.coeff_a / trend.coeff_b_ln):.0f}, so it cannot "
+            f"be extrapolated over {ns[0]} to {ns[-1]} qubits")
     rows = []
     for n in ns:
         df = window.predict_delta_f(trend, n)
-        rows.append([n, df, *(window.window_yield(df, s, n) for s in sigmas)])
-    run.write_csv("results.csv", ["n_qubits", "delta_f_mhz",
-                                  *(f"yield_sigma{s:g}" for s in sigmas)], rows)
+        rows.append({"n_qubits": n, "delta_f_mhz": df,
+                     **{f"yield_sigma{s:g}": window.window_yield(df, s, n) for s in sigmas}})
+    run.write_csv("results.csv", rows)
     run.write_json("results.json", {
         "trend": {"coeff_a": trend.coeff_a, "coeff_b_ln": trend.coeff_b_ln,
                   "coeff_b_log10": trend.coeff_b_log10, "rms_residual_mhz": trend.rms_residual_mhz,
@@ -456,7 +468,7 @@ def cmd_extrapolate(cfg: dict) -> int:
                         "delta_f_1000_mhz": window.predict_delta_f(trend, 1000)},
     })
     run.write_text("plot.svg", svgchart.line_chart(
-        [(f"sigma {s:g} MHz", ns, [r[2 + i] for r in rows]) for i, s in enumerate(sigmas)],
+        [(f"sigma {s:g} MHz", list(ns), [r[f"yield_sigma{s:g}"] for r in rows]) for s in sigmas],
         title="yield vs lattice size for the fitted window trend",
         x_label="qubits", y_label="yield"))
     run.finish()
@@ -493,8 +505,7 @@ def cmd_tune(cfg: dict) -> int:
     result = tunesim.run_campaign(records, model=model, policy=policy,
                                   master_seed=cfg["seed"], fit=fit, group_ids=group_ids)
     run = RunDir(cfg)
-    run.write_csv("results.csv", ["id", "step", "power", "duration_s", "resistance_ohm", "status"],
-                  tunesim.history_rows(result.records))
+    run.write_csv("results.csv", tunesim.history_rows(result.records))
     run.write_json("results.json", {
         "n_junctions": len(result.records),
         "n_converged": result.n_converged,
@@ -534,11 +545,10 @@ def cmd_fit_rn(cfg: dict) -> int:
     path = cfg["csv_path"]
     if not path:
         raise UsageError("--csv is required")
+    r, f = physics.load_resistance_frequency_csv(path)
+    fit = physics.fit_power_law(r, f, fix_exponent=cfg["fix_exponent"])
     run = RunDir(cfg)
     run.note_input(path)
-    r, f = physics.load_resistance_frequency_csv(path)
-    fix = cfg["fix_exponent"]
-    fit = physics.fit_power_law(r, f, fix_exponent=None if np.isnan(fix) else fix)
     run.write_json("results.json", {"prefactor": fit.prefactor, "exponent": fit.exponent,
                                     "residual_std_mhz": fit.residual_std_mhz, "n": fit.n_points})
     grid = np.geomspace(float(r.min()) * 0.98, float(r.max()) * 1.02, 80)
@@ -557,7 +567,11 @@ def cmd_fit_rn(cfg: dict) -> int:
 def _replayed_value(opt: Option, value):
     """A manifest value as its option's converter would give it: a float
     setting takes an int or a float (as a float), every other type only
-    itself (so no bool for an int), and None only where it is the default."""
+    itself (so no bool for an int), and None only where it is the default.
+    Manifests written while a free ``--fix-exponent`` defaulted to NaN record
+    it as NaN; that reads as unset."""
+    if opt.dest == "fix_exponent" and isinstance(value, float) and math.isnan(value):
+        value = None
     if value is None and opt.default is None:
         return None
     if type(value) in ((int, float) if opt.type is float else (opt.type,)):

@@ -178,17 +178,36 @@ def grouped_sigma(frequency_ghz, group_ids) -> GroupedScatter:
     return GroupedScatter(group_medians_ghz=medians, pooled_sigma_mhz=pooled, n_points=int(f.size))
 
 
+def _float_or_none(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
 def load_resistance_frequency_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a two-column CSV (resistance_ohm, frequency_ghz), header optional."""
+    """Read a two-column CSV (resistance_ohm, frequency_ghz).
+
+    Blank lines and lines starting with ``#`` are skipped.  The first other
+    line is a header if none of its cells is a number; every other line must
+    hold exactly two finite numbers, or an InputError names the line.
+    """
     rows = []
+    first = True
     with Path(path).open(newline="") as fh:
-        for rec in csv.reader(fh):
-            if not rec or rec[0].strip().startswith("#"):
+        reader = csv.reader(fh)
+        for rec in reader:
+            if not "".join(rec).strip() or rec[0].lstrip().startswith("#"):
                 continue
-            try:
-                rows.append((float(rec[0]), float(rec[1])))
-            except ValueError:
+            values = [_float_or_none(cell) for cell in rec]
+            if first and all(v is None for v in values):
+                first = False
                 continue  # header line
+            first = False
+            if len(values) != 2 or not all(v is not None and math.isfinite(v) for v in values):
+                raise InputError(f"{path} line {reader.line_num}: expected two finite numbers, "
+                                 f"got {','.join(rec)!r}")
+            rows.append(values)
     if not rows:
         raise InputError(f"no numeric rows in {path}")
     arr = np.array(rows, dtype=float)

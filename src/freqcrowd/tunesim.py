@@ -299,13 +299,15 @@ def run_campaign(records, *, model: AnnealResponseModel | None = None,
 
 
 def history_rows(records):
-    """Flatten anneal histories to (id, step, power, duration_s,
-    resistance_ohm, status) rows; step 0 is the as-fabricated state."""
+    """Flatten anneal histories to row dicts keyed id, step, power,
+    duration_s, resistance_ohm and status; step 0 is the as-fabricated state."""
     rows = []
     for rec in records:
-        rows.append((rec.junction_id, 0, 0.0, 0.0, rec.r_initial_ohm, rec.status))
-        for k, st in enumerate(rec.steps, start=1):
-            rows.append((rec.junction_id, k, st.power, st.duration_s, st.r_after_ohm, rec.status))
+        states = [(0.0, 0.0, rec.r_initial_ohm)]
+        states += [(st.power, st.duration_s, st.r_after_ohm) for st in rec.steps]
+        for k, (power, duration_s, r_ohm) in enumerate(states):
+            rows.append({"id": rec.junction_id, "step": k, "power": power,
+                         "duration_s": duration_s, "resistance_ohm": r_ohm, "status": rec.status})
     return rows
 
 

@@ -27,6 +27,18 @@ def read_bytes(root, command, name, filename):
         return fh.read()
 
 
+def read_csv(root, command, name="default"):
+    """A results.csv as its header and one column-keyed dict of cells per row."""
+    lines = read_bytes(root, command, name, "results.csv").decode().splitlines()
+    header = lines[0].split(",")
+    return header, [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def as_cells(row):
+    """A JSON row as the CSV cells the CLI writes for it."""
+    return {k: cli._cell(v) for k, v in row.items()}
+
+
 def synth_sweep_csv(path, family, distance, n_qubits, width_mhz,
                     sigmas=(8.0, 12.0, 16.0, 20.0, 24.0, 28.0, 32.0, 40.0)):
     lines = ["family,distance,n_qubits,sigma_f_mhz,yield"]
@@ -132,6 +144,20 @@ class TestSweepCommand:
         assert header[:8] == ["family", "distance", "n_qubits", "sigma_f_mhz",
                               "spacing_mhz", "trials", "mean_collisions", "yield"]
         assert len(csv_text.splitlines()) == 3  # header + two sigma points
+
+    def test_csv_rows_are_the_json_points_spread(self, tmp_path):
+        assert cli.main(self.ARGS + ["--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path, "sweep")
+        assert header == ["family", "distance", "n_qubits", "sigma_f_mhz", "spacing_mhz",
+                          "trials", "mean_collisions", "yield", "mean_type1", "mean_type2",
+                          "mean_type3", "mean_type4", "mean_type5", "mean_type6", "mean_type7"]
+        points = read_json(tmp_path, "sweep")["points"]
+        assert len(rows) == len(points) == 2
+        for row, point in zip(rows, points):
+            means = point.pop("per_type_means")
+            assert len(means) == 7
+            point.update((f"mean_type{t}", m) for t, m in enumerate(means, start=1))
+            assert row == as_cells(point)
 
     def test_no_wall_clock_leaks_into_outputs(self, tmp_path):
         assert cli.main(self.ARGS + ["--out", str(tmp_path)]) == 0
@@ -260,6 +286,17 @@ class TestFitWindowCommand:
         manifest = read_json(tmp_path, "fit-window", filename="manifest.json")
         assert src in manifest["inputs_sha256"]
 
+    def test_csv_rows_are_the_json_fits(self, tmp_path):
+        srcs = [synth_sweep_csv(tmp_path / f"hh{d}.csv", "heavy_hexagon", d, n, w)
+                for d, n, w in ((3, 23, 31.61), (5, 65, 29.91))]
+        assert cli.main(["fit-window", "--sweep-csv", ",".join(srcs), "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path, "fit-window")
+        assert header == ["family", "distance", "n_qubits", "delta_f_mhz", "residual",
+                          "n_points_used", "n_points_dropped"]
+        fits = read_json(tmp_path, "fit-window")["fits"]
+        assert len(rows) == len(fits) == 2
+        assert rows == [as_cells(fit) for fit in fits]
+
     def test_missing_columns(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("family,sigma\nx,1\n")
@@ -283,6 +320,16 @@ def test_missing_sweep_csv_is_usage_error(tmp_path, capsys, command):
     assert cli.main([command, "--out", str(tmp_path)]) == 2
     assert "--sweep-csv is required" in capsys.readouterr().err
     assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize("sigmas", ["14,14", "14,14.0000001"])
+def test_extrapolate_sigmas_name_each_column_once(tmp_path, capsys, sigmas):
+    srcs = [synth_sweep_csv(tmp_path / f"hh{d}.csv", "heavy_hexagon", d, n, w)
+            for d, n, w in ((3, 23, 31.61), (5, 65, 29.91))]
+    assert cli.main(["extrapolate", "--sweep-csv", ",".join(srcs), "--sigmas", sigmas,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "error: --sigmas names one yield_sigma column twice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_json_results_reject_non_finite_values(tmp_path):
@@ -316,8 +363,23 @@ class TestExtrapolateCommand:
         assert payload["predictions"]["delta_f_1000_mhz"] == pytest.approx(26.32, abs=0.1)
         csv_lines = read_bytes(tmp_path, "extrapolate", "default", "results.csv").decode().splitlines()
         assert csv_lines[0].split(",")[:2] == ["n_qubits", "delta_f_mhz"]
+        assert csv_lines[0] == ("n_qubits,delta_f_mhz,yield_sigma14,yield_sigma12,"
+                                "yield_sigma10,yield_sigma8,yield_sigma6")
         assert len(csv_lines) == 1 + len(range(20, 1001, 5))
         assert "delta_f(300)" in capsys.readouterr().out
+
+    def test_trend_reaching_zero_is_unfittable(self, tmp_path, capsys):
+        """A wide small lattice and a narrow larger one give a trend that
+        reaches 0 MHz inside 20 to 1000 qubits; the error names where."""
+        srcs = [synth_sweep_csv(tmp_path / "hh3.csv", "heavy_hexagon", 3, 23, 30.99),
+                synth_sweep_csv(tmp_path / "sq5.csv", "square", 5, 49, 12.74)]
+        assert cli.main(["extrapolate", "--sweep-csv", ",".join(srcs),
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: window trend delta_f(N) = ")
+        assert "reaches 0 MHz at N = 83," in err and "20 to 1000 qubits" in err
+        assert "delta_f must be positive" not in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestTuneCommand:
@@ -392,13 +454,25 @@ class TestFitRnCommand:
         assert rc == 0
         assert read_json(tmp_path, "fit-rn")["exponent"] == -0.5
 
-    @pytest.mark.parametrize("exponent", ["inf", "-inf"])
+    @pytest.mark.parametrize("exponent", ["inf", "-inf", "nan"])
     def test_non_finite_fixed_exponent_writes_nothing(self, tmp_path, capsys, exponent):
         src = self.write_pairs(tmp_path / "rn.csv", [(7000.0, 2.2), (9000.0, 1.9)])
         rc = cli.main(["fit-rn", "--csv", src, f"--fix-exponent={exponent}",
                        "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "error: fixed exponent must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad_line", ["7500", "7500,1.9x", "7500,nan"],
+                             ids=["one-column", "typo", "nan"])
+    def test_bad_row_is_an_error_naming_its_line(self, tmp_path, capsys, bad_line):
+        src = tmp_path / "rn.csv"
+        src.write_text("resistance_ohm,frequency_ghz\n6000,2.31\n7000,2.15\n"
+                       f"{bad_line}\n9000,1.90\n")
+        assert cli.main(["fit-rn", "--csv", str(src), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src} line 4: expected two finite numbers, got '{bad_line}'")
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_too_few_rows_is_runtime_error(self, tmp_path, capsys):
@@ -451,7 +525,8 @@ class TestConfigPrecedence:
 
 
 # resolve_config with no flags, environment or INI file, as recorded in
-# manifest.json since the first release; rerun replays these snapshots
+# manifest.json since the first release (fit-rn recorded an unset
+# fix_exponent as NaN until it became None); rerun replays these snapshots
 COMMON = {"name": "default", "out": "out", "seed": 0}
 MANIFEST_DEFAULTS = {
     "lattice": {"distance": None, "family": None},
@@ -464,7 +539,7 @@ MANIFEST_DEFAULTS = {
     "tune": {"converge_band": 0.003, "fractional_sigma": 0.046, "junctions": 31,
              "max_anneals": 50, "median_ohm": 7600.0, "noise_sigma": 0.1,
              "residual_std_mhz": 14.5, "step_fraction": 0.5, "target_spread": ""},
-    "fit-rn": {"csv_path": None, "fix_exponent": "nan"},
+    "fit-rn": {"csv_path": None, "fix_exponent": None},
     "rerun": {"manifest": "m.json"},
 }
 
@@ -473,8 +548,6 @@ MANIFEST_DEFAULTS = {
 def test_resolved_defaults_match_recorded_manifests(command):
     argv = [command, "m.json"] if command == "rerun" else [command]
     cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
-    if "fix_exponent" in cfg:
-        cfg["fix_exponent"] = str(cfg["fix_exponent"])
     assert cfg == {"command": command, **COMMON, **MANIFEST_DEFAULTS[command]}
 
 
@@ -508,6 +581,25 @@ class TestRerunCommand:
         for fn in ("results.json", "plot.svg"):
             assert read_bytes(tmp_path / "a", "fit-rn", "r1", fn) == \
                 read_bytes(tmp_path / "b", "fit-rn", "r1", fn)
+
+    def test_replay_reads_a_nan_fixed_exponent_as_unset(self, tmp_path):
+        """Manifests written while a free exponent defaulted to NaN still
+        replay to the same results."""
+        rows = [(r, 165.0 * r ** -0.48) for r in (6000.0, 7500.0, 9000.0)]
+        src = TestFitRnCommand.write_pairs(tmp_path / "rn.csv", rows)
+        assert cli.main(["fit-rn", "--csv", src, "--out", str(tmp_path / "a")]) == 0
+        manifest = read_json(tmp_path / "a", "fit-rn", filename="manifest.json")
+        assert manifest["config"]["fix_exponent"] is None
+        manifest["config"]["fix_exponent"] = float("nan")
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(manifest))
+        assert '"fix_exponent": NaN' in old.read_text()
+        assert cli.main(["rerun", str(old), "--out", str(tmp_path / "b")]) == 0
+        for fn in ("results.json", "plot.svg"):
+            assert read_bytes(tmp_path / "a", "fit-rn", "default", fn) == \
+                read_bytes(tmp_path / "b", "fit-rn", "default", fn)
+        replayed = read_json(tmp_path / "b", "fit-rn", filename="manifest.json")
+        assert replayed["config"]["fix_exponent"] is None
 
     def test_replay_sweep(self, tmp_path):
         args = ["sweep", "--family", "square", "-d", "3", "--sigmas", "10,30",
@@ -621,6 +713,36 @@ class TestRerunCommand:
     def test_missing_manifest(self, tmp_path):
         assert cli.main(["rerun", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path)]) == 2
+
+
+def test_every_json_file_is_standard_json(tmp_path):
+    """No command writes NaN or Infinity, which RFC 8259 JSON lacks:
+    results.json and manifest.json alike, for every command."""
+    sweeps = [synth_sweep_csv(tmp_path / f"hh{d}.csv", "heavy_hexagon", d, n, w)
+              for d, n, w in ((3, 23, 31.61), (5, 65, 29.91), (7, 127, 29.29))]
+    rn = TestFitRnCommand.write_pairs(tmp_path / "rn.csv",
+                                      [(r, 180.0 * r ** -0.5) for r in (6000.0, 7000.0, 8000.0)])
+    out = tmp_path / "out"
+    for argv in (["lattice", "--family", "heavy_hexagon", "-d", "3"],
+                 ["check", "--family", "square", "-d", "5", "--sigma-mhz", "30"],
+                 ["sweep", "--family", "heavy_hexagon", "-d", "3", "--sigmas", "0,14,150",
+                  "--trials", "50"],
+                 ["sweep", "--reproduce-table2", "--trials", "50", "--name", "t2"],
+                 ["fit-window", "--sweep-csv", ",".join(sweeps)],
+                 ["extrapolate", "--sweep-csv", ",".join(sweeps)],
+                 ["tune", "--junctions", "20", "--target-spread", "0.4:14.5"],
+                 ["fit-rn", "--csv", rn],
+                 ["rerun", str(out / "fit-rn" / "default" / "manifest.json"), "--name", "replay"]):
+        assert cli.main(argv + ["--out", str(out)]) == 0, argv
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    runs = sorted(p.parent for p in out.rglob("manifest.json"))
+    assert len(runs) == 9
+    assert {run.parent.name for run in runs} == set(cli._COMMANDS) - {"rerun"}
+    for path in out.rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=refuse)
 
 
 def test_unknown_command_exits_via_argparse():

@@ -157,3 +157,24 @@ def test_csv_loader_rejects_empty(tmp_path):
     p.write_text("resistance_ohm,frequency_ghz\n")
     with pytest.raises(InputError):
         physics.load_resistance_frequency_csv(p)
+
+
+def test_csv_loader_takes_a_header_only_on_the_first_line(tmp_path):
+    """Comments and blank lines are skipped, but still counted in the line
+    number an error names."""
+    p = tmp_path / "rn.csv"
+    p.write_text("# wafer 3\n\nresistance_ohm,frequency_ghz\n8000,5.7\n"
+                 "resistance_ohm,frequency_ghz\n9000,5.4\n")
+    with pytest.raises(InputError, match=r"rn.csv line 5: expected two finite numbers"):
+        physics.load_resistance_frequency_csv(p)
+    p.write_text("# wafer 3\n8000,5.7\n9000,5.4\n")
+    r, f = physics.load_resistance_frequency_csv(p)
+    assert r.tolist() == [8000.0, 9000.0] and f.tolist() == [5.7, 5.4]
+
+
+@pytest.mark.parametrize("bad", ["7500", "7500,1.9x", "7500,inf", "7500,1.9,2", "x,1.9"])
+def test_csv_loader_rejects_a_row_without_two_finite_numbers(tmp_path, bad):
+    p = tmp_path / "rn.csv"
+    p.write_text(f"8000,5.7\n{bad}\n")
+    with pytest.raises(InputError, match=r"line 2: "):
+        physics.load_resistance_frequency_csv(p)

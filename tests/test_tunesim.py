@@ -270,9 +270,12 @@ def test_history_rows_shape():
     tunesim.run_campaign(recs, master_seed=11)
     rows = tunesim.history_rows(recs)
     assert len(rows) == 5 + sum(len(rec.steps) for rec in recs)
+    assert all(list(row) == ["id", "step", "power", "duration_s", "resistance_ohm", "status"]
+               for row in rows)
     by_id = {}
-    for rid, step, power, duration, r_ohm, status in rows:
-        by_id.setdefault(rid, []).append((step, power, duration, r_ohm, status))
+    for row in rows:
+        by_id.setdefault(row["id"], []).append(
+            (row["step"], row["power"], row["duration_s"], row["resistance_ohm"], row["status"]))
     for rec in recs:
         hist = by_id[rec.junction_id]
         assert hist[0] == (0, 0.0, 0.0, rec.r_initial_ohm, rec.status)
