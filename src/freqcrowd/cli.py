@@ -391,6 +391,12 @@ def _read_sweep_csv(path: str):
                 yld = float(row["yield"])
             except (TypeError, ValueError) as exc:
                 raise InputError(f"{path} row {lineno}: {exc}") from exc
+            if key[2] < 1:
+                raise InputError(f"{path} row {lineno}: n_qubits {key[2]} is not >= 1")
+            if not 0.0 <= sigma < math.inf:
+                raise InputError(f"{path} row {lineno}: sigma_f_mhz {sigma} is not finite and >= 0")
+            if not 0.0 <= yld <= 1.0:
+                raise InputError(f"{path} row {lineno}: yield {yld} is not in [0, 1]")
             curves.setdefault(key, []).append((sigma, yld))
     if not curves:
         raise InputError(f"{path}: no data rows")
@@ -481,6 +487,8 @@ def cmd_extrapolate(cfg: dict) -> int:
 
 def cmd_tune(cfg: dict) -> int:
     """Simulate an adaptive resistance-trimming campaign."""
+    if cfg["junctions"] < 1:
+        raise UsageError("--junctions must be >= 1")
     fit = physics.PowerLawFit(prefactor=tunesim.default_wafer_fit().prefactor, exponent=-0.5,
                               residual_std_mhz=cfg["residual_std_mhz"], n_points=31,
                               exponent_fixed=True)

@@ -25,7 +25,8 @@ erfc(-x / sqrt(2))`` on ``math.erfc``) is the package's one normal CDF, so
 freqcrowd needs numpy alone.  Pattern set points repeat their differences
 (square d=7's 25-spacing stack has 4200 pair differences but 68 distinct
 values), so each distinct member difference is scored once and the
-probabilities are scattered back to every member before they are summed.
+probabilities are scattered back to every member before they are summed; a
+sweep scores its whole sigma x spacing grid in one call, finding them once.
 
 Note on type 4: the gate wants the target 01 frequency inside the open
 interval (f12_c, f01_c).  Only falling off the *low* side (control-target
@@ -199,16 +200,14 @@ def count_collisions(lattice: Lattice, f01_mhz, rules: CollisionRules = DEFAULT_
 
 
 
-_SQRT_HALF = math.sqrt(0.5)
-_ndtr_elementwise = np.frompyfunc(lambda x: 0.5 * math.erfc(-x * _SQRT_HALF), 1, 1)
-
-
 def ndtr(x) -> np.ndarray:
     """The standard normal CDF, elementwise, as a float array (0-d included).
 
     ``erfc`` of the negated argument keeps the lower tail's relative
     precision, and its subnormal values too, down to x = -38.5."""
-    return np.asarray(_ndtr_elementwise(x), dtype=float)
+    arg = np.asarray(x, dtype=float) * -math.sqrt(0.5)
+    erfc = np.fromiter(map(math.erfc, arg.ravel().tolist()), dtype=float, count=arg.size)
+    return 0.5 * erfc.reshape(arg.shape)
 
 
 def _p_between(mean, sd, lo, hi):
@@ -237,7 +236,7 @@ def _distinct(values: np.ndarray):
     return uniq, inverse.reshape(values.shape)
 
 
-def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz: float,
+def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz,
                     rules: CollisionRules = DEFAULT_RULES) -> np.ndarray:
     """Expected count of each type when every qubit gets N(0, sigma**2) scatter.
 
@@ -245,13 +244,14 @@ def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz: float,
     sigma*sqrt(2)), a spectator window f_i - f_k (sd sigma*sqrt(2)) or
     2*f_j - f_i - f_k (sd sigma*sqrt(6)).  At zero scatter this is the count
     at the set points themselves, strict windows included.  Each window's
-    probability is computed once per distinct difference.
+    probability is computed once per distinct difference and sigma.
 
     Args:
         index: precomputed arrays from :func:`build_index`.
         set_points_mhz: array [..., n_qubits]; leading axes stack set points
             (one row per pattern spacing, say).
-        sigma_mhz: per-qubit frequency scatter, MHz.
+        sigma_mhz: per-qubit scatter, MHz; a 1-d sequence adds a leading sigma
+            axis whose slices equal each sigma's own call, bit for bit.
         rules: the anharmonicity the windows use.
 
     Returns:
@@ -260,26 +260,35 @@ def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz: float,
     sp = np.asarray(set_points_mhz, dtype=float)
     if sp.ndim == 0 or sp.shape[-1] != index.n_qubits:
         raise InputError(f"set points must have {index.n_qubits} columns")
-    check_sigma(sigma_mhz)
+    if np.ndim(sigma_mhz) > 1:
+        raise InputError("sigma must be a number or a 1-d sequence")
+    sigmas = np.asarray(sigma_mhz, dtype=float).reshape(-1)
+    for sigma in sigmas.tolist():
+        check_sigma(sigma)
     lead = sp.shape[:-1]
-    if sigma_mhz == 0.0:
+    out = np.empty((sigmas.size, *lead, 7))
+    if (exact := sigmas == 0.0).any():
         counts = count_collisions_batch(index, sp.reshape(-1, index.n_qubits), rules)
-        return counts.reshape(*lead, 7).astype(float)
+        out[exact] = counts.reshape(*lead, 7)
 
     a = rules.anharmonicity_mhz
-    s2 = sigma_mhz * math.sqrt(2.0)
+    scattered = np.flatnonzero(~exact)
+    s2 = sigmas[scattered, None] * math.sqrt(2.0)
     d, d_of = _distinct(sp[..., index.edge_control] - sp[..., index.edge_target])
     dik, dik_of = _distinct(sp[..., index.tri_i] - sp[..., index.tri_k])
     m7, m7_of = _distinct(2.0 * sp[..., index.tri_j] + a
                           - sp[..., index.tri_i] - sp[..., index.tri_k])
-    per_member = (
+    per_member = (  # probabilities [sigma, distinct difference], and each member's column
         (_p_between(d, s2, -NN_DEGENERATE_MHZ, NN_DEGENERATE_MHZ), d_of),
         (_p_between(d, s2, (-TWO_PHOTON_MHZ - a) / 2.0, (TWO_PHOTON_MHZ - a) / 2.0), d_of),
         (_p_either(d, s2, a, NN_EXCITED_MHZ), d_of),
         (ndtr((d + a) / s2), d_of),
         (_p_between(dik, s2, -SPECTATOR_DEGENERATE_MHZ, SPECTATOR_DEGENERATE_MHZ), dik_of),
         (_p_either(dik, s2, a, SPECTATOR_EXCITED_MHZ), dik_of),
-        (_p_between(m7, sigma_mhz * math.sqrt(6.0),
+        (_p_between(m7, sigmas[scattered, None] * math.sqrt(6.0),
                     -SPECTATOR_TWO_PHOTON_MHZ, SPECTATOR_TWO_PHOTON_MHZ), m7_of),
     )
-    return np.stack([p[of].sum(axis=-1) for p, of in per_member], axis=-1)
+    # one sigma's [spacing, member] gather and sum at a time: the layout a lone sigma sums
+    for k, i in enumerate(scattered):
+        out[i] = np.stack([p[k][of].sum(axis=-1) for p, of in per_member], axis=-1)
+    return out if np.ndim(sigma_mhz) else out[0]

@@ -24,7 +24,8 @@ with E the expected collision total at the chosen spacing, is at least
 :data:`BOOST_MIN_SURVIVORS`.  The choice never looks at the Monte Carlo
 sample, so the reported statistics are not flattered by having picked the
 luckiest spacing on them.  :func:`sweep_sigma` and :func:`table_row` (the summary table the
-CLI prints and the acceptance gate checks) are both built from it.
+CLI prints and the acceptance gate checks) are both built from it; a sweep
+scores its whole sigma x spacing grid once, before its first point.
 """
 from __future__ import annotations
 
@@ -159,11 +160,12 @@ def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: flo
                      master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
                      rules: CollisionRules = DEFAULT_RULES, index: CollisionIndex | None = None,
                      deviates: np.ndarray | None = None, pilot: list | None = None,
-                     expected: list | None = None) -> SweepPoint:
+                     expected: list | None = None, totals: np.ndarray | None = None) -> SweepPoint:
     """Measure the grid spacing with the fewest expected collisions.
 
     Every grid spacing is scored by :func:`collision.expected_counts` in one
-    call; ties go to the smaller spacing, so at zero scatter (where the
+    call, unless ``totals`` already holds their expected collision totals at
+    this sigma; ties go to the smaller spacing, so at zero scatter (where the
     expectation is the exact count) this is the smallest collision-free
     spacing in the grid.  The choice does not depend on ``master_seed``,
     ``trials`` or ``deviates``: only the returned point, from
@@ -176,8 +178,11 @@ def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: flo
     if not grid:
         raise ParameterError("spacing grid is empty")
     idx = index if index is not None else build_index(lattice)
-    totals = expected_counts(idx, set_points_mhz(lattice, pattern, grid), sigma_mhz,
-                             rules).sum(axis=-1)
+    if totals is None:
+        totals = expected_counts(idx, set_points_mhz(lattice, pattern, grid), sigma_mhz,
+                                 rules).sum(axis=-1)
+    elif len(totals) != len(grid):
+        raise ParameterError("totals must hold one expected total per grid spacing")
     total, best = min(zip(totals.tolist(), grid))
     if expected is not None:
         expected.append(total)
@@ -225,12 +230,14 @@ class AdaptiveTrials:
 def operating_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float,
                     policy: AdaptiveTrials, master_seed: int = 0, *, index: CollisionIndex,
                     deviates: np.ndarray, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
-                    rules: CollisionRules = DEFAULT_RULES) -> SweepPoint:
+                    rules: CollisionRules = DEFAULT_RULES,
+                    totals: np.ndarray | None = None) -> SweepPoint:
     """One reported operating point: measure the spacing :func:`optimize_spacing`
     picks at the policy's base trials, then extend that pilot when the policy
     asks for more trials, given the pilot's yield and the expected collision
     total at that spacing (already computed by the search, so the boost gate
-    costs no further scoring).  A one-element grid measures that spacing alone.
+    costs no further scoring; ``totals`` is passed on to it).  A one-element
+    grid measures that spacing alone.
 
     ``deviates`` holds at least ``policy.max_trials`` rows from
     :func:`gaussian_deviates`, shared by the pilot and the boost.  The boost
@@ -242,7 +249,7 @@ def operating_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: floa
     rows, expected = [], []
     pt = optimize_spacing(lattice, pattern, sigma_mhz, n0, master_seed, spacing_grid=spacing_grid,
                           rules=rules, index=index, deviates=deviates, pilot=rows,
-                          expected=expected)
+                          expected=expected, totals=totals)
     n1 = policy.boost_trials(lattice.distance, pt.yield_fraction, expected[0])
     if n1 > n0:
         pt = run_point(lattice, pattern.with_spacing(pt.spacing_mhz), sigma_mhz, n1, master_seed,
@@ -256,15 +263,19 @@ def sweep_sigma(lattice: Lattice, pattern: FrequencyPattern, sigma_grid=DEFAULT_
                 rules: CollisionRules = DEFAULT_RULES) -> list:
     """Sweep the scatter level, re-optimising the spacing per point.
 
-    Each point is an :func:`operating_point`; a one-element
-    ``spacing_grid`` keeps that spacing at every point.
+    Each point is an :func:`operating_point`, given its sigma's row of one
+    :func:`expected_counts` call over the whole sigma x spacing grid, made
+    before any deviate is drawn; a one-element ``spacing_grid`` keeps that
+    spacing at every point.
     """
     policy = trials_policy if trials_policy is not None else AdaptiveTrials()
+    sigmas = [float(s) for s in sigma_grid]
     idx = build_index(lattice)
+    scores = expected_counts(idx, set_points_mhz(lattice, pattern, spacing_grid), sigmas, rules)
     z = gaussian_deviates(master_seed, policy.max_trials(lattice.distance), lattice.n_qubits)
-    return [operating_point(lattice, pattern, float(sigma), policy, master_seed, index=idx,
-                            deviates=z, spacing_grid=spacing_grid, rules=rules)
-            for sigma in sigma_grid]
+    return [operating_point(lattice, pattern, sigma, policy, master_seed, index=idx, deviates=z,
+                            spacing_grid=spacing_grid, rules=rules, totals=score.sum(axis=-1))
+            for sigma, score in zip(sigmas, scores)]
 
 
 def table_row(lattice: Lattice, pattern: FrequencyPattern, policy: AdaptiveTrials,

@@ -322,6 +322,31 @@ def test_missing_sweep_csv_is_usage_error(tmp_path, capsys, command):
     assert not (tmp_path / command).exists()
 
 
+@pytest.mark.parametrize("command", ["fit-window", "extrapolate"])
+@pytest.mark.parametrize("cells, named", [
+    ("17,nan,0.5", "sigma_f_mhz nan is not finite and >= 0"),
+    ("17,inf,0.5", "sigma_f_mhz inf is not finite and >= 0"),
+    ("17,-20,0.5", "sigma_f_mhz -20.0 is not finite and >= 0"),
+    ("17,12,nan", "yield nan is not in [0, 1]"),
+    ("17,12,1.7", "yield 1.7 is not in [0, 1]"),
+    ("17,12,-0.1", "yield -0.1 is not in [0, 1]"),
+    ("0,12,0.5", "n_qubits 0 is not >= 1"),
+], ids=["nan-sigma", "inf-sigma", "negative-sigma", "nan-yield", "yield-above-1",
+        "negative-yield", "no-qubits"])
+def test_bad_sweep_row_is_an_error_naming_its_line(tmp_path, capsys, command, cells, named):
+    """A sweep row the fit would drop without a word, or fit with no qubits,
+    is an input error."""
+    bad = tmp_path / "bad.csv"
+    bad.write_text("family,distance,n_qubits,sigma_f_mhz,yield\n"
+                   "square,3,17,8,0.9\nsquare,3,17,10,0.6\n"
+                   f"square,3,{cells}\nsquare,3,17,16,0.1\n")
+    assert cli.main([command, "--sweep-csv", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} row 4: {named}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("sigmas", ["14,14", "14,14.0000001"])
 def test_extrapolate_sigmas_name_each_column_once(tmp_path, capsys, sigmas):
     srcs = [synth_sweep_csv(tmp_path / f"hh{d}.csv", "heavy_hexagon", d, n, w)
@@ -410,6 +435,13 @@ class TestTuneCommand:
 
     def test_odd_junction_count_needs_spread(self, tmp_path):
         assert cli.main(["tune", "--junctions", "40", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("junctions", ["0", "-3"])
+    def test_junction_count_names_its_option(self, tmp_path, capsys, junctions):
+        assert cli.main(["tune", "--junctions", junctions, "--target-spread", "0.4:14.5",
+                         "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: --junctions must be >= 1")
+        assert not (tmp_path / "tune").exists()
 
     def test_bad_policy_is_runtime_error(self, tmp_path):
         assert cli.main(["tune", "--step-fraction", "0", "--out", str(tmp_path)]) == 1

@@ -1,4 +1,6 @@
 """Window semantics per type, brute-force parity, and the expected counts."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -303,6 +305,54 @@ def test_ndtr_matches_scipy():
     assert collision.ndtr(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
     tail = collision.ndtr(np.array([-37.8, -38.0]))
     assert (ndtr(np.array([-37.8, -38.0])) == 0.0).all() and (tail > 0.0).all()
+
+
+def test_ndtr_is_the_scalar_formula_bit_for_bit():
+    """Each element is ``0.5 * math.erfc(-x * sqrt(0.5))`` exactly, infinities,
+    a 0-d input and the subnormal lower tail included."""
+    x = np.concatenate([np.linspace(-40.0, 40.0, 20_001), np.linspace(-38.5, -38.3, 2001),
+                        [-np.inf, np.inf, -0.0, 5e-324, -1e-300]])
+    want = np.array([0.5 * math.erfc(-v * math.sqrt(0.5)) for v in x.tolist()])
+    assert np.array_equal(collision.ndtr(x).view(np.int64), want.view(np.int64))
+    assert 0.0 < collision.ndtr(-38.4) < np.finfo(float).tiny
+    grid = x[:12].reshape(3, 4)
+    assert np.array_equal(collision.ndtr(grid), want[:12].reshape(3, 4))
+    zero_d = collision.ndtr(np.float64(-1.5))
+    assert zero_d.shape == () and zero_d == 0.5 * math.erfc(1.5 * math.sqrt(0.5))
+
+
+def test_sigma_vector_equals_stacked_scalar_calls(nine_lattices):
+    """One call over the default sigma grid (zero included) equals the
+    scalar calls stacked, bit for bit, on every lattice's spacing stack."""
+    sigmas = list(mc.DEFAULT_SIGMA_GRID_MHZ)
+    for lat in nine_lattices.values():
+        idx = collision.build_index(lat)
+        sp = spacing_stack(lat, mc.DEFAULT_SPACING_GRID_MHZ)
+        got = collision.expected_counts(idx, sp, sigmas)
+        want = np.stack([collision.expected_counts(idx, sp, s) for s in sigmas])
+        assert got.shape == (len(sigmas), len(mc.DEFAULT_SPACING_GRID_MHZ), 7)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (lat.family, lat.distance)
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+def test_sigma_vector_rejects_any_bad_sigma(hh3, monkeypatch, bad):
+    """A bad sigma anywhere in the vector is refused before any scoring."""
+    idx = collision.build_index(hh3)
+    sp = lattice.set_points_mhz(hh3, lattice.FrequencyPattern())
+    monkeypatch.setattr(collision, "count_collisions_batch", None)
+    for sigmas in ([bad, 14.0], [0.0, 14.0, bad]):
+        with pytest.raises(ParameterError, match="sigma must be >= 0"):
+            collision.expected_counts(idx, sp, sigmas)
+
+
+def test_sigma_vector_shapes(hh3):
+    idx = collision.build_index(hh3)
+    sp = spacing_stack(hh3, (30.0, 65.0, 150.0))
+    assert collision.expected_counts(idx, sp, []).shape == (0, 3, 7)
+    assert collision.expected_counts(idx, sp[0], np.array([])).shape == (0, 7)
+    assert collision.expected_counts(idx, sp, (0.0,)).shape == (1, 3, 7)
+    with pytest.raises(InputError, match="1-d"):
+        collision.expected_counts(idx, sp, [[14.0]])
 
 
 def member_expected_counts(lat, set_points, sigma, anharmonicity):

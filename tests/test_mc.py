@@ -1,5 +1,6 @@
 """Sampling contract, batch independence, and spacing selection."""
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -356,12 +357,14 @@ def test_sweep_boosts_where_a_survivor_can_be_found(hh3, monkeypatch):
 
 def test_sweep_enters_each_sigma_through_run_point_or_optimize_spacing(hh3, monkeypatch):
     """Per-sigma timings mark a point's start at its first run_point or
-    optimize_spacing call, so no other work at that sigma may come first."""
+    optimize_spacing call.  The sweep scores its whole sigma x spacing grid
+    in one expected_counts call before the first point, as set-up, so no
+    scoring runs between one sigma's entry and the next."""
     events = []
 
     def recorded(kind, fn):
         def call(*args, **kwargs):
-            events.append((kind, float(args[2])))
+            events.append((kind, args[2]))
             return fn(*args, **kwargs)
         return call
     monkeypatch.setattr(mc, "run_point", recorded("enter", mc.run_point))
@@ -369,11 +372,46 @@ def test_sweep_enters_each_sigma_through_run_point_or_optimize_spacing(hh3, monk
     monkeypatch.setattr(mc, "expected_counts", recorded("score", mc.expected_counts))
     sigmas = (0.0, 14.0, 150.0)
     mc.sweep_sigma(hh3, lattice.FrequencyPattern(), sigmas, master_seed=7)
-    first = {}
-    for kind, sigma in events:
-        first.setdefault(sigma, kind)
-    assert first == {s: "enter" for s in sigmas}
+    assert events[0] == ("score", list(sigmas))
+    assert all(kind == "enter" for kind, _ in events[1:])
     assert [s for k, s in events if k == "enter"] == [0.0, 0.0, 14.0, 14.0, 150.0, 150.0, 150.0]
+
+
+def test_optimize_spacing_takes_the_given_totals(hh3, monkeypatch):
+    """Totals already scored by the caller pick the spacing, with no scoring
+    of its own; they must give one total per grid spacing."""
+    monkeypatch.setattr(mc, "expected_counts", None)
+    grid = (40.0, 65.0, 90.0)
+    expected = []
+    pt = mc.optimize_spacing(hh3, lattice.FrequencyPattern(), 14.0, 50, 3, spacing_grid=grid,
+                             expected=expected, totals=np.array([2.0, 3.0, 1.5]))
+    assert (pt.spacing_mhz, expected) == (90.0, [1.5])
+    assert pt == mc.run_point(hh3, lattice.FrequencyPattern(spacing_mhz=90.0), 14.0, 50, 3)
+    with pytest.raises(ParameterError, match="one expected total per grid spacing"):
+        mc.optimize_spacing(hh3, lattice.FrequencyPattern(), 14.0, 50, 3, spacing_grid=grid,
+                            totals=np.array([2.0, 3.0]))
+
+
+def points_sha256(points):
+    """SHA-256 over every field of every SweepPoint, floats at full precision."""
+    h = hashlib.sha256()
+    for p in points:
+        h.update(repr(dataclasses.astuple(p)).encode())
+    return h.hexdigest()
+
+
+def test_sweep_points_are_pinned_bit_for_bit(hh3):
+    """Digests of the default heavy-hexagon d=3 sweep and of the square d=5
+    summary-table row (its tuned point boosts) at seed 1: a speed-up must
+    leave every field of every point unchanged."""
+    sweep = mc.sweep_sigma(hh3, lattice.FrequencyPattern(), master_seed=1)
+    assert points_sha256(sweep) == \
+        "4d458916da7a7aae0fa168cbe1feecfff4e9afdcaf04fdd4103a26e46cddebf8"
+    row = mc.table_row(lattice.build_lattice("square", 5), lattice.FrequencyPattern(),
+                       mc.AdaptiveTrials(), 1)
+    assert [p.trials for p in row] == [4000, 1000]
+    assert points_sha256(row) == \
+        "96174221f71f713c0f45e7d12d30446a7774928fd70f7f5471362015cb9f8073"
 
 
 def test_table_rows_on_one_shared_deviate_matrix(nine_lattices):
