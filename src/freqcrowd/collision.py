@@ -82,6 +82,12 @@ def check_sigma(sigma_mhz: float) -> None:
         raise ParameterError("sigma must be >= 0 and < inf")
 
 
+def check_count(name: str, value) -> None:
+    """Reject a count that is not an integer >= 1 (a bool, 2.5 or NaN)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CollisionIndex:
     """Precomputed integer index arrays for fast vectorised counting."""
@@ -112,27 +118,37 @@ def _violations(index: CollisionIndex, f: np.ndarray, rules: CollisionRules):
 
     ``mask`` is bool [n_batches, n_members]; ``members`` holds the node
     arrays of the edges (control, target) or triples (i, j, k) it indexes.
-    This is the one definition of the collision windows.
+    This is the one definition of the collision windows.  Temporaries are
+    reused in place once their mask is taken, so each window costs few passes.
     """
     a = rules.anharmonicity_mhz
     edges = (index.edge_control, index.edge_target)
     d = f[:, index.edge_control] - f[:, index.edge_target]
     ad = np.abs(d)
+    beyond = d >= -a  # type 4, taken before d is reused
     yield 1, ad < NN_DEGENERATE_MHZ, edges
-    yield 2, np.abs(2.0 * d + a) < TWO_PHOTON_MHZ, edges
+    # |2d + a| < w is |d + a/2| < w/2: halving commutes with rounding
+    d += 0.5 * a
+    yield 2, np.abs(d, out=d) < 0.5 * TWO_PHOTON_MHZ, edges
     # "|d - a| < w or |d + a| < w" is ||d| + a| < w: with a < 0 the disjunct
     # whose sign differs from d's is implied by the other, in floating point too
-    yield 3, np.abs(ad + a) < NN_EXCITED_MHZ, edges
-    yield 4, d >= -a, edges
+    ad += a
+    yield 3, np.abs(ad, out=ad) < NN_EXCITED_MHZ, edges
+    yield 4, beyond, edges
 
     triples = (index.tri_i, index.tri_j, index.tri_k)
     fi = f[:, index.tri_i]
     fk = f[:, index.tri_k]
-    dik = fi - fk
-    adik = np.abs(dik)
+    adik = fi - fk
+    np.abs(adik, out=adik)
     yield 5, adik < SPECTATOR_DEGENERATE_MHZ, triples
-    yield 6, np.abs(adik + a) < SPECTATOR_EXCITED_MHZ, triples
-    yield 7, np.abs(2.0 * f[:, index.tri_j] + a - fi - fk) < SPECTATOR_TWO_PHOTON_MHZ, triples
+    adik += a
+    yield 6, np.abs(adik, out=adik) < SPECTATOR_EXCITED_MHZ, triples
+    # f02_j = 2 f_j + a once per qubit, then gathered to the triples
+    m7 = (2.0 * f + a)[:, index.tri_j]
+    m7 -= fi
+    m7 -= fk
+    yield 7, np.abs(m7, out=m7) < SPECTATOR_TWO_PHOTON_MHZ, triples
 
 
 def count_collisions_batch(index: CollisionIndex, f01_mhz: np.ndarray,

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import (DEFAULT_RULES, CollisionIndex, CollisionRules, build_index,
-                        check_sigma, count_collisions_batch, expected_counts)
+                        check_count, check_sigma, count_collisions_batch, expected_counts)
 from .errors import ParameterError
 from .lattice import FrequencyPattern, Lattice, set_points_mhz
 
@@ -69,13 +69,14 @@ def gaussian_deviates(master_seed: int, n_trials: int, n_qubits: int) -> np.ndar
     rng = philox_rng(master_seed, [0, 0, 0, 0])
     # one generator, rewound for each row to counter [0, 0, 0, t] with an empty
     # buffer: the draws of a fresh generator per trial, for a fraction of the cost
-    state = rng.bit_generator.state
+    bits = rng.bit_generator
+    state = bits.state
     counter = state["state"]["counter"]
     z = np.empty((n_trials, n_qubits))
-    for t in range(n_trials):
+    for t, row in enumerate(z):
         counter[3] = t
-        rng.bit_generator.state = state
-        z[t] = rng.standard_normal(n_qubits)
+        bits.state = state
+        rng.standard_normal(out=row)
     return z
 
 
@@ -211,6 +212,10 @@ class AdaptiveTrials:
 
     base: int = 1000
     boost: int = 4000
+
+    def __post_init__(self):
+        for name in ("base", "boost"):
+            check_count(f"AdaptiveTrials.{name}", getattr(self, name))
 
     def base_trials(self, distance: int, sigma_mhz: float) -> int:
         return self.base

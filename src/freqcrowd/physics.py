@@ -25,6 +25,12 @@ MIN_EJ_EC_RATIO = 10.0
 DEFAULT_GAP_UEV = 180.0
 
 
+def _finite_positive(values) -> bool:
+    """Whether every entry is finite and > 0; NaN fails both comparisons."""
+    v = np.asarray(values, dtype=float)
+    return bool(np.all((v > 0.0) & (v < math.inf)))
+
+
 def transmon_f01_ghz(ej_ghz: float, ec_ghz: float) -> float:
     """Ground-to-first-excited transition frequency of a transmon.
 
@@ -36,11 +42,11 @@ def transmon_f01_ghz(ej_ghz: float, ec_ghz: float) -> float:
         f01 in GHz, from sqrt(8*EJ*EC) - EC.
 
     Raises:
-        ParameterError: if energies are non-positive or EJ/EC < 10, where
+        ParameterError: if energies are not finite and positive or EJ/EC < 10, where
             the asymptotic formula is no longer a good description.
     """
-    if ej_ghz <= 0.0 or ec_ghz <= 0.0:
-        raise ParameterError(f"energies must be positive, got EJ={ej_ghz}, EC={ec_ghz}")
+    if not _finite_positive([ej_ghz, ec_ghz]):
+        raise ParameterError(f"energies must be finite and positive, got EJ={ej_ghz}, EC={ec_ghz}")
     ratio = ej_ghz / ec_ghz
     if ratio < MIN_EJ_EC_RATIO:
         raise ParameterError(
@@ -57,10 +63,10 @@ def critical_current_na(resistance_ohm, gap_uev: float = DEFAULT_GAP_UEV):
     pi * gap * 1000 / (2 * Rn) nanoamps.
     """
     r = np.asarray(resistance_ohm, dtype=float)
-    if np.any(r <= 0.0):
-        raise ParameterError("resistance must be positive")
-    if gap_uev <= 0.0:
-        raise ParameterError("gap must be positive")
+    if not _finite_positive(r):
+        raise ParameterError("resistance must be finite and positive")
+    if not _finite_positive(gap_uev):
+        raise ParameterError("gap must be finite and positive")
     out = np.pi * gap_uev * 1000.0 / (2.0 * r)
     return float(out) if np.isscalar(resistance_ohm) else out
 
@@ -100,8 +106,8 @@ def fit_power_law(resistance_ohm, frequency_ghz, *, fix_exponent: float | None =
     f = np.asarray(frequency_ghz, dtype=float)
     if r.shape != f.shape or r.ndim != 1:
         raise InputError("resistance and frequency must be 1-d arrays of equal length")
-    if np.any(r <= 0.0) or np.any(f <= 0.0):
-        raise InputError("resistances and frequencies must be positive")
+    if not (_finite_positive(r) and _finite_positive(f)):
+        raise InputError("resistances and frequencies must be finite and positive")
     min_points = 2 if fix_exponent is not None else 3
     if r.size < min_points:
         raise InputError(f"need at least {min_points} points, got {r.size}")
@@ -128,8 +134,8 @@ def fit_power_law(resistance_ohm, frequency_ghz, *, fix_exponent: float | None =
 def predict_frequency_ghz(fit: PowerLawFit, resistance_ohm):
     """Evaluate the fitted power law at the given resistance(s)."""
     r = np.asarray(resistance_ohm, dtype=float)
-    if np.any(r <= 0.0):
-        raise ParameterError("resistance must be positive")
+    if not _finite_positive(r):
+        raise ParameterError("resistance must be finite and positive")
     out = fit.prefactor * r**fit.exponent
     return float(out) if np.isscalar(resistance_ohm) else out
 
@@ -137,8 +143,8 @@ def predict_frequency_ghz(fit: PowerLawFit, resistance_ohm):
 def target_resistance_ohm(fit: PowerLawFit, frequency_ghz):
     """Invert the fitted power law: resistance that lands on a wanted frequency."""
     f = np.asarray(frequency_ghz, dtype=float)
-    if np.any(f <= 0.0):
-        raise ParameterError("frequency must be positive")
+    if not _finite_positive(f):
+        raise ParameterError("frequency must be finite and positive")
     if fit.exponent == 0.0:
         raise ParameterError("zero exponent cannot be inverted")
     out = (f / fit.prefactor) ** (1.0 / fit.exponent)
@@ -167,6 +173,8 @@ def grouped_sigma(frequency_ghz, group_ids) -> GroupedScatter:
     g = np.asarray(group_ids)
     if f.shape != g.shape or f.ndim != 1 or f.size == 0:
         raise InputError("frequencies and group ids must be matching non-empty 1-d arrays")
+    if not _finite_positive(f):
+        raise InputError("frequencies must be finite and positive")
     medians: dict = {}
     dev = np.empty_like(f)
     for gid in np.unique(g):

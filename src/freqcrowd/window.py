@@ -18,16 +18,23 @@ from statistics import NormalDist, StatisticsError
 
 import numpy as np
 
-from .collision import ndtr
+from .collision import check_count, ndtr
 from .errors import ParameterError, SingularFitError, UnfittableError
+
+
+def _check_sizes(n_qubits) -> np.ndarray:
+    """Lattice sizes as a float array, each finite and >= 1."""
+    n = np.asarray(n_qubits, dtype=float)
+    if not np.all((n >= 1.0) & (n < np.inf)):
+        raise ParameterError("qubit counts must be finite and >= 1")
+    return n
 
 
 def window_yield(delta_f_mhz: float, sigma_f_mhz, n_qubits: int):
     """Survival fraction Phi(delta_f/sigma_f)**N; sigma 0 gives exactly 1."""
     if not delta_f_mhz > 0.0:
         raise ParameterError("delta_f must be positive")
-    if n_qubits < 1:
-        raise ParameterError("n_qubits must be >= 1")
+    check_count("n_qubits", n_qubits)
     sig = np.asarray(sigma_f_mhz, dtype=float)
     if not np.all(sig >= 0.0):
         raise ParameterError("sigma_f must be >= 0")
@@ -49,14 +56,20 @@ def fit_window(yield_curve, n_qubits: int) -> WindowFit:
     """Fit the window half-width to a Monte Carlo yield curve.
 
     Args:
-        yield_curve: iterable of (sigma_f_mhz, yield) pairs.
-        n_qubits: lattice size N in the model.
+        yield_curve: iterable of (sigma_f_mhz, yield) pairs, each sigma finite
+            and >= 0 and each yield in [0, 1].
+        n_qubits: lattice size N in the model, an integer >= 1.
 
     Points with yield exactly 0 or 1 carry no usable information (they sit
     on the sampling floor/ceiling) and are dropped; at least three informative
     points are required.
     """
+    check_count("n_qubits", n_qubits)
     pts = [(float(s), float(y)) for s, y in yield_curve]
+    for s, y in pts:
+        if not (0.0 <= s < np.inf and 0.0 <= y <= 1.0):
+            raise ParameterError(f"curve point ({s}, {y}) needs a finite sigma >= 0 "
+                                 "and a yield in [0, 1]")
     use = [(s, y) for s, y in pts if 0.0 < y < 1.0 and s > 0.0]
     if len(use) < 3:
         raise UnfittableError(f"need >= 3 points with yield strictly inside (0, 1), have {len(use)}")
@@ -93,13 +106,14 @@ class WindowTrend:
 
 
 def fit_trend(n_qubits_values, delta_f_values) -> WindowTrend:
-    """Least-squares line through (ln N, delta_f) pairs."""
-    n = np.asarray(n_qubits_values, dtype=float)
+    """Least-squares line through (ln N, delta_f) pairs: finite sizes >= 1
+    and finite, positive widths."""
+    n = _check_sizes(n_qubits_values)
     df = np.asarray(delta_f_values, dtype=float)
     if n.shape != df.shape or n.ndim != 1 or n.size < 2:
         raise ParameterError("need matching 1-d arrays with at least two points")
-    if np.any(n < 1):
-        raise ParameterError("qubit counts must be >= 1")
+    if not np.all((df > 0.0) & (df < np.inf)):
+        raise ParameterError("window widths must be finite and positive")
     x = np.log(n)
     sxx = float(np.sum((x - x.mean()) ** 2))
     if sxx == 0.0:
@@ -111,9 +125,7 @@ def fit_trend(n_qubits_values, delta_f_values) -> WindowTrend:
 
 
 def predict_delta_f(trend: WindowTrend, n_qubits) -> float:
-    n = np.asarray(n_qubits, dtype=float)
-    if np.any(n < 1):
-        raise ParameterError("n_qubits must be >= 1")
+    n = _check_sizes(n_qubits)
     out = trend.coeff_a + trend.coeff_b_ln * np.log(n)
     return float(out) if np.isscalar(n_qubits) else out
 
@@ -128,8 +140,7 @@ def required_sigma(delta_f_mhz: float, n_qubits: int, target_yield: float) -> fl
     """
     if not delta_f_mhz > 0.0:
         raise ParameterError("delta_f must be positive")
-    if n_qubits < 1:
-        raise ParameterError("n_qubits must be >= 1")
+    check_count("n_qubits", n_qubits)
     if not (0.0 < target_yield < 1.0):
         raise ParameterError("target_yield must be inside (0, 1)")
     floor = 0.5 ** n_qubits

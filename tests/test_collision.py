@@ -463,3 +463,62 @@ def test_absolute_frequency_invariance(offset):
     base = collision.count_collisions(lat, f).per_type
     moved = collision.count_collisions(lat, f + offset).per_type
     assert base == moved
+
+
+def _at_boundary(expr, nominal, target):
+    """The float within 4 ulps of ``nominal`` where ``expr`` is exactly
+    ``target``, with one ``nextafter`` either side of it."""
+    below = above = nominal
+    candidates = [nominal]
+    for _ in range(4):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        candidates += [below, above]
+    hit = next(x for x in candidates if expr(x) == target)
+    return [math.nextafter(hit, -math.inf), hit, math.nextafter(hit, math.inf)]
+
+
+@pytest.mark.parametrize("a", [-330.0, -330.1, -0.3, -5e-324])
+def test_kernel_equals_the_former_formulas_at_each_boundary(a):
+    """d, d_ik and 2 f_j + a - f_i - f_k placed exactly on every open window
+    boundary and one ulp either side: the kernel, which reuses its
+    temporaries in place, tests |d + a/2| and builds 2 f + a per qubit,
+    counts exactly what the formulas it replaced, written out here, count."""
+    # qubit 0 drives qubit 1, and (0, 1, 2) is a spectator triple
+    idx = collision.CollisionIndex(3, np.array([0]), np.array([1]),
+                                   np.array([0]), np.array([1]), np.array([2]))
+    rows = []
+    # row [x, 0, 0] makes d = d_ik = x
+    for expr, nominal, target in [
+        (lambda x: x, 17.0, 17.0), (lambda x: x, -17.0, -17.0),
+        (lambda x: 2.0 * x + a, (4.0 - a) / 2.0, 4.0),
+        (lambda x: 2.0 * x + a, (-4.0 - a) / 2.0, -4.0),
+        (lambda x: x, -a, -a),
+    ] + [(lambda x: abs(x) + a, sign * (w - a), w)
+         for w in (30.0, -30.0, 25.0, -25.0) for sign in (1.0, -1.0) if w - a > 0.0]:
+        rows += [[x, 0.0, 0.0] for x in _at_boundary(expr, nominal, target)]
+    # row [x, y, 0] makes 2 f_j + a - f_i - f_k = 2y + a - x; at y = -a/2 it is -x
+    for y in (-a / 2.0, 500.0):
+        for w in (17.0, -17.0):
+            rows += [[x, y, 0.0] for x in _at_boundary(lambda x: 2.0 * y + a - x - 0.0,
+                                                        2.0 * y + a - w, w)]
+    # and rows within a few ulps of it with every operand inexact, where a sum
+    # associated another way lands on the other side of the boundary
+    rng = np.random.default_rng(7)
+    fi, fk = rng.uniform(-400.0, 400.0, (2, 2000))
+    fj = (rng.choice([17.0, -17.0], 2000) - a + fi + fk) / 2.0
+    rows += np.stack([fi, fj, fk], axis=1).tolist()
+    f = np.array(rows)
+    d = f[:, 0] - f[:, 1]
+    dik = f[:, 0] - f[:, 2]
+    former = np.stack([
+        np.abs(d) < 17.0,
+        np.abs(2.0 * d + a) < 4.0,
+        np.abs(np.abs(d) + a) < 30.0,
+        d >= -a,
+        np.abs(dik) < 17.0,
+        np.abs(np.abs(dik) + a) < 25.0,
+        np.abs(2.0 * f[:, 1] + a - f[:, 0] - f[:, 2]) < 17.0,
+    ], axis=1)
+    assert former.any(axis=0).all() and not former.all(axis=0).any()
+    counts = collision.count_collisions_batch(idx, f, collision.CollisionRules(a))
+    assert np.array_equal(counts, former.astype(np.int64))

@@ -222,6 +222,17 @@ class TestTrialsPolicies:
         assert p.boost_trials(11, 0.0, 0.0) == 0        # unlisted distance
         assert p.max_trials(7) == 4000
 
+    @pytest.mark.parametrize("field", ["base", "boost"])
+    @pytest.mark.parametrize("bad", [0, -3, 10.5, 1000.0, True, "1000"])
+    def test_counts_are_integers_of_at_least_one(self, field, bad):
+        """Checked when the policy is built, not deep inside a sweep."""
+        with pytest.raises(ParameterError, match=f"AdaptiveTrials.{field}"):
+            mc.AdaptiveTrials(**{field: bad})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        p = mc.AdaptiveTrials(base=np.int64(200), boost=np.int32(400))
+        assert (p.base_trials(7, 132.3), p.max_trials(7)) == (200, 400)
+
     # E at which the boost expects exactly BOOST_MIN_SURVIVORS survivors
     EDGE_4000 = math.log(4000 / mc.BOOST_MIN_SURVIVORS)   # 12.9
     EDGE_240 = math.log(240 / mc.BOOST_MIN_SURVIVORS)     # 10.1
@@ -400,13 +411,16 @@ def points_sha256(points):
     return h.hexdigest()
 
 
-def test_sweep_points_are_pinned_bit_for_bit(hh3):
-    """Digests of the default heavy-hexagon d=3 sweep and of the square d=5
-    summary-table row (its tuned point boosts) at seed 1: a speed-up must
-    leave every field of every point unchanged."""
+def test_sweep_points_are_pinned_bit_for_bit(hh3, nine_lattices):
+    """Digests of the default heavy-hexagon d=3 and square d=7 sweeps and of
+    the square d=5 summary-table row (its tuned point boosts) at seed 1: a
+    speed-up must leave every field of every point unchanged."""
     sweep = mc.sweep_sigma(hh3, lattice.FrequencyPattern(), master_seed=1)
     assert points_sha256(sweep) == \
         "4d458916da7a7aae0fa168cbe1feecfff4e9afdcaf04fdd4103a26e46cddebf8"
+    sweep = mc.sweep_sigma(nine_lattices[("square", 7)], lattice.FrequencyPattern(), master_seed=1)
+    assert points_sha256(sweep) == \
+        "d604ffabf1bd94a1d061ba0355a9277b8a78bb1635593e08adf0ef6e2da8d641"
     row = mc.table_row(lattice.build_lattice("square", 5), lattice.FrequencyPattern(),
                        mc.AdaptiveTrials(), 1)
     assert [p.trials for p in row] == [4000, 1000]

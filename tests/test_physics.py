@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +20,13 @@ def test_transmon_frequency_closed_form():
 
 @pytest.mark.parametrize("ej,ec", [(0.0, 0.3), (10.0, 0.0), (-1.0, 0.3), (10.0, -0.2)])
 def test_transmon_frequency_rejects_nonpositive_energies(ej, ec):
+    with pytest.raises(ParameterError):
+        physics.transmon_f01_ghz(ej, ec)
+
+
+@pytest.mark.parametrize("ej,ec", [(math.nan, 0.3), (10.0, math.nan), (math.inf, 0.3),
+                                   (math.inf, math.inf)])
+def test_transmon_frequency_rejects_non_finite_energies(ej, ec):
     with pytest.raises(ParameterError):
         physics.transmon_f01_ghz(ej, ec)
 
@@ -51,6 +60,13 @@ def test_critical_current_rejects_bad_inputs():
         physics.critical_current_na(0.0)
     with pytest.raises(ParameterError):
         physics.critical_current_na(8800.0, gap_uev=-1.0)
+    for bad in (math.nan, math.inf):  # a NaN passes a plain "<= 0" test
+        with pytest.raises(ParameterError):
+            physics.critical_current_na(bad)
+        with pytest.raises(ParameterError):
+            physics.critical_current_na(np.array([8800.0, bad]))
+        with pytest.raises(ParameterError):
+            physics.critical_current_na(8800.0, gap_uev=bad)
 
 
 class TestPowerLawFit:
@@ -95,6 +111,14 @@ class TestPowerLawFit:
         with pytest.raises(InputError):
             physics.fit_power_law([7000.0, -1.0, 9000.0], [5.5, 5.6, 5.7])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_data(self, bad):
+        """A NaN passes a plain ``<= 0`` test, which once gave a NaN fit."""
+        with pytest.raises(InputError):
+            physics.fit_power_law([7000.0, bad, 9000.0], [5.5, 5.6, 5.7])
+        with pytest.raises(InputError):
+            physics.fit_power_law([7000.0, 8000.0, 9000.0], [5.5, bad, 5.7])
+
     @given(
         a=st.floats(100.0, 1000.0),
         p=st.floats(-1.0, -0.1),
@@ -115,6 +139,15 @@ def test_predict_and_invert_are_inverses():
     assert physics.target_resistance_ohm(fit, f) == pytest.approx(7984.0, rel=1e-12)
     # lower frequency target -> higher resistance (negative exponent)
     assert physics.target_resistance_ohm(fit, f - 0.2) > 7984.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_predict_and_invert_reject_non_finite_or_non_positive_inputs(bad):
+    fit = physics.PowerLawFit(prefactor=509.7, exponent=-0.5, residual_std_mhz=14.5, n_points=31)
+    with pytest.raises(ParameterError):
+        physics.predict_frequency_ghz(fit, np.array([7984.0, bad]))
+    with pytest.raises(ParameterError):
+        physics.target_resistance_ohm(fit, bad)
 
 
 def test_invert_rejects_zero_exponent():
@@ -142,6 +175,9 @@ def test_grouped_sigma_input_validation():
         physics.grouped_sigma([5.0, 5.1], [0])
     with pytest.raises(InputError):
         physics.grouped_sigma([], [])
+    for bad in (math.nan, math.inf, -5.0):  # a NaN once gave its group a NaN median
+        with pytest.raises(InputError):
+            physics.grouped_sigma([5.001, bad, 4.999], [0, 0, 0])
 
 
 def test_csv_loader_roundtrip(tmp_path):

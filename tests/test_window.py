@@ -49,6 +49,13 @@ class TestWindowYield:
         with pytest.raises(ParameterError):
             window.window_yield(30.0, 14.0, 0)
 
+    @pytest.mark.parametrize("n", [2.5, 65.0, math.nan, True])
+    def test_size_must_be_an_integer(self, n):
+        with pytest.raises(ParameterError, match="n_qubits"):
+            window.window_yield(30.0, 14.0, n)
+        with pytest.raises(ParameterError, match="n_qubits"):
+            window.required_sigma(30.0, n, 0.5)
+
     @settings(max_examples=50, deadline=None)
     @given(df=st.floats(1.0, 100.0), n=st.integers(1, 500))
     def test_monotone_in_sigma(self, df, n):
@@ -64,6 +71,23 @@ class TestWindowYield:
 
 
 class TestFitWindow:
+    CURVE = [(s, window.window_yield(29.91, s, 65)) for s in (8.0, 12.0, 16.0, 24.0)]
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, 65.0, math.nan, True])
+    def test_size_must_be_an_integer_of_at_least_one(self, n):
+        """Sizes 0 and -3 once fitted 0.20 and 277 MHz, and 2.5 fitted N = 2.5
+        but reported 2."""
+        with pytest.raises(ParameterError, match="n_qubits"):
+            window.fit_window(self.CURVE, n)
+
+    @pytest.mark.parametrize("point", [(math.inf, 0.5), (math.nan, 0.5), (-2.0, 0.5),
+                                       (10.0, math.nan), (10.0, 1.5), (10.0, -0.1)])
+    def test_curve_points_need_a_finite_sigma_and_a_yield_in_range(self, point):
+        with pytest.raises(ParameterError, match="curve point"):
+            window.fit_window(self.CURVE + [point], 65)
+
+    def test_numpy_integer_size_is_accepted(self):
+        assert window.fit_window(self.CURVE, np.int64(65)).n_qubits == 65
     def test_round_trip_recovers_width(self):
         true_df, n = 29.91, 65
         sigmas = np.arange(2.0, 61.0, 2.0)
@@ -168,6 +192,20 @@ class TestTrend:
             window.fit_trend([65, 0], [30.0, 29.0])
         with pytest.raises(ParameterError):
             window.predict_delta_f(self.fit(), 0)
+
+    @pytest.mark.parametrize("sizes, widths", [
+        ((23, math.nan, 127), WIDTHS), ((23, math.inf, 127), WIDTHS),
+        (SIZES, (31.61, math.inf, 29.29)), (SIZES, (31.61, math.nan, 29.29)),
+        (SIZES, (31.61, 0.0, 29.29))])
+    def test_sizes_and_widths_must_be_finite(self, sizes, widths):
+        """A NaN size or an infinite width once gave a NaN trend and a warning."""
+        with pytest.raises(ParameterError):
+            window.fit_trend(sizes, widths)
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, np.array([300.0, math.nan])])
+    def test_prediction_needs_finite_sizes(self, n):
+        with pytest.raises(ParameterError):
+            window.predict_delta_f(self.fit(), n)
 
     def test_vector_prediction(self):
         out = window.predict_delta_f(self.fit(), np.array([300, 1000]))
