@@ -350,9 +350,8 @@ def _sweep_table2(cfg: dict, spacing_grid) -> int:
     policy = _policy(cfg)
     lattices = [lattice.build_lattice(family, distance)
                 for family in lattice.FAMILIES for distance in (3, 5, 7)]
-    # one matrix for all nine: each lattice reads its own first n_qubits columns
-    z = mc.gaussian_deviates(cfg["seed"], max(policy.max_trials(lat.distance) for lat in lattices),
-                             max(lat.n_qubits for lat in lattices))
+    # one set of rows for all nine: each lattice reads its own first n_qubits columns
+    z = mc.DeviateRows(cfg["seed"], max(lat.n_qubits for lat in lattices))
     for lat in lattices:
         tuned, asfab = mc.table_row(lat, _pattern(cfg), policy, cfg["seed"],
                                     spacing_grid=spacing_grid, rules=_rules(cfg), deviates=z)

@@ -82,10 +82,10 @@ def check_sigma(sigma_mhz: float) -> None:
         raise ParameterError("sigma must be >= 0 and < inf")
 
 
-def check_count(name: str, value) -> None:
-    """Reject a count that is not an integer >= 1 (a bool, 2.5 or NaN)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+def check_count(name: str, value, least: int = 1) -> None:
+    """Reject a count that is not an integer >= ``least`` (a bool, 2.5 or NaN)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -151,6 +151,19 @@ def _violations(index: CollisionIndex, f: np.ndarray, rules: CollisionRules):
     yield 7, np.abs(m7, out=m7) < SPECTATOR_TWO_PHOTON_MHZ, triples
 
 
+def _checked_batch(index: CollisionIndex, f01_mhz) -> tuple:
+    """A batch as a checked float array [n_batches, n_qubits], and the rows
+    per block of the batched counters."""
+    f = np.asarray(f01_mhz, dtype=float)
+    if f.ndim == 1:
+        f = f[None, :]
+    if f.ndim != 2 or f.shape[1] != index.n_qubits:
+        raise InputError(f"frequencies must have {index.n_qubits} columns")
+    if not np.all(np.isfinite(f)):
+        raise InputError("frequencies must be finite")
+    return f, max(1, _BLOCK_ELEMENTS // max(1, index.edge_control.size + index.tri_i.size))
+
+
 def count_collisions_batch(index: CollisionIndex, f01_mhz: np.ndarray,
                            rules: CollisionRules = DEFAULT_RULES) -> np.ndarray:
     """Count collisions for a batch of frequency assignments.
@@ -164,20 +177,41 @@ def count_collisions_batch(index: CollisionIndex, f01_mhz: np.ndarray,
     Returns:
         int64 array [n_batches, 7]; column m holds the count of type m+1.
     """
-    f = np.asarray(f01_mhz, dtype=float)
-    if f.ndim == 1:
-        f = f[None, :]
-    if f.ndim != 2 or f.shape[1] != index.n_qubits:
-        raise InputError(f"frequencies must have {index.n_qubits} columns")
-    if not np.all(np.isfinite(f)):
-        raise InputError("frequencies must be finite")
-
+    f, rows = _checked_batch(index, f01_mhz)
     out = np.zeros((f.shape[0], 7), dtype=np.int64)
-    rows = max(1, _BLOCK_ELEMENTS // max(1, index.edge_control.size + index.tri_i.size))
     for lo in range(0, f.shape[0], rows):
         for t, mask, _ in _violations(index, f[lo:lo + rows], rules):
             out[lo:lo + rows, t - 1] = mask.sum(axis=1, dtype=np.int32)
     return out
+
+
+def tally_collisions(index: CollisionIndex, f01_mhz: np.ndarray,
+                     rules: CollisionRules = DEFAULT_RULES) -> tuple:
+    """Per-type collision totals of a batch, and its collision-free rows.
+
+    The column sums of :func:`count_collisions_batch` and the number of its
+    all-zero rows, without the per-row counts: each window's mask is counted
+    whole, and the rows it hits are noted only until every row of the block
+    has collided.  Arguments as for :func:`count_collisions_batch`.
+
+    Returns:
+        (int64 array [7], int); entry m of the array is the total of type m+1.
+    """
+    f, rows = _checked_batch(index, f01_mhz)
+    totals = np.zeros(7, dtype=np.int64)
+    survivors = 0
+    for lo in range(0, f.shape[0], rows):
+        block = f[lo:lo + rows]
+        hit = np.zeros(block.shape[0], dtype=bool)
+        clean = block.shape[0]
+        for t, mask, _ in _violations(index, block, rules):
+            n = np.count_nonzero(mask)
+            totals[t - 1] += n
+            if n and clean:
+                hit |= mask.any(axis=1)
+                clean = hit.size - np.count_nonzero(hit)
+        survivors += clean
+    return totals, int(survivors)
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,15 @@ the Philox stream keyed by s at counter [0, 0, 0, t] (:func:`philox_rng`)
 and qubit q takes position q of that draw.  Results are therefore
 independent of batching and of which sigma/spacing values are evaluated — a
 single deviate matrix can be reused across a whole sweep, since a trial's
-frequencies are just set_points + sigma * z.
+frequencies are just set_points + sigma * z.  A sweep draws its rows on
+demand (:class:`DeviateRows`): the base rows when its first point reads
+them, a boost's own rows only when a boost first reads them, each row once.
 
-A point is measured in two steps: per-row collision counts (int64
-[trials, 7], row t from deviate row t), then their summary, a
-:class:`SweepPoint`.  At zero scatter every row is the same assignment, so
-one counted row stands for all of them.
+A point is measured in two steps: a running :class:`Tally` of its deviate
+rows (per-type collision totals and collision-free rows, from
+:func:`~freqcrowd.collision.tally_collisions`), then its summary, a
+:class:`SweepPoint` of exact integer ratios.  At zero scatter every row is
+the same assignment, so one counted row stands for all of them.
 
 Every reported number comes from :func:`operating_point`: the spacing with
 the fewest *expected* collisions (exact, from
@@ -35,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import (DEFAULT_RULES, CollisionIndex, CollisionRules, build_index,
-                        check_count, check_sigma, count_collisions_batch, expected_counts)
+                        check_count, check_sigma, count_collisions_batch, expected_counts,
+                        tally_collisions)
 from .errors import ParameterError
 from .lattice import FrequencyPattern, Lattice, set_points_mhz
 
@@ -62,10 +66,13 @@ def philox_rng(master_seed: int, counter) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=master_seed, counter=counter))
 
 
-def gaussian_deviates(master_seed: int, n_trials: int, n_qubits: int) -> np.ndarray:
-    """Deviate matrix z[t, q] under the (seed, trial, qubit) contract."""
-    if n_trials <= 0 or n_qubits <= 0:
-        raise ParameterError("n_trials and n_qubits must be positive")
+def gaussian_deviates(master_seed: int, n_trials: int, n_qubits: int,
+                      first_trial: int = 0) -> np.ndarray:
+    """Deviate rows z[t - first_trial, q] of trials ``first_trial`` onwards,
+    under the (seed, trial, qubit) contract."""
+    check_count("n_trials", n_trials)
+    check_count("n_qubits", n_qubits)
+    check_count("first_trial", first_trial, least=0)
     rng = philox_rng(master_seed, [0, 0, 0, 0])
     # one generator, rewound for each row to counter [0, 0, 0, t] with an empty
     # buffer: the draws of a fresh generator per trial, for a fraction of the cost
@@ -73,11 +80,58 @@ def gaussian_deviates(master_seed: int, n_trials: int, n_qubits: int) -> np.ndar
     state = bits.state
     counter = state["state"]["counter"]
     z = np.empty((n_trials, n_qubits))
-    for t, row in enumerate(z):
+    for t, row in enumerate(z, start=first_trial):
         counter[3] = t
         bits.state = state
         rng.standard_normal(out=row)
     return z
+
+
+class DeviateRows:
+    """The deviate matrix of one master seed, drawn as points read it.
+
+    Rows past the last one drawn are drawn, in one :func:`gaussian_deviates`
+    chunk, the first time a point reads them; chunks are kept as drawn, never
+    concatenated, so a boost appends its own rows and each row is drawn once.
+    A lattice narrower than ``n_qubits`` reads the leading columns, which the
+    sampling contract makes its own deviates.
+    """
+
+    def __init__(self, master_seed: int, n_qubits: int):
+        check_seed(master_seed)
+        check_count("n_qubits", n_qubits)
+        self.master_seed = master_seed
+        self.n_qubits = n_qubits
+        self.chunks = []
+        self.rows = 0
+
+    def blocks(self, lo: int, hi: int, n_qubits: int) -> list:
+        """Rows [lo, hi) of the leading ``n_qubits`` columns, as views of the chunks."""
+        if hi > self.rows:
+            self.chunks.append(gaussian_deviates(self.master_seed, hi - self.rows,
+                                                 self.n_qubits, self.rows))
+            self.rows = hi
+        out, start = [], 0
+        for chunk in self.chunks:
+            stop = start + len(chunk)
+            if lo < stop and start < hi:
+                out.append(chunk[max(lo - start, 0):min(hi, stop) - start, :n_qubits])
+            start = stop
+        return out
+
+
+class Tally:
+    """A point's running collision counts over its leading deviate rows."""
+
+    def __init__(self):
+        self.totals = np.zeros(7, dtype=np.int64)  # types 1..7
+        self.survivors = 0  # collision-free rows
+        self.rows = 0
+
+    def add(self, totals: np.ndarray, survivors: int, rows: int) -> None:
+        self.totals += totals
+        self.survivors += survivors
+        self.rows += rows
 
 
 @dataclass(frozen=True)
@@ -97,70 +151,75 @@ class SweepPoint:
 
 
 def _summary(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float,
-             master_seed: int, counts: np.ndarray) -> SweepPoint:
-    """The :class:`SweepPoint` of per-row counts, int64 [trials, 7]."""
-    totals = counts.sum(axis=1)
+             master_seed: int, tally: Tally) -> SweepPoint:
+    """The :class:`SweepPoint` of a tally.  Each mean is a ratio of Python
+    integers, so it is the exactly rounded float, as the mean of the per-row
+    integer counts is."""
+    n = tally.rows
+    totals = tally.totals.tolist()
     return SweepPoint(
         family=lattice.family,
         distance=lattice.distance,
         n_qubits=lattice.n_qubits,
         sigma_mhz=float(sigma_mhz),
         spacing_mhz=float(pattern.spacing_mhz),
-        trials=int(counts.shape[0]),
+        trials=n,
         master_seed=int(master_seed),
-        yield_fraction=float(np.mean(totals == 0)),
-        mean_collisions=float(np.mean(totals)),
-        per_type_means=tuple(float(m) for m in counts.mean(axis=0)),
+        yield_fraction=tally.survivors / n,
+        mean_collisions=sum(totals) / n,
+        per_type_means=tuple(c / n for c in totals),
     )
 
 
 def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, trials: int,
               master_seed: int = 0, *, rules: CollisionRules = DEFAULT_RULES,
               index: CollisionIndex | None = None,
-              deviates: np.ndarray | None = None, pilot: list | None = None) -> SweepPoint:
+              deviates: DeviateRows | None = None, pilot: Tally | None = None) -> SweepPoint:
     """Monte Carlo statistics at one scatter level and pattern spacing.
 
-    Two steps: the per-row counts (int64 [trials, 7], row t from deviate row
-    t), then their summary.  At zero scatter every row is the set points
-    themselves, so one counted row stands for all of them (the rows are a
-    read-only broadcast of it).
+    Two steps: a :class:`Tally` of the first ``trials`` deviate rows (row t
+    gives trial t), then its summary.  At zero scatter every row is the set
+    points themselves, so one counted row stands for all of them.
 
-    ``deviates`` may carry a prebuilt matrix from :func:`gaussian_deviates`
-    with at least ``trials`` rows; the first ``trials`` rows are used.
-    ``pilot``, when given, is a list of per-row count arrays already taken at
+    ``deviates`` may carry the :class:`DeviateRows` of ``master_seed`` shared
+    by several points, at least ``lattice.n_qubits`` wide; rows not drawn yet
+    are drawn when read.  ``pilot``, when given, is a tally already taken at
     this sigma and spacing on the leading rows of the same deviates (empty
-    before the first pass).  Only the rows after them are counted, the new
-    rows are appended to it, and the point summarises all ``trials`` rows; so
-    a boost extends its pilot instead of recounting it.
+    before the first pass).  Only the rows after its own are counted, into
+    it, and the point summarises all ``trials`` rows; so a boost extends its
+    pilot instead of recounting it.
     """
     check_sigma(sigma_mhz)
-    if trials <= 0:
-        raise ParameterError("trials must be positive")
-    counted = [] if pilot is None else pilot
-    done = sum(len(c) for c in counted)
-    if done > trials:
+    check_count("trials", trials)
+    tally = Tally() if pilot is None else pilot
+    if tally.rows > trials:
         raise ParameterError("pilot has more rows than trials")
+    if deviates is None:
+        deviates = DeviateRows(master_seed, lattice.n_qubits)
+    elif deviates.master_seed != master_seed or deviates.n_qubits < lattice.n_qubits:
+        raise ParameterError("deviates must be drawn under master_seed, n_qubits wide or wider")
     idx = index if index is not None else build_index(lattice)
     sp = set_points_mhz(lattice, pattern)
-    if deviates is None:
-        deviates = gaussian_deviates(master_seed, trials, lattice.n_qubits)
-    elif deviates.shape[0] < trials or deviates.shape[1] != lattice.n_qubits:
-        raise ParameterError("deviate matrix too small for requested trials")
-    if trials > done:
-        if sigma_mhz == 0.0:
-            row = counted[0][:1] if counted else count_collisions_batch(idx, sp, rules)
-            counted.append(np.broadcast_to(row, (trials - done, 7)))
+    new = trials - tally.rows
+    if sigma_mhz == 0.0 and new:
+        if tally.rows:
+            row, clean = tally.totals // tally.rows, tally.survivors // tally.rows
         else:
-            f = sigma_mhz * deviates[done:trials]
+            row = count_collisions_batch(idx, sp, rules)[0]
+            clean = int(not row.any())
+        tally.add(row * new, clean * new, new)
+    elif new:
+        for z in deviates.blocks(tally.rows, trials, lattice.n_qubits):
+            f = sigma_mhz * z
             f += sp  # in place: one rows x qubits temporary instead of two
-            counted.append(count_collisions_batch(idx, f, rules))
-    return _summary(lattice, pattern, sigma_mhz, master_seed, np.concatenate(counted))
+            tally.add(*tally_collisions(idx, f, rules), len(z))
+    return _summary(lattice, pattern, sigma_mhz, master_seed, tally)
 
 
 def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, trials: int,
                      master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
                      rules: CollisionRules = DEFAULT_RULES, index: CollisionIndex | None = None,
-                     deviates: np.ndarray | None = None, pilot: list | None = None,
+                     deviates: DeviateRows | None = None, pilot: Tally | None = None,
                      expected: list | None = None, totals: np.ndarray | None = None) -> SweepPoint:
     """Measure the grid spacing with the fewest expected collisions.
 
@@ -171,7 +230,7 @@ def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: flo
     spacing in the grid.  The choice does not depend on ``master_seed``,
     ``trials`` or ``deviates``: only the returned point, from
     :func:`run_point` at that spacing, is sampled.  ``pilot`` is passed on
-    to :func:`run_point`, so it receives that point's per-row counts;
+    to :func:`run_point`, so it receives that point's tally;
     ``expected``, when given, is a list that receives the expected collision
     total at the chosen spacing.
     """
@@ -228,13 +287,10 @@ class AdaptiveTrials:
             return self.boost
         return 0
 
-    def max_trials(self, distance: int) -> int:
-        return max(self.base, self.boost)
-
 
 def operating_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float,
                     policy: AdaptiveTrials, master_seed: int = 0, *, index: CollisionIndex,
-                    deviates: np.ndarray, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
+                    deviates: DeviateRows, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
                     rules: CollisionRules = DEFAULT_RULES,
                     totals: np.ndarray | None = None) -> SweepPoint:
     """One reported operating point: measure the spacing :func:`optimize_spacing`
@@ -244,21 +300,21 @@ def operating_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: floa
     costs no further scoring; ``totals`` is passed on to it).  A one-element
     grid measures that spacing alone.
 
-    ``deviates`` holds at least ``policy.max_trials`` rows from
-    :func:`gaussian_deviates`, shared by the pilot and the boost.  The boost
-    counts only the rows after the pilot's and summarises all of them, so each
-    deviate row is counted once and the point equals :func:`run_point` at the
-    boost count.
+    ``deviates`` are the :class:`DeviateRows` shared by the pilot and the
+    boost: the boost draws only the rows no point has read yet.  The pilot's
+    :class:`Tally` is carried to the boost, which counts only the rows after
+    the pilot's and summarises all of them, so each deviate row is counted
+    once and the point equals :func:`run_point` at the boost count.
     """
     n0 = policy.base_trials(lattice.distance, sigma_mhz)
-    rows, expected = [], []
+    tally, expected = Tally(), []
     pt = optimize_spacing(lattice, pattern, sigma_mhz, n0, master_seed, spacing_grid=spacing_grid,
-                          rules=rules, index=index, deviates=deviates, pilot=rows,
+                          rules=rules, index=index, deviates=deviates, pilot=tally,
                           expected=expected, totals=totals)
     n1 = policy.boost_trials(lattice.distance, pt.yield_fraction, expected[0])
     if n1 > n0:
         pt = run_point(lattice, pattern.with_spacing(pt.spacing_mhz), sigma_mhz, n1, master_seed,
-                       rules=rules, index=index, deviates=deviates, pilot=rows)
+                       rules=rules, index=index, deviates=deviates, pilot=tally)
     return pt
 
 
@@ -271,13 +327,14 @@ def sweep_sigma(lattice: Lattice, pattern: FrequencyPattern, sigma_grid=DEFAULT_
     Each point is an :func:`operating_point`, given its sigma's row of one
     :func:`expected_counts` call over the whole sigma x spacing grid, made
     before any deviate is drawn; a one-element ``spacing_grid`` keeps that
-    spacing at every point.
+    spacing at every point.  The points share one :class:`DeviateRows`, so
+    the base rows are drawn once and boost rows only if a point boosts.
     """
     policy = trials_policy if trials_policy is not None else AdaptiveTrials()
     sigmas = [float(s) for s in sigma_grid]
     idx = build_index(lattice)
     scores = expected_counts(idx, set_points_mhz(lattice, pattern, spacing_grid), sigmas, rules)
-    z = gaussian_deviates(master_seed, policy.max_trials(lattice.distance), lattice.n_qubits)
+    z = DeviateRows(master_seed, lattice.n_qubits)
     return [operating_point(lattice, pattern, sigma, policy, master_seed, index=idx, deviates=z,
                             spacing_grid=spacing_grid, rules=rules, totals=score.sum(axis=-1))
             for sigma, score in zip(sigmas, scores)]
@@ -286,7 +343,7 @@ def sweep_sigma(lattice: Lattice, pattern: FrequencyPattern, sigma_grid=DEFAULT_
 def table_row(lattice: Lattice, pattern: FrequencyPattern, policy: AdaptiveTrials,
               master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
               rules: CollisionRules = DEFAULT_RULES,
-              deviates: np.ndarray | None = None) -> tuple:
+              deviates: DeviateRows | None = None) -> tuple:
     """The (tuned, as-fabricated) operating points of one lattice.
 
     The tuned-precision point optimises the spacing at
@@ -294,18 +351,12 @@ def table_row(lattice: Lattice, pattern: FrequencyPattern, policy: AdaptiveTrial
     ``AS_FABRICATED_SIGMA_MHZ`` on that same spacing, since a chip is laid
     out before anyone knows how well tuning will do.
 
-    ``deviates`` may carry a :func:`gaussian_deviates` matrix of
-    ``master_seed`` with at least ``policy.max_trials`` rows and at least
-    ``lattice.n_qubits`` columns, drawn for the widest of several lattices:
-    under the sampling contract its first ``lattice.n_qubits`` columns are
-    this lattice's own deviates, so the row is the same as without it.
+    ``deviates`` may carry the :class:`DeviateRows` of ``master_seed`` shared
+    by several lattices, as wide as the widest: under the sampling contract
+    its first ``lattice.n_qubits`` columns are this lattice's own deviates, so
+    the row is the same as without it, and each row is drawn once for all.
     """
-    n_trials = policy.max_trials(lattice.distance)
-    if deviates is None:
-        deviates = gaussian_deviates(master_seed, n_trials, lattice.n_qubits)
-    elif deviates.shape[0] < n_trials or deviates.shape[1] < lattice.n_qubits:
-        raise ParameterError("deviate matrix too small for this lattice and policy")
-    z = deviates[:, :lattice.n_qubits]
+    z = deviates if deviates is not None else DeviateRows(master_seed, lattice.n_qubits)
     idx = build_index(lattice)
     tuned = operating_point(lattice, pattern, TUNED_SIGMA_MHZ, policy, master_seed,
                             index=idx, deviates=z, spacing_grid=spacing_grid, rules=rules)

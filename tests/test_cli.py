@@ -1,4 +1,5 @@
 """End-to-end command-line behaviour: exit codes, files, reproducibility."""
+import hashlib
 import json
 import os
 import subprocess
@@ -265,6 +266,25 @@ def test_table2_rows_are_the_shared_operating_points(tmp_path, spacings):
                 family, distance, lat.n_qubits, fab.mean_collisions, tuned.spacing_mhz,
                 tuned.mean_collisions, tuned.yield_fraction, tuned.trials)))
     assert lines[1:] == expected
+
+
+def test_table2_draws_each_deviate_row_once_and_writes_the_pinned_csv(tmp_path, monkeypatch):
+    """At seed 1 only the square d=5 tuned point boosts: the nine lattices
+    share 1000 base rows, as wide as the widest, and that boost draws its own
+    3000 after them.  The CSV is byte-identical to the one written when all
+    4000 rows were drawn before the first lattice (sha256 pinned then)."""
+    draws, draw = [], mc.gaussian_deviates
+
+    def spy(seed, n_trials, n_qubits, first_trial=0):
+        draws.append((first_trial, n_trials, n_qubits))
+        return draw(seed, n_trials, n_qubits, first_trial)
+    monkeypatch.setattr(mc, "gaussian_deviates", spy)
+    assert cli.main(["sweep", "--reproduce-table2", "--seed", "1", "--out", str(tmp_path)]) == 0
+    widest = max(lattice.build_lattice(f, d).n_qubits for f in lattice.FAMILIES for d in (3, 5, 7))
+    assert draws == [(0, 1000, widest), (1000, 3000, widest)]
+    csv = read_bytes(tmp_path, "sweep", "default", "results.csv")
+    assert hashlib.sha256(csv).hexdigest() == \
+        "3b6f0e80be235abf36cc720259c95bda9637393cccaae3ad469e0f44471bf006"
 
 
 class TestFitWindowCommand:

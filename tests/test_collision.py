@@ -477,15 +477,15 @@ def _at_boundary(expr, nominal, target):
     return [math.nextafter(hit, -math.inf), hit, math.nextafter(hit, math.inf)]
 
 
-@pytest.mark.parametrize("a", [-330.0, -330.1, -0.3, -5e-324])
-def test_kernel_equals_the_former_formulas_at_each_boundary(a):
-    """d, d_ik and 2 f_j + a - f_i - f_k placed exactly on every open window
-    boundary and one ulp either side: the kernel, which reuses its
-    temporaries in place, tests |d + a/2| and builds 2 f + a per qubit,
-    counts exactly what the formulas it replaced, written out here, count."""
-    # qubit 0 drives qubit 1, and (0, 1, 2) is a spectator triple
-    idx = collision.CollisionIndex(3, np.array([0]), np.array([1]),
-                                   np.array([0]), np.array([1]), np.array([2]))
+# qubit 0 drives qubit 1, and (0, 1, 2) is a spectator triple
+BOUNDARY_INDEX = collision.CollisionIndex(3, np.array([0]), np.array([1]),
+                                          np.array([0]), np.array([1]), np.array([2]))
+
+
+def boundary_rows(a):
+    """Assignments of :data:`BOUNDARY_INDEX` that put d, d_ik and
+    2 f_j + a - f_i - f_k exactly on every open window boundary and one ulp
+    either side, then 2000 seeded rows within a few ulps of the type-7 one."""
     rows = []
     # row [x, 0, 0] makes d = d_ik = x
     for expr, nominal, target in [
@@ -507,7 +507,16 @@ def test_kernel_equals_the_former_formulas_at_each_boundary(a):
     fi, fk = rng.uniform(-400.0, 400.0, (2, 2000))
     fj = (rng.choice([17.0, -17.0], 2000) - a + fi + fk) / 2.0
     rows += np.stack([fi, fj, fk], axis=1).tolist()
-    f = np.array(rows)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("a", [-330.0, -330.1, -0.3, -5e-324])
+def test_kernel_equals_the_former_formulas_at_each_boundary(a):
+    """d, d_ik and 2 f_j + a - f_i - f_k placed exactly on every open window
+    boundary and one ulp either side: the kernel, which reuses its
+    temporaries in place, tests |d + a/2| and builds 2 f + a per qubit,
+    counts exactly what the formulas it replaced, written out here, count."""
+    f = boundary_rows(a)
     d = f[:, 0] - f[:, 1]
     dik = f[:, 0] - f[:, 2]
     former = np.stack([
@@ -520,5 +529,48 @@ def test_kernel_equals_the_former_formulas_at_each_boundary(a):
         np.abs(2.0 * f[:, 1] + a - f[:, 0] - f[:, 2]) < 17.0,
     ], axis=1)
     assert former.any(axis=0).all() and not former.all(axis=0).any()
-    counts = collision.count_collisions_batch(idx, f, collision.CollisionRules(a))
+    counts = collision.count_collisions_batch(BOUNDARY_INDEX, f, collision.CollisionRules(a))
     assert np.array_equal(counts, former.astype(np.int64))
+
+
+def assert_tally_is_the_batch_summary(index, f, rules=collision.DEFAULT_RULES):
+    counts = collision.count_collisions_batch(index, f, rules)
+    totals, survivors = collision.tally_collisions(index, f, rules)
+    assert totals.dtype == np.int64 and totals.shape == (7,)
+    assert totals.tolist() == counts.sum(axis=0).tolist()
+    assert type(survivors) is int and survivors == np.count_nonzero(counts.sum(axis=1) == 0)
+
+
+@pytest.mark.parametrize("sigma", [2.0, 14.0, 132.3])
+def test_tally_is_the_batch_counters_summary(nine_lattices, sigma):
+    """The reducer's totals are the batch counter's column sums and its
+    survivors the all-zero rows, on every lattice, for a batch of one row,
+    one block less a row, one block, and one block and a row."""
+    for lat in nine_lattices.values():
+        idx = collision.build_index(lat)
+        block = collision._BLOCK_ELEMENTS // (idx.edge_control.size + idx.tri_i.size)
+        sp = lattice.set_points_mhz(lat, lattice.FrequencyPattern())
+        z = mc.gaussian_deviates(41, block + 1, lat.n_qubits)
+        for n in (1, block - 1, block, block + 1):
+            assert_tally_is_the_batch_summary(idx, sp + sigma * z[:n])
+
+
+@pytest.mark.parametrize("a", [-330.0, -330.1, -0.3, -5e-324])
+def test_tally_is_the_batch_counters_summary_at_each_boundary(a):
+    f = boundary_rows(a)
+    assert_tally_is_the_batch_summary(BOUNDARY_INDEX, f, collision.CollisionRules(a))
+    # every row on its own: a row that collides once, or not at all
+    for row in f[::97]:
+        assert_tally_is_the_batch_summary(BOUNDARY_INDEX, row, collision.CollisionRules(a))
+
+
+def test_tally_checks_its_batch_and_counts_an_edgeless_lattice(hh3):
+    idx = collision.build_index(hh3)
+    with pytest.raises(InputError, match="columns"):
+        collision.tally_collisions(idx, np.zeros((2, hh3.n_qubits + 1)))
+    with pytest.raises(InputError, match="finite"):
+        collision.tally_collisions(idx, np.full((2, hh3.n_qubits), np.nan))
+    nodes = tuple(lattice.QubitNode(q, q, 0, "data", "target", 1) for q in range(3))
+    empty = collision.build_index(lattice.Lattice("isolated", 3, nodes, ()))
+    totals, survivors = collision.tally_collisions(empty, np.full((5, 3), 5000.0))
+    assert (totals.tolist(), survivors) == ([0] * 7, 5)

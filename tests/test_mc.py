@@ -45,6 +45,39 @@ def test_deviates_rejects_empty(bad):
         mc.gaussian_deviates(1, *bad)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, float("nan")])
+@pytest.mark.parametrize("name", ["n_trials", "n_qubits", "first_trial"])
+def test_deviates_reject_non_integer_counts(name, bad):
+    """A count that is not an integer is named, not left to numpy."""
+    args = {"n_trials": 2, "n_qubits": 3, "first_trial": 0, name: bad}
+    with pytest.raises(ParameterError, match=name):
+        mc.gaussian_deviates(1, **args)
+
+
+def test_deviates_from_a_first_trial():
+    """Rows drawn from trial 5 on are those rows of a draw from trial 0; the
+    first trial may be 0 but not negative."""
+    z = mc.gaussian_deviates(7, 12, 17)
+    assert np.array_equal(mc.gaussian_deviates(7, 7, 17, first_trial=5), z[5:])
+    assert np.array_equal(mc.gaussian_deviates(7, 12, 17, first_trial=0), z)
+    with pytest.raises(ParameterError, match="first_trial must be an integer >= 0"):
+        mc.gaussian_deviates(7, 2, 17, first_trial=-1)
+
+
+def test_deviate_rows_draw_each_row_once_and_keep_their_chunks(monkeypatch):
+    """Rows past the last drawn are drawn when first read, from that trial on;
+    chunks are kept as drawn, and a narrower reader gets the leading columns."""
+    z = mc.gaussian_deviates(3, 40, 25)
+    calls = _spy_deviate_draws(monkeypatch)
+    rows = mc.DeviateRows(3, 25)
+    assert [b.shape for b in rows.blocks(0, 10, 25)] == [(10, 25)]
+    got = rows.blocks(4, 40, 9)
+    assert [len(b) for b in got] == [6, 30]
+    assert np.array_equal(np.concatenate(got), z[4:40, :9])
+    assert rows.blocks(10, 40, 25)[0].base is rows.chunks[1]
+    assert calls == [(0, 10), (10, 30)] and rows.rows == 40
+
+
 @pytest.mark.parametrize("seed", [-1, 2**128])
 def test_deviates_reject_seed_outside_philox_key_range(seed):
     with pytest.raises(ParameterError, match="master seed"):
@@ -93,12 +126,17 @@ def test_run_point_metadata_and_yield_granularity(hh3):
 
 
 def test_prebuilt_deviates_equivalent_to_seed(hh3):
+    """Shared rows of the same seed give the same point, and grow as needed;
+    rows of another seed or narrower than the lattice are refused."""
     pattern = lattice.FrequencyPattern(spacing_mhz=40.0)
-    z = mc.gaussian_deviates(11, 500, hh3.n_qubits)
+    z = mc.DeviateRows(11, hh3.n_qubits + 4)
     assert mc.run_point(hh3, pattern, 14.0, 200, 11) == mc.run_point(
         hh3, pattern, 14.0, 200, 11, deviates=z)
-    with pytest.raises(ParameterError):
-        mc.run_point(hh3, pattern, 14.0, 501, 11, deviates=z)
+    assert mc.run_point(hh3, pattern, 14.0, 501, 11, deviates=z) == mc.run_point(
+        hh3, pattern, 14.0, 501, 11)
+    for bad in (mc.DeviateRows(12, hh3.n_qubits), mc.DeviateRows(11, hh3.n_qubits - 1)):
+        with pytest.raises(ParameterError, match="deviates must be drawn under master_seed"):
+            mc.run_point(hh3, pattern, 14.0, 10, 11, deviates=bad)
 
 
 def test_run_point_validation(hh3):
@@ -108,27 +146,41 @@ def test_run_point_validation(hh3):
             mc.run_point(hh3, pattern, bad, 10)
     with pytest.raises(ParameterError):
         mc.run_point(hh3, pattern, 14.0, 0)
-    z = mc.gaussian_deviates(3, 20, hh3.n_qubits)
-    rows = []
-    mc.run_point(hh3, pattern, 14.0, 20, 3, deviates=z, pilot=rows)
+    z = mc.DeviateRows(3, hh3.n_qubits)
+    tally = mc.Tally()
+    mc.run_point(hh3, pattern, 14.0, 20, 3, deviates=z, pilot=tally)
     with pytest.raises(ParameterError, match="pilot has more rows"):
-        mc.run_point(hh3, pattern, 14.0, 10, 3, deviates=z, pilot=rows)
+        mc.run_point(hh3, pattern, 14.0, 10, 3, deviates=z, pilot=tally)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, float("nan")])
+def test_run_point_rejects_non_integer_trials(hh3, bad):
+    with pytest.raises(ParameterError, match="trials must be an integer >= 1"):
+        mc.run_point(hh3, lattice.FrequencyPattern(), 10.0, bad, 1)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 30.0])
-def test_run_point_extends_its_pilot(hh3, sigma):
+def test_run_point_extends_its_pilot(hh3, monkeypatch, sigma):
     """Counting 300 rows, then extending them to 800, gives the 800-row point,
-    with every row counted once."""
+    with every row counted once: the tally holds the batch counter's column
+    sums and all-zero rows over all 800, and at zero scatter one counted row
+    stands for all of them."""
     pattern = lattice.FrequencyPattern(spacing_mhz=35.0)
-    z = mc.gaussian_deviates(12, 800, hh3.n_qubits)
-    rows = []
-    pilot = mc.run_point(hh3, pattern, sigma, 300, 12, deviates=z, pilot=rows)
-    assert pilot == mc.run_point(hh3, pattern, sigma, 300, 12, deviates=z)
-    extended = mc.run_point(hh3, pattern, sigma, 800, 12, deviates=z, pilot=rows)
-    assert extended == mc.run_point(hh3, pattern, sigma, 800, 12, deviates=z)
-    assert [len(r) for r in rows] == [300, 500]
-    assert np.array_equal(np.concatenate(rows), collision.count_collisions_batch(
-        collision.build_index(hh3), lattice.set_points_mhz(hh3, pattern) + sigma * z))
+    z = mc.DeviateRows(12, hh3.n_qubits)
+    tally = mc.Tally()
+    rows = _tally_kernel_rows(monkeypatch)
+    pilot = mc.run_point(hh3, pattern, sigma, 300, 12, deviates=z, pilot=tally)
+    extended = mc.run_point(hh3, pattern, sigma, 800, 12, deviates=z, pilot=tally)
+    assert rows == ([1] if sigma == 0.0 else [300, 500])
+    monkeypatch.undo()
+    assert pilot == mc.run_point(hh3, pattern, sigma, 300, 12)
+    assert extended == mc.run_point(hh3, pattern, sigma, 800, 12)
+    counts = collision.count_collisions_batch(
+        collision.build_index(hh3),
+        lattice.set_points_mhz(hh3, pattern) + sigma * mc.gaussian_deviates(12, 800, hh3.n_qubits))
+    assert tally.rows == 800
+    assert tally.totals.tolist() == counts.sum(axis=0).tolist()
+    assert tally.survivors == np.count_nonzero(counts.sum(axis=1) == 0)
 
 
 def test_optimize_spacing_matches_manual_grid_scan(hh3):
@@ -168,7 +220,7 @@ def test_optimize_spacing_ignores_the_sample(hh3):
     pattern = lattice.FrequencyPattern()
     chosen = {mc.optimize_spacing(hh3, pattern, 24.0, n, seed).spacing_mhz
               for seed in (0, 1, 2, 3) for n in (100, 400)}
-    z = mc.gaussian_deviates(5, 50, hh3.n_qubits)
+    z = mc.DeviateRows(5, hh3.n_qubits)
     chosen.add(mc.optimize_spacing(hh3, pattern, 24.0, 50, 5, deviates=z).spacing_mhz)
     assert len(chosen) == 1
 
@@ -210,7 +262,6 @@ class TestTrialsPolicies:
         p = mc.AdaptiveTrials(base=250, boost=250)
         assert p.base_trials(5, 14.0) == 250
         assert p.boost_trials(5, 0.0, 0.0) <= p.base_trials(5, 14.0)    # never re-runs
-        assert p.max_trials(5) == 250
 
     def test_adaptive_boosts_only_rare_survivors(self):
         p = mc.AdaptiveTrials()
@@ -220,7 +271,6 @@ class TestTrialsPolicies:
         assert p.boost_trials(5, 0.009, 0.0) == 4000
         assert p.boost_trials(5, 0.5, 0.0) == 0
         assert p.boost_trials(11, 0.0, 0.0) == 0        # unlisted distance
-        assert p.max_trials(7) == 4000
 
     @pytest.mark.parametrize("field", ["base", "boost"])
     @pytest.mark.parametrize("bad", [0, -3, 10.5, 1000.0, True, "1000"])
@@ -231,7 +281,7 @@ class TestTrialsPolicies:
 
     def test_numpy_integer_counts_are_accepted(self):
         p = mc.AdaptiveTrials(base=np.int64(200), boost=np.int32(400))
-        assert (p.base_trials(7, 132.3), p.max_trials(7)) == (200, 400)
+        assert (p.base_trials(7, 132.3), p.boost_trials(7, 0.0, 0.0)) == (200, 400)
 
     # E at which the boost expects exactly BOOST_MIN_SURVIVORS survivors
     EDGE_4000 = math.log(4000 / mc.BOOST_MIN_SURVIVORS)   # 12.9
@@ -287,17 +337,48 @@ def test_sweep_sigma_shares_deviates_across_points(hh3):
 
 
 def _tally_kernel_rows(monkeypatch):
-    """Patch the kernel where ``mc`` and ``collision`` call it; return the
-    list that collects the row count of every call."""
-    rows, kernel = [], collision.count_collisions_batch
+    """Patch both counters, the batch counter and the reducer, where ``mc``
+    and ``collision`` call them; return the list that collects the row count
+    of every call."""
+    rows = []
 
-    def tally(index, f01_mhz, *args, **kwargs):
-        out = kernel(index, f01_mhz, *args, **kwargs)
-        rows.append(out.shape[0])
-        return out
-    monkeypatch.setattr(mc, "count_collisions_batch", tally)
-    monkeypatch.setattr(collision, "count_collisions_batch", tally)
+    def spy(name):
+        kernel = getattr(collision, name)
+
+        def counted(index, f01_mhz, *args, **kwargs):
+            rows.append(np.atleast_2d(f01_mhz).shape[0])
+            return kernel(index, f01_mhz, *args, **kwargs)
+        for module in (mc, collision):
+            monkeypatch.setattr(module, name, counted)
+    spy("count_collisions_batch")
+    spy("tally_collisions")
     return rows
+
+
+def _spy_deviate_draws(monkeypatch):
+    """Patch ``mc.gaussian_deviates``; return the list that collects the
+    (first trial, rows) of every draw."""
+    draws, draw = [], mc.gaussian_deviates
+
+    def spy(seed, n_trials, n_qubits, first_trial=0):
+        draws.append((first_trial, n_trials))
+        return draw(seed, n_trials, n_qubits, first_trial)
+    monkeypatch.setattr(mc, "gaussian_deviates", spy)
+    return draws
+
+
+def test_sweeps_draw_deviate_rows_only_when_a_point_reads_them(nine_lattices, monkeypatch):
+    """A default heavy-hexagon d=11 sweep never boosts, so it draws its 1000
+    base rows alone; the default square d=7 sweep at seed 1 boosts at 8 MHz,
+    so it draws 4000 rows, the boost's 3000 after the base rows, each once."""
+    draws = _spy_deviate_draws(monkeypatch)
+    pts = mc.sweep_sigma(lattice.build_lattice("heavy_hexagon", 11), lattice.FrequencyPattern(),
+                         master_seed=1)
+    assert draws == [(0, 1000)] and {p.trials for p in pts} == {1000}
+    draws.clear()
+    pts = mc.sweep_sigma(nine_lattices[("square", 7)], lattice.FrequencyPattern(), master_seed=1)
+    assert [p.sigma_mhz for p in pts if p.trials == 4000] == [8.0]
+    assert draws == [(0, 1000), (1000, 3000)]
 
 
 @pytest.mark.parametrize("sigmas, spacings", [
@@ -428,25 +509,46 @@ def test_sweep_points_are_pinned_bit_for_bit(hh3, nine_lattices):
         "96174221f71f713c0f45e7d12d30446a7774928fd70f7f5471362015cb9f8073"
 
 
-def test_table_rows_on_one_shared_deviate_matrix(nine_lattices):
-    """One matrix as wide as the widest lattice serves all nine: each row
+def test_table_rows_on_one_shared_deviate_matrix(nine_lattices, monkeypatch):
+    """One set of rows as wide as the widest lattice serves all nine: each row
     reads its lattice's leading columns, which the sampling contract makes
-    that lattice's own deviates, so every field matches a row drawn alone."""
+    that lattice's own deviates, so every field matches a row drawn alone.
+    The base rows are drawn once, and the boost rows once, by the first
+    point that boosts."""
     policy = mc.AdaptiveTrials(base=200, boost=400)
     lats = list(nine_lattices.values())
-    z = mc.gaussian_deviates(11, policy.max_trials(7), max(lat.n_qubits for lat in lats))
+    z = mc.DeviateRows(11, max(lat.n_qubits for lat in lats))
+    draws = _spy_deviate_draws(monkeypatch)
+    shared = [mc.table_row(lat, lattice.FrequencyPattern(), policy, 11, deviates=z)
+              for lat in lats]
+    assert draws == [(0, 200), (200, 200)]
+    monkeypatch.undo()
     boosted = 0
-    for lat in lats:
-        shared = mc.table_row(lat, lattice.FrequencyPattern(), policy, 11, deviates=z)
+    for lat, row in zip(lats, shared):
         alone = mc.table_row(lat, lattice.FrequencyPattern(), policy, 11)
-        assert [dataclasses.astuple(p) for p in shared] == [dataclasses.astuple(p) for p in alone]
+        assert [dataclasses.astuple(p) for p in row] == [dataclasses.astuple(p) for p in alone]
         boosted += sum(p.trials == policy.boost for p in alone)
     assert boosted
 
 
-@pytest.mark.parametrize("short_rows, short_cols", [(1, 0), (0, 1)])
-def test_table_row_rejects_too_small_deviates(hh3, short_rows, short_cols):
+@pytest.mark.parametrize("seed, short_cols", [(12, 0), (11, 1)], ids=["other_seed", "narrower"])
+def test_table_row_rejects_deviates_it_cannot_read(hh3, seed, short_cols):
     policy = mc.AdaptiveTrials(base=200, boost=400)
-    z = mc.gaussian_deviates(11, 400 - short_rows, hh3.n_qubits - short_cols)
-    with pytest.raises(ParameterError):
+    z = mc.DeviateRows(seed, hh3.n_qubits - short_cols)
+    with pytest.raises(ParameterError, match="deviates must be drawn under master_seed"):
         mc.table_row(hh3, lattice.FrequencyPattern(), policy, 11, deviates=z)
+
+
+def test_sweep_point_floats_are_python_floats(hh3):
+    """``repr`` of a point feeds every pinned digest, and a numpy float's repr
+    differs from a float's: every float field, each per-type mean included,
+    must be a Python float (at zero scatter, at a boost and in a table row)."""
+    pts = mc.sweep_sigma(hh3, lattice.FrequencyPattern(), (0.0, 14.0, 150.0), master_seed=7)
+    pts += mc.table_row(hh3, lattice.FrequencyPattern(), mc.AdaptiveTrials(base=50, boost=80), 7)
+    assert any(p.trials == 4000 for p in pts)
+    for p in pts:
+        floats = (p.sigma_mhz, p.spacing_mhz, p.yield_fraction, p.mean_collisions,
+                  *p.per_type_means)
+        assert len(p.per_type_means) == 7
+        assert all(type(x) is float for x in floats), p
+        assert all(type(x) is int for x in (p.distance, p.n_qubits, p.trials, p.master_seed))
