@@ -318,6 +318,10 @@ def cmd_sweep(cfg: dict) -> int:
     """Monte Carlo yield vs frequency scatter."""
     spacing_grid = _float_list(cfg, "spacings") or mc.DEFAULT_SPACING_GRID_MHZ
     if cfg["reproduce_table2"]:
+        for key in ("family", "distance", "sigmas"):
+            if cfg[key] != _OPTION[key].default:
+                raise UsageError(f"--reproduce-table2 takes no {'/'.join(_OPTION[key].flags)}: "
+                                 "its lattices and scatter levels are fixed")
         return _sweep_table2(cfg, spacing_grid)
     lat = _build(cfg)
     pattern = _pattern(cfg)

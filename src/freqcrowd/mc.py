@@ -10,25 +10,27 @@ frequencies are just set_points + sigma * z.  A sweep draws its rows on
 demand (:class:`DeviateRows`): the base rows when its first point reads
 them, a boost's own rows only when a boost first reads them, each row once.
 
-A point is measured in two steps: a running :class:`Tally` of its deviate
-rows (per-type collision totals and collision-free rows, from
-:func:`~freqcrowd.collision.tally_collisions`), then its summary, a
+A point is measured by counting its deviate rows into running per-type
+collision totals and collision-free rows (from
+:func:`~freqcrowd.collision.tally_collisions`) and summarising them as a
 :class:`SweepPoint` of exact integer ratios.  At zero scatter every row is
 the same assignment, so one counted row stands for all of them.
 
 Every reported number comes from :func:`operating_point`: the spacing with
 the fewest *expected* collisions (exact, from
 :func:`~freqcrowd.collision.expected_counts`) is measured at the trials
-policy's base count (the pilot), and when the policy asks for more trials
-the pilot's rows are extended, not recounted, so every deviate row is
-counted once.  A pilot is extended only where its yield is low and the
-Poisson estimate of the survivors the boost would see, ``boost * exp(-E)``
-with E the expected collision total at the chosen spacing, is at least
+policy's base count (the pilot).  When the policy asks for more trials, the
+pilot point itself is extended, not recounted: its integer counts are
+rebuilt from its exact means, so every deviate row is counted once.  A
+pilot is extended only where its yield is low and the Poisson estimate of
+the survivors the boost would see, ``boost * exp(-E)`` with E the expected
+collision total at the chosen spacing, is at least
 :data:`BOOST_MIN_SURVIVORS`.  The choice never looks at the Monte Carlo
 sample, so the reported statistics are not flattered by having picked the
-luckiest spacing on them.  :func:`sweep_sigma` and :func:`table_row` (the summary table the
-CLI prints and the acceptance gate checks) are both built from it; a sweep
-scores its whole sigma x spacing grid once, before its first point.
+luckiest spacing on them.  :func:`sweep_sigma` and :func:`table_row` (the
+summary table the CLI prints and the acceptance gate checks) are both built
+from it; a sweep scores its whole sigma x spacing grid once, before its
+first point, and a table row scores each of its two points.
 """
 from __future__ import annotations
 
@@ -120,20 +122,6 @@ class DeviateRows:
         return out
 
 
-class Tally:
-    """A point's running collision counts over its leading deviate rows."""
-
-    def __init__(self):
-        self.totals = np.zeros(7, dtype=np.int64)  # types 1..7
-        self.survivors = 0  # collision-free rows
-        self.rows = 0
-
-    def add(self, totals: np.ndarray, survivors: int, rows: int) -> None:
-        self.totals += totals
-        self.survivors += survivors
-        self.rows += rows
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     """Collision statistics of one (sigma, spacing) operating point."""
@@ -150,77 +138,77 @@ class SweepPoint:
     per_type_means: tuple  # 7 floats, types 1..7
 
 
-def _summary(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float,
-             master_seed: int, tally: Tally) -> SweepPoint:
-    """The :class:`SweepPoint` of a tally.  Each mean is a ratio of Python
-    integers, so it is the exactly rounded float, as the mean of the per-row
-    integer counts is."""
-    n = tally.rows
-    totals = tally.totals.tolist()
-    return SweepPoint(
-        family=lattice.family,
-        distance=lattice.distance,
-        n_qubits=lattice.n_qubits,
-        sigma_mhz=float(sigma_mhz),
-        spacing_mhz=float(pattern.spacing_mhz),
-        trials=n,
-        master_seed=int(master_seed),
-        yield_fraction=tally.survivors / n,
-        mean_collisions=sum(totals) / n,
-        per_type_means=tuple(c / n for c in totals),
-    )
+def _pilot_counts(pilot: SweepPoint, point: dict, trials: int) -> tuple:
+    """The per-type totals, collision-free rows and trials behind ``pilot``,
+    checked to be the point whose fields are ``point`` on at most ``trials``
+    rows.  Each mean is the exactly rounded c / n, so ``round(mean * n)``
+    gives c back."""
+    n = pilot.trials
+    if any(getattr(pilot, k) != v for k, v in point.items()) or not 0 < n <= trials:
+        raise ParameterError("pilot must be a point of this lattice, sigma, spacing and "
+                             "master_seed, over at most trials rows")
+    totals = [round(m * n) for m in pilot.per_type_means]
+    survivors = round(pilot.yield_fraction * n)
+    if (tuple(c / n for c in totals) != pilot.per_type_means
+            or sum(totals) / n != pilot.mean_collisions or survivors / n != pilot.yield_fraction):
+        raise ParameterError("pilot means must be integer counts over its trials")
+    return np.array(totals, dtype=np.int64), survivors, n
 
 
 def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, trials: int,
               master_seed: int = 0, *, rules: CollisionRules = DEFAULT_RULES,
-              index: CollisionIndex | None = None,
-              deviates: DeviateRows | None = None, pilot: Tally | None = None) -> SweepPoint:
+              index: CollisionIndex | None = None, deviates: DeviateRows | None = None,
+              pilot: SweepPoint | None = None) -> SweepPoint:
     """Monte Carlo statistics at one scatter level and pattern spacing.
 
-    Two steps: a :class:`Tally` of the first ``trials`` deviate rows (row t
-    gives trial t), then its summary.  At zero scatter every row is the set
-    points themselves, so one counted row stands for all of them.
+    The first ``trials`` deviate rows (row t gives trial t) are counted into
+    running per-type totals and collision-free rows, whose ratios to
+    ``trials`` are the point's means.  At zero scatter every row is the set
+    points themselves, so the point is one counted row times ``trials``.
 
     ``deviates`` may carry the :class:`DeviateRows` of ``master_seed`` shared
     by several points, at least ``lattice.n_qubits`` wide; rows not drawn yet
-    are drawn when read.  ``pilot``, when given, is a tally already taken at
-    this sigma and spacing on the leading rows of the same deviates (empty
-    before the first pass).  Only the rows after its own are counted, into
-    it, and the point summarises all ``trials`` rows; so a boost extends its
-    pilot instead of recounting it.
+    are drawn when read.  ``pilot``, when given, is this point measured on at
+    most ``trials`` rows (same lattice, sigma, spacing and seed, else
+    :class:`ParameterError`): its counts are rebuilt from its means and only
+    the rows after its own are counted, so a boost extends its pilot instead
+    of recounting it.  At zero scatter the pilot's per-type means are the row.
     """
     check_sigma(sigma_mhz)
     check_count("trials", trials)
-    tally = Tally() if pilot is None else pilot
-    if tally.rows > trials:
-        raise ParameterError("pilot has more rows than trials")
+    trials = int(trials)  # a numpy integer would make every mean a numpy float
     if deviates is None:
         deviates = DeviateRows(master_seed, lattice.n_qubits)
     elif deviates.master_seed != master_seed or deviates.n_qubits < lattice.n_qubits:
         raise ParameterError("deviates must be drawn under master_seed, n_qubits wide or wider")
+    point = dict(family=lattice.family, distance=lattice.distance, n_qubits=lattice.n_qubits,
+                 sigma_mhz=float(sigma_mhz), spacing_mhz=float(pattern.spacing_mhz),
+                 master_seed=int(master_seed))
+    totals, survivors, done = (np.zeros(7, dtype=np.int64), 0, 0) if pilot is None else \
+        _pilot_counts(pilot, point, trials)
     idx = index if index is not None else build_index(lattice)
     sp = set_points_mhz(lattice, pattern)
-    new = trials - tally.rows
-    if sigma_mhz == 0.0 and new:
-        if tally.rows:
-            row, clean = tally.totals // tally.rows, tally.survivors // tally.rows
-        else:
-            row = count_collisions_batch(idx, sp, rules)[0]
-            clean = int(not row.any())
-        tally.add(row * new, clean * new, new)
-    elif new:
-        for z in deviates.blocks(tally.rows, trials, lattice.n_qubits):
+    if sigma_mhz == 0.0:
+        row = count_collisions_batch(idx, sp, rules)[0] if pilot is None else totals // done
+        totals, survivors = row * trials, int(not row.any()) * trials
+    elif trials > done:
+        for z in deviates.blocks(done, trials, lattice.n_qubits):
             f = sigma_mhz * z
             f += sp  # in place: one rows x qubits temporary instead of two
-            tally.add(*tally_collisions(idx, f, rules), len(z))
-    return _summary(lattice, pattern, sigma_mhz, master_seed, tally)
+            block_totals, clean = tally_collisions(idx, f, rules)
+            totals += block_totals
+            survivors += clean
+    totals = totals.tolist()  # Python integers: each mean below is the exactly rounded ratio
+    return SweepPoint(**point, trials=trials, yield_fraction=survivors / trials,
+                      mean_collisions=sum(totals) / trials,
+                      per_type_means=tuple(c / trials for c in totals))
 
 
 def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, trials: int,
                      master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
                      rules: CollisionRules = DEFAULT_RULES, index: CollisionIndex | None = None,
-                     deviates: DeviateRows | None = None, pilot: Tally | None = None,
-                     expected: list | None = None, totals: np.ndarray | None = None) -> SweepPoint:
+                     deviates: DeviateRows | None = None,
+                     totals: np.ndarray | None = None) -> SweepPoint:
     """Measure the grid spacing with the fewest expected collisions.
 
     Every grid spacing is scored by :func:`collision.expected_counts` in one
@@ -229,10 +217,7 @@ def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: flo
     expectation is the exact count) this is the smallest collision-free
     spacing in the grid.  The choice does not depend on ``master_seed``,
     ``trials`` or ``deviates``: only the returned point, from
-    :func:`run_point` at that spacing, is sampled.  ``pilot`` is passed on
-    to :func:`run_point`, so it receives that point's tally;
-    ``expected``, when given, is a list that receives the expected collision
-    total at the chosen spacing.
+    :func:`run_point` at that spacing, is sampled.
     """
     grid = [float(s) for s in spacing_grid]
     if not grid:
@@ -243,11 +228,9 @@ def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: flo
                                  rules).sum(axis=-1)
     elif len(totals) != len(grid):
         raise ParameterError("totals must hold one expected total per grid spacing")
-    total, best = min(zip(totals.tolist(), grid))
-    if expected is not None:
-        expected.append(total)
+    _, best = min(zip(totals.tolist(), grid))
     return run_point(lattice, pattern.with_spacing(best), sigma_mhz, trials, master_seed,
-                     rules=rules, index=idx, deviates=deviates, pilot=pilot)
+                     rules=rules, index=idx, deviates=deviates)
 
 
 # per-distance yield below which a pilot is extended to the boost count;
@@ -290,31 +273,29 @@ class AdaptiveTrials:
 
 def operating_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float,
                     policy: AdaptiveTrials, master_seed: int = 0, *, index: CollisionIndex,
-                    deviates: DeviateRows, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
-                    rules: CollisionRules = DEFAULT_RULES,
-                    totals: np.ndarray | None = None) -> SweepPoint:
+                    deviates: DeviateRows, totals: np.ndarray,
+                    spacing_grid=DEFAULT_SPACING_GRID_MHZ,
+                    rules: CollisionRules = DEFAULT_RULES) -> SweepPoint:
     """One reported operating point: measure the spacing :func:`optimize_spacing`
-    picks at the policy's base trials, then extend that pilot when the policy
-    asks for more trials, given the pilot's yield and the expected collision
-    total at that spacing (already computed by the search, so the boost gate
-    costs no further scoring; ``totals`` is passed on to it).  A one-element
-    grid measures that spacing alone.
+    picks from ``totals``, the expected collision totals of the grid spacings
+    at this sigma, at the policy's base trials; then extend that pilot when
+    the policy asks for more trials, given the pilot's yield and E, the
+    expected total at that spacing, ``min(totals)``.  A one-element grid
+    measures that spacing alone.
 
     ``deviates`` are the :class:`DeviateRows` shared by the pilot and the
-    boost: the boost draws only the rows no point has read yet.  The pilot's
-    :class:`Tally` is carried to the boost, which counts only the rows after
-    the pilot's and summarises all of them, so each deviate row is counted
-    once and the point equals :func:`run_point` at the boost count.
+    boost: the boost draws only the rows no point has read yet.  The boost is
+    a :func:`run_point` given the pilot point, so it counts only the rows
+    after the pilot's, each deviate row is counted once, and the point equals
+    :func:`run_point` at the boost count.
     """
     n0 = policy.base_trials(lattice.distance, sigma_mhz)
-    tally, expected = Tally(), []
     pt = optimize_spacing(lattice, pattern, sigma_mhz, n0, master_seed, spacing_grid=spacing_grid,
-                          rules=rules, index=index, deviates=deviates, pilot=tally,
-                          expected=expected, totals=totals)
-    n1 = policy.boost_trials(lattice.distance, pt.yield_fraction, expected[0])
+                          rules=rules, index=index, deviates=deviates, totals=totals)
+    n1 = policy.boost_trials(lattice.distance, pt.yield_fraction, totals.min())
     if n1 > n0:
         pt = run_point(lattice, pattern.with_spacing(pt.spacing_mhz), sigma_mhz, n1, master_seed,
-                       rules=rules, index=index, deviates=deviates, pilot=tally)
+                       rules=rules, index=index, deviates=deviates, pilot=pt)
     return pt
 
 
@@ -333,11 +314,12 @@ def sweep_sigma(lattice: Lattice, pattern: FrequencyPattern, sigma_grid=DEFAULT_
     policy = trials_policy if trials_policy is not None else AdaptiveTrials()
     sigmas = [float(s) for s in sigma_grid]
     idx = build_index(lattice)
-    scores = expected_counts(idx, set_points_mhz(lattice, pattern, spacing_grid), sigmas, rules)
+    scores = expected_counts(idx, set_points_mhz(lattice, pattern, spacing_grid), sigmas,
+                             rules).sum(axis=-1)
     z = DeviateRows(master_seed, lattice.n_qubits)
     return [operating_point(lattice, pattern, sigma, policy, master_seed, index=idx, deviates=z,
-                            spacing_grid=spacing_grid, rules=rules, totals=score.sum(axis=-1))
-            for sigma, score in zip(sigmas, scores)]
+                            totals=totals, spacing_grid=spacing_grid, rules=rules)
+            for sigma, totals in zip(sigmas, scores)]
 
 
 def table_row(lattice: Lattice, pattern: FrequencyPattern, policy: AdaptiveTrials,
@@ -347,9 +329,10 @@ def table_row(lattice: Lattice, pattern: FrequencyPattern, policy: AdaptiveTrial
     """The (tuned, as-fabricated) operating points of one lattice.
 
     The tuned-precision point optimises the spacing at
-    ``TUNED_SIGMA_MHZ``; the as-fabricated point is measured at
-    ``AS_FABRICATED_SIGMA_MHZ`` on that same spacing, since a chip is laid
-    out before anyone knows how well tuning will do.
+    ``TUNED_SIGMA_MHZ`` over the grid, scored in one :func:`expected_counts`
+    call; the as-fabricated point is measured at ``AS_FABRICATED_SIGMA_MHZ``
+    on that same spacing, scored alone, since a chip is laid out before
+    anyone knows how well tuning will do.
 
     ``deviates`` may carry the :class:`DeviateRows` of ``master_seed`` shared
     by several lattices, as wide as the widest: under the sampling contract
@@ -358,8 +341,11 @@ def table_row(lattice: Lattice, pattern: FrequencyPattern, policy: AdaptiveTrial
     """
     z = deviates if deviates is not None else DeviateRows(master_seed, lattice.n_qubits)
     idx = build_index(lattice)
-    tuned = operating_point(lattice, pattern, TUNED_SIGMA_MHZ, policy, master_seed,
-                            index=idx, deviates=z, spacing_grid=spacing_grid, rules=rules)
-    fab = operating_point(lattice, pattern, AS_FABRICATED_SIGMA_MHZ, policy, master_seed,
-                          index=idx, deviates=z, spacing_grid=(tuned.spacing_mhz,), rules=rules)
-    return tuned, fab
+
+    def point(sigma, grid):
+        totals = expected_counts(idx, set_points_mhz(lattice, pattern, grid), sigma,
+                                 rules).sum(axis=-1)
+        return operating_point(lattice, pattern, sigma, policy, master_seed, index=idx,
+                               deviates=z, totals=totals, spacing_grid=grid, rules=rules)
+    tuned = point(TUNED_SIGMA_MHZ, spacing_grid)
+    return tuned, point(AS_FABRICATED_SIGMA_MHZ, (tuned.spacing_mhz,))

@@ -268,6 +268,34 @@ def test_table2_rows_are_the_shared_operating_points(tmp_path, spacings):
     assert lines[1:] == expected
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--family", "square"], "--family"),
+    (["-d", "3"], "-d/--distance"),
+    (["--sigmas", "5"], "--sigmas"),
+], ids=["family", "distance", "sigmas"])
+def test_table2_refuses_the_settings_it_would_ignore(tmp_path, capsys, argv, flag):
+    """The table's nine lattices and two scatter levels are fixed, so a
+    lattice or a sigma list is an error, raised before anything is written."""
+    assert cli.main(["sweep", "--reproduce-table2", "--trials", "20", *argv,
+                     "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: --reproduce-table2 takes no {flag}" in err and "Traceback" not in err
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_table2_manifest_replays(tmp_path):
+    """A table2 manifest leaves family, distance and sigmas unset, so its
+    replay passes the check and writes the same table."""
+    assert cli.main(["sweep", "--reproduce-table2", "--trials", "20", "--name", "t2",
+                     "--out", str(tmp_path)]) == 0
+    config = read_json(tmp_path, "sweep", "t2", "manifest.json")["config"]
+    assert (config["family"], config["distance"], config["sigmas"]) == (None, None, "")
+    assert cli.main(["rerun", str(tmp_path / "sweep" / "t2" / "manifest.json"),
+                     "--name", "replay", "--out", str(tmp_path)]) == 0
+    assert read_bytes(tmp_path, "sweep", "replay", "results.csv") == \
+        read_bytes(tmp_path, "sweep", "t2", "results.csv")
+
+
 def test_table2_draws_each_deviate_row_once_and_writes_the_pinned_csv(tmp_path, monkeypatch):
     """At seed 1 only the square d=5 tuned point boosts: the nine lattices
     share 1000 base rows, as wide as the widest, and that boost draws its own

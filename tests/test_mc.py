@@ -147,10 +147,49 @@ def test_run_point_validation(hh3):
     with pytest.raises(ParameterError):
         mc.run_point(hh3, pattern, 14.0, 0)
     z = mc.DeviateRows(3, hh3.n_qubits)
-    tally = mc.Tally()
-    mc.run_point(hh3, pattern, 14.0, 20, 3, deviates=z, pilot=tally)
-    with pytest.raises(ParameterError, match="pilot has more rows"):
-        mc.run_point(hh3, pattern, 14.0, 10, 3, deviates=z, pilot=tally)
+    pilot = mc.run_point(hh3, pattern, 14.0, 20, 3, deviates=z)
+    with pytest.raises(ParameterError, match="over at most trials rows"):
+        mc.run_point(hh3, pattern, 14.0, 10, 3, deviates=z, pilot=pilot)
+
+
+def _nudged(p, field, k=None):
+    """``p`` with one mean moved to the next float up (entry ``k`` of a tuple)."""
+    value = getattr(p, field)
+    if k is None:
+        return dataclasses.replace(p, **{field: math.nextafter(value, math.inf)})
+    return dataclasses.replace(p, **{field: tuple(
+        math.nextafter(v, math.inf) if i == k else v for i, v in enumerate(value))})
+
+
+@pytest.mark.parametrize("case", ["sigma", "spacing", "seed", "lattice", "more_trials",
+                                  "other_trials", "type_mean", "zero_type_mean", "mean", "yield"])
+def test_run_point_rejects_a_pilot_of_another_point(hh3, case):
+    """A pilot must be this point on at most ``trials`` rows, with every mean
+    an exact ratio c / trials; anything else is refused, not extended."""
+    pattern = lattice.FrequencyPattern(spacing_mhz=35.0)
+    pilot = mc.run_point(hh3, pattern, 30.0, 300, 12)
+    zero = pilot.per_type_means.index(0.0)
+    lat, sigma, trials, seed = hh3, 30.0, 800, 12
+    if case == "sigma":
+        sigma = 31.0
+    elif case == "spacing":
+        pattern = pattern.with_spacing(40.0)
+    elif case == "seed":
+        seed = 13
+    elif case == "lattice":
+        lat = lattice.build_lattice("square", 3)
+    elif case == "more_trials":
+        trials = 299
+    elif case == "other_trials":
+        pilot = dataclasses.replace(pilot, trials=301)
+    else:
+        field, k = {"type_mean": ("per_type_means", 0), "zero_type_mean": ("per_type_means", zero),
+                    "mean": ("mean_collisions", None), "yield": ("yield_fraction", None)}[case]
+        pilot = _nudged(pilot, field, k)
+    message = ("pilot must be a point of this lattice" if case in (
+        "sigma", "spacing", "seed", "lattice", "more_trials") else "pilot means must be integer")
+    with pytest.raises(ParameterError, match=message):
+        mc.run_point(lat, pattern, sigma, trials, seed, pilot=pilot)
 
 
 @pytest.mark.parametrize("bad", [2.5, True, float("nan")])
@@ -161,16 +200,15 @@ def test_run_point_rejects_non_integer_trials(hh3, bad):
 
 @pytest.mark.parametrize("sigma", [0.0, 30.0])
 def test_run_point_extends_its_pilot(hh3, monkeypatch, sigma):
-    """Counting 300 rows, then extending them to 800, gives the 800-row point,
-    with every row counted once: the tally holds the batch counter's column
-    sums and all-zero rows over all 800, and at zero scatter one counted row
-    stands for all of them."""
+    """Counting 300 rows, then extending that point to 800, gives the 800-row
+    point, with every row counted once: its means times 800 are the batch
+    counter's column sums and all-zero rows over all 800, and at zero
+    scatter one counted row stands for all of them."""
     pattern = lattice.FrequencyPattern(spacing_mhz=35.0)
     z = mc.DeviateRows(12, hh3.n_qubits)
-    tally = mc.Tally()
     rows = _tally_kernel_rows(monkeypatch)
-    pilot = mc.run_point(hh3, pattern, sigma, 300, 12, deviates=z, pilot=tally)
-    extended = mc.run_point(hh3, pattern, sigma, 800, 12, deviates=z, pilot=tally)
+    pilot = mc.run_point(hh3, pattern, sigma, 300, 12, deviates=z)
+    extended = mc.run_point(hh3, pattern, sigma, 800, 12, deviates=z, pilot=pilot)
     assert rows == ([1] if sigma == 0.0 else [300, 500])
     monkeypatch.undo()
     assert pilot == mc.run_point(hh3, pattern, sigma, 300, 12)
@@ -178,9 +216,21 @@ def test_run_point_extends_its_pilot(hh3, monkeypatch, sigma):
     counts = collision.count_collisions_batch(
         collision.build_index(hh3),
         lattice.set_points_mhz(hh3, pattern) + sigma * mc.gaussian_deviates(12, 800, hh3.n_qubits))
-    assert tally.rows == 800
-    assert tally.totals.tolist() == counts.sum(axis=0).tolist()
-    assert tally.survivors == np.count_nonzero(counts.sum(axis=1) == 0)
+    assert extended.trials == 800
+    assert [m * 800 for m in extended.per_type_means] == counts.sum(axis=0).tolist()
+    assert extended.yield_fraction * 800 == np.count_nonzero(counts.sum(axis=1) == 0)
+
+
+def test_run_point_extends_a_colliding_zero_scatter_pilot(hh3, monkeypatch):
+    """At zero scatter the pilot's per-type means are the row that stands for
+    all trials; at 105 MHz that row has collisions, so a wrong scale shows."""
+    pattern = lattice.FrequencyPattern(spacing_mhz=105.0)
+    rows = _tally_kernel_rows(monkeypatch)
+    pilot = mc.run_point(hh3, pattern, 0.0, 300, 12)
+    extended = mc.run_point(hh3, pattern, 0.0, 800, 12, pilot=pilot)
+    assert rows == [1] and pilot.mean_collisions > 0
+    monkeypatch.undo()
+    assert extended == mc.run_point(hh3, pattern, 0.0, 800, 12)
 
 
 def test_optimize_spacing_matches_manual_grid_scan(hh3):
@@ -196,13 +246,19 @@ def test_optimize_spacing_matches_manual_grid_scan(hh3):
     assert best == mc.run_point(hh3, pattern.with_spacing(spacing), 14.0, 400, 2)
 
 
-def test_optimize_spacing_reports_the_chosen_expected_total(hh3):
-    """``expected`` receives the oracle's expected total at the chosen
-    spacing, the smallest over the grid."""
+def test_operating_point_gates_the_boost_on_the_chosen_expected_total(hh3, monkeypatch):
+    """The E that ``operating_point`` hands to the boost gate is the oracle's
+    expected total at the chosen spacing, the smallest over the grid."""
     grid = (30.0, 40.0, 50.0, 60.0)
     pattern = lattice.FrequencyPattern()
-    got = []
-    pt = mc.optimize_spacing(hh3, pattern, 14.0, 10, 2, spacing_grid=grid, expected=got)
+    got, gate = [], mc.AdaptiveTrials.boost_trials
+
+    def spy(self, distance, observed_yield, expected_collisions):
+        got.append(expected_collisions)
+        return gate(self, distance, observed_yield, expected_collisions)
+    monkeypatch.setattr(mc.AdaptiveTrials, "boost_trials", spy)
+    (pt,) = mc.sweep_sigma(hh3, pattern, (14.0,), mc.AdaptiveTrials(base=10, boost=10), 2,
+                           spacing_grid=grid)
     triples = lattice.next_nearest_triples(hh3)
     want = min(expected_mean_collisions(
         lattice.set_points_mhz(hh3, pattern.with_spacing(s)), 14.0, hh3.edges, triples)
@@ -236,11 +292,12 @@ def test_optimize_spacing_zero_scatter_prefers_smallest_clean(hh3):
 
 @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
 def test_operating_point_rejects_bad_sigma(hh3, sigma):
-    z = mc.gaussian_deviates(0, 10, hh3.n_qubits)
+    z = mc.DeviateRows(0, hh3.n_qubits)
     with pytest.raises(ParameterError, match="sigma must be >= 0"):
         mc.operating_point(hh3, lattice.FrequencyPattern(), sigma,
                            mc.AdaptiveTrials(base=10, boost=10),
-                           index=collision.build_index(hh3), deviates=z)
+                           index=collision.build_index(hh3), deviates=z,
+                           totals=np.zeros(len(mc.DEFAULT_SPACING_GRID_MHZ)))
 
 
 def test_optimize_spacing_empty_grid(hh3):
@@ -474,10 +531,9 @@ def test_optimize_spacing_takes_the_given_totals(hh3, monkeypatch):
     of its own; they must give one total per grid spacing."""
     monkeypatch.setattr(mc, "expected_counts", None)
     grid = (40.0, 65.0, 90.0)
-    expected = []
     pt = mc.optimize_spacing(hh3, lattice.FrequencyPattern(), 14.0, 50, 3, spacing_grid=grid,
-                             expected=expected, totals=np.array([2.0, 3.0, 1.5]))
-    assert (pt.spacing_mhz, expected) == (90.0, [1.5])
+                             totals=np.array([2.0, 3.0, 1.5]))
+    assert pt.spacing_mhz == 90.0
     assert pt == mc.run_point(hh3, lattice.FrequencyPattern(spacing_mhz=90.0), 14.0, 50, 3)
     with pytest.raises(ParameterError, match="one expected total per grid spacing"):
         mc.optimize_spacing(hh3, lattice.FrequencyPattern(), 14.0, 50, 3, spacing_grid=grid,
@@ -542,9 +598,12 @@ def test_table_row_rejects_deviates_it_cannot_read(hh3, seed, short_cols):
 def test_sweep_point_floats_are_python_floats(hh3):
     """``repr`` of a point feeds every pinned digest, and a numpy float's repr
     differs from a float's: every float field, each per-type mean included,
-    must be a Python float (at zero scatter, at a boost and in a table row)."""
+    must be a Python float (at zero scatter, at a boost and in a table row),
+    numpy-integer trial counts included."""
     pts = mc.sweep_sigma(hh3, lattice.FrequencyPattern(), (0.0, 14.0, 150.0), master_seed=7)
     pts += mc.table_row(hh3, lattice.FrequencyPattern(), mc.AdaptiveTrials(base=50, boost=80), 7)
+    pts += mc.sweep_sigma(hh3, lattice.FrequencyPattern(), (0.0, 150.0),
+                          mc.AdaptiveTrials(base=np.int64(50), boost=np.int32(80)), 7)
     assert any(p.trials == 4000 for p in pts)
     for p in pts:
         floats = (p.sigma_mhz, p.spacing_mhz, p.yield_fraction, p.mean_collisions,
