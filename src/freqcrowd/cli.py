@@ -145,15 +145,18 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _float_list(cfg: dict, key: str):
-    """Setting ``key`` read as comma- or semicolon-separated numbers."""
+    """Setting ``key`` read as comma- or semicolon-separated numbers, each
+    finite and >= 0 (the scatter levels and spacings that take a list)."""
     values = []
+    flag = _OPTION[key].flags[0]
     for tok in cfg[key].replace(";", ",").split(","):
         if tok.strip():
             try:
                 values.append(float(tok))
             except ValueError:
-                flag = _OPTION[key].flags[0]
                 raise UsageError(f"bad value for {flag}: {tok.strip()!r}") from None
+            if not 0.0 <= values[-1] < math.inf:
+                raise UsageError(f"{flag} values must be finite and >= 0, got {tok.strip()!r}")
     return values
 
 
@@ -285,7 +288,8 @@ def cmd_check(cfg: dict) -> int:
     lat = _build(cfg)
     pattern = _pattern(cfg)
     freqs = lattice.set_points_mhz(lat, pattern)
-    collision.check_sigma(cfg["sigma_mhz"])
+    if not 0.0 <= cfg["sigma_mhz"] < math.inf:
+        raise UsageError(f"--sigma-mhz must be finite and >= 0, got {cfg['sigma_mhz']!r}")
     if cfg["sigma_mhz"] > 0.0:
         freqs = freqs + cfg["sigma_mhz"] * mc.gaussian_deviates(cfg["seed"], 1, lat.n_qubits)[0]
     report = collision.count_collisions(lat, freqs, _rules(cfg), collect=True)
@@ -680,7 +684,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        mc.check_seed(cfg["seed"])  # before any command reads or writes a file
+        if not 0 <= cfg["seed"] < 2**128:  # mc.check_seed's range, before any file is touched
+            raise UsageError(f"--seed must be in [0, 2**128), got {cfg['seed']}")
         return _COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,9 +56,10 @@ SPECTATOR_DEGENERATE_MHZ = 17.0
 SPECTATOR_EXCITED_MHZ = 25.0
 SPECTATOR_TWO_PHOTON_MHZ = 17.0
 
-# (row, edge or triple) cells per block of the batched counter: rows are
+# (row, edge or triple) cells per block of the batched counters: rows are
 # counted in blocks whose temporaries stay cache-sized instead of one pass
-# over the whole batch
+# over the whole batch, and a sweep point builds its frequencies one block at
+# a time, so this also bounds the rows x qubits array it holds
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -135,6 +136,7 @@ def _violations(index: CollisionIndex, f: np.ndarray, rules: CollisionRules):
     ad += a
     yield 3, np.abs(ad, out=ad) < NN_EXCITED_MHZ, edges
     yield 4, beyond, edges
+    del d, ad, beyond  # the edge temporaries go before the triples' are made
 
     triples = (index.tri_i, index.tri_j, index.tri_k)
     fi = f[:, index.tri_i]
@@ -144,11 +146,18 @@ def _violations(index: CollisionIndex, f: np.ndarray, rules: CollisionRules):
     yield 5, adik < SPECTATOR_DEGENERATE_MHZ, triples
     adik += a
     yield 6, np.abs(adik, out=adik) < SPECTATOR_EXCITED_MHZ, triples
+    del adik  # its block can hold the type-7 operand
     # f02_j = 2 f_j + a once per qubit, then gathered to the triples
     m7 = (2.0 * f + a)[:, index.tri_j]
     m7 -= fi
     m7 -= fk
     yield 7, np.abs(m7, out=m7) < SPECTATOR_TWO_PHOTON_MHZ, triples
+
+
+def block_rows(index: CollisionIndex) -> int:
+    """Rows per block of the batched counters: ``_BLOCK_ELEMENTS`` (row,
+    edge or triple) cells, and at least one row."""
+    return max(1, _BLOCK_ELEMENTS // max(1, index.edge_control.size + index.tri_i.size))
 
 
 def _checked_batch(index: CollisionIndex, f01_mhz) -> tuple:
@@ -161,7 +170,7 @@ def _checked_batch(index: CollisionIndex, f01_mhz) -> tuple:
         raise InputError(f"frequencies must have {index.n_qubits} columns")
     if not np.all(np.isfinite(f)):
         raise InputError("frequencies must be finite")
-    return f, max(1, _BLOCK_ELEMENTS // max(1, index.edge_control.size + index.tri_i.size))
+    return f, block_rows(index)
 
 
 def count_collisions_batch(index: CollisionIndex, f01_mhz: np.ndarray,

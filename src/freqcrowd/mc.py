@@ -13,8 +13,11 @@ them, a boost's own rows only when a boost first reads them, each row once.
 A point is measured by counting its deviate rows into running per-type
 collision totals and collision-free rows (from
 :func:`~freqcrowd.collision.tally_collisions`) and summarising them as a
-:class:`SweepPoint` of exact integer ratios.  At zero scatter every row is
-the same assignment, so one counted row stands for all of them.
+:class:`SweepPoint` of exact integer ratios.  Frequencies are built one
+kernel block (:func:`~freqcrowd.collision.block_rows`) at a time, so a point
+holds its deviate rows and one block of work, whatever its trial count.  At
+zero scatter every row is the same assignment, so one counted row stands for
+all of them.
 
 Every reported number comes from :func:`operating_point`: the spacing with
 the fewest *expected* collisions (exact, from
@@ -39,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import (DEFAULT_RULES, CollisionIndex, CollisionRules, build_index,
-                        check_count, check_sigma, count_collisions_batch, expected_counts,
-                        tally_collisions)
+from .collision import (DEFAULT_RULES, CollisionIndex, CollisionRules, block_rows,
+                        build_index, check_count, check_sigma, count_collisions_batch,
+                        expected_counts, tally_collisions)
 from .errors import ParameterError
 from .lattice import FrequencyPattern, Lattice, set_points_mhz
 
@@ -163,8 +166,11 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
 
     The first ``trials`` deviate rows (row t gives trial t) are counted into
     running per-type totals and collision-free rows, whose ratios to
-    ``trials`` are the point's means.  At zero scatter every row is the set
-    points themselves, so the point is one counted row times ``trials``.
+    ``trials`` are the point's means.  Their frequencies are built and
+    counted one kernel block of rows at a time, so beyond the deviate rows
+    the point holds one block's frequencies and kernel temporaries.  At zero
+    scatter every row is the set points themselves, so the point is one
+    counted row times ``trials``.
 
     ``deviates`` may carry the :class:`DeviateRows` of ``master_seed`` shared
     by several points, at least ``lattice.n_qubits`` wide; rows not drawn yet
@@ -192,16 +198,31 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
         row = count_collisions_batch(idx, sp, rules)[0] if pilot is None else totals // done
         totals, survivors = row * trials, int(not row.any()) * trials
     elif trials > done:
+        rows = block_rows(idx)
         for z in deviates.blocks(done, trials, lattice.n_qubits):
-            f = sigma_mhz * z
-            f += sp  # in place: one rows x qubits temporary instead of two
-            block_totals, clean = tally_collisions(idx, f, rules)
-            totals += block_totals
-            survivors += clean
+            for lo in range(0, len(z), rows):
+                f = sigma_mhz * z[lo:lo + rows]
+                f += sp  # in place: one block x qubits temporary instead of two
+                block_totals, clean = tally_collisions(idx, f, rules)
+                totals += block_totals
+                survivors += clean
     totals = totals.tolist()  # Python integers: each mean below is the exactly rounded ratio
     return SweepPoint(**point, trials=trials, yield_fraction=survivors / trials,
                       mean_collisions=sum(totals) / trials,
                       per_type_means=tuple(c / trials for c in totals))
+
+
+def _checked_totals(totals, n_spacings: int) -> np.ndarray:
+    """``totals`` as a float array, checked to hold one finite expected
+    collision total >= 0 per grid spacing."""
+    message = "totals must hold one expected total per grid spacing, each finite and >= 0"
+    try:
+        out = np.asarray(totals, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError(message) from None
+    if out.shape != (n_spacings,) or not np.all((0.0 <= out) & (out < math.inf)):
+        raise ParameterError(message)
+    return out
 
 
 def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, trials: int,
@@ -213,9 +234,10 @@ def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: flo
 
     Every grid spacing is scored by :func:`collision.expected_counts` in one
     call, unless ``totals`` already holds their expected collision totals at
-    this sigma; ties go to the smaller spacing, so at zero scatter (where the
-    expectation is the exact count) this is the smallest collision-free
-    spacing in the grid.  The choice does not depend on ``master_seed``,
+    this sigma (a 1-d sequence of finite totals >= 0, one per grid spacing,
+    else :class:`ParameterError`); ties go to the smaller spacing, so at zero
+    scatter (where the expectation is the exact count) this is the smallest
+    collision-free spacing in the grid.  The choice does not depend on ``master_seed``,
     ``trials`` or ``deviates``: only the returned point, from
     :func:`run_point` at that spacing, is sampled.
     """
@@ -226,8 +248,8 @@ def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: flo
     if totals is None:
         totals = expected_counts(idx, set_points_mhz(lattice, pattern, grid), sigma_mhz,
                                  rules).sum(axis=-1)
-    elif len(totals) != len(grid):
-        raise ParameterError("totals must hold one expected total per grid spacing")
+    else:
+        totals = _checked_totals(totals, len(grid))
     _, best = min(zip(totals.tolist(), grid))
     return run_point(lattice, pattern.with_spacing(best), sigma_mhz, trials, master_seed,
                      rules=rules, index=idx, deviates=deviates)
@@ -280,8 +302,9 @@ def operating_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: floa
     picks from ``totals``, the expected collision totals of the grid spacings
     at this sigma, at the policy's base trials; then extend that pilot when
     the policy asks for more trials, given the pilot's yield and E, the
-    expected total at that spacing, ``min(totals)``.  A one-element grid
-    measures that spacing alone.
+    expected total at that spacing, ``min(totals)``.  ``totals`` is checked
+    as in :func:`optimize_spacing`.  A one-element grid measures that
+    spacing alone.
 
     ``deviates`` are the :class:`DeviateRows` shared by the pilot and the
     boost: the boost draws only the rows no point has read yet.  The boost is
@@ -289,8 +312,10 @@ def operating_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: floa
     after the pilot's, each deviate row is counted once, and the point equals
     :func:`run_point` at the boost count.
     """
+    grid = [float(s) for s in spacing_grid]
+    totals = _checked_totals(totals, len(grid))
     n0 = policy.base_trials(lattice.distance, sigma_mhz)
-    pt = optimize_spacing(lattice, pattern, sigma_mhz, n0, master_seed, spacing_grid=spacing_grid,
+    pt = optimize_spacing(lattice, pattern, sigma_mhz, n0, master_seed, spacing_grid=grid,
                           rules=rules, index=index, deviates=deviates, totals=totals)
     n1 = policy.boost_trials(lattice.distance, pt.yield_fraction, totals.min())
     if n1 > n0:

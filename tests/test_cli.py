@@ -125,8 +125,8 @@ class TestCheckCommand:
     @pytest.mark.parametrize("sigma", ["-40", "nan", "inf"])
     def test_sigma_must_be_non_negative(self, tmp_path, capsys, sigma):
         assert cli.main(["check", "--family", "square", "-d", "3", f"--sigma-mhz={sigma}",
-                         "--seed", "3", "--out", str(tmp_path)]) == 1
-        assert "sigma must be >= 0" in capsys.readouterr().err
+                         "--seed", "3", "--out", str(tmp_path)]) == 2
+        assert "error: --sigma-mhz must be finite and >= 0" in capsys.readouterr().err
         assert not (tmp_path / "check").exists()
 
 
@@ -185,18 +185,18 @@ class TestSweepCommand:
     def test_nan_sigma_is_rejected_before_counting(self, tmp_path, capsys):
         argv = ["sweep", "--family", "heavy_hexagon", "-d", "3", "--sigmas", "nan",
                 "--out", str(tmp_path)]
-        assert cli.main(argv) == 1
+        assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert "error: sigma must be >= 0" in err
-        assert "finite" not in err
+        assert "error: --sigmas values must be finite and >= 0, got 'nan'" in err
+        assert "frequencies" not in err
         assert not (tmp_path / "sweep").exists()
 
     def test_infinite_sigma_is_rejected_before_counting(self, tmp_path, capsys):
         argv = ["sweep", "--family", "heavy_hexagon", "-d", "3", "--sigmas", "inf",
                 "--trials", "10", "--out", str(tmp_path)]
-        assert cli.main(argv) == 1
+        assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert "error: sigma must be >= 0 and < inf" in err
+        assert "error: --sigmas values must be finite and >= 0, got 'inf'" in err
         assert "frequencies" not in err
         assert not (tmp_path / "sweep").exists()
 
@@ -208,9 +208,34 @@ class TestSweepCommand:
     ["check", "--family", "square", "-d", "3"],  # sigma 0 draws no deviates
 ])
 def test_seed_outside_key_range_is_an_error(tmp_path, capsys, argv):
-    assert cli.main(argv + ["--seed=-1", "--out", str(tmp_path)]) == 1
-    assert "error: master seed must be in [0, 2**128)" in capsys.readouterr().err
+    assert cli.main(argv + ["--seed=-1", "--out", str(tmp_path)]) == 2
+    assert "error: --seed must be in [0, 2**128), got -1" in capsys.readouterr().err
     assert not (tmp_path / argv[0]).exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--family", "square", "-d", "3", "--sigma-mhz", "-5"],
+     "--sigma-mhz must be finite and >= 0, got -5.0"),
+    (["check", "--family", "square", "-d", "3", "--sigma-mhz", "nan"],
+     "--sigma-mhz must be finite and >= 0, got nan"),
+    (["sweep", "--family", "square", "-d", "3", "--sigmas", "5,-2"],
+     "--sigmas values must be finite and >= 0, got '-2'"),
+    (["sweep", "--family", "square", "-d", "3", "--spacings", "-3"],
+     "--spacings values must be finite and >= 0, got '-3'"),
+    (["sweep", "--reproduce-table2", "--spacings", "40,-1"],
+     "--spacings values must be finite and >= 0, got '-1'"),
+    (["check", "--family", "square", "-d", "3", "--seed", "-1"],
+     "--seed must be in [0, 2**128), got -1"),
+    (["sweep", "--family", "square", "-d", "3", "--seed", str(2**128)],
+     "--seed must be in [0, 2**128), got 340282366920938463463374607431768211456"),
+], ids=["sigma-mhz", "nan-sigma-mhz", "sigmas", "spacings", "table2-spacings", "seed",
+        "seed-too-large"])
+def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, argv, message):
+    """A value its flag cannot take exits 2 with an error line naming the flag."""
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err and captured.out == ""
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [
@@ -223,11 +248,18 @@ def test_seed_outside_key_range_is_an_error(tmp_path, capsys, argv):
     ["check", "--family", "square", "-d", "3", "--spacing-mhz", "nan"],
 ])
 def test_non_finite_pattern_is_an_error(tmp_path, capsys, argv):
+    """A non-finite --spacings value is a usage error naming the flag; a
+    non-finite base or single spacing fails the pattern check."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the run
-        assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+        rc = cli.main(argv + ["--out", str(tmp_path)])
     err = capsys.readouterr().err
-    assert "error: pattern needs finite base > 0 and finite spacing >= 0" in err
+    if "--spacings" in argv:
+        assert rc == 2
+        assert f"error: --spacings values must be finite and >= 0, got '{argv[-1]}'" in err
+    else:
+        assert rc == 1
+        assert "error: pattern needs finite base > 0 and finite spacing >= 0" in err
     assert "RuntimeWarning" not in err and "frequencies" not in err
     assert not (tmp_path / argv[0]).exists()
 

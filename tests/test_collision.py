@@ -432,7 +432,7 @@ def test_batch_blocks_match_row_by_row_counts(nine_lattices):
     do, and each block's first and last row match the naive reference."""
     lat = nine_lattices[("square", 7)]
     idx = collision.build_index(lat)
-    rows = collision._BLOCK_ELEMENTS // (idx.edge_control.size + idx.tri_i.size)
+    rows = collision.block_rows(idx)
     n = 2 * rows + rows // 2
     sp = lattice.set_points_mhz(lat, lattice.FrequencyPattern(spacing_mhz=45.0))
     f = sp + 60.0 * mc.gaussian_deviates(23, n, lat.n_qubits)
@@ -548,7 +548,7 @@ def test_tally_is_the_batch_counters_summary(nine_lattices, sigma):
     one block less a row, one block, and one block and a row."""
     for lat in nine_lattices.values():
         idx = collision.build_index(lat)
-        block = collision._BLOCK_ELEMENTS // (idx.edge_control.size + idx.tri_i.size)
+        block = collision.block_rows(idx)
         sp = lattice.set_points_mhz(lat, lattice.FrequencyPattern())
         z = mc.gaussian_deviates(41, block + 1, lat.n_qubits)
         for n in (1, block - 1, block, block + 1):

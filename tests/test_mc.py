@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -538,6 +539,93 @@ def test_optimize_spacing_takes_the_given_totals(hh3, monkeypatch):
     with pytest.raises(ParameterError, match="one expected total per grid spacing"):
         mc.optimize_spacing(hh3, lattice.FrequencyPattern(), 14.0, 50, 3, spacing_grid=grid,
                             totals=np.array([2.0, 3.0]))
+
+
+@pytest.mark.parametrize("totals", [
+    [np.nan, 1.0], [1.0, -0.5], [1.0, np.inf], [[2.0, 1.0]], [2.0, 1.0, 0.5], ["x", 1.0], 1.0,
+], ids=["nan", "negative", "inf", "2-d", "too-long", "text", "scalar"])
+def test_optimize_spacing_and_operating_point_check_their_totals(hh3, totals):
+    """Totals must be one finite expected total >= 0 per grid spacing: a NaN
+    would pick 40 MHz here though 65 MHz expects fewer collisions, and would
+    keep the boost gate from firing."""
+    kw = dict(spacing_grid=(40.0, 65.0), index=collision.build_index(hh3),
+              deviates=mc.DeviateRows(3, hh3.n_qubits), totals=totals)
+    pattern = lattice.FrequencyPattern()
+    with pytest.raises(ParameterError, match="one expected total per grid spacing"):
+        mc.optimize_spacing(hh3, pattern, 14.0, 10, 3, **kw)
+    with pytest.raises(ParameterError, match="one expected total per grid spacing"):
+        mc.operating_point(hh3, pattern, 14.0, mc.AdaptiveTrials(base=10, boost=20), 3, **kw)
+
+
+def test_optimize_spacing_and_operating_point_take_totals_as_a_list(hh3):
+    pattern = lattice.FrequencyPattern()
+    want = mc.run_point(hh3, pattern.with_spacing(65.0), 14.0, 10, 3)
+    for totals in ([2.0, 1.0], (2, 1)):
+        assert mc.optimize_spacing(hh3, pattern, 14.0, 10, 3, spacing_grid=(40.0, 65.0),
+                                   totals=totals) == want
+        assert mc.operating_point(hh3, pattern, 14.0, mc.AdaptiveTrials(base=10, boost=10), 3,
+                                  index=collision.build_index(hh3),
+                                  deviates=mc.DeviateRows(3, hh3.n_qubits), totals=totals,
+                                  spacing_grid=(40.0, 65.0)) == want
+
+
+@pytest.mark.parametrize("family, distance, sigma", [("heavy_square", 5, 14.0),
+                                                     ("heavy_hexagon", 3, 30.0)])
+def test_run_point_counts_rows_split_across_blocks_once(nine_lattices, monkeypatch,
+                                                        family, distance, sigma):
+    """Two kernel blocks and a row, counted plain, as a pilot ending mid-block
+    and then extended, and over a deviate chunk boundary mid-block: each
+    point's means are the batch counter's column sums and all-zero rows over
+    the same rows, and no kernel call sees more than one block."""
+    lat = nine_lattices[(family, distance)]
+    idx = collision.build_index(lat)
+    block = collision.block_rows(idx)
+    n, pattern = 2 * block + 1, lattice.FrequencyPattern()
+    counts = collision.count_collisions_batch(
+        idx, lattice.set_points_mhz(lat, pattern) + sigma * mc.gaussian_deviates(8, n, lat.n_qubits))
+    survivors = np.count_nonzero(counts.sum(axis=1) == 0)
+    assert 0 < survivors < n
+
+    rows = _tally_kernel_rows(monkeypatch)
+    plain = mc.run_point(lat, pattern, sigma, n, 8, index=idx)
+    assert max(rows) <= block and sum(rows) == n
+    z = mc.DeviateRows(8, lat.n_qubits)
+    pilot = mc.run_point(lat, pattern, sigma, block // 2, 8, index=idx, deviates=z)
+    del rows[:]
+    extended = mc.run_point(lat, pattern, sigma, n, 8, index=idx, deviates=z, pilot=pilot)
+    assert max(rows) <= block and sum(rows) == n - block // 2
+    z = mc.DeviateRows(8, lat.n_qubits)
+    z.blocks(0, block + block // 2, lat.n_qubits)
+    del rows[:]
+    across = mc.run_point(lat, pattern, sigma, n, 8, index=idx, deviates=z)
+    assert [len(c) for c in z.chunks] == [block + block // 2, n - block - block // 2]
+    assert max(rows) <= block and sum(rows) == n
+    for pt in (plain, extended, across):
+        assert [m * n for m in pt.per_type_means] == counts.sum(axis=0).tolist()
+        assert pt.yield_fraction * n == survivors
+
+
+@pytest.mark.parametrize("family, distance", [("square", 7), ("heavy_hexagon", 11)])
+def test_a_point_holds_its_deviate_rows_and_one_block(family, distance):
+    """A 4000-trial point's traced peak (numpy reports its allocations to
+    tracemalloc) exceeds the 1000-trial point's by no more than the 3000
+    extra deviate rows and one block of frequencies: the rest of its working
+    set does not grow with the trials."""
+    lat = lattice.build_lattice(family, distance)
+    idx = collision.build_index(lat)
+    pattern = lattice.FrequencyPattern()
+
+    def peak(trials):
+        z = mc.DeviateRows(1, lat.n_qubits)
+        tracemalloc.start()
+        try:
+            mc.run_point(lat, pattern, 14.0, trials, 1, index=idx, deviates=z)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    peak(10)  # first-call allocations
+    row_bytes = lat.n_qubits * np.dtype(float).itemsize
+    assert peak(4000) - peak(1000) <= 3000 * row_bytes + collision.block_rows(idx) * row_bytes
 
 
 def points_sha256(points):
