@@ -13,6 +13,11 @@ environment variables, which beat ``--config`` INI entries (section
 once, in :data:`OPTIONS`, which drives all four sources.
 
 Exit codes: 0 success, 1 runtime or I/O failure, 2 usage/config error.
+
+Importing this module loads ``collision``, ``lattice`` and ``mc`` (with
+``errors`` and numpy under them), which the option defaults and the
+commands' shared helpers read.  Each command imports the other modules it
+calls (``window``, ``tunesim``, ``physics``, ``svgchart``) when it runs.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, collision, lattice, mc, physics, svgchart, tunesim, window
+from . import __version__, collision, lattice, mc
 from .errors import FreqcrowdError, InputError, ParameterError, UnfittableError
 
 EXTRAPOLATE_SIGMAS = (14.0, 12.0, 10.0, 8.0, 6.0)
@@ -36,8 +41,9 @@ EXTRAPOLATE_SIGMAS = (14.0, 12.0, 10.0, 8.0, 6.0)
 
 class Option(NamedTuple):
     """One setting: its argparse flags, the converter applied to flag,
-    ``FREQCROWD_<DEST>`` and INI values, its default, and the commands
-    that take it (``None``: every command)."""
+    ``FREQCROWD_<DEST>`` and INI values, its default (a :class:`ModuleDefault`
+    is read when a configuration is resolved), and the commands that take it
+    (``None``: every command)."""
 
     dest: str
     flags: tuple
@@ -45,6 +51,17 @@ class Option(NamedTuple):
     default: object
     commands: tuple | None
     help: str | None = None
+
+
+class ModuleDefault(NamedTuple):
+    """A default declared in a submodule that only some commands import,
+    read from it when a configuration is resolved."""
+
+    module: str
+    name: str
+
+    def value(self):
+        return getattr(__import__(self.module, globals(), None, (), 1), self.name)
 
 
 _LATTICE_COMMANDS = ("lattice", "check", "sweep")
@@ -73,9 +90,10 @@ OPTIONS = (
     Option("junctions", ("--junctions",), int, 31, ("tune",)),
     Option("target_spread", ("--target-spread",), str, "", ("tune",),
            "LO:HI percent offsets above initial resistance"),
-    Option("median_ohm", ("--median-ohm",), float, tunesim.DEFAULT_MEDIAN_OHM, ("tune",)),
+    Option("median_ohm", ("--median-ohm",), float,
+           ModuleDefault("tunesim", "DEFAULT_MEDIAN_OHM"), ("tune",)),
     Option("fractional_sigma", ("--fractional-sigma",), float,
-           tunesim.DEFAULT_FRACTIONAL_SIGMA, ("tune",)),
+           ModuleDefault("tunesim", "DEFAULT_FRACTIONAL_SIGMA"), ("tune",)),
     Option("noise_sigma", ("--noise-sigma",), float, 0.10, ("tune",)),
     Option("step_fraction", ("--step-fraction",), float, 0.5, ("tune",)),
     Option("converge_band", ("--converge-band",), float, 0.003, ("tune",)),
@@ -140,8 +158,19 @@ def resolve_config(args: argparse.Namespace) -> dict:
         elif key in file_cfg:
             cfg[key] = file_cfg[key]
         else:
-            cfg[key] = _OPTION[key].default
+            default = _OPTION[key].default
+            cfg[key] = default.value() if isinstance(default, ModuleDefault) else default
     return cfg
+
+
+def _check_flag(cfg: dict, key: str, ok, what: str) -> None:
+    """A usage error naming ``key``'s flag unless ``ok(cfg[key])``."""
+    if not ok(cfg[key]):
+        raise UsageError(f"{_OPTION[key].flags[0]} must be {what}, got {cfg[key]!r}")
+
+
+def _finite_nonnegative(value) -> bool:
+    return 0.0 <= value < math.inf
 
 
 def _float_list(cfg: dict, key: str):
@@ -155,7 +184,7 @@ def _float_list(cfg: dict, key: str):
                 values.append(float(tok))
             except ValueError:
                 raise UsageError(f"bad value for {flag}: {tok.strip()!r}") from None
-            if not 0.0 <= values[-1] < math.inf:
+            if not _finite_nonnegative(values[-1]):
                 raise UsageError(f"{flag} values must be finite and >= 0, got {tok.strip()!r}")
     return values
 
@@ -249,8 +278,12 @@ def _rules(cfg: dict) -> collision.CollisionRules:
 
 
 def _pattern(cfg: dict) -> lattice.FrequencyPattern:
+    """The set-point pattern of ``--base-ghz`` and, for ``check``, ``--spacing-mhz``."""
+    _check_flag(cfg, "base_ghz", lambda v: 0.0 < v < math.inf, "finite and > 0")
+    if "spacing_mhz" in cfg:
+        _check_flag(cfg, "spacing_mhz", _finite_nonnegative, "finite and >= 0")
     return lattice.FrequencyPattern(
-        base_ghz=cfg.get("base_ghz", _OPTION["base_ghz"].default),
+        base_ghz=cfg["base_ghz"],
         spacing_mhz=cfg.get("spacing_mhz", _OPTION["spacing_mhz"].default))
 
 
@@ -288,8 +321,7 @@ def cmd_check(cfg: dict) -> int:
     lat = _build(cfg)
     pattern = _pattern(cfg)
     freqs = lattice.set_points_mhz(lat, pattern)
-    if not 0.0 <= cfg["sigma_mhz"] < math.inf:
-        raise UsageError(f"--sigma-mhz must be finite and >= 0, got {cfg['sigma_mhz']!r}")
+    _check_flag(cfg, "sigma_mhz", _finite_nonnegative, "finite and >= 0")
     if cfg["sigma_mhz"] > 0.0:
         freqs = freqs + cfg["sigma_mhz"] * mc.gaussian_deviates(cfg["seed"], 1, lat.n_qubits)[0]
     report = collision.count_collisions(lat, freqs, _rules(cfg), collect=True)
@@ -332,6 +364,7 @@ def cmd_sweep(cfg: dict) -> int:
     sigma_grid = _float_list(cfg, "sigmas") or mc.DEFAULT_SIGMA_GRID_MHZ
     points = mc.sweep_sigma(lat, pattern, sigma_grid, _policy(cfg), cfg["seed"],
                             spacing_grid=spacing_grid, rules=_rules(cfg))
+    from . import svgchart
     rows = [_sweep_row(pt) for pt in points]
     run = RunDir(cfg)
     run.write_csv("results.csv", [_spread_type_means(row) for row in rows])
@@ -355,13 +388,13 @@ def _sweep_table2(cfg: dict, spacing_grid) -> int:
     the same operating points the acceptance gate checks."""
     rows = []
     sigma_hi, sigma_lo = mc.AS_FABRICATED_SIGMA_MHZ, mc.TUNED_SIGMA_MHZ
-    policy = _policy(cfg)
+    policy, pattern = _policy(cfg), _pattern(cfg)
     lattices = [lattice.build_lattice(family, distance)
                 for family in lattice.FAMILIES for distance in (3, 5, 7)]
     # one set of rows for all nine: each lattice reads its own first n_qubits columns
     z = mc.DeviateRows(cfg["seed"], max(lat.n_qubits for lat in lattices))
     for lat in lattices:
-        tuned, asfab = mc.table_row(lat, _pattern(cfg), policy, cfg["seed"],
+        tuned, asfab = mc.table_row(lat, pattern, policy, cfg["seed"],
                                     spacing_grid=spacing_grid, rules=_rules(cfg), deviates=z)
         rows.append({"family": lat.family, "distance": lat.distance, "n_qubits": lat.n_qubits,
                      f"mean_collisions_sigma{sigma_hi:g}": asfab.mean_collisions,
@@ -416,6 +449,7 @@ def _fit_sweep_csvs(cfg: dict):
     Returns the run directory and ``(family, distance, n_qubits, WindowFit)``
     per curve.
     """
+    from . import window
     paths = [p for p in (cfg["sweep_csv"] or "").split(",") if p.strip()]
     if not paths:
         raise UsageError("--sweep-csv is required")
@@ -430,6 +464,7 @@ def _fit_sweep_csvs(cfg: dict):
 
 def cmd_fit_window(cfg: dict) -> int:
     """Fit effective collision-free windows from sweep CSVs."""
+    from . import svgchart, window
     run, fitted = _fit_sweep_csvs(cfg)
     fits = []
     for family, distance, n_qubits, fit in fitted:
@@ -453,6 +488,7 @@ def cmd_fit_window(cfg: dict) -> int:
 
 def cmd_extrapolate(cfg: dict) -> int:
     """Window-width trend and yield projections vs size."""
+    from . import svgchart, window
     run, fitted = _fit_sweep_csvs(cfg)
     sizes = [n_qubits for _, _, n_qubits, _ in fitted]
     widths = [fit.delta_f_mhz for *_, fit in fitted]
@@ -494,8 +530,19 @@ def cmd_extrapolate(cfg: dict) -> int:
 
 def cmd_tune(cfg: dict) -> int:
     """Simulate an adaptive resistance-trimming campaign."""
-    if cfg["junctions"] < 1:
-        raise UsageError("--junctions must be >= 1")
+    from . import physics, svgchart, tunesim
+    _check_flag(cfg, "junctions", lambda n: n >= 1, ">= 1")
+    if cfg["target_spread"]:
+        try:
+            lo, hi = (float(tok) for tok in cfg["target_spread"].split(":"))
+        except ValueError as exc:
+            raise UsageError("--target-spread wants LO:HI in percent, e.g. 0.4:14.5") from exc
+        if not 0.0 <= lo <= hi < math.inf:
+            raise UsageError(f"--target-spread needs 0 <= LO <= HI, both finite, "
+                             f"got {cfg['target_spread']!r}")
+    elif cfg["junctions"] != sum(tunesim.TWO_GROUP_SIZES):
+        raise UsageError(f"either --target-spread LO:HI or --junctions "
+                         f"{sum(tunesim.TWO_GROUP_SIZES)} (two-group scenario)")
     fit = physics.PowerLawFit(prefactor=tunesim.default_wafer_fit().prefactor, exponent=-0.5,
                               residual_std_mhz=cfg["residual_std_mhz"], n_points=31,
                               exponent_fixed=True)
@@ -506,17 +553,10 @@ def cmd_tune(cfg: dict) -> int:
     records = tunesim.generate_population(cfg["junctions"], cfg["median_ohm"],
                                           cfg["fractional_sigma"], cfg["seed"])
     if cfg["target_spread"]:
-        try:
-            lo, hi = (float(tok) for tok in cfg["target_spread"].split(":"))
-        except ValueError as exc:
-            raise UsageError("--target-spread wants LO:HI in percent, e.g. 0.4:14.5") from exc
         tunesim.spread_targets(records, lo / 100.0, hi / 100.0)
         group_ids = None
-    elif cfg["junctions"] == sum(tunesim.TWO_GROUP_SIZES):
-        group_ids = tunesim.two_group_split(records)
     else:
-        raise UsageError(f"either --target-spread LO:HI or --junctions "
-                         f"{sum(tunesim.TWO_GROUP_SIZES)} (two-group scenario)")
+        group_ids = tunesim.two_group_split(records)
     result = tunesim.run_campaign(records, model=model, policy=policy,
                                   master_seed=cfg["seed"], fit=fit, group_ids=group_ids)
     run = RunDir(cfg)
@@ -557,6 +597,7 @@ def cmd_tune(cfg: dict) -> int:
 
 def cmd_fit_rn(cfg: dict) -> int:
     """Power-law fit of measured resistance/frequency pairs."""
+    from . import physics, svgchart
     path = cfg["csv_path"]
     if not path:
         raise UsageError("--csv is required")
@@ -684,8 +725,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if not 0 <= cfg["seed"] < 2**128:  # mc.check_seed's range, before any file is touched
-            raise UsageError(f"--seed must be in [0, 2**128), got {cfg['seed']}")
+        # mc.check_seed's range, before any file is touched
+        _check_flag(cfg, "seed", lambda seed: 0 <= seed < 2**128, "in [0, 2**128)")
         return _COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

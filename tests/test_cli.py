@@ -228,8 +228,26 @@ def test_seed_outside_key_range_is_an_error(tmp_path, capsys, argv):
      "--seed must be in [0, 2**128), got -1"),
     (["sweep", "--family", "square", "-d", "3", "--seed", str(2**128)],
      "--seed must be in [0, 2**128), got 340282366920938463463374607431768211456"),
+    (["check", "--family", "square", "-d", "3", "--spacing-mhz", "-40"],
+     "--spacing-mhz must be finite and >= 0, got -40.0"),
+    (["check", "--family", "square", "-d", "3", "--base-ghz", "0"],
+     "--base-ghz must be finite and > 0, got 0.0"),
+    (["sweep", "--family", "square", "-d", "3", "--base-ghz", "inf"],
+     "--base-ghz must be finite and > 0, got inf"),
+    (["sweep", "--reproduce-table2", "--base-ghz", "-5"],
+     "--base-ghz must be finite and > 0, got -5.0"),
+    (["tune", "--junctions", "5", "--target-spread", "5:1"],
+     "--target-spread needs 0 <= LO <= HI, both finite, got '5:1'"),
+    (["tune", "--junctions", "5", "--target-spread", "nan:1"],
+     "--target-spread needs 0 <= LO <= HI, both finite, got 'nan:1'"),
+    (["tune", "--target-spread", "0.4:inf"],
+     "--target-spread needs 0 <= LO <= HI, both finite, got '0.4:inf'"),
+    (["tune", "--target-spread=-1:2"],
+     "--target-spread needs 0 <= LO <= HI, both finite, got '-1:2'"),
 ], ids=["sigma-mhz", "nan-sigma-mhz", "sigmas", "spacings", "table2-spacings", "seed",
-        "seed-too-large"])
+        "seed-too-large", "spacing-mhz", "base-ghz", "inf-base-ghz", "table2-base-ghz",
+        "target-spread-reversed", "nan-target-spread", "inf-target-spread",
+        "negative-target-spread"])
 def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, argv, message):
     """A value its flag cannot take exits 2 with an error line naming the flag."""
     assert cli.main(argv + ["--out", str(tmp_path)]) == 2
@@ -248,18 +266,19 @@ def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, argv, message):
     ["check", "--family", "square", "-d", "3", "--spacing-mhz", "nan"],
 ])
 def test_non_finite_pattern_is_an_error(tmp_path, capsys, argv):
-    """A non-finite --spacings value is a usage error naming the flag; a
-    non-finite base or single spacing fails the pattern check."""
+    """A non-finite --spacings, --base-ghz or --spacing-mhz value is a usage
+    error naming the flag."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the run
         rc = cli.main(argv + ["--out", str(tmp_path)])
     err = capsys.readouterr().err
+    assert rc == 2
     if "--spacings" in argv:
-        assert rc == 2
         assert f"error: --spacings values must be finite and >= 0, got '{argv[-1]}'" in err
+    elif "--base-ghz" in argv:
+        assert "error: --base-ghz must be finite and > 0, got nan" in err
     else:
-        assert rc == 1
-        assert "error: pattern needs finite base > 0 and finite spacing >= 0" in err
+        assert "error: --spacing-mhz must be finite and >= 0, got nan" in err
     assert "RuntimeWarning" not in err and "frequencies" not in err
     assert not (tmp_path / argv[0]).exists()
 
@@ -531,7 +550,6 @@ class TestTuneCommand:
         ("--noise-sigma", "nan", "noise_sigma"), ("--noise-sigma", "inf", "noise_sigma"),
         ("--residual-std", "nan", "residual_std"), ("--residual-std", "-1", "residual_std"),
         ("--median-ohm", "inf", "median"), ("--fractional-sigma", "nan", "scatter"),
-        ("--target-spread", "0.4:inf", "lo <= hi"),
     ])
     def test_bad_model_parameter_is_runtime_error(self, tmp_path, capsys, flag, value, named):
         assert cli.main(["tune", flag, value, "--out", str(tmp_path)]) == 1
