@@ -24,7 +24,7 @@ freqcrowd import sweep_sigma`` loads ``mc`` and what ``mc`` imports
 ``tunesim``, ``physics`` or ``svgchart``.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # every submodule, with the public names the package takes from it; each name
 # is declared here once and looked up in its submodule on every access, so a

@@ -274,6 +274,7 @@ def _build(cfg: dict) -> lattice.Lattice:
 
 
 def _rules(cfg: dict) -> collision.CollisionRules:
+    _check_flag(cfg, "anharmonicity_mhz", lambda v: -math.inf < v < 0.0, "finite and < 0")
     return collision.CollisionRules(anharmonicity_mhz=cfg["anharmonicity_mhz"])
 
 
@@ -385,17 +386,25 @@ def cmd_sweep(cfg: dict) -> int:
 
 def _sweep_table2(cfg: dict, spacing_grid) -> int:
     """Summary table over all nine lattices: one :func:`mc.table_row` each,
-    the same operating points the acceptance gate checks."""
+    the same operating points the acceptance gate checks.
+
+    Every point's trials are planned from its expected collisions, not from
+    the sample, so the nine lattices share one draw of ``max(base, boost)``
+    deviate rows.  Under the default policy and spacing grid the square d=5
+    tuned point is planned at the boost count at every seed, so every row
+    drawn is read."""
     rows = []
     sigma_hi, sigma_lo = mc.AS_FABRICATED_SIGMA_MHZ, mc.TUNED_SIGMA_MHZ
-    policy, pattern = _policy(cfg), _pattern(cfg)
+    policy, pattern, rules = _policy(cfg), _pattern(cfg), _rules(cfg)
     lattices = [lattice.build_lattice(family, distance)
                 for family in lattice.FAMILIES for distance in (3, 5, 7)]
-    # one set of rows for all nine: each lattice reads its own first n_qubits columns
-    z = mc.DeviateRows(cfg["seed"], max(lat.n_qubits for lat in lattices))
+    # one draw for all nine, as long as the longest point the policy can plan:
+    # each lattice reads its own first n_qubits columns
+    z = mc.DeviateRows(cfg["seed"], max(policy.base, policy.boost),
+                       max(lat.n_qubits for lat in lattices))
     for lat in lattices:
         tuned, asfab = mc.table_row(lat, pattern, policy, cfg["seed"],
-                                    spacing_grid=spacing_grid, rules=_rules(cfg), deviates=z)
+                                    spacing_grid=spacing_grid, rules=rules, deviates=z)
         rows.append({"family": lat.family, "distance": lat.distance, "n_qubits": lat.n_qubits,
                      f"mean_collisions_sigma{sigma_hi:g}": asfab.mean_collisions,
                      "spacing_mhz": tuned.spacing_mhz,

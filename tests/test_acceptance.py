@@ -67,7 +67,7 @@ def table_rows():
     """Fine-grid operating points from ``mc.table_row``: optimise the spacing
     at 14 MHz scatter, then measure the as-fabricated 132.3 MHz level at that
     same spacing (a chip is laid out before tuning quality is known).  The
-    adaptive policy re-measures rare-survivor points at 4000 trials."""
+    adaptive policy plans rare-survivor points at 4000 trials."""
     return {key: mc.table_row(lattice.build_lattice(*key), lattice.FrequencyPattern(),
                               mc.AdaptiveTrials(), MC_SEED, spacing_grid=FINE_SPACING_GRID)
             for key in ALL_KEYS}

@@ -116,10 +116,12 @@ class TestCheckCommand:
             read_bytes(tmp_path / "b", "check", "default", "results.json")
 
     @pytest.mark.parametrize("anharmonicity", ["nan", "-inf", "5"])
-    def test_anharmonicity_must_be_finite_and_negative(self, tmp_path, anharmonicity):
+    def test_anharmonicity_must_be_finite_and_negative(self, tmp_path, capsys, anharmonicity):
         assert cli.main(["check", "--family", "square", "-d", "3", "--spacing-mhz", "100",
                          "--sigma-mhz", "120", "--seed", "3",
-                         f"--anharmonicity-mhz={anharmonicity}", "--out", str(tmp_path)]) == 1
+                         f"--anharmonicity-mhz={anharmonicity}", "--out", str(tmp_path)]) == 2
+        assert (f"error: --anharmonicity-mhz must be finite and < 0, got {float(anharmonicity)}"
+                in capsys.readouterr().err)
         assert not (tmp_path / "check").exists()
 
     @pytest.mark.parametrize("sigma", ["-40", "nan", "inf"])
@@ -236,6 +238,10 @@ def test_seed_outside_key_range_is_an_error(tmp_path, capsys, argv):
      "--base-ghz must be finite and > 0, got inf"),
     (["sweep", "--reproduce-table2", "--base-ghz", "-5"],
      "--base-ghz must be finite and > 0, got -5.0"),
+    (["sweep", "--family", "square", "-d", "3", "--anharmonicity-mhz", "nan"],
+     "--anharmonicity-mhz must be finite and < 0, got nan"),
+    (["sweep", "--reproduce-table2", "--anharmonicity-mhz", "0"],
+     "--anharmonicity-mhz must be finite and < 0, got 0.0"),
     (["tune", "--junctions", "5", "--target-spread", "5:1"],
      "--target-spread needs 0 <= LO <= HI, both finite, got '5:1'"),
     (["tune", "--junctions", "5", "--target-spread", "nan:1"],
@@ -246,6 +252,7 @@ def test_seed_outside_key_range_is_an_error(tmp_path, capsys, argv):
      "--target-spread needs 0 <= LO <= HI, both finite, got '-1:2'"),
 ], ids=["sigma-mhz", "nan-sigma-mhz", "sigmas", "spacings", "table2-spacings", "seed",
         "seed-too-large", "spacing-mhz", "base-ghz", "inf-base-ghz", "table2-base-ghz",
+        "anharmonicity-mhz", "table2-anharmonicity-mhz",
         "target-spread-reversed", "nan-target-spread", "inf-target-spread",
         "negative-target-spread"])
 def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, argv, message):
@@ -348,10 +355,9 @@ def test_table2_manifest_replays(tmp_path):
 
 
 def test_table2_draws_each_deviate_row_once_and_writes_the_pinned_csv(tmp_path, monkeypatch):
-    """At seed 1 only the square d=5 tuned point boosts: the nine lattices
-    share 1000 base rows, as wide as the widest, and that boost draws its own
-    3000 after them.  The CSV is byte-identical to the one written when all
-    4000 rows were drawn before the first lattice (sha256 pinned then)."""
+    """Trials are planned before sampling, so the nine lattices share one
+    draw of the boost count's 4000 rows, as wide as the widest, which the
+    square d=5 tuned point reads in full.  The CSV's sha256 is pinned."""
     draws, draw = [], mc.gaussian_deviates
 
     def spy(seed, n_trials, n_qubits, first_trial=0):
@@ -360,7 +366,7 @@ def test_table2_draws_each_deviate_row_once_and_writes_the_pinned_csv(tmp_path, 
     monkeypatch.setattr(mc, "gaussian_deviates", spy)
     assert cli.main(["sweep", "--reproduce-table2", "--seed", "1", "--out", str(tmp_path)]) == 0
     widest = max(lattice.build_lattice(f, d).n_qubits for f in lattice.FAMILIES for d in (3, 5, 7))
-    assert draws == [(0, 1000, widest), (1000, 3000, widest)]
+    assert draws == [(0, 4000, widest)]
     csv = read_bytes(tmp_path, "sweep", "default", "results.csv")
     assert hashlib.sha256(csv).hexdigest() == \
         "3b6f0e80be235abf36cc720259c95bda9637393cccaae3ad469e0f44471bf006"

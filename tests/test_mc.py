@@ -65,18 +65,16 @@ def test_deviates_from_a_first_trial():
         mc.gaussian_deviates(7, 2, 17, first_trial=-1)
 
 
-def test_deviate_rows_draw_each_row_once_and_keep_their_chunks(monkeypatch):
-    """Rows past the last drawn are drawn when first read, from that trial on;
-    chunks are kept as drawn, and a narrower reader gets the leading columns."""
+def test_deviate_rows_are_one_draw_of_a_known_row_count(monkeypatch):
+    """The rows are drawn once, when built, from trial 0, and carry their
+    master seed."""
     z = mc.gaussian_deviates(3, 40, 25)
     calls = _spy_deviate_draws(monkeypatch)
-    rows = mc.DeviateRows(3, 25)
-    assert [b.shape for b in rows.blocks(0, 10, 25)] == [(10, 25)]
-    got = rows.blocks(4, 40, 9)
-    assert [len(b) for b in got] == [6, 30]
-    assert np.array_equal(np.concatenate(got), z[4:40, :9])
-    assert rows.blocks(10, 40, 25)[0].base is rows.chunks[1]
-    assert calls == [(0, 10), (10, 30)] and rows.rows == 40
+    rows = mc.DeviateRows(3, 40, 25)
+    assert calls == [(0, 40)] and rows.master_seed == 3
+    assert np.array_equal(rows.z, z)
+    with pytest.raises(ParameterError, match="n_trials must be an integer >= 1"):
+        mc.DeviateRows(3, 0, 25)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128])
@@ -127,17 +125,29 @@ def test_run_point_metadata_and_yield_granularity(hh3):
 
 
 def test_prebuilt_deviates_equivalent_to_seed(hh3):
-    """Shared rows of the same seed give the same point, and grow as needed;
-    rows of another seed or narrower than the lattice are refused."""
+    """Shared rows of the same seed, wider and longer than a point reads, give
+    the same point; rows of another seed or narrower than the lattice are
+    refused."""
     pattern = lattice.FrequencyPattern(spacing_mhz=40.0)
-    z = mc.DeviateRows(11, hh3.n_qubits + 4)
+    z = mc.DeviateRows(11, 501, hh3.n_qubits + 4)
     assert mc.run_point(hh3, pattern, 14.0, 200, 11) == mc.run_point(
         hh3, pattern, 14.0, 200, 11, deviates=z)
     assert mc.run_point(hh3, pattern, 14.0, 501, 11, deviates=z) == mc.run_point(
         hh3, pattern, 14.0, 501, 11)
-    for bad in (mc.DeviateRows(12, hh3.n_qubits), mc.DeviateRows(11, hh3.n_qubits - 1)):
+    for bad in (mc.DeviateRows(12, 10, hh3.n_qubits), mc.DeviateRows(11, 10, hh3.n_qubits - 1)):
         with pytest.raises(ParameterError, match="deviates must be drawn under master_seed"):
             mc.run_point(hh3, pattern, 14.0, 10, 11, deviates=bad)
+
+
+def test_run_point_refuses_fewer_deviate_rows_than_trials(hh3):
+    """Above zero scatter a point reads ``trials`` rows, so shorter rows are
+    refused, not read past their end; at zero scatter it reads none."""
+    pattern = lattice.FrequencyPattern(spacing_mhz=40.0)
+    z = mc.DeviateRows(11, 200, hh3.n_qubits)
+    with pytest.raises(ParameterError, match="trials rows long or longer"):
+        mc.run_point(hh3, pattern, 14.0, 201, 11, deviates=z)
+    assert mc.run_point(hh3, pattern, 0.0, 201, 11, deviates=z) == mc.run_point(
+        hh3, pattern, 0.0, 201, 11)
 
 
 def test_run_point_validation(hh3):
@@ -147,91 +157,12 @@ def test_run_point_validation(hh3):
             mc.run_point(hh3, pattern, bad, 10)
     with pytest.raises(ParameterError):
         mc.run_point(hh3, pattern, 14.0, 0)
-    z = mc.DeviateRows(3, hh3.n_qubits)
-    pilot = mc.run_point(hh3, pattern, 14.0, 20, 3, deviates=z)
-    with pytest.raises(ParameterError, match="over at most trials rows"):
-        mc.run_point(hh3, pattern, 14.0, 10, 3, deviates=z, pilot=pilot)
-
-
-def _nudged(p, field, k=None):
-    """``p`` with one mean moved to the next float up (entry ``k`` of a tuple)."""
-    value = getattr(p, field)
-    if k is None:
-        return dataclasses.replace(p, **{field: math.nextafter(value, math.inf)})
-    return dataclasses.replace(p, **{field: tuple(
-        math.nextafter(v, math.inf) if i == k else v for i, v in enumerate(value))})
-
-
-@pytest.mark.parametrize("case", ["sigma", "spacing", "seed", "lattice", "more_trials",
-                                  "other_trials", "type_mean", "zero_type_mean", "mean", "yield"])
-def test_run_point_rejects_a_pilot_of_another_point(hh3, case):
-    """A pilot must be this point on at most ``trials`` rows, with every mean
-    an exact ratio c / trials; anything else is refused, not extended."""
-    pattern = lattice.FrequencyPattern(spacing_mhz=35.0)
-    pilot = mc.run_point(hh3, pattern, 30.0, 300, 12)
-    zero = pilot.per_type_means.index(0.0)
-    lat, sigma, trials, seed = hh3, 30.0, 800, 12
-    if case == "sigma":
-        sigma = 31.0
-    elif case == "spacing":
-        pattern = pattern.with_spacing(40.0)
-    elif case == "seed":
-        seed = 13
-    elif case == "lattice":
-        lat = lattice.build_lattice("square", 3)
-    elif case == "more_trials":
-        trials = 299
-    elif case == "other_trials":
-        pilot = dataclasses.replace(pilot, trials=301)
-    else:
-        field, k = {"type_mean": ("per_type_means", 0), "zero_type_mean": ("per_type_means", zero),
-                    "mean": ("mean_collisions", None), "yield": ("yield_fraction", None)}[case]
-        pilot = _nudged(pilot, field, k)
-    message = ("pilot must be a point of this lattice" if case in (
-        "sigma", "spacing", "seed", "lattice", "more_trials") else "pilot means must be integer")
-    with pytest.raises(ParameterError, match=message):
-        mc.run_point(lat, pattern, sigma, trials, seed, pilot=pilot)
 
 
 @pytest.mark.parametrize("bad", [2.5, True, float("nan")])
 def test_run_point_rejects_non_integer_trials(hh3, bad):
     with pytest.raises(ParameterError, match="trials must be an integer >= 1"):
         mc.run_point(hh3, lattice.FrequencyPattern(), 10.0, bad, 1)
-
-
-@pytest.mark.parametrize("sigma", [0.0, 30.0])
-def test_run_point_extends_its_pilot(hh3, monkeypatch, sigma):
-    """Counting 300 rows, then extending that point to 800, gives the 800-row
-    point, with every row counted once: its means times 800 are the batch
-    counter's column sums and all-zero rows over all 800, and at zero
-    scatter one counted row stands for all of them."""
-    pattern = lattice.FrequencyPattern(spacing_mhz=35.0)
-    z = mc.DeviateRows(12, hh3.n_qubits)
-    rows = _tally_kernel_rows(monkeypatch)
-    pilot = mc.run_point(hh3, pattern, sigma, 300, 12, deviates=z)
-    extended = mc.run_point(hh3, pattern, sigma, 800, 12, deviates=z, pilot=pilot)
-    assert rows == ([1] if sigma == 0.0 else [300, 500])
-    monkeypatch.undo()
-    assert pilot == mc.run_point(hh3, pattern, sigma, 300, 12)
-    assert extended == mc.run_point(hh3, pattern, sigma, 800, 12)
-    counts = collision.count_collisions_batch(
-        collision.build_index(hh3),
-        lattice.set_points_mhz(hh3, pattern) + sigma * mc.gaussian_deviates(12, 800, hh3.n_qubits))
-    assert extended.trials == 800
-    assert [m * 800 for m in extended.per_type_means] == counts.sum(axis=0).tolist()
-    assert extended.yield_fraction * 800 == np.count_nonzero(counts.sum(axis=1) == 0)
-
-
-def test_run_point_extends_a_colliding_zero_scatter_pilot(hh3, monkeypatch):
-    """At zero scatter the pilot's per-type means are the row that stands for
-    all trials; at 105 MHz that row has collisions, so a wrong scale shows."""
-    pattern = lattice.FrequencyPattern(spacing_mhz=105.0)
-    rows = _tally_kernel_rows(monkeypatch)
-    pilot = mc.run_point(hh3, pattern, 0.0, 300, 12)
-    extended = mc.run_point(hh3, pattern, 0.0, 800, 12, pilot=pilot)
-    assert rows == [1] and pilot.mean_collisions > 0
-    monkeypatch.undo()
-    assert extended == mc.run_point(hh3, pattern, 0.0, 800, 12)
 
 
 def test_optimize_spacing_matches_manual_grid_scan(hh3):
@@ -248,23 +179,24 @@ def test_optimize_spacing_matches_manual_grid_scan(hh3):
 
 
 def test_operating_point_gates_the_boost_on_the_chosen_expected_total(hh3, monkeypatch):
-    """The E that ``operating_point`` hands to the boost gate is the oracle's
-    expected total at the chosen spacing, the smallest over the grid."""
+    """The E the sweep sizes its draw from, and ``operating_point`` plans the
+    trials from, is the oracle's expected total at the chosen spacing, the
+    smallest over the grid."""
     grid = (30.0, 40.0, 50.0, 60.0)
     pattern = lattice.FrequencyPattern()
-    got, gate = [], mc.AdaptiveTrials.boost_trials
+    got, plan = [], mc.AdaptiveTrials.trials
 
-    def spy(self, distance, observed_yield, expected_collisions):
+    def spy(self, distance, expected_collisions):
         got.append(expected_collisions)
-        return gate(self, distance, observed_yield, expected_collisions)
-    monkeypatch.setattr(mc.AdaptiveTrials, "boost_trials", spy)
+        return plan(self, distance, expected_collisions)
+    monkeypatch.setattr(mc.AdaptiveTrials, "trials", spy)
     (pt,) = mc.sweep_sigma(hh3, pattern, (14.0,), mc.AdaptiveTrials(base=10, boost=10), 2,
                            spacing_grid=grid)
     triples = lattice.next_nearest_triples(hh3)
     want = min(expected_mean_collisions(
         lattice.set_points_mhz(hh3, pattern.with_spacing(s)), 14.0, hh3.edges, triples)
         for s in grid)
-    assert got == [pytest.approx(want, rel=1e-9)]
+    assert got == [pytest.approx(want, rel=1e-9)] * 2
     assert want == pytest.approx(expected_mean_collisions(
         lattice.set_points_mhz(hh3, pattern.with_spacing(pt.spacing_mhz)), 14.0, hh3.edges,
         triples), rel=1e-12)
@@ -277,7 +209,7 @@ def test_optimize_spacing_ignores_the_sample(hh3):
     pattern = lattice.FrequencyPattern()
     chosen = {mc.optimize_spacing(hh3, pattern, 24.0, n, seed).spacing_mhz
               for seed in (0, 1, 2, 3) for n in (100, 400)}
-    z = mc.DeviateRows(5, hh3.n_qubits)
+    z = mc.DeviateRows(5, 50, hh3.n_qubits)
     chosen.add(mc.optimize_spacing(hh3, pattern, 24.0, 50, 5, deviates=z).spacing_mhz)
     assert len(chosen) == 1
 
@@ -293,7 +225,7 @@ def test_optimize_spacing_zero_scatter_prefers_smallest_clean(hh3):
 
 @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
 def test_operating_point_rejects_bad_sigma(hh3, sigma):
-    z = mc.DeviateRows(0, hh3.n_qubits)
+    z = mc.DeviateRows(0, 10, hh3.n_qubits)
     with pytest.raises(ParameterError, match="sigma must be >= 0"):
         mc.operating_point(hh3, lattice.FrequencyPattern(), sigma,
                            mc.AdaptiveTrials(base=10, boost=10),
@@ -319,16 +251,18 @@ class TestTrialsPolicies:
     def test_fixed(self):
         p = mc.AdaptiveTrials(base=250, boost=250)
         assert p.base_trials(5, 14.0) == 250
-        assert p.boost_trials(5, 0.0, 0.0) <= p.base_trials(5, 14.0)    # never re-runs
+        assert p.trials(5, 8.0) == 250                  # never boosts
 
     def test_adaptive_boosts_only_rare_survivors(self):
+        """The model yield exp(-E) must be strictly below the distance's
+        threshold: exp(-E) = 0.001, 0.009, 0.5 and, for d=11, 0.0003."""
         p = mc.AdaptiveTrials()
         assert p.base_trials(3, 14.0) == 1000
-        assert p.boost_trials(3, 0.001, 0.0) == 4000
-        assert p.boost_trials(3, 0.002, 0.0) == 0       # threshold is strict
-        assert p.boost_trials(5, 0.009, 0.0) == 4000
-        assert p.boost_trials(5, 0.5, 0.0) == 0
-        assert p.boost_trials(11, 0.0, 0.0) == 0        # unlisted distance
+        assert p.trials(3, -math.log(0.001)) == 4000
+        assert p.trials(3, -math.log(0.002) - 1e-9) == 1000  # threshold is strict
+        assert p.trials(5, -math.log(0.009)) == 4000
+        assert p.trials(5, -math.log(0.5)) == 1000
+        assert p.trials(11, 8.0) == 1000                    # unlisted distance
 
     @pytest.mark.parametrize("field", ["base", "boost"])
     @pytest.mark.parametrize("bad", [0, -3, 10.5, 1000.0, True, "1000"])
@@ -339,41 +273,57 @@ class TestTrialsPolicies:
 
     def test_numpy_integer_counts_are_accepted(self):
         p = mc.AdaptiveTrials(base=np.int64(200), boost=np.int32(400))
-        assert (p.base_trials(7, 132.3), p.boost_trials(7, 0.0, 0.0)) == (200, 400)
+        assert (p.base_trials(7, 132.3), p.trials(7, 8.0)) == (200, 400)
 
     # E at which the boost expects exactly BOOST_MIN_SURVIVORS survivors
     EDGE_4000 = math.log(4000 / mc.BOOST_MIN_SURVIVORS)   # 12.9
     EDGE_240 = math.log(240 / mc.BOOST_MIN_SURVIVORS)     # 10.1
 
-    @pytest.mark.parametrize("base, boost, distance, observed, expected, trials", [
-        (1000, 4000, 7, 0.0, 0.0, 4000),                 # fires: 4000 survivors expected
-        (1000, 4000, 7, 0.0, EDGE_4000 - 1e-9, 4000),    # fires: just enough survivors
-        (1000, 4000, 7, 0.0, EDGE_4000 + 1e-9, 0),       # hopeless: skipped
-        (1000, 4000, 5, 0.0, 30.0, 0),                   # hopeless: skipped
-        (1000, 4000, 5, 0.5, 0.0, 0),                    # pilot yield high enough
-        (60, 240, 3, 0.0, EDGE_240 - 1e-9, 240),         # the gate uses the boost count
-        (60, 240, 3, 0.0, EDGE_240 + 1e-9, 0),
-        (1000, 4000, 11, 0.0, 0.0, 0),                   # unlisted distance
-        (1000, 4000, 9, 0.0, 30.0, 0),                   # unlisted and hopeless
-        (250, 250, 5, 0.0, 0.0, 250),                    # base == boost: nothing to add
-        (250, 250, 5, 0.0, 30.0, 0),
+    @pytest.mark.parametrize("base, boost, distance, expected, trials", [
+        (1000, 4000, 7, 5.0, 4000),                 # fires: 27 survivors expected
+        (1000, 4000, 7, EDGE_4000 - 1e-9, 4000),    # fires: just enough survivors
+        (1000, 4000, 7, EDGE_4000 + 1e-9, 1000),    # hopeless: skipped
+        (1000, 4000, 5, 30.0, 1000),                # hopeless: skipped
+        (1000, 4000, 5, 0.0, 1000),                 # model yield 1: high enough
+        (60, 240, 3, EDGE_240 - 1e-9, 240),         # the gate uses the boost count
+        (60, 240, 3, EDGE_240 + 1e-9, 60),
+        (1000, 4000, 11, 8.0, 1000),                # unlisted distance
+        (1000, 4000, 9, 30.0, 1000),                # unlisted and hopeless
+        (250, 250, 5, 8.0, 250),                    # base == boost: nothing to add
+        (250, 250, 5, 30.0, 250),
+        (1000, 500, 5, 8.0, 1000),                  # boost < base never boosts
     ])
-    def test_boost_gate(self, base, boost, distance, observed, expected, trials):
-        """Boost only a low-yield pilot whose boost expects at least
-        BOOST_MIN_SURVIVORS survivors, boost * exp(-E)."""
+    def test_boost_gate(self, base, boost, distance, expected, trials):
+        """Boost only where the model yield exp(-E) is low and the boost
+        expects at least BOOST_MIN_SURVIVORS survivors, boost * exp(-E)."""
         p = mc.AdaptiveTrials(base=base, boost=boost)
-        assert p.boost_trials(distance, observed, expected) == trials
+        assert p.trials(distance, expected) == trials
 
 
 def test_sweep_sigma_boost_and_order(hh3):
     policy = mc.AdaptiveTrials(base=60, boost=240)
-    pts = mc.sweep_sigma(hh3, lattice.FrequencyPattern(), sigma_grid=(0.0, 100.0),
+    pts = mc.sweep_sigma(hh3, lattice.FrequencyPattern(), sigma_grid=(0.0, 150.0),
                          trials_policy=policy, master_seed=4)
-    assert [p.sigma_mhz for p in pts] == [0.0, 100.0]
-    assert pts[0].trials == 60          # yield 1.0 at zero scatter: no boost
+    assert [p.sigma_mhz for p in pts] == [0.0, 150.0]
+    assert pts[0].trials == 60          # model yield 1.0 at zero scatter: no boost
     assert pts[0].yield_fraction == 1.0
-    assert pts[1].trials == 240         # heavy scatter collapses the yield
+    assert pts[1].trials == 240         # heavy scatter: model yield 0.0008
     assert pts[1].yield_fraction < 0.5
+
+
+def test_default_sweeps_plan_their_trials_from_the_expected_total(hh3):
+    """Each point's trials are the policy's for E, the oracle's expected total
+    at its chosen spacing (the exact count at zero scatter), so the sample
+    does not move them: seeds 1 and 7 plan the same trials at every sigma."""
+    policy, triples = mc.AdaptiveTrials(), lattice.next_nearest_triples(hh3)
+    one, seven = (mc.sweep_sigma(hh3, lattice.FrequencyPattern(), master_seed=s) for s in (1, 7))
+    assert [p.trials for p in one] == [p.trials for p in seven]
+    for p in one:
+        sp = lattice.set_points_mhz(hh3, lattice.FrequencyPattern(spacing_mhz=p.spacing_mhz))
+        e = (expected_mean_collisions(sp, p.sigma_mhz, hh3.edges, triples) if p.sigma_mhz > 0.0
+             else p.mean_collisions)
+        assert p.trials == policy.trials(3, e), p.sigma_mhz
+    assert [p.sigma_mhz for p in one if p.trials == policy.boost] == [132.3, 150.0]
 
 
 def test_sweep_sigma_fixed_spacing_mode(hh3):
@@ -425,10 +375,11 @@ def _spy_deviate_draws(monkeypatch):
     return draws
 
 
-def test_sweeps_draw_deviate_rows_only_when_a_point_reads_them(nine_lattices, monkeypatch):
-    """A default heavy-hexagon d=11 sweep never boosts, so it draws its 1000
-    base rows alone; the default square d=7 sweep at seed 1 boosts at 8 MHz,
-    so it draws 4000 rows, the boost's 3000 after the base rows, each once."""
+def test_sweeps_draw_deviate_rows_only_when_a_point_reads_them(hh3, nine_lattices, monkeypatch):
+    """A sweep draws its deviates in one call, as many rows as its largest
+    planned count: a default heavy-hexagon d=11 sweep never boosts, so 1000
+    rows; the default square d=7 sweep boosts at 8 MHz, so 4000; a sweep
+    with no sigma > 0 point draws nothing."""
     draws = _spy_deviate_draws(monkeypatch)
     pts = mc.sweep_sigma(lattice.build_lattice("heavy_hexagon", 11), lattice.FrequencyPattern(),
                          master_seed=1)
@@ -436,7 +387,10 @@ def test_sweeps_draw_deviate_rows_only_when_a_point_reads_them(nine_lattices, mo
     draws.clear()
     pts = mc.sweep_sigma(nine_lattices[("square", 7)], lattice.FrequencyPattern(), master_seed=1)
     assert [p.sigma_mhz for p in pts if p.trials == 4000] == [8.0]
-    assert draws == [(0, 1000), (1000, 3000)]
+    assert draws == [(0, 4000)]
+    draws.clear()
+    assert mc.sweep_sigma(hh3, lattice.FrequencyPattern(), (0.0,), master_seed=1)[0].trials == 1000
+    assert draws == []
 
 
 @pytest.mark.parametrize("sigmas, spacings", [
@@ -472,9 +426,9 @@ def _expected_total(lat, spacing, sigma):
 
 
 def test_sweep_skips_a_hopeless_boost(hh3, monkeypatch):
-    """A pilot with no survivor, where the boost expects fewer than
-    BOOST_MIN_SURVIVORS survivors, keeps its base trials: only its rows reach
-    the kernel."""
+    """A point whose boost would expect fewer than BOOST_MIN_SURVIVORS
+    survivors is planned at the base trials: only its rows reach the
+    kernel."""
     sigma, spacing = 20.0, 10.0
     assert 4000 * math.exp(-_expected_total(hh3, spacing, sigma)) < mc.BOOST_MIN_SURVIVORS
     rows = _tally_kernel_rows(monkeypatch)
@@ -488,18 +442,17 @@ def test_sweep_skips_a_hopeless_boost(hh3, monkeypatch):
 
 
 def test_sweep_boosts_where_a_survivor_can_be_found(hh3, monkeypatch):
-    """A low-yield pilot whose boost expects enough survivors is extended to
-    the boost count, and equals run_point there."""
+    """A point whose model yield is low and whose boost expects enough
+    survivors is planned at the boost count, counts only those rows, and
+    equals run_point there."""
     sigma = 150.0
-    (pilot,) = mc.sweep_sigma(hh3, lattice.FrequencyPattern(), (sigma,),
-                              mc.AdaptiveTrials(base=1000, boost=1000), master_seed=7)
-    assert pilot.yield_fraction < mc.LOW_YIELD_THRESHOLDS[3]
-    expected = _expected_total(hh3, pilot.spacing_mhz, sigma)
-    assert 4000 * math.exp(-expected) >= mc.BOOST_MIN_SURVIVORS
     rows = _tally_kernel_rows(monkeypatch)
     (pt,) = mc.sweep_sigma(hh3, lattice.FrequencyPattern(), (sigma,), master_seed=7)
     assert sum(rows) == pt.trials == 4000
     monkeypatch.undo()
+    model_yield = math.exp(-_expected_total(hh3, pt.spacing_mhz, sigma))
+    assert model_yield < mc.LOW_YIELD_THRESHOLDS[3]
+    assert 4000 * model_yield >= mc.BOOST_MIN_SURVIVORS
     direct = mc.run_point(hh3, lattice.FrequencyPattern(spacing_mhz=pt.spacing_mhz), sigma,
                           4000, 7)
     assert dataclasses.astuple(pt) == dataclasses.astuple(direct)
@@ -524,7 +477,7 @@ def test_sweep_enters_each_sigma_through_run_point_or_optimize_spacing(hh3, monk
     mc.sweep_sigma(hh3, lattice.FrequencyPattern(), sigmas, master_seed=7)
     assert events[0] == ("score", list(sigmas))
     assert all(kind == "enter" for kind, _ in events[1:])
-    assert [s for k, s in events if k == "enter"] == [0.0, 0.0, 14.0, 14.0, 150.0, 150.0, 150.0]
+    assert [s for k, s in events if k == "enter"] == [0.0, 0.0, 14.0, 14.0, 150.0, 150.0]
 
 
 def test_optimize_spacing_takes_the_given_totals(hh3, monkeypatch):
@@ -549,7 +502,7 @@ def test_optimize_spacing_and_operating_point_check_their_totals(hh3, totals):
     would pick 40 MHz here though 65 MHz expects fewer collisions, and would
     keep the boost gate from firing."""
     kw = dict(spacing_grid=(40.0, 65.0), index=collision.build_index(hh3),
-              deviates=mc.DeviateRows(3, hh3.n_qubits), totals=totals)
+              deviates=mc.DeviateRows(3, 20, hh3.n_qubits), totals=totals)
     pattern = lattice.FrequencyPattern()
     with pytest.raises(ParameterError, match="one expected total per grid spacing"):
         mc.optimize_spacing(hh3, pattern, 14.0, 10, 3, **kw)
@@ -565,7 +518,7 @@ def test_optimize_spacing_and_operating_point_take_totals_as_a_list(hh3):
                                    totals=totals) == want
         assert mc.operating_point(hh3, pattern, 14.0, mc.AdaptiveTrials(base=10, boost=10), 3,
                                   index=collision.build_index(hh3),
-                                  deviates=mc.DeviateRows(3, hh3.n_qubits), totals=totals,
+                                  deviates=mc.DeviateRows(3, 10, hh3.n_qubits), totals=totals,
                                   spacing_grid=(40.0, 65.0)) == want
 
 
@@ -573,10 +526,10 @@ def test_optimize_spacing_and_operating_point_take_totals_as_a_list(hh3):
                                                      ("heavy_hexagon", 3, 30.0)])
 def test_run_point_counts_rows_split_across_blocks_once(nine_lattices, monkeypatch,
                                                         family, distance, sigma):
-    """Two kernel blocks and a row, counted plain, as a pilot ending mid-block
-    and then extended, and over a deviate chunk boundary mid-block: each
-    point's means are the batch counter's column sums and all-zero rows over
-    the same rows, and no kernel call sees more than one block."""
+    """Two kernel blocks and a row, counted on rows of its own and on shared
+    rows longer and wider than it reads: each point's means are the batch
+    counter's column sums and all-zero rows over the same rows, and no
+    kernel call sees more than one block."""
     lat = nine_lattices[(family, distance)]
     idx = collision.build_index(lat)
     block = collision.block_rows(idx)
@@ -589,18 +542,11 @@ def test_run_point_counts_rows_split_across_blocks_once(nine_lattices, monkeypat
     rows = _tally_kernel_rows(monkeypatch)
     plain = mc.run_point(lat, pattern, sigma, n, 8, index=idx)
     assert max(rows) <= block and sum(rows) == n
-    z = mc.DeviateRows(8, lat.n_qubits)
-    pilot = mc.run_point(lat, pattern, sigma, block // 2, 8, index=idx, deviates=z)
+    z = mc.DeviateRows(8, n + block // 2, lat.n_qubits + 3)
     del rows[:]
-    extended = mc.run_point(lat, pattern, sigma, n, 8, index=idx, deviates=z, pilot=pilot)
-    assert max(rows) <= block and sum(rows) == n - block // 2
-    z = mc.DeviateRows(8, lat.n_qubits)
-    z.blocks(0, block + block // 2, lat.n_qubits)
-    del rows[:]
-    across = mc.run_point(lat, pattern, sigma, n, 8, index=idx, deviates=z)
-    assert [len(c) for c in z.chunks] == [block + block // 2, n - block - block // 2]
+    shared = mc.run_point(lat, pattern, sigma, n, 8, index=idx, deviates=z)
     assert max(rows) <= block and sum(rows) == n
-    for pt in (plain, extended, across):
+    for pt in (plain, shared):
         assert [m * n for m in pt.per_type_means] == counts.sum(axis=0).tolist()
         assert pt.yield_fraction * n == survivors
 
@@ -616,10 +562,9 @@ def test_a_point_holds_its_deviate_rows_and_one_block(family, distance):
     pattern = lattice.FrequencyPattern()
 
     def peak(trials):
-        z = mc.DeviateRows(1, lat.n_qubits)
         tracemalloc.start()
         try:
-            mc.run_point(lat, pattern, 14.0, trials, 1, index=idx, deviates=z)
+            mc.run_point(lat, pattern, 14.0, trials, 1, index=idx)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -642,7 +587,7 @@ def test_sweep_points_are_pinned_bit_for_bit(hh3, nine_lattices):
     speed-up must leave every field of every point unchanged."""
     sweep = mc.sweep_sigma(hh3, lattice.FrequencyPattern(), master_seed=1)
     assert points_sha256(sweep) == \
-        "4d458916da7a7aae0fa168cbe1feecfff4e9afdcaf04fdd4103a26e46cddebf8"
+        "c7327264b48ccb42e1725df0501fc95db105cd02132db7272940413498a49fdf"
     sweep = mc.sweep_sigma(nine_lattices[("square", 7)], lattice.FrequencyPattern(), master_seed=1)
     assert points_sha256(sweep) == \
         "d604ffabf1bd94a1d061ba0355a9277b8a78bb1635593e08adf0ef6e2da8d641"
@@ -657,15 +602,14 @@ def test_table_rows_on_one_shared_deviate_matrix(nine_lattices, monkeypatch):
     """One set of rows as wide as the widest lattice serves all nine: each row
     reads its lattice's leading columns, which the sampling contract makes
     that lattice's own deviates, so every field matches a row drawn alone.
-    The base rows are drawn once, and the boost rows once, by the first
-    point that boosts."""
+    The boost count's rows are drawn once, and no point draws more."""
     policy = mc.AdaptiveTrials(base=200, boost=400)
     lats = list(nine_lattices.values())
-    z = mc.DeviateRows(11, max(lat.n_qubits for lat in lats))
     draws = _spy_deviate_draws(monkeypatch)
+    z = mc.DeviateRows(11, policy.boost, max(lat.n_qubits for lat in lats))
     shared = [mc.table_row(lat, lattice.FrequencyPattern(), policy, 11, deviates=z)
               for lat in lats]
-    assert draws == [(0, 200), (200, 200)]
+    assert draws == [(0, 400)]
     monkeypatch.undo()
     boosted = 0
     for lat, row in zip(lats, shared):
@@ -678,7 +622,7 @@ def test_table_rows_on_one_shared_deviate_matrix(nine_lattices, monkeypatch):
 @pytest.mark.parametrize("seed, short_cols", [(12, 0), (11, 1)], ids=["other_seed", "narrower"])
 def test_table_row_rejects_deviates_it_cannot_read(hh3, seed, short_cols):
     policy = mc.AdaptiveTrials(base=200, boost=400)
-    z = mc.DeviateRows(seed, hh3.n_qubits - short_cols)
+    z = mc.DeviateRows(seed, policy.boost, hh3.n_qubits - short_cols)
     with pytest.raises(ParameterError, match="deviates must be drawn under master_seed"):
         mc.table_row(hh3, lattice.FrequencyPattern(), policy, 11, deviates=z)
 
