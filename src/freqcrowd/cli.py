@@ -385,26 +385,23 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def _sweep_table2(cfg: dict, spacing_grid) -> int:
-    """Summary table over all nine lattices: one :func:`mc.table_row` each,
-    the same operating points the acceptance gate checks.
+    """Summary table over all nine lattices from :func:`mc.table_rows`, the
+    same operating points the acceptance gate checks.
 
     Every point's trials are planned from its expected collisions, not from
-    the sample, so the nine lattices share one draw of ``max(base, boost)``
-    deviate rows.  Under the default policy and spacing grid the square d=5
-    tuned point is planned at the boost count at every seed, so every row
-    drawn is read."""
+    the sample, so the nine lattices hold only the deviate rows that two or
+    more of their points read.  Under the default policy and spacing grid
+    that is rows 0-999, 145 wide, and rows 1000-3999, 49 wide: the square
+    d=5 tuned point and the three d=3 as-fabricated points are planned at
+    the boost count at every seed."""
     rows = []
     sigma_hi, sigma_lo = mc.AS_FABRICATED_SIGMA_MHZ, mc.TUNED_SIGMA_MHZ
     policy, pattern, rules = _policy(cfg), _pattern(cfg), _rules(cfg)
     lattices = [lattice.build_lattice(family, distance)
                 for family in lattice.FAMILIES for distance in (3, 5, 7)]
-    # one draw for all nine, as long as the longest point the policy can plan:
-    # each lattice reads its own first n_qubits columns
-    z = mc.DeviateRows(cfg["seed"], max(policy.base, policy.boost),
-                       max(lat.n_qubits for lat in lattices))
-    for lat in lattices:
-        tuned, asfab = mc.table_row(lat, pattern, policy, cfg["seed"],
-                                    spacing_grid=spacing_grid, rules=rules, deviates=z)
+    points = mc.table_rows(lattices, pattern, policy, cfg["seed"], spacing_grid=spacing_grid,
+                           rules=rules)
+    for lat, (tuned, asfab) in zip(lattices, points):
         rows.append({"family": lat.family, "distance": lat.distance, "n_qubits": lat.n_qubits,
                      f"mean_collisions_sigma{sigma_hi:g}": asfab.mean_collisions,
                      "spacing_mhz": tuned.spacing_mhz,
@@ -541,6 +538,12 @@ def cmd_tune(cfg: dict) -> int:
     """Simulate an adaptive resistance-trimming campaign."""
     from . import physics, svgchart, tunesim
     _check_flag(cfg, "junctions", lambda n: n >= 1, ">= 1")
+    _check_flag(cfg, "median_ohm", lambda v: 0.0 < v < math.inf, "finite and > 0")
+    for key in ("fractional_sigma", "noise_sigma", "residual_std_mhz"):
+        _check_flag(cfg, key, _finite_nonnegative, "finite and >= 0")
+    _check_flag(cfg, "step_fraction", lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+    _check_flag(cfg, "converge_band", lambda v: 0.0 < v < 1.0, "in (0, 1)")
+    _check_flag(cfg, "max_anneals", lambda n: n >= 1, ">= 1")
     if cfg["target_spread"]:
         try:
             lo, hi = (float(tok) for tok in cfg["target_spread"].split(":"))

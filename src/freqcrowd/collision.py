@@ -207,6 +207,13 @@ def tally_collisions(index: CollisionIndex, f01_mhz: np.ndarray,
         (int64 array [7], int); entry m of the array is the total of type m+1.
     """
     f, rows = _checked_batch(index, f01_mhz)
+    return _tally(index, f, rows, rules)
+
+
+def _tally(index: CollisionIndex, f: np.ndarray, rows: int, rules: CollisionRules) -> tuple:
+    """:func:`tally_collisions` without its checks, for a caller that built
+    ``f`` itself as a finite float array [n_batches, n_qubits]: counted in
+    blocks of ``rows`` rows."""
     totals = np.zeros(7, dtype=np.int64)
     survivors = 0
     for lo in range(0, f.shape[0], rows):

@@ -18,22 +18,25 @@ point's trials from E, the expected collision total at that spacing
 low and the Poisson estimate of the survivors the boost would see,
 ``boost * exp(-E)``, is at least :data:`BOOST_MIN_SURVIVORS`, else the base
 count.  Then it measures that spacing once.  So every trial count is known
-before the first deviate is drawn, and a set of points draws its deviates
-in one call (:class:`DeviateRows`), as many rows as its largest count.
+before the first deviate is drawn, and so are the rows that more than one
+point reads (:func:`shared_rows`).  A set of points holds only those rows
+(:class:`DeviateRows`), each band of them as wide as the widest point that
+reads it; every other row is drawn by the one point that reads it, so each
+row is drawn once.
 
 A point is measured by counting its deviate rows into running per-type
-collision totals and collision-free rows (from
+collision totals and collision-free rows (the counter of
 :func:`~freqcrowd.collision.tally_collisions`) and summarising them as a
-:class:`SweepPoint` of exact integer ratios.  Frequencies are built one
-kernel block (:func:`~freqcrowd.collision.block_rows`) at a time, so a point
-holds its deviate rows and one block of work, whatever its trial count.  At
-zero scatter every row is the same assignment, so one counted row stands for
-all of them.
+:class:`SweepPoint` of exact integer ratios.  Rows are read or drawn,
+built into frequencies and counted one kernel block
+(:func:`~freqcrowd.collision.block_rows`) at a time, so a point holds one
+block of work, whatever its trial count.  At zero scatter every row is the
+same assignment, so one counted row stands for all of them.
 
-:func:`sweep_sigma` and :func:`table_row` (the summary table the CLI prints
+:func:`sweep_sigma` and :func:`table_rows` (the summary table the CLI prints
 and the acceptance gate checks) are both built from :func:`operating_point`;
-a sweep scores its whole sigma x spacing grid once, before its first point,
-and a table row scores each of its two points.
+each scores all of its points before its first is measured, a sweep its
+whole sigma x spacing grid in one call.
 """
 from __future__ import annotations
 
@@ -42,9 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import (DEFAULT_RULES, CollisionIndex, CollisionRules, block_rows,
+from .collision import (DEFAULT_RULES, CollisionIndex, CollisionRules, _tally, block_rows,
                         build_index, check_count, check_sigma, count_collisions_batch,
-                        expected_counts, tally_collisions)
+                        expected_counts)
 from .errors import ParameterError
 from .lattice import FrequencyPattern, Lattice, set_points_mhz
 
@@ -74,16 +77,21 @@ def philox_rng(master_seed: int, counter) -> np.random.Generator:
 def gaussian_deviates(master_seed: int, n_trials: int, n_qubits: int,
                       first_trial: int = 0) -> np.ndarray:
     """Deviate rows z[t - first_trial, q] of trials ``first_trial`` onwards,
-    under the (seed, trial, qubit) contract."""
+    under the (seed, trial, qubit) contract.  Held rows are drawn here, one
+    call per band of :class:`DeviateRows`, and so are the rows that one
+    point alone reads, by that point, one kernel block at a time."""
     check_count("n_trials", n_trials)
     check_count("n_qubits", n_qubits)
     check_count("first_trial", first_trial, least=0)
     rng = philox_rng(master_seed, [0, 0, 0, 0])
     # one generator, rewound for each row to counter [0, 0, 0, t] with an empty
-    # buffer: the draws of a fresh generator per trial, for a fraction of the cost
+    # buffer: the draws of a fresh generator per trial, for a fraction of the
+    # cost; the state setter reads plain lists about twice as fast as arrays
     bits = rng.bit_generator
     state = bits.state
-    counter = state["state"]["counter"]
+    counter = state["state"]["counter"] = state["state"]["counter"].tolist()
+    state["state"]["key"] = state["state"]["key"].tolist()
+    state["buffer"] = state["buffer"].tolist()
     z = np.empty((n_trials, n_qubits))
     for t, row in enumerate(z, start=first_trial):
         counter[3] = t
@@ -92,19 +100,54 @@ def gaussian_deviates(master_seed: int, n_trials: int, n_qubits: int,
     return z
 
 
-class DeviateRows:
-    """Deviate rows 0 .. ``n_trials - 1`` of one master seed, ``n_qubits``
-    wide, drawn in one :func:`gaussian_deviates` call.
+def shared_rows(planned) -> list:
+    """The deviate rows that two or more of a set of sigma > 0 points read,
+    from each point's planned ``(trials, n_qubits)``, as bands ``(stop,
+    width)``: rows from the previous band's stop (the first band's from row
+    0) to ``stop``, as wide as the widest point that reads them.
 
-    Every trial count is planned before sampling, so the rows a set of points
-    reads are known when they are drawn.  A point reads the first ``trials``
-    rows; a lattice narrower than ``n_qubits`` reads the leading columns,
-    which the sampling contract makes its own deviates.
+    A point reads its leading rows and columns, so a row is shared while two
+    or more points are planned past it.  On one lattice that is one band,
+    as many rows as the second-largest count, and none for fewer than two
+    points.  Every row past the bands is read by one point alone.
+    """
+    bands = []
+    for stop in sorted({trials for trials, _ in planned}):
+        readers = [n_qubits for trials, n_qubits in planned if trials >= stop]
+        if len(readers) < 2:
+            break
+        if bands and bands[-1][1] == max(readers):
+            bands.pop()  # as wide as the band before: one band
+        bands.append((stop, max(readers)))
+    return bands
+
+
+class DeviateRows:
+    """Deviate rows of one master seed, held for the points that share them:
+    rows 0 .. ``n_trials - 1``, ``n_qubits`` wide, then each ``(stop,
+    width)`` band of ``narrower`` (see :func:`shared_rows`), each band drawn
+    in one :func:`gaussian_deviates` call.
+
+    Every trial count is planned before sampling, so the rows that several
+    points read are known before any is drawn.  A point reads the leading
+    rows of the bands at least as wide as its lattice and draws the rest
+    itself; a lattice narrower than a band reads its leading columns, which
+    the sampling contract makes its own deviates.
     """
 
-    def __init__(self, master_seed: int, n_trials: int, n_qubits: int):
+    def __init__(self, master_seed: int, n_trials: int, n_qubits: int, narrower=()):
         self.master_seed = master_seed
-        self.z = gaussian_deviates(master_seed, n_trials, n_qubits)
+        self.bands, first = [], 0
+        for stop, width in ((n_trials, n_qubits), *narrower):
+            self.bands.append(gaussian_deviates(master_seed, stop - first, width, first))
+            first = stop
+
+
+def _held(master_seed: int, planned) -> DeviateRows | None:
+    """The :class:`DeviateRows` of the rows that two or more of the planned
+    ``(trials, n_qubits)`` points read, or None where no row is."""
+    bands = shared_rows(planned)
+    return DeviateRows(master_seed, *bands[0], bands[1:]) if bands else None
 
 
 @dataclass(frozen=True)
@@ -131,39 +174,50 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
 
     The first ``trials`` deviate rows (row t gives trial t) are counted into
     running per-type totals and collision-free rows, whose ratios to
-    ``trials`` are the point's means.  Their frequencies are built and
-    counted one kernel block of rows at a time, so beyond the deviate rows
-    the point holds one block's frequencies and kernel temporaries.  At zero
-    scatter every row is the set points themselves, so the point is one
-    counted row times ``trials`` and no deviate is read.
+    ``trials`` are the point's means.  They are read, built into frequencies
+    and counted one kernel block of rows at a time, so the point holds one
+    block's deviates, frequencies and kernel temporaries whatever its
+    trials.  At zero scatter every row is the set points themselves, so the
+    point is one counted row times ``trials`` and no deviate is read.
 
-    ``deviates`` may carry the :class:`DeviateRows` of ``master_seed`` shared
-    by several points, at least ``lattice.n_qubits`` wide and, above zero
-    scatter, at least ``trials`` rows long; other rows are refused with
-    :class:`ParameterError`.  Without them the point draws its own rows.
+    ``deviates`` may carry the :class:`DeviateRows` of ``master_seed`` held
+    for several points, at least ``lattice.n_qubits`` wide; rows of another
+    seed or narrower are refused with :class:`ParameterError`.  A block's
+    rows come from them where they are held and are drawn by
+    :func:`gaussian_deviates` from the block's first trial where they are
+    not, so held rows of any length give the point drawn alone.
     """
     check_sigma(sigma_mhz)
     check_count("trials", trials)
     check_seed(master_seed)
     trials = int(trials)  # a numpy integer would make every mean a numpy float
-    if deviates is not None and (
-            deviates.master_seed != master_seed or deviates.z.shape[1] < lattice.n_qubits
-            or (sigma_mhz > 0.0 and len(deviates.z) < trials)):
-        raise ParameterError("deviates must be drawn under master_seed, n_qubits wide or wider "
-                             "and, above zero scatter, trials rows long or longer")
+    if deviates is not None and (deviates.master_seed != master_seed
+                                 or deviates.bands[0].shape[1] < lattice.n_qubits):
+        raise ParameterError("deviates must be drawn under master_seed, n_qubits wide or wider")
     idx = index if index is not None else build_index(lattice)
     sp = set_points_mhz(lattice, pattern)
+    n = lattice.n_qubits
     if sigma_mhz == 0.0:
         row = count_collisions_batch(idx, sp, rules)[0]
         totals, survivors = row * trials, int(not row.any()) * trials
     else:
-        z = (gaussian_deviates(master_seed, trials, lattice.n_qubits) if deviates is None
-             else deviates.z[:trials, :lattice.n_qubits])
+        held, own = [], 0  # the held bands this point reads, by first row; its first own row
+        for band in deviates.bands if deviates is not None else ():
+            if band.shape[1] < n or own >= trials:
+                break
+            held.append((own, band[:trials - own, :n]))
+            own += len(held[-1][1])
         totals, survivors, rows = np.zeros(7, dtype=np.int64), 0, block_rows(idx)
         for lo in range(0, trials, rows):
-            f = sigma_mhz * z[lo:lo + rows]
+            hi = min(lo + rows, trials)
+            parts = [z[max(lo - first, 0):hi - first] for first, z in held
+                     if lo < first + len(z) and first < hi]
+            drawn = max(lo, own)  # the block's first row that is not held
+            if drawn < hi:
+                parts.append(gaussian_deviates(master_seed, hi - drawn, n, first_trial=drawn))
+            f = sigma_mhz * (parts[0] if len(parts) == 1 else np.concatenate(parts))
             f += sp  # in place: one block x qubits temporary instead of two
-            block_totals, clean = tally_collisions(idx, f, rules)
+            block_totals, clean = _tally(idx, f, rows, rules)
             totals += block_totals
             survivors += clean
     totals = totals.tolist()  # Python integers: each mean below is the exactly rounded ratio
@@ -188,6 +242,20 @@ def _checked_totals(totals, n_spacings: int) -> np.ndarray:
     return out
 
 
+def _checked_grid(spacing_grid) -> list:
+    """``spacing_grid`` as a list of floats, checked to be non-empty."""
+    grid = [float(s) for s in spacing_grid]
+    if not grid:
+        raise ParameterError("spacing grid is empty")
+    return grid
+
+
+def _best_spacing(totals: np.ndarray, grid: list) -> float:
+    """The grid spacing with the fewest expected collisions ``totals``; ties
+    go to the smaller spacing."""
+    return min(zip(totals.tolist(), grid))[1]
+
+
 def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, trials: int,
                      master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
                      rules: CollisionRules = DEFAULT_RULES, index: CollisionIndex | None = None,
@@ -204,18 +272,15 @@ def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: flo
     ``trials`` or ``deviates``: only the returned point, from
     :func:`run_point` at that spacing, is sampled.
     """
-    grid = [float(s) for s in spacing_grid]
-    if not grid:
-        raise ParameterError("spacing grid is empty")
+    grid = _checked_grid(spacing_grid)
     idx = index if index is not None else build_index(lattice)
     if totals is None:
         totals = expected_counts(idx, set_points_mhz(lattice, pattern, grid), sigma_mhz,
                                  rules).sum(axis=-1)
     else:
         totals = _checked_totals(totals, len(grid))
-    _, best = min(zip(totals.tolist(), grid))
-    return run_point(lattice, pattern.with_spacing(best), sigma_mhz, trials, master_seed,
-                     rules=rules, index=idx, deviates=deviates)
+    return run_point(lattice, pattern.with_spacing(_best_spacing(totals, grid)), sigma_mhz,
+                     trials, master_seed, rules=rules, index=idx, deviates=deviates)
 
 
 # per-distance model yield, exp(-E), below which a point is planned at the
@@ -270,7 +335,7 @@ def operating_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: floa
     :func:`optimize_spacing`.  A one-element grid measures that spacing
     alone.
     """
-    grid = [float(s) for s in spacing_grid]
+    grid = _checked_grid(spacing_grid)
     totals = _checked_totals(totals, len(grid))
     trials = policy.trials(lattice.distance, totals.min())
     return optimize_spacing(lattice, pattern, sigma_mhz, trials, master_seed,
@@ -288,28 +353,27 @@ def sweep_sigma(lattice: Lattice, pattern: FrequencyPattern, sigma_grid=DEFAULT_
     :func:`expected_counts` call over the whole sigma x spacing grid, made
     before any deviate is drawn; a one-element ``spacing_grid`` keeps that
     spacing at every point.  Every point's trials are planned from that
-    scoring, so the sweep draws its deviates once, as many rows as its
-    largest planned count over the sigma > 0 points (none if it has no such
-    point), and every point reads its leading rows.
+    scoring, so the sweep holds only the rows that two or more sigma > 0
+    points read (:func:`shared_rows`: as many as the second-largest planned
+    count, none if fewer than two points read any), and the one point
+    planned past them draws the rest itself, a block at a time.
     """
     policy = trials_policy if trials_policy is not None else AdaptiveTrials()
     sigmas = [float(s) for s in sigma_grid]
     idx = build_index(lattice)
     scores = expected_counts(idx, set_points_mhz(lattice, pattern, spacing_grid), sigmas,
                              rules).sum(axis=-1)
-    planned = [policy.trials(lattice.distance, totals.min())
-               for sigma, totals in zip(sigmas, scores) if sigma > 0.0]
-    z = DeviateRows(master_seed, max(planned), lattice.n_qubits) if planned else None
+    z = _held(master_seed, [(policy.trials(lattice.distance, totals.min()), lattice.n_qubits)
+                            for sigma, totals in zip(sigmas, scores) if sigma > 0.0])
     return [operating_point(lattice, pattern, sigma, policy, master_seed, index=idx, deviates=z,
                             totals=totals, spacing_grid=spacing_grid, rules=rules)
             for sigma, totals in zip(sigmas, scores)]
 
 
-def table_row(lattice: Lattice, pattern: FrequencyPattern, policy: AdaptiveTrials,
-              master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
-              rules: CollisionRules = DEFAULT_RULES,
-              deviates: DeviateRows | None = None) -> tuple:
-    """The (tuned, as-fabricated) operating points of one lattice.
+def table_rows(lattices, pattern: FrequencyPattern, policy: AdaptiveTrials,
+               master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
+               rules: CollisionRules = DEFAULT_RULES) -> list:
+    """The (tuned, as-fabricated) operating points of each lattice, in order.
 
     The tuned-precision point optimises the spacing at
     ``TUNED_SIGMA_MHZ`` over the grid, scored in one :func:`expected_counts`
@@ -318,19 +382,38 @@ def table_row(lattice: Lattice, pattern: FrequencyPattern, policy: AdaptiveTrial
     anyone knows how well tuning will do.  Each point's trials are planned
     from its own expected total.
 
-    ``deviates`` may carry the :class:`DeviateRows` of ``master_seed`` shared
-    by several lattices, as wide as the widest and ``max(policy.base,
-    policy.boost)`` rows long: under the sampling contract its first
-    ``lattice.n_qubits`` columns are this lattice's own deviates, so the row
-    is the same as without it, and each row is drawn once for all.  Without
-    them each point draws its own rows.
+    Every point is scored and planned before any deviate is drawn, so the
+    lattices hold only the rows that two or more points read
+    (:func:`shared_rows`), each band as wide as the widest point that reads
+    it: under the sampling contract a lattice's leading columns are its own
+    deviates, so each point equals the point measured alone.  A point
+    planned past the held rows draws the rest itself, so each row is drawn
+    once.
     """
-    idx = build_index(lattice)
+    grid = _checked_grid(spacing_grid)
+    plans = []
+    for lat in lattices:
+        idx = build_index(lat)
+        tuned = expected_counts(idx, set_points_mhz(lat, pattern, grid), TUNED_SIGMA_MHZ,
+                                rules).sum(axis=-1)
+        fab_grid = [_best_spacing(tuned, grid)]
+        fab = expected_counts(idx, set_points_mhz(lat, pattern, fab_grid),
+                              AS_FABRICATED_SIGMA_MHZ, rules).sum(axis=-1)
+        plans.append((lat, idx, ((TUNED_SIGMA_MHZ, grid, tuned),
+                                 (AS_FABRICATED_SIGMA_MHZ, fab_grid, fab))))
+    z = _held(master_seed, [(policy.trials(lat.distance, totals.min()), lat.n_qubits)
+                            for lat, _, points in plans for _, _, totals in points])
+    return [tuple(operating_point(lat, pattern, sigma, policy, master_seed, index=idx,
+                                  deviates=z, totals=totals, spacing_grid=g, rules=rules)
+                  for sigma, g, totals in points)
+            for lat, idx, points in plans]
 
-    def point(sigma, grid):
-        totals = expected_counts(idx, set_points_mhz(lattice, pattern, grid), sigma,
-                                 rules).sum(axis=-1)
-        return operating_point(lattice, pattern, sigma, policy, master_seed, index=idx,
-                               deviates=deviates, totals=totals, spacing_grid=grid, rules=rules)
-    tuned = point(TUNED_SIGMA_MHZ, spacing_grid)
-    return tuned, point(AS_FABRICATED_SIGMA_MHZ, (tuned.spacing_mhz,))
+
+def table_row(lattice: Lattice, pattern: FrequencyPattern, policy: AdaptiveTrials,
+              master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
+              rules: CollisionRules = DEFAULT_RULES) -> tuple:
+    """The (tuned, as-fabricated) operating points of one lattice: the
+    one-lattice case of :func:`table_rows`, whose two points hold the rows
+    they both read."""
+    return table_rows([lattice], pattern, policy, master_seed, spacing_grid=spacing_grid,
+                      rules=rules)[0]

@@ -250,11 +250,29 @@ def test_seed_outside_key_range_is_an_error(tmp_path, capsys, argv):
      "--target-spread needs 0 <= LO <= HI, both finite, got '0.4:inf'"),
     (["tune", "--target-spread=-1:2"],
      "--target-spread needs 0 <= LO <= HI, both finite, got '-1:2'"),
+    (["tune", "--median-ohm", "inf"], "--median-ohm must be finite and > 0, got inf"),
+    (["tune", "--median-ohm", "-5"], "--median-ohm must be finite and > 0, got -5.0"),
+    (["tune", "--fractional-sigma", "nan"],
+     "--fractional-sigma must be finite and >= 0, got nan"),
+    (["tune", "--fractional-sigma", "-1"],
+     "--fractional-sigma must be finite and >= 0, got -1.0"),
+    (["tune", "--noise-sigma", "nan"], "--noise-sigma must be finite and >= 0, got nan"),
+    (["tune", "--noise-sigma", "inf"], "--noise-sigma must be finite and >= 0, got inf"),
+    (["tune", "--step-fraction", "0"], "--step-fraction must be in (0, 1], got 0.0"),
+    (["tune", "--step-fraction", "1.5"], "--step-fraction must be in (0, 1], got 1.5"),
+    (["tune", "--converge-band", "1"], "--converge-band must be in (0, 1), got 1.0"),
+    (["tune", "--converge-band", "nan"], "--converge-band must be in (0, 1), got nan"),
+    (["tune", "--max-anneals", "0"], "--max-anneals must be >= 1, got 0"),
+    (["tune", "--residual-std", "nan"], "--residual-std must be finite and >= 0, got nan"),
+    (["tune", "--residual-std", "-1"], "--residual-std must be finite and >= 0, got -1.0"),
 ], ids=["sigma-mhz", "nan-sigma-mhz", "sigmas", "spacings", "table2-spacings", "seed",
         "seed-too-large", "spacing-mhz", "base-ghz", "inf-base-ghz", "table2-base-ghz",
         "anharmonicity-mhz", "table2-anharmonicity-mhz",
         "target-spread-reversed", "nan-target-spread", "inf-target-spread",
-        "negative-target-spread"])
+        "negative-target-spread", "inf-median-ohm", "median-ohm", "nan-fractional-sigma",
+        "fractional-sigma", "nan-noise-sigma", "inf-noise-sigma", "step-fraction",
+        "step-fraction-above-one", "converge-band", "nan-converge-band", "max-anneals",
+        "nan-residual-std", "residual-std"])
 def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, argv, message):
     """A value its flag cannot take exits 2 with an error line naming the flag."""
     assert cli.main(argv + ["--out", str(tmp_path)]) == 2
@@ -308,7 +326,8 @@ def test_non_numeric_list_value_is_a_usage_error(tmp_path, capsys, argv, message
 @pytest.mark.parametrize("spacings", ["40,65", "40,60"])
 def test_table2_rows_are_the_shared_operating_points(tmp_path, spacings):
     """Every row, as-fabricated column included, equals ``mc.table_row``
-    under the default adaptive policy on the requested spacing grid."""
+    under the default adaptive policy on the requested spacing grid, each
+    lattice measured alone."""
     assert cli.main(["sweep", "--reproduce-table2", "--spacings", spacings, "--seed", "5",
                      "--out", str(tmp_path)]) == 0
     lines = read_bytes(tmp_path, "sweep", "default", "results.csv").decode().splitlines()
@@ -355,9 +374,10 @@ def test_table2_manifest_replays(tmp_path):
 
 
 def test_table2_draws_each_deviate_row_once_and_writes_the_pinned_csv(tmp_path, monkeypatch):
-    """Trials are planned before sampling, so the nine lattices share one
-    draw of the boost count's 4000 rows, as wide as the widest, which the
-    square d=5 tuned point reads in full.  The CSV's sha256 is pinned."""
+    """Trials are planned before sampling, so the nine lattices hold only the
+    1000 rows that two or more of their points read, as wide as the widest,
+    and the square d=5 tuned point, planned at the boost count, draws rows
+    1000-3999 itself, 49 wide, each once.  The CSV's sha256 is pinned."""
     draws, draw = [], mc.gaussian_deviates
 
     def spy(seed, n_trials, n_qubits, first_trial=0):
@@ -366,7 +386,11 @@ def test_table2_draws_each_deviate_row_once_and_writes_the_pinned_csv(tmp_path, 
     monkeypatch.setattr(mc, "gaussian_deviates", spy)
     assert cli.main(["sweep", "--reproduce-table2", "--seed", "1", "--out", str(tmp_path)]) == 0
     widest = max(lattice.build_lattice(f, d).n_qubits for f in lattice.FAMILIES for d in (3, 5, 7))
-    assert draws == [(0, 4000, widest)]
+    assert widest == 145 and draws[0] == (0, 1000, widest)
+    tail = draws[1:]
+    assert tail and {n_qubits for _, _, n_qubits in tail} == {49}
+    assert sorted(t for first, n, _ in tail for t in range(first, first + n)) == \
+        list(range(1000, 4000))
     csv = read_bytes(tmp_path, "sweep", "default", "results.csv")
     assert hashlib.sha256(csv).hexdigest() == \
         "3b6f0e80be235abf36cc720259c95bda9637393cccaae3ad469e0f44471bf006"
@@ -546,21 +570,6 @@ class TestTuneCommand:
         assert cli.main(["tune", "--junctions", junctions, "--target-spread", "0.4:14.5",
                          "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: --junctions must be >= 1")
-        assert not (tmp_path / "tune").exists()
-
-    def test_bad_policy_is_runtime_error(self, tmp_path):
-        assert cli.main(["tune", "--step-fraction", "0", "--out", str(tmp_path)]) == 1
-        assert not (tmp_path / "tune").exists()
-
-    @pytest.mark.parametrize("flag,value,named", [
-        ("--noise-sigma", "nan", "noise_sigma"), ("--noise-sigma", "inf", "noise_sigma"),
-        ("--residual-std", "nan", "residual_std"), ("--residual-std", "-1", "residual_std"),
-        ("--median-ohm", "inf", "median"), ("--fractional-sigma", "nan", "scatter"),
-    ])
-    def test_bad_model_parameter_is_runtime_error(self, tmp_path, capsys, flag, value, named):
-        assert cli.main(["tune", flag, value, "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and named in err
         assert not (tmp_path / "tune").exists()
 
 

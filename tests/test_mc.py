@@ -66,13 +66,19 @@ def test_deviates_from_a_first_trial():
 
 
 def test_deviate_rows_are_one_draw_of_a_known_row_count(monkeypatch):
-    """The rows are drawn once, when built, from trial 0, and carry their
+    """The rows are drawn when built, one draw per band: from trial 0, then
+    each narrower band from the previous one's stop.  They carry their
     master seed."""
-    z = mc.gaussian_deviates(3, 40, 25)
+    z = mc.gaussian_deviates(3, 70, 25)
     calls = _spy_deviate_draws(monkeypatch)
     rows = mc.DeviateRows(3, 40, 25)
     assert calls == [(0, 40)] and rows.master_seed == 3
-    assert np.array_equal(rows.z, z)
+    assert [band.tolist() for band in rows.bands] == [z[:40].tolist()]
+    del calls[:]
+    rows = mc.DeviateRows(3, 40, 25, narrower=[(50, 9), (70, 4)])
+    assert calls == [(0, 40), (40, 10), (50, 20)]
+    assert [band.tolist() for band in rows.bands] == [
+        z[:40].tolist(), z[40:50, :9].tolist(), z[50:70, :4].tolist()]
     with pytest.raises(ParameterError, match="n_trials must be an integer >= 1"):
         mc.DeviateRows(3, 0, 25)
 
@@ -126,28 +132,53 @@ def test_run_point_metadata_and_yield_granularity(hh3):
 
 def test_prebuilt_deviates_equivalent_to_seed(hh3):
     """Shared rows of the same seed, wider and longer than a point reads, give
-    the same point; rows of another seed or narrower than the lattice are
-    refused."""
+    the same point."""
     pattern = lattice.FrequencyPattern(spacing_mhz=40.0)
     z = mc.DeviateRows(11, 501, hh3.n_qubits + 4)
     assert mc.run_point(hh3, pattern, 14.0, 200, 11) == mc.run_point(
         hh3, pattern, 14.0, 200, 11, deviates=z)
     assert mc.run_point(hh3, pattern, 14.0, 501, 11, deviates=z) == mc.run_point(
         hh3, pattern, 14.0, 501, 11)
-    for bad in (mc.DeviateRows(12, 10, hh3.n_qubits), mc.DeviateRows(11, 10, hh3.n_qubits - 1)):
+
+
+@pytest.mark.parametrize("seed, short_cols", [(12, 0), (11, 1)], ids=["other_seed", "narrower"])
+def test_run_point_rejects_deviates_it_cannot_read(hh3, seed, short_cols):
+    """Rows of another seed, or narrower than the lattice, are not the
+    point's deviates, so they are refused, at zero scatter too."""
+    z = mc.DeviateRows(seed, 10, hh3.n_qubits - short_cols)
+    for sigma in (14.0, 0.0):
         with pytest.raises(ParameterError, match="deviates must be drawn under master_seed"):
-            mc.run_point(hh3, pattern, 14.0, 10, 11, deviates=bad)
+            mc.run_point(hh3, lattice.FrequencyPattern(), sigma, 10, 11, deviates=z)
 
 
-def test_run_point_refuses_fewer_deviate_rows_than_trials(hh3):
-    """Above zero scatter a point reads ``trials`` rows, so shorter rows are
-    refused, not read past their end; at zero scatter it reads none."""
-    pattern = lattice.FrequencyPattern(spacing_mhz=40.0)
-    z = mc.DeviateRows(11, 200, hh3.n_qubits)
-    with pytest.raises(ParameterError, match="trials rows long or longer"):
-        mc.run_point(hh3, pattern, 14.0, 201, 11, deviates=z)
-    assert mc.run_point(hh3, pattern, 0.0, 201, 11, deviates=z) == mc.run_point(
-        hh3, pattern, 0.0, 201, 11)
+@pytest.mark.parametrize("family, distance, sigma", [("heavy_hexagon", 3, 22.0),
+                                                     ("heavy_square", 5, 14.0)])
+def test_run_point_reads_past_the_end_of_its_deviates(nine_lattices, monkeypatch,
+                                                      family, distance, sigma):
+    """A point planned past the end of the held rows reads them and draws
+    the rest itself, each row once, from the first row not held: it equals
+    the point drawn alone and the point read from a full matrix, whether
+    the held rows end inside a kernel block or on its edge.  At zero
+    scatter it reads no row."""
+    lat = nine_lattices[(family, distance)]
+    idx = collision.build_index(lat)
+    block = collision.block_rows(idx)
+    n, pattern = 2 * block + 5, lattice.FrequencyPattern()
+    alone = mc.run_point(lat, pattern, sigma, n, 3, index=idx)
+    assert alone == mc.run_point(lat, pattern, sigma, n, 3, index=idx,
+                                 deviates=mc.DeviateRows(3, n, lat.n_qubits + 2))
+    assert 0.0 < alone.yield_fraction < 1.0
+    for held in (1, block // 2 + 1, block, block + 3, n - 1):
+        z = mc.DeviateRows(3, held, lat.n_qubits + 2)
+        draws = _spy_deviate_draws(monkeypatch)
+        assert mc.run_point(lat, pattern, sigma, n, 3, index=idx, deviates=z) == alone
+        assert sorted(t for first, rows in draws for t in range(first, first + rows)) == \
+            list(range(held, n)), held
+        monkeypatch.undo()
+    draws = _spy_deviate_draws(monkeypatch)
+    assert mc.run_point(lat, pattern, 0.0, n, 3, deviates=z) == mc.run_point(
+        lat, pattern, 0.0, n, 3)
+    assert draws == []
 
 
 def test_run_point_validation(hh3):
@@ -234,8 +265,16 @@ def test_operating_point_rejects_bad_sigma(hh3, sigma):
 
 
 def test_optimize_spacing_empty_grid(hh3):
-    with pytest.raises(ParameterError):
+    """An empty grid is named, not left to numpy's empty reduction, wherever
+    a spacing is chosen."""
+    with pytest.raises(ParameterError, match="spacing grid is empty"):
         mc.optimize_spacing(hh3, lattice.FrequencyPattern(), 14.0, 10, spacing_grid=())
+    with pytest.raises(ParameterError, match="spacing grid is empty"):
+        mc.operating_point(hh3, lattice.FrequencyPattern(), 14.0, mc.AdaptiveTrials(), 1,
+                           index=collision.build_index(hh3), deviates=None, totals=[],
+                           spacing_grid=())
+    with pytest.raises(ParameterError, match="spacing grid is empty"):
+        mc.table_row(hh3, lattice.FrequencyPattern(), mc.AdaptiveTrials(), 1, spacing_grid=[])
 
 
 def test_default_grids():
@@ -345,9 +384,9 @@ def test_sweep_sigma_shares_deviates_across_points(hh3):
 
 
 def _tally_kernel_rows(monkeypatch):
-    """Patch both counters, the batch counter and the reducer, where ``mc``
-    and ``collision`` call them; return the list that collects the row count
-    of every call."""
+    """Patch both counters, the batch counter and the reducer's unchecked
+    counter, where ``mc`` and ``collision`` call them; return the list that
+    collects the row count of every call."""
     rows = []
 
     def spy(name):
@@ -359,7 +398,7 @@ def _tally_kernel_rows(monkeypatch):
         for module in (mc, collision):
             monkeypatch.setattr(module, name, counted)
     spy("count_collisions_batch")
-    spy("tally_collisions")
+    spy("_tally")
     return rows
 
 
@@ -376,10 +415,12 @@ def _spy_deviate_draws(monkeypatch):
 
 
 def test_sweeps_draw_deviate_rows_only_when_a_point_reads_them(hh3, nine_lattices, monkeypatch):
-    """A sweep draws its deviates in one call, as many rows as its largest
-    planned count: a default heavy-hexagon d=11 sweep never boosts, so 1000
-    rows; the default square d=7 sweep boosts at 8 MHz, so 4000; a sweep
-    with no sigma > 0 point draws nothing."""
+    """A sweep holds the rows that two or more of its points read, drawn in
+    one call, and the one point planned past them draws the rest itself,
+    each row once: a default heavy-hexagon d=11 sweep never boosts, so it
+    draws 1000 rows once; the default square d=7 sweep boosts only at 8 MHz,
+    so it holds 1000 rows and that point draws rows 1000-3999; a sweep with
+    no sigma > 0 point draws nothing."""
     draws = _spy_deviate_draws(monkeypatch)
     pts = mc.sweep_sigma(lattice.build_lattice("heavy_hexagon", 11), lattice.FrequencyPattern(),
                          master_seed=1)
@@ -387,10 +428,32 @@ def test_sweeps_draw_deviate_rows_only_when_a_point_reads_them(hh3, nine_lattice
     draws.clear()
     pts = mc.sweep_sigma(nine_lattices[("square", 7)], lattice.FrequencyPattern(), master_seed=1)
     assert [p.sigma_mhz for p in pts if p.trials == 4000] == [8.0]
-    assert draws == [(0, 4000)]
+    assert draws[0] == (0, 1000) and len(draws) > 2
+    assert sorted(t for first, n in draws[1:] for t in range(first, first + n)) == \
+        list(range(1000, 4000))
     draws.clear()
     assert mc.sweep_sigma(hh3, lattice.FrequencyPattern(), (0.0,), master_seed=1)[0].trials == 1000
     assert draws == []
+
+
+@pytest.mark.parametrize("planned, bands", [
+    ([], []), ([(4000, 97)], []), ([(1000, 97), (4000, 97)], [(1000, 97)]),
+    ([(1000, 97)] * 24 + [(4000, 97)], [(1000, 97)]),
+    ([(4000, 17), (1000, 17), (4000, 17)], [(4000, 17)]),
+    # table2 under the default policy: rows 1000-3999 are read by the as-fabricated
+    # d=3 points and the square d=5 tuned point, so they are held 49 wide
+    ([(1000, 145), (1000, 17), (4000, 17), (4000, 49), (1000, 49), (1000, 25), (4000, 25)],
+     [(1000, 145), (4000, 49)]),
+    ([(1000, 145), (4000, 49), (1000, 17)], [(1000, 145)]),
+    ([(3, 9), (5, 9), (5, 4), (9, 2)], [(5, 9)]),
+    ([(3, 9), (5, 4), (5, 4), (9, 2)], [(3, 9), (5, 4)]),
+], ids=["none", "one", "boost", "square-7", "two-boosts", "table2", "one-wide-boost",
+        "same-width", "narrower-band"])
+def test_shared_rows_are_the_rows_two_points_read(planned, bands):
+    """Each point reads its leading rows and columns: a row is held while two
+    or more points are planned past it, as wide as the widest of them, and
+    on one lattice that is the second-largest count."""
+    assert mc.shared_rows(planned) == bands
 
 
 @pytest.mark.parametrize("sigmas, spacings", [
@@ -573,6 +636,23 @@ def test_a_point_holds_its_deviate_rows_and_one_block(family, distance):
     assert peak(4000) - peak(1000) <= 3000 * row_bytes + collision.block_rows(idx) * row_bytes
 
 
+def test_a_lone_point_holds_one_block_of_deviate_rows():
+    """A lone 4000-trial heavy-hexagon d=11 point draws its rows one kernel
+    block at a time, so its traced peak stays well below its [4000, 311]
+    deviate matrix of 9.95 MB."""
+    lat = lattice.build_lattice("heavy_hexagon", 11)
+    idx = collision.build_index(lat)
+    mc.run_point(lat, lattice.FrequencyPattern(), 14.0, 10, 1, index=idx)  # first-call allocations
+    tracemalloc.start()
+    try:
+        mc.run_point(lat, lattice.FrequencyPattern(), 14.0, 4000, 1, index=idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 4000 * lat.n_qubits * np.dtype(float).itemsize > 9.9e6
+    assert peak < 4e6
+
+
 def points_sha256(points):
     """SHA-256 over every field of every SweepPoint, floats at full precision."""
     h = hashlib.sha256()
@@ -599,32 +679,39 @@ def test_sweep_points_are_pinned_bit_for_bit(hh3, nine_lattices):
 
 
 def test_table_rows_on_one_shared_deviate_matrix(nine_lattices, monkeypatch):
-    """One set of rows as wide as the widest lattice serves all nine: each row
-    reads its lattice's leading columns, which the sampling contract makes
-    that lattice's own deviates, so every field matches a row drawn alone.
-    The boost count's rows are drawn once, and no point draws more."""
+    """One set of held rows serves every lattice: each point reads its
+    lattice's leading columns, which the sampling contract makes that
+    lattice's own deviates, so every field matches the row measured alone
+    and the point drawn alone.  The rows two or more points read are drawn
+    once, first: all nine read rows 0-199 and the as-fabricated heavy-square
+    and heavy-hexagon d=3 points, boosted, read rows 200-399, which are
+    held as wide as the wider.  Without heavy-hexagon d=3 the heavy-square
+    point reads rows 200-399 alone and draws them itself."""
     policy = mc.AdaptiveTrials(base=200, boost=400)
-    lats = list(nine_lattices.values())
-    draws = _spy_deviate_draws(monkeypatch)
-    z = mc.DeviateRows(11, policy.boost, max(lat.n_qubits for lat in lats))
-    shared = [mc.table_row(lat, lattice.FrequencyPattern(), policy, 11, deviates=z)
-              for lat in lats]
-    assert draws == [(0, 400)]
-    monkeypatch.undo()
-    boosted = 0
-    for lat, row in zip(lats, shared):
-        alone = mc.table_row(lat, lattice.FrequencyPattern(), policy, 11)
-        assert [dataclasses.astuple(p) for p in row] == [dataclasses.astuple(p) for p in alone]
-        boosted += sum(p.trials == policy.boost for p in alone)
-    assert boosted
+    draws, draw, holds, hold = [], mc.gaussian_deviates, [], mc._held
 
-
-@pytest.mark.parametrize("seed, short_cols", [(12, 0), (11, 1)], ids=["other_seed", "narrower"])
-def test_table_row_rejects_deviates_it_cannot_read(hh3, seed, short_cols):
-    policy = mc.AdaptiveTrials(base=200, boost=400)
-    z = mc.DeviateRows(seed, policy.boost, hh3.n_qubits - short_cols)
-    with pytest.raises(ParameterError, match="deviates must be drawn under master_seed"):
-        mc.table_row(hh3, lattice.FrequencyPattern(), policy, 11, deviates=z)
+    def spy(seed, n_trials, n_qubits, first_trial=0):
+        draws.append((first_trial, n_trials, n_qubits))
+        return draw(seed, n_trials, n_qubits, first_trial)
+    for drop, held in ((None, [(0, 200, 145), (200, 200, 25)]),
+                       (("heavy_hexagon", 3), [(0, 200, 145)])):
+        lats = [lat for key, lat in nine_lattices.items() if key != drop]
+        draws.clear()
+        holds.clear()
+        monkeypatch.setattr(mc, "gaussian_deviates", spy)
+        monkeypatch.setattr(mc, "_held", lambda *args: holds.append(hold(*args)) or holds[-1])
+        rows = mc.table_rows(lats, lattice.FrequencyPattern(), policy, 11)
+        monkeypatch.undo()
+        (z,) = holds
+        assert draws[:len(held)] == held and [b.shape for b in z.bands] == [d[1:] for d in held]
+        assert sorted(t for first, n, _ in draws for t in range(first, first + n)) == \
+            list(range(400))
+        for lat, row in zip(lats, rows):
+            alone = mc.table_row(lat, lattice.FrequencyPattern(), policy, 11)
+            assert [dataclasses.astuple(p) for p in row] == [dataclasses.astuple(p) for p in alone]
+            for p in row:
+                assert p == mc.run_point(lat, lattice.FrequencyPattern(spacing_mhz=p.spacing_mhz),
+                                         p.sigma_mhz, p.trials, 11)
 
 
 def test_sweep_point_floats_are_python_floats(hh3):
