@@ -8,35 +8,28 @@ independent of batching and of which sigma/spacing values are evaluated — a
 single deviate matrix can be reused across a whole sweep, since a trial's
 frequencies are just set_points + sigma * z.
 
-Every reported number comes from :func:`operating_point`, and nothing it
-decides looks at the Monte Carlo sample.  It takes the spacing with the
+Every reported point is planned, then measured.  :func:`plan_sweep` and
+:func:`plan_table` decide each point without a deviate: the spacing with the
 fewest *expected* collisions (exact, from
-:func:`~freqcrowd.collision.expected_counts`), so the reported statistics are
-not flattered by having picked the luckiest spacing on them.  It plans the
-point's trials from E, the expected collision total at that spacing
-(:class:`AdaptiveTrials`): the boost count where the model yield exp(-E) is
-low and the Poisson estimate of the survivors the boost would see,
-``boost * exp(-E)``, is at least :data:`BOOST_MIN_SURVIVORS`, else the base
-count.  Then it measures that spacing once.  So every trial count is known
-before the first deviate is drawn, and so are the rows that more than one
-point reads (:func:`shared_rows`).  A set of points holds only those rows
-(:class:`DeviateRows`), each band of them as wide as the widest point that
-reads it; every other row is drawn by the one point that reads it, so each
-row is drawn once.
+:func:`~freqcrowd.collision.expected_counts`, so the reported statistics are
+not flattered by having picked the luckiest spacing on them), and the trials
+:class:`AdaptiveTrials` plans from E, the expected collision total there: the
+boost count where the model yield exp(-E) is low and the boost expects at
+least :data:`BOOST_MIN_SURVIVORS` survivors, ``boost * exp(-E)``, else the
+base count.  Each decision is a :class:`PlannedPoint`.  :func:`measure` then
+samples the plans.  With every trial count known, so are the rows that two
+or more points read (:func:`shared_rows`), and only those are held
+(:class:`DeviateRows`); every other row is drawn by the one point that reads
+it, so each row is drawn once.
 
-A point is measured by counting its deviate rows into running per-type
-collision totals and collision-free rows (the counter of
-:func:`~freqcrowd.collision.tally_collisions`) and summarising them as a
-:class:`SweepPoint` of exact integer ratios.  Rows are read or drawn,
-built into frequencies and counted one kernel block
-(:func:`~freqcrowd.collision.block_rows`) at a time, so a point holds one
-block of work, whatever its trial count.  At zero scatter every row is the
-same assignment, so one counted row stands for all of them.
-
+A point is measured (:func:`run_point`) by counting its deviate rows into
+running per-type collision totals and collision-free rows (the counter of
+:func:`~freqcrowd.collision.tally_collisions`), one kernel block
+(:func:`~freqcrowd.collision.block_rows`) at a time, and summarising them as
+a :class:`SweepPoint` of exact integer ratios.  At zero scatter every row is
+the same assignment, so one counted row stands for all of them.
 :func:`sweep_sigma` and :func:`table_rows` (the summary table the CLI prints
-and the acceptance gate checks) are both built from :func:`operating_point`;
-each scores all of its points before its first is measured, a sweep its
-whole sigma x spacing grid in one call.
+and the acceptance gate checks) are plan-then-measure.
 """
 from __future__ import annotations
 
@@ -128,11 +121,9 @@ class DeviateRows:
     width)`` band of ``narrower`` (see :func:`shared_rows`), each band drawn
     in one :func:`gaussian_deviates` call.
 
-    Every trial count is planned before sampling, so the rows that several
-    points read are known before any is drawn.  A point reads the leading
-    rows of the bands at least as wide as its lattice and draws the rest
-    itself; a lattice narrower than a band reads its leading columns, which
-    the sampling contract makes its own deviates.
+    A point reads the leading rows of the bands at least as wide as its
+    lattice and draws the rest itself; a lattice narrower than a band reads
+    its leading columns, which the sampling contract makes its own deviates.
     """
 
     def __init__(self, master_seed: int, n_trials: int, n_qubits: int, narrower=()):
@@ -141,13 +132,6 @@ class DeviateRows:
         for stop, width in ((n_trials, n_qubits), *narrower):
             self.bands.append(gaussian_deviates(master_seed, stop - first, width, first))
             first = stop
-
-
-def _held(master_seed: int, planned) -> DeviateRows | None:
-    """The :class:`DeviateRows` of the rows that two or more of the planned
-    ``(trials, n_qubits)`` points read, or None where no row is."""
-    bands = shared_rows(planned)
-    return DeviateRows(master_seed, *bands[0], bands[1:]) if bands else None
 
 
 @dataclass(frozen=True)
@@ -229,58 +213,12 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
                       per_type_means=tuple(c / trials for c in totals))
 
 
-def _checked_totals(totals, n_spacings: int) -> np.ndarray:
-    """``totals`` as a float array, checked to hold one finite expected
-    collision total >= 0 per grid spacing."""
-    message = "totals must hold one expected total per grid spacing, each finite and >= 0"
-    try:
-        out = np.asarray(totals, dtype=float)
-    except (TypeError, ValueError):
-        raise ParameterError(message) from None
-    if out.shape != (n_spacings,) or not np.all((0.0 <= out) & (out < math.inf)):
-        raise ParameterError(message)
-    return out
-
-
 def _checked_grid(spacing_grid) -> list:
     """``spacing_grid`` as a list of floats, checked to be non-empty."""
     grid = [float(s) for s in spacing_grid]
     if not grid:
         raise ParameterError("spacing grid is empty")
     return grid
-
-
-def _best_spacing(totals: np.ndarray, grid: list) -> float:
-    """The grid spacing with the fewest expected collisions ``totals``; ties
-    go to the smaller spacing."""
-    return min(zip(totals.tolist(), grid))[1]
-
-
-def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, trials: int,
-                     master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
-                     rules: CollisionRules = DEFAULT_RULES, index: CollisionIndex | None = None,
-                     deviates: DeviateRows | None = None,
-                     totals: np.ndarray | None = None) -> SweepPoint:
-    """Measure the grid spacing with the fewest expected collisions.
-
-    Every grid spacing is scored by :func:`collision.expected_counts` in one
-    call, unless ``totals`` already holds their expected collision totals at
-    this sigma (a 1-d sequence of finite totals >= 0, one per grid spacing,
-    else :class:`ParameterError`); ties go to the smaller spacing, so at zero
-    scatter (where the expectation is the exact count) this is the smallest
-    collision-free spacing in the grid.  The choice does not depend on ``master_seed``,
-    ``trials`` or ``deviates``: only the returned point, from
-    :func:`run_point` at that spacing, is sampled.
-    """
-    grid = _checked_grid(spacing_grid)
-    idx = index if index is not None else build_index(lattice)
-    if totals is None:
-        totals = expected_counts(idx, set_points_mhz(lattice, pattern, grid), sigma_mhz,
-                                 rules).sum(axis=-1)
-    else:
-        totals = _checked_totals(totals, len(grid))
-    return run_point(lattice, pattern.with_spacing(_best_spacing(totals, grid)), sigma_mhz,
-                     trials, master_seed, rules=rules, index=idx, deviates=deviates)
 
 
 # per-distance model yield, exp(-E), below which a point is planned at the
@@ -321,92 +259,136 @@ class AdaptiveTrials:
         return self.base
 
 
-def operating_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float,
-                    policy: AdaptiveTrials, master_seed: int = 0, *, index: CollisionIndex,
-                    deviates: DeviateRows | None, totals: np.ndarray,
-                    spacing_grid=DEFAULT_SPACING_GRID_MHZ,
-                    rules: CollisionRules = DEFAULT_RULES) -> SweepPoint:
-    """One reported operating point, in three steps: :func:`optimize_spacing`
-    picks the spacing from ``totals``, the expected collision totals of the
-    grid spacings at this sigma; the policy plans the trials from E, the
-    expected total at that spacing, ``min(totals)``; and that spacing is
-    measured once, on that many ``deviates`` rows.  Neither step before the
-    measurement looks at the sample.  ``totals`` is checked as in
-    :func:`optimize_spacing`.  A one-element grid measures that spacing
-    alone.
+@dataclass(frozen=True)
+class PlannedPoint:
+    """One reported point, decided before any deviate is drawn: the lattice
+    and its index, the pattern at the chosen spacing, the scatter, the
+    planned trials and ``expected``, the seven expected counts (types 1..7)
+    at that spacing and scatter, whose total E the trials were planned from."""
+
+    lattice: Lattice
+    index: CollisionIndex
+    pattern: FrequencyPattern
+    sigma_mhz: float
+    trials: int
+    expected: tuple
+    rules: CollisionRules
+
+
+def _plan(lattice: Lattice, index: CollisionIndex, pattern: FrequencyPattern, sigmas,
+          grid: list, policy: AdaptiveTrials, rules: CollisionRules) -> list:
+    """One :class:`PlannedPoint` per sigma, from one :func:`expected_counts`
+    call over the sigma x ``grid`` stack: each takes the grid spacing with
+    the fewest expected collisions, ties to the smaller spacing (at zero
+    scatter, where the expectation is the exact count, the smallest
+    collision-free one), and the policy's trials for E, the expected total
+    there."""
+    sigmas = [float(s) for s in sigmas]
+    counts = expected_counts(index, set_points_mhz(lattice, pattern, grid), sigmas, rules)
+    plans = []
+    for sigma, by_spacing, totals in zip(sigmas, counts, counts.sum(axis=-1).tolist()):
+        total, spacing, k = min(zip(totals, grid, range(len(grid))))
+        plans.append(PlannedPoint(lattice, index, pattern.with_spacing(spacing), sigma,
+                                  policy.trials(lattice.distance, total),
+                                  tuple(by_spacing[k].tolist()), rules))
+    return plans
+
+
+def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, trials: int,
+                     master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
+                     rules: CollisionRules = DEFAULT_RULES, index: CollisionIndex | None = None,
+                     deviates: DeviateRows | None = None) -> SweepPoint:
+    """Measure the grid spacing a plan chooses at this sigma, on ``trials``
+    rows: the one-point case of :func:`plan_sweep` and :func:`measure`, at a
+    given trial count.  The choice does not depend on ``master_seed``,
+    ``trials`` or ``deviates``; only the returned :func:`run_point` is
+    sampled.  No sweep calls it: it stays because the benchmark harness in
+    ``perfbench/`` traces it by name (until ROADMAP item 10 removes that
+    coupling).
+    """
+    idx = index if index is not None else build_index(lattice)
+    # the plan's spacing alone: the trials are given, and run_point checks them
+    (plan,) = _plan(lattice, idx, pattern, [sigma_mhz], _checked_grid(spacing_grid),
+                    AdaptiveTrials(), rules)
+    return run_point(lattice, plan.pattern, sigma_mhz, trials, master_seed, rules=rules,
+                     index=idx, deviates=deviates)
+
+
+def plan_sweep(lattice: Lattice, pattern: FrequencyPattern, sigma_grid=DEFAULT_SIGMA_GRID_MHZ,
+               trials_policy: AdaptiveTrials | None = None, *,
+               spacing_grid=DEFAULT_SPACING_GRID_MHZ,
+               rules: CollisionRules = DEFAULT_RULES) -> list:
+    """The :class:`PlannedPoint` of each sigma of a sweep, in grid order,
+    each at the spacing with the fewest expected collisions at its sigma; a
+    one-element ``spacing_grid`` keeps that spacing at every point."""
+    policy = trials_policy if trials_policy is not None else AdaptiveTrials()
+    grid = _checked_grid(spacing_grid)
+    return _plan(lattice, build_index(lattice), pattern, sigma_grid, grid, policy, rules)
+
+
+def plan_table(lattices, pattern: FrequencyPattern, policy: AdaptiveTrials, *,
+               spacing_grid=DEFAULT_SPACING_GRID_MHZ,
+               rules: CollisionRules = DEFAULT_RULES) -> list:
+    """The (tuned, as-fabricated) :class:`PlannedPoint` pair of each lattice.
+
+    The tuned-precision point takes the grid spacing with the fewest
+    expected collisions at ``TUNED_SIGMA_MHZ``; the as-fabricated point, at
+    ``AS_FABRICATED_SIGMA_MHZ``, keeps that spacing, since a chip is laid
+    out before anyone knows how well tuning will do.  Each point's trials
+    are planned from its own expected total.
     """
     grid = _checked_grid(spacing_grid)
-    totals = _checked_totals(totals, len(grid))
-    trials = policy.trials(lattice.distance, totals.min())
-    return optimize_spacing(lattice, pattern, sigma_mhz, trials, master_seed,
-                            spacing_grid=grid, rules=rules, index=index,
-                            deviates=deviates, totals=totals)
+    pairs = []
+    for lat in lattices:
+        idx = build_index(lat)
+        (tuned,) = _plan(lat, idx, pattern, [TUNED_SIGMA_MHZ], grid, policy, rules)
+        (fab,) = _plan(lat, idx, pattern, [AS_FABRICATED_SIGMA_MHZ],
+                       [tuned.pattern.spacing_mhz], policy, rules)
+        pairs.append((tuned, fab))
+    return pairs
+
+
+def measure(plans, master_seed: int = 0) -> list:
+    """The :class:`SweepPoint` of each plan, in order, one :func:`run_point`
+    each.
+
+    Every trial count is planned, so the rows two or more sigma > 0 plans
+    read are known before any is drawn (:func:`shared_rows`).  Only those
+    rows are held, one :class:`DeviateRows` draw per band, each band as wide
+    as the widest plan that reads it: under the sampling contract a
+    lattice's leading columns are its own deviates, so each point equals the
+    point measured alone.  A plan reading past the held rows draws the rest
+    itself, a kernel block at a time, so each row is drawn once.
+    """
+    plans = list(plans)
+    bands = shared_rows([(p.trials, p.lattice.n_qubits) for p in plans if p.sigma_mhz > 0.0])
+    z = DeviateRows(master_seed, *bands[0], bands[1:]) if bands else None
+    return [run_point(p.lattice, p.pattern, p.sigma_mhz, p.trials, master_seed, rules=p.rules,
+                      index=p.index, deviates=z)
+            for p in plans]
 
 
 def sweep_sigma(lattice: Lattice, pattern: FrequencyPattern, sigma_grid=DEFAULT_SIGMA_GRID_MHZ,
                 trials_policy: AdaptiveTrials | None = None, master_seed: int = 0, *,
                 spacing_grid=DEFAULT_SPACING_GRID_MHZ,
                 rules: CollisionRules = DEFAULT_RULES) -> list:
-    """Sweep the scatter level, re-optimising the spacing per point.
-
-    Each point is an :func:`operating_point`, given its sigma's row of one
-    :func:`expected_counts` call over the whole sigma x spacing grid, made
-    before any deviate is drawn; a one-element ``spacing_grid`` keeps that
-    spacing at every point.  Every point's trials are planned from that
-    scoring, so the sweep holds only the rows that two or more sigma > 0
-    points read (:func:`shared_rows`: as many as the second-largest planned
-    count, none if fewer than two points read any), and the one point
-    planned past them draws the rest itself, a block at a time.
-    """
-    policy = trials_policy if trials_policy is not None else AdaptiveTrials()
-    sigmas = [float(s) for s in sigma_grid]
-    idx = build_index(lattice)
-    scores = expected_counts(idx, set_points_mhz(lattice, pattern, spacing_grid), sigmas,
-                             rules).sum(axis=-1)
-    z = _held(master_seed, [(policy.trials(lattice.distance, totals.min()), lattice.n_qubits)
-                            for sigma, totals in zip(sigmas, scores) if sigma > 0.0])
-    return [operating_point(lattice, pattern, sigma, policy, master_seed, index=idx, deviates=z,
-                            totals=totals, spacing_grid=spacing_grid, rules=rules)
-            for sigma, totals in zip(sigmas, scores)]
+    """Sweep the scatter level, re-optimising the spacing per point: the
+    :func:`measure` of :func:`plan_sweep`'s plans, so the whole sigma x
+    spacing grid is scored in one :func:`expected_counts` call before the
+    first deviate is drawn."""
+    return measure(plan_sweep(lattice, pattern, sigma_grid, trials_policy,
+                              spacing_grid=spacing_grid, rules=rules), master_seed)
 
 
 def table_rows(lattices, pattern: FrequencyPattern, policy: AdaptiveTrials,
                master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
                rules: CollisionRules = DEFAULT_RULES) -> list:
-    """The (tuned, as-fabricated) operating points of each lattice, in order.
-
-    The tuned-precision point optimises the spacing at
-    ``TUNED_SIGMA_MHZ`` over the grid, scored in one :func:`expected_counts`
-    call; the as-fabricated point is measured at ``AS_FABRICATED_SIGMA_MHZ``
-    on that same spacing, scored alone, since a chip is laid out before
-    anyone knows how well tuning will do.  Each point's trials are planned
-    from its own expected total.
-
-    Every point is scored and planned before any deviate is drawn, so the
-    lattices hold only the rows that two or more points read
-    (:func:`shared_rows`), each band as wide as the widest point that reads
-    it: under the sampling contract a lattice's leading columns are its own
-    deviates, so each point equals the point measured alone.  A point
-    planned past the held rows draws the rest itself, so each row is drawn
-    once.
-    """
-    grid = _checked_grid(spacing_grid)
-    plans = []
-    for lat in lattices:
-        idx = build_index(lat)
-        tuned = expected_counts(idx, set_points_mhz(lat, pattern, grid), TUNED_SIGMA_MHZ,
-                                rules).sum(axis=-1)
-        fab_grid = [_best_spacing(tuned, grid)]
-        fab = expected_counts(idx, set_points_mhz(lat, pattern, fab_grid),
-                              AS_FABRICATED_SIGMA_MHZ, rules).sum(axis=-1)
-        plans.append((lat, idx, ((TUNED_SIGMA_MHZ, grid, tuned),
-                                 (AS_FABRICATED_SIGMA_MHZ, fab_grid, fab))))
-    z = _held(master_seed, [(policy.trials(lat.distance, totals.min()), lat.n_qubits)
-                            for lat, _, points in plans for _, _, totals in points])
-    return [tuple(operating_point(lat, pattern, sigma, policy, master_seed, index=idx,
-                                  deviates=z, totals=totals, spacing_grid=g, rules=rules)
-                  for sigma, g, totals in points)
-            for lat, idx, points in plans]
+    """The (tuned, as-fabricated) operating points of each lattice, in order:
+    :func:`plan_table`'s pairs, measured together by :func:`measure`, so the
+    lattices hold only the rows that two or more of their points read."""
+    pairs = plan_table(lattices, pattern, policy, spacing_grid=spacing_grid, rules=rules)
+    points = iter(measure([plan for pair in pairs for plan in pair], master_seed))
+    return list(zip(points, points))
 
 
 def table_row(lattice: Lattice, pattern: FrequencyPattern, policy: AdaptiveTrials,

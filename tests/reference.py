@@ -76,8 +76,9 @@ def _p_in(mean, std, lo, hi):
     return _phi((hi - mean) / std) - _phi((lo - mean) / std)
 
 
-def expected_mean_collisions(setpoints, sigma, edges, triples, anharmonicity=ANH):
-    """E[total collisions] when every qubit gets N(0, sigma^2) scatter.
+def expected_type_means(setpoints, sigma, edges, triples, anharmonicity=ANH):
+    """E[count] of each collision type 1..7, as a list, when every qubit gets
+    N(0, sigma^2) scatter.
 
     Exact by linearity of expectation: each condition involves one Gaussian
     linear combination, so its probability is a normal-CDF difference.  The
@@ -88,19 +89,26 @@ def expected_mean_collisions(setpoints, sigma, edges, triples, anharmonicity=ANH
     sp = [float(x) for x in setpoints]
     s2 = sigma * math.sqrt(2.0)   # f_c - f_t
     s6 = sigma * math.sqrt(6.0)   # 2 f_j - f_i - f_k
-    total = 0.0
+    means = [0.0] * 7
     for c, t in edges:
         d = sp[c] - sp[t]
-        total += _p_in(d, s2, -BOUNDS["t1"], BOUNDS["t1"])
-        total += _p_in(2.0 * d, sigma * math.sqrt(8.0), (-BOUNDS["t2"] - a), (BOUNDS["t2"] - a))
-        total += _p_in(d, s2, a - BOUNDS["t3"], a + BOUNDS["t3"])
-        total += _p_in(d, s2, -a - BOUNDS["t3"], -a + BOUNDS["t3"])
-        total += 1.0 - _phi((-a - d) / s2)   # d >= -a
+        means[0] += _p_in(d, s2, -BOUNDS["t1"], BOUNDS["t1"])
+        means[1] += _p_in(2.0 * d, sigma * math.sqrt(8.0), (-BOUNDS["t2"] - a),
+                          (BOUNDS["t2"] - a))
+        means[2] += _p_in(d, s2, a - BOUNDS["t3"], a + BOUNDS["t3"])
+        means[2] += _p_in(d, s2, -a - BOUNDS["t3"], -a + BOUNDS["t3"])
+        means[3] += 1.0 - _phi((-a - d) / s2)   # d >= -a
     for i, j, k in triples:
         dik = sp[i] - sp[k]
-        total += _p_in(dik, s2, -BOUNDS["t5"], BOUNDS["t5"])
-        total += _p_in(dik, s2, a - BOUNDS["t6"], a + BOUNDS["t6"])
-        total += _p_in(dik, s2, -a - BOUNDS["t6"], -a + BOUNDS["t6"])
+        means[4] += _p_in(dik, s2, -BOUNDS["t5"], BOUNDS["t5"])
+        means[5] += _p_in(dik, s2, a - BOUNDS["t6"], a + BOUNDS["t6"])
+        means[5] += _p_in(dik, s2, -a - BOUNDS["t6"], -a + BOUNDS["t6"])
         m = 2.0 * sp[j] - sp[i] - sp[k]
-        total += _p_in(m, s6, -a - BOUNDS["t7"], -a + BOUNDS["t7"])
-    return total
+        means[6] += _p_in(m, s6, -a - BOUNDS["t7"], -a + BOUNDS["t7"])
+    return means
+
+
+def expected_mean_collisions(setpoints, sigma, edges, triples, anharmonicity=ANH):
+    """E[total collisions] under N(0, sigma^2) scatter: the sum of
+    :func:`expected_type_means`."""
+    return sum(expected_type_means(setpoints, sigma, edges, triples, anharmonicity))

@@ -384,20 +384,20 @@ def member_expected_counts(lat, set_points, sigma, anharmonicity):
 
 
 @pytest.mark.parametrize("anharmonicity", [-330.0, -200.0, -30.0])
-def test_spacing_choices_match_member_by_member_scoring(nine_lattices, monkeypatch,
-                                                        anharmonicity):
-    """Scoring each distinct difference once on ``collision.ndtr`` picks the
+def test_spacing_choices_match_member_by_member_scoring(nine_lattices, anharmonicity):
+    """Scoring each distinct difference once on ``collision.ndtr`` plans the
     spacing that per-member ``scipy.special.ndtr`` scoring picks, at every
     nonzero default sigma (zero scatter counts collisions, with no CDF)."""
-    monkeypatch.setattr(mc, "run_point", lambda lat, pattern, *args, **kwargs: pattern.spacing_mhz)
     rules = collision.CollisionRules(anharmonicity)
     grid = mc.DEFAULT_SPACING_GRID_MHZ
+    sigmas = mc.DEFAULT_SIGMA_GRID_MHZ[1:]
     for lat in nine_lattices.values():
         sp = spacing_stack(lat, grid)
-        for sigma in mc.DEFAULT_SIGMA_GRID_MHZ[1:]:
+        plans = mc.plan_sweep(lat, lattice.FrequencyPattern(), sigmas, rules=rules)
+        for sigma, plan in zip(sigmas, plans, strict=True):
             totals = member_expected_counts(lat, sp, sigma, anharmonicity).sum(axis=-1)
-            chosen = mc.optimize_spacing(lat, lattice.FrequencyPattern(), sigma, 0, rules=rules)
-            assert chosen == grid[int(np.argmin(totals))], (lat.family, lat.distance, sigma)
+            assert plan.pattern.spacing_mhz == grid[int(np.argmin(totals))], \
+                (lat.family, lat.distance, sigma)
 
 
 @pytest.mark.parametrize("anharmonicity", [-330.0, -20.0])

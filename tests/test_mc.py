@@ -9,7 +9,7 @@ import pytest
 
 from freqcrowd import collision, lattice, mc
 from freqcrowd.errors import ParameterError
-from reference import expected_mean_collisions
+from reference import expected_mean_collisions, expected_type_means, naive_counts
 
 
 def test_deviates_deterministic():
@@ -210,9 +210,8 @@ def test_optimize_spacing_matches_manual_grid_scan(hh3):
 
 
 def test_operating_point_gates_the_boost_on_the_chosen_expected_total(hh3, monkeypatch):
-    """The E the sweep sizes its draw from, and ``operating_point`` plans the
-    trials from, is the oracle's expected total at the chosen spacing, the
-    smallest over the grid."""
+    """The E a point's trials are planned from is the oracle's expected total
+    at the chosen spacing, the smallest over the grid, and is planned once."""
     grid = (30.0, 40.0, 50.0, 60.0)
     pattern = lattice.FrequencyPattern()
     got, plan = [], mc.AdaptiveTrials.trials
@@ -221,16 +220,19 @@ def test_operating_point_gates_the_boost_on_the_chosen_expected_total(hh3, monke
         got.append(expected_collisions)
         return plan(self, distance, expected_collisions)
     monkeypatch.setattr(mc.AdaptiveTrials, "trials", spy)
-    (pt,) = mc.sweep_sigma(hh3, pattern, (14.0,), mc.AdaptiveTrials(base=10, boost=10), 2,
-                           spacing_grid=grid)
+    (planned,) = mc.plan_sweep(hh3, pattern, (14.0,), mc.AdaptiveTrials(base=10, boost=10),
+                               spacing_grid=grid)
     triples = lattice.next_nearest_triples(hh3)
     want = min(expected_mean_collisions(
         lattice.set_points_mhz(hh3, pattern.with_spacing(s)), 14.0, hh3.edges, triples)
         for s in grid)
-    assert got == [pytest.approx(want, rel=1e-9)] * 2
+    assert got == [pytest.approx(want, rel=1e-9)]
     assert want == pytest.approx(expected_mean_collisions(
-        lattice.set_points_mhz(hh3, pattern.with_spacing(pt.spacing_mhz)), 14.0, hh3.edges,
-        triples), rel=1e-12)
+        lattice.set_points_mhz(hh3, planned.pattern), 14.0, hh3.edges, triples), rel=1e-12)
+    del got[:]
+    (pt,) = mc.measure([planned], 2)
+    assert got == [] and pt.trials == planned.trials == 10
+    assert pt.spacing_mhz == planned.pattern.spacing_mhz
 
 
 def test_optimize_spacing_ignores_the_sample(hh3):
@@ -256,25 +258,23 @@ def test_optimize_spacing_zero_scatter_prefers_smallest_clean(hh3):
 
 @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
 def test_operating_point_rejects_bad_sigma(hh3, sigma):
-    z = mc.DeviateRows(0, 10, hh3.n_qubits)
+    """A point's scatter is checked where it is planned."""
     with pytest.raises(ParameterError, match="sigma must be >= 0"):
-        mc.operating_point(hh3, lattice.FrequencyPattern(), sigma,
-                           mc.AdaptiveTrials(base=10, boost=10),
-                           index=collision.build_index(hh3), deviates=z,
-                           totals=np.zeros(len(mc.DEFAULT_SPACING_GRID_MHZ)))
+        mc.plan_sweep(hh3, lattice.FrequencyPattern(), (14.0, sigma))
 
 
 def test_optimize_spacing_empty_grid(hh3):
     """An empty grid is named, not left to numpy's empty reduction, wherever
     a spacing is chosen."""
+    pattern = lattice.FrequencyPattern()
     with pytest.raises(ParameterError, match="spacing grid is empty"):
-        mc.optimize_spacing(hh3, lattice.FrequencyPattern(), 14.0, 10, spacing_grid=())
+        mc.optimize_spacing(hh3, pattern, 14.0, 10, spacing_grid=())
     with pytest.raises(ParameterError, match="spacing grid is empty"):
-        mc.operating_point(hh3, lattice.FrequencyPattern(), 14.0, mc.AdaptiveTrials(), 1,
-                           index=collision.build_index(hh3), deviates=None, totals=[],
-                           spacing_grid=())
+        mc.plan_sweep(hh3, pattern, (14.0,), spacing_grid=())
     with pytest.raises(ParameterError, match="spacing grid is empty"):
-        mc.table_row(hh3, lattice.FrequencyPattern(), mc.AdaptiveTrials(), 1, spacing_grid=[])
+        mc.sweep_sigma(hh3, pattern, (14.0,), spacing_grid=())
+    with pytest.raises(ParameterError, match="spacing grid is empty"):
+        mc.table_row(hh3, pattern, mc.AdaptiveTrials(), 1, spacing_grid=[])
 
 
 def test_default_grids():
@@ -363,6 +363,77 @@ def test_default_sweeps_plan_their_trials_from_the_expected_total(hh3):
              else p.mean_collisions)
         assert p.trials == policy.trials(3, e), p.sigma_mhz
     assert [p.sigma_mhz for p in one if p.trials == policy.boost] == [132.3, 150.0]
+
+
+def _reference_expected(lat, pattern, sigma):
+    """The oracle's expected count of each type, the exact count at zero
+    scatter."""
+    sp = lattice.set_points_mhz(lat, pattern)
+    if sigma == 0.0:
+        counts = naive_counts(lat.n_qubits, lat.edges, sp)
+        return [counts[t] for t in collision.TYPE_IDS]
+    return expected_type_means(sp, sigma, lat.edges, lattice.next_nearest_triples(lat))
+
+
+@pytest.mark.parametrize("family", lattice.FAMILIES)
+def test_plans_hold_the_expected_counts_they_planned_from(nine_lattices, family):
+    """Each sweep plan and each summary-table plan on a d=3 lattice holds
+    the oracle's per-type expected counts at its chosen spacing and the
+    policy's trials for their total; the as-fabricated plan keeps the tuned
+    spacing.  Measured together, each plan gives its lone run_point."""
+    lat, pattern, policy = nine_lattices[(family, 3)], lattice.FrequencyPattern(), mc.AdaptiveTrials()
+    sweep = mc.plan_sweep(lat, pattern)
+    ((tuned, fab),) = mc.plan_table([lat], pattern, policy)
+    assert [p.sigma_mhz for p in sweep] == list(mc.DEFAULT_SIGMA_GRID_MHZ)
+    assert (tuned.sigma_mhz, fab.sigma_mhz) == (mc.TUNED_SIGMA_MHZ, mc.AS_FABRICATED_SIGMA_MHZ)
+    assert fab.pattern == tuned.pattern
+    assert any(p.trials == policy.boost for p in sweep)
+    for plan in (*sweep, tuned, fab):
+        assert plan.lattice is lat and plan.rules == collision.DEFAULT_RULES
+        assert list(plan.expected) == pytest.approx(
+            _reference_expected(lat, plan.pattern, plan.sigma_mhz), rel=1e-9), plan.sigma_mhz
+        assert plan.trials == policy.trials(3, sum(plan.expected)), plan.sigma_mhz
+    for plans in (sweep, [tuned, fab]):
+        for plan, pt in zip(plans, mc.measure(plans, 5), strict=True):
+            alone = mc.run_point(lat, plan.pattern, plan.sigma_mhz, plan.trials, 5)
+            assert dataclasses.astuple(pt) == dataclasses.astuple(alone)
+
+
+def test_plans_draw_no_deviate(hh3, monkeypatch):
+    """Planning decides every point without the sample: no deviate row is
+    drawn until the plans are measured."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a plan drew a deviate row")
+    monkeypatch.setattr(mc, "gaussian_deviates", no_draw)
+    monkeypatch.setattr(mc, "run_point", no_draw)
+    assert len(mc.plan_sweep(hh3, lattice.FrequencyPattern())) == len(mc.DEFAULT_SIGMA_GRID_MHZ)
+    assert len(mc.plan_table([hh3, hh3], lattice.FrequencyPattern(), mc.AdaptiveTrials())) == 2
+    assert mc.measure([], 3) == []
+
+
+def test_measure_takes_plans_of_several_lattices_and_policies(nine_lattices):
+    """Plans from different lattices, policies and planners, measured
+    together on shared rows, each give the point measured alone."""
+    pattern = lattice.FrequencyPattern()
+    plans = [*mc.plan_sweep(nine_lattices[("heavy_hexagon", 3)], pattern, (0.0, 14.0, 150.0)),
+             *mc.plan_sweep(nine_lattices[("square", 5)], pattern, (8.0, 14.0),
+                            mc.AdaptiveTrials(base=50, boost=90)),
+             *mc.plan_table([nine_lattices[("heavy_square", 3)]], pattern,
+                            mc.AdaptiveTrials(base=30, boost=70))[0]]
+    assert len({p.trials for p in plans}) > 2
+    for plan, pt in zip(plans, mc.measure(plans, 4), strict=True):
+        alone = mc.run_point(plan.lattice, plan.pattern, plan.sigma_mhz, plan.trials, 4)
+        assert dataclasses.astuple(pt) == dataclasses.astuple(alone)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+@pytest.mark.parametrize("sigmas", [(14.0, 20.0), (14.0,)], ids=["held", "alone"])
+def test_measure_checks_the_seed(hh3, seed, sigmas):
+    """A seed outside the Philox key range is refused whether the plans hold
+    shared rows or each point draws its own."""
+    plans = mc.plan_sweep(hh3, lattice.FrequencyPattern(), sigmas)
+    with pytest.raises(ParameterError, match="master seed"):
+        mc.measure(plans, seed)
 
 
 def test_sweep_sigma_fixed_spacing_mode(hh3):
@@ -523,9 +594,9 @@ def test_sweep_boosts_where_a_survivor_can_be_found(hh3, monkeypatch):
 
 def test_sweep_enters_each_sigma_through_run_point_or_optimize_spacing(hh3, monkeypatch):
     """Per-sigma timings mark a point's start at its first run_point or
-    optimize_spacing call.  The sweep scores its whole sigma x spacing grid
-    in one expected_counts call before the first point, as set-up, so no
-    scoring runs between one sigma's entry and the next."""
+    optimize_spacing call.  The sweep plans its whole sigma x spacing grid in
+    one expected_counts call before the first point, as set-up, then enters
+    each sigma once, through run_point, in grid order."""
     events = []
 
     def recorded(kind, fn):
@@ -534,55 +605,11 @@ def test_sweep_enters_each_sigma_through_run_point_or_optimize_spacing(hh3, monk
             return fn(*args, **kwargs)
         return call
     monkeypatch.setattr(mc, "run_point", recorded("enter", mc.run_point))
-    monkeypatch.setattr(mc, "optimize_spacing", recorded("enter", mc.optimize_spacing))
+    monkeypatch.setattr(mc, "optimize_spacing", recorded("search", mc.optimize_spacing))
     monkeypatch.setattr(mc, "expected_counts", recorded("score", mc.expected_counts))
     sigmas = (0.0, 14.0, 150.0)
     mc.sweep_sigma(hh3, lattice.FrequencyPattern(), sigmas, master_seed=7)
-    assert events[0] == ("score", list(sigmas))
-    assert all(kind == "enter" for kind, _ in events[1:])
-    assert [s for k, s in events if k == "enter"] == [0.0, 0.0, 14.0, 14.0, 150.0, 150.0]
-
-
-def test_optimize_spacing_takes_the_given_totals(hh3, monkeypatch):
-    """Totals already scored by the caller pick the spacing, with no scoring
-    of its own; they must give one total per grid spacing."""
-    monkeypatch.setattr(mc, "expected_counts", None)
-    grid = (40.0, 65.0, 90.0)
-    pt = mc.optimize_spacing(hh3, lattice.FrequencyPattern(), 14.0, 50, 3, spacing_grid=grid,
-                             totals=np.array([2.0, 3.0, 1.5]))
-    assert pt.spacing_mhz == 90.0
-    assert pt == mc.run_point(hh3, lattice.FrequencyPattern(spacing_mhz=90.0), 14.0, 50, 3)
-    with pytest.raises(ParameterError, match="one expected total per grid spacing"):
-        mc.optimize_spacing(hh3, lattice.FrequencyPattern(), 14.0, 50, 3, spacing_grid=grid,
-                            totals=np.array([2.0, 3.0]))
-
-
-@pytest.mark.parametrize("totals", [
-    [np.nan, 1.0], [1.0, -0.5], [1.0, np.inf], [[2.0, 1.0]], [2.0, 1.0, 0.5], ["x", 1.0], 1.0,
-], ids=["nan", "negative", "inf", "2-d", "too-long", "text", "scalar"])
-def test_optimize_spacing_and_operating_point_check_their_totals(hh3, totals):
-    """Totals must be one finite expected total >= 0 per grid spacing: a NaN
-    would pick 40 MHz here though 65 MHz expects fewer collisions, and would
-    keep the boost gate from firing."""
-    kw = dict(spacing_grid=(40.0, 65.0), index=collision.build_index(hh3),
-              deviates=mc.DeviateRows(3, 20, hh3.n_qubits), totals=totals)
-    pattern = lattice.FrequencyPattern()
-    with pytest.raises(ParameterError, match="one expected total per grid spacing"):
-        mc.optimize_spacing(hh3, pattern, 14.0, 10, 3, **kw)
-    with pytest.raises(ParameterError, match="one expected total per grid spacing"):
-        mc.operating_point(hh3, pattern, 14.0, mc.AdaptiveTrials(base=10, boost=20), 3, **kw)
-
-
-def test_optimize_spacing_and_operating_point_take_totals_as_a_list(hh3):
-    pattern = lattice.FrequencyPattern()
-    want = mc.run_point(hh3, pattern.with_spacing(65.0), 14.0, 10, 3)
-    for totals in ([2.0, 1.0], (2, 1)):
-        assert mc.optimize_spacing(hh3, pattern, 14.0, 10, 3, spacing_grid=(40.0, 65.0),
-                                   totals=totals) == want
-        assert mc.operating_point(hh3, pattern, 14.0, mc.AdaptiveTrials(base=10, boost=10), 3,
-                                  index=collision.build_index(hh3),
-                                  deviates=mc.DeviateRows(3, 10, hh3.n_qubits), totals=totals,
-                                  spacing_grid=(40.0, 65.0)) == want
+    assert events == [("score", list(sigmas))] + [("enter", s) for s in sigmas]
 
 
 @pytest.mark.parametrize("family, distance, sigma", [("heavy_square", 5, 14.0),
@@ -688,7 +715,7 @@ def test_table_rows_on_one_shared_deviate_matrix(nine_lattices, monkeypatch):
     held as wide as the wider.  Without heavy-hexagon d=3 the heavy-square
     point reads rows 200-399 alone and draws them itself."""
     policy = mc.AdaptiveTrials(base=200, boost=400)
-    draws, draw, holds, hold = [], mc.gaussian_deviates, [], mc._held
+    draws, draw, holds, hold = [], mc.gaussian_deviates, [], mc.DeviateRows
 
     def spy(seed, n_trials, n_qubits, first_trial=0):
         draws.append((first_trial, n_trials, n_qubits))
@@ -699,7 +726,8 @@ def test_table_rows_on_one_shared_deviate_matrix(nine_lattices, monkeypatch):
         draws.clear()
         holds.clear()
         monkeypatch.setattr(mc, "gaussian_deviates", spy)
-        monkeypatch.setattr(mc, "_held", lambda *args: holds.append(hold(*args)) or holds[-1])
+        monkeypatch.setattr(mc, "DeviateRows",
+                            lambda *args: holds.append(hold(*args)) or holds[-1])
         rows = mc.table_rows(lats, lattice.FrequencyPattern(), policy, 11)
         monkeypatch.undo()
         (z,) = holds
