@@ -13,6 +13,9 @@ environment variables, which beat ``--config`` INI entries (section
 once, in :data:`OPTIONS`, which drives all four sources.
 
 Exit codes: 0 success, 1 runtime or I/O failure, 2 usage/config error.
+Ranges are the library's to check: a flag value that the library parameter
+it feeds rejects exits 2 with an ``error:`` line naming the flag, before any
+file is written; the same value replayed from a manifest exits 1.
 
 Importing this module loads ``collision``, ``lattice`` and ``mc`` (with
 ``errors`` and numpy under them), which the option defaults and the
@@ -34,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, collision, lattice, mc
-from .errors import FreqcrowdError, InputError, ParameterError, UnfittableError
+from .errors import FreqcrowdError, InputError, UnfittableError
 
 EXTRAPOLATE_SIGMAS = (14.0, 12.0, 10.0, 8.0, 6.0)
 
@@ -42,8 +45,9 @@ EXTRAPOLATE_SIGMAS = (14.0, 12.0, 10.0, 8.0, 6.0)
 class Option(NamedTuple):
     """One setting: its argparse flags, the converter applied to flag,
     ``FREQCROWD_<DEST>`` and INI values, its default (a :class:`ModuleDefault`
-    is read when a configuration is resolved), and the commands that take it
-    (``None``: every command)."""
+    is read when a configuration is resolved), the commands that take it
+    (``None``: every command) and the names of the library parameters it
+    feeds, whose :class:`ParameterError` it reports (``()``: its ``dest``)."""
 
     dest: str
     flags: tuple
@@ -51,6 +55,7 @@ class Option(NamedTuple):
     default: object
     commands: tuple | None
     help: str | None = None
+    params: tuple = ()
 
 
 class ModuleDefault(NamedTuple):
@@ -78,18 +83,18 @@ OPTIONS = (
     Option("anharmonicity_mhz", ("--anharmonicity-mhz",), float,
            collision.DEFAULT_ANHARMONICITY_MHZ, ("check", "sweep")),
     Option("sigmas", ("--sigmas",), str, "", ("sweep", "extrapolate"),
-           "comma-separated scatter levels in MHz"),
+           "comma-separated scatter levels in MHz", ("sigma_mhz", "sigma_f_mhz")),
     Option("spacings", ("--spacings",), str, "", ("sweep",),
-           "comma-separated spacing grid in MHz"),
+           "comma-separated spacing grid in MHz", ("spacing_mhz",)),
     Option("trials", ("--trials",), int, 0, ("sweep",),
            "fixed trials per point (default: adaptive)"),
     Option("reproduce_table2", ("--reproduce-table2",), bool, False, ("sweep",),
            "summary table over all nine lattices"),
     Option("sweep_csv", ("--sweep-csv",), str, None, ("fit-window", "extrapolate"),
            "comma-separated sweep results.csv paths"),
-    Option("junctions", ("--junctions",), int, 31, ("tune",)),
+    Option("junctions", ("--junctions",), int, 31, ("tune",), params=("n",)),
     Option("target_spread", ("--target-spread",), str, "", ("tune",),
-           "LO:HI percent offsets above initial resistance"),
+           "LO:HI percent offsets above initial resistance", ("lo_fraction",)),
     Option("median_ohm", ("--median-ohm",), float,
            ModuleDefault("tunesim", "DEFAULT_MEDIAN_OHM"), ("tune",)),
     Option("fractional_sigma", ("--fractional-sigma",), float,
@@ -107,7 +112,8 @@ OPTIONS = (
     Option("out", ("--out",), str, "out", None, "output root directory (default: out)"),
     Option("name", ("--name",), str, "default", None,
            "run name under out/<command>/ (default: default)"),
-    Option("seed", ("--seed",), int, 0, None, "master seed (default: 0, never wall-clock)"),
+    Option("seed", ("--seed",), int, 0, None, "master seed (default: 0, never wall-clock)",
+           ("master_seed",)),
     Option("config", ("--config",), str, None, None, "INI file with a [freqcrowd] section"),
 )
 
@@ -163,19 +169,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _check_flag(cfg: dict, key: str, ok, what: str) -> None:
-    """A usage error naming ``key``'s flag unless ``ok(cfg[key])``."""
-    if not ok(cfg[key]):
-        raise UsageError(f"{_OPTION[key].flags[0]} must be {what}, got {cfg[key]!r}")
-
-
-def _finite_nonnegative(value) -> bool:
-    return 0.0 <= value < math.inf
-
-
 def _float_list(cfg: dict, key: str):
-    """Setting ``key`` read as comma- or semicolon-separated numbers, each
-    finite and >= 0 (the scatter levels and spacings that take a list)."""
+    """Setting ``key`` read as comma- or semicolon-separated numbers (the
+    scatter levels and spacings that take a list)."""
     values = []
     flag = _OPTION[key].flags[0]
     for tok in cfg[key].replace(";", ",").split(","):
@@ -184,8 +180,6 @@ def _float_list(cfg: dict, key: str):
                 values.append(float(tok))
             except ValueError:
                 raise UsageError(f"bad value for {flag}: {tok.strip()!r}") from None
-            if not _finite_nonnegative(values[-1]):
-                raise UsageError(f"{flag} values must be finite and >= 0, got {tok.strip()!r}")
     return values
 
 
@@ -267,22 +261,15 @@ def _cell(v) -> str:
 def _build(cfg: dict) -> lattice.Lattice:
     if not cfg["family"] or not cfg["distance"]:
         raise UsageError("--family and --distance are required")
-    try:
-        return lattice.build_lattice(cfg["family"], cfg["distance"])
-    except (ParameterError, InputError) as exc:
-        raise UsageError(str(exc)) from exc
+    return lattice.build_lattice(cfg["family"], cfg["distance"])
 
 
 def _rules(cfg: dict) -> collision.CollisionRules:
-    _check_flag(cfg, "anharmonicity_mhz", lambda v: -math.inf < v < 0.0, "finite and < 0")
     return collision.CollisionRules(anharmonicity_mhz=cfg["anharmonicity_mhz"])
 
 
 def _pattern(cfg: dict) -> lattice.FrequencyPattern:
     """The set-point pattern of ``--base-ghz`` and, for ``check``, ``--spacing-mhz``."""
-    _check_flag(cfg, "base_ghz", lambda v: 0.0 < v < math.inf, "finite and > 0")
-    if "spacing_mhz" in cfg:
-        _check_flag(cfg, "spacing_mhz", _finite_nonnegative, "finite and >= 0")
     return lattice.FrequencyPattern(
         base_ghz=cfg["base_ghz"],
         spacing_mhz=cfg.get("spacing_mhz", _OPTION["spacing_mhz"].default))
@@ -320,9 +307,8 @@ def cmd_lattice(cfg: dict) -> int:
 def cmd_check(cfg: dict) -> int:
     """Count collisions for one frequency assignment."""
     lat = _build(cfg)
-    pattern = _pattern(cfg)
-    freqs = lattice.set_points_mhz(lat, pattern)
-    _check_flag(cfg, "sigma_mhz", _finite_nonnegative, "finite and >= 0")
+    freqs = lattice.set_points_mhz(lat, _pattern(cfg))
+    collision.check_sigma(cfg["sigma_mhz"])  # sigma <= 0 or NaN draws no deviate to check it
     if cfg["sigma_mhz"] > 0.0:
         freqs = freqs + cfg["sigma_mhz"] * mc.gaussian_deviates(cfg["seed"], 1, lat.n_qubits)[0]
     report = collision.count_collisions(lat, freqs, _rules(cfg), collect=True)
@@ -537,21 +523,11 @@ def cmd_extrapolate(cfg: dict) -> int:
 def cmd_tune(cfg: dict) -> int:
     """Simulate an adaptive resistance-trimming campaign."""
     from . import physics, svgchart, tunesim
-    _check_flag(cfg, "junctions", lambda n: n >= 1, ">= 1")
-    _check_flag(cfg, "median_ohm", lambda v: 0.0 < v < math.inf, "finite and > 0")
-    for key in ("fractional_sigma", "noise_sigma", "residual_std_mhz"):
-        _check_flag(cfg, key, _finite_nonnegative, "finite and >= 0")
-    _check_flag(cfg, "step_fraction", lambda v: 0.0 < v <= 1.0, "in (0, 1]")
-    _check_flag(cfg, "converge_band", lambda v: 0.0 < v < 1.0, "in (0, 1)")
-    _check_flag(cfg, "max_anneals", lambda n: n >= 1, ">= 1")
     if cfg["target_spread"]:
         try:
             lo, hi = (float(tok) for tok in cfg["target_spread"].split(":"))
         except ValueError as exc:
             raise UsageError("--target-spread wants LO:HI in percent, e.g. 0.4:14.5") from exc
-        if not 0.0 <= lo <= hi < math.inf:
-            raise UsageError(f"--target-spread needs 0 <= LO <= HI, both finite, "
-                             f"got {cfg['target_spread']!r}")
     elif cfg["junctions"] != sum(tunesim.TWO_GROUP_SIZES):
         raise UsageError(f"either --target-spread LO:HI or --junctions "
                          f"{sum(tunesim.TWO_GROUP_SIZES)} (two-group scenario)")
@@ -710,6 +686,11 @@ _REPLAYABLE = {command: tuple(opt.dest for opt in OPTIONS
                               and (opt.commands is None or command in opt.commands))
                for command in _COMMANDS if command != "rerun"}
 
+# (command, library parameter) -> the option feeding it there; none under
+# rerun, where a rejected value comes from the manifest, not from a flag
+_FEEDS = {(command, param): _OPTION[key] for command, keys in _REPLAYABLE.items()
+          for key in keys for param in _OPTION[key].params or (key,)}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -737,15 +718,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        # mc.check_seed's range, before any file is touched
-        _check_flag(cfg, "seed", lambda seed: 0 <= seed < 2**128, "in [0, 2**128)")
+        mc.check_seed(cfg["seed"])
         return _COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FreqcrowdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # a value rejected by the library parameter a flag feeds is a usage error
+        opt = _FEEDS.get((args.command, getattr(exc, "param", None)))
+        flag = f"{opt.flags[-1]}={_cell(cfg[opt.dest])}: " if opt else ""
+        print(f"error: {flag}{exc}", file=sys.stderr)
+        return 2 if opt else 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

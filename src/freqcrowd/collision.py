@@ -71,7 +71,8 @@ class CollisionRules:
 
     def __post_init__(self):
         if not (math.isfinite(self.anharmonicity_mhz) and self.anharmonicity_mhz < 0.0):
-            raise ParameterError("anharmonicity must be finite and negative (MHz)")
+            raise ParameterError("anharmonicity must be finite and negative (MHz)",
+                                 "anharmonicity_mhz")
 
 
 DEFAULT_RULES = CollisionRules()
@@ -80,13 +81,13 @@ DEFAULT_RULES = CollisionRules()
 def check_sigma(sigma_mhz: float) -> None:
     """Reject a frequency scatter that is negative, NaN or infinite."""
     if not 0.0 <= sigma_mhz < math.inf:
-        raise ParameterError("sigma must be >= 0 and < inf")
+        raise ParameterError("sigma must be >= 0 and < inf", "sigma_mhz")
 
 
 def check_count(name: str, value, least: int = 1) -> None:
     """Reject a count that is not an integer >= ``least`` (a bool, 2.5 or NaN)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}", name)
 
 
 @dataclass(frozen=True)

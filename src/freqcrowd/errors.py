@@ -6,7 +6,13 @@ class FreqcrowdError(Exception):
 
 
 class ParameterError(FreqcrowdError, ValueError):
-    """A caller-supplied parameter is outside its valid domain."""
+    """A caller-supplied parameter is outside its valid domain; ``param``,
+    where given, names that parameter, so a front end can name the setting
+    that fed it."""
+
+    def __init__(self, message: str, param: str | None = None):
+        super().__init__(message)
+        self.param = param
 
 
 class InputError(FreqcrowdError, ValueError):

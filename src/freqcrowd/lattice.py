@@ -84,7 +84,7 @@ def canonical_family(family: str) -> str:
     """Accept dash or underscore spellings; return the canonical name."""
     name = str(family).strip().lower().replace("-", "_")
     if name not in FAMILIES:
-        raise ParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        raise ParameterError(f"unknown family {family!r}; expected one of {FAMILIES}", "family")
     return name
 
 
@@ -97,13 +97,13 @@ def expected_node_count(family: str, distance: int) -> int:
         return 3 * d * d - 2
     if family == "heavy_hexagon":
         return (5 * d * d + 2 * d - 5) // 2
-    raise ParameterError(f"unknown family {family!r}")
+    raise ParameterError(f"unknown family {family!r}", "family")
 
 
 def _validate_distance(distance: int) -> None:
     if not 3 <= distance <= MAX_DISTANCE or distance % 2 == 0:
         raise ParameterError(f"distance must be an odd integer in [3, {MAX_DISTANCE}], "
-                             f"got {distance}")
+                             f"got {distance}", "distance")
 
 
 def build_lattice(family: str, distance: int) -> Lattice:
@@ -269,8 +269,10 @@ def set_points_mhz(lattice: Lattice, pattern: FrequencyPattern, spacings_mhz=Non
     """
     spacing = np.asarray(pattern.spacing_mhz if spacings_mhz is None else spacings_mhz,
                          dtype=float)
-    if not (0.0 < pattern.base_ghz < math.inf and np.all((0.0 <= spacing) & (spacing < math.inf))):
-        raise ParameterError("pattern needs finite base > 0 and finite spacing >= 0")
+    if not 0.0 < pattern.base_ghz < math.inf:
+        raise ParameterError("pattern needs finite base > 0", "base_ghz")
+    if not np.all((0.0 <= spacing) & (spacing < math.inf)):
+        raise ParameterError("pattern needs finite spacing >= 0", "spacing_mhz")
     idx = np.array([n.pattern_index for n in lattice.nodes], dtype=float)
     return pattern.base_ghz * 1e3 + (idx - 1.0) * spacing[..., None]
 

@@ -58,7 +58,7 @@ AS_FABRICATED_SIGMA_MHZ = 132.3
 def check_seed(master_seed: int) -> None:
     """Reject a master seed outside the Philox key range."""
     if not 0 <= master_seed < 2**128:
-        raise ParameterError("master seed must be in [0, 2**128)")
+        raise ParameterError("master seed must be in [0, 2**128)", "master_seed")
 
 
 def philox_rng(master_seed: int, counter) -> np.random.Generator:

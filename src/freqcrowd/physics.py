@@ -101,7 +101,7 @@ def fit_power_law(resistance_ohm, frequency_ghz, *, fix_exponent: float | None =
         PowerLawFit with the RMS residual evaluated in linear MHz.
     """
     if fix_exponent is not None and not math.isfinite(fix_exponent):
-        raise ParameterError(f"fixed exponent must be finite, got {fix_exponent}")
+        raise ParameterError(f"fixed exponent must be finite, got {fix_exponent}", "fix_exponent")
     r = np.asarray(resistance_ohm, dtype=float)
     f = np.asarray(frequency_ghz, dtype=float)
     if r.shape != f.shape or r.ndim != 1:

@@ -71,7 +71,7 @@ class AnnealResponseModel:
 
     def __init__(self, calibration: dict, noise_sigma: float = 0.10):
         if not 0.0 <= noise_sigma < np.inf:  # NaN fails too
-            raise ParameterError("noise_sigma must be finite and >= 0")
+            raise ParameterError("noise_sigma must be finite and >= 0", "noise_sigma")
         if not calibration:
             raise InputError("calibration table is empty")
         by_duration: dict = {}
@@ -126,11 +126,11 @@ class TunePolicy:
 
     def __post_init__(self):
         if not 0.0 < self.step_fraction <= 1.0:
-            raise ParameterError("step_fraction must be in (0, 1]")
+            raise ParameterError("step_fraction must be in (0, 1]", "step_fraction")
         if not 0.0 < self.converge_band < 1.0:
-            raise ParameterError("converge_band must be in (0, 1)")
+            raise ParameterError("converge_band must be in (0, 1)", "converge_band")
         if self.max_anneals < 1:
-            raise ParameterError("max_anneals must be >= 1")
+            raise ParameterError("max_anneals must be >= 1", "max_anneals")
 
 
 def junction_rng(master_seed: int, junction_id: int) -> np.random.Generator:
@@ -143,9 +143,11 @@ def generate_population(n: int, median_ohm: float = DEFAULT_MEDIAN_OHM,
     """As-fabricated junctions with lognormal resistance scatter:
     R = median * exp(sigma * z), targets unassigned."""
     if n < 1:
-        raise ParameterError("n must be >= 1")
-    if not (0.0 < median_ohm < np.inf and 0.0 <= fractional_sigma < np.inf):  # NaN fails too
-        raise ParameterError("median must be finite and positive, scatter finite and non-negative")
+        raise ParameterError("n must be >= 1", "n")
+    if not 0.0 < median_ohm < np.inf:  # NaN fails too
+        raise ParameterError("median must be finite and positive", "median_ohm")
+    if not 0.0 <= fractional_sigma < np.inf:
+        raise ParameterError("scatter must be finite and non-negative", "fractional_sigma")
     z = philox_rng(master_seed, [0, 0, 1, 0]).standard_normal(n)  # lane 1: no junction's stream
     r = median_ohm * np.exp(fractional_sigma * z)
     return [JunctionRecord(j, float(r[j]), float(r[j])) for j in range(n)]
@@ -184,7 +186,7 @@ def spread_targets(records, lo_fraction: float, hi_fraction: float) -> None:
     """Per-junction targets evenly spanning [lo, hi] fractional offsets above
     initial resistance (a stress profile covering shallow to deep trims)."""
     if not 0.0 <= lo_fraction <= hi_fraction < np.inf:  # NaN fails too
-        raise ParameterError("need 0 <= lo <= hi, both finite")
+        raise ParameterError("need 0 <= lo <= hi, both finite", "lo_fraction")
     offs = np.linspace(lo_fraction, hi_fraction, len(records))
     for rec, off in zip(records, offs):
         rec.r_target_ohm = rec.r_ohm * (1.0 + float(off))
@@ -257,7 +259,7 @@ def run_campaign(records, *, model: AnnealResponseModel | None = None,
     if any(not np.isfinite(rec.r_target_ohm) for rec in records):
         raise InputError("assign targets before running a campaign")
     if fit is not None and not 0.0 <= fit.residual_std_mhz < np.inf:
-        raise ParameterError("fit residual_std_mhz must be finite and >= 0")
+        raise ParameterError("fit residual_std_mhz must be finite and >= 0", "residual_std_mhz")
     gid = np.zeros(len(records), dtype=int) if group_ids is None else np.asarray(group_ids, dtype=int)
 
     realized_f = np.full(len(records), np.nan)

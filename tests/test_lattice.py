@@ -161,15 +161,20 @@ def test_set_points_on_a_spacing_grid_match_one_spacing_at_a_time(hh3):
 
 
 def test_set_points_validation(hh3):
+    """Each rejection names the one parameter at fault."""
     nan, inf = float("nan"), float("inf")
     for base, spacing in ((-1.0, 70.0), (0.0, 70.0), (nan, 70.0), (inf, 70.0),
                           (5.0, -5.0), (5.0, nan), (5.0, inf), (5.0, -inf)):
         pattern = lattice.FrequencyPattern(base_ghz=base, spacing_mhz=spacing)
-        with pytest.raises(ParameterError, match="finite base > 0 and finite spacing >= 0"):
+        match, param = ("finite base > 0", "base_ghz") if spacing == 70.0 else \
+            ("finite spacing >= 0", "spacing_mhz")
+        with pytest.raises(ParameterError, match=match) as excinfo:
             lattice.set_points_mhz(hh3, pattern)
+        assert excinfo.value.param == param
     for bad in (-5.0, float("nan"), float("inf")):
-        with pytest.raises(ParameterError, match="finite base > 0 and finite spacing >= 0"):
+        with pytest.raises(ParameterError, match="finite spacing >= 0") as excinfo:
             lattice.set_points_mhz(hh3, lattice.FrequencyPattern(), (30.0, bad, 40.0))
+        assert excinfo.value.param == "spacing_mhz"
 
 
 def test_dot_output_mentions_every_node(hh3):

@@ -46,8 +46,9 @@ class TestPopulation:
         {"n": 3, "fractional_sigma": math.inf}, {"n": 3, "fractional_sigma": math.nan},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as excinfo:
             tunesim.generate_population(**kwargs)
+        assert excinfo.value.param == list(kwargs)[-1]  # the one parameter at fault
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_outside_key_range(self, seed):

@@ -44,6 +44,9 @@ class TestWindowYield:
             window.window_yield(30.0, -1.0, 65)
         with pytest.raises(ParameterError):  # NaN is no scatter level, not zero scatter
             window.window_yield(30.0, np.array([14.0, np.nan]), 65)
+        for sigma in (math.inf, np.array([14.0, math.inf])):  # no 0.5**N at infinite scatter
+            with pytest.raises(ParameterError, match="sigma_f must be finite and >= 0"):
+                window.window_yield(30.0, sigma, 65)
         with pytest.raises(ParameterError):
             window.window_yield(math.nan, 14.0, 65)
         with pytest.raises(ParameterError):
