@@ -70,6 +70,8 @@ class ModuleDefault(NamedTuple):
 
 
 _LATTICE_COMMANDS = ("lattice", "check", "sweep")
+# every command but rerun, which replays its manifest's settings
+_RUN_COMMANDS = ("lattice", "check", "sweep", "fit-window", "extrapolate", "tune", "fit-rn")
 
 OPTIONS = (
     Option("family", ("--family",), str, None, _LATTICE_COMMANDS,
@@ -112,8 +114,8 @@ OPTIONS = (
     Option("out", ("--out",), str, "out", None, "output root directory (default: out)"),
     Option("name", ("--name",), str, "default", None,
            "run name under out/<command>/ (default: default)"),
-    Option("seed", ("--seed",), int, 0, None, "master seed (default: 0, never wall-clock)",
-           ("master_seed",)),
+    Option("seed", ("--seed",), int, 0, _RUN_COMMANDS,
+           "master seed (default: 0, never wall-clock)", ("master_seed",)),
     Option("config", ("--config",), str, None, None, "INI file with a [freqcrowd] section"),
 )
 
@@ -684,7 +686,7 @@ _COMMANDS = {
 _REPLAYABLE = {command: tuple(opt.dest for opt in OPTIONS
                               if opt.dest not in ("out", "config")
                               and (opt.commands is None or command in opt.commands))
-               for command in _COMMANDS if command != "rerun"}
+               for command in _RUN_COMMANDS}
 
 # (command, library parameter) -> the option feeding it there; none under
 # rerun, where a rejected value comes from the manifest, not from a flag
@@ -718,7 +720,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        mc.check_seed(cfg["seed"])
+        if "seed" in cfg:
+            mc.check_seed(cfg["seed"])
         return _COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

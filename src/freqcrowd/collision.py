@@ -161,19 +161,6 @@ def block_rows(index: CollisionIndex) -> int:
     return max(1, _BLOCK_ELEMENTS // max(1, index.edge_control.size + index.tri_i.size))
 
 
-def _checked_batch(index: CollisionIndex, f01_mhz) -> tuple:
-    """A batch as a checked float array [n_batches, n_qubits], and the rows
-    per block of the batched counters."""
-    f = np.asarray(f01_mhz, dtype=float)
-    if f.ndim == 1:
-        f = f[None, :]
-    if f.ndim != 2 or f.shape[1] != index.n_qubits:
-        raise InputError(f"frequencies must have {index.n_qubits} columns")
-    if not np.all(np.isfinite(f)):
-        raise InputError("frequencies must be finite")
-    return f, block_rows(index)
-
-
 def count_collisions_batch(index: CollisionIndex, f01_mhz: np.ndarray,
                            rules: CollisionRules = DEFAULT_RULES) -> np.ndarray:
     """Count collisions for a batch of frequency assignments.
@@ -187,7 +174,14 @@ def count_collisions_batch(index: CollisionIndex, f01_mhz: np.ndarray,
     Returns:
         int64 array [n_batches, 7]; column m holds the count of type m+1.
     """
-    f, rows = _checked_batch(index, f01_mhz)
+    f = np.asarray(f01_mhz, dtype=float)
+    if f.ndim == 1:
+        f = f[None, :]
+    if f.ndim != 2 or f.shape[1] != index.n_qubits:
+        raise InputError(f"frequencies must have {index.n_qubits} columns")
+    if not np.all(np.isfinite(f)):
+        raise InputError("frequencies must be finite")
+    rows = block_rows(index)
     out = np.zeros((f.shape[0], 7), dtype=np.int64)
     for lo in range(0, f.shape[0], rows):
         for t, mask, _ in _violations(index, f[lo:lo + rows], rules):
@@ -195,40 +189,22 @@ def count_collisions_batch(index: CollisionIndex, f01_mhz: np.ndarray,
     return out
 
 
-def tally_collisions(index: CollisionIndex, f01_mhz: np.ndarray,
-                     rules: CollisionRules = DEFAULT_RULES) -> tuple:
-    """Per-type collision totals of a batch, and its collision-free rows.
-
-    The column sums of :func:`count_collisions_batch` and the number of its
-    all-zero rows, without the per-row counts: each window's mask is counted
-    whole, and the rows it hits are noted only until every row of the block
-    has collided.  Arguments as for :func:`count_collisions_batch`.
-
-    Returns:
-        (int64 array [7], int); entry m of the array is the total of type m+1.
-    """
-    f, rows = _checked_batch(index, f01_mhz)
-    return _tally(index, f, rows, rules)
-
-
-def _tally(index: CollisionIndex, f: np.ndarray, rows: int, rules: CollisionRules) -> tuple:
-    """:func:`tally_collisions` without its checks, for a caller that built
-    ``f`` itself as a finite float array [n_batches, n_qubits]: counted in
-    blocks of ``rows`` rows."""
+def _tally(index: CollisionIndex, f: np.ndarray, rules: CollisionRules) -> tuple:
+    """Per-type totals (int64 [7]) and collision-free rows (int) of one
+    block: :func:`count_collisions_batch`'s column sums and all-zero rows,
+    without its checks or per-row counts, for a caller that built ``f`` as a
+    finite float array of at most :func:`block_rows` rows.  Each window's
+    mask is counted whole; the rows it hits are noted until every row has
+    collided."""
     totals = np.zeros(7, dtype=np.int64)
-    survivors = 0
-    for lo in range(0, f.shape[0], rows):
-        block = f[lo:lo + rows]
-        hit = np.zeros(block.shape[0], dtype=bool)
-        clean = block.shape[0]
-        for t, mask, _ in _violations(index, block, rules):
-            n = np.count_nonzero(mask)
-            totals[t - 1] += n
-            if n and clean:
-                hit |= mask.any(axis=1)
-                clean = hit.size - np.count_nonzero(hit)
-        survivors += clean
-    return totals, int(survivors)
+    hit = np.zeros(f.shape[0], dtype=bool)
+    clean = f.shape[0]
+    for t, mask, _ in _violations(index, f, rules):
+        totals[t - 1] = n = np.count_nonzero(mask)
+        if n and clean:
+            hit |= mask.any(axis=1)
+            clean = hit.size - np.count_nonzero(hit)
+    return totals, int(clean)
 
 
 @dataclass(frozen=True)

@@ -95,9 +95,7 @@ def expected_node_count(family: str, distance: int) -> int:
         return 2 * d * d - 1
     if family == "heavy_square":
         return 3 * d * d - 2
-    if family == "heavy_hexagon":
-        return (5 * d * d + 2 * d - 5) // 2
-    raise ParameterError(f"unknown family {family!r}", "family")
+    return (5 * d * d + 2 * d - 5) // 2  # heavy_hexagon: canonical_family allows no other
 
 
 def _validate_distance(distance: int) -> None:

@@ -23,11 +23,11 @@ or more points read (:func:`shared_rows`), and only those are held
 it, so each row is drawn once.
 
 A point is measured (:func:`run_point`) by counting its deviate rows into
-running per-type collision totals and collision-free rows (the counter of
-:func:`~freqcrowd.collision.tally_collisions`), one kernel block
-(:func:`~freqcrowd.collision.block_rows`) at a time, and summarising them as
-a :class:`SweepPoint` of exact integer ratios.  At zero scatter every row is
-the same assignment, so one counted row stands for all of them.
+running per-type collision totals and collision-free rows, one kernel block
+(:func:`~freqcrowd.collision.block_rows`) at a time, each block read or drawn
+and counted without repeating the checks made at its entry, and summarising
+them as a :class:`SweepPoint` of exact integer ratios.  At zero scatter every
+row is the same assignment, so one counted row stands for all of them.
 :func:`sweep_sigma` and :func:`table_rows` (the summary table the CLI prints
 and the acceptance gate checks) are plan-then-measure.
 """
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# count_collisions_batch, which mc no longer calls, stays bound for perfbench's tracer
 from .collision import (DEFAULT_RULES, CollisionIndex, CollisionRules, _tally, block_rows,
                         build_index, check_count, check_sigma, count_collisions_batch,
                         expected_counts)
@@ -70,16 +71,20 @@ def philox_rng(master_seed: int, counter) -> np.random.Generator:
 def gaussian_deviates(master_seed: int, n_trials: int, n_qubits: int,
                       first_trial: int = 0) -> np.ndarray:
     """Deviate rows z[t - first_trial, q] of trials ``first_trial`` onwards,
-    under the (seed, trial, qubit) contract.  Held rows are drawn here, one
-    call per band of :class:`DeviateRows`, and so are the rows that one
-    point alone reads, by that point, one kernel block at a time."""
+    under the (seed, trial, qubit) contract: the checked entry to
+    :func:`_draw`.  Each band of :class:`DeviateRows` is drawn here."""
     check_count("n_trials", n_trials)
     check_count("n_qubits", n_qubits)
     check_count("first_trial", first_trial, least=0)
-    rng = philox_rng(master_seed, [0, 0, 0, 0])
-    # one generator, rewound for each row to counter [0, 0, 0, t] with an empty
-    # buffer: the draws of a fresh generator per trial, for a fraction of the
-    # cost; the state setter reads plain lists about twice as fast as arrays
+    return _draw(philox_rng(master_seed, [0, 0, 0, 0]), first_trial, n_trials, n_qubits)
+
+
+def _draw(rng, first_trial: int, n_trials: int, n_qubits: int) -> np.ndarray:
+    """:func:`gaussian_deviates` without its checks, on a :func:`philox_rng`
+    generator at counter [0, 0, 0, 0], where it is left for the next draw."""
+    # rewound for each row to counter [0, 0, 0, t] with an empty buffer: the
+    # draws of a fresh generator per trial, for a fraction of the cost; the
+    # state setter reads plain lists about twice as fast as arrays
     bits = rng.bit_generator
     state = bits.state
     counter = state["state"]["counter"] = state["state"]["counter"].tolist()
@@ -90,6 +95,8 @@ def gaussian_deviates(master_seed: int, n_trials: int, n_qubits: int,
         counter[3] = t
         bits.state = state
         rng.standard_normal(out=row)
+    counter[3] = 0
+    bits.state = state
     return z
 
 
@@ -119,11 +126,9 @@ class DeviateRows:
     """Deviate rows of one master seed, held for the points that share them:
     rows 0 .. ``n_trials - 1``, ``n_qubits`` wide, then each ``(stop,
     width)`` band of ``narrower`` (see :func:`shared_rows`), each band drawn
-    in one :func:`gaussian_deviates` call.
-
-    A point reads the leading rows of the bands at least as wide as its
-    lattice and draws the rest itself; a lattice narrower than a band reads
-    its leading columns, which the sampling contract makes its own deviates.
+    in one :func:`gaussian_deviates` call.  A lattice narrower than a band
+    reads its leading columns, which the sampling contract makes its own
+    deviates.
     """
 
     def __init__(self, master_seed: int, n_trials: int, n_qubits: int, narrower=()):
@@ -132,6 +137,22 @@ class DeviateRows:
         for stop, width in ((n_trials, n_qubits), *narrower):
             self.bands.append(gaussian_deviates(master_seed, stop - first, width, first))
             first = stop
+        self._rng = philox_rng(master_seed, [0, 0, 0, 0])
+
+    def block(self, lo: int, hi: int, n_qubits: int) -> np.ndarray:
+        """Rows ``lo .. hi - 1``, ``n_qubits`` wide: held where a band at least
+        that wide holds them, drawn unchecked (:func:`_draw`) past them."""
+        parts, first = [], 0
+        for band in self.bands:
+            if band.shape[1] < n_qubits or lo >= hi:
+                break
+            if lo < first + len(band):
+                parts.append(band[lo - first:hi - first, :n_qubits])
+                lo += len(parts[-1])
+            first += len(band)
+        if lo < hi:
+            parts.append(_draw(self._rng, lo, hi - lo, n_qubits))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -167,13 +188,13 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
     ``deviates`` may carry the :class:`DeviateRows` of ``master_seed`` held
     for several points, at least ``lattice.n_qubits`` wide; rows of another
     seed or narrower are refused with :class:`ParameterError`.  A block's
-    rows come from them where they are held and are drawn by
-    :func:`gaussian_deviates` from the block's first trial where they are
-    not, so held rows of any length give the point drawn alone.
+    rows come from them where they are held and are drawn from the block's
+    first trial where they are not, so held rows of any length give the
+    point drawn alone.
     """
     check_sigma(sigma_mhz)
     check_count("trials", trials)
-    check_seed(master_seed)
+    rng = philox_rng(master_seed, [0, 0, 0, 0])  # checks the seed: no block repeats a check
     trials = int(trials)  # a numpy integer would make every mean a numpy float
     if deviates is not None and (deviates.master_seed != master_seed
                                  or deviates.bands[0].shape[1] < lattice.n_qubits):
@@ -182,26 +203,16 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
     sp = set_points_mhz(lattice, pattern)
     n = lattice.n_qubits
     if sigma_mhz == 0.0:
-        row = count_collisions_batch(idx, sp, rules)[0]
-        totals, survivors = row * trials, int(not row.any()) * trials
+        totals, clean = _tally(idx, sp[None, :], rules)
+        totals, survivors = totals * trials, clean * trials
     else:
-        held, own = [], 0  # the held bands this point reads, by first row; its first own row
-        for band in deviates.bands if deviates is not None else ():
-            if band.shape[1] < n or own >= trials:
-                break
-            held.append((own, band[:trials - own, :n]))
-            own += len(held[-1][1])
         totals, survivors, rows = np.zeros(7, dtype=np.int64), 0, block_rows(idx)
         for lo in range(0, trials, rows):
             hi = min(lo + rows, trials)
-            parts = [z[max(lo - first, 0):hi - first] for first, z in held
-                     if lo < first + len(z) and first < hi]
-            drawn = max(lo, own)  # the block's first row that is not held
-            if drawn < hi:
-                parts.append(gaussian_deviates(master_seed, hi - drawn, n, first_trial=drawn))
-            f = sigma_mhz * (parts[0] if len(parts) == 1 else np.concatenate(parts))
+            z = deviates.block(lo, hi, n) if deviates is not None else _draw(rng, lo, hi - lo, n)
+            f = sigma_mhz * z
             f += sp  # in place: one block x qubits temporary instead of two
-            block_totals, clean = _tally(idx, f, rows, rules)
+            block_totals, clean = _tally(idx, f, rules)
             totals += block_totals
             survivors += clean
     totals = totals.tolist()  # Python integers: each mean below is the exactly rounded ratio
@@ -389,13 +400,3 @@ def table_rows(lattices, pattern: FrequencyPattern, policy: AdaptiveTrials,
     pairs = plan_table(lattices, pattern, policy, spacing_grid=spacing_grid, rules=rules)
     points = iter(measure([plan for pair in pairs for plan in pair], master_seed))
     return list(zip(points, points))
-
-
-def table_row(lattice: Lattice, pattern: FrequencyPattern, policy: AdaptiveTrials,
-              master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
-              rules: CollisionRules = DEFAULT_RULES) -> tuple:
-    """The (tuned, as-fabricated) operating points of one lattice: the
-    one-lattice case of :func:`table_rows`, whose two points hold the rows
-    they both read."""
-    return table_rows([lattice], pattern, policy, master_seed, spacing_grid=spacing_grid,
-                      rules=rules)[0]

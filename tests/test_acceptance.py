@@ -64,13 +64,15 @@ def window_fits(full_sweeps):
 
 @pytest.fixture(scope="session")
 def table_rows():
-    """Fine-grid operating points from ``mc.table_row``: optimise the spacing
-    at 14 MHz scatter, then measure the as-fabricated 132.3 MHz level at that
-    same spacing (a chip is laid out before tuning quality is known).  The
+    """Fine-grid operating points from one ``mc.table_rows`` call over the
+    nine lattices, the CLI's own path: optimise the spacing at 14 MHz
+    scatter, then measure the as-fabricated 132.3 MHz level at that same
+    spacing (a chip is laid out before tuning quality is known).  The
     adaptive policy plans rare-survivor points at 4000 trials."""
-    return {key: mc.table_row(lattice.build_lattice(*key), lattice.FrequencyPattern(),
-                              mc.AdaptiveTrials(), MC_SEED, spacing_grid=FINE_SPACING_GRID)
-            for key in ALL_KEYS}
+    rows = mc.table_rows([lattice.build_lattice(*key) for key in ALL_KEYS],
+                         lattice.FrequencyPattern(), mc.AdaptiveTrials(), MC_SEED,
+                         spacing_grid=FINE_SPACING_GRID)
+    return dict(zip(ALL_KEYS, rows, strict=True))
 
 
 @pytest.fixture(scope="session")

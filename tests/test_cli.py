@@ -288,7 +288,7 @@ def test_non_numeric_list_value_is_a_usage_error(tmp_path, capsys, argv, message
 # only the second grid shows whether --spacings reaches the search.
 @pytest.mark.parametrize("spacings", ["40,65", "40,60"])
 def test_table2_rows_are_the_shared_operating_points(tmp_path, spacings):
-    """Every row, as-fabricated column included, equals ``mc.table_row``
+    """Every row, as-fabricated column included, equals ``mc.table_rows``
     under the default adaptive policy on the requested spacing grid, each
     lattice measured alone."""
     assert cli.main(["sweep", "--reproduce-table2", "--spacings", spacings, "--seed", "5",
@@ -300,8 +300,9 @@ def test_table2_rows_are_the_shared_operating_points(tmp_path, spacings):
     for family in lattice.FAMILIES:
         for distance in (3, 5, 7):
             lat = lattice.build_lattice(family, distance)
-            tuned, fab = mc.table_row(lat, lattice.FrequencyPattern(), mc.AdaptiveTrials(), 5,
-                                      spacing_grid=[float(s) for s in spacings.split(",")])
+            ((tuned, fab),) = mc.table_rows([lat], lattice.FrequencyPattern(),
+                                            mc.AdaptiveTrials(), 5,
+                                            spacing_grid=[float(s) for s in spacings.split(",")])
             expected.append(",".join(cli._cell(v) for v in (
                 family, distance, lat.n_qubits, fab.mean_collisions, tuned.spacing_mhz,
                 tuned.mean_collisions, tuned.yield_fraction, tuned.trials)))
@@ -341,12 +342,12 @@ def test_table2_draws_each_deviate_row_once_and_writes_the_pinned_csv(tmp_path, 
     1000 rows that two or more of their points read, as wide as the widest,
     and the square d=5 tuned point, planned at the boost count, draws rows
     1000-3999 itself, 49 wide, each once.  The CSV's sha256 is pinned."""
-    draws, draw = [], mc.gaussian_deviates
+    draws, draw = [], mc._draw
 
-    def spy(seed, n_trials, n_qubits, first_trial=0):
+    def spy(rng, first_trial, n_trials, n_qubits):
         draws.append((first_trial, n_trials, n_qubits))
-        return draw(seed, n_trials, n_qubits, first_trial)
-    monkeypatch.setattr(mc, "gaussian_deviates", spy)
+        return draw(rng, first_trial, n_trials, n_qubits)
+    monkeypatch.setattr(mc, "_draw", spy)
     assert cli.main(["sweep", "--reproduce-table2", "--seed", "1", "--out", str(tmp_path)]) == 0
     widest = max(lattice.build_lattice(f, d).n_qubits for f in lattice.FAMILIES for d in (3, 5, 7))
     assert widest == 145 and draws[0] == (0, 1000, widest)
@@ -650,7 +651,9 @@ MANIFEST_DEFAULTS = {
 def test_resolved_defaults_match_recorded_manifests(command):
     argv = [command, "m.json"] if command == "rerun" else [command]
     cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
-    assert cfg == {"command": command, **COMMON, **MANIFEST_DEFAULTS[command]}
+    # rerun takes no seed: it replays the one in its manifest
+    common = {k: v for k, v in COMMON.items() if not (command == "rerun" and k == "seed")}
+    assert cfg == {"command": command, **common, **MANIFEST_DEFAULTS[command]}
 
 
 def test_every_option_flag_parses():
@@ -747,6 +750,14 @@ class TestRerunCommand:
         assert cli.main(["rerun", str(bad), "--out", str(tmp_path / "b")]) == 1
         assert "error: master seed must be in [0, 2**128)" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
+
+    def test_rerun_takes_no_seed(self, tmp_path, capsys):
+        """rerun replays its manifest's seed, so a --seed of its own is an
+        argparse usage error, raised before the manifest is read."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["rerun", str(tmp_path / "m.json"), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_changed_input_refuses_replay(self, tmp_path, capsys):
         rows = [(r, 165.0 * r ** -0.48) for r in (6000.0, 7500.0, 9000.0)]

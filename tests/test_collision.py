@@ -534,18 +534,29 @@ def test_kernel_equals_the_former_formulas_at_each_boundary(a):
 
 
 def assert_tally_is_the_batch_summary(index, f, rules=collision.DEFAULT_RULES):
+    """The block counter, called one ``block_rows`` block at a time as a
+    sweep point calls it, sums to the batch counter's column sums and
+    all-zero rows."""
+    f = np.atleast_2d(f)
     counts = collision.count_collisions_batch(index, f, rules)
-    totals, survivors = collision.tally_collisions(index, f, rules)
-    assert totals.dtype == np.int64 and totals.shape == (7,)
+    rows = collision.block_rows(index)
+    totals, survivors = np.zeros(7, dtype=np.int64), 0
+    for lo in range(0, len(f), rows):
+        block_totals, clean = collision._tally(index, f[lo:lo + rows], rules)
+        assert block_totals.dtype == np.int64 and block_totals.shape == (7,)
+        assert type(clean) is int
+        totals += block_totals
+        survivors += clean
     assert totals.tolist() == counts.sum(axis=0).tolist()
-    assert type(survivors) is int and survivors == np.count_nonzero(counts.sum(axis=1) == 0)
+    assert survivors == np.count_nonzero(counts.sum(axis=1) == 0)
 
 
 @pytest.mark.parametrize("sigma", [2.0, 14.0, 132.3])
 def test_tally_is_the_batch_counters_summary(nine_lattices, sigma):
-    """The reducer's totals are the batch counter's column sums and its
-    survivors the all-zero rows, on every lattice, for a batch of one row,
-    one block less a row, one block, and one block and a row."""
+    """The block counter's totals, summed block by block, are the batch
+    counter's column sums and its survivors the all-zero rows, on every
+    lattice, for a batch of one row, one block less a row, one block, and
+    one block and a row."""
     for lat in nine_lattices.values():
         idx = collision.build_index(lat)
         block = collision.block_rows(idx)
@@ -565,12 +576,15 @@ def test_tally_is_the_batch_counters_summary_at_each_boundary(a):
 
 
 def test_tally_checks_its_batch_and_counts_an_edgeless_lattice(hh3):
+    """A batch's shape and finiteness are checked by the batch counter, the
+    public entry; the block counter, fed by a caller that built its rows,
+    counts an edgeless lattice's rows as collision-free."""
     idx = collision.build_index(hh3)
     with pytest.raises(InputError, match="columns"):
-        collision.tally_collisions(idx, np.zeros((2, hh3.n_qubits + 1)))
+        collision.count_collisions_batch(idx, np.zeros((2, hh3.n_qubits + 1)))
     with pytest.raises(InputError, match="finite"):
-        collision.tally_collisions(idx, np.full((2, hh3.n_qubits), np.nan))
+        collision.count_collisions_batch(idx, np.full((2, hh3.n_qubits), np.nan))
     nodes = tuple(lattice.QubitNode(q, q, 0, "data", "target", 1) for q in range(3))
     empty = collision.build_index(lattice.Lattice("isolated", 3, nodes, ()))
-    totals, survivors = collision.tally_collisions(empty, np.full((5, 3), 5000.0))
+    totals, survivors = collision._tally(empty, np.full((5, 3), 5000.0), collision.DEFAULT_RULES)
     assert (totals.tolist(), survivors) == ([0] * 7, 5)

@@ -83,6 +83,55 @@ def test_deviate_rows_are_one_draw_of_a_known_row_count(monkeypatch):
         mc.DeviateRows(3, 0, 25)
 
 
+@pytest.mark.parametrize("lo, hi, n_qubits, drawn", [
+    (5, 15, 25, []),            # inside the first band
+    (35, 45, 9, []),            # across a band boundary, read narrower
+    (45, 70, 4, []),            # across the last band boundary
+    (60, 80, 4, [(70, 10)]),    # across the held/drawn boundary
+    (30, 50, 25, [(40, 10)]),   # wider than the second band: drawn from its start
+    (0, 70, 9, [(50, 20)]),     # wider than the third band only
+    (80, 90, 25, [(80, 10)]),   # past every band
+], ids=["inside", "band-edge", "last-band-edge", "held-drawn", "wider-than-second",
+        "wider-than-third", "past-the-bands"])
+def test_deviate_rows_block_is_the_rows_drawn_alone(monkeypatch, lo, hi, n_qubits, drawn):
+    """A block of rows is the leading columns of those rows of one plain
+    draw, read from the bands at least as wide as it asks for and drawn past
+    them, each drawn row once."""
+    z = mc.gaussian_deviates(3, 90, 25)
+    rows = mc.DeviateRows(3, 40, 25, narrower=[(50, 9), (70, 4)])
+    draws = _spy_deviate_draws(monkeypatch)
+    block = rows.block(lo, hi, n_qubits)
+    assert block.tobytes() == z[lo:hi, :n_qubits].tobytes() and block.shape == (hi - lo, n_qubits)
+    assert draws == drawn
+
+
+@pytest.mark.parametrize("held", [True, False], ids=["partly-held", "alone"])
+def test_run_point_checks_its_inputs_once_not_per_block(nine_lattices, monkeypatch, held):
+    """A point of several kernel blocks checks its trials and its seed at its
+    entry and never again: no block's read or draw repeats a check."""
+    lat = nine_lattices[("heavy_square", 5)]
+    idx = collision.build_index(lat)
+    block = collision.block_rows(idx)
+    n, pattern = 3 * block + 5, lattice.FrequencyPattern()
+    z = mc.DeviateRows(8, block + 3, lat.n_qubits) if held else None
+    checks = []
+
+    def spy(module, name):
+        check = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            checks.append((name, args[0]))
+            return check(*args, **kwargs)
+        monkeypatch.setattr(module, name, recorded)
+    spy(collision, "check_count")
+    spy(mc, "check_count")
+    spy(mc, "check_seed")
+    pt = mc.run_point(lat, pattern, 14.0, n, 8, index=idx, deviates=z)
+    assert checks == [("check_count", "trials"), ("check_seed", 8)]
+    monkeypatch.undo()
+    assert pt == mc.run_point(lat, pattern, 14.0, n, 8, index=idx)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**128])
 def test_deviates_reject_seed_outside_philox_key_range(seed):
     with pytest.raises(ParameterError, match="master seed"):
@@ -274,7 +323,7 @@ def test_optimize_spacing_empty_grid(hh3):
     with pytest.raises(ParameterError, match="spacing grid is empty"):
         mc.sweep_sigma(hh3, pattern, (14.0,), spacing_grid=())
     with pytest.raises(ParameterError, match="spacing grid is empty"):
-        mc.table_row(hh3, pattern, mc.AdaptiveTrials(), 1, spacing_grid=[])
+        mc.table_rows([hh3], pattern, mc.AdaptiveTrials(), 1, spacing_grid=[])
 
 
 def test_default_grids():
@@ -455,33 +504,33 @@ def test_sweep_sigma_shares_deviates_across_points(hh3):
 
 
 def _tally_kernel_rows(monkeypatch):
-    """Patch both counters, the batch counter and the reducer's unchecked
-    counter, where ``mc`` and ``collision`` call them; return the list that
-    collects the row count of every call."""
+    """Patch both counters where they are called: the batch counter, which
+    scores the spacings at zero scatter, in ``collision``, and the unchecked
+    block counter in ``mc``; return the list that collects the row count of
+    every call."""
     rows = []
 
-    def spy(name):
-        kernel = getattr(collision, name)
+    def spy(module, name):
+        kernel = getattr(module, name)
 
         def counted(index, f01_mhz, *args, **kwargs):
             rows.append(np.atleast_2d(f01_mhz).shape[0])
             return kernel(index, f01_mhz, *args, **kwargs)
-        for module in (mc, collision):
-            monkeypatch.setattr(module, name, counted)
-    spy("count_collisions_batch")
-    spy("_tally")
+        monkeypatch.setattr(module, name, counted)
+    spy(collision, "count_collisions_batch")
+    spy(mc, "_tally")
     return rows
 
 
 def _spy_deviate_draws(monkeypatch):
-    """Patch ``mc.gaussian_deviates``; return the list that collects the
-    (first trial, rows) of every draw."""
-    draws, draw = [], mc.gaussian_deviates
+    """Patch ``mc._draw``, which draws every deviate row, checked or not;
+    return the list that collects the (first trial, rows) of every draw."""
+    draws, draw = [], mc._draw
 
-    def spy(seed, n_trials, n_qubits, first_trial=0):
+    def spy(rng, first_trial, n_trials, n_qubits):
         draws.append((first_trial, n_trials))
-        return draw(seed, n_trials, n_qubits, first_trial)
-    monkeypatch.setattr(mc, "gaussian_deviates", spy)
+        return draw(rng, first_trial, n_trials, n_qubits)
+    monkeypatch.setattr(mc, "_draw", spy)
     return draws
 
 
@@ -698,8 +747,8 @@ def test_sweep_points_are_pinned_bit_for_bit(hh3, nine_lattices):
     sweep = mc.sweep_sigma(nine_lattices[("square", 7)], lattice.FrequencyPattern(), master_seed=1)
     assert points_sha256(sweep) == \
         "d604ffabf1bd94a1d061ba0355a9277b8a78bb1635593e08adf0ef6e2da8d641"
-    row = mc.table_row(lattice.build_lattice("square", 5), lattice.FrequencyPattern(),
-                       mc.AdaptiveTrials(), 1)
+    (row,) = mc.table_rows([lattice.build_lattice("square", 5)], lattice.FrequencyPattern(),
+                           mc.AdaptiveTrials(), 1)
     assert [p.trials for p in row] == [4000, 1000]
     assert points_sha256(row) == \
         "96174221f71f713c0f45e7d12d30446a7774928fd70f7f5471362015cb9f8073"
@@ -715,17 +764,17 @@ def test_table_rows_on_one_shared_deviate_matrix(nine_lattices, monkeypatch):
     held as wide as the wider.  Without heavy-hexagon d=3 the heavy-square
     point reads rows 200-399 alone and draws them itself."""
     policy = mc.AdaptiveTrials(base=200, boost=400)
-    draws, draw, holds, hold = [], mc.gaussian_deviates, [], mc.DeviateRows
+    draws, draw, holds, hold = [], mc._draw, [], mc.DeviateRows
 
-    def spy(seed, n_trials, n_qubits, first_trial=0):
+    def spy(rng, first_trial, n_trials, n_qubits):
         draws.append((first_trial, n_trials, n_qubits))
-        return draw(seed, n_trials, n_qubits, first_trial)
+        return draw(rng, first_trial, n_trials, n_qubits)
     for drop, held in ((None, [(0, 200, 145), (200, 200, 25)]),
                        (("heavy_hexagon", 3), [(0, 200, 145)])):
         lats = [lat for key, lat in nine_lattices.items() if key != drop]
         draws.clear()
         holds.clear()
-        monkeypatch.setattr(mc, "gaussian_deviates", spy)
+        monkeypatch.setattr(mc, "_draw", spy)
         monkeypatch.setattr(mc, "DeviateRows",
                             lambda *args: holds.append(hold(*args)) or holds[-1])
         rows = mc.table_rows(lats, lattice.FrequencyPattern(), policy, 11)
@@ -735,7 +784,7 @@ def test_table_rows_on_one_shared_deviate_matrix(nine_lattices, monkeypatch):
         assert sorted(t for first, n, _ in draws for t in range(first, first + n)) == \
             list(range(400))
         for lat, row in zip(lats, rows):
-            alone = mc.table_row(lat, lattice.FrequencyPattern(), policy, 11)
+            (alone,) = mc.table_rows([lat], lattice.FrequencyPattern(), policy, 11)
             assert [dataclasses.astuple(p) for p in row] == [dataclasses.astuple(p) for p in alone]
             for p in row:
                 assert p == mc.run_point(lat, lattice.FrequencyPattern(spacing_mhz=p.spacing_mhz),
@@ -748,7 +797,8 @@ def test_sweep_point_floats_are_python_floats(hh3):
     must be a Python float (at zero scatter, at a boost and in a table row),
     numpy-integer trial counts included."""
     pts = mc.sweep_sigma(hh3, lattice.FrequencyPattern(), (0.0, 14.0, 150.0), master_seed=7)
-    pts += mc.table_row(hh3, lattice.FrequencyPattern(), mc.AdaptiveTrials(base=50, boost=80), 7)
+    pts += mc.table_rows([hh3], lattice.FrequencyPattern(),
+                         mc.AdaptiveTrials(base=50, boost=80), 7)[0]
     pts += mc.sweep_sigma(hh3, lattice.FrequencyPattern(), (0.0, 150.0),
                           mc.AdaptiveTrials(base=np.int64(50), boost=np.int32(80)), 7)
     assert any(p.trials == 4000 for p in pts)
