@@ -123,18 +123,18 @@ def shared_rows(planned) -> list:
 
 
 class DeviateRows:
-    """Deviate rows of one master seed, held for the points that share them:
-    rows 0 .. ``n_trials - 1``, ``n_qubits`` wide, then each ``(stop,
-    width)`` band of ``narrower`` (see :func:`shared_rows`), each band drawn
-    in one :func:`gaussian_deviates` call.  A lattice narrower than a band
+    """Deviate rows of one master seed, for one or more points to read:
+    each ``(stop, width)`` band of ``bands`` (see :func:`shared_rows`) is
+    held, drawn in one :func:`gaussian_deviates` call, and every row no band
+    holds wide enough is drawn when read.  A lattice narrower than a band
     reads its leading columns, which the sampling contract makes its own
     deviates.
     """
 
-    def __init__(self, master_seed: int, n_trials: int, n_qubits: int, narrower=()):
+    def __init__(self, master_seed: int, bands=()):
         self.master_seed = master_seed
         self.bands, first = [], 0
-        for stop, width in ((n_trials, n_qubits), *narrower):
+        for stop, width in bands:
             self.bands.append(gaussian_deviates(master_seed, stop - first, width, first))
             first = stop
         self._rng = philox_rng(master_seed, [0, 0, 0, 0])
@@ -150,7 +150,7 @@ class DeviateRows:
                 parts.append(band[lo - first:hi - first, :n_qubits])
                 lo += len(parts[-1])
             first += len(band)
-        if lo < hi:
+        if lo < hi or not parts:  # an empty span draws its zero rows
             parts.append(_draw(self._rng, lo, hi - lo, n_qubits))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -185,20 +185,19 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
     trials.  At zero scatter every row is the set points themselves, so the
     point is one counted row times ``trials`` and no deviate is read.
 
-    ``deviates`` may carry the :class:`DeviateRows` of ``master_seed`` held
-    for several points, at least ``lattice.n_qubits`` wide; rows of another
-    seed or narrower are refused with :class:`ParameterError`.  A block's
-    rows come from them where they are held and are drawn from the block's
-    first trial where they are not, so held rows of any length give the
-    point drawn alone.
+    Every block is read through one :class:`DeviateRows`: ``deviates``,
+    rows of ``master_seed`` held for several points (rows of another seed
+    are refused with :class:`ParameterError`), or one holding none.  Held
+    rows of any length or width give the point drawn alone, since a block
+    draws from its first trial the rows that no band at least
+    ``lattice.n_qubits`` wide holds.
     """
     check_sigma(sigma_mhz)
     check_count("trials", trials)
-    rng = philox_rng(master_seed, [0, 0, 0, 0])  # checks the seed: no block repeats a check
+    held = deviates if deviates is not None else DeviateRows(master_seed)  # checks the seed
     trials = int(trials)  # a numpy integer would make every mean a numpy float
-    if deviates is not None and (deviates.master_seed != master_seed
-                                 or deviates.bands[0].shape[1] < lattice.n_qubits):
-        raise ParameterError("deviates must be drawn under master_seed, n_qubits wide or wider")
+    if held.master_seed != master_seed:
+        raise ParameterError("deviates must be drawn under master_seed")
     idx = index if index is not None else build_index(lattice)
     sp = set_points_mhz(lattice, pattern)
     n = lattice.n_qubits
@@ -209,8 +208,7 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
         totals, survivors, rows = np.zeros(7, dtype=np.int64), 0, block_rows(idx)
         for lo in range(0, trials, rows):
             hi = min(lo + rows, trials)
-            z = deviates.block(lo, hi, n) if deviates is not None else _draw(rng, lo, hi - lo, n)
-            f = sigma_mhz * z
+            f = sigma_mhz * held.block(lo, hi, n)
             f += sp  # in place: one block x qubits temporary instead of two
             block_totals, clean = _tally(idx, f, rules)
             totals += block_totals
@@ -307,22 +305,19 @@ def _plan(lattice: Lattice, index: CollisionIndex, pattern: FrequencyPattern, si
 
 def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, trials: int,
                      master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
-                     rules: CollisionRules = DEFAULT_RULES, index: CollisionIndex | None = None,
-                     deviates: DeviateRows | None = None) -> SweepPoint:
+                     rules: CollisionRules = DEFAULT_RULES) -> SweepPoint:
     """Measure the grid spacing a plan chooses at this sigma, on ``trials``
     rows: the one-point case of :func:`plan_sweep` and :func:`measure`, at a
-    given trial count.  The choice does not depend on ``master_seed``,
-    ``trials`` or ``deviates``; only the returned :func:`run_point` is
-    sampled.  No sweep calls it: it stays because the benchmark harness in
-    ``perfbench/`` traces it by name (until ROADMAP item 10 removes that
-    coupling).
+    given trial count.  The choice does not depend on ``master_seed`` or
+    ``trials``; only the returned :func:`run_point` is sampled.  No sweep
+    calls it: it stays because the benchmark harness in ``perfbench/``
+    traces it by name (until ROADMAP item 10 removes that coupling).
     """
-    idx = index if index is not None else build_index(lattice)
     # the plan's spacing alone: the trials are given, and run_point checks them
-    (plan,) = _plan(lattice, idx, pattern, [sigma_mhz], _checked_grid(spacing_grid),
-                    AdaptiveTrials(), rules)
+    (plan,) = _plan(lattice, build_index(lattice), pattern, [sigma_mhz],
+                    _checked_grid(spacing_grid), AdaptiveTrials(), rules)
     return run_point(lattice, plan.pattern, sigma_mhz, trials, master_seed, rules=rules,
-                     index=idx, deviates=deviates)
+                     index=plan.index)
 
 
 def plan_sweep(lattice: Lattice, pattern: FrequencyPattern, sigma_grid=DEFAULT_SIGMA_GRID_MHZ,
@@ -372,8 +367,8 @@ def measure(plans, master_seed: int = 0) -> list:
     itself, a kernel block at a time, so each row is drawn once.
     """
     plans = list(plans)
-    bands = shared_rows([(p.trials, p.lattice.n_qubits) for p in plans if p.sigma_mhz > 0.0])
-    z = DeviateRows(master_seed, *bands[0], bands[1:]) if bands else None
+    z = DeviateRows(master_seed, shared_rows([(p.trials, p.lattice.n_qubits)
+                                              for p in plans if p.sigma_mhz > 0.0]))
     return [run_point(p.lattice, p.pattern, p.sigma_mhz, p.trials, master_seed, rules=p.rules,
                       index=p.index, deviates=z)
             for p in plans]

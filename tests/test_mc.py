@@ -71,16 +71,16 @@ def test_deviate_rows_are_one_draw_of_a_known_row_count(monkeypatch):
     master seed."""
     z = mc.gaussian_deviates(3, 70, 25)
     calls = _spy_deviate_draws(monkeypatch)
-    rows = mc.DeviateRows(3, 40, 25)
+    rows = mc.DeviateRows(3, [(40, 25)])
     assert calls == [(0, 40)] and rows.master_seed == 3
     assert [band.tolist() for band in rows.bands] == [z[:40].tolist()]
     del calls[:]
-    rows = mc.DeviateRows(3, 40, 25, narrower=[(50, 9), (70, 4)])
+    rows = mc.DeviateRows(3, [(40, 25), (50, 9), (70, 4)])
     assert calls == [(0, 40), (40, 10), (50, 20)]
     assert [band.tolist() for band in rows.bands] == [
         z[:40].tolist(), z[40:50, :9].tolist(), z[50:70, :4].tolist()]
     with pytest.raises(ParameterError, match="n_trials must be an integer >= 1"):
-        mc.DeviateRows(3, 0, 25)
+        mc.DeviateRows(3, [(0, 25)])
 
 
 @pytest.mark.parametrize("lo, hi, n_qubits, drawn", [
@@ -91,29 +91,49 @@ def test_deviate_rows_are_one_draw_of_a_known_row_count(monkeypatch):
     (30, 50, 25, [(40, 10)]),   # wider than the second band: drawn from its start
     (0, 70, 9, [(50, 20)]),     # wider than the third band only
     (80, 90, 25, [(80, 10)]),   # past every band
+    (5, 5, 25, [(5, 0)]),       # an empty span: zero rows drawn
 ], ids=["inside", "band-edge", "last-band-edge", "held-drawn", "wider-than-second",
-        "wider-than-third", "past-the-bands"])
+        "wider-than-third", "past-the-bands", "empty"])
 def test_deviate_rows_block_is_the_rows_drawn_alone(monkeypatch, lo, hi, n_qubits, drawn):
     """A block of rows is the leading columns of those rows of one plain
     draw, read from the bands at least as wide as it asks for and drawn past
     them, each drawn row once."""
     z = mc.gaussian_deviates(3, 90, 25)
-    rows = mc.DeviateRows(3, 40, 25, narrower=[(50, 9), (70, 4)])
+    rows = mc.DeviateRows(3, [(40, 25), (50, 9), (70, 4)])
     draws = _spy_deviate_draws(monkeypatch)
     block = rows.block(lo, hi, n_qubits)
     assert block.tobytes() == z[lo:hi, :n_qubits].tobytes() and block.shape == (hi - lo, n_qubits)
     assert draws == drawn
 
 
-@pytest.mark.parametrize("held", [True, False], ids=["partly-held", "alone"])
-def test_run_point_checks_its_inputs_once_not_per_block(nine_lattices, monkeypatch, held):
+def test_deviate_rows_without_bands_draw_every_block():
+    """Holding no band, a holder draws each block it is asked for, in any
+    order and on one generator: the checked draw of those rows, and zero
+    rows for an empty span."""
+    rows = mc.DeviateRows(3)
+    assert rows.bands == []
+    for lo, hi in ((5, 12), (0, 7), (30, 31), (0, 7)):
+        block = rows.block(lo, hi, 25)
+        assert block.tobytes() == mc.gaussian_deviates(3, hi - lo, 25, lo).tobytes()
+        assert block.shape == (hi - lo, 25)
+    assert rows.block(5, 5, 25).shape == (0, 25)
+
+
+@pytest.mark.parametrize("held, expected", [
+    (True, [("check_count", "trials")]),
+    (False, [("check_count", "trials"), ("check_seed", 8)]),
+], ids=["partly-held", "alone"])
+def test_run_point_checks_its_inputs_once_not_per_block(nine_lattices, monkeypatch, held,
+                                                        expected):
     """A point of several kernel blocks checks its trials and its seed at its
-    entry and never again: no block's read or draw repeats a check."""
+    entry and never again: no block's read or draw repeats a check.  Held
+    rows had their seed checked when they were built, and the point only
+    requires that seed to be its own."""
     lat = nine_lattices[("heavy_square", 5)]
     idx = collision.build_index(lat)
     block = collision.block_rows(idx)
     n, pattern = 3 * block + 5, lattice.FrequencyPattern()
-    z = mc.DeviateRows(8, block + 3, lat.n_qubits) if held else None
+    z = mc.DeviateRows(8, [(block + 3, lat.n_qubits)]) if held else None
     checks = []
 
     def spy(module, name):
@@ -127,7 +147,7 @@ def test_run_point_checks_its_inputs_once_not_per_block(nine_lattices, monkeypat
     spy(mc, "check_count")
     spy(mc, "check_seed")
     pt = mc.run_point(lat, pattern, 14.0, n, 8, index=idx, deviates=z)
-    assert checks == [("check_count", "trials"), ("check_seed", 8)]
+    assert checks == expected
     monkeypatch.undo()
     assert pt == mc.run_point(lat, pattern, 14.0, n, 8, index=idx)
 
@@ -183,21 +203,36 @@ def test_prebuilt_deviates_equivalent_to_seed(hh3):
     """Shared rows of the same seed, wider and longer than a point reads, give
     the same point."""
     pattern = lattice.FrequencyPattern(spacing_mhz=40.0)
-    z = mc.DeviateRows(11, 501, hh3.n_qubits + 4)
+    z = mc.DeviateRows(11, [(501, hh3.n_qubits + 4)])
     assert mc.run_point(hh3, pattern, 14.0, 200, 11) == mc.run_point(
         hh3, pattern, 14.0, 200, 11, deviates=z)
     assert mc.run_point(hh3, pattern, 14.0, 501, 11, deviates=z) == mc.run_point(
         hh3, pattern, 14.0, 501, 11)
 
 
-@pytest.mark.parametrize("seed, short_cols", [(12, 0), (11, 1)], ids=["other_seed", "narrower"])
-def test_run_point_rejects_deviates_it_cannot_read(hh3, seed, short_cols):
-    """Rows of another seed, or narrower than the lattice, are not the
-    point's deviates, so they are refused, at zero scatter too."""
-    z = mc.DeviateRows(seed, 10, hh3.n_qubits - short_cols)
+def test_run_point_rejects_deviates_of_another_seed(hh3):
+    """Rows of another seed are not the point's deviates, so they are
+    refused, at zero scatter too."""
+    z = mc.DeviateRows(12, [(10, hh3.n_qubits)])
     for sigma in (14.0, 0.0):
         with pytest.raises(ParameterError, match="deviates must be drawn under master_seed"):
             mc.run_point(hh3, lattice.FrequencyPattern(), sigma, 10, 11, deviates=z)
+
+
+def test_run_point_on_held_rows_narrower_than_its_lattice(hh3, monkeypatch):
+    """Held rows one column narrower than the lattice hold none of its rows:
+    the point draws every row itself and equals the point drawn alone, at
+    zero scatter too."""
+    pattern = lattice.FrequencyPattern()
+    z = mc.DeviateRows(11, [(100, hh3.n_qubits - 1)])
+    alone = mc.run_point(hh3, pattern, 14.0, 200, 11)
+    assert 0.0 < alone.yield_fraction < 1.0
+    draws = _spy_deviate_draws(monkeypatch)
+    assert mc.run_point(hh3, pattern, 14.0, 200, 11, deviates=z) == alone
+    assert sorted(t for first, rows in draws for t in range(first, first + rows)) == \
+        list(range(200))
+    assert mc.run_point(hh3, pattern, 0.0, 200, 11, deviates=z) == mc.run_point(
+        hh3, pattern, 0.0, 200, 11)
 
 
 @pytest.mark.parametrize("family, distance, sigma", [("heavy_hexagon", 3, 22.0),
@@ -215,10 +250,10 @@ def test_run_point_reads_past_the_end_of_its_deviates(nine_lattices, monkeypatch
     n, pattern = 2 * block + 5, lattice.FrequencyPattern()
     alone = mc.run_point(lat, pattern, sigma, n, 3, index=idx)
     assert alone == mc.run_point(lat, pattern, sigma, n, 3, index=idx,
-                                 deviates=mc.DeviateRows(3, n, lat.n_qubits + 2))
+                                 deviates=mc.DeviateRows(3, [(n, lat.n_qubits + 2)]))
     assert 0.0 < alone.yield_fraction < 1.0
     for held in (1, block // 2 + 1, block, block + 3, n - 1):
-        z = mc.DeviateRows(3, held, lat.n_qubits + 2)
+        z = mc.DeviateRows(3, [(held, lat.n_qubits + 2)])
         draws = _spy_deviate_draws(monkeypatch)
         assert mc.run_point(lat, pattern, sigma, n, 3, index=idx, deviates=z) == alone
         assert sorted(t for first, rows in draws for t in range(first, first + rows)) == \
@@ -291,8 +326,6 @@ def test_optimize_spacing_ignores_the_sample(hh3):
     pattern = lattice.FrequencyPattern()
     chosen = {mc.optimize_spacing(hh3, pattern, 24.0, n, seed).spacing_mhz
               for seed in (0, 1, 2, 3) for n in (100, 400)}
-    z = mc.DeviateRows(5, 50, hh3.n_qubits)
-    chosen.add(mc.optimize_spacing(hh3, pattern, 24.0, 50, 5, deviates=z).spacing_mhz)
     assert len(chosen) == 1
 
 
@@ -681,7 +714,7 @@ def test_run_point_counts_rows_split_across_blocks_once(nine_lattices, monkeypat
     rows = _tally_kernel_rows(monkeypatch)
     plain = mc.run_point(lat, pattern, sigma, n, 8, index=idx)
     assert max(rows) <= block and sum(rows) == n
-    z = mc.DeviateRows(8, n + block // 2, lat.n_qubits + 3)
+    z = mc.DeviateRows(8, [(n + block // 2, lat.n_qubits + 3)])
     del rows[:]
     shared = mc.run_point(lat, pattern, sigma, n, 8, index=idx, deviates=z)
     assert max(rows) <= block and sum(rows) == n
