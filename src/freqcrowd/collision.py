@@ -18,15 +18,15 @@ at least one of them):
 Types 3 and 6 count once per pair/triple even if both orderings violate.
 All windows are strict (open) inequalities.
 
-Under independent Gaussian scatter each window tests one Gaussian linear
-combination of frequencies, so the expected count of every type is a sum of
-normal-CDF differences (:func:`expected_counts`).  :func:`ndtr` (``0.5 *
-erfc(-x / sqrt(2))`` on ``math.erfc``) is the package's one normal CDF, so
-freqcrowd needs numpy alone.  Pattern set points repeat their differences
-(square d=7's 25-spacing stack has 4200 pair differences but 68 distinct
-values), so each distinct member difference is scored once and the
-probabilities are scattered back to every member before they are summed; a
-sweep scores its whole sigma x spacing grid in one call, finding them once.
+:data:`WINDOWS` declares each window once, as a shape on one of three
+operands, linear forms of the frequencies (:func:`_operands`).  The Monte
+Carlo kernel (:func:`_violations`) reads each row as a mask, and
+:func:`expected_counts` as a normal-CDF difference under independent Gaussian
+scatter, on :func:`ndtr` (``math.erfc``), the package's one normal CDF.
+Pattern set points repeat their differences (square d=7's 25-spacing stack
+has 4200 pair differences but 68 distinct values), so each distinct operand
+value is scored once; a sweep scores its whole sigma x spacing grid in one
+call, finding them once.
 
 Note on type 4: the gate wants the target 01 frequency inside the open
 interval (f12_c, f01_c).  Only falling off the *low* side (control-target
@@ -45,16 +45,23 @@ from .lattice import Lattice, next_nearest_triples
 
 DEFAULT_ANHARMONICITY_MHZ = -330.0
 
-TYPE_IDS = (1, 2, 3, 4, 5, 6, 7)
-
-# window half-widths in MHz, from the standard fixed-frequency transmon gate
-# error budget (type 4 has no width: it is a one-sided bound)
-NN_DEGENERATE_MHZ = 17.0
-TWO_PHOTON_MHZ = 4.0
-NN_EXCITED_MHZ = 30.0
-SPECTATOR_DEGENERATE_MHZ = 17.0
-SPECTATOR_EXCITED_MHZ = 25.0
-SPECTATOR_TWO_PHOTON_MHZ = 17.0
+# Each collision window once: (type, operand, shape, centre c in units of a,
+# half-width w in MHz), with shapes "plain" |x - c*a| < w, "folded"
+# ||x| + c*a| < w and "above" x >= c*a.  Rows run in type order, grouped by
+# operand; an operand has at most one plain row with c != 0, and at most one
+# folded row, after its plain rows.  Widths: the transmon gate error budget.
+WINDOWS = (
+    (1, "edge", "plain", 0.0, 17.0),
+    # |2x + a| < 4 halved, exactly: halving commutes with rounding
+    (2, "edge", "plain", -0.5, 2.0),
+    # |x - a| < w or |x + a| < w: with a < 0 the smaller is ||x| + a|, in floats too
+    (3, "edge", "folded", 1.0, 30.0),
+    (4, "edge", "above", -1.0, None),
+    (5, "pair", "plain", 0.0, 17.0),
+    (6, "pair", "folded", 1.0, 25.0),
+    (7, "sum", "plain", 0.0, 17.0),
+)
+TYPE_IDS = tuple(row[0] for row in WINDOWS)
 
 # (row, edge or triple) cells per block of the batched counters: rows are
 # counted in blocks whose temporaries stay cache-sized instead of one pass
@@ -115,44 +122,49 @@ def build_index(lattice: Lattice) -> CollisionIndex:
     )
 
 
-def _violations(index: CollisionIndex, f: np.ndarray, rules: CollisionRules):
-    """Yield ``(type, mask, members)`` for each of the seven rules in turn.
-
-    ``mask`` is bool [n_batches, n_members]; ``members`` holds the node
-    arrays of the edges (control, target) or triples (i, j, k) it indexes.
-    This is the one definition of the collision windows.  Temporaries are
-    reused in place once their mask is taken, so each window costs few passes.
-    """
-    a = rules.anharmonicity_mhz
+def _operands(index: CollisionIndex, f: np.ndarray, a: float):
+    """Yield ``(operand, x, members, coefficients)`` for the three operands,
+    on the last axis of ``f`` (a kernel block or a set-point stack).  ``x`` is
+    fresh, so its reader may reuse it in place; ``coefficients`` weight the
+    nodes in ``members`` (the sum's constant a aside)."""
     edges = (index.edge_control, index.edge_target)
-    d = f[:, index.edge_control] - f[:, index.edge_target]
-    ad = np.abs(d)
-    beyond = d >= -a  # type 4, taken before d is reused
-    yield 1, ad < NN_DEGENERATE_MHZ, edges
-    # |2d + a| < w is |d + a/2| < w/2: halving commutes with rounding
-    d += 0.5 * a
-    yield 2, np.abs(d, out=d) < 0.5 * TWO_PHOTON_MHZ, edges
-    # "|d - a| < w or |d + a| < w" is ||d| + a| < w: with a < 0 the disjunct
-    # whose sign differs from d's is implied by the other, in floating point too
-    ad += a
-    yield 3, np.abs(ad, out=ad) < NN_EXCITED_MHZ, edges
-    yield 4, beyond, edges
-    del d, ad, beyond  # the edge temporaries go before the triples' are made
-
+    yield "edge", f[..., index.edge_control] - f[..., index.edge_target], edges, (1, -1)
     triples = (index.tri_i, index.tri_j, index.tri_k)
-    fi = f[:, index.tri_i]
-    fk = f[:, index.tri_k]
-    adik = fi - fk
-    np.abs(adik, out=adik)
-    yield 5, adik < SPECTATOR_DEGENERATE_MHZ, triples
-    adik += a
-    yield 6, np.abs(adik, out=adik) < SPECTATOR_EXCITED_MHZ, triples
-    del adik  # its block can hold the type-7 operand
+    fi = f[..., index.tri_i]
+    fk = f[..., index.tri_k]
+    yield "pair", fi - fk, triples, (1, 0, -1)
     # f02_j = 2 f_j + a once per qubit, then gathered to the triples
-    m7 = (2.0 * f + a)[:, index.tri_j]
-    m7 -= fi
-    m7 -= fk
-    yield 7, np.abs(m7, out=m7) < SPECTATOR_TWO_PHOTON_MHZ, triples
+    x = (2.0 * f + a)[..., index.tri_j]
+    x -= fi
+    x -= fk
+    yield "sum", x, triples, (-1, 2, -1)
+
+
+def _violations(index: CollisionIndex, f: np.ndarray, rules: CollisionRules):
+    """Yield ``(type, mask, members)`` for each row of :data:`WINDOWS`: ``mask``
+    is bool [n_batches, n_members] over the edges (control, target) or triples
+    (i, j, k) whose node arrays ``members`` holds.  An operand is reused in
+    place once the masks that read it are taken: |x| first (into its own array
+    only when x is read again), "above" masks next, then the rows in order; its
+    arrays go before the next operand's gathers, so blocks reuse their pages."""
+    a = rules.anharmonicity_mhz
+    for operand, x, members, _ in _operands(index, f, a):
+        rows = [row for row in WINDOWS if row[1] == operand]
+        keep = any(shape == "above" or shape == "plain" and c for _, _, shape, c, _ in rows)
+        ax = np.abs(x) if keep else np.abs(x, out=x)
+        above = {t: x >= c * a for t, _, shape, c, _ in rows if shape == "above"}
+        for t, _, shape, c, w in rows:
+            if shape == "above":
+                yield t, above[t], members
+            elif shape == "folded":
+                ax += c * a
+                yield t, np.abs(ax, out=ax) < w, members
+            elif c:
+                x -= c * a
+                yield t, np.abs(x, out=x) < w, members
+            else:
+                yield t, ax < w, members
+        del x, ax, above
 
 
 def block_rows(index: CollisionIndex) -> int:
@@ -242,7 +254,6 @@ def count_collisions(lattice: Lattice, f01_mhz, rules: CollisionRules = DEFAULT_
     return CollisionReport(per_type=per_type, total=int(counts.sum()), instances=instances)
 
 
-
 def ndtr(x) -> np.ndarray:
     """The standard normal CDF, elementwise, as a float array (0-d included).
 
@@ -272,22 +283,14 @@ def _p_either(mean, sd, center, width):
     return p - _p_between(mean, sd, -overlap, overlap) if overlap > 0.0 else p
 
 
-def _distinct(values: np.ndarray):
-    """The sorted distinct entries of ``values``, and each entry's index
-    among them in the shape of ``values`` (numpy 1.x returns it flat)."""
-    uniq, inverse = np.unique(values, return_inverse=True)
-    return uniq, inverse.reshape(values.shape)
-
-
 def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz,
                     rules: CollisionRules = DEFAULT_RULES) -> np.ndarray:
     """Expected count of each type when every qubit gets N(0, sigma**2) scatter.
 
-    Exact by linearity of expectation: a pair window tests f_c - f_t (sd
-    sigma*sqrt(2)), a spectator window f_i - f_k (sd sigma*sqrt(2)) or
-    2*f_j - f_i - f_k (sd sigma*sqrt(6)).  At zero scatter this is the count
-    at the set points themselves, strict windows included.  Each window's
-    probability is computed once per distinct difference and sigma.
+    Exact by linearity of expectation: each row of :data:`WINDOWS` tests its
+    operand, a Gaussian with sd sigma times its coefficients' norm, once per
+    distinct operand value and sigma.  At zero scatter this is the count at
+    the set points themselves, strict windows included.
 
     Args:
         index: precomputed arrays from :func:`build_index`.
@@ -303,6 +306,8 @@ def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz,
     sp = np.asarray(set_points_mhz, dtype=float)
     if sp.ndim == 0 or sp.shape[-1] != index.n_qubits:
         raise InputError(f"set points must have {index.n_qubits} columns")
+    if not np.isfinite(sp).all():
+        raise InputError("set points must be finite")
     if np.ndim(sigma_mhz) > 1:
         raise InputError("sigma must be a number or a 1-d sequence")
     sigmas = np.asarray(sigma_mhz, dtype=float).reshape(-1)
@@ -315,23 +320,21 @@ def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz,
         out[exact] = counts.reshape(*lead, 7)
 
     a = rules.anharmonicity_mhz
-    scattered = np.flatnonzero(~exact)
-    s2 = sigmas[scattered, None] * math.sqrt(2.0)
-    d, d_of = _distinct(sp[..., index.edge_control] - sp[..., index.edge_target])
-    dik, dik_of = _distinct(sp[..., index.tri_i] - sp[..., index.tri_k])
-    m7, m7_of = _distinct(2.0 * sp[..., index.tri_j] + a
-                          - sp[..., index.tri_i] - sp[..., index.tri_k])
-    per_member = (  # probabilities [sigma, distinct difference], and each member's column
-        (_p_between(d, s2, -NN_DEGENERATE_MHZ, NN_DEGENERATE_MHZ), d_of),
-        (_p_between(d, s2, (-TWO_PHOTON_MHZ - a) / 2.0, (TWO_PHOTON_MHZ - a) / 2.0), d_of),
-        (_p_either(d, s2, a, NN_EXCITED_MHZ), d_of),
-        (ndtr((d + a) / s2), d_of),
-        (_p_between(dik, s2, -SPECTATOR_DEGENERATE_MHZ, SPECTATOR_DEGENERATE_MHZ), dik_of),
-        (_p_either(dik, s2, a, SPECTATOR_EXCITED_MHZ), dik_of),
-        (_p_between(m7, sigmas[scattered, None] * math.sqrt(6.0),
-                    -SPECTATOR_TWO_PHOTON_MHZ, SPECTATOR_TWO_PHOTON_MHZ), m7_of),
-    )
+    per_member = []  # probabilities [sigma, distinct operand value], and each member's column
+    for operand, x, _, coefficients in _operands(index, sp, a):
+        # the sorted distinct values, and each member's index among them (flat on numpy 1.x)
+        values, of = np.unique(x, return_inverse=True)
+        of = of.reshape(x.shape)
+        sd = sigmas[~exact, None] * math.sqrt(sum(k * k for k in coefficients))
+        for _, _, shape, c, w in (row for row in WINDOWS if row[1] == operand):
+            if shape == "plain":
+                p = _p_between(values, sd, c * a - w, c * a + w)
+            elif shape == "folded":
+                p = _p_either(values, sd, c * a, w)
+            else:
+                p = ndtr((values - c * a) / sd)
+            per_member.append((p, of))
     # one sigma's [spacing, member] gather and sum at a time: the layout a lone sigma sums
-    for k, i in enumerate(scattered):
+    for k, i in enumerate(np.flatnonzero(~exact)):
         out[i] = np.stack([p[k][of].sum(axis=-1) for p, of in per_member], axis=-1)
     return out if np.ndim(sigma_mhz) else out[0]
