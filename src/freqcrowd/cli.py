@@ -59,14 +59,15 @@ class Option(NamedTuple):
 
 
 class ModuleDefault(NamedTuple):
-    """A default declared in a submodule that only some commands import,
-    read from it when a configuration is resolved."""
+    """A default at an attribute path (such as ``TunePolicy.step_fraction``) of a
+    submodule only some commands import, read when a configuration is resolved."""
 
     module: str
     name: str
 
     def value(self):
-        return getattr(__import__(self.module, globals(), None, (), 1), self.name)
+        from operator import attrgetter
+        return attrgetter(self.name)(__import__(self.module, globals(), None, (), 1))
 
 
 _LATTICE_COMMANDS = ("lattice", "check", "sweep")
@@ -94,18 +95,24 @@ OPTIONS = (
            "summary table over all nine lattices"),
     Option("sweep_csv", ("--sweep-csv",), str, None, ("fit-window", "extrapolate"),
            "comma-separated sweep results.csv paths"),
-    Option("junctions", ("--junctions",), int, 31, ("tune",), params=("n",)),
+    Option("junctions", ("--junctions",), int, ModuleDefault("tunesim", "TWO_GROUP_JUNCTIONS"),
+           ("tune",), params=("n",)),
     Option("target_spread", ("--target-spread",), str, "", ("tune",),
            "LO:HI percent offsets above initial resistance", ("lo_fraction",)),
     Option("median_ohm", ("--median-ohm",), float,
            ModuleDefault("tunesim", "DEFAULT_MEDIAN_OHM"), ("tune",)),
     Option("fractional_sigma", ("--fractional-sigma",), float,
            ModuleDefault("tunesim", "DEFAULT_FRACTIONAL_SIGMA"), ("tune",)),
-    Option("noise_sigma", ("--noise-sigma",), float, 0.10, ("tune",)),
-    Option("step_fraction", ("--step-fraction",), float, 0.5, ("tune",)),
-    Option("converge_band", ("--converge-band",), float, 0.003, ("tune",)),
-    Option("max_anneals", ("--max-anneals",), int, 50, ("tune",)),
-    Option("residual_std_mhz", ("--residual-std",), float, 14.5, ("tune",)),
+    Option("noise_sigma", ("--noise-sigma",), float,
+           ModuleDefault("tunesim", "DEFAULT_NOISE_SIGMA"), ("tune",)),
+    Option("step_fraction", ("--step-fraction",), float,
+           ModuleDefault("tunesim", "TunePolicy.step_fraction"), ("tune",)),
+    Option("converge_band", ("--converge-band",), float,
+           ModuleDefault("tunesim", "TunePolicy.converge_band"), ("tune",)),
+    Option("max_anneals", ("--max-anneals",), int,
+           ModuleDefault("tunesim", "TunePolicy.max_anneals"), ("tune",)),
+    Option("residual_std_mhz", ("--residual-std",), float,
+           ModuleDefault("tunesim", "DEFAULT_RESIDUAL_STD_MHZ"), ("tune",)),
     Option("csv_path", ("--csv",), str, None, ("fit-rn",),
            "CSV with header resistance_ohm,frequency_ghz"),
     Option("fix_exponent", ("--fix-exponent",), float, None, ("fit-rn",),
@@ -373,8 +380,8 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def _sweep_table2(cfg: dict, spacing_grid) -> int:
-    """Summary table over all nine lattices from :func:`mc.table_rows`, the
-    same operating points the acceptance gate checks.
+    """The nine lattices' summary table from :func:`mc.table_rows`: the gate's
+    rows at its seed (20260815) and 1-MHz spacing grid (``--spacings`` 30 to 150).
 
     Every point's trials are planned from its expected collisions, not from
     the sample, so the nine lattices hold only the deviate rows that two or
@@ -524,22 +531,17 @@ def cmd_extrapolate(cfg: dict) -> int:
 
 def cmd_tune(cfg: dict) -> int:
     """Simulate an adaptive resistance-trimming campaign."""
-    from . import physics, svgchart, tunesim
+    from . import svgchart, tunesim
     if cfg["target_spread"]:
         try:
             lo, hi = (float(tok) for tok in cfg["target_spread"].split(":"))
         except ValueError as exc:
             raise UsageError("--target-spread wants LO:HI in percent, e.g. 0.4:14.5") from exc
-    elif cfg["junctions"] != sum(tunesim.TWO_GROUP_SIZES):
+    elif cfg["junctions"] != tunesim.TWO_GROUP_JUNCTIONS:
         raise UsageError(f"either --target-spread LO:HI or --junctions "
-                         f"{sum(tunesim.TWO_GROUP_SIZES)} (two-group scenario)")
-    fit = physics.PowerLawFit(prefactor=tunesim.default_wafer_fit().prefactor, exponent=-0.5,
-                              residual_std_mhz=cfg["residual_std_mhz"], n_points=31,
-                              exponent_fixed=True)
+                         f"{tunesim.TWO_GROUP_JUNCTIONS} (two-group scenario)")
     model = tunesim.AnnealResponseModel.default(noise_sigma=cfg["noise_sigma"])
-    policy = tunesim.TunePolicy(step_fraction=cfg["step_fraction"],
-                                converge_band=cfg["converge_band"],
-                                max_anneals=cfg["max_anneals"])
+    policy = tunesim.TunePolicy(cfg["step_fraction"], cfg["converge_band"], cfg["max_anneals"])
     records = tunesim.generate_population(cfg["junctions"], cfg["median_ohm"],
                                           cfg["fractional_sigma"], cfg["seed"])
     if cfg["target_spread"]:
@@ -548,7 +550,8 @@ def cmd_tune(cfg: dict) -> int:
     else:
         group_ids = tunesim.two_group_split(records)
     result = tunesim.run_campaign(records, model=model, policy=policy,
-                                  master_seed=cfg["seed"], fit=fit, group_ids=group_ids)
+                                  master_seed=cfg["seed"], group_ids=group_ids,
+                                  fit=tunesim.default_wafer_fit(cfg["residual_std_mhz"]))
     run = RunDir(cfg)
     run.write_csv("results.csv", tunesim.history_rows(result.records))
     run.write_json("results.json", {
@@ -557,30 +560,28 @@ def cmd_tune(cfg: dict) -> int:
         "converged_fraction": result.converged_fraction,
         "sigma_r_ohm": result.sigma_r_ohm,
         "group_median_r_ohm": {str(k): v for k, v in result.group_median_r_ohm.items()},
-        "group_median_f_ghz": {str(k): v for k, v in (result.group_median_f_ghz or {}).items()},
+        "group_median_f_ghz": {str(k): v for k, v in result.group_median_f_ghz.items()},
         "pooled_sigma_f_mhz": result.pooled_sigma_f_mhz,
         "target_sigma_f_mhz": result.target_sigma_f_mhz,
         "predicted_sigma_f_mhz": result.predicted_sigma_f_mhz,
         "statuses": {s: sum(1 for r in result.records if r.status == s)
                      for s in (tunesim.CONVERGED, tunesim.OVERSHOT, tunesim.EXHAUSTED)},
     })
-    shown = result.records[:24]
     run.write_text("plot.svg", svgchart.line_chart(
         [(f"j{rec.junction_id}", list(range(len(rec.steps) + 1)),
-          [rec.r_initial_ohm] + [s.r_after_ohm for s in rec.steps]) for rec in shown],
+          [rec.r_initial_ohm] + [s.r_after_ohm for s in rec.steps]) for rec in result.records[:24]],
         title="anneal trajectories", x_label="anneal step", y_label="resistance (ohm)"))
     run.finish()
+    sigma_r = "" if result.sigma_r_ohm is None else f"  sigma_R = {result.sigma_r_ohm:.1f} ohm"
     print(f"converged {result.n_converged}/{len(result.records)} "
-          f"({100 * result.converged_fraction:.1f}%)  sigma_R = {result.sigma_r_ohm:.1f} ohm")
+          f"({100 * result.converged_fraction:.1f}%){sigma_r}")
     if result.pooled_sigma_f_mhz is not None:
         print(f"pooled sigma_f = {result.pooled_sigma_f_mhz:.2f} MHz about group medians, "
               f"{result.target_sigma_f_mhz:.2f} MHz against targets "
               f"(quadrature prediction {result.predicted_sigma_f_mhz:.2f} MHz)")
     for g, med in sorted(result.group_median_r_ohm.items()):
-        line = f"group {g}: median R = {med:.0f} ohm"
-        if result.group_median_f_ghz:
-            line += f", median f = {result.group_median_f_ghz[g]:.4f} GHz"
-        print(line)
+        print(f"group {g}: median R = {med:.0f} ohm, "
+              f"median f = {result.group_median_f_ghz[g]:.4f} GHz")
     print(f"written: {run.path}")
     return 0
 

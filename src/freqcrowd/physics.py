@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -151,6 +152,13 @@ def target_resistance_ohm(fit: PowerLawFit, frequency_ghz):
     return float(out) if np.isscalar(frequency_ghz) else out
 
 
+def group_medians(values, group_ids) -> dict:
+    """Median of the values in each group, keyed by group id in sorted order."""
+    ids = np.asarray(group_ids).tolist()
+    return {gid: float(statistics.median(v for v, i in zip(values, ids) if i == gid))
+            for gid in sorted(set(ids))}
+
+
 @dataclass(frozen=True)
 class GroupedScatter:
     """Per-group medians (GHz) and the pooled RMS scatter about them (MHz)."""
@@ -175,13 +183,8 @@ def grouped_sigma(frequency_ghz, group_ids) -> GroupedScatter:
         raise InputError("frequencies and group ids must be matching non-empty 1-d arrays")
     if not _finite_positive(f):
         raise InputError("frequencies must be finite and positive")
-    medians: dict = {}
-    dev = np.empty_like(f)
-    for gid in np.unique(g):
-        mask = g == gid
-        med = float(np.median(f[mask]))
-        medians[gid.item() if hasattr(gid, "item") else gid] = med
-        dev[mask] = f[mask] - med
+    medians = group_medians(f, g)
+    dev = f - np.array([medians[gid] for gid in g.tolist()])
     pooled = float(np.sqrt(np.mean((dev * 1e3) ** 2)))
     return GroupedScatter(group_medians_ghz=medians, pooled_sigma_mhz=pooled, n_points=int(f.size))
 

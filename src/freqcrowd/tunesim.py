@@ -15,25 +15,29 @@ iteration order, so parallel and serial campaigns agree.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, ParameterError
 from .mc import philox_rng
-from .physics import PowerLawFit, grouped_sigma, predict_frequency_ghz
+from .physics import PowerLawFit, group_medians, grouped_sigma, predict_frequency_ghz
 
 PENDING = "pending"
 CONVERGED = "converged"
 OVERSHOT = "overshot"
 EXHAUSTED = "exhausted"
 
-# Flagship two-group campaign constants: as-fabricated median / fractional
-# scatter, and the two post-trim resistance targets with their group sizes.
+# Flagship two-group campaign: as-fabricated median and fractional scatter,
+# post-trim resistance targets and group sizes, anneal noise, fit residual (MHz).
 DEFAULT_MEDIAN_OHM = 7600.0
 DEFAULT_FRACTIONAL_SIGMA = 0.046
 TWO_GROUP_TARGETS_OHM = (7984.0, 8798.0)
 TWO_GROUP_SIZES = (16, 15)
+TWO_GROUP_JUNCTIONS = sum(TWO_GROUP_SIZES)
+DEFAULT_NOISE_SIGMA = 0.10
+DEFAULT_RESIDUAL_STD_MHZ = 14.5
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,7 @@ class AnnealResponseModel:
 
     MAX_SHIFT = 0.15
 
-    def __init__(self, calibration: dict, noise_sigma: float = 0.10):
+    def __init__(self, calibration: dict, noise_sigma: float = DEFAULT_NOISE_SIGMA):
         if not 0.0 <= noise_sigma < np.inf:  # NaN fails too
             raise ParameterError("noise_sigma must be finite and >= 0", "noise_sigma")
         if not calibration:
@@ -90,7 +94,7 @@ class AnnealResponseModel:
                                in calibration.items() if shift > 0.0))
 
     @classmethod
-    def default(cls, noise_sigma: float = 0.10) -> "AnnealResponseModel":
+    def default(cls, noise_sigma: float = DEFAULT_NOISE_SIGMA) -> "AnnealResponseModel":
         powers = np.linspace(0.80, 1.00, 21)
         durations = np.geomspace(1.0, 10.0, 7)
         cal = {
@@ -103,15 +107,10 @@ class AnnealResponseModel:
     def pick_step(self, wanted_shift: float):
         """Largest calibrated setting with expected shift <= wanted, or the
         gentlest setting when even that overshoots the request."""
-        if wanted_shift <= 0.0:
+        if not wanted_shift > 0.0:  # NaN fails too
             raise ParameterError("wanted_shift must be positive")
-        chosen = self._ladder[0]
-        for entry in self._ladder:
-            if entry[0] <= wanted_shift:
-                chosen = entry
-            else:
-                break
-        shift, power, duration = chosen
+        last = bisect_right(self._ladder, wanted_shift, key=lambda entry: entry[0]) - 1
+        shift, power, duration = self._ladder[max(last, 0)]
         return power, duration, shift
 
     def realized_shift(self, expected: float, rng: np.random.Generator) -> float:
@@ -228,9 +227,9 @@ class CampaignResult:
     records: tuple
     n_converged: int
     converged_fraction: float
-    sigma_r_ohm: float                   # converged junctions, RMS distance to target
+    sigma_r_ohm: float | None            # converged: RMS distance to target
     group_median_r_ohm: dict
-    group_median_f_ghz: dict | None
+    group_median_f_ghz: dict
     pooled_sigma_f_mhz: float | None     # converged: RMS about per-group frequency medians
     target_sigma_f_mhz: float | None     # converged: RMS of realised f minus per-junction target f
     predicted_sigma_f_mhz: float | None  # quadrature of fit residual and band-limited trim error
@@ -241,59 +240,56 @@ def run_campaign(records, *, model: AnnealResponseModel | None = None,
                  fit: PowerLawFit | None = None, group_ids=None) -> CampaignResult:
     """Tune a whole population (targets already assigned) and summarise.
 
-    When a resistance-frequency fit is provided, each junction's realised
-    frequency is the fit evaluated at its final resistance plus a residual
-    draw at the fit's residual_std — the device-to-device scatter trimming
-    cannot touch.  Two frequency-precision flavours are reported: scatter
-    about the per-group medians (what a post-tune refit of the population
-    sees) and deviation from the per-junction targets (how well the
-    campaign hit its setpoints); the second is the one the quadrature
-    prediction models, since the one-sided approach parks converged
-    junctions near the low edge of the resistance band and the median
-    absorbs that shared offset.
+    Each junction's realised frequency is the fit (``default_wafer_fit()``
+    unless given) at its final resistance plus a residual draw at the fit's
+    residual_std, on its own stream after its anneals — the device-to-device
+    scatter trimming cannot touch.  Two frequency-precision flavours are
+    reported: scatter about the per-group medians (what a post-tune refit of
+    the population sees) and deviation from the per-junction targets (how
+    well the campaign hit its setpoints); the second is the one the
+    quadrature prediction models, since the one-sided approach parks
+    converged junctions near the low edge of the resistance band and the
+    median absorbs that shared offset.  Figures over converged junctions are
+    None when none converged.
     """
     model = model if model is not None else AnnealResponseModel.default()
     policy = policy if policy is not None else TunePolicy()
+    fit = fit if fit is not None else default_wafer_fit()
     if not records:
         raise InputError("no junctions to tune")
     if any(not np.isfinite(rec.r_target_ohm) for rec in records):
         raise InputError("assign targets before running a campaign")
-    if fit is not None and not 0.0 <= fit.residual_std_mhz < np.inf:
+    if not 0.0 <= fit.residual_std_mhz < np.inf:
         raise ParameterError("fit residual_std_mhz must be finite and >= 0", "residual_std_mhz")
     gid = np.zeros(len(records), dtype=int) if group_ids is None else np.asarray(group_ids, dtype=int)
 
-    realized_f = np.full(len(records), np.nan)
+    realized_f = np.empty(len(records))
     for j, rec in enumerate(records):
         rng = junction_rng(master_seed, rec.junction_id)
         tune_junction(rec, model, policy, rng)
-        if fit is not None:
-            noise = rng.normal(0.0, fit.residual_std_mhz * 1e-3)
-            realized_f[j] = predict_frequency_ghz(fit, rec.r_ohm) + noise
+        noise = rng.normal(0.0, fit.residual_std_mhz * 1e-3)
+        realized_f[j] = predict_frequency_ghz(fit, rec.r_ohm) + noise
 
     conv = np.array([rec.status == CONVERGED for rec in records])
     final_r = np.array([rec.r_ohm for rec in records])
     target_r = np.array([rec.r_target_ohm for rec in records])
     n_conv = int(conv.sum())
-    sigma_r = float(np.sqrt(np.mean((final_r[conv] - target_r[conv]) ** 2))) if n_conv else float("nan")
-    med_r = {int(g): float(np.median(final_r[gid == g])) for g in np.unique(gid)}
-
-    med_f = pooled = vs_target = predicted = None
-    if fit is not None:
-        med_f = {int(g): float(np.median(realized_f[gid == g])) for g in np.unique(gid)}
-        if n_conv:
-            pooled = grouped_sigma(realized_f[conv], gid[conv]).pooled_sigma_mhz
-            target_f = predict_frequency_ghz(fit, target_r)
-            dev_mhz = (realized_f[conv] - target_f[conv]) * 1e3
-            vs_target = float(np.sqrt(np.mean(dev_mhz**2)))
-            trim_mhz = abs(fit.exponent) * policy.converge_band * float(np.mean(target_f[conv])) * 1e3
-            predicted = float(np.hypot(fit.residual_std_mhz, trim_mhz))
+    sigma_r = pooled = vs_target = predicted = None
+    if n_conv:
+        sigma_r = float(np.sqrt(np.mean((final_r[conv] - target_r[conv]) ** 2)))
+        pooled = grouped_sigma(realized_f[conv], gid[conv]).pooled_sigma_mhz
+        target_f = predict_frequency_ghz(fit, target_r)
+        dev_mhz = (realized_f[conv] - target_f[conv]) * 1e3
+        vs_target = float(np.sqrt(np.mean(dev_mhz**2)))
+        trim_mhz = abs(fit.exponent) * policy.converge_band * float(np.mean(target_f[conv])) * 1e3
+        predicted = float(np.hypot(fit.residual_std_mhz, trim_mhz))
     return CampaignResult(
         records=tuple(records),
         n_converged=n_conv,
         converged_fraction=n_conv / len(records),
         sigma_r_ohm=sigma_r,
-        group_median_r_ohm=med_r,
-        group_median_f_ghz=med_f,
+        group_median_r_ohm=group_medians(final_r, gid),
+        group_median_f_ghz=group_medians(realized_f, gid),
         pooled_sigma_f_mhz=pooled,
         target_sigma_f_mhz=vs_target,
         predicted_sigma_f_mhz=predicted,
@@ -313,10 +309,10 @@ def history_rows(records):
     return rows
 
 
-def default_wafer_fit() -> PowerLawFit:
+def default_wafer_fit(residual_std_mhz: float = DEFAULT_RESIDUAL_STD_MHZ) -> PowerLawFit:
     """Representative wafer calibration: ideal -1/2 power law anchored so a
-    7984-ohm junction sits at 5.7046 GHz, with the canonical 14.5 MHz
-    residual scatter."""
-    prefactor = 5.7046 * np.sqrt(7984.0)
+    junction at the lower two-group target sits at 5.7046 GHz, with the given
+    residual scatter (MHz)."""
+    prefactor = 5.7046 * np.sqrt(TWO_GROUP_TARGETS_OHM[0])
     return PowerLawFit(prefactor=float(prefactor), exponent=-0.5,
-                       residual_std_mhz=14.5, n_points=31, exponent_fixed=True)
+                       residual_std_mhz=residual_std_mhz, n_points=31, exponent_fixed=True)

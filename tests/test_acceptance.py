@@ -223,3 +223,22 @@ def test_criterion_8_manifest_replay(tmp_path, monkeypatch):
     same &= recorded["config"]["seed"] == MC_SEED
     assert verdict(8, same, "sweep replayed from its manifest is byte-identical "
                             "(results.csv, results.json)")
+
+
+def test_cli_table2_reproduces_the_gates_operating_points(table_rows, tmp_path, monkeypatch):
+    """The command line gives the rows criteria 1 and 5 check, cell for cell,
+    when it is run at the gate's seed and on its 1-MHz spacing grid."""
+    for key in list(os.environ):
+        if key.startswith("FREQCROWD_"):
+            monkeypatch.delenv(key)
+    spacings = ",".join(f"{s:g}" for s in FINE_SPACING_GRID)
+    assert cli.main(["sweep", "--reproduce-table2", "--seed", str(MC_SEED),
+                     "--spacings", spacings, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "sweep" / "default" / "results.csv") as fh:
+        lines = fh.read().splitlines()
+    expected = []
+    for (family, distance), (tuned, fab) in table_rows.items():
+        expected.append(",".join(cli._cell(v) for v in (
+            family, distance, tuned.n_qubits, fab.mean_collisions, tuned.spacing_mhz,
+            tuned.mean_collisions, tuned.yield_fraction, tuned.trials)))
+    assert lines[1:] == expected

@@ -529,6 +529,40 @@ class TestTuneCommand:
     def test_odd_junction_count_needs_spread(self, tmp_path):
         assert cli.main(["tune", "--junctions", "40", "--out", str(tmp_path)]) == 2
 
+    def test_a_campaign_with_no_converged_junction_finishes(self, tmp_path, capsys):
+        """No junction converges, so the figures over converged junctions are
+        null and the summary line has no sigma_R; the run still writes every
+        file, manifest included."""
+        assert cli.main(["tune", "--junctions", "5", "--target-spread", "50:60",
+                         "--max-anneals", "1", "--out", str(tmp_path)]) == 0
+        payload = read_json(tmp_path, "tune")
+        assert payload["n_converged"] == 0
+        for key in ("sigma_r_ohm", "pooled_sigma_f_mhz", "target_sigma_f_mhz",
+                    "predicted_sigma_f_mhz"):
+            assert payload[key] is None, key
+        assert list(payload["group_median_f_ghz"]) == ["0"]
+        assert read_json(tmp_path, "tune", filename="manifest.json")["outputs"] == [
+            "plot.svg", "results.csv", "results.json"]
+        out = capsys.readouterr().out
+        assert out.startswith("converged 0/5 (0.0%)\ngroup 0: median R = ")
+        assert "sigma_R" not in out and "pooled" not in out
+
+    def test_every_default_but_the_spread_is_read_from_tunesim(self):
+        from freqcrowd import tunesim
+        defaults = {opt.dest: opt.default for opt in cli.OPTIONS if opt.commands == ("tune",)}
+        assert defaults.pop("target_spread") == ""
+        assert all(isinstance(d, cli.ModuleDefault) and d.module == "tunesim"
+                   for d in defaults.values())
+        assert {key: d.value() for key, d in defaults.items()} == {
+            "junctions": sum(tunesim.TWO_GROUP_SIZES),
+            "median_ohm": tunesim.DEFAULT_MEDIAN_OHM,
+            "fractional_sigma": tunesim.DEFAULT_FRACTIONAL_SIGMA,
+            "noise_sigma": tunesim.AnnealResponseModel.default().noise_sigma,
+            "step_fraction": tunesim.TunePolicy().step_fraction,
+            "converge_band": tunesim.TunePolicy().converge_band,
+            "max_anneals": tunesim.TunePolicy().max_anneals,
+            "residual_std_mhz": tunesim.default_wafer_fit().residual_std_mhz}
+
 
 class TestFitRnCommand:
     @staticmethod
@@ -895,6 +929,26 @@ def _scipy_modules_after(tmp_path, *argvs):
                          cwd=tmp_path, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_a_cold_tune_leaves_out_numpy_ma(tmp_path):
+    """Group medians come from ``statistics``, not ``np.median`` or
+    ``np.unique``, which load ``numpy.ma`` in numpy 2.4.  A fresh
+    interpreter, because this test session may have loaded it already."""
+    code = ("import sys, numpy\n"
+            "if 'numpy.ma' in sys.modules:\n"
+            "    print('preloaded')\n"
+            "else:\n"
+            "    from freqcrowd import cli\n"
+            f"    assert cli.main(['tune', '--out', {str(tmp_path)!r}]) == 0\n"
+            "    print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=tmp_path, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    last = out.stdout.splitlines()[-1]
+    if last == "preloaded":
+        pytest.skip("import numpy alone loads numpy.ma here")
+    assert last == "False"
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

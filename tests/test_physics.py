@@ -170,6 +170,24 @@ def test_grouped_sigma_ignores_between_group_spacing():
     assert out.n_points == 4
 
 
+@pytest.mark.parametrize("group_ids", [
+    [2, 0, 2, 0, 1, 2, 0],                                  # odd and one-member groups
+    np.array([1, 1, 0, 0, 1, 1, 0, 0, 0, 0]),               # even groups, numpy ids
+    ["b", "a", "b", "a", "a"],
+], ids=["ints", "numpy", "strings"])
+def test_group_medians_equal_numpys(group_ids):
+    """Each group's median is the middle value or the mean of the two middle
+    ones, exactly as ``np.median`` gives it, keyed by ``np.unique``'s ids as
+    plain Python values, in its order."""
+    values = np.random.default_rng(3).normal(5.5, 0.2, len(group_ids))
+    ids = np.asarray(group_ids)
+    expected = {g.item(): float(np.median(values[ids == g])) for g in np.unique(ids)}
+    out = physics.group_medians(values, group_ids)
+    assert list(out.items()) == list(expected.items())
+    assert all(type(g) is type(e) for g, e in zip(out, expected))
+    assert physics.grouped_sigma(values, group_ids).group_medians_ghz == out
+
+
 def test_grouped_sigma_input_validation():
     with pytest.raises(InputError):
         physics.grouped_sigma([5.0, 5.1], [0])

@@ -107,8 +107,38 @@ class TestResponseModel:
         m = tunesim.AnnealResponseModel.default()
         gentlest = min(s for s in m.calibration.values() if s > 0.0)
         assert m.pick_step(gentlest / 10.0)[2] == gentlest
-        with pytest.raises(ParameterError):
-            m.pick_step(0.0)
+        for bad in (0.0, -0.01, math.nan):
+            with pytest.raises(ParameterError):
+                m.pick_step(bad)
+
+    @pytest.mark.parametrize("model", [
+        tunesim.AnnealResponseModel.default(),
+        # two durations share the shift 0.02, and a zero shift stays off the ladder
+        tunesim.AnnealResponseModel({(0.8, 1.0): 0.0, (0.9, 1.0): 0.02, (1.0, 1.0): 0.05,
+                                     (0.8, 2.0): 0.01, (0.9, 2.0): 0.02, (1.0, 2.0): 0.1}),
+    ], ids=["default", "shared-shift"])
+    def test_pick_step_matches_a_scan_of_the_ladder(self, model):
+        """The search returns what walking the sorted (shift, power, duration)
+        ladder returns: its last entry at or below the request, else its first."""
+        ladder = sorted((shift, power, duration) for (power, duration), shift
+                        in model.calibration.items() if shift > 0.0)
+
+        def scan(wanted):
+            chosen = ladder[0]
+            for entry in ladder:
+                if entry[0] > wanted:
+                    break
+                chosen = entry
+            shift, power, duration = chosen
+            return power, duration, shift
+
+        shifts = sorted({entry[0] for entry in ladder})
+        points = [shifts[0] / 2.0, 2.0 * shifts[-1]]
+        points += [(a + b) / 2.0 for a, b in zip(shifts, shifts[1:])]
+        for s in shifts:
+            points += [math.nextafter(s, 0.0), s, math.nextafter(s, math.inf)]
+        for wanted in points:
+            assert model.pick_step(wanted) == scan(wanted), wanted
 
     def test_realized_shift_noise(self):
         quiet = tunesim.AnnealResponseModel.default(noise_sigma=0.0)
@@ -194,6 +224,34 @@ class TestCampaign:
             tunesim.run_campaign(recs)
         with pytest.raises(InputError):
             tunesim.run_campaign([])
+
+    def test_default_fit_adds_frequencies_and_leaves_resistances_alone(self):
+        """Without a fit the campaign models frequency through the default
+        wafer fit, drawing each residual after the junction's anneals."""
+        a = tunesim.generate_population(20, master_seed=4)
+        b = tunesim.generate_population(20, master_seed=4)
+        for recs in (a, b):
+            tunesim.spread_targets(recs, 0.01, 0.1)
+        implicit = tunesim.run_campaign(a, master_seed=4)
+        explicit = tunesim.run_campaign(b, master_seed=4, fit=tunesim.default_wafer_fit())
+        assert implicit == explicit
+        model, policy = tunesim.AnnealResponseModel.default(), tunesim.TunePolicy()
+        fresh = tunesim.generate_population(20, master_seed=4)
+        tunesim.spread_targets(fresh, 0.01, 0.1)
+        for rec in fresh:
+            tunesim.tune_junction(rec, model, policy, tunesim.junction_rng(4, rec.junction_id))
+        assert [rec.r_ohm for rec in implicit.records] == [rec.r_ohm for rec in fresh]
+        assert list(implicit.group_median_f_ghz) == [0]
+        assert implicit.pooled_sigma_f_mhz is not None
+
+    def test_no_convergence_leaves_the_converged_figures_unset(self):
+        recs = tunesim.generate_population(5, master_seed=0)
+        tunesim.spread_targets(recs, 0.5, 0.6)
+        res = tunesim.run_campaign(recs, policy=tunesim.TunePolicy(max_anneals=1))
+        assert res.n_converged == 0
+        assert (res.sigma_r_ohm, res.pooled_sigma_f_mhz, res.target_sigma_f_mhz,
+                res.predicted_sigma_f_mhz) == (None, None, None, None)
+        assert list(res.group_median_r_ohm) == list(res.group_median_f_ghz) == [0]
 
     @pytest.mark.parametrize("residual_mhz", [-1.0, math.inf, math.nan])
     def test_rejects_bad_fit_residual(self, residual_mhz):
@@ -288,5 +346,9 @@ def test_default_wafer_fit_shape():
     fit = tunesim.default_wafer_fit()
     assert fit.exponent == -0.5
     assert fit.exponent_fixed
+    assert fit.n_points == 31
     assert predict_frequency_ghz(fit, 7984.0) == pytest.approx(5.7046, abs=1e-9)
     assert fit.residual_std_mhz == 14.5
+    narrow = tunesim.default_wafer_fit(9.0)
+    assert narrow.residual_std_mhz == 9.0
+    assert narrow.prefactor == fit.prefactor
