@@ -1,8 +1,9 @@
 """Command-line front end: reproducible runs with manifests.
 
-Every command writes its outputs under ``out/<command>/<name>/`` together
-with a ``manifest.json`` recording the package version, the fully resolved
-configuration, and SHA-256 hashes of any input files.  ``freqcrowd rerun
+Every command renders all its outputs, then writes them and a
+``manifest.json`` together under ``out/<command>/<name>/``, so a run that fails
+leaves no directory.  The manifest records the package version, the fully
+resolved configuration, and SHA-256 hashes of any input files.  ``freqcrowd rerun
 <manifest>`` replays the command from that snapshot; on the same platform
 the CSV/JSON outputs come back byte-identical (nothing here consults the
 clock or any other ambient entropy — the default seed is 0).
@@ -208,57 +209,44 @@ def _json_text(filename: str, payload, indent=None) -> str:
         raise FreqcrowdError(f"{filename}: non-finite value") from exc
 
 
-class RunDir:
-    """Output directory plus the manifest bookkeeping for one run; the
-    directory is made at the first write, so a failed run leaves none.  A
-    configuration holding a NaN or an infinity makes no run directory."""
+def _snapshot(cfg: dict) -> dict:
+    """The configuration a manifest records: all of it but the output root."""
+    return {k: v for k, v in cfg.items() if k != "out"}
 
-    def __init__(self, cfg: dict):
-        self.cfg = cfg
-        self.path = os.path.join(cfg["out"], cfg["command"], cfg["name"])
-        self.outputs = []
-        self.inputs = {}
-        self.snapshot = {k: v for k, v in cfg.items() if k != "out"}
-        self.config_hash = hashlib.sha256(
-            _json_text("config", self.snapshot).encode()).hexdigest()[:12]
 
-    def _write(self, filename: str, text: str) -> str:
-        os.makedirs(self.path, exist_ok=True)
-        full = os.path.join(self.path, filename)
-        with open(full, "w", newline="") as fh:
+def _config_hash(cfg: dict) -> str:
+    """The first 12 hex digits of the SHA-256 of the configuration's snapshot."""
+    return hashlib.sha256(_json_text("config", _snapshot(cfg)).encode()).hexdigest()[:12]
+
+
+def _render(filename: str, data) -> str:
+    """A ``.json`` file's payload as strict JSON, a ``.csv`` file's row dicts
+    under the first row's keys, in order, as the header, any other file's text."""
+    if filename.endswith(".json"):
+        return _json_text(filename, data, indent=2) + "\n"
+    if filename.endswith(".csv"):
+        header = list(data[0])
+        lines = [",".join(header)] + [",".join(_cell(row[c]) for c in header) for row in data]
+        return "\n".join(lines) + "\n"
+    return data
+
+
+def _write_run(cfg: dict, outputs: dict, inputs=None) -> str:
+    """Render ``outputs`` (file name -> data, as :func:`_render` reads it) and a
+    manifest listing ``inputs`` (path -> SHA-256), then write them all under
+    ``out/<command>/<name>/``: a run that fails, or holds a NaN or an infinity
+    in its configuration or payloads, leaves no directory.  Returns the path."""
+    texts = {name: _render(name, data) for name, data in outputs.items()}
+    texts["manifest.json"] = _render("manifest.json", {
+        "package": "freqcrowd", "version": __version__, "command": cfg["command"],
+        "config": _snapshot(cfg), "config_hash": _config_hash(cfg),
+        "inputs_sha256": inputs or {}, "outputs": sorted(outputs)})
+    path = os.path.join(cfg["out"], cfg["command"], cfg["name"])
+    os.makedirs(path, exist_ok=True)
+    for name, text in texts.items():
+        with open(os.path.join(path, name), "w", newline="") as fh:
             fh.write(text)
-        return full
-
-    def note_input(self, path: str) -> None:
-        self.inputs[path] = _sha256(path)
-
-    def write_text(self, filename: str, text: str) -> str:
-        full = self._write(filename, text)
-        self.outputs.append(filename)
-        return full
-
-    def write_json(self, filename: str, payload) -> str:
-        return self.write_text(filename, _json_text(filename, payload, indent=2) + "\n")
-
-    def write_csv(self, filename: str, rows) -> str:
-        """Write row dicts; the first row's keys, in order, are the header."""
-        header = list(rows[0])
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_cell(row[c]) for c in header))
-        return self.write_text(filename, "\n".join(lines) + "\n")
-
-    def finish(self) -> None:
-        manifest = {
-            "package": "freqcrowd",
-            "version": __version__,
-            "command": self.cfg["command"],
-            "config": self.snapshot,
-            "config_hash": self.config_hash,
-            "inputs_sha256": self.inputs,
-            "outputs": sorted(self.outputs),
-        }
-        self._write("manifest.json", _json_text("manifest.json", manifest, indent=2) + "\n")
+    return path
 
 
 def _cell(v) -> str:
@@ -302,14 +290,12 @@ def _spread_type_means(row: dict) -> dict:
 def cmd_lattice(cfg: dict) -> int:
     """Build a lattice; write JSON and DOT."""
     lat = _build(cfg)
-    run = RunDir(cfg)
-    run.write_json("results.json", lattice.to_json_dict(lat))
-    run.write_text("lattice.dot", lattice.to_dot(lat))
-    run.finish()
+    path = _write_run(cfg, {"results.json": lattice.to_json_dict(lat),
+                            "lattice.dot": lattice.to_dot(lat)})
     s = lattice.lattice_summary(lat)
     print(f"{lat.family} d={lat.distance}: {lat.n_qubits} qubits, {len(lat.edges)} directed couplings")
     print(f"roles: {s['code_roles']}")
-    print(f"written: {run.path}")
+    print(f"written: {path}")
     return 0
 
 
@@ -321,15 +307,13 @@ def cmd_check(cfg: dict) -> int:
     if cfg["sigma_mhz"] > 0.0:
         freqs = freqs + cfg["sigma_mhz"] * mc.gaussian_deviates(cfg["seed"], 1, lat.n_qubits)[0]
     report = collision.count_collisions(lat, freqs, _rules(cfg), collect=True)
-    run = RunDir(cfg)
-    run.write_json("results.json", {
+    _write_run(cfg, {"results.json": {
         "family": lat.family, "distance": lat.distance, "n_qubits": lat.n_qubits,
         "sigma_f_mhz": cfg["sigma_mhz"], "spacing_mhz": cfg["spacing_mhz"],
         "per_type": {str(t): n for t, n in report.per_type.items()},
         "total": report.total,
         "instances": [list(inst) for inst in report.instances],
-    })
-    run.finish()
+    }})
     print(f"{lat.family} d={lat.distance} at spacing {cfg['spacing_mhz']:g} MHz, "
           f"sigma {cfg['sigma_mhz']:g} MHz")
     print("type  count")
@@ -362,20 +346,17 @@ def cmd_sweep(cfg: dict) -> int:
                             spacing_grid=spacing_grid, rules=_rules(cfg))
     from . import svgchart
     rows = [_sweep_row(pt) for pt in points]
-    run = RunDir(cfg)
-    run.write_csv("results.csv", [_spread_type_means(row) for row in rows])
-    run.write_json("results.json", {
-        "metadata": {"seed": cfg["seed"], "config_hash": run.config_hash},
-        "points": rows,
-    })
     sig = [pt.sigma_mhz for pt in points]
-    run.write_text("plot.svg", svgchart.line_chart(
-        [("mean collisions", sig, [pt.mean_collisions for pt in points]),
-         ("yield", sig, [pt.yield_fraction for pt in points])],
-        title=f"{lat.family} d={lat.distance}", x_label="frequency scatter (MHz)",
-        y_label="per-lattice mean / fraction"))
-    run.finish()
-    print(f"{lat.family} d={lat.distance}: {len(points)} sigma points -> {run.path}")
+    path = _write_run(cfg, {
+        "results.csv": [_spread_type_means(row) for row in rows],
+        "results.json": {"metadata": {"seed": cfg["seed"], "config_hash": _config_hash(cfg)},
+                         "points": rows},
+        "plot.svg": svgchart.line_chart(
+            [("mean collisions", sig, [pt.mean_collisions for pt in points]),
+             ("yield", sig, [pt.yield_fraction for pt in points])],
+            title=f"{lat.family} d={lat.distance}", x_label="frequency scatter (MHz)",
+            y_label="per-lattice mean / fraction")})
+    print(f"{lat.family} d={lat.distance}: {len(points)} sigma points -> {path}")
     return 0
 
 
@@ -406,10 +387,8 @@ def _sweep_table2(cfg: dict, spacing_grid) -> int:
               f"mean@{sigma_hi:g}={asfab.mean_collisions:7.1f}  "
               f"mean@{sigma_lo:g}={tuned.mean_collisions:6.2f}  "
               f"yield={100 * tuned.yield_fraction:5.1f}%")
-    run = RunDir(cfg)
-    run.write_csv("results.csv", rows)
-    run.finish()
-    print(f"written: {run.path}")
+    path = _write_run(cfg, {"results.csv": rows})
+    print(f"written: {path}")
     return 0
 
 
@@ -447,26 +426,25 @@ def _read_sweep_csv(path: str):
 def _fit_sweep_csvs(cfg: dict):
     """Fit a window to every curve in the ``--sweep-csv`` files.
 
-    Returns the run directory and ``(family, distance, n_qubits, WindowFit)``
-    per curve.
+    Returns each file's SHA-256, taken before it is read, and
+    ``(family, distance, n_qubits, WindowFit)`` per curve.
     """
     from . import window
     paths = [p for p in (cfg["sweep_csv"] or "").split(",") if p.strip()]
     if not paths:
         raise UsageError("--sweep-csv is required")
-    run = RunDir(cfg)
-    fits = []
+    inputs, fits = {}, []
     for path in paths:
-        run.note_input(path)
+        inputs[path] = _sha256(path)
         for (family, distance, n_qubits), curve in sorted(_read_sweep_csv(path).items()):
             fits.append((family, distance, n_qubits, window.fit_window(curve, n_qubits)))
-    return run, fits
+    return inputs, fits
 
 
 def cmd_fit_window(cfg: dict) -> int:
     """Fit effective collision-free windows from sweep CSVs."""
     from . import svgchart, window
-    run, fitted = _fit_sweep_csvs(cfg)
+    inputs, fitted = _fit_sweep_csvs(cfg)
     fits = []
     for family, distance, n_qubits, fit in fitted:
         fits.append({"family": family, "distance": distance, "n_qubits": n_qubits,
@@ -474,23 +452,23 @@ def cmd_fit_window(cfg: dict) -> int:
                      "n_points_used": fit.n_points_used, "n_points_dropped": fit.n_points_dropped})
         print(f"{family:>14} d={distance}: delta_f = {fit.delta_f_mhz:5.2f} MHz "
               f"(N={n_qubits}, rms {fit.rms_residual:.3f})")
-    run.write_json("results.json", {"fits": fits})
-    run.write_csv("results.csv", fits)  # never empty: every sweep CSV has a data row
     sig = np.linspace(1.0, 150.0, 150)
-    run.write_text("plot.svg", svgchart.line_chart(
-        [(f"{f['family']} d={f['distance']}", sig,
-          window.window_yield(f["delta_f_mhz"], sig, f["n_qubits"])) for f in fits],
-        title="fitted collision-free windows", x_label="frequency scatter (MHz)",
-        y_label="yield"))
-    run.finish()
-    print(f"written: {run.path}")
+    path = _write_run(cfg, {
+        "results.json": {"fits": fits},
+        "results.csv": fits,  # never empty: every sweep CSV has a data row
+        "plot.svg": svgchart.line_chart(
+            [(f"{f['family']} d={f['distance']}", sig,
+              window.window_yield(f["delta_f_mhz"], sig, f["n_qubits"])) for f in fits],
+            title="fitted collision-free windows", x_label="frequency scatter (MHz)",
+            y_label="yield")}, inputs)
+    print(f"written: {path}")
     return 0
 
 
 def cmd_extrapolate(cfg: dict) -> int:
     """Window-width trend and yield projections vs size."""
     from . import svgchart, window
-    run, fitted = _fit_sweep_csvs(cfg)
+    inputs, fitted = _fit_sweep_csvs(cfg)
     sizes = [n_qubits for _, _, n_qubits, _ in fitted]
     widths = [fit.delta_f_mhz for *_, fit in fitted]
     trend = window.fit_trend(sizes, widths)
@@ -508,24 +486,24 @@ def cmd_extrapolate(cfg: dict) -> int:
         df = window.predict_delta_f(trend, n)
         rows.append({"n_qubits": n, "delta_f_mhz": df,
                      **{f"yield_sigma{s:g}": window.window_yield(df, s, n) for s in sigmas}})
-    run.write_csv("results.csv", rows)
-    run.write_json("results.json", {
-        "trend": {"coeff_a": trend.coeff_a, "coeff_b_ln": trend.coeff_b_ln,
-                  "coeff_b_log10": trend.coeff_b_log10, "rms_residual_mhz": trend.rms_residual_mhz,
-                  "n_points": trend.n_points},
-        "inputs": [{"n_qubits": n, "delta_f_mhz": w} for n, w in zip(sizes, widths)],
-        "predictions": {"delta_f_300_mhz": window.predict_delta_f(trend, 300),
-                        "delta_f_1000_mhz": window.predict_delta_f(trend, 1000)},
-    })
-    run.write_text("plot.svg", svgchart.line_chart(
-        [(f"sigma {s:g} MHz", list(ns), [r[f"yield_sigma{s:g}"] for r in rows]) for s in sigmas],
-        title="yield vs lattice size for the fitted window trend",
-        x_label="qubits", y_label="yield"))
-    run.finish()
+    path = _write_run(cfg, {
+        "results.csv": rows,
+        "results.json": {
+            "trend": {"coeff_a": trend.coeff_a, "coeff_b_ln": trend.coeff_b_ln,
+                      "coeff_b_log10": trend.coeff_b_log10,
+                      "rms_residual_mhz": trend.rms_residual_mhz, "n_points": trend.n_points},
+            "inputs": [{"n_qubits": n, "delta_f_mhz": w} for n, w in zip(sizes, widths)],
+            "predictions": {"delta_f_300_mhz": window.predict_delta_f(trend, 300),
+                            "delta_f_1000_mhz": window.predict_delta_f(trend, 1000)}},
+        "plot.svg": svgchart.line_chart(
+            [(f"sigma {s:g} MHz", list(ns), [r[f"yield_sigma{s:g}"] for r in rows])
+             for s in sigmas],
+            title="yield vs lattice size for the fitted window trend",
+            x_label="qubits", y_label="yield")}, inputs)
     print(f"window trend: delta_f(N) = {trend.coeff_a:.2f} {trend.coeff_b_ln:+.3f} ln N  "
           f"-> delta_f(300) = {window.predict_delta_f(trend, 300):.2f} MHz, "
           f"delta_f(1000) = {window.predict_delta_f(trend, 1000):.2f} MHz")
-    print(f"written: {run.path}")
+    print(f"written: {path}")
     return 0
 
 
@@ -552,26 +530,25 @@ def cmd_tune(cfg: dict) -> int:
     result = tunesim.run_campaign(records, model=model, policy=policy,
                                   master_seed=cfg["seed"], group_ids=group_ids,
                                   fit=tunesim.default_wafer_fit(cfg["residual_std_mhz"]))
-    run = RunDir(cfg)
-    run.write_csv("results.csv", tunesim.history_rows(result.records))
-    run.write_json("results.json", {
-        "n_junctions": len(result.records),
-        "n_converged": result.n_converged,
-        "converged_fraction": result.converged_fraction,
-        "sigma_r_ohm": result.sigma_r_ohm,
-        "group_median_r_ohm": {str(k): v for k, v in result.group_median_r_ohm.items()},
-        "group_median_f_ghz": {str(k): v for k, v in result.group_median_f_ghz.items()},
-        "pooled_sigma_f_mhz": result.pooled_sigma_f_mhz,
-        "target_sigma_f_mhz": result.target_sigma_f_mhz,
-        "predicted_sigma_f_mhz": result.predicted_sigma_f_mhz,
-        "statuses": {s: sum(1 for r in result.records if r.status == s)
-                     for s in (tunesim.CONVERGED, tunesim.OVERSHOT, tunesim.EXHAUSTED)},
-    })
-    run.write_text("plot.svg", svgchart.line_chart(
-        [(f"j{rec.junction_id}", list(range(len(rec.steps) + 1)),
-          [rec.r_initial_ohm] + [s.r_after_ohm for s in rec.steps]) for rec in result.records[:24]],
-        title="anneal trajectories", x_label="anneal step", y_label="resistance (ohm)"))
-    run.finish()
+    path = _write_run(cfg, {
+        "results.csv": tunesim.history_rows(result.records),
+        "results.json": {
+            "n_junctions": len(result.records),
+            "n_converged": result.n_converged,
+            "converged_fraction": result.converged_fraction,
+            "sigma_r_ohm": result.sigma_r_ohm,
+            "group_median_r_ohm": {str(k): v for k, v in result.group_median_r_ohm.items()},
+            "group_median_f_ghz": {str(k): v for k, v in result.group_median_f_ghz.items()},
+            "pooled_sigma_f_mhz": result.pooled_sigma_f_mhz,
+            "target_sigma_f_mhz": result.target_sigma_f_mhz,
+            "predicted_sigma_f_mhz": result.predicted_sigma_f_mhz,
+            "statuses": {s: sum(1 for r in result.records if r.status == s)
+                         for s in (tunesim.CONVERGED, tunesim.OVERSHOT, tunesim.EXHAUSTED)}},
+        "plot.svg": svgchart.line_chart(
+            [(f"j{rec.junction_id}", list(range(len(rec.steps) + 1)),
+              [rec.r_initial_ohm] + [s.r_after_ohm for s in rec.steps])
+             for rec in result.records[:24]],
+            title="anneal trajectories", x_label="anneal step", y_label="resistance (ohm)")})
     sigma_r = "" if result.sigma_r_ohm is None else f"  sigma_R = {result.sigma_r_ohm:.1f} ohm"
     print(f"converged {result.n_converged}/{len(result.records)} "
           f"({100 * result.converged_fraction:.1f}%){sigma_r}")
@@ -582,32 +559,31 @@ def cmd_tune(cfg: dict) -> int:
     for g, med in sorted(result.group_median_r_ohm.items()):
         print(f"group {g}: median R = {med:.0f} ohm, "
               f"median f = {result.group_median_f_ghz[g]:.4f} GHz")
-    print(f"written: {run.path}")
+    print(f"written: {path}")
     return 0
 
 
 def cmd_fit_rn(cfg: dict) -> int:
     """Power-law fit of measured resistance/frequency pairs."""
     from . import physics, svgchart
-    path = cfg["csv_path"]
-    if not path:
+    csv_path = cfg["csv_path"]
+    if not csv_path:
         raise UsageError("--csv is required")
-    r, f = physics.load_resistance_frequency_csv(path)
+    r, f = physics.load_resistance_frequency_csv(csv_path)
+    inputs = {csv_path: _sha256(csv_path)}
     fit = physics.fit_power_law(r, f, fix_exponent=cfg["fix_exponent"])
-    run = RunDir(cfg)
-    run.note_input(path)
-    run.write_json("results.json", {"prefactor": fit.prefactor, "exponent": fit.exponent,
-                                    "residual_std_mhz": fit.residual_std_mhz, "n": fit.n_points})
     grid = np.geomspace(float(r.min()) * 0.98, float(r.max()) * 1.02, 80)
-    run.write_text("plot.svg", svgchart.line_chart(
-        [("measured", list(r), list(f)),
-         ("fit", list(grid), list(physics.predict_frequency_ghz(fit, grid)))],
-        title="junction resistance to qubit frequency",
-        x_label="resistance (ohm)", y_label="frequency (GHz)"))
-    run.finish()
+    path = _write_run(cfg, {
+        "results.json": {"prefactor": fit.prefactor, "exponent": fit.exponent,
+                         "residual_std_mhz": fit.residual_std_mhz, "n": fit.n_points},
+        "plot.svg": svgchart.line_chart(
+            [("measured", list(r), list(f)),
+             ("fit", list(grid), list(physics.predict_frequency_ghz(fit, grid)))],
+            title="junction resistance to qubit frequency",
+            x_label="resistance (ohm)", y_label="frequency (GHz)")}, inputs)
     print(f"f = {fit.prefactor:.3f} * R^{fit.exponent:.4f}  "
           f"(residual {fit.residual_std_mhz:.2f} MHz over {fit.n_points} devices)")
-    print(f"written: {run.path}")
+    print(f"written: {path}")
     return 0
 
 

@@ -271,8 +271,14 @@ def set_points_mhz(lattice: Lattice, pattern: FrequencyPattern, spacings_mhz=Non
         raise ParameterError("pattern needs finite base > 0", "base_ghz")
     if not np.all((0.0 <= spacing) & (spacing < math.inf)):
         raise ParameterError("pattern needs finite spacing >= 0", "spacing_mhz")
+    if not pattern.base_ghz * 1e3 < math.inf:
+        raise ParameterError("pattern base overflows in MHz", "base_ghz")
     idx = np.array([n.pattern_index for n in lattice.nodes], dtype=float)
-    return pattern.base_ghz * 1e3 + (idx - 1.0) * spacing[..., None]
+    with np.errstate(over="ignore"):  # reported below, naming the spacing
+        points = pattern.base_ghz * 1e3 + (idx - 1.0) * spacing[..., None]
+    if not np.all(np.isfinite(points)):
+        raise ParameterError("pattern set points overflow at this spacing", "spacing_mhz")
+    return points
 
 
 def next_nearest_triples(lattice: Lattice) -> tuple:

@@ -18,8 +18,6 @@ _ML, _MR, _MT, _MB = 72, 24, 36, 56
 
 
 def _nice_ticks(lo: float, hi: float, n: int = 6):
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / max(n - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(s * mag for s in (1, 2, 2.5, 5, 10) if s * mag >= raw)
@@ -57,10 +55,11 @@ def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "")
         raise InputError("nothing to plot")
     x_lo, x_hi = min(allx), max(allx)
     y_lo, y_hi = min(ally), max(ally)
+    # a zero-width axis gets width 1, or 1e-9 of |lo| where adding 1 would round away
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = x_lo + max(1.0, abs(x_lo) * 1e-9)
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = y_lo + max(1.0, abs(y_lo) * 1e-9)
     xticks = _nice_ticks(x_lo, x_hi)
     yticks = _nice_ticks(y_lo, y_hi)
 

@@ -92,6 +92,8 @@ class AnnealResponseModel:
         self.noise_sigma = float(noise_sigma)
         self._ladder = sorted(((shift, power, duration) for (power, duration), shift
                                in calibration.items() if shift > 0.0))
+        if not self._ladder:
+            raise InputError("calibration table has no positive shift")
 
     @classmethod
     def default(cls, noise_sigma: float = DEFAULT_NOISE_SIGMA) -> "AnnealResponseModel":

@@ -166,6 +166,8 @@ SQUARE3 = ["--family", "square", "-d", "3"]
 SIGMA = "sigma must be >= 0 and < inf"
 SPACING = "pattern needs finite spacing >= 0"
 BASE = "pattern needs finite base > 0"
+OVERFLOW_BASE = "pattern base overflows in MHz"
+OVERFLOW_SPACING = "pattern set points overflow at this spacing"
 ANHARMONICITY = "anharmonicity must be finite and negative (MHz)"
 SEED = "master seed must be in [0, 2**128)"
 SPREAD = "need 0 <= lo <= hi, both finite"
@@ -200,6 +202,14 @@ OUT_OF_RANGE = {  # id: (argv, the error line after "error: ")
                         f"--spacing-mhz=nan: {SPACING}"),
     "base-ghz": (["check", *SQUARE3, "--base-ghz", "0"], f"--base-ghz=0: {BASE}"),
     "inf-base-ghz": (["sweep", *SQUARE3, "--base-ghz", "inf"], f"--base-ghz=inf: {BASE}"),
+    **{f"{command}-overflowing-{flag}": (
+        [command, "--family", "heavy_hexagon", "-d", "3", f"--{flag}", value],
+        f"--{flag}={shown}: {message}")
+       for command, flag, value, shown, message in (
+           ("sweep", "spacings", "1e308", "1e308", OVERFLOW_SPACING),
+           ("sweep", "base-ghz", "1e306", "1e+306", OVERFLOW_BASE),
+           ("check", "spacing-mhz", "1e308", "1e+308", OVERFLOW_SPACING),
+           ("check", "base-ghz", "1e306", "1e+306", OVERFLOW_BASE))},
     "nan-base-ghz": (["sweep", *SQUARE3, "--sigmas", "10", "--trials", "20", "--base-ghz", "nan"],
                      f"--base-ghz=nan: {BASE}"),
     "table2-base-ghz": (["sweep", "--reproduce-table2", "--base-ghz", "-5"],
@@ -452,12 +462,39 @@ def test_extrapolate_sigmas_name_each_column_once(tmp_path, capsys, sigmas):
 
 def test_json_results_reject_non_finite_values(tmp_path):
     """results.json stays standard JSON: a NaN or an infinity is an error,
-    raised before the file is written."""
+    raised before any file of the run, a valid one rendered first included,
+    is written."""
     cfg = {"out": str(tmp_path), "command": "fit-rn", "name": "default"}
     for bad in (float("nan"), float("inf")):
-        with pytest.raises(cli.FreqcrowdError, match="non-finite"):
-            cli.RunDir(cfg).write_json("results.json", {"fits": [{"delta_f_mhz": bad}]})
+        with pytest.raises(cli.FreqcrowdError, match="^results.json: non-finite value$"):
+            cli._write_run(cfg, {"results.csv": [{"delta_f_mhz": 31.5}],
+                                 "results.json": {"fits": [{"delta_f_mhz": bad}]}})
     assert not (tmp_path / "fit-rn").exists()
+
+
+def test_a_sweep_whose_chart_fails_leaves_no_directory(tmp_path, capsys, monkeypatch):
+    """Every output is rendered before any is written: a failure while the
+    last one renders leaves neither the tables nor a manifest behind."""
+    from freqcrowd import svgchart
+
+    def broken_chart(*args, **kwargs):
+        raise cli.FreqcrowdError("chart failed")
+
+    monkeypatch.setattr(svgchart, "line_chart", broken_chart)
+    assert cli.main(["sweep", "--family", "heavy_hexagon", "-d", "3", "--sigmas", "14",
+                     "--trials", "20", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: chart failed\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_one_point_sweep_at_huge_scatter_writes_its_chart(tmp_path):
+    """A zero-width axis at |x| >= 2**53, where adding 1 rounds away, still
+    gets a chart."""
+    assert cli.main(["sweep", "--family", "heavy_hexagon", "-d", "3", "--sigmas", "1e16",
+                     "--out", str(tmp_path)]) == 0
+    run = tmp_path / "sweep" / "default"
+    assert "plot.svg" in read_json(tmp_path, "sweep", "default", "manifest.json")["outputs"]
+    assert (run / "plot.svg").read_text().count("<circle") == 2
 
 
 @pytest.mark.parametrize("command", ["fit-rn", "extrapolate"])

@@ -1,0 +1,31 @@
+"""SVG line charts: axes, ticks and markers of small series."""
+import re
+
+import pytest
+
+from freqcrowd import svgchart
+
+
+def tick_labels(svg):
+    """The x-axis tick labels, left to right."""
+    return re.findall(r'<text x="[\d.]+" y="444" text-anchor="middle">([^<]*)</text>', svg)
+
+
+def circles(svg):
+    return [(float(x), float(y))
+            for x, y in re.findall(r'<circle cx="([-\d.]+)" cy="([-\d.]+)"', svg)]
+
+
+@pytest.mark.parametrize("x", [14.0, 1e16, -1e16])
+def test_a_single_point_gets_a_widened_axis(x):
+    """A zero-width axis is widened from its one value: by 1 at 14 (ticks
+    14.0 to 15.0 every 0.2), and by a share of |x| where adding 1 would
+    round away, so the point still sits at the axis' left edge."""
+    svg = svgchart.line_chart([("one", [x], [3.0])], title="t")
+    assert circles(svg) == [(72.0, 424.0)]  # plot area's lower-left corner
+    labels = tick_labels(svg)
+    if x == 14.0:
+        assert labels == ["14", "14.2", "14.4", "14.6", "14.8", "15"]
+    else:
+        assert labels and set(labels) == {f"{x:.1e}"}
+

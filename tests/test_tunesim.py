@@ -156,6 +156,8 @@ class TestResponseModel:
             tunesim.AnnealResponseModel({(1.0, 1.0): 0.2})
         with pytest.raises(InputError):
             tunesim.AnnealResponseModel({(0.8, 1.0): 0.05, (0.9, 1.0): 0.05})
+        with pytest.raises(InputError, match="no positive shift"):  # an empty ladder
+            tunesim.AnnealResponseModel({(1.0, 1.0): 0.0})
         for noise in (-0.1, math.inf, math.nan):
             with pytest.raises(ParameterError):
                 tunesim.AnnealResponseModel({(1.0, 1.0): 0.1}, noise_sigma=noise)
