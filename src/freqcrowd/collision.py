@@ -23,6 +23,8 @@ operands, linear forms of the frequencies (:func:`_operands`).  The Monte
 Carlo kernel (:func:`_violations`) reads each row as a mask, and
 :func:`expected_counts` as a normal-CDF difference under independent Gaussian
 scatter, on :func:`ndtr` (``math.erfc``), the package's one normal CDF.
+Both read a lattice's ``collision_index`` (``lattice``'s :func:`build_index`, also
+named here); :func:`count_collisions` takes a chip's counts and instances in one pass.
 Pattern set points repeat their differences (square d=7's 25-spacing stack
 has 4200 pair differences but 68 distinct values), so each distinct operand
 value is scored once; a sweep scores its whole sigma x spacing grid in one
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ParameterError
-from .lattice import Lattice, next_nearest_triples
+from .lattice import MAX_MHZ, CollisionIndex, Lattice, build_index
 
 DEFAULT_ANHARMONICITY_MHZ = -330.0
 
@@ -77,8 +79,8 @@ class CollisionRules:
     anharmonicity_mhz: float = DEFAULT_ANHARMONICITY_MHZ
 
     def __post_init__(self):
-        if not (math.isfinite(self.anharmonicity_mhz) and self.anharmonicity_mhz < 0.0):
-            raise ParameterError("anharmonicity must be finite and negative (MHz)",
+        if not -MAX_MHZ <= self.anharmonicity_mhz < 0.0:
+            raise ParameterError(f"anharmonicity must be negative and >= -{MAX_MHZ:g} (MHz)",
                                  "anharmonicity_mhz")
 
 
@@ -86,40 +88,15 @@ DEFAULT_RULES = CollisionRules()
 
 
 def check_sigma(sigma_mhz: float) -> None:
-    """Reject a frequency scatter that is negative, NaN or infinite."""
-    if not 0.0 <= sigma_mhz < math.inf:
-        raise ParameterError("sigma must be >= 0 and < inf", "sigma_mhz")
+    """Reject a frequency scatter that is negative, NaN or above ``MAX_MHZ``."""
+    if not 0.0 <= sigma_mhz <= MAX_MHZ:
+        raise ParameterError(f"sigma must be >= 0 and <= {MAX_MHZ:g}", "sigma_mhz")
 
 
 def check_count(name: str, value, least: int = 1) -> None:
     """Reject a count that is not an integer >= ``least`` (a bool, 2.5 or NaN)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}", name)
-
-
-@dataclass(frozen=True)
-class CollisionIndex:
-    """Precomputed integer index arrays for fast vectorised counting."""
-
-    n_qubits: int
-    edge_control: np.ndarray
-    edge_target: np.ndarray
-    tri_i: np.ndarray
-    tri_j: np.ndarray
-    tri_k: np.ndarray
-
-
-def build_index(lattice: Lattice) -> CollisionIndex:
-    edges = np.array(lattice.edges, dtype=np.intp).reshape(-1, 2)
-    triples = np.array(next_nearest_triples(lattice), dtype=np.intp).reshape(-1, 3)
-    return CollisionIndex(
-        n_qubits=lattice.n_qubits,
-        edge_control=edges[:, 0].copy(),
-        edge_target=edges[:, 1].copy(),
-        tri_i=triples[:, 0].copy(),
-        tri_j=triples[:, 1].copy(),
-        tri_k=triples[:, 2].copy(),
-    )
 
 
 def _operands(index: CollisionIndex, f: np.ndarray, a: float):
@@ -178,7 +155,7 @@ def count_collisions_batch(index: CollisionIndex, f01_mhz: np.ndarray,
     """Count collisions for a batch of frequency assignments.
 
     Args:
-        index: precomputed arrays from :func:`build_index`.
+        index: a lattice's ``collision_index`` (see :func:`build_index`).
         f01_mhz: array [n_batches, n_qubits] (a single 1-d assignment is
             promoted to one batch).
         rules: the anharmonicity the windows use.
@@ -240,18 +217,18 @@ def count_collisions(lattice: Lattice, f01_mhz, rules: CollisionRules = DEFAULT_
     Returns:
         CollisionReport with per-type counts and their sum.
     """
-    idx = build_index(lattice)
+    idx = lattice.collision_index
     f = np.asarray(f01_mhz, dtype=float)
     if f.shape != (idx.n_qubits,):
         raise InputError(f"expected {idx.n_qubits} frequencies, got shape {f.shape}")
-    counts = count_collisions_batch(idx, f, rules)[0]
-    per_type = {t: int(counts[t - 1]) for t in TYPE_IDS}
-    instances = None
-    if collect:
-        instances = tuple((t, *(int(nodes[m]) for nodes in members))
-                          for t, mask, members in _violations(idx, f[None, :], rules)
-                          for m in np.flatnonzero(mask[0]))
-    return CollisionReport(per_type=per_type, total=int(counts.sum()), instances=instances)
+    if not np.all(np.isfinite(f)):
+        raise InputError("frequencies must be finite")
+    per_type, instances = {}, []
+    for t, mask, members in _violations(idx, f[None, :], rules):
+        hits = np.flatnonzero(mask[0])
+        per_type[t] = hits.size
+        instances += [(t, *(int(nodes[m]) for nodes in members)) for m in hits]
+    return CollisionReport(per_type, len(instances), tuple(instances) if collect else None)
 
 
 def ndtr(x) -> np.ndarray:
@@ -293,7 +270,7 @@ def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz,
     the set points themselves, strict windows included.
 
     Args:
-        index: precomputed arrays from :func:`build_index`.
+        index: a lattice's ``collision_index`` (see :func:`build_index`).
         set_points_mhz: array [..., n_qubits]; leading axes stack set points
             (one row per pattern spacing, say).
         sigma_mhz: per-qubit scatter, MHz; a 1-d sequence adds a leading sigma

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +38,9 @@ DEFAULT_SPACING_MHZ = 70.0
 # largest code distance built: 1921 to 2881 qubits by family, past the
 # 1000-qubit scale the window model is extrapolated to
 MAX_DISTANCE = 31
+# largest set point, sigma and |anharmonicity| accepted, MHz: numpy's deviates have |z| < 14
+# (ziggurat tail r + 53 ln 2 / r = 13.7), so every collision operand stays within 1e302
+MAX_MHZ = 1e300
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,14 @@ class Lattice:
             adj[c].append(t)
             adj[t].append(c)
         return [sorted(a) for a in adj]
+
+    @cached_property
+    def collision_index(self) -> CollisionIndex:
+        """:func:`build_index` of this lattice, built on first use; not a field."""
+        return build_index(self)
+
+    def __getstate__(self):  # pickles and copies rebuild the index: a copy's would be writable
+        return {k: v for k, v in vars(self).items() if k != "collision_index"}
 
 
 def canonical_family(family: str) -> str:
@@ -271,13 +282,13 @@ def set_points_mhz(lattice: Lattice, pattern: FrequencyPattern, spacings_mhz=Non
         raise ParameterError("pattern needs finite base > 0", "base_ghz")
     if not np.all((0.0 <= spacing) & (spacing < math.inf)):
         raise ParameterError("pattern needs finite spacing >= 0", "spacing_mhz")
-    if not pattern.base_ghz * 1e3 < math.inf:
-        raise ParameterError("pattern base overflows in MHz", "base_ghz")
+    if not pattern.base_ghz * 1e3 <= MAX_MHZ:
+        raise ParameterError(f"pattern base must be at most {MAX_MHZ:g} MHz", "base_ghz")
     idx = np.array([n.pattern_index for n in lattice.nodes], dtype=float)
     with np.errstate(over="ignore"):  # reported below, naming the spacing
         points = pattern.base_ghz * 1e3 + (idx - 1.0) * spacing[..., None]
-    if not np.all(np.isfinite(points)):
-        raise ParameterError("pattern set points overflow at this spacing", "spacing_mhz")
+    if not np.all(points <= MAX_MHZ):
+        raise ParameterError(f"set points exceed {MAX_MHZ:g} MHz at this spacing", "spacing_mhz")
     return points
 
 
@@ -296,6 +307,28 @@ def next_nearest_triples(lattice: Lattice) -> tuple:
                 if (j, i) in drives or (j, k) in drives:
                     triples.append((i, j, k))
     return tuple(sorted(triples))
+
+
+@dataclass(frozen=True)
+class CollisionIndex:
+    """A lattice's edges (control, target) and spectator triples (i, j, k) as node arrays."""
+
+    n_qubits: int
+    edge_control: np.ndarray
+    edge_target: np.ndarray
+    tri_i: np.ndarray
+    tri_j: np.ndarray
+    tri_k: np.ndarray
+
+
+def build_index(lattice: Lattice) -> CollisionIndex:
+    """``lattice``'s :class:`CollisionIndex`, read-only so no caller can change a later count."""
+    edges = np.array(lattice.edges, dtype=np.intp).reshape(-1, 2)
+    triples = np.array(next_nearest_triples(lattice), dtype=np.intp).reshape(-1, 3)
+    columns = [np.array(column) for column in (*edges.T, *triples.T)]  # contiguous copies
+    for column in columns:
+        column.flags.writeable = False
+    return CollisionIndex(lattice.n_qubits, *columns)
 
 
 def connected_components(lattice: Lattice) -> int:

@@ -39,9 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # count_collisions_batch, which mc no longer calls, stays bound for perfbench's tracer
-from .collision import (DEFAULT_RULES, CollisionIndex, CollisionRules, _tally, block_rows,
-                        build_index, check_count, check_sigma, count_collisions_batch,
-                        expected_counts)
+from .collision import (DEFAULT_RULES, CollisionRules, _tally, block_rows, check_count,
+                        check_sigma, count_collisions_batch, expected_counts)
 from .errors import ParameterError
 from .lattice import FrequencyPattern, Lattice, set_points_mhz
 
@@ -173,7 +172,6 @@ class SweepPoint:
 
 def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, trials: int,
               master_seed: int = 0, *, rules: CollisionRules = DEFAULT_RULES,
-              index: CollisionIndex | None = None,
               deviates: DeviateRows | None = None) -> SweepPoint:
     """Monte Carlo statistics at one scatter level and pattern spacing.
 
@@ -198,7 +196,7 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
     trials = int(trials)  # a numpy integer would make every mean a numpy float
     if held.master_seed != master_seed:
         raise ParameterError("deviates must be drawn under master_seed")
-    idx = index if index is not None else build_index(lattice)
+    idx = lattice.collision_index
     sp = set_points_mhz(lattice, pattern)
     n = lattice.n_qubits
     if sigma_mhz == 0.0:
@@ -270,13 +268,12 @@ class AdaptiveTrials:
 
 @dataclass(frozen=True)
 class PlannedPoint:
-    """One reported point, decided before any deviate is drawn: the lattice
-    and its index, the pattern at the chosen spacing, the scatter, the
-    planned trials and ``expected``, the seven expected counts (types 1..7)
-    at that spacing and scatter, whose total E the trials were planned from."""
+    """One reported point, decided before any deviate is drawn: the lattice,
+    the pattern at the chosen spacing, the scatter, the planned trials and
+    ``expected``, the seven expected counts (types 1..7) at that spacing and
+    scatter, whose total E the trials were planned from."""
 
     lattice: Lattice
-    index: CollisionIndex
     pattern: FrequencyPattern
     sigma_mhz: float
     trials: int
@@ -284,8 +281,8 @@ class PlannedPoint:
     rules: CollisionRules
 
 
-def _plan(lattice: Lattice, index: CollisionIndex, pattern: FrequencyPattern, sigmas,
-          grid: list, policy: AdaptiveTrials, rules: CollisionRules) -> list:
+def _plan(lattice: Lattice, pattern: FrequencyPattern, sigmas, grid: list,
+          policy: AdaptiveTrials, rules: CollisionRules) -> list:
     """One :class:`PlannedPoint` per sigma, from one :func:`expected_counts`
     call over the sigma x ``grid`` stack: each takes the grid spacing with
     the fewest expected collisions, ties to the smaller spacing (at zero
@@ -293,11 +290,12 @@ def _plan(lattice: Lattice, index: CollisionIndex, pattern: FrequencyPattern, si
     collision-free one), and the policy's trials for E, the expected total
     there."""
     sigmas = [float(s) for s in sigmas]
-    counts = expected_counts(index, set_points_mhz(lattice, pattern, grid), sigmas, rules)
+    counts = expected_counts(lattice.collision_index, set_points_mhz(lattice, pattern, grid),
+                             sigmas, rules)
     plans = []
     for sigma, by_spacing, totals in zip(sigmas, counts, counts.sum(axis=-1).tolist()):
         total, spacing, k = min(zip(totals, grid, range(len(grid))))
-        plans.append(PlannedPoint(lattice, index, pattern.with_spacing(spacing), sigma,
+        plans.append(PlannedPoint(lattice, pattern.with_spacing(spacing), sigma,
                                   policy.trials(lattice.distance, total),
                                   tuple(by_spacing[k].tolist()), rules))
     return plans
@@ -314,10 +312,9 @@ def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: flo
     traces it by name (until ROADMAP item 10 removes that coupling).
     """
     # the plan's spacing alone: the trials are given, and run_point checks them
-    (plan,) = _plan(lattice, build_index(lattice), pattern, [sigma_mhz],
-                    _checked_grid(spacing_grid), AdaptiveTrials(), rules)
-    return run_point(lattice, plan.pattern, sigma_mhz, trials, master_seed, rules=rules,
-                     index=plan.index)
+    (plan,) = _plan(lattice, pattern, [sigma_mhz], _checked_grid(spacing_grid),
+                    AdaptiveTrials(), rules)
+    return run_point(lattice, plan.pattern, sigma_mhz, trials, master_seed, rules=rules)
 
 
 def plan_sweep(lattice: Lattice, pattern: FrequencyPattern, sigma_grid=DEFAULT_SIGMA_GRID_MHZ,
@@ -329,7 +326,7 @@ def plan_sweep(lattice: Lattice, pattern: FrequencyPattern, sigma_grid=DEFAULT_S
     one-element ``spacing_grid`` keeps that spacing at every point."""
     policy = trials_policy if trials_policy is not None else AdaptiveTrials()
     grid = _checked_grid(spacing_grid)
-    return _plan(lattice, build_index(lattice), pattern, sigma_grid, grid, policy, rules)
+    return _plan(lattice, pattern, sigma_grid, grid, policy, rules)
 
 
 def plan_table(lattices, pattern: FrequencyPattern, policy: AdaptiveTrials, *,
@@ -346,10 +343,9 @@ def plan_table(lattices, pattern: FrequencyPattern, policy: AdaptiveTrials, *,
     grid = _checked_grid(spacing_grid)
     pairs = []
     for lat in lattices:
-        idx = build_index(lat)
-        (tuned,) = _plan(lat, idx, pattern, [TUNED_SIGMA_MHZ], grid, policy, rules)
-        (fab,) = _plan(lat, idx, pattern, [AS_FABRICATED_SIGMA_MHZ],
-                       [tuned.pattern.spacing_mhz], policy, rules)
+        (tuned,) = _plan(lat, pattern, [TUNED_SIGMA_MHZ], grid, policy, rules)
+        (fab,) = _plan(lat, pattern, [AS_FABRICATED_SIGMA_MHZ], [tuned.pattern.spacing_mhz],
+                       policy, rules)
         pairs.append((tuned, fab))
     return pairs
 
@@ -370,7 +366,7 @@ def measure(plans, master_seed: int = 0) -> list:
     z = DeviateRows(master_seed, shared_rows([(p.trials, p.lattice.n_qubits)
                                               for p in plans if p.sigma_mhz > 0.0]))
     return [run_point(p.lattice, p.pattern, p.sigma_mhz, p.trials, master_seed, rules=p.rules,
-                      index=p.index, deviates=z)
+                      deviates=z)
             for p in plans]
 
 

@@ -26,7 +26,7 @@ def _nice_ticks(lo: float, hi: float, n: int = 6):
     t = t0
     while t <= hi + 1e-9 * step:
         ticks.append(round(t, 10))
-        t += step
+        t = t + step if t + step != t else math.inf  # a step that rounds away ends the ticks
     return ticks
 
 

@@ -163,12 +163,12 @@ class TestSweepCommand:
 
 
 SQUARE3 = ["--family", "square", "-d", "3"]
-SIGMA = "sigma must be >= 0 and < inf"
+SIGMA = "sigma must be >= 0 and <= 1e+300"
 SPACING = "pattern needs finite spacing >= 0"
 BASE = "pattern needs finite base > 0"
-OVERFLOW_BASE = "pattern base overflows in MHz"
-OVERFLOW_SPACING = "pattern set points overflow at this spacing"
-ANHARMONICITY = "anharmonicity must be finite and negative (MHz)"
+OVERFLOW_BASE = "pattern base must be at most 1e+300 MHz"
+OVERFLOW_SPACING = "set points exceed 1e+300 MHz at this spacing"
+ANHARMONICITY = "anharmonicity must be negative and >= -1e+300 (MHz)"
 SEED = "master seed must be in [0, 2**128)"
 SPREAD = "need 0 <= lo <= hi, both finite"
 OUT_OF_RANGE = {  # id: (argv, the error line after "error: ")
@@ -210,6 +210,16 @@ OUT_OF_RANGE = {  # id: (argv, the error line after "error: ")
            ("sweep", "base-ghz", "1e306", "1e+306", OVERFLOW_BASE),
            ("check", "spacing-mhz", "1e308", "1e+308", OVERFLOW_SPACING),
            ("check", "base-ghz", "1e306", "1e+306", OVERFLOW_BASE))},
+    # finite inputs whose trial frequencies or collision operands would overflow
+    **{f"sweep-kernel-overflowing-{flag}": (
+        ["sweep", "--family", "heavy_hexagon", "-d", "3", f"--{flag}={value}", *extra],
+        f"--{flag}={shown}: {message}")
+       for flag, value, shown, message, extra in (
+           ("sigmas", "1e308", "1e308", SIGMA, ()),
+           ("spacings", "5e307", "5e307", OVERFLOW_SPACING, ("--sigmas", "10", "--trials", "10")),
+           ("base-ghz", "1.7e305", "1.7e+305", OVERFLOW_BASE, ()),
+           ("anharmonicity-mhz", "-1.7976931348623157e308", "-1.797693135e+308",
+            ANHARMONICITY, ("--sigmas", "1e300", "--trials", "10")))},
     "nan-base-ghz": (["sweep", *SQUARE3, "--sigmas", "10", "--trials", "20", "--base-ghz", "nan"],
                      f"--base-ghz=nan: {BASE}"),
     "table2-base-ghz": (["sweep", "--reproduce-table2", "--base-ghz", "-5"],

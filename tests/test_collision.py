@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ def test_frequency_vector_length_checked(hh3):
 
 
 def test_rules_validation():
-    for bad in (100.0, 0.0, float("nan"), float("-inf")):
+    for bad in (100.0, 0.0, float("nan"), float("-inf"), -1.7976931348623157e308):
         with pytest.raises(ParameterError):
             collision.CollisionRules(anharmonicity_mhz=bad)
     assert collision.DEFAULT_RULES.anharmonicity_mhz == collision.DEFAULT_ANHARMONICITY_MHZ
@@ -291,7 +292,7 @@ def test_expected_counts_keep_small_probabilities():
 def test_expected_counts_validation(hh3):
     idx = collision.build_index(hh3)
     sp = lattice.set_points_mhz(hh3, lattice.FrequencyPattern())
-    for bad in (-1.0, float("nan"), float("inf")):
+    for bad in (-1.0, float("nan"), float("inf"), 1e308):  # 1e308: sd would overflow
         with pytest.raises(ParameterError, match="sigma must be >= 0"):
             collision.expected_counts(idx, sp, bad)
     with pytest.raises(InputError):
@@ -630,7 +631,8 @@ def test_tally_is_the_batch_counters_summary(nine_lattices, sigma):
     """The block counter's totals, summed block by block, are the batch
     counter's column sums and its survivors the all-zero rows, on every
     lattice, for a batch of one row, one block less a row, one block, and
-    one block and a row."""
+    one block and a row.  One chip's check gives a row's batch counts, as
+    the reference counter does, their total, and one instance per count."""
     for lat in nine_lattices.values():
         idx = collision.build_index(lat)
         block = collision.block_rows(idx)
@@ -638,6 +640,14 @@ def test_tally_is_the_batch_counters_summary(nine_lattices, sigma):
         z = mc.gaussian_deviates(41, block + 1, lat.n_qubits)
         for n in (1, block - 1, block, block + 1):
             assert_tally_is_the_batch_summary(idx, sp + sigma * z[:n])
+        chips = sp + sigma * z[:2]
+        for f, row in zip(chips, collision.count_collisions_batch(idx, chips)):
+            report = collision.count_collisions(lat, f, collect=True)
+            assert report.per_type == naive_counts(lat.n_qubits, lat.edges, f)
+            assert list(report.per_type.values()) == row.tolist()
+            assert report.total == row.sum()
+            tally = Counter(t for t, *_ in report.instances)
+            assert [tally[t] for t in collision.TYPE_IDS] == row.tolist()
 
 
 @pytest.mark.parametrize("a", [-330.0, -330.1, -0.3, -5e-324])

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -117,6 +120,26 @@ def test_triples_match_reference_enumeration(nine_lattices):
             lat.n_qubits, lat.edges)
 
 
+def test_collision_index_is_built_once_and_read_only(hh3):
+    """A lattice builds its collision index on first use and keeps it: its
+    edges and spectator triples as arrays that no caller can write to.
+    Equality, hashing, pickling and copies ignore it, and a copy's index is
+    read-only too."""
+    index = hh3.collision_index
+    assert hh3.collision_index is index
+    assert list(zip(index.edge_control.tolist(), index.edge_target.tolist())) == list(hh3.edges)
+    assert list(zip(*(a.tolist() for a in (index.tri_i, index.tri_j, index.tri_k)))) == \
+        list(lattice.next_nearest_triples(hh3))
+    fresh = lattice.build_lattice("heavy_hexagon", 3)
+    assert hh3 == fresh and hash(hh3) == hash(fresh)
+    assert pickle.dumps(hh3) == pickle.dumps(fresh)
+    copied = pickle.loads(pickle.dumps(hh3))
+    for idx in (index, copied.collision_index):
+        for field in dataclasses.fields(idx)[1:]:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(idx, field.name)[0] = 0
+
+
 def test_distance_validation():
     with pytest.raises(ParameterError):
         lattice.build_lattice("square", 4)
@@ -175,6 +198,12 @@ def test_set_points_validation(hh3):
         with pytest.raises(ParameterError, match="finite spacing >= 0") as excinfo:
             lattice.set_points_mhz(hh3, lattice.FrequencyPattern(), (30.0, bad, 40.0))
         assert excinfo.value.param == "spacing_mhz"
+    # finite, but past lattice.MAX_MHZ, where a trial's operands could overflow
+    for pattern, param in ((lattice.FrequencyPattern(base_ghz=1.7e305), "base_ghz"),
+                           (lattice.FrequencyPattern(spacing_mhz=5e307), "spacing_mhz")):
+        with pytest.raises(ParameterError, match=r"1e\+300 MHz") as excinfo:
+            lattice.set_points_mhz(hh3, pattern)
+        assert excinfo.value.param == param
 
 
 def test_dot_output_mentions_every_node(hh3):

@@ -146,10 +146,10 @@ def test_run_point_checks_its_inputs_once_not_per_block(nine_lattices, monkeypat
     spy(collision, "check_count")
     spy(mc, "check_count")
     spy(mc, "check_seed")
-    pt = mc.run_point(lat, pattern, 14.0, n, 8, index=idx, deviates=z)
+    pt = mc.run_point(lat, pattern, 14.0, n, 8, deviates=z)
     assert checks == expected
     monkeypatch.undo()
-    assert pt == mc.run_point(lat, pattern, 14.0, n, 8, index=idx)
+    assert pt == mc.run_point(lat, pattern, 14.0, n, 8)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128])
@@ -248,14 +248,14 @@ def test_run_point_reads_past_the_end_of_its_deviates(nine_lattices, monkeypatch
     idx = collision.build_index(lat)
     block = collision.block_rows(idx)
     n, pattern = 2 * block + 5, lattice.FrequencyPattern()
-    alone = mc.run_point(lat, pattern, sigma, n, 3, index=idx)
-    assert alone == mc.run_point(lat, pattern, sigma, n, 3, index=idx,
+    alone = mc.run_point(lat, pattern, sigma, n, 3)
+    assert alone == mc.run_point(lat, pattern, sigma, n, 3,
                                  deviates=mc.DeviateRows(3, [(n, lat.n_qubits + 2)]))
     assert 0.0 < alone.yield_fraction < 1.0
     for held in (1, block // 2 + 1, block, block + 3, n - 1):
         z = mc.DeviateRows(3, [(held, lat.n_qubits + 2)])
         draws = _spy_deviate_draws(monkeypatch)
-        assert mc.run_point(lat, pattern, sigma, n, 3, index=idx, deviates=z) == alone
+        assert mc.run_point(lat, pattern, sigma, n, 3, deviates=z) == alone
         assert sorted(t for first, rows in draws for t in range(first, first + rows)) == \
             list(range(held, n)), held
         monkeypatch.undo()
@@ -265,9 +265,21 @@ def test_run_point_reads_past_the_end_of_its_deviates(nine_lattices, monkeypatch
     assert draws == []
 
 
+def test_inputs_at_their_bounds_count_without_overflow(hh3):
+    """Set points, scatter and |anharmonicity| up to lattice.MAX_MHZ keep
+    every trial frequency and collision operand finite: no overflow warning,
+    which this suite turns into an error, in the kernel or the expectation."""
+    pattern = lattice.FrequencyPattern(base_ghz=1e296, spacing_mhz=4e299)
+    assert lattice.set_points_mhz(hh3, pattern).max() <= lattice.MAX_MHZ
+    rules = collision.CollisionRules(-lattice.MAX_MHZ)
+    assert mc.run_point(hh3, pattern, lattice.MAX_MHZ, 300, 1, rules=rules).trials == 300
+    plan = mc.plan_sweep(hh3, pattern, [lattice.MAX_MHZ], spacing_grid=[4e299], rules=rules)
+    assert math.isfinite(sum(plan[0].expected))
+
+
 def test_run_point_validation(hh3):
     pattern = lattice.FrequencyPattern()
-    for bad in (-1.0, float("nan"), float("inf")):
+    for bad in (-1.0, float("nan"), float("inf"), 1e308):  # 1e308: sigma * z would overflow
         with pytest.raises(ParameterError, match="sigma must be >= 0"):
             mc.run_point(hh3, pattern, bad, 10)
     with pytest.raises(ParameterError):
@@ -712,11 +724,11 @@ def test_run_point_counts_rows_split_across_blocks_once(nine_lattices, monkeypat
     assert 0 < survivors < n
 
     rows = _tally_kernel_rows(monkeypatch)
-    plain = mc.run_point(lat, pattern, sigma, n, 8, index=idx)
+    plain = mc.run_point(lat, pattern, sigma, n, 8)
     assert max(rows) <= block and sum(rows) == n
     z = mc.DeviateRows(8, [(n + block // 2, lat.n_qubits + 3)])
     del rows[:]
-    shared = mc.run_point(lat, pattern, sigma, n, 8, index=idx, deviates=z)
+    shared = mc.run_point(lat, pattern, sigma, n, 8, deviates=z)
     assert max(rows) <= block and sum(rows) == n
     for pt in (plain, shared):
         assert [m * n for m in pt.per_type_means] == counts.sum(axis=0).tolist()
@@ -736,7 +748,7 @@ def test_a_point_holds_its_deviate_rows_and_one_block(family, distance):
     def peak(trials):
         tracemalloc.start()
         try:
-            mc.run_point(lat, pattern, 14.0, trials, 1, index=idx)
+            mc.run_point(lat, pattern, 14.0, trials, 1)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -750,11 +762,10 @@ def test_a_lone_point_holds_one_block_of_deviate_rows():
     block at a time, so its traced peak stays well below its [4000, 311]
     deviate matrix of 9.95 MB."""
     lat = lattice.build_lattice("heavy_hexagon", 11)
-    idx = collision.build_index(lat)
-    mc.run_point(lat, lattice.FrequencyPattern(), 14.0, 10, 1, index=idx)  # first-call allocations
+    mc.run_point(lat, lattice.FrequencyPattern(), 14.0, 10, 1)  # first-call allocations
     tracemalloc.start()
     try:
-        mc.run_point(lat, lattice.FrequencyPattern(), 14.0, 4000, 1, index=idx)
+        mc.run_point(lat, lattice.FrequencyPattern(), 14.0, 4000, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

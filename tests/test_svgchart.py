@@ -29,3 +29,10 @@ def test_a_single_point_gets_a_widened_axis(x):
     else:
         assert labels and set(labels) == {f"{x:.1e}"}
 
+
+def test_ticks_end_where_the_step_rounds_away():
+    """Two distinct values a few ulps apart at 1e16: the tick step rounds
+    away when added, so the axis gets its one tick and the call returns."""
+    svg = svgchart.line_chart([("a", [1e16, 1e16 + 2], [0, 1])])
+    assert circles(svg) == [(72.0, 424.0), (696.0, 36.0)]  # the plot area's two corners
+    assert tick_labels(svg) == ["1.0e+16"]
