@@ -30,8 +30,7 @@ __version__ = "0.2.0"
 # is declared here once and looked up in its submodule on every access, so a
 # name rebound there is rebound here too
 _EXPORTS = {
-    "collision": ("DEFAULT_RULES", "CollisionReport", "CollisionRules", "count_collisions",
-                  "expected_counts"),
+    "collision": ("CollisionReport", "count_collisions", "expected_counts"),
     "errors": ("FreqcrowdError", "InputError", "ParameterError", "SingularFitError",
                "UnfittableError"),
     "lattice": ("DEFAULT_BASE_GHZ", "DEFAULT_SPACING_MHZ", "FAMILIES", "FrequencyPattern",

@@ -6,7 +6,8 @@ leaves no directory.  The manifest records the package version, the fully
 resolved configuration, and SHA-256 hashes of any input files.  ``freqcrowd rerun
 <manifest>`` replays the command from that snapshot; on the same platform
 the CSV/JSON outputs come back byte-identical (nothing here consults the
-clock or any other ambient entropy — the default seed is 0).
+clock or any other ambient entropy).  Only the commands that draw random
+numbers, ``check``, ``sweep`` and ``tune``, take ``--seed`` (default 0).
 
 Configuration precedence: command-line flags beat ``FREQCROWD_<KEY>``
 environment variables, which beat ``--config`` INI entries (section
@@ -85,7 +86,7 @@ OPTIONS = (
     Option("sigma_mhz", ("--sigma-mhz",), float, 0.0, ("check",),
            "add one draw of Gaussian scatter before checking"),
     Option("anharmonicity_mhz", ("--anharmonicity-mhz",), float,
-           collision.DEFAULT_ANHARMONICITY_MHZ, ("check", "sweep")),
+           lattice.DEFAULT_ANHARMONICITY_MHZ, ("check", "sweep")),
     Option("sigmas", ("--sigmas",), str, "", ("sweep", "extrapolate"),
            "comma-separated scatter levels in MHz", ("sigma_mhz", "sigma_f_mhz")),
     Option("spacings", ("--spacings",), str, "", ("sweep",),
@@ -122,7 +123,7 @@ OPTIONS = (
     Option("out", ("--out",), str, "out", None, "output root directory (default: out)"),
     Option("name", ("--name",), str, "default", None,
            "run name under out/<command>/ (default: default)"),
-    Option("seed", ("--seed",), int, 0, _RUN_COMMANDS,
+    Option("seed", ("--seed",), int, 0, ("check", "sweep", "tune"),
            "master seed (default: 0, never wall-clock)", ("master_seed",)),
     Option("config", ("--config",), str, None, None, "INI file with a [freqcrowd] section"),
 )
@@ -258,11 +259,8 @@ def _cell(v) -> str:
 def _build(cfg: dict) -> lattice.Lattice:
     if not cfg["family"] or not cfg["distance"]:
         raise UsageError("--family and --distance are required")
-    return lattice.build_lattice(cfg["family"], cfg["distance"])
-
-
-def _rules(cfg: dict) -> collision.CollisionRules:
-    return collision.CollisionRules(anharmonicity_mhz=cfg["anharmonicity_mhz"])
+    return lattice.build_lattice(cfg["family"], cfg["distance"],
+                                 cfg.get("anharmonicity_mhz", lattice.DEFAULT_ANHARMONICITY_MHZ))
 
 
 def _pattern(cfg: dict) -> lattice.FrequencyPattern:
@@ -306,7 +304,7 @@ def cmd_check(cfg: dict) -> int:
     collision.check_sigma(cfg["sigma_mhz"])  # sigma <= 0 or NaN draws no deviate to check it
     if cfg["sigma_mhz"] > 0.0:
         freqs = freqs + cfg["sigma_mhz"] * mc.gaussian_deviates(cfg["seed"], 1, lat.n_qubits)[0]
-    report = collision.count_collisions(lat, freqs, _rules(cfg), collect=True)
+    report = collision.count_collisions(lat, freqs, collect=True)
     _write_run(cfg, {"results.json": {
         "family": lat.family, "distance": lat.distance, "n_qubits": lat.n_qubits,
         "sigma_f_mhz": cfg["sigma_mhz"], "spacing_mhz": cfg["spacing_mhz"],
@@ -343,7 +341,7 @@ def cmd_sweep(cfg: dict) -> int:
     pattern = _pattern(cfg)
     sigma_grid = _float_list(cfg, "sigmas") or mc.DEFAULT_SIGMA_GRID_MHZ
     points = mc.sweep_sigma(lat, pattern, sigma_grid, _policy(cfg), cfg["seed"],
-                            spacing_grid=spacing_grid, rules=_rules(cfg))
+                            spacing_grid=spacing_grid)
     from . import svgchart
     rows = [_sweep_row(pt) for pt in points]
     sig = [pt.sigma_mhz for pt in points]
@@ -372,11 +370,10 @@ def _sweep_table2(cfg: dict, spacing_grid) -> int:
     the boost count at every seed."""
     rows = []
     sigma_hi, sigma_lo = mc.AS_FABRICATED_SIGMA_MHZ, mc.TUNED_SIGMA_MHZ
-    policy, pattern, rules = _policy(cfg), _pattern(cfg), _rules(cfg)
-    lattices = [lattice.build_lattice(family, distance)
+    policy, pattern = _policy(cfg), _pattern(cfg)
+    lattices = [lattice.build_lattice(family, distance, cfg["anharmonicity_mhz"])
                 for family in lattice.FAMILIES for distance in (3, 5, 7)]
-    points = mc.table_rows(lattices, pattern, policy, cfg["seed"], spacing_grid=spacing_grid,
-                           rules=rules)
+    points = mc.table_rows(lattices, pattern, policy, cfg["seed"], spacing_grid=spacing_grid)
     for lat, (tuned, asfab) in zip(lattices, points):
         rows.append({"family": lat.family, "distance": lat.distance, "n_qubits": lat.n_qubits,
                      f"mean_collisions_sigma{sigma_hi:g}": asfab.mean_collisions,
@@ -643,8 +640,16 @@ def cmd_rerun(cfg: dict) -> int:
     sub["out"] = cfg["out"]
     if cfg["name"] != _OPTION["name"].default:
         sub["name"] = cfg["name"]
-    mc.check_seed(sub["seed"])
-    return _COMMANDS[command](sub)
+    return _run(sub)
+
+
+def _run(cfg: dict) -> int:
+    """Run ``cfg``'s command, its seed checked first if it takes one (the
+    commands that draw): the one path from a command line or a replayed
+    manifest to a command."""
+    if cfg["command"] in _OPTION["seed"].commands:
+        mc.check_seed(cfg["seed"])
+    return _COMMANDS[cfg["command"]](cfg)
 
 
 _COMMANDS = {
@@ -697,9 +702,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if "seed" in cfg:
-            mc.check_seed(cfg["seed"])
-        return _COMMANDS[args.command](cfg)
+        return _run(cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

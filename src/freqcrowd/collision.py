@@ -24,7 +24,9 @@ Carlo kernel (:func:`_violations`) reads each row as a mask, and
 :func:`expected_counts` as a normal-CDF difference under independent Gaussian
 scatter, on :func:`ndtr` (``math.erfc``), the package's one normal CDF.
 Both read a lattice's ``collision_index`` (``lattice``'s :func:`build_index`, also
-named here); :func:`count_collisions` takes a chip's counts and instances in one pass.
+named here), which carries the lattice's anharmonicity a, the one device
+constant the windows depend on; :func:`count_collisions` takes a chip's counts
+and instances in one pass.
 Pattern set points repeat their differences (square d=7's 25-spacing stack
 has 4200 pair differences but 68 distinct values), so each distinct operand
 value is scored once; a sweep scores its whole sigma x spacing grid in one
@@ -43,9 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ParameterError
-from .lattice import MAX_MHZ, CollisionIndex, Lattice, build_index
-
-DEFAULT_ANHARMONICITY_MHZ = -330.0
+# DEFAULT_ANHARMONICITY_MHZ, a lattice's default, is named here too, beside the windows it places
+from .lattice import DEFAULT_ANHARMONICITY_MHZ, MAX_MHZ, CollisionIndex, Lattice, build_index
 
 # Each collision window once: (type, operand, shape, centre c in units of a,
 # half-width w in MHz), with shapes "plain" |x - c*a| < w, "folded"
@@ -72,25 +73,17 @@ TYPE_IDS = tuple(row[0] for row in WINDOWS)
 _BLOCK_ELEMENTS = 1 << 16
 
 
-@dataclass(frozen=True)
-class CollisionRules:
-    """The device parameter the collision windows depend on."""
-
-    anharmonicity_mhz: float = DEFAULT_ANHARMONICITY_MHZ
-
-    def __post_init__(self):
-        if not -MAX_MHZ <= self.anharmonicity_mhz < 0.0:
-            raise ParameterError(f"anharmonicity must be negative and >= -{MAX_MHZ:g} (MHz)",
-                                 "anharmonicity_mhz")
-
-
-DEFAULT_RULES = CollisionRules()
-
-
 def check_sigma(sigma_mhz: float) -> None:
     """Reject a frequency scatter that is negative, NaN or above ``MAX_MHZ``."""
     if not 0.0 <= sigma_mhz <= MAX_MHZ:
         raise ParameterError(f"sigma must be >= 0 and <= {MAX_MHZ:g}", "sigma_mhz")
+
+
+def _check_bound(f: np.ndarray, name: str) -> None:
+    """Reject frequencies past ``MAX_MHZ`` in size (NaN and infinities too), so
+    that no collision operand overflows."""
+    if not np.all(np.abs(f) <= MAX_MHZ):
+        raise InputError(f"{name} must be finite, with |f| <= {MAX_MHZ:g} MHz")
 
 
 def check_count(name: str, value, least: int = 1) -> None:
@@ -99,7 +92,7 @@ def check_count(name: str, value, least: int = 1) -> None:
         raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}", name)
 
 
-def _operands(index: CollisionIndex, f: np.ndarray, a: float):
+def _operands(index: CollisionIndex, f: np.ndarray):
     """Yield ``(operand, x, members, coefficients)`` for the three operands,
     on the last axis of ``f`` (a kernel block or a set-point stack).  ``x`` is
     fresh, so its reader may reuse it in place; ``coefficients`` weight the
@@ -111,21 +104,21 @@ def _operands(index: CollisionIndex, f: np.ndarray, a: float):
     fk = f[..., index.tri_k]
     yield "pair", fi - fk, triples, (1, 0, -1)
     # f02_j = 2 f_j + a once per qubit, then gathered to the triples
-    x = (2.0 * f + a)[..., index.tri_j]
+    x = (2.0 * f + index.anharmonicity_mhz)[..., index.tri_j]
     x -= fi
     x -= fk
     yield "sum", x, triples, (-1, 2, -1)
 
 
-def _violations(index: CollisionIndex, f: np.ndarray, rules: CollisionRules):
+def _violations(index: CollisionIndex, f: np.ndarray):
     """Yield ``(type, mask, members)`` for each row of :data:`WINDOWS`: ``mask``
     is bool [n_batches, n_members] over the edges (control, target) or triples
     (i, j, k) whose node arrays ``members`` holds.  An operand is reused in
     place once the masks that read it are taken: |x| first (into its own array
     only when x is read again), "above" masks next, then the rows in order; its
     arrays go before the next operand's gathers, so blocks reuse their pages."""
-    a = rules.anharmonicity_mhz
-    for operand, x, members, _ in _operands(index, f, a):
+    a = index.anharmonicity_mhz
+    for operand, x, members, _ in _operands(index, f):
         rows = [row for row in WINDOWS if row[1] == operand]
         keep = any(shape == "above" or shape == "plain" and c for _, _, shape, c, _ in rows)
         ax = np.abs(x) if keep else np.abs(x, out=x)
@@ -150,15 +143,13 @@ def block_rows(index: CollisionIndex) -> int:
     return max(1, _BLOCK_ELEMENTS // max(1, index.edge_control.size + index.tri_i.size))
 
 
-def count_collisions_batch(index: CollisionIndex, f01_mhz: np.ndarray,
-                           rules: CollisionRules = DEFAULT_RULES) -> np.ndarray:
+def count_collisions_batch(index: CollisionIndex, f01_mhz: np.ndarray) -> np.ndarray:
     """Count collisions for a batch of frequency assignments.
 
     Args:
         index: a lattice's ``collision_index`` (see :func:`build_index`).
         f01_mhz: array [n_batches, n_qubits] (a single 1-d assignment is
-            promoted to one batch).
-        rules: the anharmonicity the windows use.
+            promoted to one batch), each at most ``MAX_MHZ`` in size.
 
     Returns:
         int64 array [n_batches, 7]; column m holds the count of type m+1.
@@ -168,27 +159,26 @@ def count_collisions_batch(index: CollisionIndex, f01_mhz: np.ndarray,
         f = f[None, :]
     if f.ndim != 2 or f.shape[1] != index.n_qubits:
         raise InputError(f"frequencies must have {index.n_qubits} columns")
-    if not np.all(np.isfinite(f)):
-        raise InputError("frequencies must be finite")
+    _check_bound(f, "frequencies")
     rows = block_rows(index)
     out = np.zeros((f.shape[0], 7), dtype=np.int64)
     for lo in range(0, f.shape[0], rows):
-        for t, mask, _ in _violations(index, f[lo:lo + rows], rules):
+        for t, mask, _ in _violations(index, f[lo:lo + rows]):
             out[lo:lo + rows, t - 1] = mask.sum(axis=1, dtype=np.int32)
     return out
 
 
-def _tally(index: CollisionIndex, f: np.ndarray, rules: CollisionRules) -> tuple:
+def _tally(index: CollisionIndex, f: np.ndarray) -> tuple:
     """Per-type totals (int64 [7]) and collision-free rows (int) of one
     block: :func:`count_collisions_batch`'s column sums and all-zero rows,
     without its checks or per-row counts, for a caller that built ``f`` as a
-    finite float array of at most :func:`block_rows` rows.  Each window's
+    float array of at most :func:`block_rows` rows within ``MAX_MHZ``.  Each window's
     mask is counted whole; the rows it hits are noted until every row has
     collided."""
     totals = np.zeros(7, dtype=np.int64)
     hit = np.zeros(f.shape[0], dtype=bool)
     clean = f.shape[0]
-    for t, mask, _ in _violations(index, f, rules):
+    for t, mask, _ in _violations(index, f):
         totals[t - 1] = n = np.count_nonzero(mask)
         if n and clean:
             hit |= mask.any(axis=1)
@@ -203,14 +193,13 @@ class CollisionReport:
     instances: tuple | None = None  # (type, nodes...) when collected
 
 
-def count_collisions(lattice: Lattice, f01_mhz, rules: CollisionRules = DEFAULT_RULES,
-                     *, collect: bool = False) -> CollisionReport:
+def count_collisions(lattice: Lattice, f01_mhz, *, collect: bool = False) -> CollisionReport:
     """Count all seven collision types for one frequency assignment.
 
     Args:
-        lattice: the device graph.
-        f01_mhz: per-qubit 01 frequencies, MHz, indexed by node id.
-        rules: the anharmonicity the windows use.
+        lattice: the device graph and its anharmonicity.
+        f01_mhz: per-qubit 01 frequencies, MHz, indexed by node id, each at
+            most ``MAX_MHZ`` in size.
         collect: also list each offending edge/triple as (type, nodes...),
             type by type.
 
@@ -221,10 +210,9 @@ def count_collisions(lattice: Lattice, f01_mhz, rules: CollisionRules = DEFAULT_
     f = np.asarray(f01_mhz, dtype=float)
     if f.shape != (idx.n_qubits,):
         raise InputError(f"expected {idx.n_qubits} frequencies, got shape {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise InputError("frequencies must be finite")
+    _check_bound(f, "frequencies")
     per_type, instances = {}, []
-    for t, mask, members in _violations(idx, f[None, :], rules):
+    for t, mask, members in _violations(idx, f[None, :]):
         hits = np.flatnonzero(mask[0])
         per_type[t] = hits.size
         instances += [(t, *(int(nodes[m]) for nodes in members)) for m in hits]
@@ -260,8 +248,7 @@ def _p_either(mean, sd, center, width):
     return p - _p_between(mean, sd, -overlap, overlap) if overlap > 0.0 else p
 
 
-def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz,
-                    rules: CollisionRules = DEFAULT_RULES) -> np.ndarray:
+def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz) -> np.ndarray:
     """Expected count of each type when every qubit gets N(0, sigma**2) scatter.
 
     Exact by linearity of expectation: each row of :data:`WINDOWS` tests its
@@ -272,10 +259,9 @@ def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz,
     Args:
         index: a lattice's ``collision_index`` (see :func:`build_index`).
         set_points_mhz: array [..., n_qubits]; leading axes stack set points
-            (one row per pattern spacing, say).
+            (one row per pattern spacing, say), each at most ``MAX_MHZ`` in size.
         sigma_mhz: per-qubit scatter, MHz; a 1-d sequence adds a leading sigma
             axis whose slices equal each sigma's own call, bit for bit.
-        rules: the anharmonicity the windows use.
 
     Returns:
         float array [..., 7]; column m holds the expected count of type m+1.
@@ -283,8 +269,7 @@ def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz,
     sp = np.asarray(set_points_mhz, dtype=float)
     if sp.ndim == 0 or sp.shape[-1] != index.n_qubits:
         raise InputError(f"set points must have {index.n_qubits} columns")
-    if not np.isfinite(sp).all():
-        raise InputError("set points must be finite")
+    _check_bound(sp, "set points")
     if np.ndim(sigma_mhz) > 1:
         raise InputError("sigma must be a number or a 1-d sequence")
     sigmas = np.asarray(sigma_mhz, dtype=float).reshape(-1)
@@ -293,24 +278,27 @@ def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz,
     lead = sp.shape[:-1]
     out = np.empty((sigmas.size, *lead, 7))
     if (exact := sigmas == 0.0).any():
-        counts = count_collisions_batch(index, sp.reshape(-1, index.n_qubits), rules)
+        counts = count_collisions_batch(index, sp.reshape(-1, index.n_qubits))
         out[exact] = counts.reshape(*lead, 7)
 
-    a = rules.anharmonicity_mhz
+    a = index.anharmonicity_mhz
     per_member = []  # probabilities [sigma, distinct operand value], and each member's column
-    for operand, x, _, coefficients in _operands(index, sp, a):
+    for operand, x, _, coefficients in _operands(index, sp):
         # the sorted distinct values, and each member's index among them (flat on numpy 1.x)
         values, of = np.unique(x, return_inverse=True)
         of = of.reshape(x.shape)
         sd = sigmas[~exact, None] * math.sqrt(sum(k * k for k in coefficients))
-        for _, _, shape, c, w in (row for row in WINDOWS if row[1] == operand):
-            if shape == "plain":
-                p = _p_between(values, sd, c * a - w, c * a + w)
-            elif shape == "folded":
-                p = _p_either(values, sd, c * a, w)
-            else:
-                p = ndtr((values - c * a) / sd)
-            per_member.append((p, of))
+        # below sigma ~ 1e-305 a standardised distance overflows to +-inf, whose
+        # ndtr, 0 or 1, is the exact limit: the zero-scatter count off the window edges
+        with np.errstate(over="ignore"):
+            for _, _, shape, c, w in (row for row in WINDOWS if row[1] == operand):
+                if shape == "plain":
+                    p = _p_between(values, sd, c * a - w, c * a + w)
+                elif shape == "folded":
+                    p = _p_either(values, sd, c * a, w)
+                else:
+                    p = ndtr((values - c * a) / sd)
+                per_member.append((p, of))
     # one sigma's [spacing, member] gather and sum at a time: the layout a lone sigma sums
     for k, i in enumerate(np.flatnonzero(~exact)):
         out[i] = np.stack([p[k][of].sum(axis=-1) for p, of in per_member], axis=-1)

@@ -14,7 +14,8 @@ distance 3 <= d <= MAX_DISTANCE:
 
 Edges are directed control -> target for the cross-resonance gate.  In the
 heavy families every control sits on a degree-<=2 vertex; in the square
-family the check qubits drive their data neighbours.
+family the check qubits drive their data neighbours.  A lattice also carries
+its transmons' anharmonicity, which its collision index takes to the kernel.
 
 Frequency patterns assign each qubit one of a small set of evenly spaced
 set points: five for the square family, three for the heavy families.  The
@@ -35,6 +36,8 @@ FAMILIES = ("square", "heavy_square", "heavy_hexagon")
 
 DEFAULT_BASE_GHZ = 5.0
 DEFAULT_SPACING_MHZ = 70.0
+# the transmon anharmonicity f12 - f01, which places every collision window
+DEFAULT_ANHARMONICITY_MHZ = -330.0
 # largest code distance built: 1921 to 2881 qubits by family, past the
 # 1000-qubit scale the window model is extrapolated to
 MAX_DISTANCE = 31
@@ -59,6 +62,12 @@ class Lattice:
     distance: int
     nodes: tuple
     edges: tuple  # directed (control_id, target_id)
+    anharmonicity_mhz: float = DEFAULT_ANHARMONICITY_MHZ
+
+    def __post_init__(self):
+        if not -MAX_MHZ <= self.anharmonicity_mhz < 0.0:
+            raise ParameterError(f"anharmonicity must be negative and >= -{MAX_MHZ:g} (MHz)",
+                                 "anharmonicity_mhz")
 
     @property
     def n_qubits(self) -> int:
@@ -115,18 +124,20 @@ def _validate_distance(distance: int) -> None:
                              f"got {distance}", "distance")
 
 
-def build_lattice(family: str, distance: int) -> Lattice:
-    """Construct a lattice; deterministic node ids in scan order."""
+def build_lattice(family: str, distance: int,
+                  anharmonicity_mhz: float = DEFAULT_ANHARMONICITY_MHZ) -> Lattice:
+    """Construct a lattice of transmons of this anharmonicity; deterministic
+    node ids in scan order."""
     _validate_distance(distance)
     family = canonical_family(family)
     if family == "square":
-        lat = _build_square(distance)
+        nodes, edges = _build_square(distance)
     elif family == "heavy_square":
-        lat = _build_heavy_square(distance)
+        nodes, edges = _build_heavy_square(distance)
     else:
-        lat = _build_heavy_hexagon(distance)
-    assert lat.n_qubits == expected_node_count(family, distance)
-    return lat
+        nodes, edges = _build_heavy_hexagon(distance)
+    assert len(nodes) == expected_node_count(family, distance)
+    return Lattice(family, distance, tuple(nodes), tuple(sorted(edges)), anharmonicity_mhz)
 
 
 # ---------------------------------------------------------------- square
@@ -147,7 +158,7 @@ def _square_check_kind(x: int, y: int, d: int) -> str | None:
     return None
 
 
-def _build_square(d: int) -> Lattice:
+def _build_square(d: int) -> tuple:
     hi = 2 * d
     nodes = []
     id_at = {}
@@ -172,12 +183,12 @@ def _build_square(d: int) -> Lattice:
                 tgt = id_at.get((node.x + dx, node.y + dy))
                 if tgt is not None:
                     edges.append((node.node_id, tgt))
-    return Lattice("square", d, tuple(nodes), tuple(sorted(edges)))
+    return nodes, edges
 
 
 # ---------------------------------------------------------- heavy square
 
-def _build_heavy_square(d: int) -> Lattice:
+def _build_heavy_square(d: int) -> tuple:
     nodes = []
     couple = []  # (coupler position, code_role, [data grid coords it joins])
     data_id = {}
@@ -211,7 +222,7 @@ def _build_heavy_square(d: int) -> Lattice:
         cid = add(x, y, role, "control", 3)
         for ij in joins:
             edges.append((cid, data_id[ij]))
-    return Lattice("heavy_square", d, tuple(nodes), tuple(sorted(edges)))
+    return nodes, edges
 
 
 # --------------------------------------------------------- heavy hexagon
@@ -224,7 +235,7 @@ def _hex_row_cols(r: int, d: int) -> range:
     return range(0, 2 * d + 1)
 
 
-def _build_heavy_hexagon(d: int) -> Lattice:
+def _build_heavy_hexagon(d: int) -> tuple:
     nodes = []
     id_at = {}
 
@@ -253,7 +264,7 @@ def _build_heavy_hexagon(d: int) -> Lattice:
                     cid = id_at[(c, 2 * r - 1)]
                     edges.append((cid, id_at[(c, 2 * r - 2)]))
                     edges.append((cid, id_at[(c, 2 * r)]))
-    return Lattice("heavy_hexagon", d, tuple(nodes), tuple(sorted(edges)))
+    return nodes, edges
 
 
 # ------------------------------------------------------------- patterns
@@ -311,7 +322,8 @@ def next_nearest_triples(lattice: Lattice) -> tuple:
 
 @dataclass(frozen=True)
 class CollisionIndex:
-    """A lattice's edges (control, target) and spectator triples (i, j, k) as node arrays."""
+    """A lattice's edges (control, target) and spectator triples (i, j, k) as
+    node arrays, and the anharmonicity that places its collision windows."""
 
     n_qubits: int
     edge_control: np.ndarray
@@ -319,6 +331,7 @@ class CollisionIndex:
     tri_i: np.ndarray
     tri_j: np.ndarray
     tri_k: np.ndarray
+    anharmonicity_mhz: float = DEFAULT_ANHARMONICITY_MHZ
 
 
 def build_index(lattice: Lattice) -> CollisionIndex:
@@ -328,7 +341,7 @@ def build_index(lattice: Lattice) -> CollisionIndex:
     columns = [np.array(column) for column in (*edges.T, *triples.T)]  # contiguous copies
     for column in columns:
         column.flags.writeable = False
-    return CollisionIndex(lattice.n_qubits, *columns)
+    return CollisionIndex(lattice.n_qubits, *columns, lattice.anharmonicity_mhz)
 
 
 def connected_components(lattice: Lattice) -> int:

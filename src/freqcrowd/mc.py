@@ -30,6 +30,9 @@ them as a :class:`SweepPoint` of exact integer ratios.  At zero scatter every
 row is the same assignment, so one counted row stands for all of them.
 :func:`sweep_sigma` and :func:`table_rows` (the summary table the CLI prints
 and the acceptance gate checks) are plan-then-measure.
+
+No function here takes a device constant: the anharmonicity that places the
+collision windows rides on each lattice to the kernel.
 """
 from __future__ import annotations
 
@@ -39,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # count_collisions_batch, which mc no longer calls, stays bound for perfbench's tracer
-from .collision import (DEFAULT_RULES, CollisionRules, _tally, block_rows, check_count,
-                        check_sigma, count_collisions_batch, expected_counts)
+from .collision import (_tally, block_rows, check_count, check_sigma, count_collisions_batch,
+                        expected_counts)
 from .errors import ParameterError
 from .lattice import FrequencyPattern, Lattice, set_points_mhz
 
@@ -171,8 +174,7 @@ class SweepPoint:
 
 
 def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, trials: int,
-              master_seed: int = 0, *, rules: CollisionRules = DEFAULT_RULES,
-              deviates: DeviateRows | None = None) -> SweepPoint:
+              master_seed: int = 0, *, deviates: DeviateRows | None = None) -> SweepPoint:
     """Monte Carlo statistics at one scatter level and pattern spacing.
 
     The first ``trials`` deviate rows (row t gives trial t) are counted into
@@ -200,7 +202,7 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
     sp = set_points_mhz(lattice, pattern)
     n = lattice.n_qubits
     if sigma_mhz == 0.0:
-        totals, clean = _tally(idx, sp[None, :], rules)
+        totals, clean = _tally(idx, sp[None, :])
         totals, survivors = totals * trials, clean * trials
     else:
         totals, survivors, rows = np.zeros(7, dtype=np.int64), 0, block_rows(idx)
@@ -208,7 +210,7 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
             hi = min(lo + rows, trials)
             f = sigma_mhz * held.block(lo, hi, n)
             f += sp  # in place: one block x qubits temporary instead of two
-            block_totals, clean = _tally(idx, f, rules)
+            block_totals, clean = _tally(idx, f)
             totals += block_totals
             survivors += clean
     totals = totals.tolist()  # Python integers: each mean below is the exactly rounded ratio
@@ -278,11 +280,10 @@ class PlannedPoint:
     sigma_mhz: float
     trials: int
     expected: tuple
-    rules: CollisionRules
 
 
 def _plan(lattice: Lattice, pattern: FrequencyPattern, sigmas, grid: list,
-          policy: AdaptiveTrials, rules: CollisionRules) -> list:
+          policy: AdaptiveTrials) -> list:
     """One :class:`PlannedPoint` per sigma, from one :func:`expected_counts`
     call over the sigma x ``grid`` stack: each takes the grid spacing with
     the fewest expected collisions, ties to the smaller spacing (at zero
@@ -291,19 +292,18 @@ def _plan(lattice: Lattice, pattern: FrequencyPattern, sigmas, grid: list,
     there."""
     sigmas = [float(s) for s in sigmas]
     counts = expected_counts(lattice.collision_index, set_points_mhz(lattice, pattern, grid),
-                             sigmas, rules)
+                             sigmas)
     plans = []
     for sigma, by_spacing, totals in zip(sigmas, counts, counts.sum(axis=-1).tolist()):
         total, spacing, k = min(zip(totals, grid, range(len(grid))))
         plans.append(PlannedPoint(lattice, pattern.with_spacing(spacing), sigma,
                                   policy.trials(lattice.distance, total),
-                                  tuple(by_spacing[k].tolist()), rules))
+                                  tuple(by_spacing[k].tolist())))
     return plans
 
 
 def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, trials: int,
-                     master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
-                     rules: CollisionRules = DEFAULT_RULES) -> SweepPoint:
+                     master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ) -> SweepPoint:
     """Measure the grid spacing a plan chooses at this sigma, on ``trials``
     rows: the one-point case of :func:`plan_sweep` and :func:`measure`, at a
     given trial count.  The choice does not depend on ``master_seed`` or
@@ -312,26 +312,23 @@ def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: flo
     traces it by name (until ROADMAP item 10 removes that coupling).
     """
     # the plan's spacing alone: the trials are given, and run_point checks them
-    (plan,) = _plan(lattice, pattern, [sigma_mhz], _checked_grid(spacing_grid),
-                    AdaptiveTrials(), rules)
-    return run_point(lattice, plan.pattern, sigma_mhz, trials, master_seed, rules=rules)
+    (plan,) = _plan(lattice, pattern, [sigma_mhz], _checked_grid(spacing_grid), AdaptiveTrials())
+    return run_point(lattice, plan.pattern, sigma_mhz, trials, master_seed)
 
 
 def plan_sweep(lattice: Lattice, pattern: FrequencyPattern, sigma_grid=DEFAULT_SIGMA_GRID_MHZ,
                trials_policy: AdaptiveTrials | None = None, *,
-               spacing_grid=DEFAULT_SPACING_GRID_MHZ,
-               rules: CollisionRules = DEFAULT_RULES) -> list:
+               spacing_grid=DEFAULT_SPACING_GRID_MHZ) -> list:
     """The :class:`PlannedPoint` of each sigma of a sweep, in grid order,
     each at the spacing with the fewest expected collisions at its sigma; a
     one-element ``spacing_grid`` keeps that spacing at every point."""
     policy = trials_policy if trials_policy is not None else AdaptiveTrials()
     grid = _checked_grid(spacing_grid)
-    return _plan(lattice, pattern, sigma_grid, grid, policy, rules)
+    return _plan(lattice, pattern, sigma_grid, grid, policy)
 
 
 def plan_table(lattices, pattern: FrequencyPattern, policy: AdaptiveTrials, *,
-               spacing_grid=DEFAULT_SPACING_GRID_MHZ,
-               rules: CollisionRules = DEFAULT_RULES) -> list:
+               spacing_grid=DEFAULT_SPACING_GRID_MHZ) -> list:
     """The (tuned, as-fabricated) :class:`PlannedPoint` pair of each lattice.
 
     The tuned-precision point takes the grid spacing with the fewest
@@ -343,9 +340,9 @@ def plan_table(lattices, pattern: FrequencyPattern, policy: AdaptiveTrials, *,
     grid = _checked_grid(spacing_grid)
     pairs = []
     for lat in lattices:
-        (tuned,) = _plan(lat, pattern, [TUNED_SIGMA_MHZ], grid, policy, rules)
+        (tuned,) = _plan(lat, pattern, [TUNED_SIGMA_MHZ], grid, policy)
         (fab,) = _plan(lat, pattern, [AS_FABRICATED_SIGMA_MHZ], [tuned.pattern.spacing_mhz],
-                       policy, rules)
+                       policy)
         pairs.append((tuned, fab))
     return pairs
 
@@ -365,29 +362,26 @@ def measure(plans, master_seed: int = 0) -> list:
     plans = list(plans)
     z = DeviateRows(master_seed, shared_rows([(p.trials, p.lattice.n_qubits)
                                               for p in plans if p.sigma_mhz > 0.0]))
-    return [run_point(p.lattice, p.pattern, p.sigma_mhz, p.trials, master_seed, rules=p.rules,
-                      deviates=z)
+    return [run_point(p.lattice, p.pattern, p.sigma_mhz, p.trials, master_seed, deviates=z)
             for p in plans]
 
 
 def sweep_sigma(lattice: Lattice, pattern: FrequencyPattern, sigma_grid=DEFAULT_SIGMA_GRID_MHZ,
                 trials_policy: AdaptiveTrials | None = None, master_seed: int = 0, *,
-                spacing_grid=DEFAULT_SPACING_GRID_MHZ,
-                rules: CollisionRules = DEFAULT_RULES) -> list:
+                spacing_grid=DEFAULT_SPACING_GRID_MHZ) -> list:
     """Sweep the scatter level, re-optimising the spacing per point: the
     :func:`measure` of :func:`plan_sweep`'s plans, so the whole sigma x
     spacing grid is scored in one :func:`expected_counts` call before the
     first deviate is drawn."""
     return measure(plan_sweep(lattice, pattern, sigma_grid, trials_policy,
-                              spacing_grid=spacing_grid, rules=rules), master_seed)
+                              spacing_grid=spacing_grid), master_seed)
 
 
 def table_rows(lattices, pattern: FrequencyPattern, policy: AdaptiveTrials,
-               master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ,
-               rules: CollisionRules = DEFAULT_RULES) -> list:
+               master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ) -> list:
     """The (tuned, as-fabricated) operating points of each lattice, in order:
     :func:`plan_table`'s pairs, measured together by :func:`measure`, so the
     lattices hold only the rows that two or more of their points read."""
-    pairs = plan_table(lattices, pattern, policy, spacing_grid=spacing_grid, rules=rules)
+    pairs = plan_table(lattices, pattern, policy, spacing_grid=spacing_grid)
     points = iter(measure([plan for pair in pairs for plan in pair], master_seed))
     return list(zip(points, points))

@@ -707,22 +707,53 @@ class TestConfigPrecedence:
         assert cli.main(["check", "--family", "square", "-d", "3",
                          "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("raw, value", [("1", True), ("Yes", True), ("on", True),
+                                            ("true", True), ("0", False), ("No", False),
+                                            ("off", False), ("FALSE", False)])
+    @pytest.mark.parametrize("source", ["env", "ini"])
+    def test_bool_setting_from_env_or_config_file(self, tmp_path, monkeypatch, source, raw,
+                                                  value):
+        argv = ["sweep"]
+        if source == "env":
+            monkeypatch.setenv("FREQCROWD_REPRODUCE_TABLE2", raw)
+        else:
+            (tmp_path / "fc.ini").write_text(f"[freqcrowd]\nreproduce_table2 = {raw}\n")
+            argv += ["--config", str(tmp_path / "fc.ini")]
+        cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+        assert cfg["reproduce_table2"] is value
+
+    @pytest.mark.parametrize("source", ["env", "ini"])
+    def test_unreadable_bool_setting_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                      source):
+        argv = ["sweep", "--out", str(tmp_path / "out")]
+        if source == "env":
+            monkeypatch.setenv("FREQCROWD_REPRODUCE_TABLE2", "maybe")
+        else:
+            (tmp_path / "fc.ini").write_text("[freqcrowd]\nreproduce_table2 = maybe\n")
+            argv += ["--config", str(tmp_path / "fc.ini")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == \
+            "error: cannot read 'maybe' as a flag value for reproduce_table2\n"
+        assert not (tmp_path / "out").exists()
+
 
 # resolve_config with no flags, environment or INI file, as recorded in
 # manifest.json since the first release (fit-rn recorded an unset
-# fix_exponent as NaN until it became None); rerun replays these snapshots
-COMMON = {"name": "default", "out": "out", "seed": 0}
+# fix_exponent as NaN until it became None); rerun replays these snapshots.
+# Only the commands that draw take a seed: lattice, fit-window, extrapolate
+# and fit-rn recorded seed 0 as well until they stopped taking --seed.
+COMMON = {"name": "default", "out": "out"}
 MANIFEST_DEFAULTS = {
     "lattice": {"distance": None, "family": None},
     "check": {"anharmonicity_mhz": -330.0, "base_ghz": 5.0, "distance": None, "family": None,
-              "sigma_mhz": 0.0, "spacing_mhz": 70.0},
+              "seed": 0, "sigma_mhz": 0.0, "spacing_mhz": 70.0},
     "sweep": {"anharmonicity_mhz": -330.0, "base_ghz": 5.0, "distance": None, "family": None,
-              "reproduce_table2": False, "sigmas": "", "spacings": "", "trials": 0},
+              "reproduce_table2": False, "seed": 0, "sigmas": "", "spacings": "", "trials": 0},
     "fit-window": {"sweep_csv": None},
     "extrapolate": {"sigmas": "", "sweep_csv": None},
     "tune": {"converge_band": 0.003, "fractional_sigma": 0.046, "junctions": 31,
              "max_anneals": 50, "median_ohm": 7600.0, "noise_sigma": 0.1,
-             "residual_std_mhz": 14.5, "step_fraction": 0.5, "target_spread": ""},
+             "residual_std_mhz": 14.5, "seed": 0, "step_fraction": 0.5, "target_spread": ""},
     "fit-rn": {"csv_path": None, "fix_exponent": None},
     "rerun": {"manifest": "m.json"},
 }
@@ -732,9 +763,15 @@ MANIFEST_DEFAULTS = {
 def test_resolved_defaults_match_recorded_manifests(command):
     argv = [command, "m.json"] if command == "rerun" else [command]
     cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
-    # rerun takes no seed: it replays the one in its manifest
-    common = {k: v for k, v in COMMON.items() if not (command == "rerun" and k == "seed")}
-    assert cfg == {"command": command, **common, **MANIFEST_DEFAULTS[command]}
+    assert cfg == {"command": command, **COMMON, **MANIFEST_DEFAULTS[command]}
+
+
+@pytest.mark.parametrize("command", ["lattice", "fit-window", "extrapolate", "fit-rn"])
+def test_commands_that_never_draw_take_no_seed(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--seed", "5", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 def test_every_option_flag_parses():
@@ -821,9 +858,9 @@ class TestRerunCommand:
 
     def test_replay_rejects_seed_outside_key_range(self, tmp_path, capsys):
         """A hand-edited manifest gets the seed check a fresh run gets."""
-        assert cli.main(["lattice", "--family", "square", "-d", "3",
+        assert cli.main(["check", "--family", "square", "-d", "3",
                          "--out", str(tmp_path / "a")]) == 0
-        with open(tmp_path / "a" / "lattice" / "default" / "manifest.json") as fh:
+        with open(tmp_path / "a" / "check" / "default" / "manifest.json") as fh:
             manifest = json.load(fh)
         manifest["config"]["seed"] = -1
         bad = tmp_path / "bad_manifest.json"
@@ -897,6 +934,55 @@ class TestRerunCommand:
     def test_replay_rejects_wrong_typed_value(self, tmp_path, capsys, key, value, wanted):
         manifest = self.edited_sweep_manifest(tmp_path, lambda m: m["config"].update({key: value}))
         self.assert_rejected(tmp_path, capsys, manifest, f"manifest config {key!r} must be {wanted}")
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "manifest is not valid JSON"),
+        ("[1, 2]", "manifest must be a JSON object"),
+        ('{"config": {}}', "manifest lacks 'command'"),
+        ('{"command": "lattice"}', "manifest lacks 'config'"),
+    ], ids=["not-json", "not-an-object", "no-command", "no-config"])
+    def test_replay_rejects_a_malformed_manifest(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad_manifest.json"
+        bad.write_text(text)
+        self.assert_rejected(tmp_path, capsys, str(bad), message)
+
+    def test_replay_refuses_a_missing_input_file(self, tmp_path, capsys):
+        rows = [(r, 165.0 * r ** -0.48) for r in (6000.0, 7500.0, 9000.0)]
+        src = TestFitRnCommand.write_pairs(tmp_path / "rn.csv", rows)
+        assert cli.main(["fit-rn", "--csv", src, "--out", str(tmp_path / "a")]) == 0
+        os.remove(src)
+        manifest = str(tmp_path / "a" / "fit-rn" / "default" / "manifest.json")
+        self.assert_rejected(tmp_path, capsys, manifest, f"input file missing: {src}")
+
+    @pytest.mark.parametrize("command", ["lattice", "fit-window", "extrapolate", "fit-rn"])
+    def test_replays_a_seed_recorded_before_the_command_stopped_taking_one(self, tmp_path,
+                                                                          command):
+        """These commands never draw, but their manifests recorded a seed
+        while they took ``--seed``.  Such a manifest, written out here as
+        the CLI wrote it, replays to the same outputs and the same manifest,
+        byte for byte."""
+        sweeps = ",".join(synth_sweep_csv(tmp_path / f"hh{d}.csv", "heavy_hexagon", d, n, w)
+                          for d, n, w in ((3, 23, 31.61), (5, 65, 29.91)))
+        rn = TestFitRnCommand.write_pairs(tmp_path / "rn.csv",
+                                          [(r, 165.0 * r ** -0.48) for r in (6000.0, 7500.0, 9000.0)])
+        argv = {"lattice": ["--family", "heavy_hexagon", "-d", "3"],
+                "fit-window": ["--sweep-csv", sweeps], "extrapolate": ["--sweep-csv", sweeps],
+                "fit-rn": ["--csv", rn]}[command]
+        assert cli.main([command, *argv, "--out", str(tmp_path / "a")]) == 0
+        run = tmp_path / "a" / command / "default"
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert "seed" not in manifest["config"]
+        manifest["config"]["seed"] = 5
+        manifest["config_hash"] = hashlib.sha256(
+            json.dumps(manifest["config"], sort_keys=True).encode()).hexdigest()[:12]
+        old = tmp_path / "old" / "manifest.json"
+        old.parent.mkdir()
+        old.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        assert cli.main(["rerun", str(old), "--out", str(tmp_path / "b")]) == 0
+        again = tmp_path / "b" / command / "default"
+        for name in manifest["outputs"]:
+            assert (again / name).read_bytes() == (run / name).read_bytes(), name
+        assert (again / "manifest.json").read_bytes() == old.read_bytes()
 
     def test_replay_reads_an_int_as_a_float_setting(self, tmp_path):
         manifest = self.edited_sweep_manifest(

@@ -1,4 +1,5 @@
 """Window semantics per type, brute-force parity, and the expected counts."""
+import dataclasses
 import math
 import os
 import subprocess
@@ -24,14 +25,15 @@ def pair_lattice():
     return lattice.Lattice(family="pair", distance=3, nodes=nodes, edges=((0, 1),))
 
 
-def chain_lattice(edges):
+def chain_lattice(edges, anharmonicity_mhz=lattice.DEFAULT_ANHARMONICITY_MHZ):
     n = 1 + max(max(e) for e in edges)
     nodes = tuple(lattice.QubitNode(i, float(i), 0.0, "data", "target", 1) for i in range(n))
-    return lattice.Lattice(family="chain", distance=3, nodes=nodes, edges=tuple(edges))
+    return lattice.Lattice(family="chain", distance=3, nodes=nodes, edges=tuple(edges),
+                           anharmonicity_mhz=anharmonicity_mhz)
 
 
-def counts_for(lat, freqs, rules=collision.DEFAULT_RULES):
-    return collision.count_collisions(lat, freqs, rules).per_type
+def counts_for(lat, freqs):
+    return collision.count_collisions(lat, freqs).per_type
 
 
 class TestPairWindows:
@@ -96,10 +98,9 @@ class TestTripleWindows:
 
     def test_double_sided_overlap_counts_once(self):
         # with a small |anharmonicity| both type-6 sub-windows can hold at once
-        lat = chain_lattice([(1, 0), (1, 2)])
-        soft = collision.CollisionRules(anharmonicity_mhz=-20.0)
+        soft = chain_lattice([(1, 0), (1, 2)], anharmonicity_mhz=-20.0)
         f = [5000.0, 5070.0, 5000.0]   # |fi - fk -+ 20| = 20 < 25 both ways
-        assert counts_for(lat, f, soft)[6] == 1
+        assert counts_for(soft, f)[6] == 1
 
 
 def test_report_totals_and_instances(hh3):
@@ -143,13 +144,6 @@ def test_frequency_vector_length_checked(hh3):
         collision.count_collisions(hh3, [5000.0] * 5)
 
 
-def test_rules_validation():
-    for bad in (100.0, 0.0, float("nan"), float("-inf"), -1.7976931348623157e308):
-        with pytest.raises(ParameterError):
-            collision.CollisionRules(anharmonicity_mhz=bad)
-    assert collision.DEFAULT_RULES.anharmonicity_mhz == collision.DEFAULT_ANHARMONICITY_MHZ
-
-
 @pytest.mark.parametrize("family", lattice.FAMILIES)
 @pytest.mark.parametrize("distance", [3, 5, 7])
 def test_designed_patterns_are_collision_free(nine_lattices, family, distance):
@@ -177,14 +171,13 @@ def test_batch_parity_at_other_anharmonicities(nine_lattices, family, anharmonic
     """The batched counter agrees with the reference at small |a| too, where
     the two type-3 (and type-6) windows overlap: on Gaussian draws, and on a
     half-MHz grid whose pair and triple differences land on window edges."""
-    lat = nine_lattices[(family, 3)]
-    rules = collision.CollisionRules(anharmonicity)
+    lat = dataclasses.replace(nine_lattices[(family, 3)], anharmonicity_mhz=anharmonicity)
     sp = lattice.set_points_mhz(lat, lattice.FrequencyPattern(spacing_mhz=40.0))
     gaussian = sp + 60.0 * mc.gaussian_deviates(17, 80, lat.n_qubits)
     span = int(4 * (abs(anharmonicity) + 30.0))  # half-MHz steps past the widest window
     grid = 5000.0 + 0.5 * np.random.default_rng(17).integers(0, span, (120, lat.n_qubits))
     idx = collision.build_index(lat)
-    fast = collision.count_collisions_batch(idx, np.concatenate([gaussian, grid]), rules)
+    fast = collision.count_collisions_batch(idx, np.concatenate([gaussian, grid]))
     for f, row in zip(np.concatenate([gaussian, grid]), fast):
         slow = naive_counts(lat.n_qubits, lat.edges, f, anharmonicity=anharmonicity)
         assert row.tolist() == [slow[t] for t in collision.TYPE_IDS]
@@ -232,14 +225,14 @@ def test_expected_counts_match_reference_oracle(nine_lattices, sigma):
             assert per_type.sum() == pytest.approx(exact, rel=1e-9)
 
 
-def assert_matches_monte_carlo(lat, spacing, sigma, rules, trials=20000):
+def assert_matches_monte_carlo(lat, spacing, sigma, trials=20000):
     """Each type's MC mean over ``trials`` draws lies within 5 standard
     errors of its expected count."""
     idx = collision.build_index(lat)
     sp = lattice.set_points_mhz(lat, lattice.FrequencyPattern(spacing_mhz=spacing))
-    expected = collision.expected_counts(idx, sp, sigma, rules)
+    expected = collision.expected_counts(idx, sp, sigma)
     z = mc.gaussian_deviates(31, trials, lat.n_qubits)
-    counts = collision.count_collisions_batch(idx, sp + sigma * z, rules)
+    counts = collision.count_collisions_batch(idx, sp + sigma * z)
     se = counts.std(axis=0, ddof=1) / np.sqrt(trials)
     assert (se > 0).all()   # every type occurs, so every z-score is informative
     assert np.all(np.abs(counts.mean(axis=0) - expected) <= 5.0 * se)
@@ -248,16 +241,15 @@ def assert_matches_monte_carlo(lat, spacing, sigma, rules, trials=20000):
 
 @pytest.mark.parametrize("family, spacing", [("heavy_hexagon", 70.0), ("square", 45.0)])
 def test_expected_counts_match_monte_carlo_per_type(nine_lattices, family, spacing):
-    assert_matches_monte_carlo(nine_lattices[(family, 3)], spacing, 60.0, collision.DEFAULT_RULES)
+    assert_matches_monte_carlo(nine_lattices[(family, 3)], spacing, 60.0)
 
 
 def test_expected_counts_overlapping_windows(nine_lattices):
     """|a| = 20 MHz is below the type-3 and type-6 widths, so their two
     windows overlap and the expectation must take their union; the oracle
     assumes disjoint windows and overstates both types here."""
-    lat = nine_lattices[("square", 3)]
-    soft = collision.CollisionRules(anharmonicity_mhz=-20.0)
-    expected, se = assert_matches_monte_carlo(lat, 30.0, 15.0, soft)
+    lat = dataclasses.replace(nine_lattices[("square", 3)], anharmonicity_mhz=-20.0)
+    expected, se = assert_matches_monte_carlo(lat, 30.0, 15.0)
     sp = lattice.set_points_mhz(lat, lattice.FrequencyPattern(spacing_mhz=30.0))
     disjoint = expected_mean_collisions(sp, 15.0, lat.edges, lattice.next_nearest_triples(lat),
                                         anharmonicity=-20.0)
@@ -310,6 +302,35 @@ def test_expected_counts_reject_non_finite_set_points(hh3, sigma, bad):
         collision.expected_counts(collision.build_index(hh3), sp, sigma)
 
 
+@pytest.mark.parametrize("value", [1e308, -1e308, float("nan"), float("inf")])
+@pytest.mark.parametrize("entry", ["count_collisions", "count_collisions_batch", "expected_counts"])
+def test_kernel_entries_refuse_frequencies_past_the_bound(hh3, entry, value):
+    """Each public entry to the kernel refuses a frequency past
+    ``lattice.MAX_MHZ`` in size, where an operand such as 2 f + a would
+    overflow, with an error naming the bound, before any count."""
+    f = np.full(hh3.n_qubits, value)
+    call = {"count_collisions": lambda: collision.count_collisions(hh3, f),
+            "count_collisions_batch": lambda: collision.count_collisions_batch(
+                hh3.collision_index, f),
+            "expected_counts": lambda: collision.expected_counts(hh3.collision_index, f, 14.0)}
+    with pytest.raises(InputError, match=r"must be finite, with \|f\| <= 1e\+300 MHz"):
+        call[entry]()
+
+
+def test_expected_counts_at_the_smallest_scatter_are_the_counts(nine_lattices):
+    """At sigma = 1e-320 MHz every standardised distance to a window edge
+    overflows to an infinity, whose normal CDF is exactly 0 or 1: with no
+    operand on an edge, the expectation is the zero-scatter count, and no
+    overflow warning (an error in this suite) escapes."""
+    seen = 0.0
+    for lat in nine_lattices.values():
+        sp = spacing_stack(lat, (45.0, lattice.DEFAULT_SPACING_MHZ))
+        exact = collision.expected_counts(lat.collision_index, sp, 0.0)
+        assert np.array_equal(collision.expected_counts(lat.collision_index, sp, 1e-320), exact)
+        seen += exact.sum()
+    assert seen > 0.0
+
+
 def window_edges(operand, a):
     """Every value of ``operand`` where a window of ``collision.WINDOWS`` opens
     or closes at anharmonicity ``a``."""
@@ -329,10 +350,9 @@ def test_expected_counts_at_tiny_scatter_are_the_counts(nine_lattices, anharmoni
     two readers, the expectation and the counting kernel, must agree exactly.
     Frequencies on a grid of ``step`` MHz keep every operand that far off at
     this a, and still put some inside each window."""
-    rules = collision.CollisionRules(anharmonicity)
     seen = np.zeros(7, dtype=np.int64)
     for lat in nine_lattices.values():
-        idx = collision.build_index(lat)
+        idx = collision.build_index(dataclasses.replace(lat, anharmonicity_mhz=anharmonicity))
         rng = np.random.default_rng(lat.n_qubits)
         sp = 5000.0 + step * rng.integers(0, int(480 // step), (20, lat.n_qubits))
         operands = {
@@ -343,8 +363,8 @@ def test_expected_counts_at_tiny_scatter_are_the_counts(nine_lattices, anharmoni
         for operand, x in operands.items():
             edges = np.array(list(window_edges(operand, anharmonicity)))
             assert np.abs(x[..., None] - edges).min() >= 1.0
-        counts = collision.count_collisions_batch(idx, sp, rules)
-        expected = collision.expected_counts(idx, sp, 1e-6, rules)
+        counts = collision.count_collisions_batch(idx, sp)
+        expected = collision.expected_counts(idx, sp, 1e-6)
         assert np.array_equal(expected, counts), (lat.family, lat.distance)
         seen += counts.sum(axis=0)
     assert (seen > 0).all()   # every window fires somewhere
@@ -444,12 +464,12 @@ def test_spacing_choices_match_member_by_member_scoring(nine_lattices, anharmoni
     """Scoring each distinct difference once on ``collision.ndtr`` plans the
     spacing that per-member ``scipy.special.ndtr`` scoring picks, at every
     nonzero default sigma (zero scatter counts collisions, with no CDF)."""
-    rules = collision.CollisionRules(anharmonicity)
     grid = mc.DEFAULT_SPACING_GRID_MHZ
     sigmas = mc.DEFAULT_SIGMA_GRID_MHZ[1:]
     for lat in nine_lattices.values():
+        lat = dataclasses.replace(lat, anharmonicity_mhz=anharmonicity)
         sp = spacing_stack(lat, grid)
-        plans = mc.plan_sweep(lat, lattice.FrequencyPattern(), sigmas, rules=rules)
+        plans = mc.plan_sweep(lat, lattice.FrequencyPattern(), sigmas)
         for sigma, plan in zip(sigmas, plans, strict=True):
             totals = member_expected_counts(lat, sp, sigma, anharmonicity).sum(axis=-1)
             assert plan.pattern.spacing_mhz == grid[int(np.argmin(totals))], \
@@ -460,11 +480,10 @@ def test_spacing_choices_match_member_by_member_scoring(nine_lattices, anharmoni
 def test_expected_counts_on_arbitrary_set_points(nine_lattices, anharmonicity):
     """Set points off any pattern share few differences, and still get each
     member's own probabilities."""
-    lat = nine_lattices[("square", 5)]
+    lat = dataclasses.replace(nine_lattices[("square", 5)], anharmonicity_mhz=anharmonicity)
     sp = 5000.0 + 150.0 * np.random.default_rng(3).standard_normal((4, lat.n_qubits))
     for sigma in (6.0, 14.0, 60.0):
-        got = collision.expected_counts(collision.build_index(lat), sp, sigma,
-                                        collision.CollisionRules(anharmonicity))
+        got = collision.expected_counts(collision.build_index(lat), sp, sigma)
         want = member_expected_counts(lat, sp, sigma, anharmonicity)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -585,7 +604,8 @@ def test_kernel_equals_the_former_formulas_at_each_boundary(a):
         np.abs(2.0 * f[:, 1] + a - f[:, 0] - f[:, 2]) < 17.0,
     ], axis=1)
     assert former.any(axis=0).all() and not former.all(axis=0).any()
-    counts = collision.count_collisions_batch(BOUNDARY_INDEX, f, collision.CollisionRules(a))
+    index = dataclasses.replace(BOUNDARY_INDEX, anharmonicity_mhz=a)
+    counts = collision.count_collisions_batch(index, f)
     assert np.array_equal(counts, former.astype(np.int64))
 
 
@@ -608,16 +628,16 @@ def test_warm_sweep_reuses_the_kernels_pages():
     assert int(out.stdout) < 5000
 
 
-def assert_tally_is_the_batch_summary(index, f, rules=collision.DEFAULT_RULES):
+def assert_tally_is_the_batch_summary(index, f):
     """The block counter, called one ``block_rows`` block at a time as a
     sweep point calls it, sums to the batch counter's column sums and
     all-zero rows."""
     f = np.atleast_2d(f)
-    counts = collision.count_collisions_batch(index, f, rules)
+    counts = collision.count_collisions_batch(index, f)
     rows = collision.block_rows(index)
     totals, survivors = np.zeros(7, dtype=np.int64), 0
     for lo in range(0, len(f), rows):
-        block_totals, clean = collision._tally(index, f[lo:lo + rows], rules)
+        block_totals, clean = collision._tally(index, f[lo:lo + rows])
         assert block_totals.dtype == np.int64 and block_totals.shape == (7,)
         assert type(clean) is int
         totals += block_totals
@@ -653,10 +673,11 @@ def test_tally_is_the_batch_counters_summary(nine_lattices, sigma):
 @pytest.mark.parametrize("a", [-330.0, -330.1, -0.3, -5e-324])
 def test_tally_is_the_batch_counters_summary_at_each_boundary(a):
     f = boundary_rows(a)
-    assert_tally_is_the_batch_summary(BOUNDARY_INDEX, f, collision.CollisionRules(a))
+    index = dataclasses.replace(BOUNDARY_INDEX, anharmonicity_mhz=a)
+    assert_tally_is_the_batch_summary(index, f)
     # every row on its own: a row that collides once, or not at all
     for row in f[::97]:
-        assert_tally_is_the_batch_summary(BOUNDARY_INDEX, row, collision.CollisionRules(a))
+        assert_tally_is_the_batch_summary(index, row)
 
 
 def test_tally_checks_its_batch_and_counts_an_edgeless_lattice(hh3):
@@ -670,5 +691,5 @@ def test_tally_checks_its_batch_and_counts_an_edgeless_lattice(hh3):
         collision.count_collisions_batch(idx, np.full((2, hh3.n_qubits), np.nan))
     nodes = tuple(lattice.QubitNode(q, q, 0, "data", "target", 1) for q in range(3))
     empty = collision.build_index(lattice.Lattice("isolated", 3, nodes, ()))
-    totals, survivors = collision._tally(empty, np.full((5, 3), 5000.0), collision.DEFAULT_RULES)
+    totals, survivors = collision._tally(empty, np.full((5, 3), 5000.0))
     assert (totals.tolist(), survivors) == ([0] * 7, 5)

@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from freqcrowd import lattice
+from freqcrowd import collision, lattice
 from freqcrowd.errors import ParameterError
 from reference import spectator_triples
 
@@ -135,9 +135,28 @@ def test_collision_index_is_built_once_and_read_only(hh3):
     assert pickle.dumps(hh3) == pickle.dumps(fresh)
     copied = pickle.loads(pickle.dumps(hh3))
     for idx in (index, copied.collision_index):
-        for field in dataclasses.fields(idx)[1:]:
+        for name in ("edge_control", "edge_target", "tri_i", "tri_j", "tri_k"):
             with pytest.raises(ValueError, match="read-only"):
-                getattr(idx, field.name)[0] = 0
+                getattr(idx, name)[0] = 0
+
+
+def test_anharmonicity_is_checked_where_a_lattice_is_made(hh3):
+    """A lattice carries its transmons' anharmonicity, checked however the
+    lattice is made, and its collision index carries it to the kernel."""
+    assert hh3.anharmonicity_mhz == lattice.DEFAULT_ANHARMONICITY_MHZ == -330.0
+    assert collision.DEFAULT_ANHARMONICITY_MHZ == lattice.DEFAULT_ANHARMONICITY_MHZ
+    for bad in (100.0, 0.0, float("nan"), float("-inf"), -1.7976931348623157e308):
+        for make in (lambda: lattice.build_lattice("heavy_hexagon", 3, bad),
+                     lambda: dataclasses.replace(hh3, anharmonicity_mhz=bad),
+                     lambda: lattice.Lattice("pair", 3, hh3.nodes[:2], ((0, 1),), bad)):
+            with pytest.raises(ParameterError, match=r"anharmonicity must be negative and "
+                                                     r">= -1e\+300 \(MHz\)") as excinfo:
+                make()
+            assert excinfo.value.param == "anharmonicity_mhz"
+    soft = lattice.build_lattice("heavy_hexagon", 3, -lattice.MAX_MHZ)
+    assert soft.collision_index.anharmonicity_mhz == -lattice.MAX_MHZ
+    assert soft != hh3 and soft.edges == hh3.edges
+    assert hh3.collision_index.anharmonicity_mhz == -330.0
 
 
 def test_distance_validation():

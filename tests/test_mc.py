@@ -265,15 +265,15 @@ def test_run_point_reads_past_the_end_of_its_deviates(nine_lattices, monkeypatch
     assert draws == []
 
 
-def test_inputs_at_their_bounds_count_without_overflow(hh3):
+def test_inputs_at_their_bounds_count_without_overflow():
     """Set points, scatter and |anharmonicity| up to lattice.MAX_MHZ keep
     every trial frequency and collision operand finite: no overflow warning,
     which this suite turns into an error, in the kernel or the expectation."""
+    hh3 = lattice.build_lattice("heavy_hexagon", 3, -lattice.MAX_MHZ)
     pattern = lattice.FrequencyPattern(base_ghz=1e296, spacing_mhz=4e299)
     assert lattice.set_points_mhz(hh3, pattern).max() <= lattice.MAX_MHZ
-    rules = collision.CollisionRules(-lattice.MAX_MHZ)
-    assert mc.run_point(hh3, pattern, lattice.MAX_MHZ, 300, 1, rules=rules).trials == 300
-    plan = mc.plan_sweep(hh3, pattern, [lattice.MAX_MHZ], spacing_grid=[4e299], rules=rules)
+    assert mc.run_point(hh3, pattern, lattice.MAX_MHZ, 300, 1).trials == 300
+    plan = mc.plan_sweep(hh3, pattern, [lattice.MAX_MHZ], spacing_grid=[4e299])
     assert math.isfinite(sum(plan[0].expected))
 
 
@@ -483,7 +483,7 @@ def test_plans_hold_the_expected_counts_they_planned_from(nine_lattices, family)
     assert fab.pattern == tuned.pattern
     assert any(p.trials == policy.boost for p in sweep)
     for plan in (*sweep, tuned, fab):
-        assert plan.lattice is lat and plan.rules == collision.DEFAULT_RULES
+        assert plan.lattice is lat
         assert list(plan.expected) == pytest.approx(
             _reference_expected(lat, plan.pattern, plan.sigma_mhz), rel=1e-9), plan.sigma_mhz
         assert plan.trials == policy.trials(3, sum(plan.expected)), plan.sigma_mhz

@@ -107,6 +107,15 @@ class TestPowerLawFit:
         assert fit.exponent == pytest.approx(0.0, abs=1e-9)
         assert fit.residual_std_mhz == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("r, f", [
+        ([7000.0, 8000.0, 9000.0], [5.5, 5.6]),
+        ([[7000.0, 8000.0, 9000.0]], [[5.5, 5.6, 5.7]]),
+        (7000.0, 5.5),
+    ], ids=["lengths", "2-d", "0-d"])
+    def test_rejects_arrays_of_other_shapes(self, r, f):
+        with pytest.raises(InputError, match="1-d arrays of equal length"):
+            physics.fit_power_law(r, f)
+
     def test_rejects_nonpositive_data(self):
         with pytest.raises(InputError):
             physics.fit_power_law([7000.0, -1.0, 9000.0], [5.5, 5.6, 5.7])

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from freqcrowd import svgchart
+from freqcrowd.errors import InputError
 
 
 def tick_labels(svg):
@@ -36,3 +37,13 @@ def test_ticks_end_where_the_step_rounds_away():
     svg = svgchart.line_chart([("a", [1e16, 1e16 + 2], [0, 1])])
     assert circles(svg) == [(72.0, 424.0), (696.0, 36.0)]  # the plot area's two corners
     assert tick_labels(svg) == ["1.0e+16"]
+
+
+@pytest.mark.parametrize("series, message", [
+    ([("a", [1.0, 2.0], [3.0])], "series 'a': x and y lengths differ"),
+    ([], "nothing to plot"),
+    ([("a", [], []), ("b", (), ())], "nothing to plot"),
+], ids=["unequal-lengths", "no-series", "empty-series"])
+def test_rejects_series_it_cannot_draw(series, message):
+    with pytest.raises(InputError, match=message):
+        svgchart.line_chart(series)

@@ -69,6 +69,16 @@ class TestTargetAssignment:
         for rec, g in zip(recs, gid):
             assert rec.r_target_ohm == tunesim.TWO_GROUP_TARGETS_OHM[g]
 
+    def test_two_group_split_marks_a_junction_above_its_target_exhausted(self):
+        """A junction can only be trimmed upwards, so one that starts above
+        its group's target is exhausted before any anneal."""
+        recs = [tunesim.JunctionRecord(j, r, r) for j, r in enumerate((7000.0, 9000.0, 8000.0))]
+        gid = tunesim.two_group_split(recs, targets_ohm=(8500.0,), sizes=(3,))
+        assert gid.tolist() == [0, 0, 0]
+        assert [rec.status for rec in recs] == [tunesim.PENDING, tunesim.EXHAUSTED,
+                                                tunesim.PENDING]
+        assert all(rec.r_target_ohm == 8500.0 for rec in recs)
+
     def test_two_group_split_size_mismatch(self):
         recs = tunesim.generate_population(30, master_seed=3)
         with pytest.raises(InputError):
@@ -212,6 +222,22 @@ class TestTuneJunction:
             counts.append(len(rec.steps))
         assert counts == sorted(counts)
         assert counts[0] < counts[-1]
+
+    def test_an_exhausted_junction_is_left_as_it_is(self):
+        rec = tunesim.JunctionRecord(0, 9000.0, 9000.0, r_target_ohm=8000.0,
+                                     status=tunesim.EXHAUSTED)
+        out = tunesim.tune_junction(rec, tunesim.AnnealResponseModel.default(),
+                                    tunesim.TunePolicy(), tunesim.junction_rng(0, 0))
+        assert out is rec
+        assert (rec.status, rec.r_ohm, rec.steps) == (tunesim.EXHAUSTED, 9000.0, [])
+
+    @pytest.mark.parametrize("r_ohm, target_ohm", [(0.0, 8000.0), (-5.0, 8000.0),
+                                                   (8000.0, 0.0), (8000.0, math.nan)])
+    def test_rejects_a_non_positive_resistance(self, r_ohm, target_ohm):
+        rec = tunesim.JunctionRecord(0, 8000.0, r_ohm, r_target_ohm=target_ohm)
+        with pytest.raises(ParameterError, match="resistance must be positive"):
+            tunesim.tune_junction(rec, tunesim.AnnealResponseModel.default(),
+                                  tunesim.TunePolicy(), tunesim.junction_rng(0, 0))
 
     def test_policy_validation(self):
         for bad in ({"step_fraction": 0.0}, {"converge_band": 1.0}, {"max_anneals": 0}):
