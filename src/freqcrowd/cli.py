@@ -9,10 +9,10 @@ the CSV/JSON outputs come back byte-identical (nothing here consults the
 clock or any other ambient entropy).  Only the commands that draw random
 numbers, ``check``, ``sweep`` and ``tune``, take ``--seed`` (default 0).
 
-Configuration precedence: command-line flags beat ``FREQCROWD_<KEY>``
-environment variables, which beat ``--config`` INI entries (section
-``[freqcrowd]``), which beat built-in defaults.  Each setting is declared
-once, in :data:`OPTIONS`, which drives all four sources.
+Settings come from command-line flags, else from built-in defaults, and from
+nowhere else: no environment variable or file changes a run.  Each setting is
+declared once, in :data:`OPTIONS`.  To repeat a run's settings, ``rerun`` its
+manifest.
 
 Exit codes: 0 success, 1 runtime or I/O failure, 2 usage/config error.
 Ranges are the library's to check: a flag value that the library parameter
@@ -27,7 +27,6 @@ calls (``window``, ``tunesim``, ``physics``, ``svgchart``) when it runs.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import hashlib
 import json
@@ -39,17 +38,17 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, collision, lattice, mc
-from .errors import FreqcrowdError, InputError, UnfittableError
+from .errors import FreqcrowdError, InputError, ParameterError, UnfittableError
 
 EXTRAPOLATE_SIGMAS = (14.0, 12.0, 10.0, 8.0, 6.0)
 
 
 class Option(NamedTuple):
-    """One setting: its argparse flags, the converter applied to flag,
-    ``FREQCROWD_<DEST>`` and INI values, its default (a :class:`ModuleDefault`
-    is read when a configuration is resolved), the commands that take it
-    (``None``: every command) and the names of the library parameters it
-    feeds, whose :class:`ParameterError` it reports (``()``: its ``dest``)."""
+    """One setting: its argparse flags, the converter applied to its flag's
+    value, its default (a :class:`ModuleDefault` is read when a configuration
+    is resolved), the commands that take it (``None``: every command) and the
+    names of the library parameters it feeds, whose :class:`ParameterError`
+    it reports (``()``: its ``dest``)."""
 
     dest: str
     flags: tuple
@@ -125,7 +124,6 @@ OPTIONS = (
            "run name under out/<command>/ (default: default)"),
     Option("seed", ("--seed",), int, 0, ("check", "sweep", "tune"),
            "master seed (default: 0, never wall-clock)", ("master_seed",)),
-    Option("config", ("--config",), str, None, None, "INI file with a [freqcrowd] section"),
 )
 
 _OPTION = {opt.dest: opt for opt in OPTIONS}
@@ -135,48 +133,16 @@ class UsageError(Exception):
     pass
 
 
-def _coerce(key: str, raw: str):
-    conv = _OPTION[key].type
-    if conv is bool:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"cannot read {raw!r} as a flag value for {key}")
-    try:
-        return conv(raw)
-    except ValueError as exc:
-        raise UsageError(f"bad value for {key}: {raw!r}") from exc
-
-
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Merge flags, FREQCROWD_* environment, INI file, and defaults."""
-    file_cfg = {}
-    if getattr(args, "config", None):
-        parser = configparser.ConfigParser()
-        read = parser.read(args.config)
-        if not read:
-            raise UsageError(f"config file not found: {args.config}")
-        if parser.has_section("freqcrowd"):
-            for key, raw in parser.items("freqcrowd"):
-                if key not in _OPTION:
-                    raise UsageError(f"unknown config key: {key}")
-                file_cfg[key] = _coerce(key, raw)
+    """Each setting's flag, or else its default."""
     cfg = {"command": args.command}
     for key, value in vars(args).items():
-        if key in ("command", "config"):
+        if key == "command":
             continue
-        if value is not None:
-            cfg[key] = value
-            continue
-        env = os.environ.get(f"FREQCROWD_{key.upper()}")
-        if env is not None:
-            cfg[key] = _coerce(key, env)
-        elif key in file_cfg:
-            cfg[key] = file_cfg[key]
-        else:
+        if value is None:
             default = _OPTION[key].default
-            cfg[key] = default.value() if isinstance(default, ModuleDefault) else default
+            value = default.value() if isinstance(default, ModuleDefault) else default
+        cfg[key] = value
     return cfg
 
 
@@ -644,9 +610,14 @@ def cmd_rerun(cfg: dict) -> int:
 
 
 def _run(cfg: dict) -> int:
-    """Run ``cfg``'s command, its seed checked first if it takes one (the
-    commands that draw): the one path from a command line or a replayed
-    manifest to a command."""
+    """Run ``cfg``'s command, its run name checked first, so that its outputs
+    stay in one directory under ``out/<command>/``, and its seed if it takes
+    one (the commands that draw): the one path from a command line or a
+    replayed manifest to a command."""
+    name = cfg["name"]
+    if name in ("", ".", "..") or "/" in name or os.sep in name:
+        raise ParameterError(f"run name {name!r} must name one directory under "
+                             "out/<command>/", "name")
     if cfg["command"] in _OPTION["seed"].commands:
         mc.check_seed(cfg["seed"])
     return _COMMANDS[cfg["command"]](cfg)
@@ -664,9 +635,9 @@ _COMMANDS = {
 }
 
 # the commands a manifest can replay (rerun writes none), each with the
-# settings its handler reads: every option it takes but --out and --config
+# settings its handler reads: every option it takes but --out
 _REPLAYABLE = {command: tuple(opt.dest for opt in OPTIONS
-                              if opt.dest not in ("out", "config")
+                              if opt.dest != "out"
                               and (opt.commands is None or command in opt.commands))
                for command in _RUN_COMMANDS}
 

@@ -320,10 +320,11 @@ def next_nearest_triples(lattice: Lattice) -> tuple:
     return tuple(sorted(triples))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollisionIndex:
     """A lattice's edges (control, target) and spectator triples (i, j, k) as
-    node arrays, and the anharmonicity that places its collision windows."""
+    node arrays, and the anharmonicity that places its collision windows.
+    Equal and hashed by identity, since its arrays have no truth value."""
 
     n_qubits: int
     edge_control: np.ndarray

@@ -668,76 +668,43 @@ class TestFitRnCommand:
         assert cli.main(["fit-rn", "--out", str(tmp_path)]) == 2
 
 
-class TestConfigPrecedence:
-    def run_check(self, tmp_path, out, extra):
-        rc = cli.main(["check", "--family", "square", "-d", "3",
-                       "--out", str(out), *extra])
-        assert rc == 0
-        return read_json(out, "check")["spacing_mhz"]
-
-    def test_config_file_beats_default(self, tmp_path):
-        ini = tmp_path / "fc.ini"
-        ini.write_text("[freqcrowd]\nspacing_mhz = 60\n")
-        assert self.run_check(tmp_path, tmp_path / "o", ["--config", str(ini)]) == 60.0
-
-    def test_env_beats_config_file(self, tmp_path, monkeypatch):
-        ini = tmp_path / "fc.ini"
-        ini.write_text("[freqcrowd]\nspacing_mhz = 60\n")
-        monkeypatch.setenv("FREQCROWD_SPACING_MHZ", "80")
-        assert self.run_check(tmp_path, tmp_path / "o", ["--config", str(ini)]) == 80.0
-
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FREQCROWD_SPACING_MHZ", "80")
-        assert self.run_check(tmp_path, tmp_path / "o", ["--spacing-mhz", "90"]) == 90.0
-
-    def test_unknown_config_key(self, tmp_path, capsys):
-        ini = tmp_path / "fc.ini"
-        ini.write_text("[freqcrowd]\nbogus = 1\n")
-        assert cli.main(["check", "--family", "square", "-d", "3",
-                         "--config", str(ini), "--out", str(tmp_path)]) == 2
-        assert "unknown config key" in capsys.readouterr().err
-
-    def test_missing_config_file(self, tmp_path):
-        assert cli.main(["check", "--family", "square", "-d", "3",
-                         "--config", str(tmp_path / "nope.ini"),
-                         "--out", str(tmp_path)]) == 2
-
-    def test_bad_env_value(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FREQCROWD_SPACING_MHZ", "often")
-        assert cli.main(["check", "--family", "square", "-d", "3",
-                         "--out", str(tmp_path)]) == 2
-
-    @pytest.mark.parametrize("raw, value", [("1", True), ("Yes", True), ("on", True),
-                                            ("true", True), ("0", False), ("No", False),
-                                            ("off", False), ("FALSE", False)])
-    @pytest.mark.parametrize("source", ["env", "ini"])
-    def test_bool_setting_from_env_or_config_file(self, tmp_path, monkeypatch, source, raw,
-                                                  value):
-        argv = ["sweep"]
-        if source == "env":
-            monkeypatch.setenv("FREQCROWD_REPRODUCE_TABLE2", raw)
-        else:
-            (tmp_path / "fc.ini").write_text(f"[freqcrowd]\nreproduce_table2 = {raw}\n")
-            argv += ["--config", str(tmp_path / "fc.ini")]
-        cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
-        assert cfg["reproduce_table2"] is value
-
-    @pytest.mark.parametrize("source", ["env", "ini"])
-    def test_unreadable_bool_setting_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
-                                                      source):
-        argv = ["sweep", "--out", str(tmp_path / "out")]
-        if source == "env":
-            monkeypatch.setenv("FREQCROWD_REPRODUCE_TABLE2", "maybe")
-        else:
-            (tmp_path / "fc.ini").write_text("[freqcrowd]\nreproduce_table2 = maybe\n")
-            argv += ["--config", str(tmp_path / "fc.ini")]
-        assert cli.main(argv) == 2
-        assert capsys.readouterr().err == \
-            "error: cannot read 'maybe' as a flag value for reproduce_table2\n"
-        assert not (tmp_path / "out").exists()
+def test_no_environment_variable_changes_a_run(tmp_path, monkeypatch):
+    """Settings come from flags and defaults alone: ``FREQCROWD_*`` variables
+    that once set a spacing or the summary table leave a run's bytes as they are."""
+    argv = ["check", "--family", "square", "-d", "3"]
+    assert cli.main(argv + ["--out", str(tmp_path / "a")]) == 0
+    monkeypatch.setenv("FREQCROWD_SPACING_MHZ", "80")
+    monkeypatch.setenv("FREQCROWD_REPRODUCE_TABLE2", "1")
+    assert cli.main(argv + ["--out", str(tmp_path / "b")]) == 0
+    assert read_json(tmp_path / "b", "check")["spacing_mhz"] == 70.0
+    for fn in ("results.json", "manifest.json"):
+        assert read_bytes(tmp_path / "a", "check", "default", fn) == \
+            read_bytes(tmp_path / "b", "check", "default", fn)
 
 
-# resolve_config with no flags, environment or INI file, as recorded in
+def test_no_settings_file_is_read(tmp_path, capsys):
+    ini = tmp_path / "fc.ini"
+    ini.write_text("[freqcrowd]\nspacing_mhz = 60\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--family", "square", "-d", "3", "--config", str(ini),
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["..", ".", "", "a/b", "../escaped"])
+def test_a_run_name_names_one_directory_under_its_command(tmp_path, capsys, name):
+    """``--name`` cannot place a run beside, above or inside another one."""
+    out = tmp_path / "out"
+    assert cli.main(["lattice", "--family", "square", "-d", "3", "--name", name,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: --name={name}: run name {name!r} must name one directory under out/<command>/\n"
+    assert not out.exists()
+
+
+# resolve_config with no flags, as recorded in
 # manifest.json since the first release (fit-rn recorded an unset
 # fix_exponent as NaN until it became None); rerun replays these snapshots.
 # Only the commands that draw take a seed: lattice, fit-window, extrapolate
@@ -917,6 +884,11 @@ class TestRerunCommand:
         manifest = self.edited_sweep_manifest(tmp_path, lambda m: m.update(config=[1, 2]))
         self.assert_rejected(tmp_path, capsys, manifest, "manifest config must be a JSON object")
 
+    def test_replay_refuses_a_name_outside_its_command(self, tmp_path, capsys):
+        manifest = self.edited_sweep_manifest(tmp_path, lambda m: m["config"].update(name=".."))
+        self.assert_rejected(tmp_path, capsys, manifest,
+                             "run name '..' must name one directory under out/<command>/")
+
     def test_replay_rejects_non_object_inputs(self, tmp_path, capsys):
         manifest = self.edited_sweep_manifest(tmp_path, lambda m: m.update(inputs_sha256=[1]))
         self.assert_rejected(tmp_path, capsys, manifest,
@@ -1039,11 +1011,11 @@ def test_unknown_command_exits_via_argparse():
     assert exc.value.code == 2
 
 
-def test_cli_import_leaves_out_scipy_stats_and_optimize():
+def test_cli_import_leaves_out_configparser_scipy_stats_and_optimize():
     """A fresh interpreter, because this test session has already loaded
     ``scipy.stats`` as an oracle."""
-    code = ("import sys, freqcrowd.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    code = ("import sys, freqcrowd.cli; print(sorted(m for m in "
+            "('configparser', 'scipy.stats', 'scipy.optimize') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
     assert out.stdout.strip() == "[]"

@@ -140,6 +140,16 @@ def test_collision_index_is_built_once_and_read_only(hh3):
                 getattr(idx, name)[0] = 0
 
 
+def test_collision_indexes_compare_and_hash_by_identity(hh3):
+    """Two indexes of equal lattices are distinct objects: comparing or hashing
+    them never asks an array for a truth value."""
+    index = hh3.collision_index
+    fresh = lattice.build_lattice("heavy_hexagon", 3).collision_index
+    assert index == index and not index != index
+    assert index != fresh and not index == fresh
+    assert len({index, fresh, index}) == 2
+
+
 def test_anharmonicity_is_checked_where_a_lattice_is_made(hh3):
     """A lattice carries its transmons' anharmonicity, checked however the
     lattice is made, and its collision index carries it to the kernel."""
