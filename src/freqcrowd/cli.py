@@ -72,8 +72,6 @@ class ModuleDefault(NamedTuple):
 
 
 _LATTICE_COMMANDS = ("lattice", "check", "sweep")
-# every command but rerun, which replays its manifest's settings
-_RUN_COMMANDS = ("lattice", "check", "sweep", "fit-window", "extrapolate", "tune", "fit-rn")
 
 OPTIONS = (
     Option("family", ("--family",), str, None, _LATTICE_COMMANDS,
@@ -606,7 +604,10 @@ def cmd_rerun(cfg: dict) -> int:
     sub["out"] = cfg["out"]
     if cfg["name"] != _OPTION["name"].default:
         sub["name"] = cfg["name"]
-    return _run(sub)
+    try:
+        return _run(sub)
+    except ParameterError as exc:  # a manifest's value, not a flag's
+        raise InputError(str(exc)) from exc
 
 
 def _run(cfg: dict) -> int:
@@ -639,12 +640,11 @@ _COMMANDS = {
 _REPLAYABLE = {command: tuple(opt.dest for opt in OPTIONS
                               if opt.dest != "out"
                               and (opt.commands is None or command in opt.commands))
-               for command in _RUN_COMMANDS}
+               for command in _COMMANDS if command != "rerun"}
 
-# (command, library parameter) -> the option feeding it there; none under
-# rerun, where a rejected value comes from the manifest, not from a flag
-_FEEDS = {(command, param): _OPTION[key] for command, keys in _REPLAYABLE.items()
-          for key in keys for param in _OPTION[key].params or (key,)}
+# (command, library parameter) -> the option feeding it there
+_FEEDS = {(command, param): opt for opt in OPTIONS for command in opt.commands or _COMMANDS
+          for param in opt.params or (opt.dest,)}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,19 +8,19 @@ independent of batching and of which sigma/spacing values are evaluated — a
 single deviate matrix can be reused across a whole sweep, since a trial's
 frequencies are just set_points + sigma * z.
 
-Every reported point is planned, then measured.  :func:`plan_sweep` and
-:func:`plan_table` decide each point without a deviate: the spacing with the
-fewest *expected* collisions (exact, from
-:func:`~freqcrowd.collision.expected_counts`, so the reported statistics are
-not flattered by having picked the luckiest spacing on them), and the trials
-:class:`AdaptiveTrials` plans from E, the expected collision total there: the
-boost count where the model yield exp(-E) is low and the boost expects at
-least :data:`BOOST_MIN_SURVIVORS` survivors, ``boost * exp(-E)``, else the
-base count.  Each decision is a :class:`PlannedPoint`.  :func:`measure` then
-samples the plans.  With every trial count known, so are the rows that two
-or more points read (:func:`shared_rows`), and only those are held
-(:class:`DeviateRows`); every other row is drawn by the one point that reads
-it, so each row is drawn once.
+Every reported point is planned, then measured.  :func:`plan_sweep`, the one
+planner (:func:`plan_table` and :func:`optimize_spacing` call it), decides
+each point without a deviate: the spacing with the fewest *expected*
+collisions (exact, from :func:`~freqcrowd.collision.expected_counts`, so the
+reported statistics are not flattered by having picked the luckiest spacing
+on them), and the trials :class:`AdaptiveTrials` plans from E, the expected
+collision total there: the boost count where the model yield exp(-E) is low
+and the boost expects at least :data:`BOOST_MIN_SURVIVORS` survivors,
+``boost * exp(-E)``, else the base count.  Each decision is a
+:class:`PlannedPoint`.  :func:`measure` then samples the plans.  With every
+trial count known, so are the rows that two or more points read
+(:func:`shared_rows`), and only those are held (:class:`DeviateRows`); every
+other row is drawn by the one point that reads it, so each row is drawn once.
 
 A point is measured (:func:`run_point`) by counting its deviate rows into
 running per-type collision totals and collision-free rows, one kernel block
@@ -222,14 +222,6 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
                       per_type_means=tuple(c / trials for c in totals))
 
 
-def _checked_grid(spacing_grid) -> list:
-    """``spacing_grid`` as a list of floats, checked to be non-empty."""
-    grid = [float(s) for s in spacing_grid]
-    if not grid:
-        raise ParameterError("spacing grid is empty")
-    return grid
-
-
 # per-distance model yield, exp(-E), below which a point is planned at the
 # boost count; unlisted distances never boost
 LOW_YIELD_THRESHOLDS = {3: 0.002, 5: 0.01, 7: 0.01}
@@ -282,26 +274,6 @@ class PlannedPoint:
     expected: tuple
 
 
-def _plan(lattice: Lattice, pattern: FrequencyPattern, sigmas, grid: list,
-          policy: AdaptiveTrials) -> list:
-    """One :class:`PlannedPoint` per sigma, from one :func:`expected_counts`
-    call over the sigma x ``grid`` stack: each takes the grid spacing with
-    the fewest expected collisions, ties to the smaller spacing (at zero
-    scatter, where the expectation is the exact count, the smallest
-    collision-free one), and the policy's trials for E, the expected total
-    there."""
-    sigmas = [float(s) for s in sigmas]
-    counts = expected_counts(lattice.collision_index, set_points_mhz(lattice, pattern, grid),
-                             sigmas)
-    plans = []
-    for sigma, by_spacing, totals in zip(sigmas, counts, counts.sum(axis=-1).tolist()):
-        total, spacing, k = min(zip(totals, grid, range(len(grid))))
-        plans.append(PlannedPoint(lattice, pattern.with_spacing(spacing), sigma,
-                                  policy.trials(lattice.distance, total),
-                                  tuple(by_spacing[k].tolist())))
-    return plans
-
-
 def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, trials: int,
                      master_seed: int = 0, *, spacing_grid=DEFAULT_SPACING_GRID_MHZ) -> SweepPoint:
     """Measure the grid spacing a plan chooses at this sigma, on ``trials``
@@ -312,7 +284,7 @@ def optimize_spacing(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: flo
     traces it by name (until ROADMAP item 10 removes that coupling).
     """
     # the plan's spacing alone: the trials are given, and run_point checks them
-    (plan,) = _plan(lattice, pattern, [sigma_mhz], _checked_grid(spacing_grid), AdaptiveTrials())
+    (plan,) = plan_sweep(lattice, pattern, [sigma_mhz], spacing_grid=spacing_grid)
     return run_point(lattice, plan.pattern, sigma_mhz, trials, master_seed)
 
 
@@ -320,11 +292,26 @@ def plan_sweep(lattice: Lattice, pattern: FrequencyPattern, sigma_grid=DEFAULT_S
                trials_policy: AdaptiveTrials | None = None, *,
                spacing_grid=DEFAULT_SPACING_GRID_MHZ) -> list:
     """The :class:`PlannedPoint` of each sigma of a sweep, in grid order,
-    each at the spacing with the fewest expected collisions at its sigma; a
-    one-element ``spacing_grid`` keeps that spacing at every point."""
+    from one :func:`expected_counts` call over the sigma x ``spacing_grid``
+    stack: the one planner of every reported point.  Each takes the grid
+    spacing with the fewest expected collisions, ties to the smaller spacing
+    (at zero scatter, where the expectation is the exact count, the smallest
+    collision-free one), and the policy's trials for E, the expected total
+    there; a one-element ``spacing_grid`` keeps that spacing at every point."""
     policy = trials_policy if trials_policy is not None else AdaptiveTrials()
-    grid = _checked_grid(spacing_grid)
-    return _plan(lattice, pattern, sigma_grid, grid, policy)
+    grid = [float(s) for s in spacing_grid]
+    if not grid:
+        raise ParameterError("spacing grid is empty")
+    sigmas = [float(s) for s in sigma_grid]
+    counts = expected_counts(lattice.collision_index, set_points_mhz(lattice, pattern, grid),
+                             sigmas)
+    plans = []
+    for sigma, by_spacing, totals in zip(sigmas, counts, counts.sum(axis=-1).tolist()):
+        total, spacing, k = min(zip(totals, grid, range(len(grid))))
+        plans.append(PlannedPoint(lattice, pattern.with_spacing(spacing), sigma,
+                                  policy.trials(lattice.distance, total),
+                                  tuple(by_spacing[k].tolist())))
+    return plans
 
 
 def plan_table(lattices, pattern: FrequencyPattern, policy: AdaptiveTrials, *,
@@ -337,12 +324,12 @@ def plan_table(lattices, pattern: FrequencyPattern, policy: AdaptiveTrials, *,
     out before anyone knows how well tuning will do.  Each point's trials
     are planned from its own expected total.
     """
-    grid = _checked_grid(spacing_grid)
+    grid = tuple(spacing_grid)  # a one-shot iterable plans every lattice
     pairs = []
     for lat in lattices:
-        (tuned,) = _plan(lat, pattern, [TUNED_SIGMA_MHZ], grid, policy)
-        (fab,) = _plan(lat, pattern, [AS_FABRICATED_SIGMA_MHZ], [tuned.pattern.spacing_mhz],
-                       policy)
+        (tuned,) = plan_sweep(lat, pattern, [TUNED_SIGMA_MHZ], policy, spacing_grid=grid)
+        (fab,) = plan_sweep(lat, pattern, [AS_FABRICATED_SIGMA_MHZ], policy,
+                            spacing_grid=[tuned.pattern.spacing_mhz])
         pairs.append((tuned, fab))
     return pairs
 

@@ -11,13 +11,6 @@ import pytest
 from freqcrowd import cli, lattice, mc, window
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    for key in list(os.environ):
-        if key.startswith("FREQCROWD_"):
-            monkeypatch.delenv(key)
-
-
 def read_json(root, command, name="default", filename="results.json"):
     with open(os.path.join(root, command, name, filename)) as fh:
         return json.load(fh)
@@ -888,6 +881,15 @@ class TestRerunCommand:
         manifest = self.edited_sweep_manifest(tmp_path, lambda m: m["config"].update(name=".."))
         self.assert_rejected(tmp_path, capsys, manifest,
                              "run name '..' must name one directory under out/<command>/")
+
+    def test_rerun_refuses_its_own_name_outside_its_command(self, tmp_path, capsys):
+        """rerun's own ``--name`` is a flag: a rejected one is a usage error
+        that names it, raised before anything is written."""
+        manifest = self.edited_sweep_manifest(tmp_path, lambda m: None)
+        assert cli.main(["rerun", manifest, "--name", "..", "--out", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr().err == \
+            "error: --name=..: run name '..' must name one directory under out/<command>/\n"
+        assert not (tmp_path / "b").exists()
 
     def test_replay_rejects_non_object_inputs(self, tmp_path, capsys):
         manifest = self.edited_sweep_manifest(tmp_path, lambda m: m.update(inputs_sha256=[1]))

@@ -520,6 +520,21 @@ def test_measure_takes_plans_of_several_lattices_and_policies(nine_lattices):
         assert dataclasses.astuple(pt) == dataclasses.astuple(alone)
 
 
+def test_a_one_shot_spacing_grid_plans_every_lattice(nine_lattices):
+    """A generator spacing grid gives the summary table of every lattice
+    what the same grid as a tuple gives, planned and measured."""
+    lats = [nine_lattices[("heavy_hexagon", 3)], nine_lattices[("square", 3)]]
+    pattern, policy = lattice.FrequencyPattern(), mc.AdaptiveTrials(base=30, boost=60)
+    grid = (40.0, 55.0, 70.0, 85.0)
+    assert mc.plan_table(lats, pattern, policy, spacing_grid=(s for s in grid)) == \
+        mc.plan_table(lats, pattern, policy, spacing_grid=grid)
+    one_shot = mc.table_rows(lats, pattern, policy, 2, spacing_grid=(s for s in grid))
+    assert len(one_shot) == 2
+    assert [tuple(map(dataclasses.astuple, pair)) for pair in one_shot] == \
+        [tuple(map(dataclasses.astuple, pair))
+         for pair in mc.table_rows(lats, pattern, policy, 2, spacing_grid=grid)]
+
+
 @pytest.mark.parametrize("seed", [-1, 2**128])
 @pytest.mark.parametrize("sigmas", [(14.0, 20.0), (14.0,)], ids=["held", "alone"])
 def test_measure_checks_the_seed(hh3, seed, sigmas):
