@@ -266,18 +266,19 @@ def cmd_check(cfg: dict) -> int:
     lat = _build(cfg)
     freqs = lattice.set_points_mhz(lat, _pattern(cfg))
     collision.check_sigma(cfg["sigma_mhz"])  # sigma <= 0 or NaN draws no deviate to check it
-    if cfg["sigma_mhz"] > 0.0:
-        freqs = freqs + cfg["sigma_mhz"] * mc.gaussian_deviates(cfg["seed"], 1, lat.n_qubits)[0]
+    sigma = cfg["sigma_mhz"] + 0.0  # -0.0 is reported as 0.0
+    if sigma > 0.0:
+        freqs = freqs + sigma * mc.gaussian_deviates(cfg["seed"], 1, lat.n_qubits)[0]
     report = collision.count_collisions(lat, freqs, collect=True)
     _write_run(cfg, {"results.json": {
         "family": lat.family, "distance": lat.distance, "n_qubits": lat.n_qubits,
-        "sigma_f_mhz": cfg["sigma_mhz"], "spacing_mhz": cfg["spacing_mhz"],
+        "sigma_f_mhz": sigma, "spacing_mhz": cfg["spacing_mhz"],
         "per_type": {str(t): n for t, n in report.per_type.items()},
         "total": report.total,
         "instances": [list(inst) for inst in report.instances],
     }})
     print(f"{lat.family} d={lat.distance} at spacing {cfg['spacing_mhz']:g} MHz, "
-          f"sigma {cfg['sigma_mhz']:g} MHz")
+          f"sigma {sigma:g} MHz")
     print("type  count")
     for t, n in report.per_type.items():
         print(f"   {t}  {n}")

@@ -23,6 +23,11 @@ operands, linear forms of the frequencies (:func:`_operands`).  The Monte
 Carlo kernel (:func:`_violations`) reads each row as a mask, and
 :func:`expected_counts` as a normal-CDF difference under independent Gaussian
 scatter, on :func:`ndtr` (``math.erfc``), the package's one normal CDF.
+The kernel works member-major: a block is a [qubits, rows] frequency array,
+so each operand gathers whole rows of it into a [members, rows] array, and
+every such array lives in one :class:`_Scratch` set that its caller reuses
+block after block (``mc.measure`` holds one per call), so a sweep faults its
+pages in once.  The public counters take [rows, qubits] frequencies.
 Both read a lattice's ``collision_index`` (``lattice``'s :func:`build_index`, also
 named here), which carries the lattice's anharmonicity a, the one device
 constant the windows depend on; :func:`count_collisions` takes a chip's counts
@@ -52,7 +57,8 @@ from .lattice import DEFAULT_ANHARMONICITY_MHZ, MAX_MHZ, CollisionIndex, Lattice
 # half-width w in MHz), with shapes "plain" |x - c*a| < w, "folded"
 # ||x| + c*a| < w and "above" x >= c*a.  Rows run in type order, grouped by
 # operand; an operand has at most one plain row with c != 0, and at most one
-# folded row, after its plain rows.  Widths: the transmon gate error budget.
+# folded row, after its plain rows, and at most one "above" row, since the
+# kernel holds one such mask.  Widths: the transmon gate error budget.
 WINDOWS = (
     (1, "edge", "plain", 0.0, 17.0),
     # |2x + a| < 4 halved, exactly: halving commutes with rounding
@@ -67,9 +73,11 @@ WINDOWS = (
 TYPE_IDS = tuple(row[0] for row in WINDOWS)
 
 # (row, edge or triple) cells per block of the batched counters: rows are
-# counted in blocks whose temporaries stay cache-sized instead of one pass
+# counted in blocks whose scratch buffers stay cache-sized instead of one pass
 # over the whole batch, and a sweep point builds its frequencies one block at
-# a time, so this also bounds the rows x qubits array it holds
+# a time, so this also sizes its scratch set.  A warm default square d=7
+# sweep took 37-38 ms at 2**15 cells, 34-38 ms at 2**16, 33-34 ms at 81,920
+# and 34-36 ms at 2**17 (medians of 15, 2-core x86-64, 1 MB L2 per core)
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -92,49 +100,99 @@ def check_count(name: str, value, least: int = 1) -> None:
         raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}", name)
 
 
-def _operands(index: CollisionIndex, f: np.ndarray):
-    """Yield ``(operand, x, members, coefficients)`` for the three operands,
-    on the last axis of ``f`` (a kernel block or a set-point stack).  ``x`` is
-    fresh, so its reader may reuse it in place; ``coefficients`` weight the
+class _Scratch:
+    """The buffers kernel blocks are built and counted in, member-major: a
+    block is a [qubits, rows] frequency array, and each operand and mask a
+    [members, rows] one.  Each buffer is one flat array sized by cells, the
+    most (members x rows) or (qubits x rows) of any block it was fitted to,
+    and viewed in each block's shape, so one set serves blocks of every
+    lattice and its pages are faulted in once."""
+
+    # (name, the node count a block's view has, dtype): "members" is the
+    # larger of an edge and a triple operand, since a view holds one operand
+    BUFFERS = (("f", "qubits", float), ("q", "qubits", float), ("x", "members", float),
+               ("fi", "members", float), ("fk", "members", float),
+               ("mask", "members", bool), ("above", "members", bool))
+
+    def __init__(self):
+        self._flat = {}
+
+    def fit(self, blocks) -> None:
+        """Grow the buffers to hold a block of each ``(index, rows)``."""
+        need = {"qubits": 0, "members": 0}
+        for index, rows in blocks:
+            need["qubits"] = max(need["qubits"], index.n_qubits * rows)
+            need["members"] = max(need["members"],
+                                  max(index.edge_control.size, index.tri_i.size) * rows)
+        for name, nodes, dtype in self.BUFFERS:
+            if name not in self._flat or self._flat[name].size < need[nodes]:
+                self._flat[name] = np.empty(need[nodes], dtype)
+
+    def view(self, name: str, nodes: int, rows: int) -> np.ndarray:
+        """Buffer ``name`` as a [nodes, rows] array."""
+        return self._flat[name][:nodes * rows].reshape(nodes, rows)
+
+
+def _operands(index: CollisionIndex, f: np.ndarray, scratch: _Scratch):
+    """Yield ``(operand, x, spare, members, coefficients)`` for the three
+    operands, on the first axis of ``f`` (a [qubits, rows] kernel block, or
+    set points one per column).  ``x`` lies in ``scratch``, as do the gathers
+    it is built from, so its reader may reuse it in place until the next
+    operand is drawn, and ``spare`` too, a buffer of x's shape that nothing
+    reads any more (None where there is none); ``coefficients`` weight the
     nodes in ``members`` (the sum's constant a aside)."""
+    rows = f.shape[1]
+
+    def gather(nodes, name, source=f):
+        # build_index makes only in-range node ids, so the clip never moves one;
+        # mode="raise" would buffer ``out`` instead of writing straight into it
+        return source.take(nodes, axis=0, out=scratch.view(name, nodes.size, rows), mode="clip")
     edges = (index.edge_control, index.edge_target)
-    yield "edge", f[..., index.edge_control] - f[..., index.edge_target], edges, (1, -1)
+    x = gather(index.edge_control, "x")
+    spare = gather(index.edge_target, "fk")
+    x -= spare
+    yield "edge", x, spare, edges, (1, -1)
     triples = (index.tri_i, index.tri_j, index.tri_k)
-    fi = f[..., index.tri_i]
-    fk = f[..., index.tri_k]
-    yield "pair", fi - fk, triples, (1, 0, -1)
+    fi = gather(index.tri_i, "fi")
+    fk = gather(index.tri_k, "fk")
+    x = np.subtract(fi, fk, out=scratch.view("x", fi.shape[0], rows))
+    yield "pair", x, None, triples, (1, 0, -1)
     # f02_j = 2 f_j + a once per qubit, then gathered to the triples
-    x = (2.0 * f + index.anharmonicity_mhz)[..., index.tri_j]
+    q = np.multiply(f, 2.0, out=scratch.view("q", f.shape[0], rows))
+    q += index.anharmonicity_mhz
+    x = gather(index.tri_j, "x", q)
     x -= fi
     x -= fk
-    yield "sum", x, triples, (-1, 2, -1)
+    yield "sum", x, fi, triples, (-1, 2, -1)
 
 
-def _violations(index: CollisionIndex, f: np.ndarray):
+def _violations(index: CollisionIndex, f: np.ndarray, scratch: _Scratch):
     """Yield ``(type, mask, members)`` for each row of :data:`WINDOWS`: ``mask``
-    is bool [n_batches, n_members] over the edges (control, target) or triples
-    (i, j, k) whose node arrays ``members`` holds.  An operand is reused in
-    place once the masks that read it are taken: |x| first (into its own array
-    only when x is read again), "above" masks next, then the rows in order; its
-    arrays go before the next operand's gathers, so blocks reuse their pages."""
+    is bool [n_members, rows] over the edges (control, target) or triples
+    (i, j, k) whose node arrays ``members`` holds, for ``f`` [qubits, rows].
+    Every operand and mask lies in ``scratch``, so a mask is its reader's
+    only until the next is drawn.  An operand is reused in place once the
+    masks that read it are taken: |x| first (into the operand's spare buffer
+    only when x is read again), "above" masks next, then the rows in order."""
     a = index.anharmonicity_mhz
-    for operand, x, members, _ in _operands(index, f):
+    for operand, x, spare, members, _ in _operands(index, f, scratch):
         rows = [row for row in WINDOWS if row[1] == operand]
         keep = any(shape == "above" or shape == "plain" and c for _, _, shape, c, _ in rows)
-        ax = np.abs(x) if keep else np.abs(x, out=x)
-        above = {t: x >= c * a for t, _, shape, c, _ in rows if shape == "above"}
+        ax = np.abs(x, out=spare if keep else x)
+        above = {t: np.greater_equal(x, c * a, out=scratch.view("above", *x.shape))
+                 for t, _, shape, c, _ in rows if shape == "above"}
+        mask = scratch.view("mask", *x.shape)
         for t, _, shape, c, w in rows:
             if shape == "above":
                 yield t, above[t], members
             elif shape == "folded":
                 ax += c * a
-                yield t, np.abs(ax, out=ax) < w, members
+                yield t, np.less(np.abs(ax, out=ax), w, out=mask), members
             elif c:
                 x -= c * a
-                yield t, np.abs(x, out=x) < w, members
+                yield t, np.less(np.abs(x, out=x), w, out=mask), members
             else:
-                yield t, ax < w, members
-        del x, ax, above
+                yield t, np.less(ax, w, out=mask), members
 
 
 def block_rows(index: CollisionIndex) -> int:
@@ -161,27 +219,33 @@ def count_collisions_batch(index: CollisionIndex, f01_mhz: np.ndarray) -> np.nda
         raise InputError(f"frequencies must have {index.n_qubits} columns")
     _check_bound(f, "frequencies")
     rows = block_rows(index)
+    scratch = _Scratch()
+    scratch.fit([(index, min(rows, f.shape[0]))])
     out = np.zeros((f.shape[0], 7), dtype=np.int64)
     for lo in range(0, f.shape[0], rows):
-        for t, mask, _ in _violations(index, f[lo:lo + rows]):
-            out[lo:lo + rows, t - 1] = mask.sum(axis=1, dtype=np.int32)
+        block = f[lo:lo + rows]
+        f_t = scratch.view("f", index.n_qubits, block.shape[0])
+        f_t[...] = block.T
+        for t, mask, _ in _violations(index, f_t, scratch):
+            out[lo:lo + rows, t - 1] = mask.sum(axis=0, dtype=np.int32)
     return out
 
 
-def _tally(index: CollisionIndex, f: np.ndarray) -> tuple:
+def _tally(index: CollisionIndex, f: np.ndarray, scratch: _Scratch) -> tuple:
     """Per-type totals (int64 [7]) and collision-free rows (int) of one
-    block: :func:`count_collisions_batch`'s column sums and all-zero rows,
-    without its checks or per-row counts, for a caller that built ``f`` as a
-    float array of at most :func:`block_rows` rows within ``MAX_MHZ``.  Each window's
-    mask is counted whole; the rows it hits are noted until every row has
-    collided."""
+    member-major block ``f`` [qubits, rows]: :func:`count_collisions_batch`'s
+    column sums and all-zero rows, without its checks or per-row counts, for
+    a caller that built ``f`` as a float array of at most :func:`block_rows`
+    rows within ``MAX_MHZ``, and fitted ``scratch`` to such a block.  Each
+    window's mask is counted whole; the rows it hits are noted until every
+    row has collided."""
     totals = np.zeros(7, dtype=np.int64)
-    hit = np.zeros(f.shape[0], dtype=bool)
-    clean = f.shape[0]
-    for t, mask, _ in _violations(index, f):
+    hit = np.zeros(f.shape[1], dtype=bool)
+    clean = f.shape[1]
+    for t, mask, _ in _violations(index, f, scratch):
         totals[t - 1] = n = np.count_nonzero(mask)
         if n and clean:
-            hit |= mask.any(axis=1)
+            hit |= mask.any(axis=0)
             clean = hit.size - np.count_nonzero(hit)
     return totals, int(clean)
 
@@ -211,9 +275,11 @@ def count_collisions(lattice: Lattice, f01_mhz, *, collect: bool = False) -> Col
     if f.shape != (idx.n_qubits,):
         raise InputError(f"expected {idx.n_qubits} frequencies, got shape {f.shape}")
     _check_bound(f, "frequencies")
+    scratch = _Scratch()
+    scratch.fit([(idx, 1)])
     per_type, instances = {}, []
-    for t, mask, members in _violations(idx, f[None, :]):
-        hits = np.flatnonzero(mask[0])
+    for t, mask, members in _violations(idx, f[:, None], scratch):
+        hits = np.flatnonzero(mask[:, 0])
         per_type[t] = hits.size
         instances += [(t, *(int(nodes[m]) for nodes in members)) for m in hits]
     return CollisionReport(per_type, len(instances), tuple(instances) if collect else None)
@@ -283,8 +349,13 @@ def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz) -> np.ndar
 
     a = index.anharmonicity_mhz
     per_member = []  # probabilities [sigma, distinct operand value], and each member's column
-    for operand, x, _, coefficients in _operands(index, sp):
-        # the sorted distinct values, and each member's index among them (flat on numpy 1.x)
+    columns = np.ascontiguousarray(sp.reshape(-1, index.n_qubits).T)  # one set point per column
+    scratch = _Scratch()
+    scratch.fit([(index, columns.shape[1])])
+    for operand, x, _, _, coefficients in _operands(index, columns, scratch):
+        # the member axis back last, as set points stack: the sorted distinct
+        # values, and each member's index among them (flat on numpy 1.x)
+        x = x.T.reshape(*lead, x.shape[0])
         values, of = np.unique(x, return_inverse=True)
         of = of.reshape(x.shape)
         sd = sigmas[~exact, None] * math.sqrt(sum(k * k for k in coefficients))

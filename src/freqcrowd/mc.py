@@ -26,8 +26,11 @@ A point is measured (:func:`run_point`) by counting its deviate rows into
 running per-type collision totals and collision-free rows, one kernel block
 (:func:`~freqcrowd.collision.block_rows`) at a time, each block read or drawn
 and counted without repeating the checks made at its entry, and summarising
-them as a :class:`SweepPoint` of exact integer ratios.  At zero scatter every
-row is the same assignment, so one counted row stands for all of them.
+them as a :class:`SweepPoint` of exact integer ratios.  Each block's
+frequencies are built member-major, [qubits, rows], in the kernel buffers of
+the :class:`DeviateRows` the point reads, one set for every point of a
+:func:`measure` call.  At zero scatter every row is the same assignment, so
+one counted row stands for all of them.
 :func:`sweep_sigma` and :func:`table_rows` (the summary table the CLI prints
 and the acceptance gate checks) are plan-then-measure.
 
@@ -42,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # count_collisions_batch, which mc no longer calls, stays bound for perfbench's tracer
-from .collision import (_tally, block_rows, check_count, check_sigma, count_collisions_batch,
-                        expected_counts)
+from .collision import (_Scratch, _tally, block_rows, check_count, check_sigma,
+                        count_collisions_batch, expected_counts)
 from .errors import ParameterError
 from .lattice import FrequencyPattern, Lattice, set_points_mhz
 
@@ -130,7 +133,9 @@ class DeviateRows:
     held, drawn in one :func:`gaussian_deviates` call, and every row no band
     holds wide enough is drawn when read.  A lattice narrower than a band
     reads its leading columns, which the sampling contract makes its own
-    deviates.
+    deviates.  Bands stay [rows, qubits], as Philox draws them, one trial per
+    row; ``scratch`` holds the kernel buffers the points reading them build
+    their member-major blocks in.
     """
 
     def __init__(self, master_seed: int, bands=()):
@@ -140,6 +145,7 @@ class DeviateRows:
             self.bands.append(gaussian_deviates(master_seed, stop - first, width, first))
             first = stop
         self._rng = philox_rng(master_seed, [0, 0, 0, 0])
+        self.scratch = _Scratch()
 
     def block(self, lo: int, hi: int, n_qubits: int) -> np.ndarray:
         """Rows ``lo .. hi - 1``, ``n_qubits`` wide: held where a band at least
@@ -181,9 +187,14 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
     running per-type totals and collision-free rows, whose ratios to
     ``trials`` are the point's means.  They are read, built into frequencies
     and counted one kernel block of rows at a time, so the point holds one
-    block's deviates, frequencies and kernel temporaries whatever its
-    trials.  At zero scatter every row is the set points themselves, so the
-    point is one counted row times ``trials`` and no deviate is read.
+    block's deviates whatever its trials.  A block's frequencies are built
+    member-major, ``sigma * z.T + set points`` as a [qubits, rows] array,
+    in the kernel buffers of the :class:`DeviateRows` read (its
+    ``scratch``), where the kernel gathers and counts them too: a point
+    reading held rows reuses the buffers of every point before it.  At zero
+    scatter every row is the set points themselves, so the point is one
+    counted row times ``trials`` and no deviate is read; a scatter of -0.0
+    is that point, reported at 0.0.
 
     Every block is read through one :class:`DeviateRows`: ``deviates``,
     rows of ``master_seed`` held for several points (rows of another seed
@@ -195,27 +206,32 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
     check_sigma(sigma_mhz)
     check_count("trials", trials)
     held = deviates if deviates is not None else DeviateRows(master_seed)  # checks the seed
+    sigma_mhz = float(sigma_mhz) + 0.0  # -0.0 is reported as 0.0
     trials = int(trials)  # a numpy integer would make every mean a numpy float
     if held.master_seed != master_seed:
         raise ParameterError("deviates must be drawn under master_seed")
     idx = lattice.collision_index
-    sp = set_points_mhz(lattice, pattern)
+    sp = set_points_mhz(lattice, pattern)[:, None]
     n = lattice.n_qubits
+    scratch = held.scratch
     if sigma_mhz == 0.0:
-        totals, clean = _tally(idx, sp[None, :])
+        scratch.fit([(idx, 1)])
+        totals, clean = _tally(idx, sp, scratch)
         totals, survivors = totals * trials, clean * trials
     else:
         totals, survivors, rows = np.zeros(7, dtype=np.int64), 0, block_rows(idx)
+        scratch.fit([(idx, rows)])
         for lo in range(0, trials, rows):
             hi = min(lo + rows, trials)
-            f = sigma_mhz * held.block(lo, hi, n)
-            f += sp  # in place: one block x qubits temporary instead of two
-            block_totals, clean = _tally(idx, f)
+            # member-major, written in place: sigma z + set points, one qubit per row
+            f = np.multiply(held.block(lo, hi, n).T, sigma_mhz, out=scratch.view("f", n, hi - lo))
+            f += sp
+            block_totals, clean = _tally(idx, f, scratch)
             totals += block_totals
             survivors += clean
     totals = totals.tolist()  # Python integers: each mean below is the exactly rounded ratio
     return SweepPoint(family=lattice.family, distance=lattice.distance,
-                      n_qubits=lattice.n_qubits, sigma_mhz=float(sigma_mhz),
+                      n_qubits=lattice.n_qubits, sigma_mhz=sigma_mhz,
                       spacing_mhz=float(pattern.spacing_mhz), trials=trials,
                       master_seed=int(master_seed), yield_fraction=survivors / trials,
                       mean_collisions=sum(totals) / trials,
@@ -302,7 +318,7 @@ def plan_sweep(lattice: Lattice, pattern: FrequencyPattern, sigma_grid=DEFAULT_S
     grid = [float(s) for s in spacing_grid]
     if not grid:
         raise ParameterError("spacing grid is empty")
-    sigmas = [float(s) for s in sigma_grid]
+    sigmas = [float(s) + 0.0 for s in sigma_grid]  # -0.0 is planned as 0.0
     counts = expected_counts(lattice.collision_index, set_points_mhz(lattice, pattern, grid),
                              sigmas)
     plans = []
@@ -344,11 +360,16 @@ def measure(plans, master_seed: int = 0) -> list:
     as the widest plan that reads it: under the sampling contract a
     lattice's leading columns are its own deviates, so each point equals the
     point measured alone.  A plan reading past the held rows draws the rest
-    itself, a kernel block at a time, so each row is drawn once.
+    itself, a kernel block at a time, so each row is drawn once.  Every point
+    builds and counts its blocks in one set of kernel buffers, sized before
+    the first point by cells, to the largest block of any plan.
     """
     plans = list(plans)
     z = DeviateRows(master_seed, shared_rows([(p.trials, p.lattice.n_qubits)
                                               for p in plans if p.sigma_mhz > 0.0]))
+    z.scratch.fit([(p.lattice.collision_index,
+                    block_rows(p.lattice.collision_index) if p.sigma_mhz > 0.0 else 1)
+                   for p in plans])
     return [run_point(p.lattice, p.pattern, p.sigma_mhz, p.trials, master_seed, deviates=z)
             for p in plans]
 

@@ -101,6 +101,14 @@ class TestCheckCommand:
         assert read_bytes(tmp_path / "a", "check", "default", "results.json") == \
             read_bytes(tmp_path / "b", "check", "default", "results.json")
 
+    def test_negative_zero_sigma_is_reported_as_zero(self, tmp_path, capsys):
+        """A scatter of -0.0 passes every check, and is reported as 0, not -0."""
+        assert cli.main(["check", "--family", "square", "-d", "3", "--sigma-mhz=-0.0",
+                         "--out", str(tmp_path)]) == 0
+        assert "sigma 0 MHz" in capsys.readouterr().out
+        text = read_bytes(tmp_path, "check", "default", "results.json").decode()
+        assert '"sigma_f_mhz": 0.0' in text
+
 
 class TestSweepCommand:
     ARGS = ["sweep", "--family", "heavy_hexagon", "-d", "3", "--sigmas", "0,20",
@@ -117,6 +125,15 @@ class TestSweepCommand:
         assert header[:8] == ["family", "distance", "n_qubits", "sigma_f_mhz",
                               "spacing_mhz", "trials", "mean_collisions", "yield"]
         assert len(csv_text.splitlines()) == 3  # header + two sigma points
+
+    def test_negative_zero_sigma_is_reported_as_zero(self, tmp_path):
+        """A scatter of -0.0 passes every check, and is written as 0, not -0."""
+        assert cli.main(["sweep", "--family", "square", "-d", "3", "--sigmas=-0.0",
+                         "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path, "sweep")
+        assert [row["sigma_f_mhz"] for row in rows] == ["0"]
+        text = read_bytes(tmp_path, "sweep", "default", "results.json").decode()
+        assert '"sigma_f_mhz": 0.0' in text
 
     def test_csv_rows_are_the_json_points_spread(self, tmp_path):
         assert cli.main(self.ARGS + ["--out", str(tmp_path)]) == 0

@@ -609,35 +609,54 @@ def test_kernel_equals_the_former_formulas_at_each_boundary(a):
     assert np.array_equal(counts, former.astype(np.int64))
 
 
-def test_warm_sweep_reuses_the_kernels_pages():
-    """The kernel's allocation order (each operand's |x| before its masks, its
-    arrays freed before the next operand's gathers) lets a warm process reuse
-    its pages.  In a fresh process, the second default square d=7 sweep makes
-    under 5000 minor page faults: about 460 on a 2-core x86-64 box with numpy
-    2.4, against 73,318 when each operand got its own scratch arrays."""
+def sweep_minor_faults(warm: bool) -> int:
+    """Minor page faults of a default square d=7 sweep in a fresh process:
+    its first sweep, or the one after it."""
     pytest.importorskip("resource")
     code = ("import resource\n"
             "from freqcrowd import lattice, mc\n"
             "lat = lattice.build_lattice('square', 7)\n"
-            "mc.sweep_sigma(lat, lattice.FrequencyPattern(), master_seed=1)\n"
+            f"{'mc.sweep_sigma(lat, lattice.FrequencyPattern(), master_seed=1)' if warm else ''}\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             "mc.sweep_sigma(lat, lattice.FrequencyPattern(), master_seed=1)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert int(out.stdout) < 5000
+    return int(out.stdout)
+
+
+def test_warm_sweep_reuses_the_kernels_pages():
+    """A sweep builds and counts every kernel block in one scratch set, made
+    when it starts measuring, so a warm process reuses its pages.  In a fresh
+    process, the second default square d=7 sweep makes under 5000 minor page
+    faults: about 440 on a 2-core x86-64 box with numpy 2.4, against 73,318
+    when each operand got its own freshly allocated arrays."""
+    assert sweep_minor_faults(warm=True) < 5000
+
+
+def test_first_sweep_faults_its_scratch_in_once():
+    """A fresh process's first default square d=7 sweep faults each page of
+    its scratch set in once, not once per kernel block: under 10,000 minor
+    page faults, about 840 on a 2-core x86-64 box with numpy 2.4, against
+    55-65k when every block allocated its own temporaries."""
+    assert sweep_minor_faults(warm=False) < 10_000
 
 
 def assert_tally_is_the_batch_summary(index, f):
     """The block counter, called one ``block_rows`` block at a time as a
-    sweep point calls it, sums to the batch counter's column sums and
-    all-zero rows."""
+    sweep point calls it, member-major in one fitted scratch set, sums to the
+    batch counter's column sums and all-zero rows."""
     f = np.atleast_2d(f)
     counts = collision.count_collisions_batch(index, f)
     rows = collision.block_rows(index)
+    scratch = collision._Scratch()
+    scratch.fit([(index, rows)])
     totals, survivors = np.zeros(7, dtype=np.int64), 0
     for lo in range(0, len(f), rows):
-        block_totals, clean = collision._tally(index, f[lo:lo + rows])
+        block = f[lo:lo + rows]
+        f_t = scratch.view("f", index.n_qubits, len(block))
+        f_t[...] = block.T
+        block_totals, clean = collision._tally(index, f_t, scratch)
         assert block_totals.dtype == np.int64 and block_totals.shape == (7,)
         assert type(clean) is int
         totals += block_totals
@@ -691,5 +710,7 @@ def test_tally_checks_its_batch_and_counts_an_edgeless_lattice(hh3):
         collision.count_collisions_batch(idx, np.full((2, hh3.n_qubits), np.nan))
     nodes = tuple(lattice.QubitNode(q, q, 0, "data", "target", 1) for q in range(3))
     empty = collision.build_index(lattice.Lattice("isolated", 3, nodes, ()))
-    totals, survivors = collision._tally(empty, np.full((5, 3), 5000.0))
+    scratch = collision._Scratch()
+    scratch.fit([(empty, 5)])
+    totals, survivors = collision._tally(empty, np.full((3, 5), 5000.0), scratch)
     assert (totals.tolist(), survivors) == ([0] * 7, 5)

@@ -277,6 +277,21 @@ def test_inputs_at_their_bounds_count_without_overflow():
     assert math.isfinite(sum(plan[0].expected))
 
 
+def test_negative_zero_sigma_is_measured_as_zero(hh3):
+    """A scatter of -0.0 passes every check and enters run_point as 0.0: the
+    point reports +0.0, and equals the zero-scatter point."""
+    pattern = lattice.FrequencyPattern()
+    point = mc.run_point(hh3, pattern, -0.0, 10, 1)
+    assert math.copysign(1.0, point.sigma_mhz) == 1.0
+    assert point == mc.run_point(hh3, pattern, 0.0, 10, 1)
+
+
+def test_negative_zero_sigma_is_planned_as_zero(hh3):
+    """A sweep grid's -0.0 enters plan_sweep as 0.0: its plan holds +0.0."""
+    (plan,) = mc.plan_sweep(hh3, lattice.FrequencyPattern(), [-0.0])
+    assert math.copysign(1.0, plan.sigma_mhz) == 1.0
+
+
 def test_run_point_validation(hh3):
     pattern = lattice.FrequencyPattern()
     for bad in (-1.0, float("nan"), float("inf"), 1e308):  # 1e308: sigma * z would overflow
@@ -565,20 +580,21 @@ def test_sweep_sigma_shares_deviates_across_points(hh3):
 
 def _tally_kernel_rows(monkeypatch):
     """Patch both counters where they are called: the batch counter, which
-    scores the spacings at zero scatter, in ``collision``, and the unchecked
-    block counter in ``mc``; return the list that collects the row count of
+    scores the spacings at zero scatter, in ``collision``, on [rows, qubits]
+    frequencies, and the unchecked block counter in ``mc``, on member-major
+    [qubits, rows] blocks; return the list that collects the row count of
     every call."""
     rows = []
 
-    def spy(module, name):
+    def spy(module, name, row_axis):
         kernel = getattr(module, name)
 
         def counted(index, f01_mhz, *args, **kwargs):
-            rows.append(np.atleast_2d(f01_mhz).shape[0])
+            rows.append(np.shape(f01_mhz)[row_axis] if np.ndim(f01_mhz) == 2 else 1)
             return kernel(index, f01_mhz, *args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    spy(collision, "count_collisions_batch")
-    spy(mc, "_tally")
+    spy(collision, "count_collisions_batch", 0)
+    spy(mc, "_tally", 1)
     return rows
 
 
@@ -786,6 +802,32 @@ def test_a_lone_point_holds_one_block_of_deviate_rows():
         tracemalloc.stop()
     assert 4000 * lat.n_qubits * np.dtype(float).itemsize > 9.9e6
     assert peak < 4e6
+
+
+def test_table_rows_hold_their_bands_and_one_scratch_set(nine_lattices):
+    """One table_rows call over the nine lattices holds its shared deviate
+    bands and one set of kernel buffers, sized by cells: each buffer holds
+    the largest (members x rows) or (qubits x rows) block of any lattice,
+    not the most members of any lattice times the most rows of any (which
+    peaked at 18 MB here).  Its traced peak stays within the bands plus a scratch set whose
+    every buffer holds _BLOCK_ELEMENTS cells."""
+    lats = list(nine_lattices.values())
+    pattern, policy = lattice.FrequencyPattern(), mc.AdaptiveTrials()
+    plans = [plan for pair in mc.plan_table(lats, pattern, policy) for plan in pair]
+    bands = mc.shared_rows([(p.trials, p.lattice.n_qubits) for p in plans if p.sigma_mhz > 0.0])
+    held = sum((stop - first) * width for (stop, width), first in
+               zip(bands, [0] + [stop for stop, _ in bands])) * np.dtype(float).itemsize
+    scratch = collision._BLOCK_ELEMENTS * sum(np.dtype(dtype).itemsize
+                                              for _, _, dtype in collision._Scratch.BUFFERS)
+    mc.table_rows(lats, pattern, policy, 1)  # first-call allocations
+    tracemalloc.start()
+    try:
+        mc.table_rows(lats, pattern, policy, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bands == [(1000, 145), (4000, 49)]
+    assert peak <= held + scratch
 
 
 def points_sha256(points):
