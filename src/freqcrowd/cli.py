@@ -144,6 +144,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _float(text) -> float:
+    """A float setting's value, with -0.0 read as 0.0, which outputs would
+    print as -0: the one converter of every float flag, list token and
+    replayed manifest value."""
+    return float(text) + 0.0
+
+
 def _float_list(cfg: dict, key: str):
     """Setting ``key`` read as comma- or semicolon-separated numbers (the
     scatter levels and spacings that take a list)."""
@@ -152,7 +159,7 @@ def _float_list(cfg: dict, key: str):
     for tok in cfg[key].replace(";", ",").split(","):
         if tok.strip():
             try:
-                values.append(float(tok))
+                values.append(_float(tok))
             except ValueError:
                 raise UsageError(f"bad value for {flag}: {tok.strip()!r}") from None
     return values
@@ -266,19 +273,18 @@ def cmd_check(cfg: dict) -> int:
     lat = _build(cfg)
     freqs = lattice.set_points_mhz(lat, _pattern(cfg))
     collision.check_sigma(cfg["sigma_mhz"])  # sigma <= 0 or NaN draws no deviate to check it
-    sigma = cfg["sigma_mhz"] + 0.0  # -0.0 is reported as 0.0
-    if sigma > 0.0:
-        freqs = freqs + sigma * mc.gaussian_deviates(cfg["seed"], 1, lat.n_qubits)[0]
+    if cfg["sigma_mhz"] > 0.0:
+        freqs = freqs + cfg["sigma_mhz"] * mc.gaussian_deviates(cfg["seed"], 1, lat.n_qubits)[0]
     report = collision.count_collisions(lat, freqs, collect=True)
     _write_run(cfg, {"results.json": {
         "family": lat.family, "distance": lat.distance, "n_qubits": lat.n_qubits,
-        "sigma_f_mhz": sigma, "spacing_mhz": cfg["spacing_mhz"],
+        "sigma_f_mhz": cfg["sigma_mhz"], "spacing_mhz": cfg["spacing_mhz"],
         "per_type": {str(t): n for t, n in report.per_type.items()},
         "total": report.total,
         "instances": [list(inst) for inst in report.instances],
     }})
     print(f"{lat.family} d={lat.distance} at spacing {cfg['spacing_mhz']:g} MHz, "
-          f"sigma {sigma:g} MHz")
+          f"sigma {cfg['sigma_mhz']:g} MHz")
     print("type  count")
     for t, n in report.per_type.items():
         print(f"   {t}  {n}")
@@ -561,7 +567,7 @@ def _replayed_value(opt: Option, value):
         return None
     if type(value) in ((int, float) if opt.type is float else (opt.type,)):
         try:
-            return opt.type(value)
+            return (_float if opt.type is float else opt.type)(value)
         except OverflowError:
             pass
     raise InputError(f"manifest config {opt.dest!r} must be {opt.type.__name__}, not {value!r}")
@@ -656,6 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for command, handler in _COMMANDS.items():
         p = subs.add_parser(command, help=handler.__doc__)
+        p.register("type", float, _float)  # type=float converts with _float
         for opt in OPTIONS:
             if opt.commands is not None and command not in opt.commands:
                 continue

@@ -27,7 +27,10 @@ The kernel works member-major: a block is a [qubits, rows] frequency array,
 so each operand gathers whole rows of it into a [members, rows] array, and
 every such array lives in one :class:`_Scratch` set that its caller reuses
 block after block (``mc.measure`` holds one per call), so a sweep faults its
-pages in once.  The public counters take [rows, qubits] frequencies.
+pages in once.  A Monte Carlo point's walk over its blocks is here too
+(:func:`_tally_point`): ``mc`` hands it the set points, the scatter and a
+reader of deviate rows, and gets totals back.  The public counters take
+[rows, qubits] frequencies.
 Both read a lattice's ``collision_index`` (``lattice``'s :func:`build_index`, also
 named here), which carries the lattice's anharmonicity a, the one device
 constant the windows depend on; :func:`count_collisions` takes a chip's counts
@@ -250,6 +253,40 @@ def _tally(index: CollisionIndex, f: np.ndarray, scratch: _Scratch) -> tuple:
     return totals, int(clean)
 
 
+def _tally_point(index: CollisionIndex, set_points: np.ndarray, sigma: float, trials: int,
+                 read, scratch: _Scratch) -> tuple:
+    """Per-type totals (int64 [7]) and collision-free rows (int) of ``trials``
+    frequency rows ``set_points + sigma * z``, for a caller that checked
+    ``sigma`` and ``trials`` and bounded the set points.
+
+    Row t's deviates z are read from ``read(lo, hi)``, which returns rows
+    ``lo`` onwards as a [rows, qubits] array, at least one row and at most
+    ``hi - lo``; the walk asks for one kernel block (:func:`block_rows`) at a
+    time and advances by the rows it gets, so a point holds one block's
+    deviates whatever its trials.  Each block's frequencies are built
+    member-major, ``sigma * z.T + set points`` as a [qubits, rows] array, in
+    ``scratch``, where the kernel gathers and counts them too: a caller that
+    passes one set to every point reuses its pages.  The totals are integer
+    sums, so they do not depend on how the rows are split.  At zero scatter
+    every row is the set points themselves, so the point is one counted row
+    times ``trials`` and ``read`` is never called."""
+    if sigma == 0.0:
+        scratch.fit([(index, 1)])
+        totals, clean = _tally(index, set_points[:, None], scratch)
+        return totals * trials, clean * trials
+    totals, survivors, rows, lo = np.zeros(7, dtype=np.int64), 0, block_rows(index), 0
+    scratch.fit([(index, rows)])
+    while lo < trials:
+        z = read(lo, min(lo + rows, trials))
+        f = np.multiply(z.T, sigma, out=scratch.view("f", index.n_qubits, len(z)))
+        f += set_points[:, None]
+        block_totals, clean = _tally(index, f, scratch)
+        totals += block_totals
+        survivors += clean
+        lo += len(z)
+    return totals, survivors
+
+
 @dataclass(frozen=True)
 class CollisionReport:
     per_type: dict     # {1: count, ..., 7: count}
@@ -343,15 +380,15 @@ def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz) -> np.ndar
         check_sigma(sigma)
     lead = sp.shape[:-1]
     out = np.empty((sigmas.size, *lead, 7))
-    if (exact := sigmas == 0.0).any():
-        counts = count_collisions_batch(index, sp.reshape(-1, index.n_qubits))
-        out[exact] = counts.reshape(*lead, 7)
-
-    a = index.anharmonicity_mhz
-    per_member = []  # probabilities [sigma, distinct operand value], and each member's column
     columns = np.ascontiguousarray(sp.reshape(-1, index.n_qubits).T)  # one set point per column
     scratch = _Scratch()
     scratch.fit([(index, columns.shape[1])])
+    if (exact := sigmas == 0.0).any():
+        for t, mask, _ in _violations(index, columns, scratch):
+            out[exact, ..., t - 1] = mask.sum(axis=0).reshape(lead)
+
+    a = index.anharmonicity_mhz
+    per_member = []  # probabilities [sigma, distinct operand value], and each member's column
     for operand, x, _, _, coefficients in _operands(index, columns, scratch):
         # the member axis back last, as set points stack: the sorted distinct
         # values, and each member's index among them (flat on numpy 1.x)

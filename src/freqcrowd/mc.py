@@ -22,15 +22,13 @@ trial count known, so are the rows that two or more points read
 (:func:`shared_rows`), and only those are held (:class:`DeviateRows`); every
 other row is drawn by the one point that reads it, so each row is drawn once.
 
-A point is measured (:func:`run_point`) by counting its deviate rows into
-running per-type collision totals and collision-free rows, one kernel block
-(:func:`~freqcrowd.collision.block_rows`) at a time, each block read or drawn
-and counted without repeating the checks made at its entry, and summarising
-them as a :class:`SweepPoint` of exact integer ratios.  Each block's
-frequencies are built member-major, [qubits, rows], in the kernel buffers of
-the :class:`DeviateRows` the point reads, one set for every point of a
-:func:`measure` call.  At zero scatter every row is the same assignment, so
-one counted row stands for all of them.
+A point is measured (:func:`run_point`) by handing its set points and a
+reader of its deviate rows to the collision kernel's walk
+(``collision._tally_point``), which counts them block by block into per-type
+totals and collision-free rows, and summarising those as a
+:class:`SweepPoint` of exact integer ratios.  Held rows are read as views of
+their band, and every point of a :func:`measure` call counts in one set of
+kernel buffers, sized before the first point.
 :func:`sweep_sigma` and :func:`table_rows` (the summary table the CLI prints
 and the acceptance gate checks) are plan-then-measure.
 
@@ -45,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # count_collisions_batch, which mc no longer calls, stays bound for perfbench's tracer
-from .collision import (_Scratch, _tally, block_rows, check_count, check_sigma,
+from .collision import (_Scratch, _tally_point, block_rows, check_count, check_sigma,
                         count_collisions_batch, expected_counts)
 from .errors import ParameterError
 from .lattice import FrequencyPattern, Lattice, set_points_mhz
@@ -148,19 +146,18 @@ class DeviateRows:
         self.scratch = _Scratch()
 
     def block(self, lo: int, hi: int, n_qubits: int) -> np.ndarray:
-        """Rows ``lo .. hi - 1``, ``n_qubits`` wide: held where a band at least
-        that wide holds them, drawn unchecked (:func:`_draw`) past them."""
-        parts, first = [], 0
+        """Rows ``lo`` onwards, ``n_qubits`` wide, at most to ``hi - 1``: a view
+        of the band holding row ``lo``, up to ``hi`` or the band's end, where
+        that band is at least ``n_qubits`` wide, else rows ``lo .. hi - 1``
+        drawn unchecked (:func:`_draw`)."""
+        first = 0
         for band in self.bands:
-            if band.shape[1] < n_qubits or lo >= hi:
-                break
             if lo < first + len(band):
-                parts.append(band[lo - first:hi - first, :n_qubits])
-                lo += len(parts[-1])
+                if band.shape[1] >= n_qubits:
+                    return band[lo - first:hi - first, :n_qubits]
+                break
             first += len(band)
-        if lo < hi or not parts:  # an empty span draws its zero rows
-            parts.append(_draw(self._rng, lo, hi - lo, n_qubits))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return _draw(self._rng, lo, hi - lo, n_qubits)
 
 
 @dataclass(frozen=True)
@@ -183,25 +180,19 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
               master_seed: int = 0, *, deviates: DeviateRows | None = None) -> SweepPoint:
     """Monte Carlo statistics at one scatter level and pattern spacing.
 
-    The first ``trials`` deviate rows (row t gives trial t) are counted into
-    running per-type totals and collision-free rows, whose ratios to
-    ``trials`` are the point's means.  They are read, built into frequencies
-    and counted one kernel block of rows at a time, so the point holds one
-    block's deviates whatever its trials.  A block's frequencies are built
-    member-major, ``sigma * z.T + set points`` as a [qubits, rows] array,
-    in the kernel buffers of the :class:`DeviateRows` read (its
-    ``scratch``), where the kernel gathers and counts them too: a point
-    reading held rows reuses the buffers of every point before it.  At zero
-    scatter every row is the set points themselves, so the point is one
-    counted row times ``trials`` and no deviate is read; a scatter of -0.0
-    is that point, reported at 0.0.
+    The first ``trials`` deviate rows (row t gives trial t) are counted by
+    the collision kernel's walk (``collision._tally_point``) into per-type
+    totals and collision-free rows, whose ratios to ``trials`` are the
+    point's means; it builds and counts them in the kernel buffers of the
+    :class:`DeviateRows` read (its ``scratch``), so a point reading held rows
+    reuses the buffers of every point before it.  A scatter of -0.0 is the
+    zero-scatter point, reported at 0.0.
 
-    Every block is read through one :class:`DeviateRows`: ``deviates``,
+    Every row is read through one :class:`DeviateRows`: ``deviates``,
     rows of ``master_seed`` held for several points (rows of another seed
     are refused with :class:`ParameterError`), or one holding none.  Held
-    rows of any length or width give the point drawn alone, since a block
-    draws from its first trial the rows that no band at least
-    ``lattice.n_qubits`` wide holds.
+    rows of any length or width give the point drawn alone, since a read
+    draws the rows that no band at least ``lattice.n_qubits`` wide holds.
     """
     check_sigma(sigma_mhz)
     check_count("trials", trials)
@@ -210,25 +201,10 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
     trials = int(trials)  # a numpy integer would make every mean a numpy float
     if held.master_seed != master_seed:
         raise ParameterError("deviates must be drawn under master_seed")
-    idx = lattice.collision_index
-    sp = set_points_mhz(lattice, pattern)[:, None]
     n = lattice.n_qubits
-    scratch = held.scratch
-    if sigma_mhz == 0.0:
-        scratch.fit([(idx, 1)])
-        totals, clean = _tally(idx, sp, scratch)
-        totals, survivors = totals * trials, clean * trials
-    else:
-        totals, survivors, rows = np.zeros(7, dtype=np.int64), 0, block_rows(idx)
-        scratch.fit([(idx, rows)])
-        for lo in range(0, trials, rows):
-            hi = min(lo + rows, trials)
-            # member-major, written in place: sigma z + set points, one qubit per row
-            f = np.multiply(held.block(lo, hi, n).T, sigma_mhz, out=scratch.view("f", n, hi - lo))
-            f += sp
-            block_totals, clean = _tally(idx, f, scratch)
-            totals += block_totals
-            survivors += clean
+    totals, survivors = _tally_point(lattice.collision_index, set_points_mhz(lattice, pattern),
+                                     sigma_mhz, trials, lambda lo, hi: held.block(lo, hi, n),
+                                     held.scratch)
     totals = totals.tolist()  # Python integers: each mean below is the exactly rounded ratio
     return SweepPoint(family=lattice.family, distance=lattice.distance,
                       n_qubits=lattice.n_qubits, sigma_mhz=sigma_mhz,
@@ -315,10 +291,11 @@ def plan_sweep(lattice: Lattice, pattern: FrequencyPattern, sigma_grid=DEFAULT_S
     collision-free one), and the policy's trials for E, the expected total
     there; a one-element ``spacing_grid`` keeps that spacing at every point."""
     policy = trials_policy if trials_policy is not None else AdaptiveTrials()
-    grid = [float(s) for s in spacing_grid]
+    # -0.0 is planned as 0.0, in either grid
+    grid = [float(s) + 0.0 for s in spacing_grid]
     if not grid:
         raise ParameterError("spacing grid is empty")
-    sigmas = [float(s) + 0.0 for s in sigma_grid]  # -0.0 is planned as 0.0
+    sigmas = [float(s) + 0.0 for s in sigma_grid]
     counts = expected_counts(lattice.collision_index, set_points_mhz(lattice, pattern, grid),
                              sigmas)
     plans = []

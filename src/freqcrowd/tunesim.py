@@ -159,7 +159,9 @@ def two_group_split(records, targets_ohm=TWO_GROUP_TARGETS_OHM, sizes=TWO_GROUP_
 
     Records are ranked by initial resistance and groups are filled in
     ascending target order, so the lowest-resistance junctions take the
-    lowest resistance target — every junction keeps upward headroom.
+    lowest resistance target — every junction keeps upward headroom.  No
+    status is set: :func:`tune_junction` decides each, so a junction above
+    its target but inside the convergence band converges with no anneal.
 
     Returns:
         group index per record, aligned with the input order.
@@ -178,8 +180,6 @@ def two_group_split(records, targets_ohm=TWO_GROUP_TARGETS_OHM, sizes=TWO_GROUP_
         gslot = int(np.searchsorted(bounds, rank[j], side="right"))
         grp[j] = by_target[gslot]
         rec.r_target_ohm = targets[by_target[gslot]]
-        if rec.r_target_ohm < rec.r_ohm:
-            rec.status = EXHAUSTED
     return grp
 
 

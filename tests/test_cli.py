@@ -109,6 +109,14 @@ class TestCheckCommand:
         text = read_bytes(tmp_path, "check", "default", "results.json").decode()
         assert '"sigma_f_mhz": 0.0' in text
 
+    def test_negative_zero_spacing_is_reported_as_zero(self, tmp_path, capsys):
+        """A spacing of -0.0 is read as 0.0: printed as 0 and written as 0.0."""
+        assert cli.main(["check", "--family", "square", "-d", "3", "--spacing-mhz=-0.0",
+                         "--out", str(tmp_path)]) == 0
+        assert "at spacing 0 MHz" in capsys.readouterr().out
+        text = read_bytes(tmp_path, "check", "default", "results.json").decode()
+        assert '"spacing_mhz": 0.0' in text
+
 
 class TestSweepCommand:
     ARGS = ["sweep", "--family", "heavy_hexagon", "-d", "3", "--sigmas", "0,20",
@@ -134,6 +142,13 @@ class TestSweepCommand:
         assert [row["sigma_f_mhz"] for row in rows] == ["0"]
         text = read_bytes(tmp_path, "sweep", "default", "results.json").decode()
         assert '"sigma_f_mhz": 0.0' in text
+
+    def test_negative_zero_spacing_is_written_as_zero(self, tmp_path):
+        """A spacing grid's -0.0 is read as 0.0, and written as 0, not -0."""
+        assert cli.main(["sweep", "--family", "square", "-d", "3", "--sigmas", "0,14",
+                         "--spacings=-0.0", "--trials", "10", "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path, "sweep")
+        assert [row["spacing_mhz"] for row in rows] == ["0", "0"]
 
     def test_csv_rows_are_the_json_points_spread(self, tmp_path):
         assert cli.main(self.ARGS + ["--out", str(tmp_path)]) == 0
@@ -470,7 +485,7 @@ def test_bad_sweep_row_is_an_error_naming_its_line(tmp_path, capsys, command, ce
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("sigmas", ["14,14", "14,14.0000001"])
+@pytest.mark.parametrize("sigmas", ["14,14", "14,14.0000001", "0,-0"])
 def test_extrapolate_sigmas_name_each_column_once(tmp_path, capsys, sigmas):
     srcs = [synth_sweep_csv(tmp_path / f"hh{d}.csv", "heavy_hexagon", d, n, w)
             for d, n, w in ((3, 23, 31.61), (5, 65, 29.91))]
@@ -527,6 +542,14 @@ def test_failed_run_leaves_no_directory(tmp_path, command):
 
 
 class TestExtrapolateCommand:
+    def test_negative_zero_sigma_names_the_zero_column(self, tmp_path):
+        srcs = [synth_sweep_csv(tmp_path / f"hh{d}.csv", "heavy_hexagon", d, n, w)
+                for d, n, w in ((3, 23, 31.61), (5, 65, 29.91))]
+        assert cli.main(["extrapolate", "--sweep-csv", ",".join(srcs), "--sigmas=-0.0,1",
+                         "--out", str(tmp_path)]) == 0
+        header, _ = read_csv(tmp_path, "extrapolate")
+        assert header == ["n_qubits", "delta_f_mhz", "yield_sigma0", "yield_sigma1"]
+
     def test_trend_from_three_sizes(self, tmp_path, capsys):
         srcs = [synth_sweep_csv(tmp_path / f"hh{d}.csv", "heavy_hexagon", d, n, w)
                 for d, n, w in ((3, 23, 31.61), (5, 65, 29.91), (7, 127, 29.29))]
@@ -646,6 +669,14 @@ class TestFitRnCommand:
                        "--out", str(tmp_path)])
         assert rc == 0
         assert read_json(tmp_path, "fit-rn")["exponent"] == -0.5
+
+    def test_negative_zero_fixed_exponent_is_zero(self, tmp_path, capsys):
+        src = self.write_pairs(tmp_path / "rn.csv", [(7000.0, 2.2), (9000.0, 1.9)])
+        assert cli.main(["fit-rn", "--csv", src, "--fix-exponent=-0.0",
+                         "--out", str(tmp_path)]) == 0
+        assert "R^0.0000 " in capsys.readouterr().out
+        text = read_bytes(tmp_path, "fit-rn", "default", "results.json").decode()
+        assert '"exponent": 0.0' in text
 
     @pytest.mark.parametrize("exponent", ["inf", "-inf", "nan"])
     def test_non_finite_fixed_exponent_writes_nothing(self, tmp_path, capsys, exponent):
@@ -817,6 +848,20 @@ class TestRerunCommand:
         assert cli.main(["rerun", manifest, "--out", str(tmp_path / "b")]) == 0
         assert read_bytes(tmp_path / "a", "sweep", "default", "results.csv") == \
             read_bytes(tmp_path / "b", "sweep", "default", "results.csv")
+
+    def test_replay_reads_a_recorded_negative_zero_as_zero(self, tmp_path):
+        """A manifest that recorded -0.0 replays it as 0.0, as its flag now reads."""
+        args = ["check", "--family", "square", "-d", "3"]
+        assert cli.main(args + ["--out", str(tmp_path / "a")]) == 0
+        manifest = read_json(tmp_path / "a", "check", filename="manifest.json")
+        manifest["config"]["spacing_mhz"] = -0.0
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(manifest))
+        assert cli.main(["rerun", str(old), "--out", str(tmp_path / "b")]) == 0
+        text = read_bytes(tmp_path / "b", "check", "default", "results.json").decode()
+        assert '"spacing_mhz": 0.0' in text
+        replayed = read_json(tmp_path / "b", "check", filename="manifest.json")
+        assert '"spacing_mhz": 0.0' in json.dumps(replayed["config"])
 
     def test_replay_ignores_unread_config_keys(self, tmp_path):
         """Manifests written while sweeps took a thread count carry a

@@ -643,24 +643,16 @@ def test_first_sweep_faults_its_scratch_in_once():
 
 
 def assert_tally_is_the_batch_summary(index, f):
-    """The block counter, called one ``block_rows`` block at a time as a
-    sweep point calls it, member-major in one fitted scratch set, sums to the
-    batch counter's column sums and all-zero rows."""
+    """A sweep point's walk (``_tally_point``) over rows ``f``, as unit
+    scatter about zero set points read one ``block_rows`` block at a time,
+    sums to the batch counter's column sums and all-zero rows: multiplying
+    by 1.0 and adding 0.0 changes no mask."""
     f = np.atleast_2d(f)
     counts = collision.count_collisions_batch(index, f)
-    rows = collision.block_rows(index)
-    scratch = collision._Scratch()
-    scratch.fit([(index, rows)])
-    totals, survivors = np.zeros(7, dtype=np.int64), 0
-    for lo in range(0, len(f), rows):
-        block = f[lo:lo + rows]
-        f_t = scratch.view("f", index.n_qubits, len(block))
-        f_t[...] = block.T
-        block_totals, clean = collision._tally(index, f_t, scratch)
-        assert block_totals.dtype == np.int64 and block_totals.shape == (7,)
-        assert type(clean) is int
-        totals += block_totals
-        survivors += clean
+    totals, survivors = collision._tally_point(index, np.zeros(index.n_qubits), 1.0, len(f),
+                                               lambda lo, hi: f[lo:hi], collision._Scratch())
+    assert totals.dtype == np.int64 and totals.shape == (7,)
+    assert type(survivors) is int
     assert totals.tolist() == counts.sum(axis=0).tolist()
     assert survivors == np.count_nonzero(counts.sum(axis=1) == 0)
 
@@ -714,3 +706,39 @@ def test_tally_checks_its_batch_and_counts_an_edgeless_lattice(hh3):
     scratch.fit([(empty, 5)])
     totals, survivors = collision._tally(empty, np.full((3, 5), 5000.0), scratch)
     assert (totals.tolist(), survivors) == ([0] * 7, 5)
+
+
+def test_tally_point_advances_by_the_rows_each_read_returns(nine_lattices):
+    """A reader that returns one row at a time gives the totals and
+    survivors of whole blocks: the walk asks from the row after the last it
+    got, never past its trials, and the totals are integer sums."""
+    lat = nine_lattices[("heavy_square", 5)]
+    idx = collision.build_index(lat)
+    block = collision.block_rows(idx)
+    n, sp = block + 3, lattice.set_points_mhz(lat, lattice.FrequencyPattern())
+    z = mc.gaussian_deviates(5, n, lat.n_qubits)
+    asked = []
+
+    def one_row(lo, hi):
+        asked.append((lo, hi))
+        return z[lo:lo + 1]
+    scratch = collision._Scratch()
+    whole = collision._tally_point(idx, sp, 14.0, n, lambda lo, hi: z[lo:hi], scratch)
+    single = collision._tally_point(idx, sp, 14.0, n, one_row, scratch)
+    assert whole[0].tolist() == single[0].tolist() and whole[1] == single[1]
+    assert 0 < whole[1] < n
+    assert asked == [(lo, min(lo + block, n)) for lo in range(n)]
+
+
+def test_tally_point_reads_no_row_at_zero_scatter(hh3):
+    """At zero scatter every row is the set points: one counted row times
+    the trials, and the reader is never called."""
+    idx = collision.build_index(hh3)
+    sp = lattice.set_points_mhz(hh3, lattice.FrequencyPattern(spacing_mhz=105.0))
+
+    def refuse(lo, hi):
+        raise AssertionError("read at zero scatter")
+    totals, survivors = collision._tally_point(idx, sp, 0.0, 250, refuse, collision._Scratch())
+    counts = collision.count_collisions_batch(idx, sp)[0]
+    assert counts.sum() > 0
+    assert totals.tolist() == (250 * counts).tolist() and survivors == 0

@@ -1,7 +1,9 @@
 """Sampling contract, batch independence, and spacing selection."""
+import ast
 import dataclasses
 import hashlib
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -91,19 +93,28 @@ def test_deviate_rows_are_one_draw_of_a_known_row_count(monkeypatch):
     (30, 50, 25, [(40, 10)]),   # wider than the second band: drawn from its start
     (0, 70, 9, [(50, 20)]),     # wider than the third band only
     (80, 90, 25, [(80, 10)]),   # past every band
-    (5, 5, 25, [(5, 0)]),       # an empty span: zero rows drawn
+    (5, 5, 25, []),             # an empty span: nothing read
 ], ids=["inside", "band-edge", "last-band-edge", "held-drawn", "wider-than-second",
         "wider-than-third", "past-the-bands", "empty"])
 def test_deviate_rows_block_is_the_rows_drawn_alone(monkeypatch, lo, hi, n_qubits, drawn):
-    """A block of rows is the leading columns of those rows of one plain
-    draw, read from the bands at least as wide as it asks for and drawn past
-    them, each drawn row once."""
+    """Successive reads from ``lo`` up to ``hi``, each from the row after the
+    last one got, concatenate to the leading columns of those rows of one
+    plain draw: each read is one to ``hi - lo`` rows, a view of the band
+    holding its first row where that band is at least as wide as it asks
+    for, else drawn, and each drawn row is drawn once."""
     z = mc.gaussian_deviates(3, 90, 25)
     rows = mc.DeviateRows(3, [(40, 25), (50, 9), (70, 4)])
     draws = _spy_deviate_draws(monkeypatch)
-    block = rows.block(lo, hi, n_qubits)
+    blocks, at = [], lo
+    while at < hi:
+        blocks.append(rows.block(at, hi, n_qubits))
+        assert 1 <= len(blocks[-1]) <= hi - at
+        at += len(blocks[-1])
+    block = np.concatenate(blocks or [np.empty((0, n_qubits))])
     assert block.tobytes() == z[lo:hi, :n_qubits].tobytes() and block.shape == (hi - lo, n_qubits)
     assert draws == drawn
+    views = [b for b in blocks if any(np.shares_memory(b, band) for band in rows.bands)]
+    assert len(views) == len(blocks) - len(drawn)
 
 
 def test_deviate_rows_without_bands_draw_every_block():
@@ -290,6 +301,16 @@ def test_negative_zero_sigma_is_planned_as_zero(hh3):
     """A sweep grid's -0.0 enters plan_sweep as 0.0: its plan holds +0.0."""
     (plan,) = mc.plan_sweep(hh3, lattice.FrequencyPattern(), [-0.0])
     assert math.copysign(1.0, plan.sigma_mhz) == 1.0
+
+
+def test_negative_zero_spacing_is_planned_as_zero(hh3):
+    """A spacing grid's -0.0 enters plan_sweep as 0.0, as a sigma does: the
+    plan's pattern, and the point measured there, hold +0.0."""
+    (plan,) = mc.plan_sweep(hh3, lattice.FrequencyPattern(), [14.0], spacing_grid=[-0.0])
+    assert math.copysign(1.0, plan.pattern.spacing_mhz) == 1.0
+    (point,) = mc.sweep_sigma(hh3, lattice.FrequencyPattern(), [14.0], master_seed=1,
+                              spacing_grid=[-0.0])
+    assert math.copysign(1.0, point.spacing_mhz) == 1.0
 
 
 def test_run_point_validation(hh3):
@@ -578,12 +599,27 @@ def test_sweep_sigma_shares_deviates_across_points(hh3):
     assert pts[0] == direct
 
 
+def test_mc_takes_only_the_scratch_and_the_walk_of_the_kernels_private_names():
+    """A point's block walk lives in ``collision``: of the kernel's private
+    names, ``mc`` imports only the scratch set it sizes and the walk it
+    hands rows to, and it imports no module to reach the others through."""
+    tree = ast.parse(pathlib.Path(mc.__file__).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = [alias.name for node in imports if isinstance(node, ast.ImportFrom)
+             and node.level == 1 and node.module == "collision" for alias in node.names]
+    assert "_tally_point" in names
+    assert {name for name in names if name.startswith("_")} <= {"_Scratch", "_tally_point"}
+    assert not [alias.name for node in imports for alias in node.names
+                if alias.name.split(".")[-1] == "collision"]
+
+
 def _tally_kernel_rows(monkeypatch):
-    """Patch both counters where they are called: the batch counter, which
-    scores the spacings at zero scatter, in ``collision``, on [rows, qubits]
-    frequencies, and the unchecked block counter in ``mc``, on member-major
-    [qubits, rows] blocks; return the list that collects the row count of
-    every call."""
+    """Patch both counters in ``collision``, where they are called: the
+    batch counter, on [rows, qubits] frequencies, which no sweep calls (the
+    spacings are scored at zero scatter from the kernel's own masks), and
+    the unchecked block counter, on the member-major [qubits, rows] blocks
+    of a point's walk; return the list that collects the row count of every
+    call."""
     rows = []
 
     def spy(module, name, row_axis):
@@ -594,7 +630,7 @@ def _tally_kernel_rows(monkeypatch):
             return kernel(index, f01_mhz, *args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     spy(collision, "count_collisions_batch", 0)
-    spy(mc, "_tally", 1)
+    spy(collision, "_tally", 1)
     return rows
 
 
@@ -659,17 +695,17 @@ def test_shared_rows_are_the_rows_two_points_read(planned, bands):
     ((0.0, 150.0), (105.0,)),
 ])
 def test_sweep_counts_each_deviate_row_once(hh3, monkeypatch, sigmas, spacings):
-    """Kernel rows = the sigma > 0 points' reported trials, one row per
-    sigma = 0 point, and the sigma = 0 spacing scores (one row per spacing).
-    A boosted point is the plain run_point at the boost count."""
+    """Kernel rows = the sigma > 0 points' reported trials and one row per
+    sigma = 0 point: the sigma = 0 spacing scores call neither counter.  A
+    boosted point is the plain run_point at the boost count."""
     rows = _tally_kernel_rows(monkeypatch)
     pts = mc.sweep_sigma(hh3, lattice.FrequencyPattern(), sigmas, master_seed=7,
                          spacing_grid=spacings)
     boosted = [p for p in pts if p.trials == 4000]
     assert boosted
     zero = [p for p in pts if p.sigma_mhz == 0.0]
-    assert sum(rows) == (sum(p.trials for p in pts if p.sigma_mhz > 0.0)
-                         + len(zero) * (1 + len(spacings)))
+    assert zero
+    assert sum(rows) == sum(p.trials for p in pts if p.sigma_mhz > 0.0) + len(zero)
     monkeypatch.undo()
     for p in boosted:
         direct = mc.run_point(hh3, lattice.FrequencyPattern(spacing_mhz=p.spacing_mhz),

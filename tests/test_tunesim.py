@@ -71,13 +71,33 @@ class TestTargetAssignment:
 
     def test_two_group_split_marks_a_junction_above_its_target_exhausted(self):
         """A junction can only be trimmed upwards, so one that starts above
-        its group's target is exhausted before any anneal."""
-        recs = [tunesim.JunctionRecord(j, r, r) for j, r in enumerate((7000.0, 9000.0, 8000.0))]
-        gid = tunesim.two_group_split(recs, targets_ohm=(8500.0,), sizes=(3,))
-        assert gid.tolist() == [0, 0, 0]
-        assert [rec.status for rec in recs] == [tunesim.PENDING, tunesim.EXHAUSTED,
-                                                tunesim.PENDING]
+        its group's target band is exhausted before any anneal, and one above
+        its target but inside the band converges with none.  The split only
+        assigns groups and targets; the campaign decides every status."""
+        recs = [tunesim.JunctionRecord(j, r, r)
+                for j, r in enumerate((7000.0, 9000.0, 8000.0, 8510.0))]
+        gid = tunesim.two_group_split(recs, targets_ohm=(8500.0,), sizes=(4,))
+        assert gid.tolist() == [0, 0, 0, 0]
+        assert all(rec.status == tunesim.PENDING for rec in recs)
         assert all(rec.r_target_ohm == 8500.0 for rec in recs)
+        tunesim.run_campaign(recs, group_ids=gid)
+        assert [rec.status for rec in recs] == [tunesim.CONVERGED, tunesim.EXHAUSTED,
+                                                tunesim.CONVERGED, tunesim.CONVERGED]
+        assert (len(recs[1].steps), len(recs[3].steps)) == (0, 0)
+        assert (recs[1].r_ohm, recs[3].r_ohm) == (9000.0, 8510.0)
+
+    def test_a_two_group_junction_inside_its_band_converges_unannealed(self):
+        """At seed 144 one junction starts above its 8798-ohm target but
+        within the 0.3% band (26.4 ohm), so the campaign converges it with
+        no anneal, and every junction lands."""
+        recs = tunesim.generate_population(31, master_seed=144)
+        gid = tunesim.two_group_split(recs)
+        above = [rec for rec in recs if rec.r_ohm > rec.r_target_ohm]
+        assert len(above) == 1
+        assert 0.0 < above[0].r_ohm - above[0].r_target_ohm <= 0.003 * above[0].r_target_ohm
+        res = tunesim.run_campaign(recs, master_seed=144, group_ids=gid)
+        assert (above[0].status, above[0].steps) == (tunesim.CONVERGED, [])
+        assert res.n_converged == 31
 
     def test_two_group_split_size_mismatch(self):
         recs = tunesim.generate_population(30, master_seed=3)
