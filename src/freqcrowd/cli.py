@@ -14,10 +14,13 @@ nowhere else: no environment variable or file changes a run.  Each setting is
 declared once, in :data:`OPTIONS`.  To repeat a run's settings, ``rerun`` its
 manifest.
 
-Exit codes: 0 success, 1 runtime or I/O failure, 2 usage/config error.
-Ranges are the library's to check: a flag value that the library parameter
-it feeds rejects exits 2 with an ``error:`` line naming the flag, before any
-file is written; the same value replayed from a manifest exits 1.
+Exit codes: 0 success, 1 runtime or I/O failure, 2 usage error.  A rejected
+setting is a :class:`ParameterError` naming it or a library parameter it feeds
+(ranges are the library's to check).  Given as a flag, it exits 2 with
+``error: <flag>=<value>: <reason>``, no ``=<value>`` when unset, before any
+file is written; replayed from a manifest, it exits 1 with ``error: manifest
+config '<key>': <reason>``.  An unreadable input file, the manifest included,
+is an I/O failure.
 
 Importing this module loads ``collision``, ``lattice`` and ``mc`` (with
 ``errors`` and numpy under them), which the option defaults and the
@@ -47,8 +50,8 @@ class Option(NamedTuple):
     """One setting: its argparse flags, the converter applied to its flag's
     value, its default (a :class:`ModuleDefault` is read when a configuration
     is resolved), the commands that take it (``None``: every command) and the
-    names of the library parameters it feeds, whose :class:`ParameterError`
-    it reports (``()``: its ``dest``)."""
+    names of the library parameters it feeds: a :class:`ParameterError` naming
+    one of them or its ``dest`` is reported under its flag."""
 
     dest: str
     flags: tuple
@@ -127,10 +130,6 @@ OPTIONS = (
 _OPTION = {opt.dest: opt for opt in OPTIONS}
 
 
-class UsageError(Exception):
-    pass
-
-
 def resolve_config(args: argparse.Namespace) -> dict:
     """Each setting's flag, or else its default."""
     cfg = {"command": args.command}
@@ -155,13 +154,12 @@ def _float_list(cfg: dict, key: str):
     """Setting ``key`` read as comma- or semicolon-separated numbers (the
     scatter levels and spacings that take a list)."""
     values = []
-    flag = _OPTION[key].flags[0]
     for tok in cfg[key].replace(";", ",").split(","):
         if tok.strip():
             try:
                 values.append(_float(tok))
             except ValueError:
-                raise UsageError(f"bad value for {flag}: {tok.strip()!r}") from None
+                raise ParameterError(f"bad value {tok.strip()!r}", key) from None
     return values
 
 
@@ -228,8 +226,9 @@ def _cell(v) -> str:
 
 
 def _build(cfg: dict) -> lattice.Lattice:
-    if not cfg["family"] or not cfg["distance"]:
-        raise UsageError("--family and --distance are required")
+    for key in ("family", "distance"):
+        if cfg[key] is None:
+            raise ParameterError("required", key)
     return lattice.build_lattice(cfg["family"], cfg["distance"],
                                  cfg.get("anharmonicity_mhz", lattice.DEFAULT_ANHARMONICITY_MHZ))
 
@@ -295,7 +294,7 @@ def cmd_check(cfg: dict) -> int:
 def _policy(cfg: dict) -> mc.AdaptiveTrials:
     n = cfg["trials"]
     if n < 0:
-        raise UsageError("--trials must be >= 0 (0: adaptive)")
+        raise ParameterError("must be >= 0 (0: adaptive)", "trials")
     return mc.AdaptiveTrials(base=n, boost=n) if n else mc.AdaptiveTrials()
 
 
@@ -305,8 +304,8 @@ def cmd_sweep(cfg: dict) -> int:
     if cfg["reproduce_table2"]:
         for key in ("family", "distance", "sigmas"):
             if cfg[key] != _OPTION[key].default:
-                raise UsageError(f"--reproduce-table2 takes no {'/'.join(_OPTION[key].flags)}: "
-                                 "its lattices and scatter levels are fixed")
+                raise ParameterError("not taken with --reproduce-table2, whose lattices "
+                                     "and scatter levels are fixed", key)
         return _sweep_table2(cfg, spacing_grid)
     lat = _build(cfg)
     pattern = _pattern(cfg)
@@ -363,11 +362,7 @@ def _sweep_table2(cfg: dict, spacing_grid) -> int:
 def _read_sweep_csv(path: str):
     """Parse a sweep results.csv into per-(family, distance) yield curves."""
     curves = {}
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    with fh:
+    with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         need = {"family", "distance", "n_qubits", "sigma_f_mhz", "yield"}
         if reader.fieldnames is None or not need.issubset(reader.fieldnames):
@@ -398,9 +393,9 @@ def _fit_sweep_csvs(cfg: dict):
     ``(family, distance, n_qubits, WindowFit)`` per curve.
     """
     from . import window
-    paths = [p for p in (cfg["sweep_csv"] or "").split(",") if p.strip()]
+    paths = [p.strip() for p in (cfg["sweep_csv"] or "").split(",") if p.strip()]
     if not paths:
-        raise UsageError("--sweep-csv is required")
+        raise ParameterError("names no sweep CSV", "sweep_csv")
     inputs, fits = {}, []
     for path in paths:
         inputs[path] = _sha256(path)
@@ -442,7 +437,7 @@ def cmd_extrapolate(cfg: dict) -> int:
     trend = window.fit_trend(sizes, widths)
     sigmas = _float_list(cfg, "sigmas") or EXTRAPOLATE_SIGMAS
     if len({f"{s:g}" for s in sigmas}) < len(sigmas):
-        raise UsageError("--sigmas names one yield_sigma column twice")
+        raise ParameterError("names one yield_sigma column twice", "sigmas")
     ns = range(20, 1001, 5)
     if min(window.predict_delta_f(trend, ns[0]), window.predict_delta_f(trend, ns[-1])) <= 0.0:
         raise UnfittableError(
@@ -482,10 +477,12 @@ def cmd_tune(cfg: dict) -> int:
         try:
             lo, hi = (float(tok) for tok in cfg["target_spread"].split(":"))
         except ValueError as exc:
-            raise UsageError("--target-spread wants LO:HI in percent, e.g. 0.4:14.5") from exc
+            raise ParameterError("wants LO:HI in percent, e.g. 0.4:14.5",
+                                 "target_spread") from exc
     elif cfg["junctions"] != tunesim.TWO_GROUP_JUNCTIONS:
-        raise UsageError(f"either --target-spread LO:HI or --junctions "
-                         f"{tunesim.TWO_GROUP_JUNCTIONS} (two-group scenario)")
+        raise ParameterError(f"the two-group scenario takes {tunesim.TWO_GROUP_JUNCTIONS} "
+                             "junctions; give --target-spread LO:HI for another count",
+                             "junctions")
     model = tunesim.AnnealResponseModel.default(noise_sigma=cfg["noise_sigma"])
     policy = tunesim.TunePolicy(cfg["step_fraction"], cfg["converge_band"], cfg["max_anneals"])
     records = tunesim.generate_population(cfg["junctions"], cfg["median_ohm"],
@@ -536,7 +533,7 @@ def cmd_fit_rn(cfg: dict) -> int:
     from . import physics, svgchart
     csv_path = cfg["csv_path"]
     if not csv_path:
-        raise UsageError("--csv is required")
+        raise ParameterError("required", "csv_path")
     r, f = physics.load_resistance_frequency_csv(csv_path)
     inputs = {csv_path: _sha256(csv_path)}
     fit = physics.fit_power_law(r, f, fix_exponent=cfg["fix_exponent"])
@@ -579,8 +576,6 @@ def cmd_rerun(cfg: dict) -> int:
     try:
         with open(path) as fh:
             manifest = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read manifest: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
@@ -614,7 +609,8 @@ def cmd_rerun(cfg: dict) -> int:
     try:
         return _run(sub)
     except ParameterError as exc:  # a manifest's value, not a flag's
-        raise InputError(str(exc)) from exc
+        opt = _FEEDS.get((command, exc.param))
+        raise InputError(f"manifest config {opt.dest!r}: {exc}" if opt else str(exc)) from exc
 
 
 def _run(cfg: dict) -> int:
@@ -649,9 +645,9 @@ _REPLAYABLE = {command: tuple(opt.dest for opt in OPTIONS
                               and (opt.commands is None or command in opt.commands))
                for command in _COMMANDS if command != "rerun"}
 
-# (command, library parameter) -> the option feeding it there
+# (command, setting or library parameter) -> the option feeding it there
 _FEEDS = {(command, param): opt for opt in OPTIONS for command in opt.commands or _COMMANDS
-          for param in opt.params or (opt.dest,)}
+          for param in (opt.dest, *opt.params)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -682,14 +678,14 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return _run(cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FreqcrowdError as exc:
-        # a value rejected by the library parameter a flag feeds is a usage error
+        # a rejected setting, or a library parameter a flag feeds, is a usage error
         opt = _FEEDS.get((args.command, getattr(exc, "param", None)))
-        flag = f"{opt.flags[-1]}={_cell(cfg[opt.dest])}: " if opt else ""
-        print(f"error: {flag}{exc}", file=sys.stderr)
+        message = str(exc)
+        if opt:  # the flag, with its value unless the setting is unset
+            value = cfg[opt.dest]
+            message = f"{opt.flags[-1]}{'' if value is None else '=' + _cell(value)}: {message}"
+        print(f"error: {message}", file=sys.stderr)
         return 2 if opt else 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

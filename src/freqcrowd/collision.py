@@ -386,6 +386,8 @@ def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz) -> np.ndar
     if (exact := sigmas == 0.0).any():
         for t, mask, _ in _violations(index, columns, scratch):
             out[exact, ..., t - 1] = mask.sum(axis=0).reshape(lead)
+    if exact.all():
+        return out if np.ndim(sigma_mhz) else out[0]
 
     a = index.anharmonicity_mhz
     per_member = []  # probabilities [sigma, distinct operand value], and each member's column

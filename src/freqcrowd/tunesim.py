@@ -202,8 +202,6 @@ def tune_junction(record: JunctionRecord, model: AnnealResponseModel,
     (targets below the wire cannot be reached); exceeding the band after
     annealing is an overshoot.  The anneal budget running out is exhaustion.
     """
-    if record.status == EXHAUSTED:
-        return record
     if record.r_ohm <= 0.0 or not record.r_target_ohm > 0.0:
         raise ParameterError("current and target resistance must be positive")
     band = policy.converge_band * record.r_target_ohm

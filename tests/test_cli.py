@@ -1,5 +1,7 @@
 """End-to-end command-line behaviour: exit codes, files, reproducibility."""
+import ast
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ import warnings
 
 import pytest
 
-from freqcrowd import cli, lattice, mc, window
+from freqcrowd import cli, errors, lattice, mc, window
 
 
 def read_json(root, command, name="default", filename="results.json"):
@@ -196,6 +198,30 @@ OVERFLOW_SPACING = "set points exceed 1e+300 MHz at this spacing"
 ANHARMONICITY = "anharmonicity must be negative and >= -1e+300 (MHz)"
 SEED = "master seed must be in [0, 2**128)"
 SPREAD = "need 0 <= lo <= hi, both finite"
+SETTING_CHECKS = {  # id: (argv, the flag as reported, its setting, the reason given)
+    "sigmas-token": (["sweep", *SQUARE3, "--sigmas", "0,abc"], "--sigmas=0,abc", "sigmas",
+                     "bad value 'abc'"),
+    "no-family": (["lattice", "-d", "3"], "--family", "family", "required"),
+    "no-distance": (["check", "--family", "square"], "--distance", "distance", "required"),
+    "zero-distance": (["check", "--family", "square", "-d", "0"], "--distance=0", "distance",
+                      "distance must be an odd integer in [3, 31], got 0"),
+    "negative-trials": (["sweep", *SQUARE3, "--trials=-1"], "--trials=-1", "trials",
+                        "must be >= 0 (0: adaptive)"),
+    "table2-distance": (["sweep", "--reproduce-table2", "-d", "3"], "--distance=3", "distance",
+                        "not taken with --reproduce-table2, whose lattices and scatter levels "
+                        "are fixed"),
+    **{f"{command}-no-sweep-csv": ([command], "--sweep-csv", "sweep_csv", "names no sweep CSV")
+       for command in ("fit-window", "extrapolate")},
+    "extrapolate-twice-named-sigma": (["extrapolate", "--sweep-csv", "{sweep_csvs}",
+                                       "--sigmas", "14,14"], "--sigmas=14,14", "sigmas",
+                                      "names one yield_sigma column twice"),
+    "target-spread-syntax": (["tune", "--target-spread", "abc"], "--target-spread=abc",
+                             "target_spread", "wants LO:HI in percent, e.g. 0.4:14.5"),
+    "junctions-without-spread": (["tune", "--junctions", "30"], "--junctions=30", "junctions",
+                                 "the two-group scenario takes 31 junctions; "
+                                 "give --target-spread LO:HI for another count"),
+    "no-csv": (["fit-rn"], "--csv", "csv_path", "required"),
+}
 OUT_OF_RANGE = {  # id: (argv, the error line after "error: ")
     "sigma-mhz": (["check", *SQUARE3, "--sigma-mhz", "-5"], f"--sigma-mhz=-5: {SIGMA}"),
     "nan-sigma-mhz": (["check", *SQUARE3, "--sigma-mhz", "nan"], f"--sigma-mhz=nan: {SIGMA}"),
@@ -295,18 +321,27 @@ OUT_OF_RANGE = {  # id: (argv, the error line after "error: ")
                          "--residual-std=nan: fit residual_std_mhz must be finite and >= 0"),
     "residual-std": (["tune", "--residual-std", "-1"],
                      "--residual-std=-1: fit residual_std_mhz must be finite and >= 0"),
+    # the CLI's own checks report a flag the same way, without a value when it is unset
+    **{name: (argv, f"{flag}: {reason}")
+       for name, (argv, flag, _, reason) in SETTING_CHECKS.items()},
 }
+
+
+def _with_sweep_csvs(tmp_path, argv):
+    """``argv`` with ``{sweep_csvs}`` replaced by two synthetic sweeps' paths."""
+    if "{sweep_csvs}" not in argv:
+        return argv
+    srcs = [synth_sweep_csv(tmp_path / f"hh{d}.csv", "heavy_hexagon", d, n, w)
+            for d, n, w in ((3, 23, 31.61), (5, 65, 29.91))]
+    return [",".join(srcs) if arg == "{sweep_csvs}" else arg for arg in argv]
 
 
 @pytest.mark.parametrize("argv, message", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
 def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, argv, message):
-    """A value that the library parameter its flag feeds rejects exits 2 with
-    one error line naming the flag and the value as given, before anything
-    is counted or written."""
-    if "{sweep_csvs}" in argv:  # a window trend for extrapolate, from two synthetic sweeps
-        srcs = [synth_sweep_csv(tmp_path / f"hh{d}.csv", "heavy_hexagon", d, n, w)
-                for d, n, w in ((3, 23, 31.61), (5, 65, 29.91))]
-        argv = [",".join(srcs) if arg == "{sweep_csvs}" else arg for arg in argv]
+    """A value that the library parameter its flag feeds, or the CLI's own
+    check, rejects exits 2 with one error line naming the flag and the value
+    as given, before anything is counted or written."""
+    argv = _with_sweep_csvs(tmp_path, argv)  # a window trend for extrapolate
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the run
         rc = cli.main(argv + ["--out", str(tmp_path / "out")])
@@ -316,16 +351,51 @@ def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, argv, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, dest, reason", [(argv, dest, reason) for argv, _, dest, reason
+                                                in SETTING_CHECKS.values()],
+                         ids=SETTING_CHECKS.keys())
+def test_a_rejected_setting_replayed_is_an_input_error(tmp_path, capsys, argv, dest, reason):
+    """The same settings, recorded in a manifest as the run would have
+    recorded them, exit 1 naming the manifest's key, and write nothing."""
+    argv = _with_sweep_csvs(tmp_path, argv)
+    cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": cfg["command"], "config": cli._snapshot(cfg)}))
+    assert cli.main(["rerun", str(manifest), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: manifest config {dest!r}: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rerun", "nope.json"],
+    ["fit-window", "--sweep-csv", "nope.csv"],
+    ["extrapolate", "--sweep-csv", "nope.csv"],
+    ["fit-rn", "--csv", "nope.csv"],
+], ids=["rerun", "fit-window", "extrapolate", "fit-rn"])
+def test_an_unreadable_input_file_is_an_io_failure(tmp_path, capsys, argv):
+    """A missing manifest fails as a missing CSV does: exit 1, nothing written."""
+    argv = [str(tmp_path / arg) if arg.startswith("nope.") else arg for arg in argv]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "nope." in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["sweep", "--family", "square", "-d", "3", "--spacings", "abc"], "--spacings: 'abc'"),
-    (["sweep", "--reproduce-table2", "--spacings", "40,abc"], "--spacings: 'abc'"),
-    (["sweep", "--family", "square", "-d", "3", "--sigmas", "x"], "--sigmas: 'x'"),
-    (["sweep", "--family", "square", "-d", "3", "--sigmas", "10; 2e"], "--sigmas: '2e'"),
+    (["sweep", "--family", "square", "-d", "3", "--spacings", "abc"],
+     "--spacings=abc: bad value 'abc'"),
+    (["sweep", "--reproduce-table2", "--spacings", "40,abc"],
+     "--spacings=40,abc: bad value 'abc'"),
+    (["sweep", "--family", "square", "-d", "3", "--sigmas", "x"], "--sigmas=x: bad value 'x'"),
+    (["sweep", "--family", "square", "-d", "3", "--sigmas", "10; 2e"],
+     "--sigmas=10; 2e: bad value '2e'"),
 ], ids=["spacings", "table2-spacings", "sigmas", "semicolon-sigmas"])
 def test_non_numeric_list_value_is_a_usage_error(tmp_path, capsys, argv, message):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert f"error: bad value for {message}" in err and "Traceback" not in err
+    assert f"error: {message}" in err and "Traceback" not in err
     assert not (tmp_path / argv[0]).exists()
 
 
@@ -355,9 +425,9 @@ def test_table2_rows_are_the_shared_operating_points(tmp_path, spacings):
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["--family", "square"], "--family"),
-    (["-d", "3"], "-d/--distance"),
-    (["--sigmas", "5"], "--sigmas"),
+    (["--family", "square"], "--family=square"),
+    (["-d", "3"], "--distance=3"),
+    (["--sigmas", "5"], "--sigmas=5"),
 ], ids=["family", "distance", "sigmas"])
 def test_table2_refuses_the_settings_it_would_ignore(tmp_path, capsys, argv, flag):
     """The table's nine lattices and two scatter levels are fixed, so a
@@ -365,7 +435,7 @@ def test_table2_refuses_the_settings_it_would_ignore(tmp_path, capsys, argv, fla
     assert cli.main(["sweep", "--reproduce-table2", "--trials", "20", *argv,
                      "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert f"error: --reproduce-table2 takes no {flag}" in err and "Traceback" not in err
+    assert f"error: {flag}: not taken with --reproduce-table2" in err and "Traceback" not in err
     assert not (tmp_path / "sweep").exists()
 
 
@@ -456,7 +526,7 @@ class TestFitWindowCommand:
 @pytest.mark.parametrize("command", ["fit-window", "extrapolate"])
 def test_missing_sweep_csv_is_usage_error(tmp_path, capsys, command):
     assert cli.main([command, "--out", str(tmp_path)]) == 2
-    assert "--sweep-csv is required" in capsys.readouterr().err
+    assert "error: --sweep-csv: names no sweep CSV" in capsys.readouterr().err
     assert not (tmp_path / command).exists()
 
 
@@ -485,13 +555,38 @@ def test_bad_sweep_row_is_an_error_naming_its_line(tmp_path, capsys, command, ce
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["fit-window", "extrapolate"])
+def test_sweep_csv_paths_are_stripped(tmp_path, monkeypatch, command):
+    """Blanks around a ``--sweep-csv`` path are dropped, as around a
+    ``--sigmas`` value, and the manifest records each path stripped."""
+    monkeypatch.chdir(tmp_path)
+    for d, n, w in ((3, 23, 31.61), (5, 65, 29.91)):
+        synth_sweep_csv(tmp_path / f"hh{d}.csv", "heavy_hexagon", d, n, w)
+    assert cli.main([command, "--sweep-csv", " hh3.csv, hh5.csv ", "--name", "spaced"]) == 0
+    assert cli.main([command, "--sweep-csv", "hh3.csv,hh5.csv", "--name", "plain"]) == 0
+    inputs = read_json("out", command, "spaced", "manifest.json")["inputs_sha256"]
+    assert sorted(inputs) == ["hh3.csv", "hh5.csv"]
+    assert read_bytes("out", command, "spaced", "results.csv") == \
+        read_bytes("out", command, "plain", "results.csv")
+
+
+@pytest.mark.parametrize("command", ["fit-window", "extrapolate"])
+def test_a_sweep_csv_without_data_rows_is_an_input_error(tmp_path, capsys, command):
+    bare = tmp_path / "bare.csv"
+    bare.write_text("family,distance,n_qubits,sigma_f_mhz,yield\n")
+    assert cli.main([command, "--sweep-csv", str(bare), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {bare}: no data rows\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("sigmas", ["14,14", "14,14.0000001", "0,-0"])
 def test_extrapolate_sigmas_name_each_column_once(tmp_path, capsys, sigmas):
     srcs = [synth_sweep_csv(tmp_path / f"hh{d}.csv", "heavy_hexagon", d, n, w)
             for d, n, w in ((3, 23, 31.61), (5, 65, 29.91))]
     assert cli.main(["extrapolate", "--sweep-csv", ",".join(srcs), "--sigmas", sigmas,
                      "--out", str(tmp_path / "out")]) == 2
-    assert "error: --sigmas names one yield_sigma column twice" in capsys.readouterr().err
+    assert f"error: --sigmas={sigmas}: names one yield_sigma column twice" in \
+        capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -809,6 +904,28 @@ def test_no_command_has_two_options_feeding_one_parameter():
         assert len(params) == len(set(params)), command
 
 
+def test_every_rejection_in_the_cli_is_a_package_error():
+    """cli.py defines no exception class of its own, every ``raise`` of a call
+    raises a class from ``freqcrowd.errors``, every ``ParameterError`` it
+    raises names an option by a literal ``dest`` or a variable, and no
+    (command, setting or parameter) pair leads to two options."""
+    tree = ast.parse(inspect.getsource(cli))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            assert not issubclass(getattr(cli, node.name), BaseException), node.name
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            name = ast.unparse(node.exc.func)
+            assert issubclass(getattr(errors, name, type), errors.FreqcrowdError), name
+            if name == "ParameterError":
+                assert len(node.exc.args) == 2, ast.unparse(node)
+                param = node.exc.args[1]
+                assert isinstance(param, ast.Name) or param.value in cli._OPTION, \
+                    ast.unparse(node)
+    keys = [(command, param) for opt in cli.OPTIONS for command in opt.commands or cli._COMMANDS
+            for param in (opt.dest, *opt.params)]
+    assert len(keys) == len(set(keys)) == len(cli._FEEDS)
+
+
 class TestRerunCommand:
     def test_replay_is_byte_identical(self, tmp_path):
         rows = [(r, 165.0 * r ** -0.48) for r in (6000.0, 7500.0, 9000.0)]
@@ -888,7 +1005,8 @@ class TestRerunCommand:
         bad = tmp_path / "bad_manifest.json"
         bad.write_text(json.dumps(manifest))
         assert cli.main(["rerun", str(bad), "--out", str(tmp_path / "b")]) == 1
-        assert "error: master seed must be in [0, 2**128)" in capsys.readouterr().err
+        assert "error: manifest config 'seed': master seed must be in [0, 2**128)" in \
+            capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
     def test_rerun_takes_no_seed(self, tmp_path, capsys):
@@ -941,7 +1059,7 @@ class TestRerunCommand:
 
     def test_replay_refuses_a_name_outside_its_command(self, tmp_path, capsys):
         manifest = self.edited_sweep_manifest(tmp_path, lambda m: m["config"].update(name=".."))
-        self.assert_rejected(tmp_path, capsys, manifest,
+        self.assert_rejected(tmp_path, capsys, manifest, "manifest config 'name': "
                              "run name '..' must name one directory under out/<command>/")
 
     def test_rerun_refuses_its_own_name_outside_its_command(self, tmp_path, capsys):
@@ -966,6 +1084,7 @@ class TestRerunCommand:
         ("trials", True, "int, not True"),
         ("reproduce_table2", 1, "bool, not 1"),
         ("base_ghz", None, "float, not None"),
+        ("base_ghz", 10**400, "float, not 1000"),  # an int past float range
     ])
     def test_replay_rejects_wrong_typed_value(self, tmp_path, capsys, key, value, wanted):
         manifest = self.edited_sweep_manifest(tmp_path, lambda m: m["config"].update({key: value}))
@@ -1028,15 +1147,16 @@ class TestRerunCommand:
             assert read_bytes(tmp_path / "a", "sweep", "default", fn) == \
                 read_bytes(tmp_path / "b", "sweep", "default", fn)
 
-    def test_replay_without_a_distance_is_a_usage_error(self, tmp_path, capsys):
+    def test_replay_without_a_distance_is_an_input_error(self, tmp_path, capsys):
         manifest = self.edited_sweep_manifest(tmp_path, lambda m: m["config"].update(distance=None))
-        assert cli.main(["rerun", manifest, "--out", str(tmp_path / "b")]) == 2
-        assert "error: --family and --distance are required" in capsys.readouterr().err
+        assert cli.main(["rerun", manifest, "--out", str(tmp_path / "b")]) == 1
+        assert "error: manifest config 'distance': required" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
-    def test_missing_manifest(self, tmp_path):
+    def test_missing_manifest(self, tmp_path, capsys):
         assert cli.main(["rerun", str(tmp_path / "nope.json"),
-                         "--out", str(tmp_path)]) == 2
+                         "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("i/o error: ")
 
 
 def test_every_json_file_is_standard_json(tmp_path):

@@ -410,6 +410,22 @@ def test_sigma_vector_equals_stacked_scalar_calls(nine_lattices):
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), (lat.family, lat.distance)
 
 
+def test_zero_scatter_alone_scores_no_window(nine_lattices, monkeypatch):
+    """A call at sigma 0 alone counts at the set points and calls no normal
+    CDF, and its counts are those of sigma 0 in a call that also scores
+    sigma > 0."""
+    lat = nine_lattices[("square", 7)]
+    sp = spacing_stack(lat, mc.DEFAULT_SPACING_GRID_MHZ)
+    mixed = collision.expected_counts(lat.collision_index, sp, [0.0, 14.0])
+
+    def refuse(x):
+        raise AssertionError("ndtr called at zero scatter")
+    monkeypatch.setattr(collision, "ndtr", refuse)
+    alone = collision.expected_counts(lat.collision_index, sp, [0.0])
+    assert np.array_equal(alone, mixed[:1])
+    assert np.array_equal(collision.expected_counts(lat.collision_index, sp, 0.0), mixed[0])
+
+
 @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
 def test_sigma_vector_rejects_any_bad_sigma(hh3, monkeypatch, bad):
     """A bad sigma anywhere in the vector is refused before any scoring."""
