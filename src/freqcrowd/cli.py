@@ -19,8 +19,10 @@ setting is a :class:`ParameterError` naming it or a library parameter it feeds
 (ranges are the library's to check).  Given as a flag, it exits 2 with
 ``error: <flag>=<value>: <reason>``, no ``=<value>`` when unset, before any
 file is written; replayed from a manifest, it exits 1 with ``error: manifest
-config '<key>': <reason>``.  An unreadable input file, the manifest included,
-is an I/O failure.
+config '<key>': <reason>``.  Each input file, the manifest included, is read
+once, by :func:`_read`: one that cannot be read is an I/O failure, and one
+that is not UTF-8 text, or a manifest nested past the JSON reader's depth, an
+``error:`` naming it.  Both exit 1.
 
 Importing this module loads ``collision``, ``lattice`` and ``mc`` (with
 ``errors`` and numpy under them), which the option defaults and the
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -132,11 +135,9 @@ _OPTION = {opt.dest: opt for opt in OPTIONS}
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Each setting's flag, or else its default."""
-    cfg = {"command": args.command}
+    cfg = {}
     for key, value in vars(args).items():
-        if key == "command":
-            continue
-        if value is None:
+        if value is None:  # never the command, which argparse requires
             default = _OPTION[key].default
             value = default.value() if isinstance(default, ModuleDefault) else default
         cfg[key] = value
@@ -163,20 +164,25 @@ def _float_list(cfg: dict, key: str):
     return values
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            h.update(block)
-    return h.hexdigest()
+def _read(path: str) -> tuple[str, str]:
+    """An input file's text and the SHA-256 of the bytes it was decoded
+    from, in one read: the one place an input file is opened."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+    except ValueError as exc:  # bytes that are not UTF-8 text, or a NUL in the path
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _json_text(filename: str, payload, indent=None) -> str:
-    """Standard JSON: a NaN or an infinity is an error, raised before any write."""
+    """Standard JSON, or an error raised before any write: no NaN, infinity or deep nesting."""
     try:
         return json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise FreqcrowdError(f"{filename}: non-finite value") from exc
+    except RecursionError as exc:
+        raise FreqcrowdError(f"{filename}: nested past the JSON writer's depth") from exc
 
 
 def _snapshot(cfg: dict) -> dict:
@@ -220,9 +226,7 @@ def _write_run(cfg: dict, outputs: dict, inputs=None) -> str:
 
 
 def _cell(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.10g}"
-    return str(v)
+    return f"{v:.10g}" if isinstance(v, float) else str(v)
 
 
 def _build(cfg: dict) -> lattice.Lattice:
@@ -235,9 +239,8 @@ def _build(cfg: dict) -> lattice.Lattice:
 
 def _pattern(cfg: dict) -> lattice.FrequencyPattern:
     """The set-point pattern of ``--base-ghz`` and, for ``check``, ``--spacing-mhz``."""
-    return lattice.FrequencyPattern(
-        base_ghz=cfg["base_ghz"],
-        spacing_mhz=cfg.get("spacing_mhz", _OPTION["spacing_mhz"].default))
+    return lattice.FrequencyPattern(cfg["base_ghz"],
+                                    cfg.get("spacing_mhz", _OPTION["spacing_mhz"].default))
 
 
 def _sweep_row(pt: mc.SweepPoint) -> dict:
@@ -360,46 +363,49 @@ def _sweep_table2(cfg: dict, spacing_grid) -> int:
 
 
 def _read_sweep_csv(path: str):
-    """Parse a sweep results.csv into per-(family, distance) yield curves."""
+    """A sweep results.csv's per-(family, distance) yield curves, one cell per
+    header column in each non-blank row, and the SHA-256 of its bytes."""
+    text, digest = _read(path)
+    try:
+        header, *rows = list(csv.reader(io.StringIO(text, newline=""))) or [[]]
+    except csv.Error as exc:  # a cell past the csv module's field limit
+        raise InputError(f"{path}: {exc}") from None
+    need = {"family", "distance", "n_qubits", "sigma_f_mhz", "yield"}
+    if not need.issubset(header):
+        raise InputError(f"{path}: expected sweep CSV with columns {sorted(need)}")
     curves = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        need = {"family", "distance", "n_qubits", "sigma_f_mhz", "yield"}
-        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-            raise InputError(f"{path}: expected sweep CSV with columns {sorted(need)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                key = (row["family"], int(row["distance"]), int(row["n_qubits"]))
-                sigma = float(row["sigma_f_mhz"])
-                yld = float(row["yield"])
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"{path} row {lineno}: {exc}") from exc
-            if key[2] < 1:
-                raise InputError(f"{path} row {lineno}: n_qubits {key[2]} is not >= 1")
-            if not 0.0 <= sigma < math.inf:
-                raise InputError(f"{path} row {lineno}: sigma_f_mhz {sigma} is not finite and >= 0")
-            if not 0.0 <= yld <= 1.0:
-                raise InputError(f"{path} row {lineno}: yield {yld} is not in [0, 1]")
-            curves.setdefault(key, []).append((sigma, yld))
+    for lineno, cells in enumerate(filter(None, rows), start=2):
+        if len(cells) != len(header):
+            raise InputError(f"{path} row {lineno}: {len(cells)} cells, {len(header)} columns")
+        row = dict(zip(header, cells))
+        try:
+            key = (row["family"], int(row["distance"]), int(row["n_qubits"]))
+            sigma, yld = float(row["sigma_f_mhz"]), float(row["yield"])
+        except ValueError as exc:
+            raise InputError(f"{path} row {lineno}: {exc}") from exc
+        if key[2] < 1:
+            raise InputError(f"{path} row {lineno}: n_qubits {key[2]} is not >= 1")
+        if not 0.0 <= sigma < math.inf:
+            raise InputError(f"{path} row {lineno}: sigma_f_mhz {sigma} is not finite and >= 0")
+        if not 0.0 <= yld <= 1.0:
+            raise InputError(f"{path} row {lineno}: yield {yld} is not in [0, 1]")
+        curves.setdefault(key, []).append((sigma, yld))
     if not curves:
         raise InputError(f"{path}: no data rows")
-    return curves
+    return curves, digest
 
 
 def _fit_sweep_csvs(cfg: dict):
-    """Fit a window to every curve in the ``--sweep-csv`` files.
-
-    Returns each file's SHA-256, taken before it is read, and
-    ``(family, distance, n_qubits, WindowFit)`` per curve.
-    """
+    """Fit a window to every curve in the ``--sweep-csv`` files: each file's
+    SHA-256, as parsed, and one ``(family, distance, n_qubits, WindowFit)`` per curve."""
     from . import window
     paths = [p.strip() for p in (cfg["sweep_csv"] or "").split(",") if p.strip()]
     if not paths:
         raise ParameterError("names no sweep CSV", "sweep_csv")
     inputs, fits = {}, []
     for path in paths:
-        inputs[path] = _sha256(path)
-        for (family, distance, n_qubits), curve in sorted(_read_sweep_csv(path).items()):
+        curves, inputs[path] = _read_sweep_csv(path)
+        for (family, distance, n_qubits), curve in sorted(curves.items()):
             fits.append((family, distance, n_qubits, window.fit_window(curve, n_qubits)))
     return inputs, fits
 
@@ -489,9 +495,7 @@ def cmd_tune(cfg: dict) -> int:
                                           cfg["fractional_sigma"], cfg["seed"])
     if cfg["target_spread"]:
         tunesim.spread_targets(records, lo / 100.0, hi / 100.0)
-        group_ids = None
-    else:
-        group_ids = tunesim.two_group_split(records)
+    group_ids = None if cfg["target_spread"] else tunesim.two_group_split(records)
     result = tunesim.run_campaign(records, model=model, policy=policy,
                                   master_seed=cfg["seed"], group_ids=group_ids,
                                   fit=tunesim.default_wafer_fit(cfg["residual_std_mhz"]))
@@ -534,8 +538,8 @@ def cmd_fit_rn(cfg: dict) -> int:
     csv_path = cfg["csv_path"]
     if not csv_path:
         raise ParameterError("required", "csv_path")
-    r, f = physics.load_resistance_frequency_csv(csv_path)
-    inputs = {csv_path: _sha256(csv_path)}
+    text, digest = _read(csv_path)
+    r, f = physics.parse_resistance_frequency_csv(text, csv_path)
     fit = physics.fit_power_law(r, f, fix_exponent=cfg["fix_exponent"])
     grid = np.geomspace(float(r.min()) * 0.98, float(r.max()) * 1.02, 80)
     path = _write_run(cfg, {
@@ -545,20 +549,21 @@ def cmd_fit_rn(cfg: dict) -> int:
             [("measured", list(r), list(f)),
              ("fit", list(grid), list(physics.predict_frequency_ghz(fit, grid)))],
             title="junction resistance to qubit frequency",
-            x_label="resistance (ohm)", y_label="frequency (GHz)")}, inputs)
+            x_label="resistance (ohm)", y_label="frequency (GHz)")}, {csv_path: digest})
     print(f"f = {fit.prefactor:.3f} * R^{fit.exponent:.4f}  "
           f"(residual {fit.residual_std_mhz:.2f} MHz over {fit.n_points} devices)")
     print(f"written: {path}")
     return 0
 
 
-def _replayed_value(opt: Option, value):
-    """A manifest value as its option's converter would give it: a float
+def _replayed_value(key: str, value):
+    """A manifest value for ``key`` as its option's converter gives it: a float
     setting takes an int or a float (as a float), every other type only
     itself (so no bool for an int), and None only where it is the default.
     Manifests written while a free ``--fix-exponent`` defaulted to NaN record
     it as NaN; that reads as unset."""
-    if opt.dest == "fix_exponent" and isinstance(value, float) and math.isnan(value):
+    opt = _OPTION[key]
+    if key == "fix_exponent" and isinstance(value, float) and math.isnan(value):
         value = None
     if value is None and opt.default is None:
         return None
@@ -567,16 +572,14 @@ def _replayed_value(opt: Option, value):
             return (_float if opt.type is float else opt.type)(value)
         except OverflowError:
             pass
-    raise InputError(f"manifest config {opt.dest!r} must be {opt.type.__name__}, not {value!r}")
+    raise ParameterError(f"must be {opt.type.__name__}, not {value!r}", key)
 
 
 def cmd_rerun(cfg: dict) -> int:
     """Replay a command from its manifest.json."""
-    path = cfg["manifest"]
     try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(_read(cfg["manifest"])[0])
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise InputError("manifest must be a JSON object")
@@ -591,22 +594,19 @@ def cmd_rerun(cfg: dict) -> int:
     inputs = manifest.get("inputs_sha256", {})
     if not isinstance(inputs, dict):
         raise InputError("manifest inputs_sha256 must be a JSON object")
-    missing = [key for key in _REPLAYABLE[command] if key not in config]
-    if missing:
-        raise InputError(f"manifest config lacks {', '.join(map(repr, missing))}")
-    sub = dict(config)
-    for key in _REPLAYABLE[command]:
-        sub[key] = _replayed_value(_OPTION[key], config[key])
     for in_path, digest in inputs.items():
         if not os.path.exists(in_path):
             raise InputError(f"input file missing: {in_path}")
-        if _sha256(in_path) != digest:
+        if _read(in_path)[1] != digest:
             raise InputError(f"input file changed since the original run: {in_path}")
-    sub["command"] = command
-    sub["out"] = cfg["out"]
-    if cfg["name"] != _OPTION["name"].default:
-        sub["name"] = cfg["name"]
+    sub = dict(config, command=command, out=cfg["out"])
     try:
+        for key in _REPLAYABLE[command]:
+            if key not in config:
+                raise ParameterError("required", key)
+            sub[key] = _replayed_value(key, config[key])
+        if cfg["name"] != _OPTION["name"].default:
+            sub["name"] = cfg["name"]
         return _run(sub)
     except ParameterError as exc:  # a manifest's value, not a flag's
         opt = _FEEDS.get((command, exc.param))
@@ -619,7 +619,7 @@ def _run(cfg: dict) -> int:
     one (the commands that draw): the one path from a command line or a
     replayed manifest to a command."""
     name = cfg["name"]
-    if name in ("", ".", "..") or "/" in name or os.sep in name:
+    if name in ("", ".", "..") or "/" in name or os.sep in name or "\0" in name:
         raise ParameterError(f"run name {name!r} must name one directory under "
                              "out/<command>/", "name")
     if cfg["command"] in _OPTION["seed"].commands:

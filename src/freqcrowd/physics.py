@@ -4,15 +4,16 @@ Everything here is scalar/array algebra tying together the quantities a
 fabrication line actually measures: room-temperature junction resistance,
 superconducting gap, charging and Josephson energies, and the resulting
 qubit transition frequency.  Energies are expressed as frequencies (GHz);
-resistances in ohms; critical currents in nA.
+resistances in ohms; critical currents in nA.  The CSV parser reads text it is
+given: nothing here opens a file.
 """
 from __future__ import annotations
 
 import csv
+import io
 import math
 import statistics
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -113,23 +114,21 @@ def fit_power_law(resistance_ohm, frequency_ghz, *, fix_exponent: float | None =
     if r.size < min_points:
         raise InputError(f"need at least {min_points} points, got {r.size}")
 
-    x = np.log(r)
-    y = np.log(f)
+    x, y = np.log(r), np.log(f)
     if fix_exponent is not None:
         p = float(fix_exponent)
         log_a = float(np.mean(y - p * x))
-        fixed = True
     else:
         sxx = float(np.sum((x - x.mean()) ** 2))
         if sxx == 0.0:
             raise SingularFitError("all resistances identical; exponent not identifiable")
         p = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
         log_a = float(y.mean() - p * x.mean())
-        fixed = False
     a = float(np.exp(log_a))
     residuals_mhz = (f - a * r**p) * 1e3
     rms = float(np.sqrt(np.mean(residuals_mhz**2)))
-    return PowerLawFit(prefactor=a, exponent=p, residual_std_mhz=rms, n_points=int(r.size), exponent_fixed=fixed)
+    return PowerLawFit(prefactor=a, exponent=p, residual_std_mhz=rms, n_points=int(r.size),
+                       exponent_fixed=fix_exponent is not None)
 
 
 def predict_frequency_ghz(fit: PowerLawFit, resistance_ohm):
@@ -196,17 +195,16 @@ def _float_or_none(cell: str):
         return None
 
 
-def load_resistance_frequency_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a two-column CSV (resistance_ohm, frequency_ghz).
+def parse_resistance_frequency_csv(text: str, path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse the text of a two-column CSV (resistance_ohm, frequency_ghz) at ``path``.
 
     Blank lines and lines starting with ``#`` are skipped.  The first other
     line is a header if none of its cells is a number; every other line must
     hold exactly two finite numbers, or an InputError names the line.
     """
-    rows = []
-    first = True
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
+    rows, first = [], True
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         for rec in reader:
             if not "".join(rec).strip() or rec[0].lstrip().startswith("#"):
                 continue
@@ -219,6 +217,8 @@ def load_resistance_frequency_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 raise InputError(f"{path} line {reader.line_num}: expected two finite numbers, "
                                  f"got {','.join(rec)!r}")
             rows.append(values)
+    except csv.Error as exc:  # a cell past the csv module's field limit
+        raise InputError(f"{path} line {reader.line_num}: {exc}") from None
     if not rows:
         raise InputError(f"no numeric rows in {path}")
     arr = np.array(rows, dtype=float)

@@ -4,6 +4,8 @@ import hashlib
 import inspect
 import json
 import os
+import pathlib
+import random
 import subprocess
 import sys
 import warnings
@@ -381,6 +383,129 @@ def test_an_unreadable_input_file_is_an_io_failure(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("i/o error: ") and "nope." in err
     assert not (tmp_path / "out").exists()
+
+
+SHORT_ROW = "distance,n_qubits,sigma_f_mhz,yield,family\n3,17,8,0.9,square\n3,17,10,0.6\n"
+UNREADABLE_TEXT = {
+    "random-manifest": (["rerun", "{path}"], random.Random(41).randbytes(200),
+                        "{path}: 'utf-8' codec can't decode byte 0x92 in position 1"),
+    "utf16-sweep-csv": (["fit-window", "--sweep-csv", "{path}"],
+                        b"\xff\xfe" + "family".encode("utf-16-le"),
+                        "{path}: 'utf-8' codec can't decode byte 0xff in position 0"),
+    "utf16-rn-csv": (["fit-rn", "--csv", "{path}"], b"\xff\xfe" + "8000".encode("utf-16-le"),
+                     "{path}: 'utf-8' codec can't decode byte 0xff in position 0"),
+    "deep-manifest": (["rerun", "{path}"], b"[" * 100_000 + b"]" * 100_000,
+                      "manifest is not valid JSON: maximum recursion depth exceeded"),
+    "short-sweep-row": (["fit-window", "--sweep-csv", "{path}"], SHORT_ROW.encode(),
+                        "{path} row 3: 4 cells, 5 columns"),
+    "long-sweep-row": (["extrapolate", "--sweep-csv", "{path}"],
+                       b"family,distance,n_qubits,sigma_f_mhz,yield\nsquare,3,17,8,0.9,1\n",
+                       "{path} row 2: 6 cells, 5 columns"),
+    "huge-sweep-cell": (["fit-window", "--sweep-csv", "{path}"],
+                        b"family,distance,n_qubits,sigma_f_mhz,yield\n" + b"x" * 200_000,
+                        "{path}: field larger than field limit (131072)"),
+    "huge-rn-cell": (["fit-rn", "--csv", "{path}"], b"8000,5.7\n" + b"9" * 200_000 + b",5.4\n",
+                     "{path} line 2: field larger than field limit (131072)"),
+}
+
+
+@pytest.mark.parametrize("argv, data, message", UNREADABLE_TEXT.values(),
+                         ids=UNREADABLE_TEXT.keys())
+def test_an_input_file_that_is_not_readable_text_is_an_input_error(tmp_path, capsys, argv,
+                                                                   data, message):
+    """Bytes that are not UTF-8, a manifest nested past the JSON reader's
+    depth and a CSV row the parser cannot split by its header exit 1 with one
+    error line naming the file or the manifest, and write nothing."""
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    argv = [arg.format(path=path) for arg in argv]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message.format(path=path))
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_manifest_nested_past_the_json_writers_depth_is_an_error(tmp_path, capsys):
+    """A config key nested just within the JSON reader's depth passes it,
+    but can reach past the writer's, whose stack is deeper: the replay is
+    then an error naming the file it would have written, and writes nothing.
+    Depths are tried from the recursion limit down to the first that
+    replays."""
+    assert cli.main(["lattice", "--family", "square", "-d", "3", "--out", str(tmp_path / "a")]) == 0
+    manifest = read_json(tmp_path / "a", "lattice", filename="manifest.json")
+    manifest["config"]["nested"] = "NESTED"
+    messages = []
+    for depth in range(sys.getrecursionlimit(), 0, -1):
+        bad = tmp_path / "deep.json"
+        bad.write_text(json.dumps(manifest).replace('"NESTED"', "[" * depth + "]" * depth))
+        out = tmp_path / "out"
+        rc = cli.main(["rerun", str(bad), "--out", str(out)])
+        err = capsys.readouterr().err
+        if rc == 0:
+            break
+        assert rc == 1 and err.count("\n") == 1 and not out.exists(), (depth, err)
+        messages.append(err)
+    assert messages[0].startswith("error: manifest is not valid JSON: maximum recursion depth")
+    assert messages[-1].endswith(": nested past the JSON writer's depth\n")
+
+
+def test_json_text_rejects_nesting_past_the_writers_depth():
+    nested = []
+    for _ in range(sys.getrecursionlimit()):
+        nested = [nested]
+    with pytest.raises(cli.FreqcrowdError, match="^config: nested past the JSON writer's depth$"):
+        cli._json_text("config", {"nested": nested})
+
+
+def test_each_input_file_is_read_once_and_recorded_by_the_digest_of_what_was_parsed(
+        tmp_path, monkeypatch):
+    """A run reads each input file once, through ``cli._read``, and its
+    manifest records the SHA-256 of the bytes it parsed."""
+    reads = []
+    read = cli._read
+    monkeypatch.setattr(cli, "_read", lambda path: reads.append(path) or read(path))
+    sweeps = [synth_sweep_csv(tmp_path / f"hh{d}.csv", "heavy_hexagon", d, n, w)
+              for d, n, w in ((3, 23, 31.61), (5, 65, 29.91))]
+    rn = TestFitRnCommand.write_pairs(tmp_path / "rn.csv",
+                                      [(r, 165.0 * r ** -0.48) for r in (6000.0, 7500.0, 9000.0)])
+    for command, argv, paths in (("fit-window", ["--sweep-csv", ",".join(sweeps)], sweeps),
+                                 ("extrapolate", ["--sweep-csv", ",".join(sweeps)], sweeps),
+                                 ("fit-rn", ["--csv", rn], [rn])):
+        reads.clear()
+        assert cli.main([command, *argv, "--out", str(tmp_path / "out")]) == 0
+        assert reads == paths
+        recorded = read_json(tmp_path / "out", command, filename="manifest.json")["inputs_sha256"]
+        assert recorded == {p: hashlib.sha256(pathlib.Path(p).read_bytes()).hexdigest()
+                            for p in paths}
+
+
+def test_only_the_input_reader_and_the_run_writer_open_files():
+    """Of the package's functions, only ``cli._read`` opens a file to read
+    and only ``cli._write_run`` one to write: every input reaches a command
+    through the one reader, read once, and hashed and parsed from the same
+    bytes."""
+    package = os.path.dirname(cli.__file__)
+    openers = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        scopes = [(None, tree)]
+        while scopes:
+            scope, node = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+                if isinstance(child, ast.Call) and (
+                        getattr(child.func, "id", None) == "open"
+                        or getattr(child.func, "attr", None) in (
+                            "open", "read_text", "read_bytes", "write_text", "write_bytes")):
+                    openers.add((name, scope, ast.unparse(child)))
+                scopes.append((inner, child))
+    assert openers == {("cli.py", "_read", "open(path, 'rb')"),
+                       ("cli.py", "_write_run", "open(os.path.join(path, name), 'w', newline='')")}
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1047,7 +1172,7 @@ class TestRerunCommand:
 
     def test_replay_rejects_config_missing_a_read_key(self, tmp_path, capsys):
         manifest = self.edited_sweep_manifest(tmp_path, lambda m: m["config"].pop("trials"))
-        self.assert_rejected(tmp_path, capsys, manifest, "manifest config lacks 'trials'")
+        self.assert_rejected(tmp_path, capsys, manifest, "manifest config 'trials': required\n")
 
     def test_replay_rejects_unknown_command(self, tmp_path, capsys):
         manifest = self.edited_sweep_manifest(tmp_path, lambda m: m.update(command="bogus"))
@@ -1061,6 +1186,17 @@ class TestRerunCommand:
         manifest = self.edited_sweep_manifest(tmp_path, lambda m: m["config"].update(name=".."))
         self.assert_rejected(tmp_path, capsys, manifest, "manifest config 'name': "
                              "run name '..' must name one directory under out/<command>/")
+
+    def test_replay_rejects_a_nul_in_a_name_or_a_path(self, tmp_path, capsys):
+        """A NUL, which no command line can pass but a manifest can hold, is
+        an input error, not a ValueError from the file system."""
+        manifest = self.edited_sweep_manifest(tmp_path, lambda m: m["config"].update(name="a\0b"))
+        self.assert_rejected(tmp_path, capsys, manifest, "manifest config 'name': "
+                             "run name 'a\\x00b' must name one directory under out/<command>/")
+        nul_csv = tmp_path / "nul_csv.json"
+        nul_csv.write_text(json.dumps({"command": "fit-rn", "config": {
+            "csv_path": "rn\0.csv", "fix_exponent": None, "name": "default"}}))
+        self.assert_rejected(tmp_path, capsys, str(nul_csv), "rn\0.csv: embedded null byte\n")
 
     def test_rerun_refuses_its_own_name_outside_its_command(self, tmp_path, capsys):
         """rerun's own ``--name`` is a flag: a rejected one is a usage error
@@ -1088,7 +1224,7 @@ class TestRerunCommand:
     ])
     def test_replay_rejects_wrong_typed_value(self, tmp_path, capsys, key, value, wanted):
         manifest = self.edited_sweep_manifest(tmp_path, lambda m: m["config"].update({key: value}))
-        self.assert_rejected(tmp_path, capsys, manifest, f"manifest config {key!r} must be {wanted}")
+        self.assert_rejected(tmp_path, capsys, manifest, f"manifest config {key!r}: must be {wanted}")
 
     @pytest.mark.parametrize("text, message", [
         ("{not json", "manifest is not valid JSON"),

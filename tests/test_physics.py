@@ -207,37 +207,44 @@ def test_grouped_sigma_input_validation():
             physics.grouped_sigma([5.001, bad, 4.999], [0, 0, 0])
 
 
-def test_csv_loader_roundtrip(tmp_path):
-    p = tmp_path / "rn.csv"
-    p.write_text("resistance_ohm,frequency_ghz\n8000,5.7\n9000,5.4\n")
-    r, f = physics.load_resistance_frequency_csv(p)
+def test_csv_loader_roundtrip():
+    r, f = physics.parse_resistance_frequency_csv(
+        "resistance_ohm,frequency_ghz\n8000,5.7\n9000,5.4\n", "rn.csv")
     assert r.tolist() == [8000.0, 9000.0]
     assert f.tolist() == [5.7, 5.4]
 
 
-def test_csv_loader_rejects_empty(tmp_path):
-    p = tmp_path / "empty.csv"
-    p.write_text("resistance_ohm,frequency_ghz\n")
-    with pytest.raises(InputError):
-        physics.load_resistance_frequency_csv(p)
+def test_csv_loader_rejects_empty():
+    with pytest.raises(InputError, match="^no numeric rows in empty.csv$"):
+        physics.parse_resistance_frequency_csv("resistance_ohm,frequency_ghz\n", "empty.csv")
 
 
-def test_csv_loader_takes_a_header_only_on_the_first_line(tmp_path):
+def test_csv_loader_takes_a_header_only_on_the_first_line():
     """Comments and blank lines are skipped, but still counted in the line
     number an error names."""
-    p = tmp_path / "rn.csv"
-    p.write_text("# wafer 3\n\nresistance_ohm,frequency_ghz\n8000,5.7\n"
-                 "resistance_ohm,frequency_ghz\n9000,5.4\n")
     with pytest.raises(InputError, match=r"rn.csv line 5: expected two finite numbers"):
-        physics.load_resistance_frequency_csv(p)
-    p.write_text("# wafer 3\n8000,5.7\n9000,5.4\n")
-    r, f = physics.load_resistance_frequency_csv(p)
+        physics.parse_resistance_frequency_csv(
+            "# wafer 3\n\nresistance_ohm,frequency_ghz\n8000,5.7\n"
+            "resistance_ohm,frequency_ghz\n9000,5.4\n", "rn.csv")
+    r, f = physics.parse_resistance_frequency_csv("# wafer 3\n8000,5.7\n9000,5.4\n", "rn.csv")
     assert r.tolist() == [8000.0, 9000.0] and f.tolist() == [5.7, 5.4]
 
 
 @pytest.mark.parametrize("bad", ["7500", "7500,1.9x", "7500,inf", "7500,1.9,2", "x,1.9"])
-def test_csv_loader_rejects_a_row_without_two_finite_numbers(tmp_path, bad):
-    p = tmp_path / "rn.csv"
-    p.write_text(f"8000,5.7\n{bad}\n")
-    with pytest.raises(InputError, match=r"line 2: "):
-        physics.load_resistance_frequency_csv(p)
+def test_csv_loader_rejects_a_row_without_two_finite_numbers(bad):
+    with pytest.raises(InputError, match=r"^rn.csv line 2: "):
+        physics.parse_resistance_frequency_csv(f"8000,5.7\n{bad}\n", "rn.csv")
+
+
+def test_csv_loader_reads_crlf_lines_and_quoted_cells():
+    r, f = physics.parse_resistance_frequency_csv(
+        'resistance_ohm,frequency_ghz\r\n"8000",5.7\r\n9000,"5.4"\r\n', "rn.csv")
+    assert r.tolist() == [8000.0, 9000.0] and f.tolist() == [5.7, 5.4]
+
+
+def test_csv_loader_names_the_line_of_a_cell_past_the_field_limit():
+    """The csv module's own error, raised for a cell of over 128 KiB, is an
+    input error naming the line, not a traceback."""
+    text = "8000,5.7\n" + "9" * 200_000 + ",5.4\n"
+    with pytest.raises(InputError, match=r"^rn.csv line 2: field larger than field limit"):
+        physics.parse_resistance_frequency_csv(text, "rn.csv")
