@@ -10,13 +10,12 @@ from freqcrowd import tunesim
 
 SEED = 36
 
-records = tunesim.generate_population(31, master_seed=SEED)
-spread = max(r.r_ohm for r in records) / min(r.r_ohm for r in records) - 1.0
-print(f"as-fabricated: median-ish {sorted(r.r_ohm for r in records)[15]:.0f} ohm, "
-      f"total spread {100 * spread:.1f}%")
+r = tunesim.generate_population(31, master_seed=SEED)
+print(f"as-fabricated: median-ish {sorted(r)[15]:.0f} ohm, "
+      f"total spread {100 * (r.max() / r.min() - 1.0):.1f}%")
 
-group_ids = tunesim.two_group_split(records)
-result = tunesim.run_campaign(records, master_seed=SEED,
+targets, group_ids = tunesim.two_group_split(r)
+result = tunesim.run_campaign(r, targets, master_seed=SEED,
                               fit=tunesim.default_wafer_fit(), group_ids=group_ids)
 
 print(f"converged {result.n_converged}/{len(result.records)}, "
@@ -41,7 +40,6 @@ for k, step in enumerate(rec.steps, start=1):
 
 # stress profile: 300 junctions, shallow to deep targets
 deep = tunesim.generate_population(300, master_seed=SEED)
-tunesim.spread_targets(deep, 0.004, 0.145)
-stress = tunesim.run_campaign(deep, master_seed=SEED)
+stress = tunesim.run_campaign(deep, tunesim.spread_targets(deep, 0.004, 0.145), master_seed=SEED)
 print(f"\n300-junction stress: {100 * stress.converged_fraction:.1f}% converged, "
       f"longest history {max(len(r.steps) for r in stress.records)} anneals")

@@ -103,7 +103,7 @@ OPTIONS = (
     Option("junctions", ("--junctions",), int, ModuleDefault("tunesim", "TWO_GROUP_JUNCTIONS"),
            ("tune",), params=("n",)),
     Option("target_spread", ("--target-spread",), str, "", ("tune",),
-           "LO:HI percent offsets above initial resistance", ("lo_fraction",)),
+           "LO:HI percent offsets above initial resistance", ("lo_fraction", "hi_fraction")),
     Option("median_ohm", ("--median-ohm",), float,
            ModuleDefault("tunesim", "DEFAULT_MEDIAN_OHM"), ("tune",)),
     Option("fractional_sigma", ("--fractional-sigma",), float,
@@ -483,20 +483,18 @@ def cmd_tune(cfg: dict) -> int:
         try:
             lo, hi = (float(tok) for tok in cfg["target_spread"].split(":"))
         except ValueError as exc:
-            raise ParameterError("wants LO:HI in percent, e.g. 0.4:14.5",
-                                 "target_spread") from exc
+            raise ParameterError("wants LO:HI in percent, e.g. 0.4:14.5", "target_spread") from exc
     elif cfg["junctions"] != tunesim.TWO_GROUP_JUNCTIONS:
         raise ParameterError(f"the two-group scenario takes {tunesim.TWO_GROUP_JUNCTIONS} "
                              "junctions; give --target-spread LO:HI for another count",
                              "junctions")
     model = tunesim.AnnealResponseModel.default(noise_sigma=cfg["noise_sigma"])
     policy = tunesim.TunePolicy(cfg["step_fraction"], cfg["converge_band"], cfg["max_anneals"])
-    records = tunesim.generate_population(cfg["junctions"], cfg["median_ohm"],
-                                          cfg["fractional_sigma"], cfg["seed"])
-    if cfg["target_spread"]:
-        tunesim.spread_targets(records, lo / 100.0, hi / 100.0)
-    group_ids = None if cfg["target_spread"] else tunesim.two_group_split(records)
-    result = tunesim.run_campaign(records, model=model, policy=policy,
+    r = tunesim.generate_population(cfg["junctions"], cfg["median_ohm"],
+                                    cfg["fractional_sigma"], cfg["seed"])
+    targets, group_ids = ((tunesim.spread_targets(r, lo / 100.0, hi / 100.0), None)
+                          if cfg["target_spread"] else tunesim.two_group_split(r))
+    result = tunesim.run_campaign(r, targets, model=model, policy=policy,
                                   master_seed=cfg["seed"], group_ids=group_ids,
                                   fit=tunesim.default_wafer_fit(cfg["residual_std_mhz"]))
     path = _write_run(cfg, {

@@ -124,9 +124,13 @@ def fit_power_law(resistance_ohm, frequency_ghz, *, fix_exponent: float | None =
             raise SingularFitError("all resistances identical; exponent not identifiable")
         p = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
         log_a = float(y.mean() - p * x.mean())
-    a = float(np.exp(log_a))
-    residuals_mhz = (f - a * r**p) * 1e3
-    rms = float(np.sqrt(np.mean(residuals_mhz**2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = float(np.exp(log_a))
+        rms = float(np.sqrt(np.mean(((f - a * r**p) * 1e3) ** 2)))
+    if not math.isfinite(rms):
+        reason = "fitted curve is not finite over the data"
+        raise (SingularFitError(reason) if fix_exponent is None
+               else ParameterError(reason, "fix_exponent"))
     return PowerLawFit(prefactor=a, exponent=p, residual_std_mhz=rms, n_points=int(r.size),
                        exponent_fixed=fix_exponent is not None)
 

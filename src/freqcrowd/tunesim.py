@@ -9,14 +9,15 @@ lognormal noise.  A junction converges once its resistance sits within a
 small fractional band of the target; raising it beyond the band is terminal,
 since there is no way back down.
 
-Per-junction randomness is counter-based: junction j under master seed s
-always sees the same noise stream, independent of campaign composition and
-iteration order, so parallel and serial campaigns agree.
+A campaign is a function of its inputs: populations and targets are float
+arrays, each tuned junction comes back as a frozen :class:`JunctionRecord`, and
+junction j under master seed s always sees the same counter-based noise
+stream, so the tuning order changes no junction.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .errors import InputError, ParameterError
 from .mc import philox_rng
 from .physics import PowerLawFit, group_medians, grouped_sigma, predict_frequency_ghz
 
-PENDING = "pending"
 CONVERGED = "converged"
 OVERSHOT = "overshot"
 EXHAUSTED = "exhausted"
@@ -38,6 +38,8 @@ TWO_GROUP_SIZES = (16, 15)
 TWO_GROUP_JUNCTIONS = sum(TWO_GROUP_SIZES)
 DEFAULT_NOISE_SIGMA = 0.10
 DEFAULT_RESIDUAL_STD_MHZ = 14.5
+# Resistances a junction may take, ohm: squared deviations and their mean stay finite.
+MIN_OHM, MAX_OHM = 1e-100, 1e100
 
 
 @dataclass(frozen=True)
@@ -49,14 +51,16 @@ class AnnealStep:
     r_after_ohm: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class JunctionRecord:
+    """One tuned junction: its resistances, terminal status and anneals."""
+
     junction_id: int
     r_initial_ohm: float
+    r_target_ohm: float
     r_ohm: float
-    r_target_ohm: float = float("nan")
-    status: str = PENDING
-    steps: list = field(default_factory=list)
+    status: str
+    steps: tuple
 
 
 class AnnealResponseModel:
@@ -140,9 +144,9 @@ def junction_rng(master_seed: int, junction_id: int) -> np.random.Generator:
 
 def generate_population(n: int, median_ohm: float = DEFAULT_MEDIAN_OHM,
                         fractional_sigma: float = DEFAULT_FRACTIONAL_SIGMA,
-                        master_seed: int = 0) -> list:
-    """As-fabricated junctions with lognormal resistance scatter:
-    R = median * exp(sigma * z), targets unassigned."""
+                        master_seed: int = 0) -> np.ndarray:
+    """As-fabricated resistances, junction j at index j, with lognormal
+    scatter: R = median * exp(sigma * z), each in [MIN_OHM, MAX_OHM]."""
     if n < 1:
         raise ParameterError("n must be >= 1", "n")
     if not 0.0 < median_ohm < np.inf:  # NaN fails too
@@ -150,51 +154,49 @@ def generate_population(n: int, median_ohm: float = DEFAULT_MEDIAN_OHM,
     if not 0.0 <= fractional_sigma < np.inf:
         raise ParameterError("scatter must be finite and non-negative", "fractional_sigma")
     z = philox_rng(master_seed, [0, 0, 1, 0]).standard_normal(n)  # lane 1: no junction's stream
-    r = median_ohm * np.exp(fractional_sigma * z)
-    return [JunctionRecord(j, float(r[j]), float(r[j])) for j in range(n)]
+    with np.errstate(over="ignore"):
+        r = median_ohm * np.exp(fractional_sigma * z)
+    if not np.all((r >= MIN_OHM) & (r <= MAX_OHM)):
+        at_fault = "fractional_sigma" if MIN_OHM <= median_ohm <= MAX_OHM else "median_ohm"
+        raise ParameterError(f"draws a resistance outside [{MIN_OHM:g}, {MAX_OHM:g}] ohm", at_fault)
+    return r
 
 
-def two_group_split(records, targets_ohm=TWO_GROUP_TARGETS_OHM, sizes=TWO_GROUP_SIZES):
-    """Split a population between resistance targets and set per-record targets.
+def two_group_split(r_ohm, targets_ohm=TWO_GROUP_TARGETS_OHM, sizes=TWO_GROUP_SIZES):
+    """Per-junction targets and group indices, aligned with the input, that
+    split a population between resistance targets, ``sizes[k]`` junctions each.
 
-    Records are ranked by initial resistance and groups are filled in
-    ascending target order, so the lowest-resistance junctions take the
-    lowest resistance target — every junction keeps upward headroom.  No
-    status is set: :func:`tune_junction` decides each, so a junction above
-    its target but inside the convergence band converges with no anneal.
-
-    Returns:
-        group index per record, aligned with the input order.
+    Junctions are ranked by resistance and groups filled in ascending target
+    order, so the lowest-resistance junctions take the lowest resistance
+    target — every junction keeps upward headroom.  No status is set:
+    :func:`tune_junction` decides each, so a junction above its target but
+    inside the convergence band converges with no anneal.
     """
-    targets = [float(t) for t in targets_ohm]
-    sizes = [int(s) for s in sizes]
-    if len(targets) != len(sizes):
+    targets, sizes = np.asarray(targets_ohm, dtype=float), np.asarray(sizes, dtype=int)
+    if targets.shape != sizes.shape:
         raise InputError("one size per target group required")
-    if sum(sizes) != len(records):
-        raise InputError(f"group sizes sum to {sum(sizes)}, need {len(records)}")
-    rank = np.argsort(np.argsort([rec.r_ohm for rec in records]))
-    bounds = np.cumsum(sizes)
-    by_target = np.argsort(targets)
-    grp = np.empty(len(records), dtype=int)
-    for j, rec in enumerate(records):
-        gslot = int(np.searchsorted(bounds, rank[j], side="right"))
-        grp[j] = by_target[gslot]
-        rec.r_target_ohm = targets[by_target[gslot]]
-    return grp
+    if sizes.sum() != len(r_ohm):
+        raise InputError(f"group sizes sum to {sizes.sum()}, need {len(r_ohm)}")
+    rank, by_target = np.argsort(np.argsort(r_ohm)), np.argsort(targets)
+    group = by_target[np.searchsorted(np.cumsum(sizes[by_target]), rank, side="right")]
+    return targets[group], group
 
 
-def spread_targets(records, lo_fraction: float, hi_fraction: float) -> None:
+def spread_targets(r_ohm, lo_fraction: float, hi_fraction: float) -> np.ndarray:
     """Per-junction targets evenly spanning [lo, hi] fractional offsets above
     initial resistance (a stress profile covering shallow to deep trims)."""
     if not 0.0 <= lo_fraction <= hi_fraction < np.inf:  # NaN fails too
         raise ParameterError("need 0 <= lo <= hi, both finite", "lo_fraction")
-    offs = np.linspace(lo_fraction, hi_fraction, len(records))
-    for rec, off in zip(records, offs):
-        rec.r_target_ohm = rec.r_ohm * (1.0 + float(off))
+    with np.errstate(over="ignore"):
+        targets = r_ohm * (1.0 + np.linspace(lo_fraction, hi_fraction, len(r_ohm)))
+    if not np.all(targets <= MAX_OHM):  # targets at or above a population are above MIN_OHM
+        raise ParameterError(f"puts a target above {MAX_OHM:g} ohm", "hi_fraction")
+    return targets
 
 
-def tune_junction(record: JunctionRecord, model: AnnealResponseModel,
-                  policy: TunePolicy, rng: np.random.Generator) -> JunctionRecord:
+def tune_junction(junction_id: int, r_ohm: float, r_target_ohm: float,
+                  model: AnnealResponseModel, policy: TunePolicy,
+                  rng: np.random.Generator) -> JunctionRecord:
     """Run the adaptive anneal loop on one junction until terminal.
 
     A junction already inside the convergence band takes zero anneals; one
@@ -202,24 +204,21 @@ def tune_junction(record: JunctionRecord, model: AnnealResponseModel,
     (targets below the wire cannot be reached); exceeding the band after
     annealing is an overshoot.  The anneal budget running out is exhaustion.
     """
-    if record.r_ohm <= 0.0 or not record.r_target_ohm > 0.0:
-        raise ParameterError("current and target resistance must be positive")
-    band = policy.converge_band * record.r_target_ohm
-    while True:
-        if abs(record.r_ohm - record.r_target_ohm) <= band:
-            record.status = CONVERGED
-            return record
-        if record.r_ohm > record.r_target_ohm + band:
-            record.status = OVERSHOT if record.steps else EXHAUSTED
-            return record
-        if len(record.steps) >= policy.max_anneals:
-            record.status = EXHAUSTED
-            return record
-        gap = record.r_target_ohm / record.r_ohm - 1.0
+    if not (MIN_OHM <= r_ohm <= MAX_OHM and MIN_OHM <= r_target_ohm <= MAX_OHM):  # NaN fails
+        raise ParameterError(f"resistance and target must lie in [{MIN_OHM:g}, {MAX_OHM:g}] ohm")
+    band = policy.converge_band * r_target_ohm
+    r, steps = r_ohm, []
+    while r_target_ohm - r > band and len(steps) < policy.max_anneals:
+        gap = r_target_ohm / r - 1.0
         power, duration, expected = model.pick_step(policy.step_fraction * gap)
         realized = model.realized_shift(expected, rng)
-        record.r_ohm = record.r_ohm * (1.0 + realized)
-        record.steps.append(AnnealStep(power, duration, expected, realized, record.r_ohm))
+        r = r * (1.0 + realized)
+        steps.append(AnnealStep(power, duration, expected, realized, r))
+    if abs(r - r_target_ohm) <= band:
+        status = CONVERGED
+    else:
+        status = OVERSHOT if steps and r > r_target_ohm else EXHAUSTED
+    return JunctionRecord(junction_id, r_ohm, r_target_ohm, r, status, tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -235,10 +234,10 @@ class CampaignResult:
     predicted_sigma_f_mhz: float | None  # quadrature of fit residual and band-limited trim error
 
 
-def run_campaign(records, *, model: AnnealResponseModel | None = None,
+def run_campaign(r_ohm, targets_ohm, *, model: AnnealResponseModel | None = None,
                  policy: TunePolicy | None = None, master_seed: int = 0,
                  fit: PowerLawFit | None = None, group_ids=None) -> CampaignResult:
-    """Tune a whole population (targets already assigned) and summarise.
+    """Tune junction j from r_ohm[j] to targets_ohm[j] on junction_rng(master_seed, j); summarise.
 
     Each junction's realised frequency is the fit (``default_wafer_fit()``
     unless given) at its final resistance plus a residual draw at the fit's
@@ -255,24 +254,23 @@ def run_campaign(records, *, model: AnnealResponseModel | None = None,
     model = model if model is not None else AnnealResponseModel.default()
     policy = policy if policy is not None else TunePolicy()
     fit = fit if fit is not None else default_wafer_fit()
-    if not records:
-        raise InputError("no junctions to tune")
-    if any(not np.isfinite(rec.r_target_ohm) for rec in records):
-        raise InputError("assign targets before running a campaign")
+    r = np.asarray(r_ohm, dtype=float)
+    target_r = np.asarray(targets_ohm, dtype=float)
+    gid = np.zeros(r.shape, dtype=int) if group_ids is None else np.asarray(group_ids, dtype=int)
+    if not (r.ndim == 1 and 0 < r.size and r.shape == target_r.shape == gid.shape):
+        raise InputError("resistances, targets and group ids must be equal-length 1-d arrays")
     if not 0.0 <= fit.residual_std_mhz < np.inf:
         raise ParameterError("fit residual_std_mhz must be finite and >= 0", "residual_std_mhz")
-    gid = np.zeros(len(records), dtype=int) if group_ids is None else np.asarray(group_ids, dtype=int)
 
-    realized_f = np.empty(len(records))
-    for j, rec in enumerate(records):
-        rng = junction_rng(master_seed, rec.junction_id)
-        tune_junction(rec, model, policy, rng)
-        noise = rng.normal(0.0, fit.residual_std_mhz * 1e-3)
-        realized_f[j] = predict_frequency_ghz(fit, rec.r_ohm) + noise
+    records, noise = [], np.empty(r.size)
+    for j, (r_j, target_j) in enumerate(zip(r.tolist(), target_r.tolist())):
+        rng = junction_rng(master_seed, j)
+        records.append(tune_junction(j, r_j, target_j, model, policy, rng))
+        noise[j] = rng.normal(0.0, fit.residual_std_mhz * 1e-3)
 
     conv = np.array([rec.status == CONVERGED for rec in records])
     final_r = np.array([rec.r_ohm for rec in records])
-    target_r = np.array([rec.r_target_ohm for rec in records])
+    realized_f = predict_frequency_ghz(fit, final_r) + noise
     n_conv = int(conv.sum())
     sigma_r = pooled = vs_target = predicted = None
     if n_conv:
@@ -286,7 +284,7 @@ def run_campaign(records, *, model: AnnealResponseModel | None = None,
     return CampaignResult(
         records=tuple(records),
         n_converged=n_conv,
-        converged_fraction=n_conv / len(records),
+        converged_fraction=n_conv / r.size,
         sigma_r_ohm=sigma_r,
         group_median_r_ohm=group_medians(final_r, gid),
         group_median_f_ghz=group_medians(realized_f, gid),

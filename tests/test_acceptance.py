@@ -77,17 +77,16 @@ def table_rows():
 
 @pytest.fixture(scope="session")
 def two_group_campaign():
-    records = tunesim.generate_population(31, master_seed=TUNE_SEED)
-    group_ids = tunesim.two_group_split(records)
-    return tunesim.run_campaign(records, master_seed=TUNE_SEED,
+    r = tunesim.generate_population(31, master_seed=TUNE_SEED)
+    targets, group_ids = tunesim.two_group_split(r)
+    return tunesim.run_campaign(r, targets, master_seed=TUNE_SEED,
                                 fit=tunesim.default_wafer_fit(), group_ids=group_ids)
 
 
 @pytest.fixture(scope="session")
 def spread_campaign():
-    records = tunesim.generate_population(300, master_seed=TUNE_SEED)
-    tunesim.spread_targets(records, 0.004, 0.145)
-    return tunesim.run_campaign(records, master_seed=TUNE_SEED)
+    r = tunesim.generate_population(300, master_seed=TUNE_SEED)
+    return tunesim.run_campaign(r, tunesim.spread_targets(r, 0.004, 0.145), master_seed=TUNE_SEED)
 
 
 def test_criterion_1_tuned_precision_rows(table_rows):

@@ -69,9 +69,8 @@ def test_every_call_the_benchmark_makes_runs_under_its_tracer():
                                 lat.n_qubits)
         report = collision.count_collisions(lat, chip, collect=True)
         counts = collision.count_collisions_batch(collision.build_index(lat), f[None, :])
-        records = tunesim.generate_population(20, master_seed=1)
-        tunesim.spread_targets(records, 0.004, 0.145)
-        campaign = tunesim.run_campaign(records, master_seed=1)
+        r = tunesim.generate_population(20, master_seed=1)
+        campaign = tunesim.run_campaign(r, tunesim.spread_targets(r, 0.004, 0.145), master_seed=1)
     assert [p.sigma_mhz for p in warm] == [0.0, 14.0, 150.0]
     assert [p.sigma_mhz for p in points] == list(mc.DEFAULT_SIGMA_GRID_MHZ)
     assert all(p.n_qubits == lat.n_qubits and p.trials >= 1 and p.spacing_mhz > 0.0

@@ -200,6 +200,7 @@ OVERFLOW_SPACING = "set points exceed 1e+300 MHz at this spacing"
 ANHARMONICITY = "anharmonicity must be negative and >= -1e+300 (MHz)"
 SEED = "master seed must be in [0, 2**128)"
 SPREAD = "need 0 <= lo <= hi, both finite"
+RANGE = "draws a resistance outside [1e-100, 1e+100] ohm"
 SETTING_CHECKS = {  # id: (argv, the flag as reported, its setting, the reason given)
     "sigmas-token": (["sweep", *SQUARE3, "--sigmas", "0,abc"], "--sigmas=0,abc", "sigmas",
                      "bad value 'abc'"),
@@ -302,6 +303,15 @@ OUT_OF_RANGE = {  # id: (argv, the error line after "error: ")
                        "--median-ohm=inf: median must be finite and positive"),
     "median-ohm": (["tune", "--median-ohm", "-5"],
                    "--median-ohm=-5: median must be finite and positive"),
+    # a population or target outside tunesim's resistance range
+    **{f"{flag}-past-the-resistance-range": (["tune", *extra, f"--{flag}={value}"],
+                                             f"--{flag}={shown}: {reason}")
+       for flag, value, shown, reason, extra in (
+           ("median-ohm", "1e300", "1e+300", RANGE, ()),
+           ("median-ohm", "1e-320", "9.999888672e-321", RANGE,
+            ("--junctions=3", "--target-spread=0.4:14.5")),
+           ("fractional-sigma", "1000", "1000", RANGE, ()),
+           ("target-spread", "0:1e308", "0:1e308", "puts a target above 1e+100 ohm", ()))},
     "nan-fractional-sigma": (["tune", "--fractional-sigma", "nan"],
                              "--fractional-sigma=nan: scatter must be finite and non-negative"),
     "fractional-sigma": (["tune", "--fractional-sigma", "-1"],
@@ -906,6 +916,21 @@ class TestFitRnCommand:
         assert rc == 2
         assert capsys.readouterr().err == (f"error: --fix-exponent={exponent}: "
                                            f"fixed exponent must be finite, got {exponent}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("exponent", ["1e300", "-1e300", "1e3"])
+    def test_a_fixed_exponent_that_overflows_the_curve_is_a_usage_error(self, tmp_path, capsys,
+                                                                        exponent):
+        """A finite exponent whose power law is not finite over the data is
+        refused under its flag, with no numpy warning and nothing written."""
+        src = self.write_pairs(tmp_path / "rn.csv", [(5000.0, 5.7), (5000.0, 5.6)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["fit-rn", "--csv", src, f"--fix-exponent={exponent}",
+                           "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: --fix-exponent={float(exponent):.10g}: "
+                                           "fitted curve is not finite over the data\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bad_line", ["7500", "7500,1.9x", "7500,nan"],

@@ -91,6 +91,20 @@ class TestPowerLawFit:
         with pytest.raises(ParameterError, match="fixed exponent must be finite"):
             physics.fit_power_law([7000.0, 9000.0], [2.2, 1.9], fix_exponent=exponent)
 
+    @pytest.mark.parametrize("exponent", [1e300, -1e300, 1e3])
+    def test_fixed_exponent_must_keep_the_curve_finite(self, exponent):
+        """5000**1e3 overflows: the curve is refused under the parameter that
+        set it, with no numpy warning on the way."""
+        with pytest.raises(ParameterError, match="not finite over the data") as excinfo:
+            physics.fit_power_law([5000.0, 5000.0], [5.7, 5.6], fix_exponent=exponent)
+        assert excinfo.value.param == "fix_exponent"
+
+    def test_a_free_fit_whose_curve_overflows_is_singular(self):
+        """Nearly equal resistances under a huge frequency ratio fit an
+        exponent whose curve is not finite over the data."""
+        with pytest.raises(SingularFitError, match="not finite over the data"):
+            physics.fit_power_law([5000.0, 5000.005, 5000.01], [1e-300, 1.0, 1e300])
+
     def test_free_fit_needs_three_points(self):
         with pytest.raises(InputError):
             physics.fit_power_law([7000.0, 9000.0], [6.1, 5.4])
