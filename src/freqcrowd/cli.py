@@ -277,6 +277,8 @@ def cmd_check(cfg: dict) -> int:
     collision.check_sigma(cfg["sigma_mhz"])  # sigma <= 0 or NaN draws no deviate to check it
     if cfg["sigma_mhz"] > 0.0:
         freqs = freqs + cfg["sigma_mhz"] * mc.gaussian_deviates(cfg["seed"], 1, lat.n_qubits)[0]
+        if not np.all(np.abs(freqs) <= lattice.MAX_MHZ):  # a draw can pass sigma's bound
+            raise ParameterError(f"draws a frequency past {lattice.MAX_MHZ:g} MHz", "sigma_mhz")
     report = collision.count_collisions(lat, freqs, collect=True)
     _write_run(cfg, {"results.json": {
         "family": lat.family, "distance": lat.distance, "n_qubits": lat.n_qubits,

@@ -2,11 +2,11 @@
 
 The sampling contract: the standard-normal deviate applied to qubit q in
 trial t under master seed s depends only on (s, t, q).  Trial t draws from
-the Philox stream keyed by s at counter [0, 0, 0, t] (:func:`philox_rng`)
-and qubit q takes position q of that draw.  Results are therefore
-independent of batching and of which sigma/spacing values are evaluated — a
-single deviate matrix can be reused across a whole sweep, since a trial's
-frequencies are just set_points + sigma * z.
+stream t of s, the Philox stream keyed by s at counter [0, 0, 0, t]
+(:class:`Streams`), and qubit q takes position q of that draw.  Results
+are therefore independent of batching and of which sigma/spacing values
+are evaluated — a single deviate matrix can be reused across a whole
+sweep, since a trial's frequencies are just set_points + sigma * z.
 
 Every reported point is planned, then measured.  :func:`plan_sweep`, the one
 planner (:func:`plan_table` and :func:`optimize_spacing` call it), decides
@@ -71,6 +71,29 @@ def philox_rng(master_seed: int, counter) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=master_seed, counter=counter))
 
 
+class Streams:
+    """The Philox streams of one master seed, checked once: :meth:`at` gives
+    stream t, the draws of ``philox_rng(master_seed, [0, 0, 0, t])``.  Every
+    per-index stream, a trial's deviate row or a tuned junction's noise, is
+    opened here."""
+
+    def __init__(self, master_seed: int):
+        self._rng = philox_rng(master_seed, [0, 0, 0, 0])
+        # a fresh generator's state, which the setter reads about twice as
+        # fast from plain lists as from arrays
+        self._state = state = self._rng.bit_generator.state
+        self._counter = state["state"]["counter"] = state["state"]["counter"].tolist()
+        state["state"]["key"] = state["state"]["key"].tolist()
+        state["buffer"] = state["buffer"].tolist()
+
+    def at(self, t: int) -> np.random.Generator:
+        """The one generator, rewound to counter [0, 0, 0, t] with an empty
+        buffer: stream t, until the next rewind."""
+        self._counter[3] = t
+        self._rng.bit_generator.state = self._state
+        return self._rng
+
+
 def gaussian_deviates(master_seed: int, n_trials: int, n_qubits: int,
                       first_trial: int = 0) -> np.ndarray:
     """Deviate rows z[t - first_trial, q] of trials ``first_trial`` onwards,
@@ -79,27 +102,20 @@ def gaussian_deviates(master_seed: int, n_trials: int, n_qubits: int,
     check_count("n_trials", n_trials)
     check_count("n_qubits", n_qubits)
     check_count("first_trial", first_trial, least=0)
-    return _draw(philox_rng(master_seed, [0, 0, 0, 0]), first_trial, n_trials, n_qubits)
+    return _draw(Streams(master_seed), first_trial, n_trials, n_qubits)
 
 
-def _draw(rng, first_trial: int, n_trials: int, n_qubits: int) -> np.ndarray:
-    """:func:`gaussian_deviates` without its checks, on a :func:`philox_rng`
-    generator at counter [0, 0, 0, 0], where it is left for the next draw."""
-    # rewound for each row to counter [0, 0, 0, t] with an empty buffer: the
-    # draws of a fresh generator per trial, for a fraction of the cost; the
-    # state setter reads plain lists about twice as fast as arrays
+def _draw(streams: Streams, first_trial: int, n_trials: int, n_qubits: int) -> np.ndarray:
+    """:func:`gaussian_deviates` without its checks: row t - first_trial
+    from stream t of ``streams``."""
+    # Streams.at, inlined: no call per row
+    rng, state, counter = streams._rng, streams._state, streams._counter
     bits = rng.bit_generator
-    state = bits.state
-    counter = state["state"]["counter"] = state["state"]["counter"].tolist()
-    state["state"]["key"] = state["state"]["key"].tolist()
-    state["buffer"] = state["buffer"].tolist()
     z = np.empty((n_trials, n_qubits))
     for t, row in enumerate(z, start=first_trial):
         counter[3] = t
         bits.state = state
         rng.standard_normal(out=row)
-    counter[3] = 0
-    bits.state = state
     return z
 
 
@@ -142,7 +158,7 @@ class DeviateRows:
         for stop, width in bands:
             self.bands.append(gaussian_deviates(master_seed, stop - first, width, first))
             first = stop
-        self._rng = philox_rng(master_seed, [0, 0, 0, 0])
+        self._streams = Streams(master_seed)
         self.scratch = _Scratch()
 
     def block(self, lo: int, hi: int, n_qubits: int) -> np.ndarray:
@@ -157,7 +173,7 @@ class DeviateRows:
                     return band[lo - first:hi - first, :n_qubits]
                 break
             first += len(band)
-        return _draw(self._rng, lo, hi - lo, n_qubits)
+        return _draw(self._streams, lo, hi - lo, n_qubits)
 
 
 @dataclass(frozen=True)

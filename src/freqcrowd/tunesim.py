@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ParameterError
-from .mc import philox_rng
+from .mc import Streams, philox_rng
 from .physics import PowerLawFit, group_medians, grouped_sigma, predict_frequency_ghz
 
 CONVERGED = "converged"
@@ -38,8 +38,10 @@ TWO_GROUP_SIZES = (16, 15)
 TWO_GROUP_JUNCTIONS = sum(TWO_GROUP_SIZES)
 DEFAULT_NOISE_SIGMA = 0.10
 DEFAULT_RESIDUAL_STD_MHZ = 14.5
-# Resistances a junction may take, ohm: squared deviations and their mean stay finite.
+# Resistances a junction may take, ohm, and the largest realised frequency a
+# converged junction may take, GHz: squared deviations and their mean stay finite.
 MIN_OHM, MAX_OHM = 1e-100, 1e100
+MAX_GHZ = 1e100
 
 
 @dataclass(frozen=True)
@@ -138,10 +140,6 @@ class TunePolicy:
             raise ParameterError("max_anneals must be >= 1", "max_anneals")
 
 
-def junction_rng(master_seed: int, junction_id: int) -> np.random.Generator:
-    return philox_rng(master_seed, [0, 0, 0, junction_id])
-
-
 def generate_population(n: int, median_ohm: float = DEFAULT_MEDIAN_OHM,
                         fractional_sigma: float = DEFAULT_FRACTIONAL_SIGMA,
                         master_seed: int = 0) -> np.ndarray:
@@ -203,17 +201,22 @@ def tune_junction(junction_id: int, r_ohm: float, r_target_ohm: float,
     whose resistance sits above the band before any anneal is exhausted
     (targets below the wire cannot be reached); exceeding the band after
     annealing is an overshoot.  The anneal budget running out is exhaustion.
+    A shift that overflows, or takes the resistance above ``MAX_OHM``, is a
+    :class:`ParameterError` naming ``noise_sigma``, which alone can reach it.
     """
     if not (MIN_OHM <= r_ohm <= MAX_OHM and MIN_OHM <= r_target_ohm <= MAX_OHM):  # NaN fails
         raise ParameterError(f"resistance and target must lie in [{MIN_OHM:g}, {MAX_OHM:g}] ohm")
     band = policy.converge_band * r_target_ohm
     r, steps = r_ohm, []
-    while r_target_ohm - r > band and len(steps) < policy.max_anneals:
-        gap = r_target_ohm / r - 1.0
-        power, duration, expected = model.pick_step(policy.step_fraction * gap)
-        realized = model.realized_shift(expected, rng)
-        r = r * (1.0 + realized)
-        steps.append(AnnealStep(power, duration, expected, realized, r))
+    with np.errstate(over="ignore"):  # a shift that overflows is refused below
+        while r_target_ohm - r > band and len(steps) < policy.max_anneals:
+            gap = r_target_ohm / r - 1.0
+            power, duration, expected = model.pick_step(policy.step_fraction * gap)
+            realized = model.realized_shift(expected, rng)
+            r = r * (1.0 + realized)
+            steps.append(AnnealStep(power, duration, expected, realized, r))
+    if not r <= MAX_OHM:  # anneals only raise r, and r above the target ends them
+        raise ParameterError(f"anneal noise takes a resistance above {MAX_OHM:g} ohm", "noise_sigma")
     if abs(r - r_target_ohm) <= band:
         status = CONVERGED
     else:
@@ -237,7 +240,7 @@ class CampaignResult:
 def run_campaign(r_ohm, targets_ohm, *, model: AnnealResponseModel | None = None,
                  policy: TunePolicy | None = None, master_seed: int = 0,
                  fit: PowerLawFit | None = None, group_ids=None) -> CampaignResult:
-    """Tune junction j from r_ohm[j] to targets_ohm[j] on junction_rng(master_seed, j); summarise.
+    """Tune junction j from r_ohm[j] to targets_ohm[j] on stream j of master_seed; summarise.
 
     Each junction's realised frequency is the fit (``default_wafer_fit()``
     unless given) at its final resistance plus a residual draw at the fit's
@@ -249,7 +252,9 @@ def run_campaign(r_ohm, targets_ohm, *, model: AnnealResponseModel | None = None
     quadrature prediction models, since the one-sided approach parks
     converged junctions near the low edge of the resistance band and the
     median absorbs that shared offset.  Figures over converged junctions are
-    None when none converged.
+    None when none converged; a converged junction's realised frequency
+    outside (0, ``MAX_GHZ``] is a :class:`ParameterError` naming
+    ``residual_std_mhz``.
     """
     model = model if model is not None else AnnealResponseModel.default()
     policy = policy if policy is not None else TunePolicy()
@@ -262,9 +267,9 @@ def run_campaign(r_ohm, targets_ohm, *, model: AnnealResponseModel | None = None
     if not 0.0 <= fit.residual_std_mhz < np.inf:
         raise ParameterError("fit residual_std_mhz must be finite and >= 0", "residual_std_mhz")
 
-    records, noise = [], np.empty(r.size)
+    streams, records, noise = Streams(master_seed), [], np.empty(r.size)
     for j, (r_j, target_j) in enumerate(zip(r.tolist(), target_r.tolist())):
-        rng = junction_rng(master_seed, j)
+        rng = streams.at(j)
         records.append(tune_junction(j, r_j, target_j, model, policy, rng))
         noise[j] = rng.normal(0.0, fit.residual_std_mhz * 1e-3)
 
@@ -274,10 +279,14 @@ def run_campaign(r_ohm, targets_ohm, *, model: AnnealResponseModel | None = None
     n_conv = int(conv.sum())
     sigma_r = pooled = vs_target = predicted = None
     if n_conv:
+        f_conv = realized_f[conv]
+        if not np.all((f_conv > 0.0) & (f_conv <= MAX_GHZ)):  # NaN fails too
+            raise ParameterError(f"draws a converged frequency outside (0, {MAX_GHZ:g}] GHz",
+                                 "residual_std_mhz")
         sigma_r = float(np.sqrt(np.mean((final_r[conv] - target_r[conv]) ** 2)))
-        pooled = grouped_sigma(realized_f[conv], gid[conv]).pooled_sigma_mhz
+        pooled = grouped_sigma(f_conv, gid[conv]).pooled_sigma_mhz
         target_f = predict_frequency_ghz(fit, target_r)
-        dev_mhz = (realized_f[conv] - target_f[conv]) * 1e3
+        dev_mhz = (f_conv - target_f[conv]) * 1e3
         vs_target = float(np.sqrt(np.mean(dev_mhz**2)))
         trim_mhz = abs(fit.exponent) * policy.converge_band * float(np.mean(target_f[conv])) * 1e3
         predicted = float(np.hypot(fit.residual_std_mhz, trim_mhz))

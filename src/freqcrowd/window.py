@@ -38,7 +38,8 @@ def window_yield(delta_f_mhz: float, sigma_f_mhz, n_qubits: int):
     sig = np.asarray(sigma_f_mhz, dtype=float)
     if not np.all((sig >= 0.0) & (sig < np.inf)):
         raise ParameterError("sigma_f must be finite and >= 0", "sigma_f_mhz")
-    with np.errstate(divide="ignore"):  # sigma 0: ratio inf, Phi 1, yield exactly 1
+    # sigma 0, or a sigma so small that the ratio overflows: ratio inf, Phi 1, yield exactly 1
+    with np.errstate(divide="ignore", over="ignore"):
         out = ndtr(delta_f_mhz / sig) ** n_qubits
     return float(out) if np.isscalar(sigma_f_mhz) else out
 

@@ -333,6 +333,19 @@ OUT_OF_RANGE = {  # id: (argv, the error line after "error: ")
                          "--residual-std=nan: fit residual_std_mhz must be finite and >= 0"),
     "residual-std": (["tune", "--residual-std", "-1"],
                      "--residual-std=-1: fit residual_std_mhz must be finite and >= 0"),
+    # a draw past a bound the setting itself is within
+    **{f"residual-std-{shown}{'-one-junction' if extra else ''}-draws-past-a-frequency-bound": (
+        ["tune", *extra, f"--residual-std={value}"],
+        f"--residual-std={shown}: draws a converged frequency outside (0, 1e+100] GHz")
+       for value, shown, extra in (("6000", "6000", ()), ("1e306", "1e+306", ()),
+                                   ("1e300", "1e+300", ("--junctions=1", "--target-spread=0:1")))},
+    **{f"noise-sigma-{shown}-anneals-past-the-resistance-range": (
+        ["tune", f"--noise-sigma={value}"],
+        f"--noise-sigma={shown}: anneal noise takes a resistance above 1e+100 ohm")
+       for value, shown in (("1000", "1000"), ("1e300", "1e+300"))},
+    "check-sigma-mhz-draws-past-the-frequency-bound": (
+        ["check", *SQUARE3, "--sigma-mhz=1e300"],
+        "--sigma-mhz=1e+300: draws a frequency past 1e+300 MHz"),
     # the CLI's own checks report a flag the same way, without a value when it is unset
     **{name: (argv, f"{flag}: {reason}")
        for name, (argv, flag, _, reason) in SETTING_CHECKS.items()},
@@ -361,6 +374,23 @@ def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, argv, message):
     assert rc == 2 and captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tune", "--noise-sigma=60"],
+    ["tune", "--noise-sigma=60", "--junctions=300", "--target-spread=0.4:14.5", "--seed=3"],
+    ["check", *SQUARE3, "--sigma-mhz=1e299"],
+], ids=["noise-sigma-60", "noise-sigma-60-spread", "check-sigma-mhz-1e299"])
+def test_a_draw_inside_its_bounds_runs(tmp_path, capsys, argv):
+    """Settings just inside the bounds that their draws are checked against
+    run and write their run, warning nowhere: anneal noise that leaves every
+    resistance at most 1e100 ohm, and a scatter whose one draw stays within
+    1e300 MHz."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / argv[0] / "default" / "results.json").exists()
 
 
 @pytest.mark.parametrize("argv, dest, reason", [(argv, dest, reason) for argv, _, dest, reason

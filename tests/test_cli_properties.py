@@ -7,9 +7,9 @@ given a bad one; each file holds a valid input, arbitrary text of its kind or
 arbitrary bytes.  Whatever it is given, ``cli.main`` returns 0, 1 or 2
 (argparse's own rejections exit 2).  A run that fails past argument parsing
 prints exactly one ``error:`` or ``i/o error:`` line and writes no run
-directory; one that succeeds writes it.  numpy's RuntimeWarnings, which a
-command line prints and tier-1 turns into errors, are left out of it: the
-property is about how a run ends.
+directory; one that succeeds writes it.  No run warns: tier-1 turns
+warnings into errors, so a numpy RuntimeWarning, which a command line would
+print, fails its example.
 
 Valid runs stay cheap: distances up to 5, at most 50 trials, at most three
 scatter levels or spacings and at most 40 junctions.  Trial counts are bounded
@@ -21,12 +21,11 @@ import io
 import json
 import os
 import tempfile
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from freqcrowd import cli, lattice, window
+from freqcrowd import cli, lattice, tunesim, window
 
 SWEEP_COLUMNS = ("family", "distance", "n_qubits", "sigma_f_mhz", "yield")
 INPUTS = {"csv_path": "rn.csv", "sweep_csv": "sweep.csv", "manifest": "manifest.json"}
@@ -65,6 +64,11 @@ FLAGS = {
              st.sampled_from(["..", ".", "", "a/b", "/abs"])),
     "seed": (st.integers(0, 2**128 - 1),
              st.sampled_from(["-1", "x", str(2**128), str(-2**200), "1.0"])),
+    # values whose draws, not the values themselves, pass a bound
+    "noise_sigma": (_float_values(tunesim.DEFAULT_NOISE_SIGMA),
+                    bad_floats | st.sampled_from(["1000"])),
+    "residual_std_mhz": (_float_values(tunesim.DEFAULT_RESIDUAL_STD_MHZ),
+                         bad_floats | st.sampled_from(["6000", "1e306"])),
 }
 
 
@@ -195,9 +199,7 @@ def run(argv, inputs):
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-                    warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 try:
                     code = cli.main(argv + ["--out", "out"])
                 except SystemExit as exc:

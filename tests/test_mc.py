@@ -183,6 +183,61 @@ def test_deviates_follow_the_philox_contract(seed):
         assert z[t].tobytes() == own.standard_normal(49).tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**128 - 1])
+def test_a_rewound_stream_draws_as_a_fresh_generator(seed):
+    """``Streams(s).at(j)`` draws what a fresh ``philox_rng(s, [0, 0, 0, j])``
+    draws, bit for bit, whatever the one generator drew before the rewind:
+    each stream here ends on a part-used buffer (an odd count of 32-bit
+    draws, three normals) and the next starts with a 32-bit draw."""
+    streams = mc.Streams(seed)
+    draws = (lambda g: g.integers(0, 2**32, 1, dtype=np.uint32),
+             lambda g: g.standard_normal(3),
+             lambda g: g.normal(0.0, 0.1),
+             lambda g: g.random(3, dtype=np.float32))
+    for j in (0, 5, 1, 5, 299, 0, 2**63 - 1, 3):
+        rewound, fresh = streams.at(j), mc.philox_rng(seed, [0, 0, 0, j])
+        for draw in draws:
+            assert np.asarray(draw(rewound)).tobytes() == np.asarray(draw(fresh)).tobytes(), j
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_streams_refuse_a_seed_outside_the_key_range(seed):
+    with pytest.raises(ParameterError, match=r"master seed must be in \[0, 2\*\*128\)"):
+        mc.Streams(seed)
+
+
+def test_only_mc_opens_a_random_stream():
+    """Every random draw of the package comes through ``mc``: the one checked
+    generator :func:`mc.philox_rng` builds is the package's only call into
+    ``np.random`` (or any other random module), and ``tunesim`` opens its
+    streams only through ``mc``: its population lane with ``philox_rng``,
+    and each junction's stream by rewinding one ``mc.Streams`` per campaign."""
+    package = pathlib.Path(mc.__file__).parent
+    random_calls, tunesim_streams = set(), set()
+    for path in sorted(package.glob("*.py")):
+        scopes = [(None, ast.parse(path.read_text()))]
+        while scopes:
+            scope, node = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+                if isinstance(child, ast.Call):
+                    func = ast.unparse(child.func)
+                    if "random" in func or func.split(".")[-1] in (
+                            "default_rng", "Generator", "Philox", "SeedSequence"):
+                        random_calls.add((path.name, scope, ast.unparse(child)))
+                    if path.name == "tunesim.py" and func.split(".")[-1] in (
+                            "Streams", "at", "philox_rng", "gaussian_deviates"):
+                        tunesim_streams.add((scope, ast.unparse(child)))
+                scopes.append((inner, child))
+    assert random_calls == {
+        ("mc.py", "philox_rng", "np.random.Generator(np.random.Philox(key=master_seed, "
+                                "counter=counter))"),
+        ("mc.py", "philox_rng", "np.random.Philox(key=master_seed, counter=counter)")}
+    assert tunesim_streams == {("generate_population", "philox_rng(master_seed, [0, 0, 1, 0])"),
+                               ("run_campaign", "Streams(master_seed)"),
+                               ("run_campaign", "streams.at(j)")}
+
+
 def test_run_point_matches_per_trial_loop(hh3):
     """The batched counter must reproduce a plain per-trial loop exactly."""
     pattern = lattice.FrequencyPattern(spacing_mhz=45.0)
@@ -535,6 +590,7 @@ def test_plans_draw_no_deviate(hh3, monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("a plan drew a deviate row")
     monkeypatch.setattr(mc, "gaussian_deviates", no_draw)
+    monkeypatch.setattr(mc, "_draw", no_draw)
     monkeypatch.setattr(mc, "run_point", no_draw)
     assert len(mc.plan_sweep(hh3, lattice.FrequencyPattern())) == len(mc.DEFAULT_SIGMA_GRID_MHZ)
     assert len(mc.plan_table([hh3, hh3], lattice.FrequencyPattern(), mc.AdaptiveTrials())) == 2

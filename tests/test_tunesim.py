@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from freqcrowd import tunesim
+from freqcrowd import mc, tunesim
 from freqcrowd.errors import InputError, ParameterError
 from freqcrowd.physics import PowerLawFit, predict_frequency_ghz
 
@@ -71,7 +71,7 @@ class TestPopulation:
         with pytest.raises(ParameterError, match=r"master seed must be in \[0, 2\*\*128\)"):
             tunesim.generate_population(5, master_seed=seed)
         with pytest.raises(ParameterError, match="master seed"):
-            tunesim.junction_rng(seed, 0)
+            tunesim.run_campaign([8000.0], [8100.0], master_seed=seed)
 
 
 class TestTargetAssignment:
@@ -205,7 +205,7 @@ class TestResponseModel:
 
     def test_realized_shift_noise(self):
         quiet = tunesim.AnnealResponseModel.default(noise_sigma=0.0)
-        rng = tunesim.junction_rng(0, 0)
+        rng = mc.Streams(0).at(0)
         assert quiet.realized_shift(0.01, rng) == 0.01
         loud = tunesim.AnnealResponseModel.default(noise_sigma=0.5)
         draws = [loud.realized_shift(0.01, rng) for _ in range(200)]
@@ -231,7 +231,7 @@ class TestTuneJunction:
     def tune(r_ohm, r_target_ohm, model=None, policy=None):
         return tunesim.tune_junction(0, r_ohm, r_target_ohm,
                                      model or tunesim.AnnealResponseModel.default(),
-                                     policy or tunesim.TunePolicy(), tunesim.junction_rng(0, 0))
+                                     policy or tunesim.TunePolicy(), mc.Streams(0).at(0))
 
     def test_already_in_band_takes_zero_anneals(self):
         rec = self.tune(8000.0, 8010.0)
@@ -286,6 +286,16 @@ class TestTuneJunction:
         with pytest.raises(ParameterError, match=r"resistance and target must lie in \[1e-100"):
             self.tune(r_ohm, target_ohm)
 
+    @pytest.mark.parametrize("noise", [1e4, 1e300])
+    def test_noise_that_anneals_past_the_resistance_range_is_refused(self, noise):
+        """A noise level whose shift overflows, or takes the resistance above
+        MAX_OHM, is refused naming ``noise_sigma``, with no overflow warning
+        (tier-1 turns warnings into errors)."""
+        with pytest.raises(ParameterError, match=r"^anneal noise takes a resistance above 1e\+100 "
+                                                 r"ohm$") as excinfo:
+            self.tune(8000.0, 8800.0, model=tunesim.AnnealResponseModel.default(noise))
+        assert excinfo.value.param == "noise_sigma"
+
     def test_policy_validation(self):
         for bad in ({"step_fraction": 0.0}, {"converge_band": 1.0}, {"max_anneals": 0}):
             with pytest.raises(ParameterError):
@@ -334,7 +344,7 @@ class TestCampaign:
         assert implicit == explicit
         model, policy = tunesim.AnnealResponseModel.default(), tunesim.TunePolicy()
         alone = [tunesim.tune_junction(j, r[j], targets[j], model, policy,
-                                       tunesim.junction_rng(4, j)) for j in range(20)]
+                                       mc.Streams(4).at(j)) for j in range(20)]
         assert list(implicit.records) == alone
         assert list(implicit.group_median_f_ghz) == [0]
         assert implicit.pooled_sigma_f_mhz is not None
@@ -354,14 +364,27 @@ class TestCampaign:
         with pytest.raises(ParameterError, match="residual_std"):
             tunesim.run_campaign(r, tunesim.spread_targets(r, 0.01, 0.1), fit=ideal_fit(residual_mhz))
 
+    @pytest.mark.parametrize("residual_mhz", [6000.0, 1e306])
+    def test_a_residual_that_draws_a_converged_frequency_out_of_range_is_refused(self,
+                                                                               residual_mhz):
+        r = tunesim.generate_population(31, master_seed=36)
+        with pytest.raises(ParameterError, match=r"^draws a converged frequency outside "
+                                                 r"\(0, 1e\+100\] GHz$") as excinfo:
+            tunesim.run_campaign(r, tunesim.spread_targets(r, 0.01, 0.1), master_seed=36,
+                                 fit=ideal_fit(residual_mhz))
+        assert excinfo.value.param == "residual_std_mhz"
+
     def test_order_independent_noise_streams(self):
-        """Each junction owns its noise stream, so tuning order is irrelevant."""
+        """Each junction owns its noise stream, so tuning order is irrelevant:
+        one set of streams rewound junction by junction, last first, tunes
+        each as the campaign does."""
         r = tunesim.generate_population(25, master_seed=12)
         targets = tunesim.spread_targets(r, 0.01, 0.1)
         res = tunesim.run_campaign(r, targets, master_seed=12)
-        model, policy = tunesim.AnnealResponseModel.default(), tunesim.TunePolicy()
-        backwards = [tunesim.tune_junction(j, r[j], targets[j], model, policy,
-                                           tunesim.junction_rng(12, j)) for j in reversed(range(25))]
+        model, policy, streams = tunesim.AnnealResponseModel.default(), tunesim.TunePolicy(), \
+            mc.Streams(12)
+        backwards = [tunesim.tune_junction(j, r[j], targets[j], model, policy, streams.at(j))
+                     for j in reversed(range(25))]
         assert list(res.records) == backwards[::-1]
 
     def test_zero_noise_precision_bound(self):

@@ -29,6 +29,13 @@ class TestWindowYield:
     def test_zero_scatter_is_certain(self):
         assert window.window_yield(0.5, 0.0, 10000) == 1.0
 
+    @pytest.mark.parametrize("sigma", [5e-324, 1e-310])
+    def test_a_scatter_whose_ratio_overflows_is_certain(self, sigma):
+        """delta_f / sigma past the largest float is an infinite ratio, as at
+        sigma 0, with no warning (tier-1 turns warnings into errors)."""
+        assert window.window_yield(20.0, sigma, 20) == 1.0
+        assert window.window_yield(20.0, np.array([sigma, 0.0]), 20).tolist() == [1.0, 1.0]
+
     def test_vector_sigma(self):
         sig = np.array([0.0, 14.0, 1e6])
         y = window.window_yield(30.0, sig, 65)
