@@ -19,7 +19,7 @@ for family in lattice.FAMILIES:
     print()
 
 lat = lattice.build_lattice("heavy_hexagon", 3)
-pattern = lattice.FrequencyPattern(base_ghz=5.0, spacing_mhz=70.0)
+pattern = lattice.FrequencyPattern(spacing_mhz=70.0)
 ladder = sorted(set(lattice.set_points_mhz(lat, pattern)))
 print(f"heavy_hexagon d=3 ladder at 70 MHz spacing: {[f'{v:.0f}' for v in ladder]} MHz")
 

@@ -33,8 +33,8 @@ _EXPORTS = {
     "collision": ("CollisionReport", "count_collisions", "expected_counts"),
     "errors": ("FreqcrowdError", "InputError", "ParameterError", "SingularFitError",
                "UnfittableError"),
-    "lattice": ("DEFAULT_BASE_GHZ", "DEFAULT_SPACING_MHZ", "FAMILIES", "FrequencyPattern",
-                "Lattice", "build_lattice", "set_points_mhz"),
+    "lattice": ("DEFAULT_SPACING_MHZ", "FAMILIES", "FrequencyPattern", "Lattice",
+                "build_lattice", "set_points_mhz"),
     "mc": ("DEFAULT_SIGMA_GRID_MHZ", "DEFAULT_SPACING_GRID_MHZ", "AdaptiveTrials", "SweepPoint",
            "optimize_spacing", "run_point", "sweep_sigma"),
     "physics": ("PowerLawFit", "critical_current_na", "fit_power_law", "grouped_sigma",

@@ -85,7 +85,6 @@ OPTIONS = (
     Option("distance", ("-d", "--distance"), int, None, _LATTICE_COMMANDS,
            f"code distance (odd, 3 to {lattice.MAX_DISTANCE})"),
     Option("spacing_mhz", ("--spacing-mhz",), float, lattice.DEFAULT_SPACING_MHZ, ("check",)),
-    Option("base_ghz", ("--base-ghz",), float, lattice.DEFAULT_BASE_GHZ, ("check", "sweep")),
     Option("sigma_mhz", ("--sigma-mhz",), float, 0.0, ("check",),
            "add one draw of Gaussian scatter before checking"),
     Option("anharmonicity_mhz", ("--anharmonicity-mhz",), float,
@@ -238,9 +237,8 @@ def _build(cfg: dict) -> lattice.Lattice:
 
 
 def _pattern(cfg: dict) -> lattice.FrequencyPattern:
-    """The set-point pattern of ``--base-ghz`` and, for ``check``, ``--spacing-mhz``."""
-    return lattice.FrequencyPattern(cfg["base_ghz"],
-                                    cfg.get("spacing_mhz", _OPTION["spacing_mhz"].default))
+    """The set-point pattern: ``check``'s ``--spacing-mhz``, or else the default spacing."""
+    return lattice.FrequencyPattern(cfg.get("spacing_mhz", _OPTION["spacing_mhz"].default))
 
 
 def _sweep_row(pt: mc.SweepPoint) -> dict:

@@ -18,9 +18,10 @@ family the check qubits drive their data neighbours.  A lattice also carries
 its transmons' anharmonicity, which its collision index takes to the kernel.
 
 Frequency patterns assign each qubit one of a small set of evenly spaced
-set points: five for the square family, three for the heavy families.  The
-assignments are chosen so a perfectly fabricated device (zero scatter) has
-no frequency collisions at the default 70 MHz spacing.
+set points from a fixed 5 GHz (no collision window reads an absolute frequency):
+five for the square family, three for the heavy families.  The assignments are
+chosen so a perfectly fabricated device (zero scatter) has no frequency
+collisions at the default 70 MHz spacing.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .errors import ParameterError
 
 FAMILIES = ("square", "heavy_square", "heavy_hexagon")
 
-DEFAULT_BASE_GHZ = 5.0
+_BASE_MHZ = 5.0 * 1e3
 DEFAULT_SPACING_MHZ = 70.0
 # the transmon anharmonicity f12 - f01, which places every collision window
 DEFAULT_ANHARMONICITY_MHZ = -330.0
@@ -271,9 +272,8 @@ def _build_heavy_hexagon(d: int) -> tuple:
 
 @dataclass(frozen=True)
 class FrequencyPattern:
-    """Evenly spaced frequency set points, lowest at the base frequency."""
+    """Evenly spaced set points from a fixed 5 GHz, which no collision window reads."""
 
-    base_ghz: float = DEFAULT_BASE_GHZ
     spacing_mhz: float = DEFAULT_SPACING_MHZ
 
     def with_spacing(self, spacing_mhz: float) -> "FrequencyPattern":
@@ -289,15 +289,11 @@ def set_points_mhz(lattice: Lattice, pattern: FrequencyPattern, spacings_mhz=Non
     """
     spacing = np.asarray(pattern.spacing_mhz if spacings_mhz is None else spacings_mhz,
                          dtype=float)
-    if not 0.0 < pattern.base_ghz < math.inf:
-        raise ParameterError("pattern needs finite base > 0", "base_ghz")
     if not np.all((0.0 <= spacing) & (spacing < math.inf)):
         raise ParameterError("pattern needs finite spacing >= 0", "spacing_mhz")
-    if not pattern.base_ghz * 1e3 <= MAX_MHZ:
-        raise ParameterError(f"pattern base must be at most {MAX_MHZ:g} MHz", "base_ghz")
     idx = np.array([n.pattern_index for n in lattice.nodes], dtype=float)
     with np.errstate(over="ignore"):  # reported below, naming the spacing
-        points = pattern.base_ghz * 1e3 + (idx - 1.0) * spacing[..., None]
+        points = _BASE_MHZ + (idx - 1.0) * spacing[..., None]
     if not np.all(points <= MAX_MHZ):
         raise ParameterError(f"set points exceed {MAX_MHZ:g} MHz at this spacing", "spacing_mhz")
     return points

@@ -66,8 +66,13 @@ def check_seed(master_seed: int) -> None:
 
 
 def philox_rng(master_seed: int, counter) -> np.random.Generator:
-    """Philox generator keyed by a checked master seed, at a 4-word counter."""
+    """Philox generator keyed by a checked master seed, at four integer counter words."""
     check_seed(master_seed)
+    words = tuple(counter)
+    if len(words) != 4 or not all(isinstance(w, (int, np.integer)) and 0 <= w < 2**64
+                                  for w in words):
+        raise ParameterError("counter must be four integer words in [0, 2**64)", "counter")
+    counter = np.array(words, dtype=np.uint64)  # numpy casts a list's words through float
     return np.random.Generator(np.random.Philox(key=master_seed, counter=counter))
 
 
@@ -88,7 +93,7 @@ class Streams:
 
     def at(self, t: int) -> np.random.Generator:
         """The one generator, rewound to counter [0, 0, 0, t] with an empty
-        buffer: stream t, until the next rewind."""
+        buffer: stream t, for t in [0, 2**64) (unchecked), until the next rewind."""
         self._counter[3] = t
         self._rng.bit_generator.state = self._state
         return self._rng

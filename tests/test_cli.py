@@ -194,8 +194,6 @@ class TestSweepCommand:
 SQUARE3 = ["--family", "square", "-d", "3"]
 SIGMA = "sigma must be >= 0 and <= 1e+300"
 SPACING = "pattern needs finite spacing >= 0"
-BASE = "pattern needs finite base > 0"
-OVERFLOW_BASE = "pattern base must be at most 1e+300 MHz"
 OVERFLOW_SPACING = "set points exceed 1e+300 MHz at this spacing"
 ANHARMONICITY = "anharmonicity must be negative and >= -1e+300 (MHz)"
 SEED = "master seed must be in [0, 2**128)"
@@ -254,16 +252,12 @@ OUT_OF_RANGE = {  # id: (argv, the error line after "error: ")
     "spacing-mhz": (["check", *SQUARE3, "--spacing-mhz", "-40"], f"--spacing-mhz=-40: {SPACING}"),
     "nan-spacing-mhz": (["check", *SQUARE3, "--spacing-mhz", "nan"],
                         f"--spacing-mhz=nan: {SPACING}"),
-    "base-ghz": (["check", *SQUARE3, "--base-ghz", "0"], f"--base-ghz=0: {BASE}"),
-    "inf-base-ghz": (["sweep", *SQUARE3, "--base-ghz", "inf"], f"--base-ghz=inf: {BASE}"),
     **{f"{command}-overflowing-{flag}": (
         [command, "--family", "heavy_hexagon", "-d", "3", f"--{flag}", value],
         f"--{flag}={shown}: {message}")
        for command, flag, value, shown, message in (
            ("sweep", "spacings", "1e308", "1e308", OVERFLOW_SPACING),
-           ("sweep", "base-ghz", "1e306", "1e+306", OVERFLOW_BASE),
-           ("check", "spacing-mhz", "1e308", "1e+308", OVERFLOW_SPACING),
-           ("check", "base-ghz", "1e306", "1e+306", OVERFLOW_BASE))},
+           ("check", "spacing-mhz", "1e308", "1e+308", OVERFLOW_SPACING))},
     # finite inputs whose trial frequencies or collision operands would overflow
     **{f"sweep-kernel-overflowing-{flag}": (
         ["sweep", "--family", "heavy_hexagon", "-d", "3", f"--{flag}={value}", *extra],
@@ -271,13 +265,8 @@ OUT_OF_RANGE = {  # id: (argv, the error line after "error: ")
        for flag, value, shown, message, extra in (
            ("sigmas", "1e308", "1e308", SIGMA, ()),
            ("spacings", "5e307", "5e307", OVERFLOW_SPACING, ("--sigmas", "10", "--trials", "10")),
-           ("base-ghz", "1.7e305", "1.7e+305", OVERFLOW_BASE, ()),
            ("anharmonicity-mhz", "-1.7976931348623157e308", "-1.797693135e+308",
             ANHARMONICITY, ("--sigmas", "1e300", "--trials", "10")))},
-    "nan-base-ghz": (["sweep", *SQUARE3, "--sigmas", "10", "--trials", "20", "--base-ghz", "nan"],
-                     f"--base-ghz=nan: {BASE}"),
-    "table2-base-ghz": (["sweep", "--reproduce-table2", "--base-ghz", "-5"],
-                        f"--base-ghz=-5: {BASE}"),
     "anharmonicity-mhz": (["sweep", *SQUARE3, "--anharmonicity-mhz", "nan"],
                           f"--anharmonicity-mhz=nan: {ANHARMONICITY}"),
     "table2-anharmonicity-mhz": (["sweep", "--reproduce-table2", "--anharmonicity-mhz", "0"],
@@ -1024,13 +1013,15 @@ def test_a_run_name_names_one_directory_under_its_command(tmp_path, capsys, name
 # manifest.json since the first release (fit-rn recorded an unset
 # fix_exponent as NaN until it became None); rerun replays these snapshots.
 # Only the commands that draw take a seed: lattice, fit-window, extrapolate
-# and fit-rn recorded seed 0 as well until they stopped taking --seed.
+# and fit-rn recorded seed 0 as well until they stopped taking --seed, and
+# check and sweep recorded base_ghz 5.0 until the set-point ladder's base
+# became fixed.
 COMMON = {"name": "default", "out": "out"}
 MANIFEST_DEFAULTS = {
     "lattice": {"distance": None, "family": None},
-    "check": {"anharmonicity_mhz": -330.0, "base_ghz": 5.0, "distance": None, "family": None,
+    "check": {"anharmonicity_mhz": -330.0, "distance": None, "family": None,
               "seed": 0, "sigma_mhz": 0.0, "spacing_mhz": 70.0},
-    "sweep": {"anharmonicity_mhz": -330.0, "base_ghz": 5.0, "distance": None, "family": None,
+    "sweep": {"anharmonicity_mhz": -330.0, "distance": None, "family": None,
               "reproduce_table2": False, "seed": 0, "sigmas": "", "spacings": "", "trials": 0},
     "fit-window": {"sweep_csv": None},
     "extrapolate": {"sigmas": "", "sweep_csv": None},
@@ -1047,6 +1038,17 @@ def test_resolved_defaults_match_recorded_manifests(command):
     argv = [command, "m.json"] if command == "rerun" else [command]
     cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
     assert cfg == {"command": command, **COMMON, **MANIFEST_DEFAULTS[command]}
+
+
+@pytest.mark.parametrize("command", ["check", "sweep"])
+def test_the_set_point_ladder_takes_no_base(tmp_path, capsys, command):
+    """The ladder starts at a fixed 5 GHz, since no collision window reads an
+    absolute frequency: ``--base-ghz`` is an argparse usage error."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--family", "square", "-d", "3", "--base-ghz", "5",
+                  "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --base-ghz 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["lattice", "fit-window", "extrapolate", "fit-rn"])
@@ -1274,8 +1276,8 @@ class TestRerunCommand:
         ("distance", 3.5, "int, not 3.5"),
         ("trials", True, "int, not True"),
         ("reproduce_table2", 1, "bool, not 1"),
-        ("base_ghz", None, "float, not None"),
-        ("base_ghz", 10**400, "float, not 1000"),  # an int past float range
+        ("anharmonicity_mhz", None, "float, not None"),
+        ("anharmonicity_mhz", 10**400, "float, not 1000"),  # an int past float range
     ])
     def test_replay_rejects_wrong_typed_value(self, tmp_path, capsys, key, value, wanted):
         manifest = self.edited_sweep_manifest(tmp_path, lambda m: m["config"].update({key: value}))
@@ -1329,6 +1331,33 @@ class TestRerunCommand:
         for name in manifest["outputs"]:
             assert (again / name).read_bytes() == (run / name).read_bytes(), name
         assert (again / "manifest.json").read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize("command, argv", [
+        ("check", ["--sigma-mhz", "20", "--seed", "3"]),
+        ("sweep", ["--sigmas", "10,30", "--spacings", "40,70", "--trials", "50", "--seed", "2"])])
+    def test_replays_a_base_recorded_before_the_ladder_fixed_it(self, tmp_path, command, argv):
+        """check and sweep manifests recorded ``base_ghz`` (5.0 unless set)
+        while the set-point ladder took a base.  Such a manifest, written out
+        as the CLI wrote it, replays to the same manifest, byte for byte, and
+        to the same outputs but for the config hash a sweep's results.json
+        copies from its manifest."""
+        assert cli.main([command, "--family", "heavy_hexagon", "-d", "3", *argv,
+                         "--out", str(tmp_path / "a")]) == 0
+        run = tmp_path / "a" / command / "default"
+        manifest = json.loads((run / "manifest.json").read_text())
+        new_hash = manifest["config_hash"]
+        manifest["config"]["base_ghz"] = 5.0
+        manifest["config_hash"] = hashlib.sha256(
+            json.dumps(manifest["config"], sort_keys=True).encode()).hexdigest()[:12]
+        old = tmp_path / "old" / "manifest.json"
+        old.parent.mkdir()
+        old.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        assert cli.main(["rerun", str(old), "--out", str(tmp_path / "b")]) == 0
+        again = tmp_path / "b" / command / "default"
+        assert (again / "manifest.json").read_bytes() == old.read_bytes()
+        for name in manifest["outputs"]:
+            assert (again / name).read_text() == \
+                (run / name).read_text().replace(new_hash, manifest["config_hash"]), name
 
     def test_replay_reads_an_int_as_a_float_setting(self, tmp_path):
         manifest = self.edited_sweep_manifest(

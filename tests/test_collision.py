@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtr
 
 from freqcrowd import collision, lattice, mc
@@ -545,15 +545,27 @@ def test_edgeless_lattice_counts_nothing():
 
 @settings(max_examples=25, deadline=None)
 @given(offset=st.floats(-800.0, 800.0, allow_nan=False))
-def test_absolute_frequency_invariance(offset):
+@example(offset=-4000.0)
+@example(offset=-799.9)
+@example(offset=1234.5678)
+@example(offset=5000.0)
+def test_absolute_frequency_invariance(nine_lattices, offset):
     """Every window depends on frequency differences only, so shifting the
-    whole spectrum moves nothing."""
-    lat = lattice.build_lattice("heavy_hexagon", 3)
+    whole spectrum moves nothing: neither a draw's counts nor, on each of the
+    nine lattices, the expected counts of a four-spacing stack at any sigma.
+    This is why the set-point ladder's base is no setting."""
+    lat = nine_lattices[("heavy_hexagon", 3)]
     sp = lattice.set_points_mhz(lat, lattice.FrequencyPattern(spacing_mhz=40.0))
     f = sp + 25.0 * mc.gaussian_deviates(5, 1, lat.n_qubits)[0]
     base = collision.count_collisions(lat, f).per_type
     moved = collision.count_collisions(lat, f + offset).per_type
     assert base == moved
+    spacings, sigmas = (30.0, 55.0, 70.0, 150.0), (0.0, 2.0, 14.0, 132.3)
+    for lat in nine_lattices.values():
+        stack = lattice.set_points_mhz(lat, lattice.FrequencyPattern(), spacings)
+        expected = collision.expected_counts(lat.collision_index, stack, sigmas)
+        shifted = collision.expected_counts(lat.collision_index, stack + offset, sigmas)
+        assert shifted.tobytes() == expected.tobytes(), (lat.family, lat.distance)
 
 
 def _at_boundary(expr, nominal, target):

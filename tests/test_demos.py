@@ -1,4 +1,4 @@
-"""The demos still speak the current API.
+"""The demos, and the README's library example, still speak the current API.
 
 Running the demos takes seconds each, so this only reads them: every
 ``freqcrowd`` name a demo imports or reaches as ``module.name`` must exist,
@@ -11,12 +11,24 @@ import pathlib
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
+
+
+def python_source(path):
+    """A demo's text, or the README's library example: the ```python block
+    under its "Library in six lines" heading."""
+    text = path.read_text()
+    if path.suffix == ".md":
+        text = text.split("## Library in six lines", 1)[1].split("```python\n", 1)[1]
+        text = text.split("```", 1)[0]
+    return text
 
 
 def freqcrowd_uses(tree):
     """Yield ``(object, attribute, keywords)`` for each freqcrowd name the demo uses."""
-    modules = {}
+    modules, names = {}, {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("freqcrowd"):
             parent = importlib.import_module(node.module)
@@ -29,17 +41,21 @@ def freqcrowd_uses(tree):
                 value = getattr(parent, alias.name, None)
                 if inspect.ismodule(value):
                     modules[alias.asname or alias.name] = value
+                else:
+                    names[alias.asname or alias.name] = parent, alias.name
     calls = {id(node.func): [kw.arg for kw in node.keywords if kw.arg]
              for node in ast.walk(tree) if isinstance(node, ast.Call)}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules):
             yield modules[node.value.id], node.attr, calls.get(id(node), ())
+        elif isinstance(node, ast.Name) and node.id in names and id(node) in calls:
+            yield *names[node.id], calls[id(node)]
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+@pytest.mark.parametrize("demo", [*DEMOS, README], ids=lambda p: p.name)
 def test_demo_uses_only_existing_names(demo):
-    uses = list(freqcrowd_uses(ast.parse(demo.read_text(), filename=str(demo))))
+    uses = list(freqcrowd_uses(ast.parse(python_source(demo), filename=str(demo))))
     assert uses, f"{demo.name} uses nothing from freqcrowd"
     for owner, name, keywords in uses:
         assert hasattr(owner, name), f"{demo.name}: {owner.__name__}.{name} does not exist"

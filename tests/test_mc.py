@@ -188,16 +188,27 @@ def test_a_rewound_stream_draws_as_a_fresh_generator(seed):
     """``Streams(s).at(j)`` draws what a fresh ``philox_rng(s, [0, 0, 0, j])``
     draws, bit for bit, whatever the one generator drew before the rewind:
     each stream here ends on a part-used buffer (an odd count of 32-bit
-    draws, three normals) and the next starts with a 32-bit draw."""
+    draws, three normals) and the next starts with a 32-bit draw.  Counter
+    words of 2**63 and more reach numpy exactly, not through a float."""
     streams = mc.Streams(seed)
     draws = (lambda g: g.integers(0, 2**32, 1, dtype=np.uint32),
              lambda g: g.standard_normal(3),
              lambda g: g.normal(0.0, 0.1),
              lambda g: g.random(3, dtype=np.float32))
-    for j in (0, 5, 1, 5, 299, 0, 2**63 - 1, 3):
+    for j in (0, 5, 1, 5, 299, 0, 2**63 - 1, 3, 2**63, 2**63 + 5, 2**64 - 1):
         rewound, fresh = streams.at(j), mc.philox_rng(seed, [0, 0, 0, j])
         for draw in draws:
             assert np.asarray(draw(rewound)).tobytes() == np.asarray(draw(fresh)).tobytes(), j
+
+
+@pytest.mark.parametrize("counter", [[0, 0, 0, 2**64], [0, -1, 0, 0], [0, 0, 0], [0, 0, 0, 0, 0],
+                                     [0, 0, 0, 1.0], [0, 0, 0, 2.0**64], "0000"],
+                         ids=["2**64", "negative", "three-words", "five-words", "float",
+                              "float-2**64", "text"])
+def test_philox_rng_refuses_a_counter_that_is_not_four_64_bit_words(counter):
+    with pytest.raises(ParameterError, match=r"four integer words in \[0, 2\*\*64\)") as excinfo:
+        mc.philox_rng(1, counter)
+    assert excinfo.value.param == "counter"
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128])
@@ -336,7 +347,7 @@ def test_inputs_at_their_bounds_count_without_overflow():
     every trial frequency and collision operand finite: no overflow warning,
     which this suite turns into an error, in the kernel or the expectation."""
     hh3 = lattice.build_lattice("heavy_hexagon", 3, -lattice.MAX_MHZ)
-    pattern = lattice.FrequencyPattern(base_ghz=1e296, spacing_mhz=4e299)
+    pattern = lattice.FrequencyPattern(spacing_mhz=4e299)
     assert lattice.set_points_mhz(hh3, pattern).max() <= lattice.MAX_MHZ
     assert mc.run_point(hh3, pattern, lattice.MAX_MHZ, 300, 1).trials == 300
     plan = mc.plan_sweep(hh3, pattern, [lattice.MAX_MHZ], spacing_grid=[4e299])

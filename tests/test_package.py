@@ -18,8 +18,8 @@ PUBLIC = {
     "collision": ["CollisionReport", "count_collisions", "expected_counts"],
     "errors": ["FreqcrowdError", "InputError", "ParameterError", "SingularFitError",
                "UnfittableError"],
-    "lattice": ["DEFAULT_BASE_GHZ", "DEFAULT_SPACING_MHZ", "FAMILIES", "FrequencyPattern",
-                "Lattice", "build_lattice", "set_points_mhz"],
+    "lattice": ["DEFAULT_SPACING_MHZ", "FAMILIES", "FrequencyPattern", "Lattice",
+                "build_lattice", "set_points_mhz"],
     "mc": ["DEFAULT_SIGMA_GRID_MHZ", "DEFAULT_SPACING_GRID_MHZ", "AdaptiveTrials", "SweepPoint",
            "optimize_spacing", "run_point", "sweep_sigma"],
     "physics": ["PowerLawFit", "critical_current_na", "fit_power_law", "grouped_sigma",
@@ -52,7 +52,7 @@ def _loaded_after(statement: str, cwd=None):
 
 def test_all_is_unchanged_and_in_order():
     assert freqcrowd.__all__ == ["__version__", *(n for names in PUBLIC.values() for n in names)]
-    assert len(freqcrowd.__all__) == 44
+    assert len(freqcrowd.__all__) == 43
 
 
 def test_every_public_name_is_its_submodules_object():
