@@ -52,9 +52,11 @@ EXTRAPOLATE_SIGMAS = (14.0, 12.0, 10.0, 8.0, 6.0)
 class Option(NamedTuple):
     """One setting: its argparse flags, the converter applied to its flag's
     value, its default (a :class:`ModuleDefault` is read when a configuration
-    is resolved), the commands that take it (``None``: every command) and the
-    names of the library parameters it feeds: a :class:`ParameterError` naming
-    one of them or its ``dest`` is reported under its flag."""
+    is resolved), the commands that take it (``None``: every command), the
+    names of the library parameters it feeds (a :class:`ParameterError` naming
+    one of them or its ``dest`` is reported under its flag) and the
+    ``module.NAME`` of the :class:`~freqcrowd.errors.Domain` the library
+    declares for them, which its help prints (see :meth:`domain_of`)."""
 
     dest: str
     flags: tuple
@@ -63,6 +65,12 @@ class Option(NamedTuple):
     commands: tuple | None
     help: str | None = None
     params: tuple = ()
+    domain: str | None = None
+
+    def domain_of(self):
+        """The :class:`~freqcrowd.errors.Domain` named by ``domain``, its module
+        imported on first use, or None."""
+        return self.domain and ModuleDefault(*self.domain.split(".")).value()
 
 
 class ModuleDefault(NamedTuple):
@@ -84,15 +92,18 @@ OPTIONS = (
            f"one of: {', '.join(lattice.FAMILIES)}"),
     Option("distance", ("-d", "--distance"), int, None, _LATTICE_COMMANDS,
            f"code distance (odd, 3 to {lattice.MAX_DISTANCE})"),
-    Option("spacing_mhz", ("--spacing-mhz",), float, lattice.DEFAULT_SPACING_MHZ, ("check",)),
+    Option("spacing_mhz", ("--spacing-mhz",), float, lattice.DEFAULT_SPACING_MHZ, ("check",),
+           "set-point spacing in MHz", domain="lattice.SPACING_DOMAIN"),
     Option("sigma_mhz", ("--sigma-mhz",), float, 0.0, ("check",),
-           "add one draw of Gaussian scatter before checking"),
+           "scatter in MHz of one draw added before checking", domain="collision.SIGMA_DOMAIN"),
     Option("anharmonicity_mhz", ("--anharmonicity-mhz",), float,
-           lattice.DEFAULT_ANHARMONICITY_MHZ, ("check", "sweep")),
+           lattice.DEFAULT_ANHARMONICITY_MHZ, ("check", "sweep"), "transmon anharmonicity in MHz",
+           domain="lattice.ANHARMONICITY_DOMAIN"),
     Option("sigmas", ("--sigmas",), str, "", ("sweep", "extrapolate"),
-           "comma-separated scatter levels in MHz", ("sigma_mhz", "sigma_f_mhz")),
+           "comma-separated scatter levels in MHz", ("sigma_mhz", "sigma_f_mhz"),
+           "collision.SIGMA_DOMAIN"),
     Option("spacings", ("--spacings",), str, "", ("sweep",),
-           "comma-separated spacing grid in MHz", ("spacing_mhz",)),
+           "comma-separated spacing grid in MHz", ("spacing_mhz",), "lattice.SPACING_DOMAIN"),
     Option("trials", ("--trials",), int, 0, ("sweep",),
            "fixed trials per point (default: adaptive)"),
     Option("reproduce_table2", ("--reproduce-table2",), bool, False, ("sweep",),
@@ -104,11 +115,14 @@ OPTIONS = (
     Option("target_spread", ("--target-spread",), str, "", ("tune",),
            "LO:HI percent offsets above initial resistance", ("lo_fraction", "hi_fraction")),
     Option("median_ohm", ("--median-ohm",), float,
-           ModuleDefault("tunesim", "DEFAULT_MEDIAN_OHM"), ("tune",)),
+           ModuleDefault("tunesim", "DEFAULT_MEDIAN_OHM"), ("tune",),
+           "as-fabricated median resistance in ohm", domain="tunesim.RESISTANCE_DOMAIN"),
     Option("fractional_sigma", ("--fractional-sigma",), float,
-           ModuleDefault("tunesim", "DEFAULT_FRACTIONAL_SIGMA"), ("tune",)),
+           ModuleDefault("tunesim", "DEFAULT_FRACTIONAL_SIGMA"), ("tune",),
+           "as-fabricated lognormal resistance scatter", domain="tunesim.LOGNORMAL_SIGMA_DOMAIN"),
     Option("noise_sigma", ("--noise-sigma",), float,
-           ModuleDefault("tunesim", "DEFAULT_NOISE_SIGMA"), ("tune",)),
+           ModuleDefault("tunesim", "DEFAULT_NOISE_SIGMA"), ("tune",),
+           "lognormal scatter of each anneal's shift", domain="tunesim.LOGNORMAL_SIGMA_DOMAIN"),
     Option("step_fraction", ("--step-fraction",), float,
            ModuleDefault("tunesim", "TunePolicy.step_fraction"), ("tune",)),
     Option("converge_band", ("--converge-band",), float,
@@ -116,11 +130,12 @@ OPTIONS = (
     Option("max_anneals", ("--max-anneals",), int,
            ModuleDefault("tunesim", "TunePolicy.max_anneals"), ("tune",)),
     Option("residual_std_mhz", ("--residual-std",), float,
-           ModuleDefault("tunesim", "DEFAULT_RESIDUAL_STD_MHZ"), ("tune",)),
+           ModuleDefault("tunesim", "DEFAULT_RESIDUAL_STD_MHZ"), ("tune",),
+           "wafer fit's frequency residual in MHz", domain="tunesim.RESIDUAL_STD_DOMAIN"),
     Option("csv_path", ("--csv",), str, None, ("fit-rn",),
            "CSV with header resistance_ohm,frequency_ghz"),
     Option("fix_exponent", ("--fix-exponent",), float, None, ("fit-rn",),
-           "fix the power-law exponent (default: fit it)"),
+           "fix the power-law exponent (default: fit it)", domain="physics.FIX_EXPONENT_DOMAIN"),
     Option("manifest", ("manifest",), str, None, ("rerun",), "path to a manifest.json"),
     Option("out", ("--out",), str, "out", None, "output root directory (default: out)"),
     Option("name", ("--name",), str, "default", None,
@@ -272,11 +287,8 @@ def cmd_check(cfg: dict) -> int:
     """Count collisions for one frequency assignment."""
     lat = _build(cfg)
     freqs = lattice.set_points_mhz(lat, _pattern(cfg))
-    collision.check_sigma(cfg["sigma_mhz"])  # sigma <= 0 or NaN draws no deviate to check it
-    if cfg["sigma_mhz"] > 0.0:
-        freqs = freqs + cfg["sigma_mhz"] * mc.gaussian_deviates(cfg["seed"], 1, lat.n_qubits)[0]
-        if not np.all(np.abs(freqs) <= lattice.MAX_MHZ):  # a draw can pass sigma's bound
-            raise ParameterError(f"draws a frequency past {lattice.MAX_MHZ:g} MHz", "sigma_mhz")
+    collision.SIGMA_DOMAIN.check(cfg["sigma_mhz"], "sigma_mhz")
+    freqs = freqs + cfg["sigma_mhz"] * mc.gaussian_deviates(cfg["seed"], 1, lat.n_qubits)[0]
     report = collision.count_collisions(lat, freqs, collect=True)
     _write_run(cfg, {"results.json": {
         "family": lat.family, "distance": lat.distance, "n_qubits": lat.n_qubits,
@@ -524,8 +536,9 @@ def cmd_tune(cfg: dict) -> int:
               f"{result.target_sigma_f_mhz:.2f} MHz against targets "
               f"(quadrature prediction {result.predicted_sigma_f_mhz:.2f} MHz)")
     for g, med in sorted(result.group_median_r_ohm.items()):
+        med_f = result.group_median_f_ghz[g]
         print(f"group {g}: median R = {med:.0f} ohm, "
-              f"median f = {result.group_median_f_ghz[g]:.4f} GHz")
+              f"median f = {'n/a' if med_f is None else f'{med_f:.4f} GHz'}")
     print(f"written: {path}")
     return 0
 
@@ -648,6 +661,15 @@ _FEEDS = {(command, param): opt for opt in OPTIONS for command in opt.commands o
           for param in (opt.dest, *opt.params)}
 
 
+class _DomainHelp(argparse.HelpFormatter):
+    """Help that ends each bounded setting's text with its domain, read (its
+    module imported) only when the help is formatted."""
+
+    def _get_help_string(self, action):
+        domain = action.dest in _OPTION and _OPTION[action.dest].domain_of()
+        return f"{action.help} (domain: {domain})" if domain else action.help
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freqcrowd",
@@ -655,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"freqcrowd {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
     for command, handler in _COMMANDS.items():
-        p = subs.add_parser(command, help=handler.__doc__)
+        p = subs.add_parser(command, help=handler.__doc__, formatter_class=_DomainHelp)
         p.register("type", float, _float)  # type=float converts with _float
         for opt in OPTIONS:
             if opt.commands is not None and command not in opt.commands:

@@ -52,9 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import Domain, InputError, ParameterError
 # DEFAULT_ANHARMONICITY_MHZ, a lattice's default, is named here too, beside the windows it places
-from .lattice import DEFAULT_ANHARMONICITY_MHZ, MAX_MHZ, CollisionIndex, Lattice, build_index
+from .lattice import DEFAULT_ANHARMONICITY_MHZ, CollisionIndex, Lattice, build_index
 
 # Each collision window once: (type, operand, shape, centre c in units of a,
 # half-width w in MHz), with shapes "plain" |x - c*a| < w, "folded"
@@ -83,18 +83,20 @@ TYPE_IDS = tuple(row[0] for row in WINDOWS)
 # and 34-36 ms at 2**17 (medians of 15, 2-core x86-64, 1 MB L2 per core)
 _BLOCK_ELEMENTS = 1 << 16
 
-
-def check_sigma(sigma_mhz: float) -> None:
-    """Reject a frequency scatter that is negative, NaN or above ``MAX_MHZ``."""
-    if not 0.0 <= sigma_mhz <= MAX_MHZ:
-        raise ParameterError(f"sigma must be >= 0 and <= {MAX_MHZ:g}", "sigma_mhz")
+# the per-qubit frequency scatter sigma, MHz: 0, or 1 kHz to 10 GHz.  numpy's
+# normal deviates have |z| < 14 (its ziggurat's tail draw is at most
+# r + 53 ln 2 / r = 13.7), so a scattered frequency lies within 1.4e5 MHz of
+# its set point, and at sigma >= 1e-3 no standardised distance overflows
+SIGMA_DOMAIN = Domain(1e-3, 1e4, zero=True)
 
 
 def _check_bound(f: np.ndarray, name: str) -> None:
-    """Reject frequencies past ``MAX_MHZ`` in size (NaN and infinities too), so
-    that no collision operand overflows."""
-    if not np.all(np.abs(f) <= MAX_MHZ):
-        raise InputError(f"{name} must be finite, with |f| <= {MAX_MHZ:g} MHz")
+    """Reject frequencies past 1e6 MHz in size (NaN and infinities too): each
+    set point (at most 5000 + 4 * 1e4 MHz) and scattered draw of in-domain
+    settings is within it, and every collision operand of such frequencies
+    stays finite."""
+    if not np.all(np.abs(f) <= 1e6):
+        raise InputError(f"{name} must be finite, with |f| <= 1e+06 MHz")
 
 
 def check_count(name: str, value, least: int = 1) -> None:
@@ -210,7 +212,7 @@ def count_collisions_batch(index: CollisionIndex, f01_mhz: np.ndarray) -> np.nda
     Args:
         index: a lattice's ``collision_index`` (see :func:`build_index`).
         f01_mhz: array [n_batches, n_qubits] (a single 1-d assignment is
-            promoted to one batch), each at most ``MAX_MHZ`` in size.
+            promoted to one batch), each at most 1e6 MHz in size.
 
     Returns:
         int64 array [n_batches, 7]; column m holds the count of type m+1.
@@ -239,7 +241,7 @@ def _tally(index: CollisionIndex, f: np.ndarray, scratch: _Scratch) -> tuple:
     member-major block ``f`` [qubits, rows]: :func:`count_collisions_batch`'s
     column sums and all-zero rows, without its checks or per-row counts, for
     a caller that built ``f`` as a float array of at most :func:`block_rows`
-    rows within ``MAX_MHZ``, and fitted ``scratch`` to such a block.  Each
+    rows at most 1e6 MHz in size, and fitted ``scratch`` to such a block.  Each
     window's mask is counted whole; the rows it hits are noted until every
     row has collided."""
     totals = np.zeros(7, dtype=np.int64)
@@ -300,7 +302,7 @@ def count_collisions(lattice: Lattice, f01_mhz, *, collect: bool = False) -> Col
     Args:
         lattice: the device graph and its anharmonicity.
         f01_mhz: per-qubit 01 frequencies, MHz, indexed by node id, each at
-            most ``MAX_MHZ`` in size.
+            most 1e6 MHz in size.
         collect: also list each offending edge/triple as (type, nodes...),
             type by type.
 
@@ -362,9 +364,9 @@ def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz) -> np.ndar
     Args:
         index: a lattice's ``collision_index`` (see :func:`build_index`).
         set_points_mhz: array [..., n_qubits]; leading axes stack set points
-            (one row per pattern spacing, say), each at most ``MAX_MHZ`` in size.
-        sigma_mhz: per-qubit scatter, MHz; a 1-d sequence adds a leading sigma
-            axis whose slices equal each sigma's own call, bit for bit.
+            (one row per pattern spacing, say), each at most 1e6 MHz in size.
+        sigma_mhz: per-qubit scatter in :data:`SIGMA_DOMAIN`, MHz; a 1-d sequence
+            adds a leading sigma axis whose slices equal each sigma's own call, bit for bit.
 
     Returns:
         float array [..., 7]; column m holds the expected count of type m+1.
@@ -376,8 +378,7 @@ def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz) -> np.ndar
     if np.ndim(sigma_mhz) > 1:
         raise InputError("sigma must be a number or a 1-d sequence")
     sigmas = np.asarray(sigma_mhz, dtype=float).reshape(-1)
-    for sigma in sigmas.tolist():
-        check_sigma(sigma)
+    SIGMA_DOMAIN.check(sigmas, "sigma_mhz")
     lead = sp.shape[:-1]
     out = np.empty((sigmas.size, *lead, 7))
     columns = np.ascontiguousarray(sp.reshape(-1, index.n_qubits).T)  # one set point per column
@@ -398,17 +399,14 @@ def expected_counts(index: CollisionIndex, set_points_mhz, sigma_mhz) -> np.ndar
         values, of = np.unique(x, return_inverse=True)
         of = of.reshape(x.shape)
         sd = sigmas[~exact, None] * math.sqrt(sum(k * k for k in coefficients))
-        # below sigma ~ 1e-305 a standardised distance overflows to +-inf, whose
-        # ndtr, 0 or 1, is the exact limit: the zero-scatter count off the window edges
-        with np.errstate(over="ignore"):
-            for _, _, shape, c, w in (row for row in WINDOWS if row[1] == operand):
-                if shape == "plain":
-                    p = _p_between(values, sd, c * a - w, c * a + w)
-                elif shape == "folded":
-                    p = _p_either(values, sd, c * a, w)
-                else:
-                    p = ndtr((values - c * a) / sd)
-                per_member.append((p, of))
+        for _, _, shape, c, w in (row for row in WINDOWS if row[1] == operand):
+            if shape == "plain":
+                p = _p_between(values, sd, c * a - w, c * a + w)
+            elif shape == "folded":
+                p = _p_either(values, sd, c * a, w)
+            else:
+                p = ndtr((values - c * a) / sd)
+            per_member.append((p, of))
     # one sigma's [spacing, member] gather and sum at a time: the layout a lone sigma sums
     for k, i in enumerate(np.flatnonzero(~exact)):
         out[i] = np.stack([p[k][of].sum(axis=-1) for p, of in per_member], axis=-1)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the physical domain a
+setting's value must lie in."""
+from typing import NamedTuple
 
 
 class FreqcrowdError(Exception):
@@ -25,3 +27,29 @@ class UnfittableError(FreqcrowdError, RuntimeError):
 
 class SingularFitError(FreqcrowdError, RuntimeError):
     """A fit's design matrix is singular (e.g. a trend with a single abscissa)."""
+
+
+class Domain(NamedTuple):
+    """A float setting's physical domain, [lo, hi] (``hi`` left out when
+    ``open_hi``, 0 taken too when ``zero``) in the unit its parameter's name
+    gives: declared once beside that parameter, checked at the public entry
+    that first reads it, and printed in the help of each flag feeding it."""
+
+    lo: float
+    hi: float
+    zero: bool = False
+    open_hi: bool = False
+
+    def __str__(self) -> str:
+        return f"[{self.lo:g}, {self.hi:g}{')' if self.open_hi else ']'}{', or 0' * self.zero}"
+
+    def holds(self, values) -> bool:
+        """Whether a number, or every entry of an array, lies in the domain (NaN never does)."""
+        inside = (self.lo <= values) & ((values < self.hi) if self.open_hi else (values <= self.hi))
+        inside = inside | (self.zero & (values == 0.0))
+        return bool(inside.all() if hasattr(inside, "all") else inside)
+
+    def check(self, values, param: str) -> None:
+        """Raise a :class:`ParameterError` naming ``param`` unless :meth:`holds`."""
+        if not self.holds(values):
+            raise ParameterError(f"{param} must be in {self}", param)

@@ -25,26 +25,26 @@ collisions at the default 70 MHz spacing.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import Domain, ParameterError
 
 FAMILIES = ("square", "heavy_square", "heavy_hexagon")
 
 _BASE_MHZ = 5.0 * 1e3
 DEFAULT_SPACING_MHZ = 70.0
-# the transmon anharmonicity f12 - f01, which places every collision window
+# set-point spacings, MHz: up to 10 GHz, so a set point is at most 5000 + 4 * 1e4 MHz
+SPACING_DOMAIN = Domain(0.0, 1e4)
+# the transmon anharmonicity f12 - f01, which places every collision window;
+# negative, as the folded windows assume
 DEFAULT_ANHARMONICITY_MHZ = -330.0
+ANHARMONICITY_DOMAIN = Domain(-1e4, 0.0, open_hi=True)
 # largest code distance built: 1921 to 2881 qubits by family, past the
 # 1000-qubit scale the window model is extrapolated to
 MAX_DISTANCE = 31
-# largest set point, sigma and |anharmonicity| accepted, MHz: numpy's deviates have |z| < 14
-# (ziggurat tail r + 53 ln 2 / r = 13.7), so every collision operand stays within 1e302
-MAX_MHZ = 1e300
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,7 @@ class Lattice:
     anharmonicity_mhz: float = DEFAULT_ANHARMONICITY_MHZ
 
     def __post_init__(self):
-        if not -MAX_MHZ <= self.anharmonicity_mhz < 0.0:
-            raise ParameterError(f"anharmonicity must be negative and >= -{MAX_MHZ:g} (MHz)",
-                                 "anharmonicity_mhz")
+        ANHARMONICITY_DOMAIN.check(self.anharmonicity_mhz, "anharmonicity_mhz")
 
     @property
     def n_qubits(self) -> int:
@@ -289,14 +287,9 @@ def set_points_mhz(lattice: Lattice, pattern: FrequencyPattern, spacings_mhz=Non
     """
     spacing = np.asarray(pattern.spacing_mhz if spacings_mhz is None else spacings_mhz,
                          dtype=float)
-    if not np.all((0.0 <= spacing) & (spacing < math.inf)):
-        raise ParameterError("pattern needs finite spacing >= 0", "spacing_mhz")
+    SPACING_DOMAIN.check(spacing, "spacing_mhz")
     idx = np.array([n.pattern_index for n in lattice.nodes], dtype=float)
-    with np.errstate(over="ignore"):  # reported below, naming the spacing
-        points = _BASE_MHZ + (idx - 1.0) * spacing[..., None]
-    if not np.all(points <= MAX_MHZ):
-        raise ParameterError(f"set points exceed {MAX_MHZ:g} MHz at this spacing", "spacing_mhz")
-    return points
+    return _BASE_MHZ + (idx - 1.0) * spacing[..., None]
 
 
 def next_nearest_triples(lattice: Lattice) -> tuple:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # count_collisions_batch, which mc no longer calls, stays bound for perfbench's tracer
-from .collision import (_Scratch, _tally_point, block_rows, check_count, check_sigma,
+from .collision import (SIGMA_DOMAIN, _Scratch, _tally_point, block_rows, check_count,
                         count_collisions_batch, expected_counts)
 from .errors import ParameterError
 from .lattice import FrequencyPattern, Lattice, set_points_mhz
@@ -215,7 +215,7 @@ def run_point(lattice: Lattice, pattern: FrequencyPattern, sigma_mhz: float, tri
     rows of any length or width give the point drawn alone, since a read
     draws the rows that no band at least ``lattice.n_qubits`` wide holds.
     """
-    check_sigma(sigma_mhz)
+    SIGMA_DOMAIN.check(sigma_mhz, "sigma_mhz")
     check_count("trials", trials)
     held = deviates if deviates is not None else DeviateRows(master_seed)  # checks the seed
     sigma_mhz = float(sigma_mhz) + 0.0  # -0.0 is reported as 0.0

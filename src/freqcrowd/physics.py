@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ParameterError, SingularFitError
+from .errors import Domain, InputError, ParameterError, SingularFitError
 
 # Minimum Josephson-to-charging energy ratio for the perturbative frequency
 # formula to be trusted.
@@ -25,6 +25,9 @@ MIN_EJ_EC_RATIO = 10.0
 
 # Superconducting gap of thin-film aluminium, micro-eV.
 DEFAULT_GAP_UEV = 180.0
+
+# A fixed power-law exponent: the ideal transmon scaling is -1/2.
+FIX_EXPONENT_DOMAIN = Domain(-10.0, 10.0)
 
 
 def _finite_positive(values) -> bool:
@@ -96,14 +99,15 @@ def fit_power_law(resistance_ohm, frequency_ghz, *, fix_exponent: float | None =
     Args:
         resistance_ohm: junction resistances, ohm.
         frequency_ghz: measured qubit frequencies, GHz.
-        fix_exponent: if given, constrain p to this finite value and fit only
-            the prefactor (used to impose the ideal -1/2 scaling).
+        fix_exponent: if given, constrain p to this value, in
+            :data:`FIX_EXPONENT_DOMAIN`, and fit only the prefactor (used to
+            impose the ideal -1/2 scaling).
 
     Returns:
         PowerLawFit with the RMS residual evaluated in linear MHz.
     """
-    if fix_exponent is not None and not math.isfinite(fix_exponent):
-        raise ParameterError(f"fixed exponent must be finite, got {fix_exponent}", "fix_exponent")
+    if fix_exponent is not None:
+        FIX_EXPONENT_DOMAIN.check(fix_exponent, "fix_exponent")
     r = np.asarray(resistance_ohm, dtype=float)
     f = np.asarray(frequency_ghz, dtype=float)
     if r.shape != f.shape or r.ndim != 1:

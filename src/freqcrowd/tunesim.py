@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import Domain, InputError, ParameterError
 from .mc import Streams, philox_rng
 from .physics import PowerLawFit, group_medians, grouped_sigma, predict_frequency_ghz
 
@@ -38,10 +38,14 @@ TWO_GROUP_SIZES = (16, 15)
 TWO_GROUP_JUNCTIONS = sum(TWO_GROUP_SIZES)
 DEFAULT_NOISE_SIGMA = 0.10
 DEFAULT_RESIDUAL_STD_MHZ = 14.5
-# Resistances a junction may take, ohm, and the largest realised frequency a
-# converged junction may take, GHz: squared deviations and their mean stay finite.
-MIN_OHM, MAX_OHM = 1e-100, 1e100
-MAX_GHZ = 1e100
+# Physical domains: junction resistances (the median, each junction, each
+# target); a lognormal scatter (the population's, each anneal shift's), so
+# that with |z| < 14 (see collision.SIGMA_DOMAIN) a realised shift is below
+# AnnealResponseModel.MAX_SHIFT * e**14 = 1.8e5; and the fit residual, whose
+# draw moves a frequency by less than 14 * 0.5 GHz.
+RESISTANCE_DOMAIN = Domain(1.0, 1e9)
+LOGNORMAL_SIGMA_DOMAIN = Domain(0.0, 1.0)
+RESIDUAL_STD_DOMAIN = Domain(0.0, 500.0)
 
 
 @dataclass(frozen=True)
@@ -80,8 +84,7 @@ class AnnealResponseModel:
     MAX_SHIFT = 0.15
 
     def __init__(self, calibration: dict, noise_sigma: float = DEFAULT_NOISE_SIGMA):
-        if not 0.0 <= noise_sigma < np.inf:  # NaN fails too
-            raise ParameterError("noise_sigma must be finite and >= 0", "noise_sigma")
+        LOGNORMAL_SIGMA_DOMAIN.check(noise_sigma, "noise_sigma")
         if not calibration:
             raise InputError("calibration table is empty")
         by_duration: dict = {}
@@ -144,19 +147,16 @@ def generate_population(n: int, median_ohm: float = DEFAULT_MEDIAN_OHM,
                         fractional_sigma: float = DEFAULT_FRACTIONAL_SIGMA,
                         master_seed: int = 0) -> np.ndarray:
     """As-fabricated resistances, junction j at index j, with lognormal
-    scatter: R = median * exp(sigma * z), each in [MIN_OHM, MAX_OHM]."""
+    scatter: R = median * exp(sigma * z), each in :data:`RESISTANCE_DOMAIN`."""
     if n < 1:
         raise ParameterError("n must be >= 1", "n")
-    if not 0.0 < median_ohm < np.inf:  # NaN fails too
-        raise ParameterError("median must be finite and positive", "median_ohm")
-    if not 0.0 <= fractional_sigma < np.inf:
-        raise ParameterError("scatter must be finite and non-negative", "fractional_sigma")
+    RESISTANCE_DOMAIN.check(median_ohm, "median_ohm")
+    LOGNORMAL_SIGMA_DOMAIN.check(fractional_sigma, "fractional_sigma")
     z = philox_rng(master_seed, [0, 0, 1, 0]).standard_normal(n)  # lane 1: no junction's stream
-    with np.errstate(over="ignore"):
-        r = median_ohm * np.exp(fractional_sigma * z)
-    if not np.all((r >= MIN_OHM) & (r <= MAX_OHM)):
-        at_fault = "fractional_sigma" if MIN_OHM <= median_ohm <= MAX_OHM else "median_ohm"
-        raise ParameterError(f"draws a resistance outside [{MIN_OHM:g}, {MAX_OHM:g}] ohm", at_fault)
+    r = median_ohm * np.exp(fractional_sigma * z)
+    if not RESISTANCE_DOMAIN.holds(r):  # a median near an edge can scatter past it
+        raise ParameterError(f"draws a resistance outside {RESISTANCE_DOMAIN} ohm",
+                             "fractional_sigma")
     return r
 
 
@@ -185,10 +185,10 @@ def spread_targets(r_ohm, lo_fraction: float, hi_fraction: float) -> np.ndarray:
     initial resistance (a stress profile covering shallow to deep trims)."""
     if not 0.0 <= lo_fraction <= hi_fraction < np.inf:  # NaN fails too
         raise ParameterError("need 0 <= lo <= hi, both finite", "lo_fraction")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an infinite target is refused below
         targets = r_ohm * (1.0 + np.linspace(lo_fraction, hi_fraction, len(r_ohm)))
-    if not np.all(targets <= MAX_OHM):  # targets at or above a population are above MIN_OHM
-        raise ParameterError(f"puts a target above {MAX_OHM:g} ohm", "hi_fraction")
+    if not np.all(targets <= RESISTANCE_DOMAIN.hi):  # none is below the population
+        raise ParameterError(f"puts a target above {RESISTANCE_DOMAIN.hi:g} ohm", "hi_fraction")
     return targets
 
 
@@ -201,22 +201,20 @@ def tune_junction(junction_id: int, r_ohm: float, r_target_ohm: float,
     whose resistance sits above the band before any anneal is exhausted
     (targets below the wire cannot be reached); exceeding the band after
     annealing is an overshoot.  The anneal budget running out is exhaustion.
-    A shift that overflows, or takes the resistance above ``MAX_OHM``, is a
-    :class:`ParameterError` naming ``noise_sigma``, which alone can reach it.
+    Both resistances must lie in :data:`RESISTANCE_DOMAIN`; anneals only
+    raise r, each by a factor below 1 + 1.8e5, and stop once r passes the
+    target, so every r stays finite.
     """
-    if not (MIN_OHM <= r_ohm <= MAX_OHM and MIN_OHM <= r_target_ohm <= MAX_OHM):  # NaN fails
-        raise ParameterError(f"resistance and target must lie in [{MIN_OHM:g}, {MAX_OHM:g}] ohm")
+    RESISTANCE_DOMAIN.check(r_ohm, "r_ohm")
+    RESISTANCE_DOMAIN.check(r_target_ohm, "r_target_ohm")
     band = policy.converge_band * r_target_ohm
     r, steps = r_ohm, []
-    with np.errstate(over="ignore"):  # a shift that overflows is refused below
-        while r_target_ohm - r > band and len(steps) < policy.max_anneals:
-            gap = r_target_ohm / r - 1.0
-            power, duration, expected = model.pick_step(policy.step_fraction * gap)
-            realized = model.realized_shift(expected, rng)
-            r = r * (1.0 + realized)
-            steps.append(AnnealStep(power, duration, expected, realized, r))
-    if not r <= MAX_OHM:  # anneals only raise r, and r above the target ends them
-        raise ParameterError(f"anneal noise takes a resistance above {MAX_OHM:g} ohm", "noise_sigma")
+    while r_target_ohm - r > band and len(steps) < policy.max_anneals:
+        gap = r_target_ohm / r - 1.0
+        power, duration, expected = model.pick_step(policy.step_fraction * gap)
+        realized = model.realized_shift(expected, rng)
+        r = r * (1.0 + realized)
+        steps.append(AnnealStep(power, duration, expected, realized, r))
     if abs(r - r_target_ohm) <= band:
         status = CONVERGED
     else:
@@ -231,7 +229,7 @@ class CampaignResult:
     converged_fraction: float
     sigma_r_ohm: float | None            # converged: RMS distance to target
     group_median_r_ohm: dict
-    group_median_f_ghz: dict
+    group_median_f_ghz: dict             # converged: None for a group with none converged
     pooled_sigma_f_mhz: float | None     # converged: RMS about per-group frequency medians
     target_sigma_f_mhz: float | None     # converged: RMS of realised f minus per-junction target f
     predicted_sigma_f_mhz: float | None  # quadrature of fit residual and band-limited trim error
@@ -252,8 +250,10 @@ def run_campaign(r_ohm, targets_ohm, *, model: AnnealResponseModel | None = None
     quadrature prediction models, since the one-sided approach parks
     converged junctions near the low edge of the resistance band and the
     median absorbs that shared offset.  Figures over converged junctions are
-    None when none converged; a converged junction's realised frequency
-    outside (0, ``MAX_GHZ``] is a :class:`ParameterError` naming
+    None when none converged, and a group's median frequency is None when
+    none of its junctions converged.  The fit's residual must lie in
+    :data:`RESIDUAL_STD_DOMAIN`, and a converged junction's realised
+    frequency at or below 0 is a :class:`ParameterError` naming
     ``residual_std_mhz``.
     """
     model = model if model is not None else AnnealResponseModel.default()
@@ -264,8 +264,7 @@ def run_campaign(r_ohm, targets_ohm, *, model: AnnealResponseModel | None = None
     gid = np.zeros(r.shape, dtype=int) if group_ids is None else np.asarray(group_ids, dtype=int)
     if not (r.ndim == 1 and 0 < r.size and r.shape == target_r.shape == gid.shape):
         raise InputError("resistances, targets and group ids must be equal-length 1-d arrays")
-    if not 0.0 <= fit.residual_std_mhz < np.inf:
-        raise ParameterError("fit residual_std_mhz must be finite and >= 0", "residual_std_mhz")
+    RESIDUAL_STD_DOMAIN.check(fit.residual_std_mhz, "residual_std_mhz")
 
     streams, records, noise = Streams(master_seed), [], np.empty(r.size)
     for j, (r_j, target_j) in enumerate(zip(r.tolist(), target_r.tolist())):
@@ -278,25 +277,28 @@ def run_campaign(r_ohm, targets_ohm, *, model: AnnealResponseModel | None = None
     realized_f = predict_frequency_ghz(fit, final_r) + noise
     n_conv = int(conv.sum())
     sigma_r = pooled = vs_target = predicted = None
+    median_f = {}
     if n_conv:
         f_conv = realized_f[conv]
-        if not np.all((f_conv > 0.0) & (f_conv <= MAX_GHZ)):  # NaN fails too
-            raise ParameterError(f"draws a converged frequency outside (0, {MAX_GHZ:g}] GHz",
+        if not np.all(f_conv > 0.0):  # a residual draw can take a low frequency below 0
+            raise ParameterError("draws a converged frequency at or below 0 GHz",
                                  "residual_std_mhz")
         sigma_r = float(np.sqrt(np.mean((final_r[conv] - target_r[conv]) ** 2)))
-        pooled = grouped_sigma(f_conv, gid[conv]).pooled_sigma_mhz
+        grouped = grouped_sigma(f_conv, gid[conv])
+        pooled, median_f = grouped.pooled_sigma_mhz, grouped.group_medians_ghz
         target_f = predict_frequency_ghz(fit, target_r)
         dev_mhz = (f_conv - target_f[conv]) * 1e3
         vs_target = float(np.sqrt(np.mean(dev_mhz**2)))
         trim_mhz = abs(fit.exponent) * policy.converge_band * float(np.mean(target_f[conv])) * 1e3
         predicted = float(np.hypot(fit.residual_std_mhz, trim_mhz))
+    median_r = group_medians(final_r, gid)
     return CampaignResult(
         records=tuple(records),
         n_converged=n_conv,
         converged_fraction=n_conv / r.size,
         sigma_r_ohm=sigma_r,
-        group_median_r_ohm=group_medians(final_r, gid),
-        group_median_f_ghz=group_medians(realized_f, gid),
+        group_median_r_ohm=median_r,
+        group_median_f_ghz={g: median_f.get(g) for g in median_r},
         pooled_sigma_f_mhz=pooled,
         target_sigma_f_mhz=vs_target,
         predicted_sigma_f_mhz=predicted,

@@ -18,7 +18,7 @@ from statistics import NormalDist, StatisticsError
 
 import numpy as np
 
-from .collision import check_count, ndtr
+from .collision import SIGMA_DOMAIN, check_count, ndtr
 from .errors import ParameterError, SingularFitError, UnfittableError
 
 
@@ -31,14 +31,14 @@ def _check_sizes(n_qubits) -> np.ndarray:
 
 
 def window_yield(delta_f_mhz: float, sigma_f_mhz, n_qubits: int):
-    """Survival fraction Phi(delta_f/sigma_f)**N; sigma 0 gives exactly 1."""
+    """Survival fraction Phi(delta_f/sigma_f)**N, each sigma_f in
+    :data:`~freqcrowd.collision.SIGMA_DOMAIN`; sigma 0 gives exactly 1."""
     if not delta_f_mhz > 0.0:
         raise ParameterError("delta_f must be positive")
     check_count("n_qubits", n_qubits)
     sig = np.asarray(sigma_f_mhz, dtype=float)
-    if not np.all((sig >= 0.0) & (sig < np.inf)):
-        raise ParameterError("sigma_f must be finite and >= 0", "sigma_f_mhz")
-    # sigma 0, or a sigma so small that the ratio overflows: ratio inf, Phi 1, yield exactly 1
+    SIGMA_DOMAIN.check(sig, "sigma_f_mhz")
+    # sigma 0, or a width so wide that the ratio overflows: ratio inf, Phi 1, yield exactly 1
     with np.errstate(divide="ignore", over="ignore"):
         out = ndtr(delta_f_mhz / sig) ** n_qubits
     return float(out) if np.isscalar(sigma_f_mhz) else out

@@ -112,3 +112,15 @@ def expected_mean_collisions(setpoints, sigma, edges, triples, anharmonicity=ANH
     """E[total collisions] under N(0, sigma^2) scatter: the sum of
     :func:`expected_type_means`."""
     return sum(expected_type_means(setpoints, sigma, edges, triples, anharmonicity))
+
+
+def domain_edges(domain):
+    """The floats at each edge inside a declared domain, and the floats just
+    past each edge, worked out from its fields rather than its ``holds``."""
+    hi = math.nextafter(domain.hi, -math.inf) if domain.open_hi else domain.hi
+    inside = [domain.lo, hi] + [0.0] * domain.zero
+    past = [math.nextafter(domain.lo, -math.inf),
+            domain.hi if domain.open_hi else math.nextafter(domain.hi, math.inf)]
+    if domain.zero:  # the gap between 0 and the smallest nonzero value
+        past += [math.nextafter(0.0, 1.0), math.nextafter(domain.lo, 0.0)]
+    return inside, past

@@ -192,13 +192,15 @@ class TestSweepCommand:
 
 
 SQUARE3 = ["--family", "square", "-d", "3"]
-SIGMA = "sigma must be >= 0 and <= 1e+300"
-SPACING = "pattern needs finite spacing >= 0"
-OVERFLOW_SPACING = "set points exceed 1e+300 MHz at this spacing"
-ANHARMONICITY = "anharmonicity must be negative and >= -1e+300 (MHz)"
+SIGMA = "sigma_mhz must be in [0.001, 10000], or 0"
+SPACING = "spacing_mhz must be in [0, 10000]"
+ANHARMONICITY = "anharmonicity_mhz must be in [-10000, 0)"
 SEED = "master seed must be in [0, 2**128)"
 SPREAD = "need 0 <= lo <= hi, both finite"
-RANGE = "draws a resistance outside [1e-100, 1e+100] ohm"
+MEDIAN = "median_ohm must be in [1, 1e+09]"
+FRACTIONAL_SIGMA = "fractional_sigma must be in [0, 1]"
+NOISE_SIGMA = "noise_sigma must be in [0, 1]"
+RESIDUAL_STD = "residual_std_mhz must be in [0, 500]"
 SETTING_CHECKS = {  # id: (argv, the flag as reported, its setting, the reason given)
     "sigmas-token": (["sweep", *SQUARE3, "--sigmas", "0,abc"], "--sigmas=0,abc", "sigmas",
                      "bad value 'abc'"),
@@ -234,7 +236,7 @@ OUT_OF_RANGE = {  # id: (argv, the error line after "error: ")
                             *trials], f"--sigmas={sigma}: {SIGMA}")
        for sigma, trials in (("nan", ()), ("inf", ("--trials", "10")))},
     "extrapolate-inf-sigmas": (["extrapolate", "--sweep-csv", "{sweep_csvs}", "--sigmas", "10,inf"],
-                               "--sigmas=10,inf: sigma_f must be finite and >= 0"),
+                               "--sigmas=10,inf: sigma_f_mhz must be in [0.001, 10000], or 0"),
     "spacings": (["sweep", *SQUARE3, "--spacings", "-3"], f"--spacings=-3: {SPACING}"),
     "table2-spacings": (["sweep", "--reproduce-table2", "--spacings", "40,-1"],
                         f"--spacings=40,-1: {SPACING}"),
@@ -256,15 +258,16 @@ OUT_OF_RANGE = {  # id: (argv, the error line after "error: ")
         [command, "--family", "heavy_hexagon", "-d", "3", f"--{flag}", value],
         f"--{flag}={shown}: {message}")
        for command, flag, value, shown, message in (
-           ("sweep", "spacings", "1e308", "1e308", OVERFLOW_SPACING),
-           ("check", "spacing-mhz", "1e308", "1e+308", OVERFLOW_SPACING))},
-    # finite inputs whose trial frequencies or collision operands would overflow
+           ("sweep", "spacings", "1e308", "1e308", SPACING),
+           ("check", "spacing-mhz", "1e308", "1e+308", SPACING))},
+    # finite inputs past their domains, whose trial frequencies or collision
+    # operands would overflow
     **{f"sweep-kernel-overflowing-{flag}": (
         ["sweep", "--family", "heavy_hexagon", "-d", "3", f"--{flag}={value}", *extra],
         f"--{flag}={shown}: {message}")
        for flag, value, shown, message, extra in (
            ("sigmas", "1e308", "1e308", SIGMA, ()),
-           ("spacings", "5e307", "5e307", OVERFLOW_SPACING, ("--sigmas", "10", "--trials", "10")),
+           ("spacings", "5e307", "5e307", SPACING, ("--sigmas", "10", "--trials", "10")),
            ("anharmonicity-mhz", "-1.7976931348623157e308", "-1.797693135e+308",
             ANHARMONICITY, ("--sigmas", "1e300", "--trials", "10")))},
     "anharmonicity-mhz": (["sweep", *SQUARE3, "--anharmonicity-mhz", "nan"],
@@ -288,27 +291,27 @@ OUT_OF_RANGE = {  # id: (argv, the error line after "error: ")
     "inf-target-spread": (["tune", "--target-spread", "0.4:inf"],
                           f"--target-spread=0.4:inf: {SPREAD}"),
     "negative-target-spread": (["tune", "--target-spread=-1:2"], f"--target-spread=-1:2: {SPREAD}"),
-    "inf-median-ohm": (["tune", "--median-ohm", "inf"],
-                       "--median-ohm=inf: median must be finite and positive"),
-    "median-ohm": (["tune", "--median-ohm", "-5"],
-                   "--median-ohm=-5: median must be finite and positive"),
-    # a population or target outside tunesim's resistance range
+    "inf-median-ohm": (["tune", "--median-ohm", "inf"], f"--median-ohm=inf: {MEDIAN}"),
+    "median-ohm": (["tune", "--median-ohm", "-5"], f"--median-ohm=-5: {MEDIAN}"),
+    # a population or target outside tunesim's resistance domain, or a median
+    # inside it that the scatter draws past an edge
     **{f"{flag}-past-the-resistance-range": (["tune", *extra, f"--{flag}={value}"],
                                              f"--{flag}={shown}: {reason}")
        for flag, value, shown, reason, extra in (
-           ("median-ohm", "1e300", "1e+300", RANGE, ()),
-           ("median-ohm", "1e-320", "9.999888672e-321", RANGE,
+           ("median-ohm", "1e300", "1e+300", MEDIAN, ()),
+           ("median-ohm", "1e-320", "9.999888672e-321", MEDIAN,
             ("--junctions=3", "--target-spread=0.4:14.5")),
-           ("fractional-sigma", "1000", "1000", RANGE, ()),
-           ("target-spread", "0:1e308", "0:1e308", "puts a target above 1e+100 ohm", ()))},
+           ("fractional-sigma", "1000", "1000", FRACTIONAL_SIGMA, ()),
+           ("target-spread", "0:1e308", "0:1e308", "puts a target above 1e+09 ohm", ()))},
+    "median-ohm-draws-past-the-resistance-range": (
+        ["tune", "--median-ohm=1", "--junctions=3", "--target-spread=0.4:14.5"],
+        "--fractional-sigma=0.046: draws a resistance outside [1, 1e+09] ohm"),
     "nan-fractional-sigma": (["tune", "--fractional-sigma", "nan"],
-                             "--fractional-sigma=nan: scatter must be finite and non-negative"),
+                             f"--fractional-sigma=nan: {FRACTIONAL_SIGMA}"),
     "fractional-sigma": (["tune", "--fractional-sigma", "-1"],
-                         "--fractional-sigma=-1: scatter must be finite and non-negative"),
-    "nan-noise-sigma": (["tune", "--noise-sigma", "nan"],
-                        "--noise-sigma=nan: noise_sigma must be finite and >= 0"),
-    "inf-noise-sigma": (["tune", "--noise-sigma", "inf"],
-                        "--noise-sigma=inf: noise_sigma must be finite and >= 0"),
+                         f"--fractional-sigma=-1: {FRACTIONAL_SIGMA}"),
+    "nan-noise-sigma": (["tune", "--noise-sigma", "nan"], f"--noise-sigma=nan: {NOISE_SIGMA}"),
+    "inf-noise-sigma": (["tune", "--noise-sigma", "inf"], f"--noise-sigma=inf: {NOISE_SIGMA}"),
     "step-fraction": (["tune", "--step-fraction", "0"],
                       "--step-fraction=0: step_fraction must be in (0, 1]"),
     "step-fraction-above-one": (["tune", "--step-fraction", "1.5"],
@@ -318,23 +321,24 @@ OUT_OF_RANGE = {  # id: (argv, the error line after "error: ")
     "nan-converge-band": (["tune", "--converge-band", "nan"],
                           "--converge-band=nan: converge_band must be in (0, 1)"),
     "max-anneals": (["tune", "--max-anneals", "0"], "--max-anneals=0: max_anneals must be >= 1"),
-    "nan-residual-std": (["tune", "--residual-std", "nan"],
-                         "--residual-std=nan: fit residual_std_mhz must be finite and >= 0"),
-    "residual-std": (["tune", "--residual-std", "-1"],
-                     "--residual-std=-1: fit residual_std_mhz must be finite and >= 0"),
-    # a draw past a bound the setting itself is within
+    "nan-residual-std": (["tune", "--residual-std", "nan"], f"--residual-std=nan: {RESIDUAL_STD}"),
+    "residual-std": (["tune", "--residual-std", "-1"], f"--residual-std=-1: {RESIDUAL_STD}"),
+    # values whose draws once passed a bound the value itself was within: each
+    # is past its domain now, which keeps every draw finite
     **{f"residual-std-{shown}{'-one-junction' if extra else ''}-draws-past-a-frequency-bound": (
-        ["tune", *extra, f"--residual-std={value}"],
-        f"--residual-std={shown}: draws a converged frequency outside (0, 1e+100] GHz")
+        ["tune", *extra, f"--residual-std={value}"], f"--residual-std={shown}: {RESIDUAL_STD}")
        for value, shown, extra in (("6000", "6000", ()), ("1e306", "1e+306", ()),
                                    ("1e300", "1e+300", ("--junctions=1", "--target-spread=0:1")))},
     **{f"noise-sigma-{shown}-anneals-past-the-resistance-range": (
-        ["tune", f"--noise-sigma={value}"],
-        f"--noise-sigma={shown}: anneal noise takes a resistance above 1e+100 ohm")
+        ["tune", f"--noise-sigma={value}"], f"--noise-sigma={shown}: {NOISE_SIGMA}")
        for value, shown in (("1000", "1000"), ("1e300", "1e+300"))},
     "check-sigma-mhz-draws-past-the-frequency-bound": (
-        ["check", *SQUARE3, "--sigma-mhz=1e300"],
-        "--sigma-mhz=1e+300: draws a frequency past 1e+300 MHz"),
+        ["check", *SQUARE3, "--sigma-mhz=1e300"], f"--sigma-mhz=1e+300: {SIGMA}"),
+    # an in-domain residual whose draw takes a converged frequency to 0 or
+    # below: near 1e9 ohm the default fit puts a junction at 16 MHz
+    "residual-std-draws-a-frequency-below-zero": (
+        ["tune", "--median-ohm=9e8", "--junctions=5", "--target-spread=0:1", "--residual-std=500"],
+        "--residual-std=500: draws a converged frequency at or below 0 GHz"),
     # the CLI's own checks report a flag the same way, without a value when it is unset
     **{name: (argv, f"{flag}: {reason}")
        for name, (argv, flag, _, reason) in SETTING_CHECKS.items()},
@@ -366,15 +370,16 @@ def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv", [
-    ["tune", "--noise-sigma=60"],
-    ["tune", "--noise-sigma=60", "--junctions=300", "--target-spread=0.4:14.5", "--seed=3"],
-    ["check", *SQUARE3, "--sigma-mhz=1e299"],
-], ids=["noise-sigma-60", "noise-sigma-60-spread", "check-sigma-mhz-1e299"])
+    ["tune", "--noise-sigma=1"],
+    ["tune", "--noise-sigma=1", "--junctions=300", "--target-spread=0.4:14.5", "--seed=3"],
+    ["check", *SQUARE3, "--sigma-mhz=1e4"],
+    ["tune", "--median-ohm=1e9", "--fractional-sigma=0", "--residual-std=500", "--seed=1"],
+], ids=["noise-sigma-1", "noise-sigma-1-spread", "check-sigma-mhz-1e4", "tune-upper-edges"])
 def test_a_draw_inside_its_bounds_runs(tmp_path, capsys, argv):
-    """Settings just inside the bounds that their draws are checked against
-    run and write their run, warning nowhere: anneal noise that leaves every
-    resistance at most 1e100 ohm, and a scatter whose one draw stays within
-    1e300 MHz."""
+    """Settings at the upper edges of their domains run and write their run,
+    warning nowhere: anneal noise whose shifts stay below 0.15 * e**14, a
+    scatter whose one draw moves a frequency by less than 1.4e5 MHz, and a
+    residual that moves one by less than 7 GHz."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(argv + ["--out", str(tmp_path)]) == 0
@@ -772,9 +777,10 @@ def test_a_sweep_whose_chart_fails_leaves_no_directory(tmp_path, capsys, monkeyp
 
 
 def test_a_one_point_sweep_at_huge_scatter_writes_its_chart(tmp_path):
-    """A zero-width axis at |x| >= 2**53, where adding 1 rounds away, still
-    gets a chart."""
-    assert cli.main(["sweep", "--family", "heavy_hexagon", "-d", "3", "--sigmas", "1e16",
+    """A one-point sweep at the largest scatter its domain takes has a
+    zero-width axis, which still gets a chart (``test_svgchart`` covers such
+    an axis at |x| >= 2**53, which no scatter reaches)."""
+    assert cli.main(["sweep", "--family", "heavy_hexagon", "-d", "3", "--sigmas", "1e4",
                      "--out", str(tmp_path)]) == 0
     run = tmp_path / "sweep" / "default"
     assert "plot.svg" in read_json(tmp_path, "sweep", "default", "manifest.json")["outputs"]
@@ -861,7 +867,9 @@ class TestTuneCommand:
     def test_a_campaign_with_no_converged_junction_finishes(self, tmp_path, capsys):
         """No junction converges, so the figures over converged junctions are
         null and the summary line has no sigma_R; the run still writes every
-        file, manifest included."""
+        file, manifest included.  A group with no converged junction has no
+        median frequency either, in a campaign where another group has one:
+        at seed 36 two anneals converge one junction, in group 1."""
         assert cli.main(["tune", "--junctions", "5", "--target-spread", "50:60",
                          "--max-anneals", "1", "--out", str(tmp_path)]) == 0
         payload = read_json(tmp_path, "tune")
@@ -869,12 +877,24 @@ class TestTuneCommand:
         for key in ("sigma_r_ohm", "pooled_sigma_f_mhz", "target_sigma_f_mhz",
                     "predicted_sigma_f_mhz"):
             assert payload[key] is None, key
-        assert list(payload["group_median_f_ghz"]) == ["0"]
+        assert payload["group_median_f_ghz"] == {"0": None}
         assert read_json(tmp_path, "tune", filename="manifest.json")["outputs"] == [
             "plot.svg", "results.csv", "results.json"]
         out = capsys.readouterr().out
         assert out.startswith("converged 0/5 (0.0%)\ngroup 0: median R = ")
         assert "sigma_R" not in out and "pooled" not in out
+        assert out.splitlines()[1].endswith(" ohm, median f = n/a")
+
+        assert cli.main(["tune", "--max-anneals", "2", "--seed", "36", "--name", "one",
+                         "--out", str(tmp_path)]) == 0
+        payload = read_json(tmp_path, "tune", "one")
+        assert payload["n_converged"] == 1 and payload["pooled_sigma_f_mhz"] == 0.0
+        assert payload["group_median_f_ghz"]["0"] is None
+        assert payload["group_median_f_ghz"]["1"] == pytest.approx(5.4545, abs=1e-4)
+        assert payload["group_median_r_ohm"]["0"] == pytest.approx(7840.3, abs=0.1)
+        out = capsys.readouterr().out.splitlines()
+        assert out[2] == "group 0: median R = 7840 ohm, median f = n/a"
+        assert out[3] == "group 1: median R = 8580 ohm, median f = 5.4545 GHz"
 
     def test_every_default_but_the_spread_is_read_from_tunesim(self):
         from freqcrowd import tunesim
@@ -934,22 +954,28 @@ class TestFitRnCommand:
                        "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err == (f"error: --fix-exponent={exponent}: "
-                                           f"fixed exponent must be finite, got {exponent}\n")
+                                           "fix_exponent must be in [-10, 10]\n")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("exponent", ["1e300", "-1e300", "1e3"])
+    @pytest.mark.parametrize("exponent, reason", [
+        ("1e300", "fix_exponent must be in [-10, 10]"),
+        ("-1e300", "fix_exponent must be in [-10, 10]"),
+        ("1e3", "fix_exponent must be in [-10, 10]"),
+        ("10", "fitted curve is not finite over the data"),
+    ], ids=["1e300", "-1e300", "1e3", "10"])
     def test_a_fixed_exponent_that_overflows_the_curve_is_a_usage_error(self, tmp_path, capsys,
-                                                                        exponent):
-        """A finite exponent whose power law is not finite over the data is
-        refused under its flag, with no numpy warning and nothing written."""
-        src = self.write_pairs(tmp_path / "rn.csv", [(5000.0, 5.7), (5000.0, 5.6)])
+                                                                        exponent, reason):
+        """An exponent past its domain, or one inside it whose power law is
+        not finite over the data (1e300 ohm to the 10th), is refused under
+        its flag, with no numpy warning and nothing written."""
+        src = self.write_pairs(tmp_path / "rn.csv", [(1e300, 5.7), (1e300, 5.6)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = cli.main(["fit-rn", "--csv", src, f"--fix-exponent={exponent}",
                            "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err == (f"error: --fix-exponent={float(exponent):.10g}: "
-                                           "fitted curve is not finite over the data\n")
+                                           f"{reason}\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bad_line", ["7500", "7500,1.9x", "7500,nan"],

@@ -4,12 +4,14 @@ Each command runs on flags drawn from its own options in ``cli.OPTIONS`` and
 on generated bytes, CSV text and JSON as its ``--csv``, ``--sweep-csv`` and
 manifest files.  Each flag is left out, given a value its command takes, or
 given a bad one; each file holds a valid input, arbitrary text of its kind or
-arbitrary bytes.  Whatever it is given, ``cli.main`` returns 0, 1 or 2
-(argparse's own rejections exit 2).  A run that fails past argument parsing
-prints exactly one ``error:`` or ``i/o error:`` line and writes no run
-directory; one that succeeds writes it.  No run warns: tier-1 turns
-warnings into errors, so a numpy RuntimeWarning, which a command line would
-print, fails its example.
+arbitrary bytes.  A setting with a declared domain takes values across it,
+its edges included, and bad values just past each edge.  Whatever it is
+given, ``cli.main`` returns 0, 1 or 2 (argparse's own rejections exit 2).
+A run that fails past argument parsing prints exactly one ``error:`` or
+``i/o error:`` line and writes no run directory; one that succeeds writes
+it.  No run warns: tier-1 turns warnings into errors, so a numpy
+RuntimeWarning, which a command line would print, fails its example, and no
+in-domain setting may overflow.
 
 Valid runs stay cheap: distances up to 5, at most 50 trials, at most three
 scatter levels or spacings and at most 40 junctions.  Trial counts are bounded
@@ -25,7 +27,8 @@ import tempfile
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from freqcrowd import cli, lattice, tunesim, window
+from freqcrowd import cli, lattice, window
+from reference import domain_edges
 
 SWEEP_COLUMNS = ("family", "distance", "n_qubits", "sigma_f_mhz", "yield")
 INPUTS = {"csv_path": "rn.csv", "sweep_csv": "sweep.csv", "manifest": "manifest.json"}
@@ -38,14 +41,31 @@ bad_lists = st.one_of(
     st.text(st.sampled_from("0123456789.,;: -ex"), max_size=8))
 
 
-def _float_values(default):
-    """Values near a float option's default, which its command takes."""
-    if default is None:  # --fix-exponent
-        return st.floats(-1.0, 0.0)
-    if default == 0.0:  # --sigma-mhz
-        return st.floats(0.0, 50.0)
+def _domain_values(domain):
+    """Values across a declared domain, its edges included, and values just
+    past each edge, as flag text."""
+    inside, past = domain_edges(domain)
+    good = st.floats(*inside[:2]) | st.sampled_from(inside)  # lo, the highest value inside
+    return good, st.sampled_from(past).map(repr)
+
+
+def _float_values(opt):
+    """A float option's (good, bad) values: across its declared domain and
+    just past it, or else near its default and bad as floats are."""
+    if opt.domain is not None:
+        good, past = _domain_values(opt.domain_of())
+        return good, past | bad_floats
+    default = opt.default.value() if isinstance(opt.default, cli.ModuleDefault) else opt.default
     lo, hi = sorted((0.5 * default, 1.5 * default))
-    return st.floats(lo, hi)
+    return st.floats(lo, hi), bad_floats
+
+
+def _list_values(dest):
+    """A list option's (good, bad) values: one to three values across the
+    domain of the setting it feeds, and a list holding one just past it."""
+    good, past = _domain_values(cli._OPTION[dest].domain_of())
+    return (st.lists(good, min_size=1, max_size=3),
+            bad_lists | st.lists(past, min_size=1, max_size=3).map(",".join))
 
 
 # each option's (good, bad) flag values, where they are not drawn by type
@@ -53,8 +73,8 @@ FLAGS = {
     "family": (st.sampled_from([*lattice.FAMILIES, "heavy-hexagon"]),
                st.sampled_from(["Square", "hex", "", "heavy hexagon"])),
     "distance": (st.sampled_from([3, 5]), st.sampled_from(["-3", "0", "1", "2", "4", "33", "x"])),
-    "sigmas": (st.lists(st.floats(0.0, 60.0), min_size=1, max_size=3), bad_lists),
-    "spacings": (st.lists(st.floats(30.0, 150.0), min_size=1, max_size=3), bad_lists),
+    "sigmas": _list_values("sigmas"),
+    "spacings": _list_values("spacings"),
     "trials": (st.integers(0, 50), st.sampled_from(["-1", "-3", "x", "", "1.5", "1e3"])),
     "junctions": (st.integers(1, 40), st.sampled_from(["0", "-2", "x", ""])),
     "max_anneals": (st.integers(0, 60), st.sampled_from(["-1", "x", "1.5"])),
@@ -64,19 +84,11 @@ FLAGS = {
              st.sampled_from(["..", ".", "", "a/b", "/abs"])),
     "seed": (st.integers(0, 2**128 - 1),
              st.sampled_from(["-1", "x", str(2**128), str(-2**200), "1.0"])),
-    # values whose draws, not the values themselves, pass a bound
-    "noise_sigma": (_float_values(tunesim.DEFAULT_NOISE_SIGMA),
-                    bad_floats | st.sampled_from(["1000"])),
-    "residual_std_mhz": (_float_values(tunesim.DEFAULT_RESIDUAL_STD_MHZ),
-                         bad_floats | st.sampled_from(["6000", "1e306"])),
 }
 
 
 def _flag_values(opt):
-    if opt.dest in FLAGS:
-        return FLAGS[opt.dest]
-    default = opt.default.value() if isinstance(opt.default, cli.ModuleDefault) else opt.default
-    return _float_values(default), bad_floats
+    return FLAGS[opt.dest] if opt.dest in FLAGS else _float_values(opt)
 
 
 def _flag_text(value):
@@ -142,8 +154,8 @@ rn_texts = st.builds(
 
 # a manifest config value: its option's own type and range, or another type
 json_scalars = st.none() | st.booleans() | st.floats() | st.text(max_size=5)
-TYPED = {"sigmas": st.lists(st.floats(0.0, 60.0), max_size=3).map(_flag_text),
-         "spacings": st.lists(st.floats(30.0, 150.0), max_size=3).map(_flag_text),
+TYPED = {"sigmas": FLAGS["sigmas"][0].map(_flag_text),
+         "spacings": FLAGS["spacings"][0].map(_flag_text),
          "sweep_csv": st.sampled_from(["sweep.csv", "rn.csv", "a\0b"]),
          "csv_path": st.sampled_from(["rn.csv", "missing.csv", "a\0b"]),
          "name": FLAGS["name"][0] | st.sampled_from(["..", "a\0b"]),

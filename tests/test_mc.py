@@ -343,15 +343,17 @@ def test_run_point_reads_past_the_end_of_its_deviates(nine_lattices, monkeypatch
 
 
 def test_inputs_at_their_bounds_count_without_overflow():
-    """Set points, scatter and |anharmonicity| up to lattice.MAX_MHZ keep
+    """Spacing, scatter and anharmonicity at the edges of their domains keep
     every trial frequency and collision operand finite: no overflow warning,
     which this suite turns into an error, in the kernel or the expectation."""
-    hh3 = lattice.build_lattice("heavy_hexagon", 3, -lattice.MAX_MHZ)
-    pattern = lattice.FrequencyPattern(spacing_mhz=4e299)
-    assert lattice.set_points_mhz(hh3, pattern).max() <= lattice.MAX_MHZ
-    assert mc.run_point(hh3, pattern, lattice.MAX_MHZ, 300, 1).trials == 300
-    plan = mc.plan_sweep(hh3, pattern, [lattice.MAX_MHZ], spacing_grid=[4e299])
-    assert math.isfinite(sum(plan[0].expected))
+    hh3 = lattice.build_lattice("heavy_hexagon", 3, lattice.ANHARMONICITY_DOMAIN.lo)
+    spacing = lattice.SPACING_DOMAIN.hi
+    pattern = lattice.FrequencyPattern(spacing_mhz=spacing)
+    assert lattice.set_points_mhz(hh3, pattern).max() == 5000.0 + 2 * spacing
+    for sigma in (collision.SIGMA_DOMAIN.lo, collision.SIGMA_DOMAIN.hi):
+        assert mc.run_point(hh3, pattern, sigma, 300, 1).trials == 300
+        plan = mc.plan_sweep(hh3, pattern, [sigma], spacing_grid=[spacing])
+        assert math.isfinite(sum(plan[0].expected))
 
 
 def test_negative_zero_sigma_is_measured_as_zero(hh3):
@@ -382,7 +384,7 @@ def test_negative_zero_spacing_is_planned_as_zero(hh3):
 def test_run_point_validation(hh3):
     pattern = lattice.FrequencyPattern()
     for bad in (-1.0, float("nan"), float("inf"), 1e308):  # 1e308: sigma * z would overflow
-        with pytest.raises(ParameterError, match="sigma must be >= 0"):
+        with pytest.raises(ParameterError, match="sigma_mhz must be in"):
             mc.run_point(hh3, pattern, bad, 10)
     with pytest.raises(ParameterError):
         mc.run_point(hh3, pattern, 14.0, 0)
@@ -455,7 +457,7 @@ def test_optimize_spacing_zero_scatter_prefers_smallest_clean(hh3):
 @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
 def test_operating_point_rejects_bad_sigma(hh3, sigma):
     """A point's scatter is checked where it is planned."""
-    with pytest.raises(ParameterError, match="sigma must be >= 0"):
+    with pytest.raises(ParameterError, match="sigma_mhz must be in"):
         mc.plan_sweep(hh3, lattice.FrequencyPattern(), (14.0, sigma))
 
 

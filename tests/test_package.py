@@ -1,4 +1,5 @@
-"""The package's public names and what importing it loads.
+"""The package's public names, what importing it loads, and the domain
+edges each entry checks.
 
 The import checks run in a fresh interpreter, because this test session has
 already imported every submodule.
@@ -11,7 +12,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import freqcrowd
+from freqcrowd.errors import Domain, ParameterError
+from reference import domain_edges
 
 # the public API, in order, under the submodule that defines each name
 PUBLIC = {
@@ -144,3 +149,65 @@ def test_each_command_loads_only_the_modules_it_calls(tmp_path):
     assert not loaded & {f"freqcrowd.{m}" for m in LAZY}
     loaded = after("tune", "--junctions", "5", "--target-spread", "0.4:14.5")
     assert "freqcrowd.tunesim" in loaded and "freqcrowd.window" not in loaded
+
+
+def _domain_entries():
+    """Each declared domain with each public entry that first reads a value
+    of it: ``(domain, call(value), the parameter a refusal names)``."""
+    from freqcrowd import collision, lattice, mc, physics, tunesim, window
+    hh3 = lattice.build_lattice("heavy_hexagon", 3)
+    sp = lattice.set_points_mhz(hh3, lattice.FrequencyPattern())
+    model, policy, rng = tunesim.AnnealResponseModel.default(), tunesim.TunePolicy(), mc.Streams(0)
+    return {
+        "spacing": (lattice.SPACING_DOMAIN, lambda v: lattice.set_points_mhz(
+            hh3, lattice.FrequencyPattern(v)), "spacing_mhz"),
+        "anharmonicity": (lattice.ANHARMONICITY_DOMAIN, lambda v: lattice.build_lattice(
+            "heavy_hexagon", 3, v), "anharmonicity_mhz"),
+        "sigma-run-point": (collision.SIGMA_DOMAIN, lambda v: mc.run_point(
+            hh3, lattice.FrequencyPattern(), v, 2, 1), "sigma_mhz"),
+        "sigma-expected-counts": (collision.SIGMA_DOMAIN, lambda v: collision.expected_counts(
+            hh3.collision_index, sp, [14.0, v]), "sigma_mhz"),
+        "sigma-window-yield": (collision.SIGMA_DOMAIN, lambda v: window.window_yield(
+            30.0, v, 65), "sigma_f_mhz"),
+        "median-resistance": (tunesim.RESISTANCE_DOMAIN, lambda v: tunesim.generate_population(
+            3, v, 0.0), "median_ohm"),
+        "resistance": (tunesim.RESISTANCE_DOMAIN, lambda v: tunesim.tune_junction(
+            0, v, 1e4, model, policy, rng.at(0)), "r_ohm"),
+        "target-resistance": (tunesim.RESISTANCE_DOMAIN, lambda v: tunesim.tune_junction(
+            0, 1.0, v, model, policy, rng.at(0)), "r_target_ohm"),
+        "fractional-sigma": (tunesim.LOGNORMAL_SIGMA_DOMAIN,
+                             lambda v: tunesim.generate_population(3, 7600.0, v),
+                             "fractional_sigma"),
+        "noise-sigma": (tunesim.LOGNORMAL_SIGMA_DOMAIN,
+                        lambda v: tunesim.AnnealResponseModel.default(v), "noise_sigma"),
+        "residual-std": (tunesim.RESIDUAL_STD_DOMAIN, lambda v: tunesim.run_campaign(
+            [8000.0], [8400.0], fit=tunesim.default_wafer_fit(v)), "residual_std_mhz"),
+        "fix-exponent": (physics.FIX_EXPONENT_DOMAIN, lambda v: physics.fit_power_law(
+            [7000.0, 9000.0], [2.2, 1.9], fix_exponent=v), "fix_exponent"),
+    }
+
+
+DOMAIN_ENTRIES = tuple(_domain_entries())
+
+
+@pytest.mark.parametrize("entry", DOMAIN_ENTRIES)
+def test_each_domain_edge_is_checked_at_its_entry(entry):
+    """Each value at an edge inside a declared domain is taken by the entry
+    that first reads it, and the float just past each edge is refused there,
+    naming its parameter, with no warning (tier-1 turns them into errors)."""
+    domain, call, param = _domain_entries()[entry]
+    inside, past = domain_edges(domain)
+    for value in inside:
+        call(value)
+    for value in past:
+        with pytest.raises(ParameterError) as excinfo:
+            call(value)
+        assert excinfo.value.param == param, value
+
+
+def test_every_declared_domain_is_checked_at_an_entry():
+    """No module declares a domain that the edge test above leaves out."""
+    declared = {id(value) for module in SUBMODULES
+                for value in vars(importlib.import_module(f"freqcrowd.{module}")).values()
+                if isinstance(value, Domain)}
+    assert declared == {id(domain) for domain, *_ in _domain_entries().values()}

@@ -1,6 +1,7 @@
 """Resistance-trimming simulation: population, controller, campaign stats."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,18 +43,19 @@ class TestPopulation:
         ({"median_ohm": 1e300}, "median_ohm"), ({"median_ohm": 1e-300}, "median_ohm"),
         ({"fractional_sigma": 1000.0}, "fractional_sigma"),
         ({"fractional_sigma": 1e308}, "fractional_sigma"),
-        ({"median_ohm": tunesim.MAX_OHM, "fractional_sigma": 0.05}, "fractional_sigma"),
+        ({"median_ohm": tunesim.RESISTANCE_DOMAIN.hi, "fractional_sigma": 0.05},
+         "fractional_sigma"),
     ])
     def test_a_draw_outside_the_resistance_range_is_refused(self, kwargs, param):
-        """Every drawn resistance lies in [MIN_OHM, MAX_OHM], so no squared
-        deviation overflows downstream; a median outside it is at fault, else
-        the scatter.  No numpy warning is raised on the way."""
-        with pytest.raises(ParameterError, match="outside") as excinfo:
+        """Every drawn resistance lies in the resistance domain: a median or a
+        scatter outside its own domain is refused, and so is a median inside
+        it that the scatter draws past an edge.  No numpy warning is raised."""
+        with pytest.raises(ParameterError, match=r"must be in \[|outside \[1, 1e\+09\]") as excinfo:
             tunesim.generate_population(31, master_seed=36, **kwargs)
         assert excinfo.value.param == param
 
     def test_the_range_edges_are_drawn(self):
-        for median in (tunesim.MIN_OHM, tunesim.MAX_OHM):
+        for median in (tunesim.RESISTANCE_DOMAIN.lo, tunesim.RESISTANCE_DOMAIN.hi):
             assert tunesim.generate_population(3, median, 0.0).tolist() == [median] * 3
 
     @pytest.mark.parametrize("kwargs", [
@@ -283,16 +285,16 @@ class TestTuneJunction:
                                                    (math.nan, 8000.0), (8000.0, 0.0),
                                                    (8000.0, math.nan)])
     def test_rejects_a_non_positive_resistance(self, r_ohm, target_ohm):
-        with pytest.raises(ParameterError, match=r"resistance and target must lie in \[1e-100"):
+        with pytest.raises(ParameterError, match=r"_ohm must be in \[1, 1e\+09\]$") as excinfo:
             self.tune(r_ohm, target_ohm)
+        assert excinfo.value.param == ("r_ohm" if not r_ohm > 0.0 else "r_target_ohm")
 
     @pytest.mark.parametrize("noise", [1e4, 1e300])
     def test_noise_that_anneals_past_the_resistance_range_is_refused(self, noise):
-        """A noise level whose shift overflows, or takes the resistance above
-        MAX_OHM, is refused naming ``noise_sigma``, with no overflow warning
-        (tier-1 turns warnings into errors)."""
-        with pytest.raises(ParameterError, match=r"^anneal noise takes a resistance above 1e\+100 "
-                                                 r"ohm$") as excinfo:
+        """A noise level past its domain is refused naming ``noise_sigma``
+        before any anneal: within it a realised shift is below 0.15 * e**14,
+        so no resistance overflows."""
+        with pytest.raises(ParameterError, match=r"^noise_sigma must be in \[0, 1\]$") as excinfo:
             self.tune(8000.0, 8800.0, model=tunesim.AnnealResponseModel.default(noise))
         assert excinfo.value.param == "noise_sigma"
 
@@ -318,8 +320,8 @@ class TestCampaign:
         (8000.0, 1e-300), (-8000.0, 8400.0)])
     def test_refuses_a_resistance_or_target_outside_the_range(self, r_ohm, target_ohm):
         """Each junction is checked as it is tuned: the campaign rejects an
-        input outside [MIN_OHM, MAX_OHM] before any squared deviation overflows."""
-        with pytest.raises(ParameterError, match="must lie in"):
+        input outside the resistance domain."""
+        with pytest.raises(ParameterError, match=r"must be in \[1, 1e\+09\]$"):
             tunesim.run_campaign([8000.0, r_ohm], [8400.0, target_ohm])
 
     def test_a_campaign_is_pure(self):
@@ -357,6 +359,26 @@ class TestCampaign:
         assert (res.sigma_r_ohm, res.pooled_sigma_f_mhz, res.target_sigma_f_mhz,
                 res.predicted_sigma_f_mhz) == (None, None, None, None)
         assert list(res.group_median_r_ohm) == list(res.group_median_f_ghz) == [0]
+        assert res.group_median_f_ghz[0] is None
+
+    def test_group_median_frequencies_are_over_converged_junctions(self):
+        """At seed 36 two anneals converge 1 of 31 junctions: each group's
+        median frequency is that of its converged junctions, the ones the
+        pooled scatter is taken about, and None for a group with none, while
+        the median resistance is over every junction."""
+        r = tunesim.generate_population(31, master_seed=36)
+        targets, gid = tunesim.two_group_split(r)
+        res = tunesim.run_campaign(r, targets, master_seed=36, group_ids=gid,
+                                   policy=tunesim.TunePolicy(max_anneals=2))
+        conv = np.array([rec.status == tunesim.CONVERGED for rec in res.records])
+        assert res.n_converged == 1 and res.pooled_sigma_f_mhz == 0.0
+        (g,) = gid[conv]
+        assert res.group_median_f_ghz == {g: res.group_median_f_ghz[g], 1 - g: None}
+        f_fit = predict_frequency_ghz(tunesim.default_wafer_fit(), res.records[conv.argmax()].r_ohm)
+        assert res.group_median_f_ghz[g] == pytest.approx(f_fit, abs=0.1)
+        final_r = [rec.r_ohm for rec in res.records]
+        assert res.group_median_r_ohm == {k: float(np.median(np.array(final_r)[gid == k]))
+                                          for k in (0, 1)}
 
     @pytest.mark.parametrize("residual_mhz", [-1.0, math.inf, math.nan])
     def test_rejects_bad_fit_residual(self, residual_mhz):
@@ -364,12 +386,17 @@ class TestCampaign:
         with pytest.raises(ParameterError, match="residual_std"):
             tunesim.run_campaign(r, tunesim.spread_targets(r, 0.01, 0.1), fit=ideal_fit(residual_mhz))
 
-    @pytest.mark.parametrize("residual_mhz", [6000.0, 1e306])
+    @pytest.mark.parametrize("residual_mhz", [6000.0, 1e306, 500.0])
     def test_a_residual_that_draws_a_converged_frequency_out_of_range_is_refused(self,
                                                                                residual_mhz):
-        r = tunesim.generate_population(31, master_seed=36)
-        with pytest.raises(ParameterError, match=r"^draws a converged frequency outside "
-                                                 r"\(0, 1e\+100\] GHz$") as excinfo:
+        """A residual past its domain is refused before any junction is
+        tuned, and one inside it whose draw takes a converged frequency to 0
+        or below is refused after: near 5e8 ohm the fit puts a junction at
+        about 23 MHz, which a 500 MHz residual draws below 0."""
+        r = tunesim.generate_population(31, 5e8, master_seed=36)
+        reason = ("draws a converged frequency at or below 0 GHz" if residual_mhz <= 500.0
+                  else "residual_std_mhz must be in [0, 500]")
+        with pytest.raises(ParameterError, match=f"^{re.escape(reason)}$") as excinfo:
             tunesim.run_campaign(r, tunesim.spread_targets(r, 0.01, 0.1), master_seed=36,
                                  fit=ideal_fit(residual_mhz))
         assert excinfo.value.param == "residual_std_mhz"

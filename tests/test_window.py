@@ -29,20 +29,21 @@ class TestWindowYield:
     def test_zero_scatter_is_certain(self):
         assert window.window_yield(0.5, 0.0, 10000) == 1.0
 
-    @pytest.mark.parametrize("sigma", [5e-324, 1e-310])
-    def test_a_scatter_whose_ratio_overflows_is_certain(self, sigma):
-        """delta_f / sigma past the largest float is an infinite ratio, as at
-        sigma 0, with no warning (tier-1 turns warnings into errors)."""
-        assert window.window_yield(20.0, sigma, 20) == 1.0
-        assert window.window_yield(20.0, np.array([sigma, 0.0]), 20).tolist() == [1.0, 1.0]
+    @pytest.mark.parametrize("width", [1e306, np.finfo(float).max])
+    def test_a_width_whose_ratio_overflows_is_certain(self, width):
+        """delta_f / sigma past the largest float, at the smallest nonzero
+        scatter the domain takes, is an infinite ratio, as at sigma 0, with no
+        warning (tier-1 turns warnings into errors)."""
+        assert window.window_yield(width, 1e-3, 20) == 1.0
+        assert window.window_yield(width, np.array([1e-3, 0.0]), 20).tolist() == [1.0, 1.0]
 
     def test_vector_sigma(self):
-        sig = np.array([0.0, 14.0, 1e6])
+        sig = np.array([0.0, 14.0, 1e4])
         y = window.window_yield(30.0, sig, 65)
         assert y.shape == (3,)
         assert y[0] == 1.0
         assert y[1] == pytest.approx(ORACLE_YIELD_30_14_65, abs=1e-6)
-        assert y[2] == pytest.approx(0.5 ** 65, rel=1e-3)
+        assert y[2] == pytest.approx((0.5 * math.erfc(-0.003 / math.sqrt(2.0))) ** 65, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -52,7 +53,7 @@ class TestWindowYield:
         with pytest.raises(ParameterError):  # NaN is no scatter level, not zero scatter
             window.window_yield(30.0, np.array([14.0, np.nan]), 65)
         for sigma in (math.inf, np.array([14.0, math.inf])):  # no 0.5**N at infinite scatter
-            with pytest.raises(ParameterError, match="sigma_f must be finite and >= 0"):
+            with pytest.raises(ParameterError, match=r"sigma_f_mhz must be in \[0.001, 10000\]"):
                 window.window_yield(30.0, sigma, 65)
         with pytest.raises(ParameterError):
             window.window_yield(math.nan, 14.0, 65)
